@@ -290,10 +290,6 @@ def load_instance(path: str) -> Instance:
 # serialization (round-trip support)
 
 
-def _value_out(q: Quantale, v) -> str:
-    return q.format(v)
-
-
 def serialize_instance(inst: Instance) -> dict:
     q = inst.quantale
     objects = {}
@@ -305,14 +301,14 @@ def serialize_instance(inst: Instance) -> dict:
 
 def _ser_normed_set(inst, A: NormedSet) -> dict:
     q = A.quantale
-    return {"elements": [{"id": e, "norm": _value_out(q, A.norm(e))} for e in A]}
+    return {"elements": [{"id": e, "norm": q.format(A.norm(e))} for e in A]}
 
 
 def _ser_vcat(inst, X: VCategory) -> dict:
     q = X.quantale
     return {
         "objects": list(X.objects),
-        "dist": [[_value_out(q, X.d(a, b)) for b in X.objects] for a in X.objects],
+        "dist": [[q.format(X.d(a, b)) for b in X.objects] for a in X.objects],
     }
 
 
@@ -321,7 +317,7 @@ def _ser_ncat(inst, A: ncat_mod.NormedCategory) -> dict:
     return {
         "objects": list(A.objects),
         "morphisms": [
-            {"id": m, "dom": A.dom[m], "cod": A.cod[m], "norm": _value_out(q, A.norm[m])}
+            {"id": m, "dom": A.dom[m], "cod": A.cod[m], "norm": q.format(A.norm[m])}
             for m in A.morphisms
         ],
         "identities": dict(A.identity),
@@ -337,7 +333,7 @@ def _ser_vdist(inst, d: vcat_mod.VDistributor) -> dict:
         "source": source_name,
         "target": target_name,
         "values": [
-            [_value_out(q, d.at(x, y)) for y in d.target.objects]
+            [q.format(d.at(x, y)) for y in d.target.objects]
             for x in d.source.objects
         ],
     }
@@ -355,8 +351,8 @@ def _ser_weight_pair(inst, wp: vcat_mod.VWeightPair) -> dict:
     X = wp.phi.target
     return {
         "space": _find_name(inst, X),
-        "phi": {x: _value_out(q, v) for x, v in vcat_mod.weight_vector(wp.phi).items()},
-        "psi": {x: _value_out(q, v) for x, v in vcat_mod.coweight_vector(wp.psi).items()},
+        "phi": {x: q.format(v) for x, v in vcat_mod.weight_vector(wp.phi).items()},
+        "psi": {x: q.format(v) for x, v in vcat_mod.coweight_vector(wp.psi).items()},
     }
 
 
@@ -366,7 +362,7 @@ def _ser_ndist(inst, Phi: ncat_mod.NormedDistributor) -> dict:
         "category": _find_name(inst, Phi.category),
         "variance": "covariant" if Phi.covariant else "contravariant",
         "sets": {
-            a: [{"id": e, "norm": _value_out(q, S.norm(e))} for e in S]
+            a: [{"id": e, "norm": q.format(S.norm(e))} for e in S]
             for a, S in Phi.sets.items()
         },
         "action": {h: dict(t) for h, t in Phi.action.items()},
@@ -509,7 +505,7 @@ def _task_compose(inst: Instance, task: dict, budget: int, probe: int) -> dict:
         raise InputError(str(exc))
     q = inst.quantale
     values = [
-        [_value_out(q, result.at(x, z)) for z in result.target.objects]
+        [q.format(result.at(x, z)) for z in result.target.objects]
         for x in result.source.objects
     ]
     return {"verdict": "info", "details": {"values": values}}
@@ -540,12 +536,12 @@ def _task_isbell(inst: Instance, task: dict, budget: int, probe: int) -> dict:
         vec = vcat_mod.coweight_vector(conj)
         return {
             "verdict": "info",
-            "details": {"conjugate": {x: _value_out(q, v) for x, v in vec.items()}},
+            "details": {"conjugate": {x: q.format(v) for x, v in vec.items()}},
         }
     conj = ncat_mod.isbell_conjugate_ndist(value, budget)
     sizes = {a: len(conj.set_at(a)) for a in conj.category.objects}
     norms = {
-        a: [_value_out(q, conj.set_at(a).norm(e)) for e in conj.set_at(a)]
+        a: [q.format(conj.set_at(a).norm(e)) for e in conj.set_at(a)]
         for a in conj.category.objects
     }
     return {"verdict": "info", "details": {"sizes": sizes, "norms": norms}}
@@ -568,7 +564,7 @@ def _task_representable(inst: Instance, task: dict, budget: int, probe: int) -> 
 
 
 def _format_weight_vec(q: Quantale, vec: dict) -> dict:
-    return {str(x): _value_out(q, v) for x, v in vec.items()}
+    return {str(x): q.format(v) for x, v in vec.items()}
 
 
 def _task_lawvere(inst: Instance, task: dict, budget: int, probe: int) -> dict:

@@ -1,4 +1,5 @@
-"""Shared plumbing: exceptions, check reports, enumeration budgets."""
+"""Shared plumbing: exceptions, check reports, enumeration budgets, and the
+union-find."""
 
 from __future__ import annotations
 
@@ -59,6 +60,26 @@ class BudgetExceeded(Exception):
 def guard_count(needed: int, budget: int, what: str, skipped: Any = None) -> None:
     if needed > budget:
         raise BudgetExceeded(what, needed, budget, skipped)
+
+
+class UnionFind:
+    """Disjoint sets over ``0 .. n-1``; the root of a class is its smallest
+    index, so class representatives do not depend on the union order."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
 
 
 @dataclass

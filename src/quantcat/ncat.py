@@ -53,6 +53,7 @@ from .common import (
     DEFAULT_BUDGET,
     PreconditionError,
     Report,
+    UnionFind,
     guard_count,
 )
 from .normed_set import NormedMap, NormedSet
@@ -442,17 +443,6 @@ def i_embed_weight(phi_vec: Mapping, NA: NormedCategory) -> NormedDistributor:
 # natural transformations (the end construction)
 
 
-def _function_space(src: NormedSet, tgt: NormedSet) -> list[dict]:
-    if not src.elements:
-        return [{}]
-    if not tgt.elements:
-        return []
-    out = [{}]
-    for x in src.elements:
-        out = [{**m, x: y} for m in out for y in tgt.elements]
-    return out
-
-
 def _nat_count(Phi: NormedDistributor, Psi: NormedDistributor) -> int:
     count = 1
     for a in Phi.category.objects:
@@ -473,22 +463,20 @@ def enumerate_nat_families(
         raise ValueError("natural families are enumerated between covariant distributors")
     A = Phi.category
     guard_count(_nat_count(Phi, Psi), budget, "natural-transformation enumeration")
-    families = [{}]
-    for a in A.objects:
-        comps = _function_space(Phi.set_at(a), Psi.set_at(a))
-        families = [{**fam, a: comp} for fam in families for comp in comps]
+    # one component space per object; the families are streamed
+    components = [
+        [dict(zip(Phi.set_at(a), images))
+         for images in product(Psi.set_at(a), repeat=len(Phi.set_at(a)))]
+        for a in A.objects
+    ]
     natural = []
-    for fam in families:
-        ok = True
-        for h in A.morphisms:
-            a, b = A.dom[h], A.cod[h]
-            for x in Phi.set_at(a):
-                if fam[b][Phi.apply(h, x)] != Psi.apply(h, fam[a][x]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    for comps in product(*components):
+        fam = dict(zip(A.objects, comps))
+        if all(
+            fam[A.cod[h]][Phi.apply(h, x)] == Psi.apply(h, fam[A.dom[h]][x])
+            for h in A.morphisms
+            for x in Phi.set_at(A.dom[h])
+        ):
             natural.append(fam)
     return natural
 
@@ -585,30 +573,16 @@ class CoendClasses:
             for u in self.phi.set_at(a)
         ]
         index = {p: i for i, p in enumerate(self.pairs)}
-        parent = list(range(len(self.pairs)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union(i, j):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                # keep the smallest index as the root for determinism
-                lo, hi = (ri, rj) if ri < rj else (rj, ri)
-                parent[hi] = lo
-
+        quotient = UnionFind(len(self.pairs))
         for h in A.morphisms:
             a, b = A.dom[h], A.cod[h]
             for u in self.phi.set_at(a):
                 for v in self.psi.set_at(b):
                     left = (b, v, self.phi.apply(h, u))
                     right = (a, self.psi.apply(h, v), u)
-                    union(index[left], index[right])
+                    quotient.union(index[left], index[right])
 
-        self._rep = {p: self.pairs[find(index[p])] for p in self.pairs}
+        self._rep = {p: self.pairs[quotient.find(index[p])] for p in self.pairs}
         self.classes: dict[tuple, list] = {}
         for p in self.pairs:  # declaration order
             self.classes.setdefault(self._rep[p], []).append(p)

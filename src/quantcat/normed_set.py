@@ -9,6 +9,7 @@ layer exactly when the unit lies below that meet.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Any, Iterable, Mapping
 
 from .common import DEFAULT_BUDGET, guard_count
@@ -144,15 +145,8 @@ def tensor(A: NormedSet, B: NormedSet) -> NormedSet:
 def all_functions(A: NormedSet, B: NormedSet, budget: int = DEFAULT_BUDGET):
     """Every function A → B, as an image tuple aligned with A.elements."""
     require_same_quantale(A.quantale, B.quantale)
-    count = len(B) ** len(A) if len(A) else 1
-    guard_count(count, budget, f"function space of size {len(B)}^{len(A)}")
-    if not A.elements:
-        yield ()
-        return
-    images = [()]
-    for _ in A.elements:
-        images = [partial + (b,) for partial in images for b in B.elements]
-    yield from images
+    guard_count(len(B) ** len(A), budget, f"function space of size {len(B)}^{len(A)}")
+    yield from product(B.elements, repeat=len(A))
 
 
 def function_as_map(A: NormedSet, B: NormedSet, images: tuple) -> NormedMap:

@@ -71,8 +71,14 @@ class FiniteQuantale:
 
     ``elements`` are names; internally an element is its index.  ``leq`` is the
     order as a boolean matrix, ``tensor`` the multiplication table (entries are
-    names or indices), ``unit`` the tensor-neutral element.  The tables are
-    taken on trust here; ``validate_quantale`` checks the axioms.
+    names or indices), ``unit`` the tensor-neutral element.  The constructor
+    checks the shapes and entries, and computes the binary join and meet
+    tables and the bottom and top from the order, with ``None`` where a table
+    that is not a lattice has no such element.  ``validate_quantale`` checks
+    the axioms.
+
+    The operations take canonical elements (indices, as returned by ``el``,
+    ``check`` and ``parse``) and do not check them again.
     """
 
     is_finite = True
@@ -86,29 +92,26 @@ class FiniteQuantale:
         self._leq = tuple(tuple(bool(x) for x in row) for row in leq)
         if len(self._leq) != n or any(len(r) != n for r in self._leq):
             raise ValueError("leq matrix shape does not match element count")
-        self._tensor = tuple(
-            tuple(self._coerce(x) for x in row) for row in tensor
-        )
+        self._tensor = tuple(tuple(self.check(x) for x in row) for row in tensor)
         if len(self._tensor) != n or any(len(r) != n for r in self._tensor):
             raise ValueError("tensor matrix shape does not match element count")
-        self.unit = self._coerce(unit)
-        self._join2: dict[tuple[int, int], int | None] = {}
-        self._meet2: dict[tuple[int, int], int | None] = {}
-        self._bottom: int | None = None
-        self._top: int | None = None
+        self.unit = self.check(unit)
+        # up[u] / down[u]: bitmasks of the elements above / below u
+        up = [sum(1 << w for w in range(n) if self._leq[u][w]) for u in range(n)]
+        down = [sum(1 << w for w in range(n) if self._leq[w][u]) for u in range(n)]
 
-    def _coerce(self, x) -> int:
-        if isinstance(x, bool):
-            raise CarrierMismatch(f"not an element: {x!r}")
-        if isinstance(x, int):
-            if not 0 <= x < len(self.names):
-                raise CarrierMismatch(f"element index out of range: {x}")
-            return x
-        if isinstance(x, str):
-            if x not in self._index:
-                raise CarrierMismatch(f"unknown element name: {x!r}")
-            return self._index[x]
-        raise CarrierMismatch(f"not an element: {x!r}")
+        def least(cover, S):
+            """The first member c of the bitmask S with S ⊆ cover[c], or None."""
+            return next((c for c in range(n) if S >> c & 1 and cover[c] & S == S), None)
+
+        self._join = tuple(
+            tuple(least(up, up[u] & up[v]) for v in range(n)) for u in range(n)
+        )
+        self._meet = tuple(
+            tuple(least(down, down[u] & down[v]) for v in range(n)) for u in range(n)
+        )
+        self._bottom = least(up, (1 << n) - 1)
+        self._top = least(down, (1 << n) - 1)
 
     # -- carrier ----------------------------------------------------------
 
@@ -119,19 +122,29 @@ class FiniteQuantale:
     def carrier(self) -> range:
         return range(len(self.names))
 
-    def el(self, name: str) -> int:
-        return self._coerce(name)
+    def check(self, u) -> int:
+        """The canonical index of an element given by index or name."""
+        if isinstance(u, bool):
+            raise CarrierMismatch(f"not an element: {u!r}")
+        if isinstance(u, int):
+            if not 0 <= u < len(self.names):
+                raise CarrierMismatch(f"element index out of range: {u}")
+            return u
+        if isinstance(u, str):
+            if u not in self._index:
+                raise CarrierMismatch(f"unknown element name: {u!r}")
+            return self._index[u]
+        raise CarrierMismatch(f"not an element: {u!r}")
+
+    el = check
 
     def name(self, u: int) -> str:
         return self.names[self.check(u)]
 
-    def check(self, u) -> int:
-        return self._coerce(u)
-
     def parse(self, raw) -> int:
         """Parse a file-format value: element names only (no numerals)."""
         if isinstance(raw, str):
-            return self._coerce(raw)
+            return self.check(raw)
         raise CarrierMismatch(
             f"finite quantale elements must be referenced by name, got {raw!r}"
         )
@@ -141,89 +154,50 @@ class FiniteQuantale:
 
     # -- order ------------------------------------------------------------
 
-    def leq(self, u, v) -> bool:
-        return self._leq[self.check(u)][self.check(v)]
-
-    def _lub(self, u: int, v: int) -> int | None:
-        key = (u, v) if u <= v else (v, u)
-        if key in self._join2:
-            return self._join2[key]
-        ubs = [w for w in self.carrier() if self._leq[u][w] and self._leq[v][w]]
-        least = None
-        for c in ubs:
-            if all(self._leq[c][w] for w in ubs):
-                least = c
-                break
-        self._join2[key] = least
-        return least
-
-    def _glb(self, u: int, v: int) -> int | None:
-        key = (u, v) if u <= v else (v, u)
-        if key in self._meet2:
-            return self._meet2[key]
-        lbs = [w for w in self.carrier() if self._leq[w][u] and self._leq[w][v]]
-        greatest = None
-        for c in lbs:
-            if all(self._leq[w][c] for w in lbs):
-                greatest = c
-                break
-        self._meet2[key] = greatest
-        return greatest
+    def leq(self, u: int, v: int) -> bool:
+        return self._leq[u][v]
 
     @property
     def bottom(self) -> int:
         if self._bottom is None:
-            for u in self.carrier():
-                if all(self._leq[u][v] for v in self.carrier()):
-                    self._bottom = u
-                    break
-            else:
-                raise ValueError("carrier has no bottom element")
+            raise ValueError("carrier has no bottom element")
         return self._bottom
 
     @property
     def top(self) -> int:
         if self._top is None:
-            for u in self.carrier():
-                if all(self._leq[v][u] for v in self.carrier()):
-                    self._top = u
-                    break
-            else:
-                raise ValueError("carrier has no top element")
+            raise ValueError("carrier has no top element")
         return self._top
 
-    def join(self, values: Iterable) -> int:
-        acc = None
+    def join(self, values: Iterable[int]) -> int:
+        values = iter(values)
+        acc = next(values, None)
+        if acc is None:
+            return self.bottom
         for v in values:
-            v = self.check(v)
+            acc = self._join[acc][v]
             if acc is None:
-                acc = v
-            else:
-                acc = self._lub(acc, v)
-                if acc is None:
-                    raise ValueError("join does not exist (not a lattice)")
-        return self.bottom if acc is None else acc
+                raise ValueError("join does not exist (not a lattice)")
+        return acc
 
-    def meet(self, values: Iterable) -> int:
-        acc = None
+    def meet(self, values: Iterable[int]) -> int:
+        values = iter(values)
+        acc = next(values, None)
+        if acc is None:
+            return self.top
         for v in values:
-            v = self.check(v)
+            acc = self._meet[acc][v]
             if acc is None:
-                acc = v
-            else:
-                acc = self._glb(acc, v)
-                if acc is None:
-                    raise ValueError("meet does not exist (not a lattice)")
-        return self.top if acc is None else acc
+                raise ValueError("meet does not exist (not a lattice)")
+        return acc
 
     # -- tensor and residuation --------------------------------------------
 
-    def tensor(self, u, v) -> int:
-        return self._tensor[self.check(u)][self.check(v)]
+    def tensor(self, u: int, v: int) -> int:
+        return self._tensor[u][v]
 
-    def hom(self, u, v) -> int:
+    def hom(self, u: int, v: int) -> int:
         """The residual: the largest w with w ⊗ u ≤ v."""
-        u, v = self.check(u), self.check(v)
         return self.join(
             w for w in self.carrier() if self._leq[self._tensor[w][u]][v]
         )
@@ -264,20 +238,14 @@ class LawvereQuantale:
     """
 
     is_finite = False
+    bottom = INF
+    top = Fraction(0)
 
     def __init__(self, mode: str):
         if mode not in ("additive", "multiplicative"):
             raise ValueError(f"unknown Lawvere mode: {mode!r}")
         self.mode = mode
         self.unit = Fraction(0) if mode == "additive" else Fraction(1)
-
-    @property
-    def bottom(self):
-        return INF
-
-    @property
-    def top(self):
-        return Fraction(0)
 
     def check(self, u):
         return as_extended_rational(u)
@@ -292,7 +260,6 @@ class LawvereQuantale:
         return "inf" if u is INF else str(u)
 
     def leq(self, u, v) -> bool:
-        u, v = self.check(u), self.check(v)
         if u is INF:
             return True
         if v is INF:
@@ -300,17 +267,11 @@ class LawvereQuantale:
         return u >= v
 
     def join(self, values: Iterable):
-        best = INF
-        for v in values:
-            v = self.check(v)
-            if v is not INF and (best is INF or v < best):
-                best = v
-        return best
+        return min((v for v in values if v is not INF), default=INF)
 
     def meet(self, values: Iterable):
         best = Fraction(0)
         for v in values:
-            v = self.check(v)
             if v is INF:
                 return INF
             if v > best:
@@ -318,14 +279,12 @@ class LawvereQuantale:
         return best
 
     def tensor(self, u, v):
-        u, v = self.check(u), self.check(v)
         if u is INF or v is INF:
             return INF
         return u + v if self.mode == "additive" else u * v
 
     def hom(self, u, v):
         """Residuation: truncated difference (additive) or the ratio v/u."""
-        u, v = self.check(u), self.check(v)
         if self.mode == "additive":
             if u is INF:
                 return Fraction(0)
@@ -415,21 +374,18 @@ def validate_quantale(q: FiniteQuantale, budget: int = DEFAULT_BUDGET) -> Report
     if not report.ok:
         return report
 
-    missing_join = None
-    missing_meet = None
-    for u in els:
-        for v in els:
-            if q._lub(u, v) is None:
-                missing_join = (u, v)
-            if q._glb(u, v) is None:
-                missing_meet = (u, v)
-    try:
-        q.bottom
-    except ValueError:
+    # the witness is the last missing pair in row-major order
+    missing_join = next(
+        ((u, v) for u in reversed(els) for v in reversed(els) if q._join[u][v] is None),
+        None,
+    )
+    missing_meet = next(
+        ((u, v) for u in reversed(els) for v in reversed(els) if q._meet[u][v] is None),
+        None,
+    )
+    if q._bottom is None:
         missing_join = missing_join or ("empty",)
-    try:
-        q.top
-    except ValueError:
+    if q._top is None:
         missing_meet = missing_meet or ("empty",)
     report.add(
         "lattice-joins",

@@ -44,6 +44,7 @@ from .common import (
     DEFAULT_BUDGET,
     PreconditionError,
     Report,
+    UnionFind,
     guard_count,
 )
 from .normed_set import NormedMap, NormedSet
@@ -66,7 +67,9 @@ AMBIENTS = (NSET, DSET, NCAT)
 def same_lattice(p: Quantale, q: Quantale) -> bool:
     """Same carrier and order; the tensors may differ."""
     if p.is_finite and q.is_finite:
-        return p.names == q.names and p._leq == q._leq
+        return p.names == q.names and all(
+            p.leq(u, v) == q.leq(u, v) for u in p.carrier() for v in p.carrier()
+        )
     return not p.is_finite and not q.is_finite
 
 
@@ -268,7 +271,7 @@ def validate_sequence(s: Sequence, window: int | None = None) -> Report:
     def step_map(m, n):
         acc = None
         for i in range(m, n):
-            acc = s.step_at(i) if acc is None else self_compose(s, s.step_at(i), acc)
+            acc = s.step_at(i) if acc is None else s._compose(s.step_at(i), acc)
         return acc if acc is not None else (
             {x: x for x in s._elements(obj(m))}
         )
@@ -291,10 +294,6 @@ def validate_sequence(s: Sequence, window: int | None = None) -> Report:
             break
     report.add("composite-norms", bad is None, bad)
     return report
-
-
-def self_compose(s: Sequence, g, f):
-    return {x: g[y] for x, y in f.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -367,28 +366,17 @@ def _set_colimit(s: Sequence) -> _Quotient:
     for n, elems in enumerate(stage_elems):
         for x in elems:
             index[(n, x)] = len(index)
-    parent = list(range(len(index)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    stages = UnionFind(len(index))
     for n in range(depth):
         step = s.step_at(n)
         for x in stage_elems[n]:
-            i, j = index[(n, x)], index[(n + 1, step[x])]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                lo, hi = (ri, rj) if ri < rj else (rj, ri)
-                parent[hi] = lo
+            stages.union(index[(n, x)], index[(n + 1, step[x])])
 
     # colimit classes are the classes of first-tail-stage elements
     labels: dict[int, str] = {}
     order = []
     for x in stage_elems[n0]:
-        root = find(index[(n0, x)])
+        root = stages.find(index[(n0, x)])
         if root not in labels:
             labels[root] = f"c{len(labels)}"
             order.append(labels[root])
@@ -398,7 +386,7 @@ def _set_colimit(s: Sequence) -> _Quotient:
     for n in range(horizon):
         comp = {}
         for x in stage_elems[n]:
-            root = find(index[(n, x)])
+            root = stages.find(index[(n, x)])
             if root not in labels:
                 raise ConstructionError(
                     f"stage {n} element {x!r} missed every colimit class"
@@ -568,10 +556,7 @@ def _c2b_probe_check(
         guard_count(count, budget, "probe maps out of the apex")
         if not apex.elements:
             continue
-        images = [()]
-        for _ in apex.elements:
-            images = [partial + (y,) for partial in images for y in probe.elements]
-        for image in images:
+        for image in product(probe.elements, repeat=len(apex)):
             f = dict(zip(apex.elements, image))
             lhs = NormedMap(apex, probe, f).norm
             rhs = q.meet(

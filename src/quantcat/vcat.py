@@ -24,6 +24,7 @@ from .quantale import (
     Quantale,
     require_finite,
     require_same_quantale,
+    totally_below,
 )
 
 POINT = "*"
@@ -77,12 +78,6 @@ def vcat_from_matrix(q: Quantale, objects, matrix) -> VCategory:
 def unit_vcat(q: Quantale) -> VCategory:
     """The one-object V-category with self-distance the unit."""
     return VCategory(q, [POINT], {(POINT, POINT): q.unit})
-
-
-def opposite(X: VCategory) -> VCategory:
-    return VCategory(
-        X.quantale, X.objects, {(x, y): X.d(y, x) for x in X.objects for y in X.objects}
-    )
 
 
 def is_symmetric(X: VCategory) -> bool:
@@ -436,10 +431,7 @@ def lawvere_complete_vcat(
 def totally_compact_unit(q: Quantale, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether k ≤ ⋁S forces k ≤ s for some member s, for every subset S."""
     q = require_finite(q, "totally_compact_unit")
-    for S in q.subsets(budget):
-        if q.leq(q.unit, q.join(S)) and not any(q.leq(q.unit, s) for s in S):
-            return False
-    return True
+    return totally_below(q, q.unit, q.unit, budget)
 
 
 def unit_tensor_splits(q: Quantale) -> bool:

@@ -1,5 +1,9 @@
+import glob
+import hashlib
 import json
 import os
+
+import pytest
 
 from quantcat.cli import (
     load_instance,
@@ -85,6 +89,32 @@ def test_machine_report_byte_identical(capsys):
     _, _, first = run_json(capsys, path("weights.json"))
     _, _, second = run_json(capsys, path("weights.json"))
     assert first == second
+
+
+#: (exit code, sha256 of stdout) of ``--json --budget 4096 --probe 3`` on each
+#: fixture, pinned before the quantale kernel stopped re-checking its arguments
+GOLDEN_JSON = {
+    "certs.json": (1, "1955858d6428fcf419524fe46a1b3b6df87e9a283fe7c009e4c3e4fb4ddafb0c"),
+    "compose.json": (0, "b51bdae4cd2bcfd78f8ce0d98fe6b12c4674b62d3e49aecef6267c0d89e538d6"),
+    "metric.json": (0, "4b4a6e877386f27e4f336125ac870e939d5e10b1fa689388594bae33f184116e"),
+    "monoid.json": (1, "babedf3b14b92d93990cf8a611f3cbb3c778afac197fb26c2e1b11f817e1838c"),
+    "noncauchy.json": (1, "04967b72906ebd65c247d633f42df7c669c1b5467754bfeba59bfea89c99f9ad"),
+    "sequence.json": (0, "35aa39317a92aa8a31404b91e71b8a340cca58610ab52205138318e84f9ead75"),
+    "vlip.json": (0, "88ea684069621ad74d16f5a0f0b0c7140ba20d371c2c682c14275fa6bbce50ba"),
+    "weights.json": (0, "734621e423eb0a0e868a4d356565cade4764453ee0d96dd5896054d16d4a0dd9"),
+}
+
+
+def test_every_fixture_has_a_golden_digest():
+    fixtures = sorted(os.path.basename(f) for f in glob.glob(path("*.json")))
+    assert fixtures == sorted(GOLDEN_JSON)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+def test_machine_report_matches_golden_digest(name, capsys):
+    code = main([path(name), "--json", "--budget", "4096", "--probe", "3"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == GOLDEN_JSON[name]
 
 
 def test_round_trip_parse_serialize(capsys):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quantcat.common import BudgetExceeded, CarrierMismatch
+from quantcat.ncat import NormedCategory
+from quantcat.normed_set import NormedSet, i_embed
 from quantcat.quantale import (
     INF,
     FiniteQuantale,
@@ -13,6 +15,13 @@ from quantcat.quantale import (
     totally_below,
     unit_approximated_from_totally_below,
     validate_quantale,
+)
+from quantcat.vcat import (
+    VCategory,
+    VDistributor,
+    isbell_conjugate_weight,
+    left_weight,
+    unit_vcat,
 )
 
 # ---------------------------------------------------------------------------
@@ -29,6 +38,15 @@ def oracle_join_lawvere(q, values, candidates):
     least = [c for c in uppers if all(q.leq(c, u) for u in uppers)]
     assert least, "no candidate upper bound"
     return least[0]
+
+
+def oracle_bound(q, S, upper=True):
+    """Least upper (or greatest lower) bound of S, scanning the carrier;
+    None when it does not exist."""
+    le = q.leq if upper else (lambda u, v: q.leq(v, u))
+    bounds = [c for c in q.carrier() if all(le(s, c) for s in S)]
+    best = [c for c in bounds if all(le(c, b) for b in bounds)]
+    return best[0] if best else None
 
 
 def oracle_hom_grid(q, u, v, grid):
@@ -132,6 +150,73 @@ def test_tensor_preserves_joins_exhaustive(q2, q3, q4chain, q4bool, qluka):
                 assert q.tensor(u, q.join(S)) == q.join(q.tensor(u, s) for s in S)
 
 
+def test_lattice_tables_match_oracle(q2, q3, q4chain, q4bool, qluka, q1):
+    for q in (q2, q3, q4chain, q4bool, qluka, q1):
+        assert q.bottom == oracle_bound(q, ())
+        assert q.top == oracle_bound(q, (), upper=False)
+        for S in q.subsets():
+            assert q.join(S) == oracle_bound(q, S), (q, S)
+            assert q.meet(S) == oracle_bound(q, S, upper=False), (q, S)
+
+
+def two_maximal() -> FiniteQuantale:
+    """0 below two incomparable maximal elements a, b: no a ∨ b and no top."""
+    return FiniteQuantale(
+        ["0", "a", "b"],
+        [[True, True, True], [False, True, False], [False, False, True]],
+        [["0", "0", "0"], ["0", "a", "0"], ["0", "0", "b"]],
+        "a",
+    )
+
+
+def three_atoms() -> FiniteQuantale:
+    """Three incomparable elements under a top: no bottom and no binary meets."""
+    leq = [[u == v or v == 3 for v in range(4)] for u in range(4)]
+    tensor = [["x"] * 4, ["x"] * 4, ["x"] * 4, ["x", "x", "x", "t"]]
+    return FiniteQuantale(["x", "y", "z", "t"], leq, tensor, "t")
+
+
+def test_non_lattice_tables_follow_the_oracle():
+    for q in (two_maximal(), three_atoms()):
+        for u in q.carrier():
+            for v in q.carrier():
+                for op, upper in ((q.join, True), (q.meet, False)):
+                    expected = oracle_bound(q, (u, v), upper)
+                    if expected is None:
+                        with pytest.raises(ValueError, match="does not exist"):
+                            op([u, v])
+                    else:
+                        assert op([u, v]) == expected
+
+
+def test_non_lattice_missing_extremes_raise():
+    q = two_maximal()
+    assert q.join([]) == q.bottom == q.el("0")
+    with pytest.raises(ValueError, match="no top element"):
+        q.meet([])
+    q = three_atoms()
+    assert q.meet([]) == q.top == q.el("t")
+    with pytest.raises(ValueError, match="no bottom element"):
+        q.join([])
+
+
+def test_validate_non_lattice_witnesses():
+    # pinned: the last missing pair in row-major order, or "empty" when only
+    # the bottom (top) is missing; the validator stops after these checks
+    for q, joins, meets in (
+        (two_maximal(), "(2, 1)", "('empty',)"),
+        (three_atoms(), "('empty',)", "(2, 1)"),
+    ):
+        report = validate_quantale(q)
+        assert [(c.name, c.ok, c.witness) for c in report.checks] == [
+            ("order-reflexive", True, None),
+            ("order-antisymmetric", True, None),
+            ("order-transitive", True, None),
+            ("lattice-joins", False, joins),
+            ("lattice-meets", False, meets),
+        ]
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -178,6 +263,88 @@ def test_carrier_mismatch_errors(q2, qplus):
         qplus.check(-1)
     with pytest.raises(CarrierMismatch):
         qplus.check(0.5)
+
+
+# Every constructor that checks its values, as a function storing one raw
+# value over q and reading back what it stored.
+STORING_CONSTRUCTORS = {
+    "NormedSet": lambda q, raw: NormedSet(q, {"x": raw}).norm("x"),
+    "i_embed": lambda q, raw: i_embed(q, raw).norm("*"),
+    "VCategory": lambda q, raw: VCategory(q, ["x"], {("x", "x"): raw}).d("x", "x"),
+    "VDistributor": lambda q, raw: VDistributor(
+        unit_vcat(q), unit_vcat(q), {("*", "*"): raw}
+    ).at("*", "*"),
+    "NormedCategory": lambda q, raw: NormedCategory(
+        q, ["a"], ["1"], {"1": "a"}, {"1": "a"}, {"a": "1"}, {("1", "1"): "1"},
+        {"1": raw},
+    ).norm["1"],
+    "FiniteQuantale.unit": lambda q, raw: FiniteQuantale(
+        q.names,
+        [[q.leq(u, v) for v in q.carrier()] for u in q.carrier()],
+        [[q.tensor(u, v) for v in q.carrier()] for u in q.carrier()],
+        raw,
+    ).unit,
+    "FiniteQuantale.tensor": lambda q, raw: FiniteQuantale(
+        q.names,
+        [[q.leq(u, v) for v in q.carrier()] for u in q.carrier()],
+        [[raw if (u, v) == (0, 0) else q.tensor(u, v) for v in q.carrier()]
+         for u in q.carrier()],
+        q.unit,
+    ).tensor(0, 0),
+}
+FINITE_ONLY = {"FiniteQuantale.unit", "FiniteQuantale.tensor"}
+
+
+@pytest.mark.parametrize("ctor", sorted(STORING_CONSTRUCTORS))
+def test_constructors_store_canonical_values(ctor, q2, qplus):
+    store = STORING_CONSTRUCTORS[ctor]
+    for raw, expected in (("1", 1), ("0", 0), (1, 1), (0, 0)):
+        stored = store(q2, raw)
+        assert stored == expected and type(stored) is int, (raw, stored)
+    if ctor in FINITE_ONLY:
+        return
+    for raw, expected in (
+        ("1/2", Fraction(1, 2)), (3, Fraction(3)), (" 7/3 ", Fraction(7, 3)),
+        (Fraction(2), Fraction(2)),
+    ):
+        stored = store(qplus, raw)
+        assert stored == expected and type(stored) is Fraction, (raw, stored)
+    for raw in ("inf", "INF", INF):
+        assert store(qplus, raw) is INF
+
+
+@pytest.mark.parametrize("ctor", sorted(STORING_CONSTRUCTORS))
+def test_constructors_reject_foreign_values(ctor, q2, qplus):
+    store = STORING_CONSTRUCTORS[ctor]
+    for raw in ("nope", 2, -1, True, 0.5, None, Fraction(1)):
+        with pytest.raises(CarrierMismatch):
+            store(q2, raw)
+    if ctor in FINITE_ONLY:
+        return
+    for raw in (-1, "-1/2", 0.5, True, None):
+        with pytest.raises(CarrierMismatch):
+            store(qplus, raw)
+
+
+def test_lawvere_times_results_stay_exact():
+    q = builtin_quantale("lawvere-times")
+    X = VCategory(
+        q,
+        ["a", "b", "c"],
+        {
+            ("a", "a"): 0, ("a", "b"): "1/2", ("a", "c"): "inf",
+            ("b", "a"): 3, ("b", "b"): "0", ("b", "c"): "2/3",
+            ("c", "a"): "inf", ("c", "b"): 1, ("c", "c"): Fraction(0),
+        },
+    )
+    values = list(X.dist.values())
+    homs = [q.hom(u, v) for u in values for v in values]
+    joins = [q.join([u, v]) for u in homs for v in values]
+    conjugate = isbell_conjugate_weight(left_weight(X, {"a": 2, "b": "1/3", "c": "inf"}))
+    results = homs + joins + list(conjugate.values.values()) + [q.join([]), q.join(homs)]
+    assert all(r is INF or type(r) is Fraction for r in results)
+    assert not any(isinstance(r, float) for r in results)
+    assert q.hom(Fraction(1, 2), Fraction(3)) == Fraction(6)
 
 
 def test_parse_rules(q2, qplus):
