@@ -39,6 +39,7 @@ from .quantale import (
     Quantale,
     builtin_quantale,
     BUILTIN_QUANTALES,
+    validate_quantale,
 )
 from .vcat import VCategory
 
@@ -58,13 +59,18 @@ def parse_quantale(spec) -> Quantale:
         return builtin_quantale(spec)
     if isinstance(spec, dict):
         try:
-            return FiniteQuantale(
+            q = FiniteQuantale(
                 spec["elements"], spec["leq"], spec["tensor"], spec["unit"]
             )
         except KeyError as missing:
             raise InputError(f"quantale table is missing field {missing}")
         except (ValueError, CarrierMismatch) as exc:
             raise InputError(f"bad quantale table: {exc}")
+        report = validate_quantale(q)
+        if not report.ok:
+            failed = "; ".join(c.describe() for c in report.failures())
+            raise InputError(f"quantale table is not a quantale: {failed}")
+        return q
     raise InputError("quantale must be a built-in name or a table")
 
 
@@ -141,10 +147,17 @@ def _parse_vdist(inst: Instance, spec: dict) -> vcat_mod.VDistributor:
     q = inst.quantale
     _, source = inst.resolve(spec["source"], {"vcat"})
     _, target = inst.resolve(spec["target"], {"vcat"})
+    rows = spec["values"]
+    if len(rows) != len(source.objects) or any(
+        len(row) != len(target.objects) for row in rows
+    ):
+        raise InputError(
+            f"field 'values' must be a {len(source.objects)}x{len(target.objects)} matrix"
+        )
     values = {}
     for i, x in enumerate(source.objects):
         for j, y in enumerate(target.objects):
-            values[(x, y)] = parse_value(q, spec["values"][i][j])
+            values[(x, y)] = parse_value(q, rows[i][j])
     return vcat_mod.VDistributor(source, target, values)
 
 
@@ -262,10 +275,17 @@ def parse_instance(data: dict) -> Instance:
     quantale = parse_quantale(data["quantale"])
     inst = Instance(data["quantale"], quantale, {}, [])
     for name, spec in data.get("objects", {}).items():
+        if not isinstance(spec, dict):
+            raise InputError(f"object {name!r} must be a JSON object")
         kind = spec.get("kind")
         if kind not in _PARSERS:
             raise InputError(f"object {name!r} has unknown kind {kind!r}")
-        inst.objects[name] = (kind, _PARSERS[kind](inst, spec))
+        try:
+            inst.objects[name] = (kind, _PARSERS[kind](inst, spec))
+        except KeyError as missing:
+            raise InputError(f"object {name!r}: missing field {missing}")
+        except InputError as exc:
+            raise InputError(f"object {name!r}: {exc}")
     tasks = data.get("tasks", [])
     if not isinstance(tasks, list):
         raise InputError("'tasks' must be a list")
@@ -571,7 +591,16 @@ def _task_lawvere(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     q = inst.quantale
     kind, value = inst.resolve(task["target"], {"vcat", "ncat"})
     if kind == "vcat":
-        verdict = vcat_mod.lawvere_complete_vcat(value, budget=budget)
+        try:
+            verdict = vcat_mod.lawvere_complete_vcat(value, budget=budget)
+        except PreconditionError as exc:
+            return {
+                "verdict": "fail",
+                "details": {
+                    "error": "not a V-category",
+                    "evidence": _report_details(q, exc.value),
+                },
+            }
         if verdict.complete:
             witness = [
                 {"weight": _format_weight_vec(q, vec), "witness": obj}
@@ -626,7 +655,7 @@ def _task_colimit(inst: Instance, task: dict, budget: int, probe: int) -> dict:
             apex_out = _ser_normed_set(inst, apex)
         elif s.kind == "dset":
             if task.get("vlip"):
-                apex, gamma = seq_mod.colimit_vlip(s, budget=budget)
+                apex, gamma = seq_mod.colimit_vlip(s)
             else:
                 apex, gamma = seq_mod.colimit_dset(s)
             apex_out = _ser_vcat(inst, apex)

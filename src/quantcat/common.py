@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 #: Default cap on the number of candidates any single search may enumerate.
-#: 2**12, so subset-exhaustive checks cover carriers of up to 12 elements.
 DEFAULT_BUDGET = 4096
 
 BUDGET_ENV_VAR = "QUANTCAT_BUDGET"

@@ -136,16 +136,17 @@ class NormedCategory(PlainCategory):
 
 def validate_category(C: PlainCategory) -> Report:
     report = Report()
-    bad_shape = None
-    for g in C.morphisms:
-        for f in C.morphisms:
-            if C.cod[f] == C.dom[g]:
-                gf = C.compose(g, f)
-                if C.dom.get(gf) != C.dom[f] or C.cod.get(gf) != C.cod[g]:
-                    bad_shape = (g, f)
-                    break
-        if bad_shape:
-            break
+    bad_shape = next(
+        (
+            (g, f)
+            for g in C.morphisms
+            for f in C.morphisms
+            if C.cod[f] == C.dom[g]
+            for gf in (C.compose(g, f),)
+            if C.dom.get(gf) != C.dom[f] or C.cod.get(gf) != C.cod[g]
+        ),
+        None,
+    )
     report.add("composition-endpoints", bad_shape is None, bad_shape)
 
     bad_id = next(
@@ -159,21 +160,18 @@ def validate_category(C: PlainCategory) -> Report:
     )
     report.add("identity-laws", bad_id is None, bad_id)
 
-    bad_assoc = None
-    for h in C.morphisms:
-        for g in C.morphisms:
-            if C.cod[g] != C.dom[h]:
-                continue
-            for f in C.morphisms:
-                if C.cod[f] != C.dom[g]:
-                    continue
-                if C.compose(C.compose(h, g), f) != C.compose(h, C.compose(g, f)):
-                    bad_assoc = (h, g, f)
-                    break
-            if bad_assoc:
-                break
-        if bad_assoc:
-            break
+    bad_assoc = next(
+        (
+            (h, g, f)
+            for h in C.morphisms
+            for g in C.morphisms
+            if C.cod[g] == C.dom[h]
+            for f in C.morphisms
+            if C.cod[f] == C.dom[g]
+            and C.compose(C.compose(h, g), f) != C.compose(h, C.compose(g, f))
+        ),
+        None,
+    )
     report.add("associativity", bad_assoc is None, bad_assoc)
     return report
 
@@ -186,15 +184,16 @@ def validate_ncat(A: NormedCategory) -> Report:
     )
     report.add("identity-norms", bad_unit is None, bad_unit)
 
-    bad_sub = None
-    for g in A.morphisms:
-        for f in A.morphisms:
-            if A.cod[f] == A.dom[g]:
-                if not q.leq(q.tensor(A.norm[g], A.norm[f]), A.norm[A.compose(g, f)]):
-                    bad_sub = (g, f)
-                    break
-        if bad_sub:
-            break
+    bad_sub = next(
+        (
+            (g, f)
+            for g in A.morphisms
+            for f in A.morphisms
+            if A.cod[f] == A.dom[g]
+            and not q.leq(q.tensor(A.norm[g], A.norm[f]), A.norm[A.compose(g, f)])
+        ),
+        None,
+    )
     report.add("composition-submultiplicative", bad_sub is None, bad_sub)
     return report
 
@@ -232,15 +231,16 @@ def validate_nfunctor(F: NormedFunctor) -> Report:
         None,
     )
     report.add("preserves-identities", bad_id is None, bad_id)
-    bad_comp = None
-    for g in A.morphisms:
-        for f in A.morphisms:
-            if A.cod[f] == A.dom[g]:
-                if F.mor_map[A.compose(g, f)] != B.compose(F.mor_map[g], F.mor_map[f]):
-                    bad_comp = (g, f)
-                    break
-        if bad_comp:
-            break
+    bad_comp = next(
+        (
+            (g, f)
+            for g in A.morphisms
+            for f in A.morphisms
+            if A.cod[f] == A.dom[g]
+            and F.mor_map[A.compose(g, f)] != B.compose(F.mor_map[g], F.mor_map[f])
+        ),
+        None,
+    )
     report.add("preserves-composition", bad_comp is None, bad_comp)
     q = A.quantale
     bad_norm = next(
@@ -367,35 +367,37 @@ def validate_ndist(Phi: NormedDistributor) -> Report:
     A = Phi.category
     q = Phi.quantale
     report = Report()
-    bad_id = None
-    for a in A.objects:
-        i = A.identity[a]
-        if any(Phi.apply(i, x) != x for x in Phi.set_at(a)):
-            bad_id = a
-            break
+    bad_id = next(
+        (
+            a
+            for a in A.objects
+            if any(Phi.apply(A.identity[a], x) != x for x in Phi.set_at(a))
+        ),
+        None,
+    )
     report.add("action-identities", bad_id is None, bad_id)
 
-    bad_comp = None
-    for g in A.morphisms:
-        for f in A.morphisms:
-            if A.cod[f] != A.dom[g]:
-                continue
-            gf = A.compose(g, f)
-            if Phi.covariant:
-                ok = all(
-                    Phi.apply(gf, x) == Phi.apply(g, Phi.apply(f, x))
-                    for x in Phi.set_at(A.dom[f])
-                )
-            else:
-                ok = all(
-                    Phi.apply(gf, x) == Phi.apply(f, Phi.apply(g, x))
-                    for x in Phi.set_at(A.cod[g])
-                )
-            if not ok:
-                bad_comp = (g, f)
-                break
-        if bad_comp:
-            break
+    def functorial(g, f):
+        gf = A.compose(g, f)
+        if Phi.covariant:
+            return all(
+                Phi.apply(gf, x) == Phi.apply(g, Phi.apply(f, x))
+                for x in Phi.set_at(A.dom[f])
+            )
+        return all(
+            Phi.apply(gf, x) == Phi.apply(f, Phi.apply(g, x))
+            for x in Phi.set_at(A.cod[g])
+        )
+
+    bad_comp = next(
+        (
+            (g, f)
+            for g in A.morphisms
+            for f in A.morphisms
+            if A.cod[f] == A.dom[g] and not functorial(g, f)
+        ),
+        None,
+    )
     report.add("action-functorial", bad_comp is None, bad_comp)
 
     bad_norm = next(
@@ -639,103 +641,95 @@ def check_adjunction_cert(cert: AdjunctionCertificate, normed: bool = False) -> 
     q = Phi.quantale
     report = Report()
 
-    shape_bad = None
-    for a in A.objects:
-        for b in A.objects:
-            table = cert.eps.get((a, b))
-            if table is None:
-                shape_bad = (a, b, "missing")
-                break
-            expected = {(y, x) for y in Phi.set_at(b) for x in Psi.set_at(a)}
-            if set(table.keys()) != expected:
-                shape_bad = (a, b, "not total")
-                break
-            if any(m not in A.hom(a, b) for m in table.values()):
-                shape_bad = (a, b, "value outside hom")
-                break
-        if shape_bad:
-            break
+    def shape_defect(a, b):
+        table = cert.eps.get((a, b))
+        if table is None:
+            return "missing"
+        expected = {(y, x) for y in Phi.set_at(b) for x in Psi.set_at(a)}
+        if set(table.keys()) != expected:
+            return "not total"
+        if any(m not in A.hom(a, b) for m in table.values()):
+            return "value outside hom"
+        return None
+
+    shape_bad = next(
+        (
+            (a, b, d)
+            for a in A.objects
+            for b in A.objects
+            if (d := shape_defect(a, b))
+        ),
+        None,
+    )
     report.add("counit-shape", shape_bad is None, shape_bad)
     if shape_bad:
         return report
 
-    nat_tgt = None
-    for g in A.morphisms:
-        b, bp = A.dom[g], A.cod[g]
-        for a in A.objects:
-            for y in Phi.set_at(b):
-                for x in Psi.set_at(a):
-                    lhs = cert.eps[(a, bp)][(Phi.apply(g, y), x)]
-                    rhs = A.compose(g, cert.eps[(a, b)][(y, x)])
-                    if lhs != rhs:
-                        nat_tgt = (g, a, y, x)
-                        break
-                if nat_tgt:
-                    break
-            if nat_tgt:
-                break
-        if nat_tgt:
-            break
+    nat_tgt = next(
+        (
+            (g, a, y, x)
+            for g in A.morphisms
+            for a in A.objects
+            for y in Phi.set_at(A.dom[g])
+            for x in Psi.set_at(a)
+            if cert.eps[(a, A.cod[g])][(Phi.apply(g, y), x)]
+            != A.compose(g, cert.eps[(a, A.dom[g])][(y, x)])
+        ),
+        None,
+    )
     report.add("counit-natural-in-target", nat_tgt is None, nat_tgt)
 
-    nat_src = None
-    for h in A.morphisms:
-        ap, a = A.dom[h], A.cod[h]
-        for b in A.objects:
-            for y in Phi.set_at(b):
-                for x in Psi.set_at(a):
-                    lhs = cert.eps[(ap, b)][(y, Psi.apply(h, x))]
-                    rhs = A.compose(cert.eps[(a, b)][(y, x)], h)
-                    if lhs != rhs:
-                        nat_src = (h, b, y, x)
-                        break
-                if nat_src:
-                    break
-            if nat_src:
-                break
-        if nat_src:
-            break
+    nat_src = next(
+        (
+            (h, b, y, x)
+            for h in A.morphisms
+            for b in A.objects
+            for y in Phi.set_at(b)
+            for x in Psi.set_at(A.cod[h])
+            if cert.eps[(A.dom[h], b)][(y, Psi.apply(h, x))]
+            != A.compose(cert.eps[(A.cod[h], b)][(y, x)], h)
+        ),
+        None,
+    )
     report.add("counit-natural-in-source", nat_src is None, nat_src)
 
-    split_x = None
-    for a in A.objects:
-        for x in Psi.set_at(a):
-            g = cert.eps[(a, cert.c)][(cert.u, x)]
-            if Psi.apply(g, cert.v) != x:
-                split_x = (a, x)
-                break
-        if split_x:
-            break
+    split_x = next(
+        (
+            (a, x)
+            for a in A.objects
+            for x in Psi.set_at(a)
+            if Psi.apply(cert.eps[(a, cert.c)][(cert.u, x)], cert.v) != x
+        ),
+        None,
+    )
     report.add("splitting-through-v", split_x is None, split_x)
 
-    split_y = None
-    for b in A.objects:
-        for y in Phi.set_at(b):
-            g = cert.eps[(cert.c, b)][(y, cert.v)]
-            if Phi.apply(g, cert.u) != y:
-                split_y = (b, y)
-                break
-        if split_y:
-            break
+    split_y = next(
+        (
+            (b, y)
+            for b in A.objects
+            for y in Phi.set_at(b)
+            if Phi.apply(cert.eps[(cert.c, b)][(y, cert.v)], cert.u) != y
+        ),
+        None,
+    )
     report.add("splitting-through-u", split_y is None, split_y)
 
     if normed:
-        eps_bad = None
-        for a in A.objects:
-            for b in A.objects:
-                for y in Phi.set_at(b):
-                    for x in Psi.set_at(a):
-                        lhs = q.tensor(Phi.set_at(b).norm(y), Psi.set_at(a).norm(x))
-                        m = cert.eps[(a, b)][(y, x)]
-                        if not q.leq(lhs, A.norm[m]):
-                            eps_bad = (a, b, y, x)
-                            break
-                    if eps_bad:
-                        break
-                if eps_bad:
-                    break
-            if eps_bad:
-                break
+        eps_bad = next(
+            (
+                (a, b, y, x)
+                for a in A.objects
+                for b in A.objects
+                for y in Phi.set_at(b)
+                for x in Psi.set_at(a)
+                if not q.leq(
+                    q.tensor(Phi.set_at(b).norm(y), Psi.set_at(a).norm(x)),
+                    A.norm[cert.eps[(a, b)][(y, x)]],
+                )
+            ),
+            None,
+        )
         report.add("counit-normed", eps_bad is None, eps_bad)
 
         coend = coend_unit(Psi, Phi)
@@ -799,42 +793,31 @@ def left_adjoint_unit(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET) -> L
     """
     A = Phi.category
     PhiVee = isbell_conjugate_ndist(Phi, budget)
-    triple = None
-    for c in A.objects:
-        for u in Phi.set_at(c):
-            for v_key in PhiVee.set_at(c):
-                v_fam = nat_family(Phi, v_key)
-                ok = True
-                for b in A.objects:
-                    for y in Phi.set_at(b):
-                        if Phi.apply(v_fam[b][y], u) != y:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    for a in A.objects:
-                        for x_key in PhiVee.set_at(a):
-                            x_fam = nat_family(Phi, x_key)
-                            g = x_fam[c][u]
-                            for z in A.objects:
-                                for w in Phi.set_at(z):
-                                    if x_fam[z][w] != A.compose(v_fam[z][w], g):
-                                        ok = False
-                                        break
-                                if not ok:
-                                    break
-                            if not ok:
-                                break
-                        if not ok:
-                            break
-                if ok:
-                    triple = (c, u, v_key)
-                    break
-            if triple:
-                break
-        if triple:
-            break
+    # each conjugate element's natural family, built once
+    family = {
+        key: nat_family(Phi, key) for a in A.objects for key in PhiVee.set_at(a)
+    }
+
+    def splits(c, u, v):
+        return all(
+            Phi.apply(v[b][y], u) == y for b in A.objects for y in Phi.set_at(b)
+        ) and all(
+            x[z][w] == A.compose(v[z][w], x[c][u])
+            for x in family.values()
+            for z in A.objects
+            for w in Phi.set_at(z)
+        )
+
+    triple = next(
+        (
+            (c, u, v_key)
+            for c in A.objects
+            for u in Phi.set_at(c)
+            for v_key in PhiVee.set_at(c)
+            if splits(c, u, family[v_key])
+        ),
+        None,
+    )
     if triple is None:
         return LeftAdjointData(Phi, PhiVee, None, None, None)
     coend = coend_unit(PhiVee, Phi)
@@ -920,22 +903,17 @@ def is_representable_ndist(Phi: NormedDistributor):
 
 def split_idempotents_check(C: PlainCategory):
     """Whether every idempotent splits; the first unsplit one otherwise."""
-    for e in C.idempotents():
+    def splits(e):
         a = C.dom[e]
-        found = False
-        for b in C.objects:
-            for r in C.hom(a, b):
-                for s in C.hom(b, a):
-                    if C.compose(s, r) == e and C.compose(r, s) == C.identity[b]:
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
-            return False, e
-    return True, None
+        return any(
+            C.compose(s, r) == e and C.compose(r, s) == C.identity[b]
+            for b in C.objects
+            for r in C.hom(a, b)
+            for s in C.hom(b, a)
+        )
+
+    bad = next((e for e in C.idempotents() if not splits(e)), None)
+    return bad is None, bad
 
 
 def idempotent_distributor_sets(A: PlainCategory, e) -> dict:

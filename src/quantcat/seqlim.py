@@ -276,22 +276,19 @@ def validate_sequence(s: Sequence, window: int | None = None) -> Report:
             {x: x for x in s._elements(obj(m))}
         )
 
-    bad = None
-    for m in range(window):
-        for n in range(m, window):
-            for l in range(n, window):
-                lhs = q.tensor(
-                    s.map_norm_of(step_map(n, l), obj(n), obj(l)),
-                    s.map_norm_of(step_map(m, n), obj(m), obj(n)),
-                )
-                rhs = s.map_norm_of(step_map(m, l), obj(m), obj(l))
-                if not q.leq(lhs, rhs):
-                    bad = (m, n, l)
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    def norm(m, n):
+        return s.map_norm_of(step_map(m, n), obj(m), obj(n))
+
+    bad = next(
+        (
+            (m, n, l)
+            for m in range(window)
+            for n in range(m, window)
+            for l in range(n, window)
+            if not q.leq(q.tensor(norm(n, l), norm(m, n)), norm(m, l))
+        ),
+        None,
+    )
     report.add("composite-norms", bad is None, bad)
     return report
 
@@ -467,7 +464,6 @@ def colimit_vlip(
     s: Sequence,
     q_tensor: Quantale | None = None,
     q_odot: Quantale | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> tuple[VCategory, Cocone]:
     """Distance-set colimit of a sequence of V-categories, asserted to be a
     V-category again.
@@ -485,7 +481,7 @@ def colimit_vlip(
     require_same_quantale(q_tensor, s.quantale)
     require_same_quantale(q_odot, s.norm_quantale)
     if q_odot.is_finite:
-        if not unit_approximated_from_totally_below(q_odot, budget):
+        if not unit_approximated_from_totally_below(q_odot):
             raise PreconditionError(
                 "norm-quantale unit is not approximated from totally below",
                 False,
@@ -626,19 +622,18 @@ def verify_normed_colimit(
 def _verify_c1_sets(s: Sequence, gamma: Cocone, report: Report) -> None:
     quot = _set_colimit(s)
     horizon = s.n0 + quot.period
+    # the first element whose class already took another value
     value_of = {}
-    bad = None
-    for n in range(horizon):
-        comp = gamma.component(n, s.n0)
-        for x in s._elements(s.object_at(n)):
-            label = quot.class_of[(n, x)]
-            v = comp[x]
-            if label in value_of and value_of[label] != v:
-                bad = (n, x)
-                break
-            value_of[label] = v
-        if bad:
-            break
+    bad = next(
+        (
+            (n, x)
+            for n in range(horizon)
+            for comp in (gamma.component(n, s.n0),)
+            for x in s._elements(s.object_at(n))
+            if value_of.setdefault(quot.class_of[(n, x)], comp[x]) != comp[x]
+        ),
+        None,
+    )
     report.add("C1-factors-through-quotient", bad is None, bad)
     if bad:
         return
@@ -670,33 +665,37 @@ def _verify_c1_ncat(s: Sequence, gamma: Cocone, report: Report) -> None:
     t = s.tail_endo
     apex = gamma.apex
     first_tail = gamma.tail[0]
-    bad = None
-    for y in A.objects:
+
+    def defect(y):
         E = _eventual_image(A.hom(T, y), lambda f: A.compose(f, t))
         assigned = [A.compose(f, first_tail) for f in A.hom(apex, y)]
         if any(h not in E for h in assigned):
-            bad = (y, "component leaves the eventual image")
-            break
+            return "component leaves the eventual image"
         if len(set(assigned)) != len(assigned) or set(assigned) != E:
-            bad = (y, f"hom size {len(assigned)} vs eventual image {len(E)}")
-            break
+            return f"hom size {len(assigned)} vs eventual image {len(E)}"
+        return None
+
+    bad = next(((y, d) for y in A.objects if (d := defect(y))), None)
     report.add("C1-eventual-image-bijection", bad is None, bad)
 
 
 def _verify_c2b_ncat(s: Sequence, gamma: Cocone, report: Report) -> None:
     A = s.category
     q = s.norm_quantale
-    bad = None
-    for y in A.objects:
-        for f in A.hom(gamma.apex, y):
-            rhs = _tail_window_meet(
-                s, gamma, lambda i: A.norm[A.compose(f, gamma.tail[i])]
+    bad = next(
+        (
+            (y, f)
+            for y in A.objects
+            for f in A.hom(gamma.apex, y)
+            if not q.leq(
+                _tail_window_meet(
+                    s, gamma, lambda i: A.norm[A.compose(f, gamma.tail[i])]
+                ),
+                A.norm[f],
             )
-            if not q.leq(rhs, A.norm[f]):
-                bad = (y, f)
-                break
-        if bad:
-            break
+        ),
+        None,
+    )
     report.add("C2b-all-morphisms", bad is None, bad)
 
 

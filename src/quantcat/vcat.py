@@ -3,8 +3,10 @@
 Distributors between finite V-categories are quantale-valued matrices; their
 composite is a join-of-tensors matrix product (min-plus style over the
 additive Lawvere carrier, relational composition over the two-chain).
-Adjunction checking, Isbell conjugation, representability, and a brute-force
-Lawvere-completeness decision over finite quantales live here.
+Adjunction checking, Isbell conjugation, representability, and a
+Lawvere-completeness decision over finite quantales live here.  The decision
+searches weights only: right adjoints of distributors are unique, and a
+weight's right adjoint is its Isbell conjugate (Lawvere 1973; Stubbe 2005).
 """
 
 from __future__ import annotations
@@ -223,21 +225,20 @@ def validate_vdist(phi: VDistributor) -> Report:
     q = phi.quantale
     X, Y = phi.source, phi.target
     report = Report()
-    bad = None
-    for x in X.objects:
-        for xp in X.objects:
-            for y in Y.objects:
-                for yp in Y.objects:
-                    lhs = q.tensor(Y.d(y, yp), q.tensor(phi.at(x, y), X.d(xp, x)))
-                    if not q.leq(lhs, phi.at(xp, yp)):
-                        bad = (x, xp, y, yp)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    bad = next(
+        (
+            (x, xp, y, yp)
+            for x in X.objects
+            for xp in X.objects
+            for y in Y.objects
+            for yp in Y.objects
+            if not q.leq(
+                q.tensor(Y.d(y, yp), q.tensor(phi.at(x, y), X.d(xp, x))),
+                phi.at(xp, yp),
+            )
+        ),
+        None,
+    )
     report.add("bimodule-laws", bad is None, bad)
     return report
 
@@ -371,29 +372,23 @@ def is_representable(phi: VDistributor, psi: VDistributor):
     return None
 
 
-def enumerate_weight_pairs(
-    X: VCategory, budget: int = DEFAULT_BUDGET
-) -> Iterator[tuple[VDistributor, VDistributor]]:
-    """All (φ, ψ) in V^X × V^X, unconstrained; callers filter."""
-    q = require_finite(X.quantale, "weight-pair enumeration")
-    n = len(X.objects)
-    count = q.size ** (2 * n) if n else 1
-    guard_count(count, budget, f"weight pairs |V|^(2·{n})")
-    carrier = list(q.carrier())
-    for pvec in product(carrier, repeat=n):
-        for cvec in product(carrier, repeat=n):
-            phi = left_weight(X, dict(zip(X.objects, pvec)))
-            psi = right_weight(X, dict(zip(X.objects, cvec)))
-            yield phi, psi
-
-
 def adjoint_weight_pairs(
     X: VCategory, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[VDistributor, VDistributor]]:
-    """The genuine adjoint pairs: bimodule laws first, then the adjunction."""
-    for phi, psi in enumerate_weight_pairs(X, budget):
-        if not validate_vdist(phi).ok or not validate_vdist(psi).ok:
+    """The adjoint pairs (φ, ψ) out of the unit, in the order of φ.
+
+    Right adjoints are unique, and a weight φ that has one is left adjoint to
+    its Isbell conjugate φ⁺ (Lawvere 1973; Stubbe 2005), so only the weights
+    are enumerated and ψ := φ⁺.  Requires X to be a V-category.
+    """
+    q = require_finite(X.quantale, "weight enumeration")
+    n = len(X.objects)
+    guard_count(q.size ** n, budget, f"weights |V|^{n}")
+    for pvec in product(q.carrier(), repeat=n):
+        phi = left_weight(X, dict(zip(X.objects, pvec)))
+        if not validate_vdist(phi).ok:
             continue
+        psi = isbell_conjugate_weight(phi)
         if check_adjoint(phi, psi):
             yield phi, psi
 
@@ -408,17 +403,18 @@ class LawvereVerdict:
         return self.complete
 
 
-def lawvere_complete_vcat(
-    X: VCategory, q: Quantale | None = None, budget: int = DEFAULT_BUDGET
-) -> LawvereVerdict:
-    """Decide Lawvere completeness by exhausting candidate adjoint pairs.
+def lawvere_complete_vcat(X: VCategory, budget: int = DEFAULT_BUDGET) -> LawvereVerdict:
+    """Decide Lawvere completeness over the adjoint pairs (φ, φ⁺).
 
     Every left adjoint weight must have a representability witness; the first
     adjoint pair without one is returned as a counterexample certificate.
+    X must be a V-category, since the conjugate is the right adjoint only
+    there; otherwise ``PreconditionError`` carries the failed report.
     """
-    if q is not None:
-        require_same_quantale(q, X.quantale)
     require_finite(X.quantale, "lawvere_complete_vcat")
+    report = validate_vcat(X)
+    if not report.ok:
+        raise PreconditionError("lawvere_complete_vcat requires a V-category", report)
     witnesses = []
     for phi, psi in adjoint_weight_pairs(X, budget):
         a = is_representable(phi, psi)
@@ -428,10 +424,10 @@ def lawvere_complete_vcat(
     return LawvereVerdict(True, witnesses)
 
 
-def totally_compact_unit(q: Quantale, budget: int = DEFAULT_BUDGET) -> bool:
+def totally_compact_unit(q: Quantale) -> bool:
     """Whether k ≤ ⋁S forces k ≤ s for some member s, for every subset S."""
     q = require_finite(q, "totally_compact_unit")
-    return totally_below(q, q.unit, q.unit, budget)
+    return totally_below(q, q.unit, q.unit)
 
 
 def unit_tensor_splits(q: Quantale) -> bool:

@@ -1,7 +1,39 @@
-"""Shared fixture builders for the test suite."""
+"""Shared fixture builders and brute-force oracles for the test suite."""
+
+from itertools import product
 
 from quantcat.ncat import NormedCategory
-from quantcat.vcat import vcat_from_matrix
+from quantcat.vcat import (
+    check_adjoint,
+    left_weight,
+    right_weight,
+    validate_vdist,
+    vcat_from_matrix,
+)
+
+
+def subsets(q):
+    """All subsets of a finite carrier, smallest masks first."""
+    n = q.size
+    for mask in range(1 << n):
+        yield tuple(i for i in range(n) if mask >> i & 1)
+
+
+def brute_adjoint_pairs(X):
+    """Every adjoint pair (φ, ψ) of a weight and a coweight on X, found by
+    exhausting all |V|^(2n) candidates, φ in the outer loop."""
+    q = X.quantale
+    carrier = list(q.carrier())
+    for pvec in product(carrier, repeat=len(X.objects)):
+        for cvec in product(carrier, repeat=len(X.objects)):
+            phi = left_weight(X, dict(zip(X.objects, pvec)))
+            psi = right_weight(X, dict(zip(X.objects, cvec)))
+            if (
+                validate_vdist(phi).ok
+                and validate_vdist(psi).ok
+                and check_adjoint(phi, psi)
+            ):
+                yield phi, psi
 
 
 def monoid_cat(q, norm_one, norm_e) -> NormedCategory:

@@ -56,7 +56,7 @@ from quantcat.vcat import (
     vcat_from_matrix,
 )
 
-from helpers import monoid_cat, ordered_pair_vcat, split_monoid_cat
+from helpers import monoid_cat, ordered_pair_vcat, split_monoid_cat, subsets
 
 BUNDLED_FINITE = ("bool2", "chain3", "chain4", "bool4")
 
@@ -80,7 +80,7 @@ def test_criterion_1_quantale_kernel():
                 for w in q.carrier():
                     ok &= q.leq(q.tensor(u, v), w) == q.leq(v, q.hom(u, w))
         for u in q.carrier():
-            for S in q.subsets():
+            for S in subsets(q):
                 ok &= q.tensor(u, q.join(S)) == q.join(q.tensor(u, s) for s in S)
     qt = lawvere_times()
     zero, three = Fraction(0), Fraction(3)
@@ -366,7 +366,7 @@ def test_criterion_8_vlip_colimits():
         found += 1
         if q_tensor != q_odot:
             mixed_checked += 1
-        apex, gamma = colimit_vlip(s, q_tensor, q_odot, budget=10**6)
+        apex, gamma = colimit_vlip(s, q_tensor, q_odot)
         ok &= validate_vcat(apex).ok
         if symmetric:
             symmetric_checked += 1

@@ -308,3 +308,77 @@ def test_enumeration_task_on_infinite_carrier_is_input_error(tmp_path, capsys):
     )
     assert main([str(f)]) == 2
     assert "finite carrier" in capsys.readouterr().err
+
+
+def test_lawvere_on_non_vcategory_reports_precondition(tmp_path, capsys):
+    f = tmp_path / "nonrefl.json"
+    f.write_text(
+        json.dumps(
+            {
+                "quantale": "bool2",
+                "objects": {"X": {"kind": "vcat", "objects": ["x"], "dist": [["0"]]}},
+                "tasks": [{"op": "lawvere", "target": "X"}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, report, _ = run_json(capsys, str(f))
+    assert code == 1
+    task = report["tasks"][0]
+    assert task["verdict"] == "fail"
+    assert task["details"]["error"] == "not a V-category"
+    evidence = {c["check"]: c["ok"] for c in task["details"]["evidence"]}
+    assert evidence == {"reflexivity": False, "transitivity": True}
+
+
+def test_inline_table_that_is_not_a_quantale_is_input_error(tmp_path, capsys):
+    f = tmp_path / "badtable.json"
+    f.write_text(
+        json.dumps(
+            {
+                "quantale": {
+                    "elements": ["0", "1"],
+                    "leq": [[True, True], [False, True]],
+                    "tensor": [["1", "0"], ["0", "1"]],
+                    "unit": "1",
+                },
+                "objects": {"X": {"kind": "vcat", "objects": ["x"], "dist": [["1"]]}},
+                "tasks": [{"op": "lawvere", "target": "X"}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert main([str(f)]) == 2
+    assert "tensor-join-distributive" in capsys.readouterr().err
+
+
+TWO_POINTS = {"kind": "vcat", "objects": ["x", "y"], "dist": [["1", "0"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize(
+    "objects, located",
+    [
+        ({"A": {"kind": "normed_set", "elements": [{"id": "a"}]}}, ["'A'", "'norm'"]),
+        (
+            {
+                "X": TWO_POINTS,
+                "d": {
+                    "kind": "vdist", "source": "X", "target": "X",
+                    "values": [["1", "0"], ["0"]],
+                },
+            },
+            ["'d'", "'values'"],
+        ),
+        ({"X": "not an object"}, ["'X'"]),
+    ],
+)
+def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located):
+    f = tmp_path / "malformed.json"
+    f.write_text(
+        json.dumps({"quantale": "bool2", "objects": objects, "tasks": []}),
+        encoding="utf-8",
+    )
+    assert main([str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert all(part in err for part in located), err

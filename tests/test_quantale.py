@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quantcat.common import BudgetExceeded, CarrierMismatch
+from quantcat.common import CarrierMismatch
 from quantcat.ncat import NormedCategory
 from quantcat.normed_set import NormedSet, i_embed
 from quantcat.quantale import (
@@ -23,6 +23,8 @@ from quantcat.vcat import (
     left_weight,
     unit_vcat,
 )
+
+from helpers import subsets
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -146,7 +148,7 @@ def test_residuation_adjunction_finite(q2, q3, q4chain, q4bool, qluka, q1):
 def test_tensor_preserves_joins_exhaustive(q2, q3, q4chain, q4bool, qluka):
     for q in (q2, q3, q4chain, q4bool, qluka):
         for u in q.carrier():
-            for S in q.subsets():
+            for S in subsets(q):
                 assert q.tensor(u, q.join(S)) == q.join(q.tensor(u, s) for s in S)
 
 
@@ -154,7 +156,7 @@ def test_lattice_tables_match_oracle(q2, q3, q4chain, q4bool, qluka, q1):
     for q in (q2, q3, q4chain, q4bool, qluka, q1):
         assert q.bottom == oracle_bound(q, ())
         assert q.top == oracle_bound(q, (), upper=False)
-        for S in q.subsets():
+        for S in subsets(q):
             assert q.join(S) == oracle_bound(q, S), (q, S)
             assert q.meet(S) == oracle_bound(q, S, upper=False), (q, S)
 
@@ -219,6 +221,42 @@ def test_validate_non_lattice_witnesses():
 
 # ---------------------------------------------------------------------------
 # validation
+
+
+def diamond_m3() -> FiniteQuantale:
+    """The non-distributive lattice M3 with tensor = meet: a ∧ (b ∨ c) = a
+    but (a ∧ b) ∨ (a ∧ c) = bot."""
+    names = ["bot", "a", "b", "c", "top"]
+    leq = [[u == v or u == 0 or v == 4 for v in range(5)] for u in range(5)]
+    tensor = [
+        [u if u == v or v == 4 else v if u == 4 else 0 for v in range(5)]
+        for u in range(5)
+    ]
+    return FiniteQuantale(names, leq, tensor, "top")
+
+
+def join_as_tensor() -> FiniteQuantale:
+    """The two-chain with tensor = join and unit 0: binary joins are
+    preserved but the empty one is not, since 1 ⊗ 0 = 1."""
+    return FiniteQuantale(
+        ["0", "1"], [[True, True], [False, True]], [["0", "1"], ["1", "1"]], "0"
+    )
+
+
+def test_binary_distributivity_matches_subset_oracle(qluka):
+    tables = [builtin_quantale(name) for name in FINITE_BUILTINS]
+    tables += [qluka, diamond_m3(), join_as_tensor()]
+    for q in tables:
+        oracle = all(
+            q.tensor(u, q.join(S)) == q.join(q.tensor(u, s) for s in S)
+            for u in q.carrier()
+            for S in subsets(q)
+        )
+        checks = {c.name: c.ok for c in validate_quantale(q).checks}
+        assert checks["tensor-join-distributive"] == oracle, q
+    for q in (diamond_m3(), join_as_tensor()):
+        failed = [c.name for c in validate_quantale(q).failures()]
+        assert failed == ["tensor-join-distributive"], q
 
 
 def test_validate_builtin_tables():
@@ -381,9 +419,39 @@ def test_totally_below_rejects_lawvere(qplus):
         totally_below(qplus, Fraction(0), Fraction(0))
 
 
-def test_totally_below_budget(q2):
-    with pytest.raises(BudgetExceeded):
-        list(q2.subsets(budget=2))
+def test_totally_below_needs_no_budget():
+    # 2^13 subsets exceed the default budget of 4096; the closed form does not
+    # enumerate them.  On a chain u ⋘ v iff u ≤ v and v is not the bottom.
+    n = 13
+    q = FiniteQuantale(
+        [f"c{i}" for i in range(n)],
+        [[i <= j for j in range(n)] for i in range(n)],
+        [[min(i, j) for j in range(n)] for i in range(n)],
+        n - 1,
+    )
+    for u in q.carrier():
+        for v in q.carrier():
+            assert totally_below(q, u, v) == (q.leq(u, v) and v != q.bottom)
+    assert unit_approximated_from_totally_below(q)
+
+
+def oracle_totally_below(q, u, v):
+    """Every subset whose join dominates v has a member above u."""
+    return all(
+        any(q.leq(u, s) for s in S) for S in subsets(q) if q.leq(v, q.join(S))
+    )
+
+
+FINITE_BUILTINS = ("bool2", "chain3", "chain4", "bool4", "one")
+
+
+def test_totally_below_matches_subset_oracle(qluka):
+    for q in [builtin_quantale(name) for name in FINITE_BUILTINS] + [qluka]:
+        for u in q.carrier():
+            for v in q.carrier():
+                assert totally_below(q, u, v) == oracle_totally_below(q, u, v), (
+                    q, u, v,
+                )
 
 
 def test_unit_approximated(q2, q3, q4bool, q1):

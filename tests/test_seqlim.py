@@ -298,7 +298,7 @@ def test_vlip_hypothesis_rejection(q4bool, monkeypatch):
     X = two_point_space(q4bool, q4bool.el("a"))
     s = Sequence("dset", [], [], X, {p: p for p in X.objects})
     monkeypatch.setattr(
-        seqlim_mod, "unit_approximated_from_totally_below", lambda q, b: False
+        seqlim_mod, "unit_approximated_from_totally_below", lambda q: False
     )
     with pytest.raises(PreconditionError):
         colimit_vlip(s, q4bool, q4bool)

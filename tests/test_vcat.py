@@ -31,7 +31,10 @@ from quantcat.vcat import (
     validate_vdist,
     validate_vfunctor,
     vcat_from_matrix,
+    weight_vector,
 )
+
+from helpers import brute_adjoint_pairs
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -392,6 +395,25 @@ def test_crafted_bool4_incomplete(q4bool):
     psi = right_weight(X, psi_vec)
     assert check_adjoint(phi, psi)
     assert is_representable(phi, psi) is None
+
+
+def test_adjoint_pairs_match_brute_force(q2, q3, q4chain, q4bool, qluka):
+    def vectors(pairs):
+        return [(weight_vector(phi), coweight_vector(psi)) for phi, psi in pairs]
+
+    for q, max_objects in ((q2, 3), (q3, 2), (q4chain, 2), (q4bool, 2), (qluka, 2)):
+        for n in range(max_objects + 1):
+            objects = [f"o{i}" for i in range(n)]
+            for X in all_vcategories(q, objects, budget=10**6):
+                expected = vectors(brute_adjoint_pairs(X))
+                assert vectors(adjoint_weight_pairs(X)) == expected, X
+
+
+def test_lawvere_requires_a_vcategory(q2):
+    X = vcat_from_matrix(q2, ["x"], [["0"]])  # not reflexive
+    with pytest.raises(PreconditionError) as info:
+        lawvere_complete_vcat(X)
+    assert [c.name for c in info.value.value.failures()] == ["reflexivity"]
 
 
 def test_lawvere_budget(q4bool):
