@@ -104,11 +104,19 @@ def parse_vcat(q: Quantale, spec: dict) -> VCategory:
         raise InputError(f"bad V-category literal: {exc}")
 
 
+def _require_names(values, what: str) -> None:
+    """Names of morphisms, elements and objects are JSON scalars."""
+    bad = next((v for v in values if isinstance(v, (list, dict))), None)
+    if bad is not None:
+        raise InputError(f"{what} must be a name, got {bad!r}")
+
+
 def parse_ncat(q: Quantale, spec: dict) -> ncat_mod.NormedCategory:
     try:
         morphisms = spec["morphisms"]
         names = [m["id"] for m in morphisms]
         table = {(g, f): gf for g, f, gf in spec["compose"]}
+        _require_names(table.values(), "a composite in 'compose'")
         return ncat_mod.NormedCategory(
             q,
             spec["objects"],
@@ -135,6 +143,8 @@ class Instance:
         self.tasks = tasks
 
     def resolve(self, name, kinds=None):
+        if not isinstance(name, str):
+            raise InputError(f"a reference must be an object name, got {name!r}")
         if name not in self.objects:
             raise InputError(f"unresolved reference {name!r}")
         kind, value = self.objects[name]
@@ -192,6 +202,7 @@ def _parse_certificate(inst: Instance, spec: dict) -> ncat_mod.AdjunctionCertifi
     for entry in spec["eps"]:
         table = {(y, x): m for y, x, m in entry["map"]}
         eps[(entry["a"], entry["b"])] = table
+    _require_names([spec["c"], spec["u"], spec["v"]], "'c', 'u' and 'v'")
     return ncat_mod.AdjunctionCertificate(
         phi, psi, eps, spec["c"], spec["u"], spec["v"]
     )
@@ -274,11 +285,14 @@ def parse_instance(data: dict) -> Instance:
         raise InputError("missing 'quantale'")
     quantale = parse_quantale(data["quantale"])
     inst = Instance(data["quantale"], quantale, {}, [])
-    for name, spec in data.get("objects", {}).items():
+    objects = data.get("objects", {})
+    if not isinstance(objects, dict):
+        raise InputError("'objects' must be a JSON object")
+    for name, spec in objects.items():
         if not isinstance(spec, dict):
             raise InputError(f"object {name!r} must be a JSON object")
         kind = spec.get("kind")
-        if kind not in _PARSERS:
+        if not isinstance(kind, str) or kind not in _PARSERS:
             raise InputError(f"object {name!r} has unknown kind {kind!r}")
         try:
             inst.objects[name] = (kind, _PARSERS[kind](inst, spec))
@@ -286,9 +300,15 @@ def parse_instance(data: dict) -> Instance:
             raise InputError(f"object {name!r}: missing field {missing}")
         except InputError as exc:
             raise InputError(f"object {name!r}: {exc}")
+        except (TypeError, AttributeError, IndexError, ValueError) as exc:
+            # a field of the wrong JSON type somewhere inside the literal
+            raise InputError(f"object {name!r}: malformed literal ({exc})")
     tasks = data.get("tasks", [])
     if not isinstance(tasks, list):
         raise InputError("'tasks' must be a list")
+    bad = next((i for i, task in enumerate(tasks) if not isinstance(task, dict)), None)
+    if bad is not None:
+        raise InputError(f"task {bad} must be a JSON object")
     inst.tasks = tasks
     return inst
 
@@ -575,7 +595,10 @@ def _task_representable(inst: Instance, task: dict, budget: int, probe: int) -> 
     except PreconditionError as exc:
         return {
             "verdict": "fail",
-            "details": {"error": "pair is not adjoint", "evidence": str(exc)},
+            "details": {
+                "error": "pair is not adjoint",
+                "evidence": _report_details(q, exc.value),
+            },
         }
     return {
         "verdict": "pass" if witness is not None else "fail",
@@ -742,7 +765,7 @@ def run_instance(inst: Instance, budget: int, probe: int) -> dict:
     results = []
     for i, task in enumerate(inst.tasks):
         op = task.get("op")
-        if op not in _TASKS:
+        if not isinstance(op, str) or op not in _TASKS:
             raise InputError(f"task {i}: unknown op {op!r}")
         try:
             outcome = _TASKS[op](inst, task, budget, probe)

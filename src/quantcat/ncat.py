@@ -37,6 +37,16 @@ an engineering claim recorded here, not a quoted theorem; a positive verdict
 means "no violation found within the enumerated class", which the argument
 identifies with all left adjoints up to isomorphism.
 
+The enumeration is split in two stages.  The norm assignments come from a
+backtracking search over the elements of Phi_e in product order that checks
+each constraint |h| ⊗ |f| ≤ |h∘f| as soon as both norms are assigned, so
+no assignment that fails it is ever completed.  Everything else the unit
+depends on -- the conjugate's elements and action, the splitting triple,
+the coend partition and the members of the unit class -- depends only on
+the plain category and e, and is computed once per idempotent
+(``PlainLeftAdjoint``).  Per assignment only the conjugate norms of the
+unit-class members, the class norm and the presentable-unit scan remain.
+
 All values are immutable after construction and every operation is a pure
 function; searches iterate objects, morphisms, and assignments in
 declaration order, so certificates are reproducible.
@@ -784,6 +794,98 @@ class LeftAdjointData:
         return q.leq(q.unit, self.unit_norm)
 
 
+class PlainLeftAdjoint:
+    """The norm-free half of the left-adjoint search for a covariant Φ.
+
+    The conjugate's elements and action, the splitting triple and the
+    members of the unit's coend class depend only on Φ's elements and
+    actions, never on their norms, so one instance serves every norm
+    assignment on the same elements.  ``conjugate`` and ``coend`` carry the
+    norms of the Φ it was built from.  A norm assignment is a tuple of values
+    aligned with ``slots``, the (object, element) pairs of Φ in declaration
+    order; the normed half (``unit_class_norms``, ``presentable``) reads
+    nothing else.
+    """
+
+    def __init__(self, Phi: NormedDistributor, budget: int = DEFAULT_BUDGET):
+        A = Phi.category
+        self.quantale = Phi.quantale
+        self.slots = [(a, w) for a in A.objects for w in Phi.set_at(a)]
+        self.conjugate = PhiVee = isbell_conjugate_ndist(Phi, budget)
+        # each conjugate element's natural family, built once
+        family = {
+            key: nat_family(Phi, key) for a in A.objects for key in PhiVee.set_at(a)
+        }
+
+        def splits(c, u, v):
+            return all(
+                Phi.apply(v[b][y], u) == y for b in A.objects for y in Phi.set_at(b)
+            ) and all(
+                x[z][w] == A.compose(v[z][w], x[c][u])
+                for x in family.values()
+                for z in A.objects
+                for w in Phi.set_at(z)
+            )
+
+        self.triple = next(
+            (
+                (c, u, v_key)
+                for c in A.objects
+                for u in Phi.set_at(c)
+                for v_key in PhiVee.set_at(c)
+                if splits(c, u, family[v_key])
+            ),
+            None,
+        )
+        self.coend = None
+        self.members = []  # unit-class members (a, v, w, slot of w)
+        self._terms = {}  # v -> [(slot of w, |v_x(w)|)] over x and w in Φ(x)
+        if self.triple is None:
+            return
+        self.coend = coend_unit(PhiVee, Phi)
+        c, u, v_key = self.triple
+        slot = {s: i for i, s in enumerate(self.slots)}
+        self.members = [
+            (a, v, w, slot[(a, w)])
+            for (a, v, w) in self.coend.class_members((c, v_key, u))
+        ]
+        for _, v, _, _ in self.members:
+            if v not in self._terms:
+                self._terms[v] = [
+                    (slot[(x, w)], A.norm[m])
+                    for x in A.objects
+                    for w, m in family[v][x].items()
+                ]
+
+    def unit_class_norms(self, values) -> tuple[dict, Any]:
+        """The conjugate norm ⋀_{x, w} hom(|w|, |v_x(w)|) of each key v in the
+        unit class, and the class norm ⋁ |v| ⊗ |w|, under ``values``."""
+        q = self.quantale
+        conj = {
+            v: q.meet(q.hom(values[i], n) for i, n in terms)
+            for v, terms in self._terms.items()
+        }
+        unit_norm = q.join(q.tensor(conj[v], values[i]) for _, v, _, i in self.members)
+        return conj, unit_norm
+
+    def presentable(self, values, conj: Mapping):
+        """The presentable-unit scan under ``values``; ``conj`` as returned
+        by ``unit_class_norms``."""
+        return _first_presentable(
+            self.quantale,
+            ((a, v, w, values[i], conj[v]) for a, v, w, i in self.members),
+        )
+
+
+def _first_presentable(q: Quantale, members):
+    """The first unit-class member (a, v, w) with both component norms
+    |w| and |v| at least the unit."""
+    for a, v, w, norm_w, norm_v in members:
+        if q.leq(q.unit, norm_w) and q.leq(q.unit, norm_v):
+            return True, (a, v, w)
+    return False, None
+
+
 def left_adjoint_unit(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET) -> LeftAdjointData:
     """Search a splitting triple against the canonical conjugate.
 
@@ -791,39 +893,12 @@ def left_adjoint_unit(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET) -> L
     must satisfy both splitting equations.  Every triple that satisfies them
     presents the same unit class.
     """
-    A = Phi.category
-    PhiVee = isbell_conjugate_ndist(Phi, budget)
-    # each conjugate element's natural family, built once
-    family = {
-        key: nat_family(Phi, key) for a in A.objects for key in PhiVee.set_at(a)
-    }
-
-    def splits(c, u, v):
-        return all(
-            Phi.apply(v[b][y], u) == y for b in A.objects for y in Phi.set_at(b)
-        ) and all(
-            x[z][w] == A.compose(v[z][w], x[c][u])
-            for x in family.values()
-            for z in A.objects
-            for w in Phi.set_at(z)
-        )
-
-    triple = next(
-        (
-            (c, u, v_key)
-            for c in A.objects
-            for u in Phi.set_at(c)
-            for v_key in PhiVee.set_at(c)
-            if splits(c, u, family[v_key])
-        ),
-        None,
-    )
-    if triple is None:
-        return LeftAdjointData(Phi, PhiVee, None, None, None)
-    coend = coend_unit(PhiVee, Phi)
-    c, u, v_key = triple
-    unit_norm = coend.class_norm((c, v_key, u))
-    return LeftAdjointData(Phi, PhiVee, triple, coend, unit_norm)
+    plain = PlainLeftAdjoint(Phi, budget)
+    if plain.triple is None:
+        return LeftAdjointData(Phi, plain.conjugate, None, None, None)
+    values = tuple(Phi.set_at(a).norm(w) for a, w in plain.slots)
+    _, unit_norm = plain.unit_class_norms(values)
+    return LeftAdjointData(Phi, plain.conjugate, plain.triple, plain.coend, unit_norm)
 
 
 def has_presentable_unit(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET):
@@ -839,14 +914,14 @@ def has_presentable_unit(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET):
 
 
 def presentable_unit_scan(data: LeftAdjointData):
-    q = data.phi.quantale
     c, u, v_key = data.triple
-    for (a, v, w) in data.coend.class_members((c, v_key, u)):
-        if q.leq(q.unit, data.phi.set_at(a).norm(w)) and q.leq(
-            q.unit, data.conjugate.set_at(a).norm(v)
-        ):
-            return True, (a, v, w)
-    return False, None
+    return _first_presentable(
+        data.phi.quantale,
+        (
+            (a, v, w, data.phi.set_at(a).norm(w), data.conjugate.set_at(a).norm(v))
+            for a, v, w in data.coend.class_members((c, v_key, u))
+        ),
+    )
 
 
 def check_normed_retract(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET):
@@ -939,16 +1014,40 @@ def idempotent_distributor(A: NormedCategory, e, norms: Mapping) -> NormedDistri
     return NormedDistributor(A, True, sets, action)
 
 
-def _norm_assignment_ok(A: NormedCategory, Phi: NormedDistributor) -> bool:
+def norm_assignments(A: NormedCategory, flat) -> Iterator[tuple]:
+    """The norm assignments on the elements ``flat`` of Φ_e (tuples aligned
+    with ``flat``) that make Φ_e a normed functor, in product order.
+
+    Backtracking over ``flat``: each constraint |h| ⊗ |f| ≤ |h∘f| is checked
+    as soon as the later of f and h∘f gets its value, so the assignments
+    come out exactly as the filtered product would list them.
+    """
     q = A.quantale
+    carrier = tuple(q.carrier())
+    pos = {f: i for i, f in enumerate(flat)}
+    due: list[dict] = [{} for _ in flat]  # position -> constraints (|h|, i, j)
     for h in A.morphisms:
-        nh = A.norm[h]
-        src = Phi.set_at(A.dom[h])
-        tgt = Phi.set_at(A.cod[h])
-        for f in src:
-            if not q.leq(q.tensor(nh, src.norm(f)), tgt.norm(Phi.apply(h, f))):
-                return False
-    return True
+        for f in flat:
+            if A.cod[f] == A.dom[h]:
+                i, j = pos[f], pos[A.compose(h, f)]
+                due[max(i, j)][(A.norm[h], i, j)] = None
+    checks = [tuple(d) for d in due]
+    n = len(flat)
+    values = [None] * n
+    tried = [0] * n  # per position: how many carrier values were tried
+    p = 0
+    while p >= 0:
+        if p == n:
+            yield tuple(values)
+            p -= 1
+        elif tried[p] == len(carrier):
+            tried[p] = 0
+            p -= 1
+        else:
+            values[p] = carrier[tried[p]]
+            tried[p] += 1
+            if all(q.leq(q.tensor(nh, values[i]), values[j]) for nh, i, j in checks[p]):
+                p += 1
 
 
 @dataclass
@@ -978,7 +1077,6 @@ def is_lawvere_complete_ncat(
     if not ok1:
         return NcatLawvereVerdict(False, clause=1, certificate=bad_e)
 
-    carrier = list(q.carrier())
     idems = list(A.idempotents())
     for pos, e in enumerate(idems):
         elems = idempotent_distributor_sets(A, e)
@@ -990,16 +1088,18 @@ def is_lawvere_complete_ncat(
             f"norm assignments |V|^{len(flat)} at idempotent {e!r}",
             skipped=f"{len(idems) - pos} idempotents, {count} assignments",
         )
-        for values in product(carrier, repeat=len(flat)):
-            norms = dict(zip(flat, values))
-            Phi = idempotent_distributor(A, e, norms)
-            if not _norm_assignment_ok(A, Phi):
+        plain = None  # built at the first normed functor: its guards fire there
+        for values in norm_assignments(A, flat):
+            if plain is None:
+                Phi = idempotent_distributor(A, e, dict(zip(flat, values)))
+                plain = PlainLeftAdjoint(Phi, budget)
+            if plain.triple is None:
+                break  # no splitting triple: no assignment is a left adjoint
+            conj, unit_norm = plain.unit_class_norms(values)
+            if not q.leq(q.unit, unit_norm):
                 continue
-            data = left_adjoint_unit(Phi, budget)
-            if not data.normed:
-                continue
-            ok, _ = presentable_unit_scan(data)
+            ok, _ = plain.presentable(values, conj)
             if not ok:
-                named = {f: q.format(v) for f, v in norms.items()}
+                named = {f: q.format(v) for f, v in zip(flat, values)}
                 return NcatLawvereVerdict(False, clause=2, certificate=(e, named))
     return NcatLawvereVerdict(True)

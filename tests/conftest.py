@@ -63,3 +63,17 @@ def lukasiewicz3() -> FiniteQuantale:
 @pytest.fixture
 def qluka():
     return lukasiewicz3()
+
+
+def above_unit3() -> FiniteQuantale:
+    """A non-integral chain 0 < 1 < t with unit 1: t ⊗ t = t, 0 absorbing.
+    An identity normed t makes |1| ⊗ |f| ≤ |f| a real constraint."""
+    names = ["0", "1", "t"]
+    leq = [[i <= j for j in range(3)] for i in range(3)]
+    tensor = [[names[0 if 0 in (i, j) else max(i, j)] for j in range(3)] for i in range(3)]
+    return FiniteQuantale(names, leq, tensor, "1")
+
+
+@pytest.fixture
+def qabove():
+    return above_unit3()

@@ -7,19 +7,16 @@ before being asserted against the library.
 
 import random
 from fractions import Fraction
-from itertools import product
 
 from quantcat.ncat import (
     i_embed_cat,
     idempotent_distributor,
-    idempotent_distributor_sets,
     is_lawvere_complete_ncat,
     is_representable_ndist,
     left_adjoint_unit,
     presentable_unit_scan,
     split_idempotents_check,
     strict_subcategory,
-    _norm_assignment_ok,
 )
 from quantcat.normed_set import NormedSet
 from quantcat.quantale import (
@@ -56,7 +53,13 @@ from quantcat.vcat import (
     vcat_from_matrix,
 )
 
-from helpers import monoid_cat, ordered_pair_vcat, split_monoid_cat, subsets
+from helpers import (
+    brute_left_adjoints,
+    monoid_cat,
+    ordered_pair_vcat,
+    split_monoid_cat,
+    subsets,
+)
 
 BUNDLED_FINITE = ("bool2", "chain3", "chain4", "bool4")
 
@@ -187,18 +190,9 @@ def test_criterion_4_idempotent_splitting():
 
 
 def _enumerated_left_adjoints(A, budget=10**6):
-    q = A.quantale
-    carrier = list(q.carrier())
-    for e in A.idempotents():
-        elems = idempotent_distributor_sets(A, e)
-        flat = [f for b in A.objects for f in elems[b]]
-        for values in product(carrier, repeat=len(flat)):
-            Phi = idempotent_distributor(A, e, dict(zip(flat, values)))
-            if not _norm_assignment_ok(A, Phi):
-                continue
-            data = left_adjoint_unit(Phi, budget)
-            if data.normed:
-                yield Phi, data
+    for _, _, Phi, data in brute_left_adjoints(A, budget):
+        if data.normed:
+            yield Phi, data
 
 
 def test_criterion_5_theorem_coherence():

@@ -331,6 +331,34 @@ def test_lawvere_on_non_vcategory_reports_precondition(tmp_path, capsys):
     assert evidence == {"reflexivity": False, "transitivity": True}
 
 
+def test_representable_on_non_adjoint_pair_reports_failed_checks(tmp_path, capsys):
+    f = tmp_path / "nonadjoint.json"
+    f.write_text(
+        json.dumps(
+            {
+                "quantale": "bool2",
+                "objects": {
+                    "X": {"kind": "vcat", "objects": ["x", "y"], "dist": [["1", "1"], ["0", "1"]]},
+                    "wp": {"kind": "weight_pair", "space": "X",
+                           "phi": {"x": "1", "y": "1"}, "psi": {"x": "0", "y": "0"}},
+                },
+                "tasks": [{"op": "representable", "pair": "wp"}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, report, _ = run_json(capsys, str(f))
+    assert code == 1
+    task = report["tasks"][0]
+    assert task["verdict"] == "fail"
+    assert task["details"]["error"] == "pair is not adjoint"
+    evidence = {c["check"]: (c["ok"], c["witness"]) for c in task["details"]["evidence"]}
+    assert evidence == {
+        "unit-inequality": (False, ["*", "*"]),
+        "counit-inequality": (True, None),
+    }
+
+
 def test_inline_table_that_is_not_a_quantale_is_input_error(tmp_path, capsys):
     f = tmp_path / "badtable.json"
     f.write_text(
@@ -370,6 +398,11 @@ TWO_POINTS = {"kind": "vcat", "objects": ["x", "y"], "dist": [["1", "0"], ["0", 
             ["'d'", "'values'"],
         ),
         ({"X": "not an object"}, ["'X'"]),
+        ({"A": {"kind": "normed_set", "elements": ["a"]}}, ["'A'"]),
+        (
+            {"X": TWO_POINTS, "d": {"kind": "vdist", "source": "X", "target": "X", "values": 7}},
+            ["'d'"],
+        ),
     ],
 )
 def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located):
@@ -382,3 +415,57 @@ def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located)
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert all(part in err for part in located), err
+
+
+@pytest.mark.parametrize(
+    "instance, located",
+    [
+        ({"quantale": "bool2", "objects": [], "tasks": []}, "'objects'"),
+        ({"quantale": "bool2", "objects": {}, "tasks": ["lawvere"]}, "task 0"),
+        ({"quantale": "bool2", "objects": {}, "tasks": [{"op": ["lawvere"]}]}, "task 0"),
+        ({"quantale": "bool2", "objects": {"X": TWO_POINTS},
+          "tasks": [{"op": "lawvere", "target": ["X"]}]}, "reference"),
+    ],
+)
+def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, located):
+    f = tmp_path / "malformed.json"
+    f.write_text(json.dumps(instance), encoding="utf-8")
+    assert main([str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and located in err, err
+
+
+def _json_nodes(data, where=()):
+    """The path of every node below the root of a JSON document."""
+    children = data.items() if isinstance(data, dict) else (
+        enumerate(data) if isinstance(data, list) else ()
+    )
+    for key, child in children:
+        yield where + (key,)
+        yield from _json_nodes(child, where + (key,))
+
+
+def _replaced(data, where, value):
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+def test_wrong_type_mutations_exit_cleanly(name, tmp_path, capsys):
+    # every node of a fixture replaced by a value of the wrong JSON type
+    with open(path(name), encoding="utf-8") as fh:
+        data = json.load(fh)
+    f = tmp_path / "mutated.json"
+    for where in _json_nodes(data):
+        for value in ([], 7):
+            f.write_text(json.dumps(_replaced(data, where, value)), encoding="utf-8")
+            try:
+                code = main([str(f), "--json", "--budget", "64"])
+            except Exception as exc:  # noqa: BLE001 - any escape is the failure
+                pytest.fail(f"{where} := {value!r} raised {exc!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3) and "Traceback" not in err, (where, value)

@@ -1,6 +1,6 @@
 import pytest
 
-from quantcat.common import PreconditionError
+from quantcat.common import BudgetExceeded, PreconditionError
 from quantcat.ncat import (
     AdjunctionCertificate,
     NormedCategory,
@@ -13,6 +13,7 @@ from quantcat.ncat import (
     i_embed_cat,
     i_embed_weight,
     idempotent_distributor,
+    idempotent_distributor_sets,
     is_lawvere_complete_ncat,
     is_representable_ndist,
     isbell_conjugate_ndist,
@@ -20,6 +21,7 @@ from quantcat.ncat import (
     nat_key,
     nat_norm,
     nat_transformations,
+    norm_assignments,
     representable_certificate,
     representable_contra,
     representable_cov,
@@ -32,6 +34,7 @@ from quantcat.ncat import (
 )
 from quantcat.normed_set import NormedSet
 from quantcat.vcat import (
+    all_vcategories,
     coweight_vector,
     isbell_conjugate_weight,
     lawvere_complete_vcat,
@@ -41,6 +44,8 @@ from quantcat.vcat import (
 
 from helpers import (
     bool4_split_witness_vcat,
+    brute_lawvere_ncat,
+    filtered_norm_assignments,
     monoid_cat,
     ordered_pair_vcat,
     split_monoid_cat,
@@ -619,3 +624,81 @@ def test_coend_matches_closure_oracle(q2, q4bool):
                 q.tensor(Psi.set_at(a).norm(v), Phi_.set_at(a).norm(u))
                 for (a, v, u) in members
             )
+
+
+# ---------------------------------------------------------------------------
+# the decision against its brute-force oracle
+
+
+def _decision_outcome(decide, A, budget):
+    """(complete, clause, certificate), or the fields of the error raised."""
+    try:
+        verdict = decide(A, budget=budget)
+    except BudgetExceeded as exc:
+        return ("budget", exc.what, exc.needed, exc.budget, exc.skipped)
+    except Exception as exc:  # noqa: BLE001 - the two must fail alike
+        return (type(exc).__name__, str(exc))
+    return (verdict.complete, verdict.clause, verdict.certificate)
+
+
+def _differential_fixtures(q1, q2, q3, q4chain, q4bool, qluka, qabove):
+    for q, max_objects in (
+        (q2, 3), (q3, 2), (q4chain, 2), (q4bool, 2), (qluka, 2), (qabove, 2)
+    ):
+        for n in range(max_objects + 1):
+            for X in all_vcategories(q, [f"o{i}" for i in range(n)], budget=10**6):
+                yield i_embed_cat(X)
+    for q in (q2, q3, q4bool, qabove):
+        for one in q.carrier():
+            for e in q.carrier():
+                yield monoid_cat(q, one, e)
+    for q in (q1, q2, q3, q4chain, q4bool, qluka, qabove):
+        yield split_monoid_cat(q)
+
+
+def test_lawvere_ncat_matches_brute_force(q1, q2, q3, q4chain, q4bool, qluka, qabove):
+    outcomes = set()
+    for A in _differential_fixtures(q1, q2, q3, q4chain, q4bool, qluka, qabove):
+        expected = _decision_outcome(brute_lawvere_ncat, A, 4096)
+        assert _decision_outcome(is_lawvere_complete_ncat, A, 4096) == expected, A
+        outcomes.add(expected[:2] if expected[0] in (True, False) else expected[0])
+    # every branch of the decision is exercised
+    assert {(True, None), (False, 1), (False, 2), "ConstructionError"} <= outcomes
+
+
+def test_norm_assignments_match_filtered_product(
+    q1, q2, q3, q4chain, q4bool, qluka, qabove
+):
+    for A in _differential_fixtures(q1, q2, q3, q4chain, q4bool, qluka, qabove):
+        for e in A.idempotents():
+            elems = idempotent_distributor_sets(A, e)
+            flat = [f for b in A.objects for f in elems[b]]
+            assert list(norm_assignments(A, flat)) == list(filtered_norm_assignments(A, e))
+
+
+def test_lawvere_ncat_budget_fields_match_brute_force(q1, q2, q4bool):
+    cases = [
+        # the natural-family guard of the first normed assignment
+        (split_monoid_cat(q1), 3, "natural-transformation enumeration"),
+        # the assignment-count guard, before any assignment is enumerated
+        (split_monoid_cat(q2), 4, "norm assignments |V|^3 at idempotent '1a'"),
+        (monoid_cat(q4bool, "top", "bot"), 3, "norm assignments |V|^2 at idempotent '1'"),
+    ]
+    for A, budget, what in cases:
+        expected = _decision_outcome(brute_lawvere_ncat, A, budget)
+        assert expected[:2] == ("budget", what)
+        assert _decision_outcome(is_lawvere_complete_ncat, A, budget) == expected
+
+
+def test_left_adjoint_unit_norm_is_the_coend_class_norm(q2, q4bool):
+    NA = i_embed_cat(bool4_split_witness_vcat(q4bool))
+    fixtures = [
+        i_embed_weight({"x1": q4bool.el("a"), "x2": q4bool.el("b")}, NA),
+        representable_cov(split_monoid_cat(q2), "a"),
+        idempotent_distributor(monoid_cat(q2, "1", "0"), "e", {"e": "1"}),
+    ]
+    for Phi in fixtures:
+        data = left_adjoint_unit(Phi)
+        assert data.plain
+        c, u, v_key = data.triple
+        assert data.unit_norm == data.coend.class_norm((c, v_key, u))
