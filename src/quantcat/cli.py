@@ -722,11 +722,14 @@ def _task_lipnorm(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     mode = task.get("mode", "multiplicative")
     if not isinstance(mapping, dict):
         raise InputError("lipnorm needs a 'map' object")
+    log_base = task.get("log_base", 2)
+    if type(log_base) is not int or log_base < 2:
+        raise InputError(f"lipnorm 'log_base' must be an integer >= 2, got {log_base!r}")
     try:
         value = seq_mod.lipschitz_norm(
             X, Y, mapping, mode,
             q_odot=inst.quantale if mode == "odot" else None,
-            log_base=task.get("log_base", 2),
+            log_base=log_base,
         )
     except ValueError as exc:
         raise InputError(str(exc))

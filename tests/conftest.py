@@ -47,10 +47,11 @@ def qtimes():
     return lawvere_times()
 
 
-def lukasiewicz3() -> FiniteQuantale:
-    """Three-element Lukasiewicz chain: 0 < h < 1, u ⊗ v = max(u+v-1, 0)."""
-    names = ["0", "h", "1"]
-    vals = {"0": 0, "h": 1, "1": 2}
+def lukasiewicz3(middle="h") -> FiniteQuantale:
+    """Three-element Lukasiewicz chain: 0 < h < 1, u ⊗ v = max(u+v-1, 0).
+    ``middle`` renames h, e.g. to "m" for the lattice of chain3."""
+    names = ["0", middle, "1"]
+    vals = {"0": 0, middle: 1, "1": 2}
     leq = [[vals[u] <= vals[v] for v in names] for u in names]
 
     def t(u, v):

@@ -13,7 +13,9 @@ from quantcat.ncat import (
     split_idempotents_check,
     strict_subcategory,
 )
+from quantcat.normed_set import NormedMap, NormedSet
 from quantcat.quantale import require_finite
+from quantcat.seqlim import _set_colimit
 from quantcat.vcat import (
     check_adjoint,
     left_weight,
@@ -108,6 +110,126 @@ def brute_lawvere_ncat(A, budget=DEFAULT_BUDGET) -> NcatLawvereVerdict:
             named = {f: q.format(v) for f, v in norms.items()}
             return NcatLawvereVerdict(False, clause=2, certificate=(e, named))
     return NcatLawvereVerdict(True)
+
+
+def pairs_normed_set(q, X) -> NormedSet:
+    """The ordered pairs of a distance set, each normed by its distance."""
+    elems = [(x, y) for x in X.objects for y in X.objects]
+    return NormedSet(q, {(x, y): X.d(x, y) for x, y in elems}, elems)
+
+
+def pairs_map(f) -> dict:
+    return {(x, y): (f[x], f[y]) for x in f for y in f}
+
+
+def brute_colimit_nset(s):
+    """(labels, norms) of the normed-set colimit, each class normed by the
+    join of the norms of the tail-window elements in it."""
+    quot = _set_colimit(s)
+    T, q = s.tail_object, s.quantale
+    norms = {
+        label: q.join(
+            T.norm(x)
+            for r in range(quot.period)
+            for x in T.elements
+            if quot.gamma[s.n0 + r][x] == label
+        )
+        for label in quot.labels
+    }
+    return quot.labels, norms
+
+
+def brute_colimit_dset(s):
+    """(labels, dist) of the distance-set colimit, each pair of classes at
+    the join of the tail-window distances between their members."""
+    quot = _set_colimit(s)
+    T, q = s.tail_object, s.quantale
+    dist = {
+        (l1, l2): q.join(
+            T.d(x, y)
+            for r in range(quot.period)
+            for x in T.objects
+            for y in T.objects
+            if quot.gamma[s.n0 + r][x] == l1 and quot.gamma[s.n0 + r][y] == l2
+        )
+        for l1 in quot.labels
+        for l2 in quot.labels
+    }
+    return quot.labels, dist
+
+
+def _probe_each_component(q, apex, sources, maps, probe_bound, budget):
+    """Every map f out of the apex into a normed set of at most
+    ``probe_bound`` elements, compared against ⋀_i |f ∘ γ_i| with one map
+    norm per tail component γ_i; the first (f, |f|, ⋀_i |f ∘ γ_i|) that
+    fails is the witness."""
+    carrier = list(q.carrier())
+    total = sum(q.size ** size for size in range(1, probe_bound + 1))
+    guard_count(total, budget, f"probe normed sets up to size {probe_bound}")
+    for size in range(1, probe_bound + 1):
+        elems = [f"p{i}" for i in range(size)]
+        for values in product(carrier, repeat=size):
+            probe = NormedSet(q, dict(zip(elems, values)), elems)
+            guard_count(
+                len(probe) ** len(apex) if len(apex) else 1,
+                budget,
+                "probe maps out of the apex",
+            )
+            if not apex.elements:
+                continue
+            for image in product(probe.elements, repeat=len(apex)):
+                f = dict(zip(apex.elements, image))
+                lhs = NormedMap(apex, probe, f).norm
+                rhs = q.meet(
+                    NormedMap(src, probe, {x: f[g[x]] for x in src.elements}).norm
+                    for src, g in zip(sources, maps)
+                )
+                if not q.leq(rhs, lhs):
+                    return False, (dict(f), q.format(lhs), q.format(rhs))
+    return True, None
+
+
+def _hit_join_reduction(q, apex, sources, maps):
+    """|a| ≤ ⋁{|x| : γ_i x = a} for every apex element, first failure named."""
+    hits = {}
+    for src, g in zip(sources, maps):
+        for x in src.elements:
+            hits.setdefault(g[x], []).append(src.norm(x))
+    bad = next(
+        (a for a in apex.elements if not q.leq(apex.norm(a), q.join(hits.get(a, [])))),
+        None,
+    )
+    return bad is None, bad
+
+
+def _c2b_data(s, gamma):
+    q = s.norm_quantale
+    if s.kind == "nset":
+        return q, gamma.apex, [s.tail_object] * len(gamma.tail), gamma.tail
+    tail_pairs = pairs_normed_set(q, s.tail_object)
+    return (
+        q,
+        pairs_normed_set(q, gamma.apex),
+        [tail_pairs] * len(gamma.tail),
+        [pairs_map(c) for c in gamma.tail],
+    )
+
+
+def brute_c2b_check(s, gamma, probe_bound=3, budget=DEFAULT_BUDGET):
+    """(name, ok, witness) of (C2b) for a set-like cocone: probes with one map
+    norm per tail component over finite carriers, the join of hit norms over
+    infinite ones; distance sets go through their pair sets."""
+    q, apex, sources, maps = _c2b_data(s, gamma)
+    if q.is_finite:
+        ok, witness = _probe_each_component(q, apex, sources, maps, probe_bound, budget)
+        return f"C2b (probe bound {probe_bound})", ok, witness
+    ok, witness = _hit_join_reduction(q, apex, sources, maps)
+    return "C2b (exact reduction)", ok, witness
+
+
+def brute_c2b_reduction(s, gamma) -> bool:
+    """The hit-join reduction of (C2b) on any carrier."""
+    return _hit_join_reduction(*_c2b_data(s, gamma))[0]
 
 
 def monoid_cat(q, norm_one, norm_e) -> NormedCategory:

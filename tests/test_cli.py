@@ -99,6 +99,7 @@ GOLDEN_JSON = {
     "metric.json": (0, "4b4a6e877386f27e4f336125ac870e939d5e10b1fa689388594bae33f184116e"),
     "monoid.json": (1, "babedf3b14b92d93990cf8a611f3cbb3c778afac197fb26c2e1b11f817e1838c"),
     "noncauchy.json": (1, "04967b72906ebd65c247d633f42df7c669c1b5467754bfeba59bfea89c99f9ad"),
+    "odot.json": (1, "528d005768aa28ad7cfae748b6ec1372599334bded6e677292dbe3dd1338be06"),
     "sequence.json": (0, "35aa39317a92aa8a31404b91e71b8a340cca58610ab52205138318e84f9ead75"),
     "vlip.json": (0, "88ea684069621ad74d16f5a0f0b0c7140ba20d371c2c682c14275fa6bbce50ba"),
     "weights.json": (0, "734621e423eb0a0e868a4d356565cade4764453ee0d96dd5896054d16d4a0dd9"),
@@ -381,6 +382,7 @@ def test_inline_table_that_is_not_a_quantale_is_input_error(tmp_path, capsys):
 
 
 TWO_POINTS = {"kind": "vcat", "objects": ["x", "y"], "dist": [["1", "0"], ["0", "1"]]}
+LAWVERE_POINTS = {"kind": "vcat", "objects": ["p", "q"], "dist": [["0", "1"], ["1", "0"]]}
 
 
 @pytest.mark.parametrize(
@@ -425,6 +427,13 @@ def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located)
         ({"quantale": "bool2", "objects": {}, "tasks": [{"op": ["lawvere"]}]}, "task 0"),
         ({"quantale": "bool2", "objects": {"X": TWO_POINTS},
           "tasks": [{"op": "lawvere", "target": ["X"]}]}, "reference"),
+    ]
+    + [
+        ({"quantale": "lawvere-plus", "objects": {"X": LAWVERE_POINTS},
+          "tasks": [{"op": "lipnorm", "source": "X", "target": "X",
+                     "map": {"p": "p", "q": "q"}, "mode": "log",
+                     "log_base": base}]}, "'log_base'")
+        for base in ("2", [], 2.5, True, 1)
     ],
 )
 def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, located):

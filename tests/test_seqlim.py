@@ -1,15 +1,17 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from quantcat.common import PreconditionError
 from quantcat.normed_set import NormedSet
-from quantcat.quantale import INF
+from quantcat.quantale import INF, builtin_quantale
 from quantcat.seqlim import (
     Cocone,
     LogNorm,
     MetricSequence,
     Sequence,
+    _set_colimit,
     c2b_reduction_check,
     cauchy_value,
     colimit_dset,
@@ -26,7 +28,14 @@ from quantcat.seqlim import (
 )
 from quantcat.vcat import VCategory, is_symmetric, validate_vcat
 
-from helpers import split_monoid_cat
+from conftest import lukasiewicz3
+from helpers import (
+    brute_c2b_check,
+    brute_c2b_reduction,
+    brute_colimit_dset,
+    brute_colimit_nset,
+    split_monoid_cat,
+)
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -98,6 +107,29 @@ def test_validate_sequence(q2):
 
 # ---------------------------------------------------------------------------
 # normed-set colimits
+
+
+@pytest.mark.parametrize("window", [None, 7])
+def test_validate_sequence_norms_each_step_map_once(q3, monkeypatch, window):
+    # two prefix stages and a tail with transient 1 and period 2: W = 5
+    stage = NormedSet(q3, {"p": "m", "r": "1"})
+    T = NormedSet(q3, {"a": "1", "b": "m", "c": "1"})
+    s = Sequence(
+        "nset", [stage, stage], [{"p": "p", "r": "r"}, {"p": "a", "r": "b"}],
+        T, {"a": "b", "b": "c", "c": "b"},
+    )
+    calls = []
+    norm_of = Sequence.map_norm_of
+
+    def counted(self, *args):
+        calls.append(args)
+        return norm_of(self, *args)
+
+    monkeypatch.setattr(Sequence, "map_norm_of", counted)
+    report = validate_sequence(s, window)
+    assert report.ok
+    W = window or 5
+    assert len(calls) <= W * (W + 1) // 2
 
 
 def test_colimit_constant_sequence(q2):
@@ -463,8 +495,6 @@ def test_set_colimit_matches_germ_oracle(q2, q3):
                             prefix=[{"a": "m", "b": "m"}]),
         const_nset_sequence(q2, {"a": "1", "b": "1"}, endo={"a": "b", "b": "a"}),
     ]
-    from quantcat.seqlim import _set_colimit
-
     for s in fixtures:
         quot = _set_colimit(s)
         horizon = s.n0 + quot.period
@@ -515,3 +545,118 @@ def test_cauchy_value_matches_window_oracle(q2, q3):
     ]
     for s in fixtures:
         assert cauchy_value(s) == _cauchy_value_oracle(s)
+
+
+# ---------------------------------------------------------------------------
+# colimit apexes and (C2b) against the window-join oracles
+
+BIG_BUDGET = 10**6
+
+
+def _all_nset_sequences(q, max_tail):
+    """Every normed-set sequence with an empty prefix and a tail of at most
+    ``max_tail`` elements: all norm functions, all endomaps."""
+    carrier = list(q.carrier())
+    for n in range(max_tail + 1):
+        elems = ["a", "b", "c"][:n]
+        for norms in product(carrier, repeat=n):
+            T = NormedSet(q, dict(zip(elems, norms)), elems)
+            for image in product(elems, repeat=n):
+                yield Sequence("nset", [], [], T, dict(zip(elems, image)))
+
+
+def _all_dset_sequences(q, max_tail, odot=None):
+    """Every distance-set sequence with a one-stage prefix (the same points,
+    the identity step) and a tail of at most ``max_tail`` points."""
+    carrier = list(q.carrier())
+    for n in range(1, max_tail + 1):
+        elems = ["x", "y"][:n]
+        pairs = [(x, y) for x in elems for y in elems]
+        for values in product(carrier, repeat=len(pairs)):
+            T = VCategory(q, elems, dict(zip(pairs, values)))
+            for image in product(elems, repeat=n):
+                yield Sequence(
+                    "dset", [T], [{x: x for x in elems}], T,
+                    dict(zip(elems, image)), norm_quantale=odot,
+                )
+
+
+def _window_cocone(s, apex):
+    quot = _set_colimit(s)
+    return Cocone(
+        apex,
+        [quot.gamma[n] for n in range(s.n0)],
+        [quot.gamma[s.n0 + r] for r in range(quot.period)],
+    )
+
+
+def _c2b(s, gamma, probe_bound):
+    report = verify_normed_colimit(s, gamma, probe_bound=probe_bound, budget=BIG_BUDGET)
+    (check,) = [c for c in report.checks if c.name.startswith("C2b")]
+    return check.name, check.ok, check.witness
+
+
+@pytest.mark.parametrize("qname, max_tail", [("bool2", 3), ("chain3", 2)])
+def test_colimit_nset_apex_matches_window_join(qname, max_tail):
+    for s in _all_nset_sequences(builtin_quantale(qname), max_tail):
+        labels, norms = brute_colimit_nset(s)
+        if not is_cauchy(s):
+            with pytest.raises(PreconditionError):
+                colimit_nset(s)
+            continue
+        apex, _ = colimit_nset(s)
+        assert apex.elements == tuple(labels)
+        assert apex.norms == norms
+
+
+@pytest.mark.parametrize("qname, max_tail", [("bool2", 3), ("chain3", 2)])
+def test_c2b_nset_matches_per_component_oracle(qname, max_tail):
+    # every candidate apex norm assignment on the window quotient, so that
+    # failing witnesses are compared as well as passes
+    q = builtin_quantale(qname)
+    outcomes = set()
+    for s in _all_nset_sequences(q, max_tail):
+        labels = _set_colimit(s).labels
+        for values in product(list(q.carrier()), repeat=len(labels)):
+            gamma = _window_cocone(s, NormedSet(q, dict(zip(labels, values)), labels))
+            for bound in (1, 2, 3):
+                got = _c2b(s, gamma, bound)
+                assert got == brute_c2b_check(s, gamma, bound, BIG_BUDGET)
+                outcomes.add(got[1])
+            assert c2b_reduction_check(s, gamma) == brute_c2b_reduction(s, gamma)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "qname, odot, every_candidate",
+    [("bool2", False, True), ("chain3", False, False), ("chain3", True, False)],
+)
+def test_colimit_dset_and_c2b_match_pair_oracle(qname, odot, every_candidate):
+    # over chain3 the candidates are the window-join apex and the all-top
+    # apex, which fails (C2b) wherever the tail does not reach top
+    q = builtin_quantale(qname)
+    qn = lukasiewicz3("m") if odot else None
+    carrier = list(q.carrier())
+    outcomes = set()
+    for s in _all_dset_sequences(q, 2, qn):
+        labels, dist = brute_colimit_dset(s)
+        if is_cauchy(s):
+            apex, _ = colimit_dset(s)
+            assert apex.objects == tuple(labels)
+            assert apex.dist == dist
+        else:
+            with pytest.raises(PreconditionError):
+                colimit_dset(s)
+        candidates = (
+            [dict(zip(dist, values)) for values in product(carrier, repeat=len(dist))]
+            if every_candidate
+            else [dist, dict.fromkeys(dist, q.top)]
+        )
+        for candidate in candidates:
+            gamma = _window_cocone(s, VCategory(q, labels, candidate))
+            for bound in (1, 2):
+                got = _c2b(s, gamma, bound)
+                assert got == brute_c2b_check(s, gamma, bound, BIG_BUDGET)
+                outcomes.add(got[1])
+            assert c2b_reduction_check(s, gamma) == brute_c2b_reduction(s, gamma)
+    assert outcomes == {True, False}
