@@ -37,12 +37,26 @@ distance sets) induced by the cocone's tail components in the norm quantale.
 Since hom(⋁S, p) = ⋀_{s∈S} hom(s, p) in any quantale, the meet over the
 tail components γ_i of |f ∘ γ_i| is the norm of f out of H; an apex element
 that no tail element hits is normed bottom in H, and hom(⊥, p) = ⊤.  Finite
-carriers probe every map f out of the apex into normed sets up to a stated
-bound and compare |f| out of H with |f| out of the apex.  Over an infinite
-(extended-rational) carrier the maps cannot be enumerated; the condition over
-all maps out of the apex is decided exactly as |a| ≤ |a|_H for every apex
-element a, because the residual turns joins in its first argument into
-meets and all other elements can be sent to the top-normed point.
+carriers state the check over every map f out of the apex into normed sets
+of at most B elements (the probe bound) and compare |f| out of H with |f|
+out of the apex.  Over an infinite (extended-rational) carrier the maps
+cannot be enumerated, and the check is the reduction |a| ≤ |a|_H for every
+apex element a.  The reduction decides the probe check too:
+
+* (⇒, every B ≥ 1) hom is antitone in its first argument, so if
+  |a| ≤ |a|_H for every a then hom(|a|_H, |f a|) ≤ hom(|a|, |f a|) for
+  every f, and |f| out of H is below |f| out of the apex.
+* (⇐, B ≥ 2) if |a| ≰ |a|_H, let f send a to a point normed |a|_H and
+  every other element to a point normed ⊤.  Out of H, |f| is
+  hom(|a|_H, |a|_H), which is above the unit k; out of the apex it is
+  hom(|a|, |a|_H), which is not.  So the probe check fails.
+* At B = 1 every probe map is constant and only compares hom(⋁_a |a|, p)
+  with hom(⋁_a |a|_H, p), so the probe check may pass while the reduction
+  fails (over bool2, an apex {a: 1, b: 0} with H = {a: 0, b: 1}).
+
+So a finite carrier passes the probe check, after its budget guards, as
+soon as the reduction holds; probe maps are enumerated only when it fails,
+to find the first failing map as the witness (or, at B = 1, to pass).
 """
 
 from __future__ import annotations
@@ -118,6 +132,10 @@ class Sequence:
         self.tail_object = tail_object
         self.tail_endo = tail_endo
         self.category = category
+        # computed on first use: a sequence is not mutated once its shapes
+        # are validated
+        self._tail_cycle = None
+        self._quotient = None
         if kind == NCAT:
             if category is None:
                 raise ValueError("a normed-category sequence needs its category")
@@ -208,6 +226,11 @@ class Sequence:
 
     def tail_powers(self):
         """(powers, transient, period): powers[d] is the d-th iterate."""
+        if self._tail_cycle is None:
+            self._tail_cycle = self._iterate_tail()
+        return self._tail_cycle
+
+    def _iterate_tail(self):
         powers = []
         seen = {}
         current = self._identity_map()
@@ -358,6 +381,13 @@ class _Quotient:
 
 
 def _set_colimit(s: Sequence) -> _Quotient:
+    """The canonical quotient of the stages, built once per sequence."""
+    if s._quotient is None:
+        s._quotient = _build_quotient(s)
+    return s._quotient
+
+
+def _build_quotient(s: Sequence) -> _Quotient:
     powers, transient, period = s.tail_powers()
     n0 = s.n0
     horizon = n0 + period  # stages whose classes are read off
@@ -522,33 +552,45 @@ def _first_above_final(q: Quantale, apex: NormedSet, H: NormedSet):
     )
 
 
-def _enumerate_probe_sets(q, probe_bound: int, budget: int):
-    carrier = list(q.carrier())
-    total = sum(q.size ** size for size in range(1, probe_bound + 1))
-    guard_count(total, budget, f"probe normed sets up to size {probe_bound}")
-    for size in range(1, probe_bound + 1):
-        elems = [f"p{i}" for i in range(size)]
-        for values in product(carrier, repeat=size):
-            yield NormedSet(q, dict(zip(elems, values)), elems)
-
-
 def _c2b_probe_check(
     q: Quantale, apex: NormedSet, H: NormedSet, probe_bound: int, budget: int
 ):
-    """Probe every map f out of the apex into small normed sets: the norm of
-    f out of H is the meet of the norms of f's composites with the tail
-    components, because hom(⋁S, p) = ⋀_{s∈S} hom(s, p)."""
-    for probe in _enumerate_probe_sets(q, probe_bound, budget):
-        count = len(probe) ** len(apex) if len(apex) else 1
-        guard_count(count, budget, "probe maps out of the apex")
-        if not apex.elements:
+    """(C2b) over every map f out of the apex into a normed set of at most
+    B = ``probe_bound`` elements: |f| out of H must be below |f| out of the
+    apex.  By the lemma in the module docstring the check fails iff some
+    apex element has |a| ≰ |a|_H: (⇒) holds for every B, (⇐) for B ≥ 2; at
+    B = 1 the check may pass while some |a| ≰ |a|_H.
+
+    So when no apex element is above its H norm the check passes after the
+    guards of the enumeration, in its order: the probe normed sets, then the
+    probe maps out of the apex at each probe size s, s^|apex| of them.
+    Otherwise the probes are enumerated (value tuples in product order, then
+    image tuples) and the first failing (f, |f| out of the apex, |f| out of
+    H) is the witness.  A probe is its value tuple p_0 .. p_{s-1}, a map
+    its image tuple, and |f| = ⋀_a hom(|a|, |p_{f(a)}|).
+    """
+    total = sum(q.size ** size for size in range(1, probe_bound + 1))
+    guard_count(total, budget, f"probe normed sets up to size {probe_bound}")
+    n = len(apex)
+    search = _first_above_final(q, apex, H) is not None
+    if search:
+        carrier = list(q.carrier())
+        # hom(|a|, v) and hom(|a|_H, v) for each apex element a and value v
+        from_apex = [[q.hom(apex.norm(a), v) for v in carrier] for a in apex]
+        from_H = [[q.hom(H.norm(a), v) for v in carrier] for a in apex]
+    for size in range(1, probe_bound + 1):
+        guard_count(size**n, budget, "probe maps out of the apex")
+        if not search:
             continue
-        for image in product(probe.elements, repeat=len(apex)):
-            f = dict(zip(apex.elements, image))
-            lhs = NormedMap(apex, probe, f).norm
-            rhs = NormedMap(H, probe, f).norm
-            if not q.leq(rhs, lhs):
-                return False, (f, q.format(lhs), q.format(rhs))
+        for values in product(range(len(carrier)), repeat=size):
+            lhs_at = [[row[v] for v in values] for row in from_apex]
+            rhs_at = [[row[v] for v in values] for row in from_H]
+            for image in product(range(size), repeat=n):
+                lhs = q.meet(lhs_at[i][j] for i, j in enumerate(image))
+                rhs = q.meet(rhs_at[i][j] for i, j in enumerate(image))
+                if not q.leq(rhs, lhs):
+                    f = {a: f"p{j}" for a, j in zip(apex.elements, image)}
+                    return False, (f, q.format(lhs), q.format(rhs))
     return True, None
 
 

@@ -1,16 +1,24 @@
+import functools
+import json
+import os
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from quantcat.common import PreconditionError
-from quantcat.normed_set import NormedSet
+from quantcat import seqlim
+from quantcat.cli import main
+from quantcat.common import BudgetExceeded, PreconditionError
+from quantcat.normed_set import NormedMap, NormedSet
 from quantcat.quantale import INF, builtin_quantale
 from quantcat.seqlim import (
     Cocone,
     LogNorm,
     MetricSequence,
     Sequence,
+    _c2b_probe_check,
+    _c2b_sets,
     _set_colimit,
     c2b_reduction_check,
     cauchy_value,
@@ -590,10 +598,60 @@ def _window_cocone(s, apex):
     )
 
 
-def _c2b(s, gamma, probe_bound):
-    report = verify_normed_colimit(s, gamma, probe_bound=probe_bound, budget=BIG_BUDGET)
+def _c2b(s, gamma, probe_bound, budget=BIG_BUDGET):
+    report = verify_normed_colimit(s, gamma, probe_bound=probe_bound, budget=budget)
     (check,) = [c for c in report.checks if c.name.startswith("C2b")]
     return check.name, check.ok, check.witness
+
+
+def _with_oracle(s, gamma, bounds=(1, 2, 3)):
+    """The cocone with ``brute_c2b_check``'s (name, ok, witness) at each
+    probe bound."""
+    return gamma, {b: brute_c2b_check(s, gamma, b, BIG_BUDGET) for b in bounds}
+
+
+@functools.cache
+def _nset_c2b_cases(qname, max_tail):
+    """(s, [(gamma, oracle)]) for every sequence of ``_all_nset_sequences``
+    and every candidate apex norm assignment on its window quotient, so
+    that failing witnesses are compared as well as passes."""
+    q = builtin_quantale(qname)
+    cases = []
+    for s in _all_nset_sequences(q, max_tail):
+        labels = _set_colimit(s).labels
+        cases.append((s, [
+            _with_oracle(s, _window_cocone(s, NormedSet(q, dict(zip(labels, values)), labels)))
+            for values in product(list(q.carrier()), repeat=len(labels))
+        ]))
+    return cases
+
+
+@functools.cache
+def _dset_c2b_cases(qname, odot, every_candidate):
+    """(s, [(gamma, oracle)]) for every sequence of ``_all_dset_sequences``.
+    Over chain3 the candidates are the window-join apex and the all-top
+    apex, which fails (C2b) wherever the tail does not reach top, and the
+    oracle runs at bounds 1-2 only (bound 3 takes some 20 s per family)."""
+    q = builtin_quantale(qname)
+    qn = lukasiewicz3("m") if odot else None
+    carrier = list(q.carrier())
+    cases = []
+    for s in _all_dset_sequences(q, 2, qn):
+        labels, dist = brute_colimit_dset(s)
+        candidates = (
+            [dict(zip(dist, values)) for values in product(carrier, repeat=len(dist))]
+            if every_candidate
+            else [dist, dict.fromkeys(dist, q.top)]
+        )
+        cases.append((s, [
+            _with_oracle(
+                s,
+                _window_cocone(s, VCategory(q, labels, candidate)),
+                (1, 2, 3) if every_candidate else (1, 2),
+            )
+            for candidate in candidates
+        ]))
+    return cases
 
 
 @pytest.mark.parametrize("qname, max_tail", [("bool2", 3), ("chain3", 2)])
@@ -611,17 +669,12 @@ def test_colimit_nset_apex_matches_window_join(qname, max_tail):
 
 @pytest.mark.parametrize("qname, max_tail", [("bool2", 3), ("chain3", 2)])
 def test_c2b_nset_matches_per_component_oracle(qname, max_tail):
-    # every candidate apex norm assignment on the window quotient, so that
-    # failing witnesses are compared as well as passes
-    q = builtin_quantale(qname)
     outcomes = set()
-    for s in _all_nset_sequences(q, max_tail):
-        labels = _set_colimit(s).labels
-        for values in product(list(q.carrier()), repeat=len(labels)):
-            gamma = _window_cocone(s, NormedSet(q, dict(zip(labels, values)), labels))
+    for s, candidates in _nset_c2b_cases(qname, max_tail):
+        for gamma, oracle in candidates:
             for bound in (1, 2, 3):
                 got = _c2b(s, gamma, bound)
-                assert got == brute_c2b_check(s, gamma, bound, BIG_BUDGET)
+                assert got == oracle[bound]
                 outcomes.add(got[1])
             assert c2b_reduction_check(s, gamma) == brute_c2b_reduction(s, gamma)
     assert outcomes == {True, False}
@@ -632,13 +685,8 @@ def test_c2b_nset_matches_per_component_oracle(qname, max_tail):
     [("bool2", False, True), ("chain3", False, False), ("chain3", True, False)],
 )
 def test_colimit_dset_and_c2b_match_pair_oracle(qname, odot, every_candidate):
-    # over chain3 the candidates are the window-join apex and the all-top
-    # apex, which fails (C2b) wherever the tail does not reach top
-    q = builtin_quantale(qname)
-    qn = lukasiewicz3("m") if odot else None
-    carrier = list(q.carrier())
     outcomes = set()
-    for s in _all_dset_sequences(q, 2, qn):
+    for s, candidates in _dset_c2b_cases(qname, odot, every_candidate):
         labels, dist = brute_colimit_dset(s)
         if is_cauchy(s):
             apex, _ = colimit_dset(s)
@@ -647,16 +695,144 @@ def test_colimit_dset_and_c2b_match_pair_oracle(qname, odot, every_candidate):
         else:
             with pytest.raises(PreconditionError):
                 colimit_dset(s)
-        candidates = (
-            [dict(zip(dist, values)) for values in product(carrier, repeat=len(dist))]
-            if every_candidate
-            else [dist, dict.fromkeys(dist, q.top)]
-        )
-        for candidate in candidates:
-            gamma = _window_cocone(s, VCategory(q, labels, candidate))
+        for gamma, oracle in candidates:
             for bound in (1, 2):
                 got = _c2b(s, gamma, bound)
-                assert got == brute_c2b_check(s, gamma, bound, BIG_BUDGET)
+                assert got == oracle[bound]
                 outcomes.add(got[1])
             assert c2b_reduction_check(s, gamma) == brute_c2b_reduction(s, gamma)
     assert outcomes == {True, False}
+
+
+_C2B_FAMILIES = {
+    "nset-bool2": lambda: _nset_c2b_cases("bool2", 3),
+    "nset-chain3": lambda: _nset_c2b_cases("chain3", 2),
+    "dset-bool2": lambda: _dset_c2b_cases("bool2", False, True),
+    "dset-chain3": lambda: _dset_c2b_cases("chain3", False, False),
+    "dset-chain3-odot": lambda: _dset_c2b_cases("chain3", True, False),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_C2B_FAMILIES))
+def test_c2b_probe_lemma(family):
+    # the probe oracle fails at B ≥ 2 iff some |a| ≰ |a|_H; at B = 1 the
+    # reduction's pass still implies a pass, but some cocones pass while
+    # the reduction fails (over bool2: apex {a: 1, b: 0}, H {a: 0, b: 1})
+    reductions, b1_gaps = set(), 0
+    for s, candidates in _C2B_FAMILIES[family]():
+        for gamma, oracle in candidates:
+            holds = c2b_reduction_check(s, gamma)
+            reductions.add(holds)
+            assert all(oracle[b][1] == holds for b in oracle if b >= 2)
+            if holds:
+                assert oracle[1][1]
+            elif oracle[1][1]:
+                b1_gaps += 1
+    assert reductions == {True, False}
+    assert b1_gaps > 0
+
+
+def _cycling_norms(q, n):
+    """n elements normed by the carrier values in turn."""
+    carrier = list(q.carrier())
+    return {x: carrier[i % len(carrier)] for i, x in enumerate("abcd"[:n])}
+
+
+def _parity_cocones():
+    """Per carrier and apex size 0-4: the colimit cocone, which passes,
+    and the all-top apex and the apex with its H norms reversed, which fail
+    at B ≥ 2; the reversed apex has the join of H, so it passes at B = 1."""
+    for qname in ("bool2", "chain3"):
+        q = builtin_quantale(qname)
+        for n in range(5):
+            s = const_nset_sequence(q, _cycling_norms(q, n))
+            apex, gamma = colimit_nset(s)
+            labels = apex.elements
+            yield s, gamma
+            for norms in (
+                [q.top] * n,
+                [apex.norm(c) for c in reversed(labels)],
+            ):
+                if norms != [apex.norm(c) for c in labels]:
+                    yield s, Cocone(
+                        NormedSet(q, dict(zip(labels, norms)), labels),
+                        gamma.prefix,
+                        gamma.tail,
+                    )
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except BudgetExceeded as exc:
+        return exc.what, exc.needed, exc.budget, exc.skipped
+
+
+def test_c2b_budget_parity_with_oracle():
+    seen = set()
+    for s, gamma in _parity_cocones():
+        size = s.norm_quantale.size
+        n = len(gamma.apex)
+        for bound in (1, 2, 3):
+            largest = max(sum(size**k for k in range(1, bound + 1)), bound**n)
+            for budget in range(1, largest + 2):
+                got = _outcome(_c2b, s, gamma, bound, budget)
+                assert got == _outcome(brute_c2b_check, s, gamma, bound, budget)
+                # a verdict's ok, or the guard that fired
+                seen.add(got[1] if isinstance(got[1], bool) else got[0])
+    assert seen == {
+        True,
+        False,
+        "probe normed sets up to size 1",
+        "probe normed sets up to size 2",
+        "probe normed sets up to size 3",
+        "probe maps out of the apex",
+    }
+
+
+@pytest.mark.parametrize("passing", [True, False])
+def test_c2b_probe_check_builds_no_probe_sets_or_maps(passing, monkeypatch):
+    q = builtin_quantale("chain3")
+    s = const_nset_sequence(q, _cycling_norms(q, 4))
+    apex, gamma = colimit_nset(s)
+    if not passing:
+        top = NormedSet(q, dict.fromkeys(apex.elements, q.top), apex.elements)
+        gamma = Cocone(top, gamma.prefix, gamma.tail)
+    sets = _c2b_sets(s, gamma)
+    built = []
+    for cls in (NormedSet, NormedMap):
+        def counted(self, *args, _init=cls.__init__, _cls=cls):
+            built.append(_cls.__name__)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    ok, witness = _c2b_probe_check(q, *sets, 3, BIG_BUDGET)
+    assert ok == passing and (witness is None) == passing
+    assert built == []
+    # the counter sees the probes and maps the per-component oracle builds
+    brute_c2b_check(s, gamma, 3, BIG_BUDGET)
+    assert {"NormedSet", "NormedMap"} <= set(built)
+
+
+def test_colimit_task_builds_one_quotient_and_one_tail_cycle(monkeypatch, capsys):
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        seqlim, "_build_quotient", counting("quotient", seqlim._build_quotient)
+    )
+    monkeypatch.setattr(
+        Sequence, "_iterate_tail", counting("tail_powers", Sequence._iterate_tail)
+    )
+    data = os.path.join(os.path.dirname(__file__), "data", "sequence.json")
+    with open(data) as fh:
+        ops = [task["op"] for task in json.load(fh)["tasks"]]
+    assert ops.count("colimit") == 1
+    assert main([data, "--json"]) == 0
+    assert counts == {"quotient": 1, "tail_powers": 1}
