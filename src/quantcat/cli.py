@@ -97,10 +97,20 @@ def parse_vcat(q: Quantale, spec: dict) -> VCategory:
     matrix = spec.get("dist")
     if objects is None or matrix is None:
         raise InputError("V-category literal needs 'objects' and 'dist'")
+    if not isinstance(objects, list):
+        raise InputError("field 'objects' must be a list of names")
+    _require_names(objects, "an entry of 'objects'")
+    n = len(objects)
+    if (
+        not isinstance(matrix, list)
+        or len(matrix) != n
+        or any(not isinstance(row, list) or len(row) != n for row in matrix)
+    ):
+        raise InputError(f"field 'dist' must be a {n}x{n} matrix")
     parsed = [[parse_value(q, v) for v in row] for row in matrix]
     try:
         return vcat_mod.vcat_from_matrix(q, objects, parsed)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad V-category literal: {exc}")
 
 

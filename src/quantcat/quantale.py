@@ -73,12 +73,15 @@ class FiniteQuantale:
     order as a boolean matrix, ``tensor`` the multiplication table (entries are
     names or indices), ``unit`` the tensor-neutral element.  The constructor
     checks the shapes and entries, and computes the binary join and meet
-    tables and the bottom and top from the order, with ``None`` where a table
-    that is not a lattice has no such element.  ``validate_quantale`` checks
-    the axioms.
+    tables and the bottom and top from the order, and the residual table,
+    with ``None`` where a table that is not a lattice has no such element.
+    ``validate_quantale`` checks the axioms.
 
     The operations take canonical elements (indices, as returned by ``el``,
-    ``check`` and ``parse``) and do not check them again.
+    ``check`` and ``parse``) and do not check them again.  Searches that
+    run many operations per candidate read the tables directly, as tuples
+    of rows indexed by element: ``leq_table``, ``tensor_table``,
+    ``hom_table``, ``join_table`` and ``meet_table``.
     """
 
     is_finite = True
@@ -113,6 +116,14 @@ class FiniteQuantale:
         self._bottom = least(up, (1 << n) - 1)
         self._top = least(down, (1 << n) - 1)
 
+        def residual(u, v):
+            try:
+                return self._residual_join(u, v)
+            except ValueError:
+                return None
+
+        self._hom = tuple(tuple(residual(u, v) for v in range(n)) for u in range(n))
+
     # -- carrier ----------------------------------------------------------
 
     @property
@@ -137,6 +148,34 @@ class FiniteQuantale:
         raise CarrierMismatch(f"not an element: {u!r}")
 
     el = check
+
+    # -- tables -------------------------------------------------------------
+
+    @property
+    def leq_table(self) -> tuple:
+        """``leq_table[u][v]``: whether u ≤ v."""
+        return self._leq
+
+    @property
+    def tensor_table(self) -> tuple:
+        """``tensor_table[u][v]``: u ⊗ v."""
+        return self._tensor
+
+    @property
+    def hom_table(self) -> tuple:
+        """``hom_table[u][v]``: the residual hom(u, v), ``None`` where the
+        join that defines it does not exist."""
+        return self._hom
+
+    @property
+    def join_table(self) -> tuple:
+        """``join_table[u][v]``: u ∨ v, ``None`` where it does not exist."""
+        return self._join
+
+    @property
+    def meet_table(self) -> tuple:
+        """``meet_table[u][v]``: u ∧ v, ``None`` where it does not exist."""
+        return self._meet
 
     def name(self, u: int) -> str:
         return self.names[self.check(u)]
@@ -198,6 +237,11 @@ class FiniteQuantale:
 
     def hom(self, u: int, v: int) -> int:
         """The residual: the largest w with w ⊗ u ≤ v."""
+        r = self._hom[u][v]
+        # a missing residual raises the ValueError of its missing join
+        return self._residual_join(u, v) if r is None else r
+
+    def _residual_join(self, u: int, v: int) -> int:
         return self.join(
             w for w in self.carrier() if self._leq[self._tensor[w][u]][v]
         )

@@ -7,6 +7,27 @@ Adjunction checking, Isbell conjugation, representability, and a
 Lawvere-completeness decision over finite quantales live here.  The decision
 searches weights only: right adjoints of distributors are unique, and a
 weight's right adjoint is its Isbell conjugate (Lawvere 1973; Stubbe 2005).
+
+The decision runs on index vectors over the quantale's tables, and builds no
+distributor:
+
+* Weights φ: E ⇸ X are assigned one coordinate at a time in object order,
+  each trying the carrier in order, so they come out in the order of
+  ``product``.  A value v for coordinate j is kept iff X(j,j)⊗v ≤ v and,
+  for every earlier coordinate i, X(i,j)⊗φ(i) ≤ v and X(j,i)⊗v ≤ φ(i).
+  These are exactly the bimodule laws that ``validate_vdist`` checks.
+* The conjugate φ⁺(a) = ⋀_b hom(φ(b), X(a,b)) is read off the residual
+  table and met one coordinate b at a time, as φ(b) is assigned.
+* One-join lemma: the counit φ·φ⁺ ≤ X holds for every weight, because
+  φ⁺(x) ≤ hom(φ(y), X(x,y)) gives φ⁺(x)⊗φ(y) ≤ X(x,y).  So φ ⊣ φ⁺ iff the
+  unit holds, k ≤ ⋁_x φ⁺(x)⊗φ(x): one join of n terms in place of the two
+  composites of ``check_adjoint``.
+* A representability witness is the first object a with k ≤ φ(a) and
+  k ≤ φ⁺(a), as in ``is_representable``.
+
+``validate_vdist``, ``isbell_conjugate_weight``, ``check_adjoint`` and
+``is_representable`` stay as the library's distributor calculus, and the
+tests use them as the oracle of the decision.
 """
 
 from __future__ import annotations
@@ -372,6 +393,46 @@ def is_representable(phi: VDistributor, psi: VDistributor):
     return None
 
 
+def _adjoint_weights(X: VCategory, budget: int) -> Iterator[tuple[tuple, tuple]]:
+    """(φ, φ⁺) as index vectors for every weight φ with φ ⊣ φ⁺, in the order
+    of φ in ``product``.  A value for coordinate j is kept only if the
+    bimodule laws hold against itself and every earlier coordinate;
+    φ⁺(a) = ⋀_b hom(φ(b), X(a,b)) is met one coordinate b at a time as the
+    prefix grows.  The counit holds by construction, so only the unit is
+    tested."""
+    q = require_finite(X.quantale, "weight enumeration")
+    n = len(X.objects)
+    guard_count(q.size ** n, budget, f"weights |V|^{n}")
+    leq, tensor, hom = q.leq_table, q.tensor_table, q.hom_table
+    meet, join = q.meet_table, q.join_table
+    k_below, bottom = leq[q.unit], q.bottom
+    D = [[X.dist[(x, y)] for y in X.objects] for x in X.objects]
+    columns = list(zip(*D))
+    # depth first: the children of a prefix are pushed in reverse carrier
+    # order, so the smallest value is explored first
+    stack = [((), [q.top] * n)]
+    while stack:
+        phi, psi = stack.pop()
+        j = len(phi)
+        if j == n:
+            unit = bottom
+            for c, p in zip(psi, phi):
+                unit = join[unit][tensor[c][p]]
+            if k_below[unit]:
+                yield phi, tuple(psi)
+            continue
+        row = D[j]
+        for v in reversed(q.carrier()):
+            if leq[tensor[row[j]][v]][v] and all(
+                leq[tensor[D[i][j]][p]][v] and leq[tensor[row[i]][v]][p]
+                for i, p in enumerate(phi)
+            ):
+                h = hom[v]
+                stack.append(
+                    (phi + (v,), [meet[c][h[d]] for c, d in zip(psi, columns[j])])
+                )
+
+
 def adjoint_weight_pairs(
     X: VCategory, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[VDistributor, VDistributor]]:
@@ -379,18 +440,14 @@ def adjoint_weight_pairs(
 
     Right adjoints are unique, and a weight φ that has one is left adjoint to
     its Isbell conjugate φ⁺ (Lawvere 1973; Stubbe 2005), so only the weights
-    are enumerated and ψ := φ⁺.  Requires X to be a V-category.
+    are enumerated and ψ := φ⁺.  Requires X to be a V-category over a
+    quantale.
     """
-    q = require_finite(X.quantale, "weight enumeration")
-    n = len(X.objects)
-    guard_count(q.size ** n, budget, f"weights |V|^{n}")
-    for pvec in product(q.carrier(), repeat=n):
-        phi = left_weight(X, dict(zip(X.objects, pvec)))
-        if not validate_vdist(phi).ok:
-            continue
-        psi = isbell_conjugate_weight(phi)
-        if check_adjoint(phi, psi):
-            yield phi, psi
+    for phi, psi in _adjoint_weights(X, budget):
+        yield (
+            left_weight(X, dict(zip(X.objects, phi))),
+            right_weight(X, dict(zip(X.objects, psi))),
+        )
 
 
 @dataclass
@@ -408,19 +465,26 @@ def lawvere_complete_vcat(X: VCategory, budget: int = DEFAULT_BUDGET) -> Lawvere
 
     Every left adjoint weight must have a representability witness; the first
     adjoint pair without one is returned as a counterexample certificate.
-    X must be a V-category, since the conjugate is the right adjoint only
-    there; otherwise ``PreconditionError`` carries the failed report.
+    The search runs on index vectors and builds no distributor (see the
+    module docstring).  X must be a V-category, since the conjugate is the
+    right adjoint only there; otherwise ``PreconditionError`` carries the
+    failed report.
     """
-    require_finite(X.quantale, "lawvere_complete_vcat")
+    q = require_finite(X.quantale, "lawvere_complete_vcat")
     report = validate_vcat(X)
     if not report.ok:
         raise PreconditionError("lawvere_complete_vcat requires a V-category", report)
+    k_below = q.leq_table[q.unit]
     witnesses = []
-    for phi, psi in adjoint_weight_pairs(X, budget):
-        a = is_representable(phi, psi)
+    for phi, psi in _adjoint_weights(X, budget):
+        phi_vec = dict(zip(X.objects, phi))
+        a = next(
+            (x for x, p, c in zip(X.objects, phi, psi) if k_below[p] and k_below[c]),
+            None,
+        )
         if a is None:
-            return LawvereVerdict(False, (weight_vector(phi), coweight_vector(psi)))
-        witnesses.append((weight_vector(phi), a))
+            return LawvereVerdict(False, (phi_vec, dict(zip(X.objects, psi))))
+        witnesses.append((phi_vec, a))
     return LawvereVerdict(True, witnesses)
 
 

@@ -2,7 +2,7 @@
 
 from itertools import product
 
-from quantcat.common import DEFAULT_BUDGET, guard_count
+from quantcat.common import DEFAULT_BUDGET, PreconditionError, guard_count
 from quantcat.ncat import (
     NcatLawvereVerdict,
     NormedCategory,
@@ -17,11 +17,17 @@ from quantcat.normed_set import NormedMap, NormedSet
 from quantcat.quantale import require_finite
 from quantcat.seqlim import _set_colimit
 from quantcat.vcat import (
+    LawvereVerdict,
     check_adjoint,
+    coweight_vector,
+    is_representable,
+    isbell_conjugate_weight,
     left_weight,
     right_weight,
+    validate_vcat,
     validate_vdist,
     vcat_from_matrix,
+    weight_vector,
 )
 
 
@@ -47,6 +53,33 @@ def brute_adjoint_pairs(X):
                 and check_adjoint(phi, psi)
             ):
                 yield phi, psi
+
+
+def brute_lawvere_vcat(X, budget=DEFAULT_BUDGET) -> LawvereVerdict:
+    """The V-category completeness decision through the distributor
+    calculus: every weight in product order is validated, paired with its
+    Isbell conjugate, tested with ``check_adjoint`` and, when adjoint,
+    handed to ``is_representable``; same preconditions and guard as the
+    decision."""
+    q = require_finite(X.quantale, "lawvere_complete_vcat")
+    report = validate_vcat(X)
+    if not report.ok:
+        raise PreconditionError("lawvere_complete_vcat requires a V-category", report)
+    n = len(X.objects)
+    guard_count(q.size ** n, budget, f"weights |V|^{n}")
+    witnesses = []
+    for pvec in product(q.carrier(), repeat=n):
+        phi = left_weight(X, dict(zip(X.objects, pvec)))
+        if not validate_vdist(phi).ok:
+            continue
+        psi = isbell_conjugate_weight(phi)
+        if not check_adjoint(phi, psi):
+            continue
+        a = is_representable(phi, psi)
+        if a is None:
+            return LawvereVerdict(False, (weight_vector(phi), coweight_vector(psi)))
+        witnesses.append((weight_vector(phi), a))
+    return LawvereVerdict(True, witnesses)
 
 
 def norm_assignment_ok(A, Phi) -> bool:

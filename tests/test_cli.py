@@ -405,6 +405,21 @@ LAWVERE_POINTS = {"kind": "vcat", "objects": ["p", "q"], "dist": [["0", "1"], ["
             {"X": TWO_POINTS, "d": {"kind": "vdist", "source": "X", "target": "X", "values": 7}},
             ["'d'"],
         ),
+        # a string of object names, a dist larger than n x n, a short row, an
+        # extra row, a string dist, a list as an object name
+        ({"X": {**TWO_POINTS, "objects": "xy"}}, ["'X'", "'objects'"]),
+        (
+            {"X": {**TWO_POINTS,
+                   "dist": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}},
+            ["'X'", "'dist'", "2x2"],
+        ),
+        ({"X": {**TWO_POINTS, "dist": [["1", "0"], ["0"]]}}, ["'X'", "'dist'", "2x2"]),
+        (
+            {"X": {**TWO_POINTS, "dist": [["1", "0"], ["0", "1"], ["0", "0"]]}},
+            ["'X'", "'dist'", "2x2"],
+        ),
+        ({"X": {**TWO_POINTS, "dist": "10"}}, ["'X'", "'dist'"]),
+        ({"X": {**TWO_POINTS, "objects": [["x"], "y"]}}, ["'X'", "'objects'"]),
     ],
 )
 def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,31 @@ def test_non_lattice_missing_extremes_raise():
     assert q.meet([]) == q.top == q.el("t")
     with pytest.raises(ValueError, match="no bottom element"):
         q.join([])
+
+
+def test_hom_table_matches_join_over_carrier(qluka, qabove):
+    # the residual table against hom's defining join over the carrier; where
+    # a non-lattice table has no such join, hom raises that join's error
+    tables = [builtin_quantale(name) for name in FINITE_BUILTINS]
+    tables += [qluka, qabove, two_maximal(), three_atoms()]
+    missing = set()
+    for q in tables:
+        for u in q.carrier():
+            for v in q.carrier():
+                below = [w for w in q.carrier() if q.leq(q.tensor(w, u), v)]
+                try:
+                    expected = q.join(below)
+                except ValueError as exc:
+                    assert q.hom_table[u][v] is None, (q, u, v)
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        q.hom(u, v)
+                    missing.add(str(exc))
+                else:
+                    assert q.hom(u, v) == q.hom_table[u][v] == expected, (q, u, v)
+    assert missing == {
+        "join does not exist (not a lattice)",
+        "carrier has no bottom element",
+    }
 
 
 def test_validate_non_lattice_witnesses():

@@ -1,12 +1,17 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from quantcat import vcat
 from quantcat.common import BudgetExceeded, PreconditionError
 from quantcat.quantale import INF
 from quantcat.vcat import (
     VCategory,
+    VDistributor,
     VFunctor,
+    adjoint_report,
     adjoint_weight_pairs,
     all_vcategories,
     check_adjoint,
@@ -34,7 +39,8 @@ from quantcat.vcat import (
     weight_vector,
 )
 
-from helpers import brute_adjoint_pairs
+import helpers
+from helpers import brute_adjoint_pairs, brute_lawvere_vcat
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -397,16 +403,114 @@ def test_crafted_bool4_incomplete(q4bool):
     assert is_representable(phi, psi) is None
 
 
-def test_adjoint_pairs_match_brute_force(q2, q3, q4chain, q4bool, qluka):
+def exhaustive_vcategories(q2, q3, q4chain, q4bool, qluka, qabove):
+    """Every V-category on up to three objects over bool2 and up to two over
+    chain3, chain4, bool4, Łukasiewicz-3 and the non-integral chain, where
+    self-distances above the unit make X(x,x) ⊗ φ(x) ≤ φ(x) a constraint."""
+    for q, max_objects in (
+        (q2, 3), (q3, 2), (q4chain, 2), (q4bool, 2), (qluka, 2), (qabove, 2)
+    ):
+        for n in range(max_objects + 1):
+            yield from all_vcategories(q, [f"o{i}" for i in range(n)], budget=10**6)
+
+
+def test_adjoint_pairs_match_brute_force(q2, q3, q4chain, q4bool, qluka, qabove):
     def vectors(pairs):
         return [(weight_vector(phi), coweight_vector(psi)) for phi, psi in pairs]
 
-    for q, max_objects in ((q2, 3), (q3, 2), (q4chain, 2), (q4bool, 2), (qluka, 2)):
-        for n in range(max_objects + 1):
-            objects = [f"o{i}" for i in range(n)]
-            for X in all_vcategories(q, objects, budget=10**6):
-                expected = vectors(brute_adjoint_pairs(X))
-                assert vectors(adjoint_weight_pairs(X)) == expected, X
+    for X in exhaustive_vcategories(q2, q3, q4chain, q4bool, qluka, qabove):
+        expected = vectors(brute_adjoint_pairs(X))
+        assert vectors(adjoint_weight_pairs(X)) == expected, X
+
+
+def test_lawvere_matches_distributor_oracle(q2, q3, q4chain, q4bool, qluka, qabove):
+    # repr compares the verdict, the witness list and each vector in order
+    seen = set()
+    for X in exhaustive_vcategories(q2, q3, q4chain, q4bool, qluka, qabove):
+        verdict = lawvere_complete_vcat(X)
+        assert repr(verdict) == repr(brute_lawvere_vcat(X)), X
+        seen.add(verdict.complete)
+    assert seen == {True, False}
+
+
+def _lawvere_outcome(decide, X, budget):
+    try:
+        return repr(decide(X, budget))
+    except BudgetExceeded as exc:
+        return exc.what, exc.needed, exc.budget, exc.skipped
+
+
+def test_lawvere_budget_fields_match_distributor_oracle(q4bool):
+    X = vcat_from_matrix(
+        q4bool,
+        ["x", "y", "z"],
+        [["top", "bot", "bot"], ["bot", "top", "bot"], ["bot", "bot", "top"]],
+    )
+    needed = q4bool.size ** 3
+    for budget in range(1, needed + 2):
+        got = _lawvere_outcome(lawvere_complete_vcat, X, budget)
+        assert got == _lawvere_outcome(brute_lawvere_vcat, X, budget), budget
+        if budget < needed:
+            assert got == ("weights |V|^3", needed, budget, None)
+        else:
+            assert got.startswith("LawvereVerdict(complete=False")
+
+
+def test_counit_holds_and_adjointness_is_one_join(
+    q2, q3, q4chain, q4bool, qluka, qabove
+):
+    # for φ ⊣ φ⁺ the counit is automatic, so the unit k ≤ ⋁_x φ⁺(x) ⊗ φ(x)
+    # decides check_adjoint
+    seen = set()
+    for X in exhaustive_vcategories(q2, q3, q4chain, q4bool, qluka, qabove):
+        q = X.quantale
+        for pvec in product(q.carrier(), repeat=len(X.objects)):
+            phi = left_weight(X, dict(zip(X.objects, pvec)))
+            if not validate_vdist(phi).ok:
+                continue
+            psi = isbell_conjugate_weight(phi)
+            report = {c.name: c.ok for c in adjoint_report(phi, psi).checks}
+            assert report["counit-inequality"], (X, pvec)
+            cvec = coweight_vector(psi)
+            one_join = q.leq(
+                q.unit, q.join(q.tensor(cvec[x], p) for x, p in zip(X.objects, pvec))
+            )
+            assert check_adjoint(phi, psi) == one_join, (X, pvec)
+            seen.add(one_join)
+    assert seen == {True, False}
+
+
+def test_lawvere_builds_no_distributors(q2, monkeypatch):
+    # the b2-disc9 shape: nine discrete points over bool2, 2^9 weights
+    X = vcat_from_matrix(
+        q2,
+        [f"p{i}" for i in range(9)],
+        [["1" if i == j else "0" for j in range(9)] for i in range(9)],
+    )
+    calls = Counter()
+    init = VDistributor.__init__
+
+    def counted_init(self, *args):
+        calls["VDistributor"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(VDistributor, "__init__", counted_init)
+    for name in ("validate_vdist", "compose_vdist"):
+        def counted(*args, _fn=getattr(vcat, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(vcat, name, counted)
+        if hasattr(helpers, name):
+            monkeypatch.setattr(helpers, name, counted)
+    verdict = lawvere_complete_vcat(X)
+    # the adjoint weights are the nine point indicators, last point first
+    assert verdict.complete
+    assert [a for _, a in verdict.witness] == list(reversed(X.objects))
+    assert calls == Counter()
+    # the counters see the oracle's distributors, validations and composites
+    assert repr(brute_lawvere_vcat(X)) == repr(verdict)
+    assert set(calls) == {"VDistributor", "validate_vdist", "compose_vdist"}
 
 
 def test_lawvere_requires_a_vcategory(q2):
