@@ -29,6 +29,7 @@ from . import vcat as vcat_mod
 from .common import (
     BudgetExceeded,
     CarrierMismatch,
+    ConstructionError,
     PreconditionError,
     Report,
     default_budget,
@@ -123,13 +124,23 @@ def _require_names(values, what: str) -> None:
 
 def parse_ncat(q: Quantale, spec: dict) -> ncat_mod.NormedCategory:
     try:
-        morphisms = spec["morphisms"]
+        objects, rows, morphisms = spec["objects"], spec["compose"], spec["morphisms"]
+        if not isinstance(objects, list):
+            raise InputError("field 'objects' must be a list of names")
+        _require_names(objects, "an entry of 'objects'")
+        if not isinstance(rows, list) or any(
+            not isinstance(row, list) or len(row) != 3 for row in rows
+        ):
+            raise InputError("field 'compose' must be a list of [g, f, composite] rows")
+        _require_names((name for row in rows for name in row), "an entry of 'compose'")
+        table: dict = {}
+        for g, f, gf in rows:
+            if table.setdefault((g, f), gf) != gf:
+                raise InputError(f"field 'compose' gives {[g, f]!r} two composites")
         names = [m["id"] for m in morphisms]
-        table = {(g, f): gf for g, f, gf in spec["compose"]}
-        _require_names(table.values(), "a composite in 'compose'")
         return ncat_mod.NormedCategory(
             q,
-            spec["objects"],
+            objects,
             names,
             {m["id"]: m["dom"] for m in morphisms},
             {m["id"]: m["cod"] for m in morphisms},
@@ -139,6 +150,8 @@ def parse_ncat(q: Quantale, spec: dict) -> ncat_mod.NormedCategory:
         )
     except KeyError as missing:
         raise InputError(f"normed category literal is missing {missing}")
+    except InputError:
+        raise
     except ValueError as exc:
         raise InputError(f"bad normed category literal: {exc}")
 
@@ -623,17 +636,20 @@ def _format_weight_vec(q: Quantale, vec: dict) -> dict:
 def _task_lawvere(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     q = inst.quantale
     kind, value = inst.resolve(task["target"], {"vcat", "ncat"})
+    decide = (
+        vcat_mod.lawvere_complete_vcat if kind == "vcat" else ncat_mod.is_lawvere_complete_ncat
+    )
+    try:
+        verdict = decide(value, budget=budget)
+    except PreconditionError as exc:
+        return {
+            "verdict": "fail",
+            "details": {
+                "error": "not a V-category" if kind == "vcat" else "not a normed category",
+                "evidence": _report_details(q, exc.value),
+            },
+        }
     if kind == "vcat":
-        try:
-            verdict = vcat_mod.lawvere_complete_vcat(value, budget=budget)
-        except PreconditionError as exc:
-            return {
-                "verdict": "fail",
-                "details": {
-                    "error": "not a V-category",
-                    "evidence": _report_details(q, exc.value),
-                },
-            }
         if verdict.complete:
             witness = [
                 {"weight": _format_weight_vec(q, vec), "witness": obj}
@@ -649,7 +665,6 @@ def _task_lawvere(inst: Instance, task: dict, budget: int, probe: int) -> dict:
             "verdict": "pass" if verdict.complete else "fail",
             "details": {"witness": witness},
         }
-    verdict = ncat_mod.is_lawvere_complete_ncat(value, budget=budget)
     details = {
         "clause": verdict.clause,
         "certificate": _jsonable(q, verdict.certificate),
@@ -659,7 +674,10 @@ def _task_lawvere(inst: Instance, task: dict, budget: int, probe: int) -> dict:
 
 def _task_split(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     _, A = inst.resolve(task["target"], {"ncat"})
-    C = ncat_mod.strict_subcategory(A) if task.get("strict") else A
+    try:
+        C = ncat_mod.strict_subcategory(A) if task.get("strict") else A
+    except ConstructionError as exc:
+        raise PreconditionError(f"the strict part needs a normed category: {exc}")
     ok, witness = ncat_mod.split_idempotents_check(C)
     return {"verdict": "pass" if ok else "fail", "details": {"witness": witness}}
 

@@ -13,39 +13,41 @@ the naturality-filtered family set, carrying the initial-structure norm
 
 Completeness decision
 ---------------------
-``is_lawvere_complete_ncat`` decides:
+``is_lawvere_complete_ncat`` decides, once ``validate_ncat`` has passed:
 
 1. every idempotent of the strict (unit-normed) subcategory splits;
 2. every left adjoint distributor out of the one-arrow category has a
    presentable unit: some representative (v, u) of the unit's coend class
    has both components normed at least by the unit.
 
-Clause (2) is decided by an idempotent-indexed enumeration.  The underlying
-plain distributor of any left adjoint is a retract of a representable, i.e.
-splits an idempotent natural endotransformation of some representable, and
-such a splitting is isomorphic to the functor
+Clause (2) is decided by an idempotent-indexed enumeration.  A left adjoint
+presheaf is a retract of a representable (Street 1983, *Absolute colimits
+in enriched categories*; Borceux 1994, *Handbook of Categorical Algebra* 1,
+§6.5); a retract of A(a, -) is cut out by an idempotent e: a -> a, so it is
+isomorphic to Phi_e(b) = {f: a -> b | f . e = f} with post-composition.
+Norms transport along the isomorphism and presentable units are invariant
+under it, so every idempotent e with every norm assignment making Phi_e a
+normed functor covers every left adjoint up to isomorphism.
 
-    Phi_e(b) = {f: a -> b | f . e = f}      (e: a -> a idempotent)
+Closed-form lemma (Yoneda for a retract of a representable; Kelly 1982,
+*Basic Concepts of Enriched Category Theory*, §§1.9, 5.5).  For Phi_e:
 
-with the post-composition action.  Norm data transports bijectively along
-that isomorphism, and having a presentable unit is invariant under
-isomorphism of distributors.  Enumerating every idempotent e of the plain
-category together with every norm assignment on the elements of Phi_e
-(filtered down to the assignments making Phi_e a normed functor) therefore
-covers every left adjoint up to isomorphism.  This completeness argument is
-an engineering claim recorded here, not a quoted theorem; a positive verdict
-means "no violation found within the enumerated class", which the argument
-identifies with all left adjoints up to isomorphism.
+* the conjugate at c is {y: c -> a | e . y = y}, y standing for the family
+  w |-> w . y (a natural family beta is fixed by y = beta_a(e));
+* (a, e, e) satisfies both splitting equations;
+* the coend classes are the fibres of (x, y, w) |-> y . w, since the
+  generator at h = w joins (x, y, w) to (a, y . w, e); so the unit class is
+  {(x, y, w) : e . y = y, w . e = w, y . w = e};
+* the conjugate norm of y is the meet over x and w in Phi_e(x) of
+  hom(|w|, |w . y|).
 
-The enumeration is split in two stages.  The norm assignments come from a
-backtracking search over the elements of Phi_e in product order that checks
-each constraint |h| ⊗ |f| ≤ |h∘f| as soon as both norms are assigned, so
-no assignment that fails it is ever completed.  Everything else the unit
-depends on -- the conjugate's elements and action, the splitting triple,
-the coend partition and the members of the unit class -- depends only on
-the plain category and e, and is computed once per idempotent
-(``PlainLeftAdjoint``).  Per assignment only the conjugate norms of the
-unit-class members, the class norm and the presentable-unit scan remain.
+The norm assignments come from a backtracking search over Phi_e in product
+order that checks each |h| ⊗ |f| ≤ |h∘f| as soon as both norms are
+assigned.  The unit class and its conjugate-norm terms are computed once
+per idempotent, at the first normed assignment, where the conjugate's
+natural-transformation guards fire; per assignment the norms are read off
+the quantale tables.  The decision builds no distributor or coend;
+``left_adjoint_unit`` is the general path and the tests' oracle.
 
 All values are immutable after construction and every operation is a pure
 function; searches iterate objects, morphisms, and assignments in
@@ -97,23 +99,27 @@ class PlainCategory:
             i = self.identity[a]
             if self.dom.get(i) != a or self.cod.get(i) != a:
                 raise ValueError(f"identity of {a!r} has wrong endpoints")
+        self._into = {
+            b: tuple(f for f in self.morphisms if self.cod[f] == b) for b in self.objects
+        }
         for g in self.morphisms:
-            for f in self.morphisms:
-                if self.cod[f] == self.dom[g]:
-                    if (g, f) not in self.table:
-                        raise ValueError(f"composition missing for {(g, f)!r}")
+            for f in self._into[self.dom[g]]:
+                if (g, f) not in self.table:
+                    raise ValueError(f"composition missing for {(g, f)!r}")
         self._hom: dict[tuple, tuple] = {}
 
     def compose(self, g, f):
         """g after f."""
         return self.table[(g, f)]
 
+    def into(self, b) -> tuple:
+        """The morphisms into b, in declaration order."""
+        return self._into[b]
+
     def hom(self, a, b) -> tuple:
         key = (a, b)
         if key not in self._hom:
-            self._hom[key] = tuple(
-                f for f in self.morphisms if self.dom[f] == a and self.cod[f] == b
-            )
+            self._hom[key] = tuple(f for f in self._into[b] if self.dom[f] == a)
         return self._hom[key]
 
     def idempotents(self) -> Iterator:
@@ -145,13 +151,16 @@ class NormedCategory(PlainCategory):
 
 
 def validate_category(C: PlainCategory) -> Report:
+    """Composite endpoints, identity laws and associativity.  Composable
+    pairs (g, f) are walked with g in declaration order and f over the
+    morphisms into dom g: the order of a scan over all pairs that filters
+    on cod f = dom g, so each check names that scan's first witness."""
     report = Report()
     bad_shape = next(
         (
             (g, f)
             for g in C.morphisms
-            for f in C.morphisms
-            if C.cod[f] == C.dom[g]
+            for f in C.into(C.dom[g])
             for gf in (C.compose(g, f),)
             if C.dom.get(gf) != C.dom[f] or C.cod.get(gf) != C.cod[g]
         ),
@@ -170,15 +179,15 @@ def validate_category(C: PlainCategory) -> Report:
     )
     report.add("identity-laws", bad_id is None, bad_id)
 
+    t = C.table  # (h∘g)∘f = h∘(g∘f), read in the order of the two sides
     bad_assoc = next(
         (
             (h, g, f)
             for h in C.morphisms
-            for g in C.morphisms
-            if C.cod[g] == C.dom[h]
-            for f in C.morphisms
-            if C.cod[f] == C.dom[g]
-            and C.compose(C.compose(h, g), f) != C.compose(h, C.compose(g, f))
+            for g in C.into(C.dom[h])
+            for hg in (t[h, g],)
+            for f in C.into(C.dom[g])
+            if t[hg, f] != t[h, t[g, f]]
         ),
         None,
     )
@@ -198,9 +207,8 @@ def validate_ncat(A: NormedCategory) -> Report:
         (
             (g, f)
             for g in A.morphisms
-            for f in A.morphisms
-            if A.cod[f] == A.dom[g]
-            and not q.leq(q.tensor(A.norm[g], A.norm[f]), A.norm[A.compose(g, f)])
+            for f in A.into(A.dom[g])
+            if not q.leq(q.tensor(A.norm[g], A.norm[f]), A.norm[A.compose(g, f)])
         ),
         None,
     )
@@ -274,8 +282,8 @@ def strict_subcategory(A: NormedCategory) -> PlainCategory:
             raise ConstructionError(f"identity of {a!r} is not unit-normed")
     table = {}
     for g in kept:
-        for f in kept:
-            if A.cod[f] == A.dom[g]:
+        for f in A.into(A.dom[g]):
+            if f in kept_set:
                 gf = A.compose(g, f)
                 if gf not in kept_set:
                     raise ConstructionError(
@@ -307,11 +315,7 @@ def i_embed_cat(X: VCategory) -> NormedCategory:
     """The one-arrow-per-pair normed category with |(x, y)| = X(x, y)."""
     objects = X.objects
     morphisms = [(x, y) for x in objects for y in objects]
-    table = {}
-    for (y1, z) in morphisms:
-        for (x, y2) in morphisms:
-            if y2 == y1:
-                table[((y1, z), (x, y2))] = (x, z)
+    table = {((y, z), (x, y)): (x, z) for x in objects for y in objects for z in objects}
     return NormedCategory(
         X.quantale,
         objects,
@@ -455,10 +459,11 @@ def i_embed_weight(phi_vec: Mapping, NA: NormedCategory) -> NormedDistributor:
 # natural transformations (the end construction)
 
 
-def _nat_count(Phi: NormedDistributor, Psi: NormedDistributor) -> int:
+def _nat_count(sizes) -> int:
+    """The candidate families an end enumerates, from the pairs
+    (|Φ(a)|, |Ψ(a)|) per object: ∏ |Ψ(a)|^|Φ(a)|, 1 where Φ(a) is empty."""
     count = 1
-    for a in Phi.category.objects:
-        n_src, n_tgt = len(Phi.set_at(a)), len(Psi.set_at(a))
+    for n_src, n_tgt in sizes:
         count *= n_tgt ** n_src if n_src else 1
         if count == 0:
             return 0
@@ -474,7 +479,8 @@ def enumerate_nat_families(
     if not (Phi.covariant and Psi.covariant):
         raise ValueError("natural families are enumerated between covariant distributors")
     A = Phi.category
-    guard_count(_nat_count(Phi, Psi), budget, "natural-transformation enumeration")
+    sizes = ((len(Phi.set_at(a)), len(Psi.set_at(a))) for a in A.objects)
+    guard_count(_nat_count(sizes), budget, "natural-transformation enumeration")
     # one component space per object; the families are streamed
     components = [
         [dict(zip(Phi.set_at(a), images))
@@ -794,111 +800,45 @@ class LeftAdjointData:
         return q.leq(q.unit, self.unit_norm)
 
 
-class PlainLeftAdjoint:
-    """The norm-free half of the left-adjoint search for a covariant Φ.
-
-    The conjugate's elements and action, the splitting triple and the
-    members of the unit's coend class depend only on Φ's elements and
-    actions, never on their norms, so one instance serves every norm
-    assignment on the same elements.  ``conjugate`` and ``coend`` carry the
-    norms of the Φ it was built from.  A norm assignment is a tuple of values
-    aligned with ``slots``, the (object, element) pairs of Φ in declaration
-    order; the normed half (``unit_class_norms``, ``presentable``) reads
-    nothing else.
-    """
-
-    def __init__(self, Phi: NormedDistributor, budget: int = DEFAULT_BUDGET):
-        A = Phi.category
-        self.quantale = Phi.quantale
-        self.slots = [(a, w) for a in A.objects for w in Phi.set_at(a)]
-        self.conjugate = PhiVee = isbell_conjugate_ndist(Phi, budget)
-        # each conjugate element's natural family, built once
-        family = {
-            key: nat_family(Phi, key) for a in A.objects for key in PhiVee.set_at(a)
-        }
-
-        def splits(c, u, v):
-            return all(
-                Phi.apply(v[b][y], u) == y for b in A.objects for y in Phi.set_at(b)
-            ) and all(
-                x[z][w] == A.compose(v[z][w], x[c][u])
-                for x in family.values()
-                for z in A.objects
-                for w in Phi.set_at(z)
-            )
-
-        self.triple = next(
-            (
-                (c, u, v_key)
-                for c in A.objects
-                for u in Phi.set_at(c)
-                for v_key in PhiVee.set_at(c)
-                if splits(c, u, family[v_key])
-            ),
-            None,
-        )
-        self.coend = None
-        self.members = []  # unit-class members (a, v, w, slot of w)
-        self._terms = {}  # v -> [(slot of w, |v_x(w)|)] over x and w in Φ(x)
-        if self.triple is None:
-            return
-        self.coend = coend_unit(PhiVee, Phi)
-        c, u, v_key = self.triple
-        slot = {s: i for i, s in enumerate(self.slots)}
-        self.members = [
-            (a, v, w, slot[(a, w)])
-            for (a, v, w) in self.coend.class_members((c, v_key, u))
-        ]
-        for _, v, _, _ in self.members:
-            if v not in self._terms:
-                self._terms[v] = [
-                    (slot[(x, w)], A.norm[m])
-                    for x in A.objects
-                    for w, m in family[v][x].items()
-                ]
-
-    def unit_class_norms(self, values) -> tuple[dict, Any]:
-        """The conjugate norm ⋀_{x, w} hom(|w|, |v_x(w)|) of each key v in the
-        unit class, and the class norm ⋁ |v| ⊗ |w|, under ``values``."""
-        q = self.quantale
-        conj = {
-            v: q.meet(q.hom(values[i], n) for i, n in terms)
-            for v, terms in self._terms.items()
-        }
-        unit_norm = q.join(q.tensor(conj[v], values[i]) for _, v, _, i in self.members)
-        return conj, unit_norm
-
-    def presentable(self, values, conj: Mapping):
-        """The presentable-unit scan under ``values``; ``conj`` as returned
-        by ``unit_class_norms``."""
-        return _first_presentable(
-            self.quantale,
-            ((a, v, w, values[i], conj[v]) for a, v, w, i in self.members),
-        )
-
-
-def _first_presentable(q: Quantale, members):
-    """The first unit-class member (a, v, w) with both component norms
-    |w| and |v| at least the unit."""
-    for a, v, w, norm_w, norm_v in members:
-        if q.leq(q.unit, norm_w) and q.leq(q.unit, norm_v):
-            return True, (a, v, w)
-    return False, None
-
-
 def left_adjoint_unit(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET) -> LeftAdjointData:
     """Search a splitting triple against the canonical conjugate.
 
     The counit is evaluation (automatically normed); the triple (c, u, v)
     must satisfy both splitting equations.  Every triple that satisfies them
-    presents the same unit class.
+    presents the same unit class, whose coend norm is the unit norm.
     """
-    plain = PlainLeftAdjoint(Phi, budget)
-    if plain.triple is None:
-        return LeftAdjointData(Phi, plain.conjugate, None, None, None)
-    values = tuple(Phi.set_at(a).norm(w) for a, w in plain.slots)
-    _, unit_norm = plain.unit_class_norms(values)
-    return LeftAdjointData(Phi, plain.conjugate, plain.triple, plain.coend, unit_norm)
+    A = Phi.category
+    conjugate = isbell_conjugate_ndist(Phi, budget)
+    # each conjugate element's natural family, built once
+    family = {
+        key: nat_family(Phi, key) for a in A.objects for key in conjugate.set_at(a)
+    }
+
+    def splits(c, u, v):
+        return all(
+            Phi.apply(v[b][y], u) == y for b in A.objects for y in Phi.set_at(b)
+        ) and all(
+            x[z][w] == A.compose(v[z][w], x[c][u])
+            for x in family.values()
+            for z in A.objects
+            for w in Phi.set_at(z)
+        )
+
+    triple = next(
+        (
+            (c, u, v_key)
+            for c in A.objects
+            for u in Phi.set_at(c)
+            for v_key in conjugate.set_at(c)
+            if splits(c, u, family[v_key])
+        ),
+        None,
+    )
+    if triple is None:
+        return LeftAdjointData(Phi, conjugate, None, None, None)
+    c, u, v_key = triple
+    coend = coend_unit(conjugate, Phi)
+    return LeftAdjointData(Phi, conjugate, triple, coend, coend.class_norm((c, v_key, u)))
 
 
 def has_presentable_unit(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET):
@@ -914,14 +854,16 @@ def has_presentable_unit(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET):
 
 
 def presentable_unit_scan(data: LeftAdjointData):
+    """The first unit-class member (a, v, w) with both component norms
+    |w| and |v| at least the unit."""
+    q = data.phi.quantale
     c, u, v_key = data.triple
-    return _first_presentable(
-        data.phi.quantale,
-        (
-            (a, v, w, data.phi.set_at(a).norm(w), data.conjugate.set_at(a).norm(v))
-            for a, v, w in data.coend.class_members((c, v_key, u))
-        ),
-    )
+    for a, v, w in data.coend.class_members((c, v_key, u)):
+        if q.leq(q.unit, data.phi.set_at(a).norm(w)) and q.leq(
+            q.unit, data.conjugate.set_at(a).norm(v)
+        ):
+            return True, (a, v, w)
+    return False, None
 
 
 def check_normed_retract(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET):
@@ -1014,6 +956,27 @@ def idempotent_distributor(A: NormedCategory, e, norms: Mapping) -> NormedDistri
     return NormedDistributor(A, True, sets, action)
 
 
+def idempotent_conjugate_sets(A: PlainCategory, e) -> dict:
+    """The conjugate of Φ_e in closed form: per object c, the y: c → dom e
+    with e∘y = y; y stands for the natural family w ↦ w∘y."""
+    a = A.dom[e]
+    return {c: tuple(y for y in A.hom(c, a) if A.compose(e, y) == y) for c in A.objects}
+
+
+def idempotent_unit_class(A: PlainCategory, e) -> list:
+    """The unit class of Φ_e in closed form: the (x, y, w) with y in the
+    conjugate at x, w in Φ_e(x) and y∘w = e, in declaration order."""
+    elems = idempotent_distributor_sets(A, e)
+    conj = idempotent_conjugate_sets(A, e)
+    return [
+        (x, y, w)
+        for x in A.objects
+        for y in conj[x]
+        for w in elems[x]
+        if A.compose(y, w) == e
+    ]
+
+
 def norm_assignments(A: NormedCategory, flat) -> Iterator[tuple]:
     """The norm assignments on the elements ``flat`` of Φ_e (tuples aligned
     with ``flat``) that make Φ_e a normed functor, in product order.
@@ -1023,6 +986,7 @@ def norm_assignments(A: NormedCategory, flat) -> Iterator[tuple]:
     come out exactly as the filtered product would list them.
     """
     q = A.quantale
+    leq, tensor = q.leq_table, q.tensor_table
     carrier = tuple(q.carrier())
     pos = {f: i for i, f in enumerate(flat)}
     due: list[dict] = [{} for _ in flat]  # position -> constraints (|h|, i, j)
@@ -1031,7 +995,7 @@ def norm_assignments(A: NormedCategory, flat) -> Iterator[tuple]:
             if A.cod[f] == A.dom[h]:
                 i, j = pos[f], pos[A.compose(h, f)]
                 due[max(i, j)][(A.norm[h], i, j)] = None
-    checks = [tuple(d) for d in due]
+    checks = [tuple((tensor[nh], i, j) for nh, i, j in d) for d in due]
     n = len(flat)
     values = [None] * n
     tried = [0] * n  # per position: how many carrier values were tried
@@ -1046,8 +1010,31 @@ def norm_assignments(A: NormedCategory, flat) -> Iterator[tuple]:
         else:
             values[p] = carrier[tried[p]]
             tried[p] += 1
-            if all(q.leq(q.tensor(nh, values[i]), values[j]) for nh, i, j in checks[p]):
+            for row, i, j in checks[p]:
+                if not leq[row[values[i]]][values[j]]:
+                    break
+            else:
                 p += 1
+
+
+def _unit_class_slots(A: NormedCategory, e, elems, flat, budget: int):
+    """The unit class of Φ_e on positions of ``flat``: ``members`` pairs
+    (position of w, index j of y), and ``terms[j]`` the (position of w',
+    |w'∘y|) whose ⋀ hom(|w'|, |w'∘y|) is y's conjugate norm.  First, per
+    object c, the guard of the conjugate's ∏_x |A(c, x)|^|Φ_e(x)| families."""
+    for c in A.objects:
+        sizes = ((len(elems[x]), len(A.hom(c, x))) for x in A.objects)
+        guard_count(_nat_count(sizes), budget, "natural-transformation enumeration")
+    pos = {f: i for i, f in enumerate(flat)}
+    index: dict = {}  # y -> j
+    members = [
+        (pos[w], index.setdefault(y, len(index)))
+        for _, y, w in idempotent_unit_class(A, e)
+    ]
+    terms = [
+        tuple((i, A.norm[A.compose(w, y)]) for i, w in enumerate(flat)) for y in index
+    ]
+    return members, terms
 
 
 @dataclass
@@ -1067,16 +1054,23 @@ def is_lawvere_complete_ncat(
     enumerated left adjoint has a presentable unit.
 
     See the module docstring for the coverage argument behind the
-    idempotent-indexed enumeration of clause (2).
+    idempotent-indexed enumeration of clause (2) and for the closed form of
+    each Φ_e's unit class.  A must be a normed category; otherwise
+    ``PreconditionError`` carries the failed ``validate_ncat`` report.
     """
     if q is not None:
         require_same_quantale(q, A.quantale)
     q = require_finite(A.quantale, "is_lawvere_complete_ncat")
+    report = validate_ncat(A)
+    if not report.ok:
+        raise PreconditionError("is_lawvere_complete_ncat requires a normed category", report)
 
     ok1, bad_e = split_idempotents_check(strict_subcategory(A))
     if not ok1:
         return NcatLawvereVerdict(False, clause=1, certificate=bad_e)
 
+    hom, meet, join, tensor = q.hom_table, q.meet_table, q.join_table, q.tensor_table
+    k_below, top, bottom = q.leq_table[q.unit], q.top, q.bottom
     idems = list(A.idempotents())
     for pos, e in enumerate(idems):
         elems = idempotent_distributor_sets(A, e)
@@ -1088,18 +1082,22 @@ def is_lawvere_complete_ncat(
             f"norm assignments |V|^{len(flat)} at idempotent {e!r}",
             skipped=f"{len(idems) - pos} idempotents, {count} assignments",
         )
-        plain = None  # built at the first normed functor: its guards fire there
+        members = None  # built at the first normed functor: its guards fire there
         for values in norm_assignments(A, flat):
-            if plain is None:
-                Phi = idempotent_distributor(A, e, dict(zip(flat, values)))
-                plain = PlainLeftAdjoint(Phi, budget)
-            if plain.triple is None:
-                break  # no splitting triple: no assignment is a left adjoint
-            conj, unit_norm = plain.unit_class_norms(values)
-            if not q.leq(q.unit, unit_norm):
-                continue
-            ok, _ = plain.presentable(values, conj)
-            if not ok:
+            if members is None:
+                members, terms = _unit_class_slots(A, e, elems, flat, budget)
+            conj = []
+            for row in terms:
+                v = top
+                for i, n in row:
+                    v = meet[v][hom[values[i]][n]]
+                conj.append(v)
+            unit_norm = bottom
+            for i, j in members:
+                unit_norm = join[unit_norm][tensor[conj[j]][values[i]]]
+            if not k_below[unit_norm]:
+                continue  # not a left adjoint
+            if not any(k_below[values[i]] and k_below[conj[j]] for i, j in members):
                 named = {f: q.format(v) for f, v in zip(flat, values)}
                 return NcatLawvereVerdict(False, clause=2, certificate=(e, named))
     return NcatLawvereVerdict(True)

@@ -2,7 +2,7 @@
 
 from itertools import product
 
-from quantcat.common import DEFAULT_BUDGET, PreconditionError, guard_count
+from quantcat.common import DEFAULT_BUDGET, PreconditionError, Report, guard_count
 from quantcat.ncat import (
     NcatLawvereVerdict,
     NormedCategory,
@@ -12,6 +12,7 @@ from quantcat.ncat import (
     presentable_unit_scan,
     split_idempotents_check,
     strict_subcategory,
+    validate_ncat,
 )
 from quantcat.normed_set import NormedMap, NormedSet
 from quantcat.quantale import require_finite
@@ -127,8 +128,12 @@ def brute_left_adjoints(A, budget=DEFAULT_BUDGET):
 
 def brute_lawvere_ncat(A, budget=DEFAULT_BUDGET) -> NcatLawvereVerdict:
     """The completeness decision by exhaustion: clause 1 on the strict part,
-    then the presentable-unit scan of every enumerated left adjoint."""
+    then the presentable-unit scan of every enumerated left adjoint; same
+    precondition as the decision."""
     q = require_finite(A.quantale, "brute_lawvere_ncat")
+    report = validate_ncat(A)
+    if not report.ok:
+        raise PreconditionError("is_lawvere_complete_ncat requires a normed category", report)
     ok1, bad_e = split_idempotents_check(strict_subcategory(A))
     if not ok1:
         return NcatLawvereVerdict(False, clause=1, certificate=bad_e)
@@ -143,6 +148,64 @@ def brute_lawvere_ncat(A, budget=DEFAULT_BUDGET) -> NcatLawvereVerdict:
             named = {f: q.format(v) for f, v in norms.items()}
             return NcatLawvereVerdict(False, clause=2, certificate=(e, named))
     return NcatLawvereVerdict(True)
+
+
+def unindexed_validate_ncat(A) -> Report:
+    """``validate_ncat`` by a scan over all pairs and triples of morphisms
+    with a codomain filter: the reference order of first witnesses."""
+    C, q = A, A.quantale
+    report = Report()
+    bad_shape = next(
+        (
+            (g, f)
+            for g in C.morphisms
+            for f in C.morphisms
+            if C.cod[f] == C.dom[g]
+            for gf in (C.compose(g, f),)
+            if C.dom.get(gf) != C.dom[f] or C.cod.get(gf) != C.cod[g]
+        ),
+        None,
+    )
+    report.add("composition-endpoints", bad_shape is None, bad_shape)
+    bad_id = next(
+        (
+            f
+            for f in C.morphisms
+            if C.compose(f, C.identity[C.dom[f]]) != f
+            or C.compose(C.identity[C.cod[f]], f) != f
+        ),
+        None,
+    )
+    report.add("identity-laws", bad_id is None, bad_id)
+    bad_assoc = next(
+        (
+            (h, g, f)
+            for h in C.morphisms
+            for g in C.morphisms
+            if C.cod[g] == C.dom[h]
+            for f in C.morphisms
+            if C.cod[f] == C.dom[g]
+            and C.compose(C.compose(h, g), f) != C.compose(h, C.compose(g, f))
+        ),
+        None,
+    )
+    report.add("associativity", bad_assoc is None, bad_assoc)
+    bad_unit = next(
+        (a for a in A.objects if not q.leq(q.unit, A.norm[A.identity[a]])), None
+    )
+    report.add("identity-norms", bad_unit is None, bad_unit)
+    bad_sub = next(
+        (
+            (g, f)
+            for g in A.morphisms
+            for f in A.morphisms
+            if A.cod[f] == A.dom[g]
+            and not q.leq(q.tensor(A.norm[g], A.norm[f]), A.norm[A.compose(g, f)])
+        ),
+        None,
+    )
+    report.add("composition-submultiplicative", bad_sub is None, bad_sub)
+    return report
 
 
 def pairs_normed_set(q, X) -> NormedSet:

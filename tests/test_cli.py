@@ -383,6 +383,33 @@ def test_inline_table_that_is_not_a_quantale_is_input_error(tmp_path, capsys):
 
 TWO_POINTS = {"kind": "vcat", "objects": ["x", "y"], "dist": [["1", "0"], ["0", "1"]]}
 LAWVERE_POINTS = {"kind": "vcat", "objects": ["p", "q"], "dist": [["0", "1"], ["1", "0"]]}
+MONOID_NCAT = {
+    "kind": "ncat",
+    "objects": ["a"],
+    "morphisms": [
+        {"id": "1", "dom": "a", "cod": "a", "norm": "1"},
+        {"id": "e", "dom": "a", "cod": "a", "norm": "1"},
+    ],
+    "identities": {"a": "1"},
+    "compose": [["1", "1", "1"], ["1", "e", "e"], ["e", "1", "e"], ["e", "e", "e"]],
+}
+# the idempotent e = s∘r split through b (r∘s = 1b), every morphism unit-normed
+SPLIT_NCAT = {
+    "kind": "ncat",
+    "objects": ["a", "b"],
+    "morphisms": [
+        {"id": m, "dom": d, "cod": c, "norm": "1"}
+        for m, d, c in (
+            ("1a", "a", "a"), ("1b", "b", "b"), ("e", "a", "a"), ("r", "a", "b"), ("s", "b", "a")
+        )
+    ],
+    "identities": {"a": "1a", "b": "1b"},
+    "compose": [
+        ["1a", "1a", "1a"], ["1b", "1b", "1b"], ["e", "1a", "e"], ["1a", "e", "e"],
+        ["e", "e", "e"], ["r", "1a", "r"], ["1b", "r", "r"], ["s", "1b", "s"],
+        ["1a", "s", "s"], ["s", "r", "e"], ["r", "s", "1b"], ["r", "e", "r"], ["e", "s", "s"],
+    ],
+}
 
 
 @pytest.mark.parametrize(
@@ -420,6 +447,24 @@ LAWVERE_POINTS = {"kind": "vcat", "objects": ["p", "q"], "dist": [["0", "1"], ["
         ),
         ({"X": {**TWO_POINTS, "dist": "10"}}, ["'X'", "'dist'"]),
         ({"X": {**TWO_POINTS, "objects": [["x"], "y"]}}, ["'X'", "'objects'"]),
+        # normed categories: a string of object names, a list as an object
+        # name, a compose row that is not a 3-item list, a pair given twice
+        # with different composites
+        ({"M": {**SPLIT_NCAT, "objects": "ab"}}, ["'M'", "'objects'"]),
+        ({"M": {**SPLIT_NCAT, "objects": [["a"], "b"]}}, ["'M'", "'objects'"]),
+        (
+            {"M": {**SPLIT_NCAT, "compose": SPLIT_NCAT["compose"] + [["1a", "1a"]]}},
+            ["'M'", "'compose'"],
+        ),
+        ({"M": {**SPLIT_NCAT, "compose": "1a1a1a"}}, ["'M'", "'compose'"]),
+        (
+            {"M": {**SPLIT_NCAT, "compose": SPLIT_NCAT["compose"] + [["e", "e", "1a"]]}},
+            ["'M'", "'compose'", "two composites"],
+        ),
+        (
+            {"M": {**SPLIT_NCAT, "compose": SPLIT_NCAT["compose"] + [["e", ["e"], "e"]]}},
+            ["'M'", "'compose'"],
+        ),
     ],
 )
 def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located):
@@ -493,3 +538,65 @@ def test_wrong_type_mutations_exit_cleanly(name, tmp_path, capsys):
                 pytest.fail(f"{where} := {value!r} raised {exc!r}")
             err = capsys.readouterr().err
             assert code in (0, 1, 2, 3) and "Traceback" not in err, (where, value)
+
+
+def test_split_ncat_literal_is_complete(tmp_path, capsys):
+    f = tmp_path / "split.json"
+    f.write_text(
+        json.dumps({"quantale": "bool2", "objects": {"M": SPLIT_NCAT},
+                    "tasks": [{"op": "validate", "target": "M"},
+                              {"op": "lawvere", "target": "M"}]}),
+        encoding="utf-8",
+    )
+    code, report, _ = run_json(capsys, str(f))
+    assert code == 0 and [t["verdict"] for t in report["tasks"]] == ["pass", "pass"]
+
+
+def _ncat_report(tmp_path, capsys, literal, tasks):
+    f = tmp_path / "ncat.json"
+    f.write_text(
+        json.dumps({"quantale": "bool2", "objects": {"M": literal}, "tasks": tasks}),
+        encoding="utf-8",
+    )
+    code = main([str(f), "--json"])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return code, json.loads(out)["tasks"]
+
+
+def test_lawvere_and_strict_split_on_low_identity_norm_report_precondition(tmp_path, capsys):
+    # the identity of a is normed 0 < 1: not a normed category
+    low = json.loads(json.dumps(MONOID_NCAT))
+    low["morphisms"][0]["norm"] = "0"
+    code, tasks = _ncat_report(
+        tmp_path, capsys, low,
+        [{"op": "lawvere", "target": "M"}, {"op": "split", "target": "M", "strict": True}],
+    )
+    assert code == 1
+    lawvere, split = tasks
+    assert lawvere["verdict"] == "fail"
+    assert lawvere["details"]["error"] == "not a normed category"
+    failed = {c["check"]: c["witness"] for c in lawvere["details"]["evidence"] if not c["ok"]}
+    assert failed == {"identity-norms": "a"}
+    assert split["verdict"] == "fail"
+    assert "identity of 'a' is not unit-normed" in split["details"]["precondition"]
+
+
+def test_lawvere_on_non_associative_table_reports_precondition(tmp_path, capsys):
+    # a∘a = b, a∘b = a, b∘a = b: (a∘a)∘a = b but a∘(a∘a) = a
+    ms = ["1", "a", "b"]
+    table = [["1", m, m] for m in ms] + [[m, "1", m] for m in ms[1:]] + [
+        ["a", "a", "b"], ["a", "b", "a"], ["b", "a", "b"], ["b", "b", "b"]
+    ]
+    literal = {
+        "kind": "ncat", "objects": ["x"],
+        "morphisms": [{"id": m, "dom": "x", "cod": "x", "norm": "1"} for m in ms],
+        "identities": {"x": "1"}, "compose": table,
+    }
+    code, tasks = _ncat_report(tmp_path, capsys, literal, [{"op": "lawvere", "target": "M"}])
+    assert code == 1
+    (lawvere,) = tasks
+    assert lawvere["verdict"] == "fail"
+    assert lawvere["details"]["error"] == "not a normed category"
+    failed = {c["check"]: c["witness"] for c in lawvere["details"]["evidence"] if not c["ok"]}
+    assert failed == {"associativity": ["a", "a", "a"]}

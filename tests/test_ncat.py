@@ -2,6 +2,7 @@ import pytest
 
 from quantcat.common import BudgetExceeded, PreconditionError
 from quantcat.ncat import (
+    _unit_class_slots,
     AdjunctionCertificate,
     NormedCategory,
     NormedDistributor,
@@ -12,12 +13,15 @@ from quantcat.ncat import (
     has_presentable_unit,
     i_embed_cat,
     i_embed_weight,
+    idempotent_conjugate_sets,
     idempotent_distributor,
     idempotent_distributor_sets,
+    idempotent_unit_class,
     is_lawvere_complete_ncat,
     is_representable_ndist,
     isbell_conjugate_ndist,
     left_adjoint_unit,
+    nat_family,
     nat_key,
     nat_norm,
     nat_transformations,
@@ -663,7 +667,7 @@ def test_lawvere_ncat_matches_brute_force(q1, q2, q3, q4chain, q4bool, qluka, qa
         assert _decision_outcome(is_lawvere_complete_ncat, A, 4096) == expected, A
         outcomes.add(expected[:2] if expected[0] in (True, False) else expected[0])
     # every branch of the decision is exercised
-    assert {(True, None), (False, 1), (False, 2), "ConstructionError"} <= outcomes
+    assert {(True, None), (False, 1), (False, 2), "PreconditionError"} <= outcomes
 
 
 def test_norm_assignments_match_filtered_product(
@@ -702,3 +706,161 @@ def test_left_adjoint_unit_norm_is_the_coend_class_norm(q2, q4bool):
         assert data.plain
         c, u, v_key = data.triple
         assert data.unit_norm == data.coend.class_norm((c, v_key, u))
+
+
+def _evaluation_certificate(Phi, conjugate, c, u, v_key):
+    """The evaluation counit ε(y, x) = x_b(y) with the triple (c, u, v)."""
+    A = Phi.category
+    eps = {
+        (a, b): {
+            (y, x_key): nat_family(Phi, x_key)[b][y]
+            for y in Phi.set_at(b)
+            for x_key in conjugate.set_at(a)
+        }
+        for a in A.objects
+        for b in A.objects
+    }
+    return AdjunctionCertificate(Phi, conjugate, eps, c, u, v_key)
+
+
+def test_unit_class_closed_form_matches_distributor_calculus(
+    q1, q2, q3, q4chain, q4bool, qluka, qabove
+):
+    idempotents = 0
+    for A in _differential_fixtures(q1, q2, q3, q4chain, q4bool, qluka, qabove):
+        if not validate_ncat(A).ok:
+            continue
+        q = A.quantale
+        for e in A.idempotents():
+            a = A.dom[e]
+            elems = idempotent_distributor_sets(A, e)
+            flat = [f for b in A.objects for f in elems[b]]
+            conj_cf = idempotent_conjugate_sets(A, e)
+            members, terms = _unit_class_slots(A, e, elems, flat, 4096)
+            idempotents += 1
+            for values in norm_assignments(A, flat):
+                Phi = idempotent_distributor(A, e, dict(zip(flat, values)))
+                conjugate = isbell_conjugate_ndist(Phi)
+
+                def key(y):  # the natural family w ↦ w∘y of the closed form
+                    return nat_key(
+                        Phi, {x: {w: A.compose(w, y) for w in elems[x]} for x in A.objects}
+                    )
+
+                # the conjugate's elements are the families of the y with e∘y = y
+                for c in A.objects:
+                    keys = [key(y) for y in conj_cf[c]]
+                    assert len(set(keys)) == len(keys) == len(conjugate.set_at(c)), (A, e)
+                    assert set(keys) == set(conjugate.set_at(c).elements), (A, e)
+                # (a, e, e) satisfies both splitting equations
+                cert = _evaluation_certificate(Phi, conjugate, a, e, key(e))
+                report = {c.name: c.ok for c in check_adjunction_cert(cert).checks}
+                assert report["splitting-through-v"] and report["splitting-through-u"]
+                # the unit class is the coend class of (a, e, e), and the
+                # search of the general path presents the same class
+                coend = coend_unit(conjugate, Phi)
+                expected = set(coend.class_members((a, key(e), e)))
+                closed = idempotent_unit_class(A, e)
+                assert {(x, key(y), w) for x, y, w in closed} == expected, (A, e)
+                data = left_adjoint_unit(Phi)
+                c, u, v_key = data.triple
+                assert set(data.coend.class_members((c, v_key, u))) == expected
+                # the conjugate-norm terms of each member y, on positions of flat
+                ys = list(dict.fromkeys(y for _, y, _ in closed))
+                assert [(flat.index(w), ys.index(y)) for _, y, w in closed] == members
+                for y, row in zip(ys, terms):
+                    norm = q.meet(q.hom(values[i], n) for i, n in row)
+                    assert norm == conjugate.set_at(A.dom[y]).norm(key(y)), (A, e, y)
+    assert idempotents > 250  # 283 idempotents in the valid fixtures
+
+
+def test_lawvere_builds_no_distributors(q2, monkeypatch):
+    # the i-b2-chain7 shape: the order 7-chain over bool2, i-embedded
+    import helpers
+    from collections import Counter
+
+    from quantcat import ncat
+
+    n = 7
+    X = vcat_from_matrix(
+        q2,
+        [f"p{i}" for i in range(n)],
+        [["1" if i <= j else "0" for j in range(n)] for i in range(n)],
+    )
+    A = i_embed_cat(X)
+    calls = Counter()
+    init = NormedDistributor.__init__
+
+    def counted_init(self, *args):
+        calls["NormedDistributor"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(NormedDistributor, "__init__", counted_init)
+    for name in ("isbell_conjugate_ndist", "coend_unit", "idempotent_distributor"):
+        def counted(*args, _fn=getattr(ncat, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(ncat, name, counted)
+        if hasattr(helpers, name):
+            monkeypatch.setattr(helpers, name, counted)
+    verdict = is_lawvere_complete_ncat(A)
+    assert verdict.complete
+    assert calls == Counter()
+    # the counters see the oracle's distributors, conjugates and coends
+    assert repr(brute_lawvere_ncat(A)) == repr(verdict)
+    assert set(calls) == {
+        "NormedDistributor", "isbell_conjugate_ndist", "coend_unit", "idempotent_distributor"
+    }
+
+
+def _validation_outcome(validate, A):
+    """Every check's (name, ok, witness), or the error the scan raised."""
+    try:
+        return [(c.name, c.ok, c.witness) for c in validate(A).checks]
+    except Exception as exc:  # noqa: BLE001 - the two must fail alike
+        return (type(exc).__name__, str(exc))
+
+
+def _hand_broken(q2):
+    """(category, the check it fails) for tables no fixture breaks."""
+    one = ["1a", "1b", "e"]
+    full = {(g, f): g if f in ("1a", "1b") else f for g in one for f in one}
+    full[("e", "e")] = "1b"  # e∘e lands on b: every pair stays in the table
+    bad_endpoint = NormedCategory(
+        q2, ["a", "b"], one, {"1a": "a", "1b": "b", "e": "a"},
+        {"1a": "a", "1b": "b", "e": "a"}, {"a": "1a", "b": "1b"}, full,
+        {m: "1" for m in one},
+    )
+    ms = ["1", "a", "b"]
+    table = {("1", m): m for m in ms} | {(m, "1"): m for m in ms}
+    table |= {("a", "a"): "b", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "b"}
+    non_associative = NormedCategory(
+        q2, ["x"], ms, {m: "x" for m in ms}, {m: "x" for m in ms}, {"x": "1"},
+        table, {m: "1" for m in ms},
+    )
+    # x → y → z at the unit with x → z at the bottom: not transitive
+    not_transitive = vcat_from_matrix(
+        q2, ["x", "y", "z"], [["1", "1", "0"], ["0", "1", "1"], ["0", "0", "1"]]
+    )
+    return [
+        (bad_endpoint, "composition-endpoints"),
+        (non_associative, "associativity"),
+        (i_embed_cat(not_transitive), "composition-submultiplicative"),
+        (monoid_cat(q2, "0", "1"), "identity-norms"),
+    ]
+
+
+def test_indexed_validation_names_the_unindexed_first_witness(
+    q1, q2, q3, q4chain, q4bool, qluka, qabove
+):
+    from helpers import unindexed_validate_ncat
+
+    broken = _hand_broken(q2)
+    for A, check in broken:
+        failed = [c.name for c in unindexed_validate_ncat(A).failures()]
+        assert check in failed, (check, failed)
+    fixtures = list(_differential_fixtures(q1, q2, q3, q4chain, q4bool, qluka, qabove))
+    for A in fixtures + [A for A, _ in broken]:
+        expected = _validation_outcome(unindexed_validate_ncat, A)
+        assert _validation_outcome(validate_ncat, A) == expected, A
