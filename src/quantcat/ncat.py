@@ -41,12 +41,13 @@ Closed-form lemma (Yoneda for a retract of a representable; Kelly 1982,
 * the conjugate norm of y is the meet over x and w in Phi_e(x) of
   hom(|w|, |w . y|).
 
-The norm assignments come from a backtracking search over Phi_e in product
-order that checks each |h| ⊗ |f| ≤ |h∘f| as soon as both norms are
-assigned.  The unit class and its conjugate-norm terms are computed once
-per idempotent, at the first normed assignment, where the conjugate's
-natural-transformation guards fire; per assignment the norms are read off
-the quantale tables.  The decision builds no distributor or coend;
+The norm assignments that make Phi_e a normed functor are the weights on a
+matrix D_e (the lemma in the ``vcat`` docstring), so clause (2) runs the
+V-category decision's search, ``vcat.matrix_weights`` and
+``vcat.unit_member``.  Per idempotent, after the assignment-count guard,
+the unit class is built once and the conjugate's natural-transformation
+guards fire (the all-top assignment is always normed, so the search always
+yields).  The decision builds no distributor or coend;
 ``left_adjoint_unit`` is the general path and the tests' oracle.
 
 All values are immutable after construction and every operation is a pure
@@ -70,7 +71,7 @@ from .common import (
 )
 from .normed_set import NormedMap, NormedSet
 from .quantale import Quantale, require_finite, require_same_quantale
-from .vcat import VCategory
+from .vcat import VCategory, matrix_weights, unit_member
 
 
 class PlainCategory:
@@ -154,7 +155,9 @@ def validate_category(C: PlainCategory) -> Report:
     """Composite endpoints, identity laws and associativity.  Composable
     pairs (g, f) are walked with g in declaration order and f over the
     morphisms into dom g: the order of a scan over all pairs that filters
-    on cod f = dom g, so each check names that scan's first witness."""
+    on cod f = dom g, so each check names that scan's first witness.
+    Associativity is checked only when every composite has the right
+    endpoints; otherwise (h∘g)∘f may name a pair the table does not have."""
     report = Report()
     bad_shape = next(
         (
@@ -178,6 +181,8 @@ def validate_category(C: PlainCategory) -> Report:
         None,
     )
     report.add("identity-laws", bad_id is None, bad_id)
+    if bad_shape is not None:
+        return report
 
     t = C.table  # (h∘g)∘f = h∘(g∘f), read in the order of the two sides
     bad_assoc = next(
@@ -196,12 +201,16 @@ def validate_category(C: PlainCategory) -> Report:
 
 
 def validate_ncat(A: NormedCategory) -> Report:
+    """``validate_category``, identity norms and submultiplicativity; the
+    last is checked only when every composite has the right endpoints."""
     report = validate_category(A)
     q = A.quantale
     bad_unit = next(
         (a for a in A.objects if not q.leq(q.unit, A.norm[A.identity[a]])), None
     )
     report.add("identity-norms", bad_unit is None, bad_unit)
+    if any(c.name == "composition-endpoints" for c in report.failures()):
+        return report
 
     bad_sub = next(
         (
@@ -621,9 +630,6 @@ class CoendClasses:
     def class_norm(self, pair):
         return self.norms[self._rep[pair]]
 
-    def as_normed_set(self) -> NormedSet:
-        return NormedSet(self.quantale, dict(self.norms), list(self.classes.keys()))
-
 
 def coend_unit(Psi: NormedDistributor, Phi: NormedDistributor) -> CoendClasses:
     """The composite of a contravariant and a covariant distributor at the
@@ -977,64 +983,38 @@ def idempotent_unit_class(A: PlainCategory, e) -> list:
     ]
 
 
-def norm_assignments(A: NormedCategory, flat) -> Iterator[tuple]:
-    """The norm assignments on the elements ``flat`` of Φ_e (tuples aligned
-    with ``flat``) that make Φ_e a normed functor, in product order.
-
-    Backtracking over ``flat``: each constraint |h| ⊗ |f| ≤ |h∘f| is checked
-    as soon as the later of f and h∘f gets its value, so the assignments
-    come out exactly as the filtered product would list them.
-    """
-    q = A.quantale
-    leq, tensor = q.leq_table, q.tensor_table
-    carrier = tuple(q.carrier())
-    pos = {f: i for i, f in enumerate(flat)}
-    due: list[dict] = [{} for _ in flat]  # position -> constraints (|h|, i, j)
-    for h in A.morphisms:
-        for f in flat:
-            if A.cod[f] == A.dom[h]:
-                i, j = pos[f], pos[A.compose(h, f)]
-                due[max(i, j)][(A.norm[h], i, j)] = None
-    checks = [tuple((tensor[nh], i, j) for nh, i, j in d) for d in due]
-    n = len(flat)
-    values = [None] * n
-    tried = [0] * n  # per position: how many carrier values were tried
-    p = 0
-    while p >= 0:
-        if p == n:
-            yield tuple(values)
-            p -= 1
-        elif tried[p] == len(carrier):
-            tried[p] = 0
-            p -= 1
-        else:
-            values[p] = carrier[tried[p]]
-            tried[p] += 1
-            for row, i, j in checks[p]:
-                if not leq[row[values[i]]][values[j]]:
-                    break
-            else:
-                p += 1
-
-
 def _unit_class_slots(A: NormedCategory, e, elems, flat, budget: int):
-    """The unit class of Φ_e on positions of ``flat``: ``members`` pairs
-    (position of w, index j of y), and ``terms[j]`` the (position of w',
-    |w'∘y|) whose ⋀ hom(|w'|, |w'∘y|) is y's conjugate norm.  First, per
-    object c, the guard of the conjugate's ∏_x |A(c, x)|^|Φ_e(x)| families."""
+    """The unit class of Φ_e as ``matrix_weights`` inputs: M pairs (position
+    of w in ``flat``, index j of y), and N[i][j] = |flat[i]∘y_j|, so that
+    c_j = ⋀_i hom(x_i, N[i][j]) is y_j's conjugate norm.  First, per object
+    c, the guard of the conjugate's ∏_x |A(c, x)|^|Φ_e(x)| families."""
     for c in A.objects:
         sizes = ((len(elems[x]), len(A.hom(c, x))) for x in A.objects)
         guard_count(_nat_count(sizes), budget, "natural-transformation enumeration")
     pos = {f: i for i, f in enumerate(flat)}
     index: dict = {}  # y -> j
-    members = [
+    M = [
         (pos[w], index.setdefault(y, len(index)))
         for _, y, w in idempotent_unit_class(A, e)
     ]
-    terms = [
-        tuple((i, A.norm[A.compose(w, y)]) for i, w in enumerate(flat)) for y in index
-    ]
-    return members, terms
+    N = [[A.norm[A.compose(w, y)] for y in index] for w in flat]
+    return M, N
+
+
+def _weight_matrix(A: NormedCategory, elems, flat) -> list:
+    """D_e on positions of ``flat``: D_e[i][j] = ⋁{|h| : h∘flat[i] = flat[j]},
+    ⊥ where no such h exists.  Norms x make Φ_e a normed functor iff
+    D_e[i][j] ⊗ x_i ≤ x_j for all i, j (the lemma in the ``vcat``
+    docstring)."""
+    q = A.quantale
+    join = q.join_table
+    pos = {f: i for i, f in enumerate(flat)}
+    D = [[q.bottom] * len(flat) for _ in flat]
+    for h in A.morphisms:
+        for f in elems[A.dom[h]]:
+            i, j = pos[f], pos[A.compose(h, f)]
+            D[i][j] = join[D[i][j]][A.norm[h]]
+    return D
 
 
 @dataclass
@@ -1048,7 +1028,7 @@ class NcatLawvereVerdict:
 
 
 def is_lawvere_complete_ncat(
-    A: NormedCategory, q: Quantale | None = None, budget: int = DEFAULT_BUDGET
+    A: NormedCategory, budget: int = DEFAULT_BUDGET
 ) -> NcatLawvereVerdict:
     """Decide completeness: idempotents of the strict part split, and every
     enumerated left adjoint has a presentable unit.
@@ -1058,8 +1038,6 @@ def is_lawvere_complete_ncat(
     each Φ_e's unit class.  A must be a normed category; otherwise
     ``PreconditionError`` carries the failed ``validate_ncat`` report.
     """
-    if q is not None:
-        require_same_quantale(q, A.quantale)
     q = require_finite(A.quantale, "is_lawvere_complete_ncat")
     report = validate_ncat(A)
     if not report.ok:
@@ -1069,8 +1047,6 @@ def is_lawvere_complete_ncat(
     if not ok1:
         return NcatLawvereVerdict(False, clause=1, certificate=bad_e)
 
-    hom, meet, join, tensor = q.hom_table, q.meet_table, q.join_table, q.tensor_table
-    k_below, top, bottom = q.leq_table[q.unit], q.top, q.bottom
     idems = list(A.idempotents())
     for pos, e in enumerate(idems):
         elems = idempotent_distributor_sets(A, e)
@@ -1082,22 +1058,11 @@ def is_lawvere_complete_ncat(
             f"norm assignments |V|^{len(flat)} at idempotent {e!r}",
             skipped=f"{len(idems) - pos} idempotents, {count} assignments",
         )
-        members = None  # built at the first normed functor: its guards fire there
-        for values in norm_assignments(A, flat):
-            if members is None:
-                members, terms = _unit_class_slots(A, e, elems, flat, budget)
-            conj = []
-            for row in terms:
-                v = top
-                for i, n in row:
-                    v = meet[v][hom[values[i]][n]]
-                conj.append(v)
-            unit_norm = bottom
-            for i, j in members:
-                unit_norm = join[unit_norm][tensor[conj[j]][values[i]]]
-            if not k_below[unit_norm]:
-                continue  # not a left adjoint
-            if not any(k_below[values[i]] and k_below[conj[j]] for i, j in members):
+        M, N = _unit_class_slots(A, e, elems, flat, budget)
+        D = _weight_matrix(A, elems, flat)
+        for values, conj in matrix_weights(q, D, N):
+            adjoint, member = unit_member(q, values, conj, M)
+            if adjoint and member is None:
                 named = {f: q.format(v) for f, v in zip(flat, values)}
                 return NcatLawvereVerdict(False, clause=2, certificate=(e, named))
     return NcatLawvereVerdict(True)

@@ -493,11 +493,7 @@ def colimit_dset(s: Sequence) -> tuple[VCategory, Cocone]:
     return apex, _quotient_cocone(s, quot, apex)
 
 
-def colimit_vlip(
-    s: Sequence,
-    q_tensor: Quantale | None = None,
-    q_odot: Quantale | None = None,
-) -> tuple[VCategory, Cocone]:
+def colimit_vlip(s: Sequence) -> tuple[VCategory, Cocone]:
     """Distance-set colimit of a sequence of V-categories, asserted to be a
     V-category again.
 
@@ -509,10 +505,7 @@ def colimit_vlip(
     """
     if s.kind != DSET:
         raise ValueError("colimit_vlip needs a distance-set sequence")
-    q_tensor = q_tensor or s.quantale
-    q_odot = q_odot or s.norm_quantale
-    require_same_quantale(q_tensor, s.quantale)
-    require_same_quantale(q_odot, s.norm_quantale)
+    q_odot = s.norm_quantale
     if q_odot.is_finite:
         if not unit_approximated_from_totally_below(q_odot):
             raise PreconditionError(
@@ -520,13 +513,12 @@ def colimit_vlip(
                 False,
             )
     apex, gamma = colimit_dset(s)
-    apex_tensor = VCategory(q_tensor, apex.objects, apex.dist)
-    report = validate_vcat(apex_tensor)
+    report = validate_vcat(apex)
     if not report.ok:
         raise ConstructionError(
             f"colimit is not a V-category: {report.describe()}"
         )
-    return apex_tensor, Cocone(apex_tensor, gamma.prefix, gamma.tail)
+    return apex, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -834,11 +826,6 @@ class MetricSequence:
         for p in list(self.prefix) + list(self.tail):
             if p not in self.space.objects:
                 raise ValueError(f"point {p!r} not in the space")
-
-    def point_at(self, n: int):
-        if n < len(self.prefix):
-            return self.prefix[n]
-        return self.tail[(n - len(self.prefix)) % len(self.tail)]
 
 
 def forward_cauchy_value(ms: MetricSequence):

@@ -11,19 +11,27 @@ weight's right adjoint is its Isbell conjugate (Lawvere 1973; Stubbe 2005).
 The decision runs on index vectors over the quantale's tables, and builds no
 distributor:
 
-* Weights φ: E ⇸ X are assigned one coordinate at a time in object order,
-  each trying the carrier in order, so they come out in the order of
-  ``product``.  A value v for coordinate j is kept iff X(j,j)⊗v ≤ v and,
-  for every earlier coordinate i, X(i,j)⊗φ(i) ≤ v and X(j,i)⊗v ≤ φ(i).
-  These are exactly the bimodule laws that ``validate_vdist`` checks.
-* The conjugate φ⁺(a) = ⋀_b hom(φ(b), X(a,b)) is read off the residual
-  table and met one coordinate b at a time, as φ(b) is assigned.
+* ``matrix_weights(q, D, N)`` lists the x ∈ V^n with D[i][j] ⊗ x_i ≤ x_j for
+  all i, j in the order of ``product``, checking each law when the later of
+  x_i and x_j is assigned, and meets c_j = ⋀_i hom(x_i, N[i][j]) on the way.
+  With D = X these are the weights φ: E ⇸ X (the bimodule laws of
+  ``validate_vdist``); with N = Xᵀ, c is the conjugate
+  φ⁺(a) = ⋀_b hom(φ(b), X(a,b)).
 * One-join lemma: the counit φ·φ⁺ ≤ X holds for every weight, because
-  φ⁺(x) ≤ hom(φ(y), X(x,y)) gives φ⁺(x)⊗φ(y) ≤ X(x,y).  So φ ⊣ φ⁺ iff the
-  unit holds, k ≤ ⋁_x φ⁺(x)⊗φ(x): one join of n terms in place of the two
-  composites of ``check_adjoint``.
-* A representability witness is the first object a with k ≤ φ(a) and
-  k ≤ φ⁺(a), as in ``is_representable``.
+  φ⁺(x) ≤ hom(φ(y), X(x,y)) gives φ⁺(x)⊗φ(y) ≤ X(x,y).  So φ ⊣ φ⁺ iff
+  k ≤ ⋁_x φ⁺(x)⊗φ(x), one join in place of the two composites of
+  ``check_adjoint``.  ``unit_member`` folds it over the diagonal and names
+  the first a with k ≤ φ(a) and k ≤ φ⁺(a), the witness of
+  ``is_representable``.
+
+Lemma (a normed functor on Φ_e is a weight on a distance matrix).  For an
+idempotent e of a normed category and the elements ``flat`` of
+Φ_e = {f : f∘e = f}, set D_e[i][j] = ⋁{|h| : h∘flat[i] = flat[j]} (⊥ where
+there is no such h).  Because ⊗ preserves joins, norms x make Φ_e a normed
+functor iff D_e[i][j] ⊗ x_i ≤ x_j for all i, j.  So ``ncat`` decides with the
+same search: N[i][j] = |flat[i]∘y_j| over the y of Φ_e's unit class, and M
+the class's (position of w, index of y) pairs.  On ``i_embed_cat(X)`` at
+e = (a, a) the inputs are exactly X, Xᵀ and the diagonal.
 
 ``validate_vdist``, ``isbell_conjugate_weight``, ``check_adjoint`` and
 ``is_representable`` stay as the library's distributor calculus, and the
@@ -393,44 +401,73 @@ def is_representable(phi: VDistributor, psi: VDistributor):
     return None
 
 
-def _adjoint_weights(X: VCategory, budget: int) -> Iterator[tuple[tuple, tuple]]:
-    """(φ, φ⁺) as index vectors for every weight φ with φ ⊣ φ⁺, in the order
-    of φ in ``product``.  A value for coordinate j is kept only if the
-    bimodule laws hold against itself and every earlier coordinate;
-    φ⁺(a) = ⋀_b hom(φ(b), X(a,b)) is met one coordinate b at a time as the
-    prefix grows.  The counit holds by construction, so only the unit is
-    tested."""
+def matrix_weights(q: FiniteQuantale, D, N) -> Iterator[tuple[tuple, tuple]]:
+    """Every x ∈ V^n with D[i][j] ⊗ x_i ≤ x_j for all i, j, in the order of
+    ``product``, each with its conjugate c_j = ⋀_i hom(x_i, N[i][j]) (N is
+    n × m).  Coordinates are assigned in index order, each trying the carrier
+    in order; the law for (i, j) is checked when the later of x_i and x_j is
+    assigned, and c is met one coordinate at a time.  ⊥ entries of D impose
+    nothing, since ⊥ ⊗ x = ⊥."""
+    n = len(D)
+    m = len(N[0]) if n else 0
+    leq, tensor, hom, meet = q.leq_table, q.tensor_table, q.hom_table, q.meet_table
+    size, bottom = q.size, q.bottom
+    laws: list[list] = [[] for _ in range(n)]  # laws[max(i, j)]: (D[i][j] ⊗ −, i, j)
+    for i, row in enumerate(D):
+        for j, d in enumerate(row):
+            if d != bottom:
+                laws[max(i, j)].append((tensor[d], i, j))
+    x = [bottom] * n
+    conj = [(q.top,) * m] + [()] * n  # conj[t]: the meets over x_0 .. x_{t-1}
+    tried = [0] * n  # per coordinate: how many carrier values were tried
+    t = 0
+    while t >= 0:
+        if t == n:
+            yield tuple(x), conj[n]
+            t -= 1
+            continue
+        for v in range(tried[t], size):
+            x[t] = v
+            for row, i, j in laws[t]:
+                if not leq[row[x[i]]][x[j]]:
+                    break
+            else:
+                tried[t] = v + 1
+                h = hom[v]
+                conj[t + 1] = tuple([meet[c][h[d]] for c, d in zip(conj[t], N[t])])
+                t += 1
+                break
+        else:
+            tried[t] = 0
+            t -= 1
+
+
+def unit_member(q: FiniteQuantale, x, c, M) -> tuple[bool, tuple | None]:
+    """Whether k ≤ ⋁_{(i,j)∈M} c_j ⊗ x_i, and if so the first member (i, j)
+    of M with k ≤ x_i and k ≤ c_j (None if there is none)."""
+    join, tensor, k_below = q.join_table, q.tensor_table, q.leq_table[q.unit]
+    unit = q.bottom
+    for i, j in M:
+        unit = join[unit][tensor[c[j]][x[i]]]
+    if not k_below[unit]:
+        return False, None
+    return True, next(((i, j) for i, j in M if k_below[x[i]] and k_below[c[j]]), None)
+
+
+def _adjoint_weights(X: VCategory, budget: int) -> Iterator[tuple[tuple, tuple, Any]]:
+    """(φ, φ⁺, member) as index vectors for every weight φ with φ ⊣ φ⁺, in
+    the order of φ in ``product``: ``matrix_weights`` on (X, Xᵀ) and
+    ``unit_member`` on the diagonal, whose member (a, a) names the first
+    object with k ≤ φ(a) and k ≤ φ⁺(a), or is None."""
     q = require_finite(X.quantale, "weight enumeration")
     n = len(X.objects)
     guard_count(q.size ** n, budget, f"weights |V|^{n}")
-    leq, tensor, hom = q.leq_table, q.tensor_table, q.hom_table
-    meet, join = q.meet_table, q.join_table
-    k_below, bottom = leq[q.unit], q.bottom
     D = [[X.dist[(x, y)] for y in X.objects] for x in X.objects]
-    columns = list(zip(*D))
-    # depth first: the children of a prefix are pushed in reverse carrier
-    # order, so the smallest value is explored first
-    stack = [((), [q.top] * n)]
-    while stack:
-        phi, psi = stack.pop()
-        j = len(phi)
-        if j == n:
-            unit = bottom
-            for c, p in zip(psi, phi):
-                unit = join[unit][tensor[c][p]]
-            if k_below[unit]:
-                yield phi, tuple(psi)
-            continue
-        row = D[j]
-        for v in reversed(q.carrier()):
-            if leq[tensor[row[j]][v]][v] and all(
-                leq[tensor[D[i][j]][p]][v] and leq[tensor[row[i]][v]][p]
-                for i, p in enumerate(phi)
-            ):
-                h = hom[v]
-                stack.append(
-                    (phi + (v,), [meet[c][h[d]] for c, d in zip(psi, columns[j])])
-                )
+    diagonal = [(i, i) for i in range(n)]
+    for phi, psi in matrix_weights(q, D, list(zip(*D))):
+        adjoint, member = unit_member(q, phi, psi, diagonal)
+        if adjoint:
+            yield phi, psi, member
 
 
 def adjoint_weight_pairs(
@@ -443,7 +480,7 @@ def adjoint_weight_pairs(
     are enumerated and ψ := φ⁺.  Requires X to be a V-category over a
     quantale.
     """
-    for phi, psi in _adjoint_weights(X, budget):
+    for phi, psi, _ in _adjoint_weights(X, budget):
         yield (
             left_weight(X, dict(zip(X.objects, phi))),
             right_weight(X, dict(zip(X.objects, psi))),
@@ -470,21 +507,16 @@ def lawvere_complete_vcat(X: VCategory, budget: int = DEFAULT_BUDGET) -> Lawvere
     right adjoint only there; otherwise ``PreconditionError`` carries the
     failed report.
     """
-    q = require_finite(X.quantale, "lawvere_complete_vcat")
+    require_finite(X.quantale, "lawvere_complete_vcat")
     report = validate_vcat(X)
     if not report.ok:
         raise PreconditionError("lawvere_complete_vcat requires a V-category", report)
-    k_below = q.leq_table[q.unit]
     witnesses = []
-    for phi, psi in _adjoint_weights(X, budget):
+    for phi, psi, member in _adjoint_weights(X, budget):
         phi_vec = dict(zip(X.objects, phi))
-        a = next(
-            (x for x, p, c in zip(X.objects, phi, psi) if k_below[p] and k_below[c]),
-            None,
-        )
-        if a is None:
+        if member is None:
             return LawvereVerdict(False, (phi_vec, dict(zip(X.objects, psi))))
-        witnesses.append((phi_vec, a))
+        witnesses.append((phi_vec, X.objects[member[0]]))
     return LawvereVerdict(True, witnesses)
 
 

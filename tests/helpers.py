@@ -152,7 +152,9 @@ def brute_lawvere_ncat(A, budget=DEFAULT_BUDGET) -> NcatLawvereVerdict:
 
 def unindexed_validate_ncat(A) -> Report:
     """``validate_ncat`` by a scan over all pairs and triples of morphisms
-    with a codomain filter: the reference order of first witnesses."""
+    with a codomain filter: the reference order of first witnesses.  As
+    there, a failed endpoint check skips associativity and
+    submultiplicativity."""
     C, q = A, A.quantale
     report = Report()
     bad_shape = next(
@@ -177,23 +179,26 @@ def unindexed_validate_ncat(A) -> Report:
         None,
     )
     report.add("identity-laws", bad_id is None, bad_id)
-    bad_assoc = next(
-        (
-            (h, g, f)
-            for h in C.morphisms
-            for g in C.morphisms
-            if C.cod[g] == C.dom[h]
-            for f in C.morphisms
-            if C.cod[f] == C.dom[g]
-            and C.compose(C.compose(h, g), f) != C.compose(h, C.compose(g, f))
-        ),
-        None,
-    )
-    report.add("associativity", bad_assoc is None, bad_assoc)
+    if bad_shape is None:
+        bad_assoc = next(
+            (
+                (h, g, f)
+                for h in C.morphisms
+                for g in C.morphisms
+                if C.cod[g] == C.dom[h]
+                for f in C.morphisms
+                if C.cod[f] == C.dom[g]
+                and C.compose(C.compose(h, g), f) != C.compose(h, C.compose(g, f))
+            ),
+            None,
+        )
+        report.add("associativity", bad_assoc is None, bad_assoc)
     bad_unit = next(
         (a for a in A.objects if not q.leq(q.unit, A.norm[A.identity[a]])), None
     )
     report.add("identity-norms", bad_unit is None, bad_unit)
+    if bad_shape is not None:
+        return report
     bad_sub = next(
         (
             (g, f)

@@ -360,7 +360,7 @@ def test_criterion_8_vlip_colimits():
         found += 1
         if q_tensor != q_odot:
             mixed_checked += 1
-        apex, gamma = colimit_vlip(s, q_tensor, q_odot)
+        apex, gamma = colimit_vlip(s)
         ok &= validate_vcat(apex).ok
         if symmetric:
             symmetric_checked += 1

@@ -600,3 +600,30 @@ def test_lawvere_on_non_associative_table_reports_precondition(tmp_path, capsys)
     assert lawvere["details"]["error"] == "not a normed category"
     failed = {c["check"]: c["witness"] for c in lawvere["details"]["evidence"] if not c["ok"]}
     assert failed == {"associativity": ["a", "a", "a"]}
+
+
+@pytest.mark.parametrize("composite", ["1b", "zz"])
+def test_composite_off_its_endpoints_is_a_failed_check(tmp_path, capsys, composite):
+    # e: a → a with e∘e listed as 1b, or as a name that is no morphism
+    literal = {
+        "kind": "ncat", "objects": ["a", "b"],
+        "morphisms": [
+            {"id": m, "dom": o, "cod": o, "norm": "1"}
+            for m, o in (("1a", "a"), ("1b", "b"), ("e", "a"))
+        ],
+        "identities": {"a": "1a", "b": "1b"},
+        "compose": [
+            ["1a", "1a", "1a"], ["1b", "1b", "1b"], ["e", "1a", "e"], ["1a", "e", "e"],
+            ["e", "e", composite],
+        ],
+    }
+    code, tasks = _ncat_report(
+        tmp_path, capsys, literal,
+        [{"op": "validate", "target": "M"}, {"op": "lawvere", "target": "M"}],
+    )
+    assert code == 1
+    validate, lawvere = tasks
+    failed = {c["check"]: c["witness"] for c in validate["details"]["checks"] if not c["ok"]}
+    assert failed == {"composition-endpoints": ["e", "e"]}
+    assert lawvere["verdict"] == "fail"
+    assert lawvere["details"]["error"] == "not a normed category"

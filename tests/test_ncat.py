@@ -3,6 +3,7 @@ import pytest
 from quantcat.common import BudgetExceeded, PreconditionError
 from quantcat.ncat import (
     _unit_class_slots,
+    _weight_matrix,
     AdjunctionCertificate,
     NormedCategory,
     NormedDistributor,
@@ -25,7 +26,6 @@ from quantcat.ncat import (
     nat_key,
     nat_norm,
     nat_transformations,
-    norm_assignments,
     representable_certificate,
     representable_contra,
     representable_cov,
@@ -43,6 +43,7 @@ from quantcat.vcat import (
     isbell_conjugate_weight,
     lawvere_complete_vcat,
     left_weight,
+    matrix_weights,
     vcat_from_matrix,
 )
 
@@ -677,7 +678,32 @@ def test_norm_assignments_match_filtered_product(
         for e in A.idempotents():
             elems = idempotent_distributor_sets(A, e)
             flat = [f for b in A.objects for f in elems[b]]
-            assert list(norm_assignments(A, flat)) == list(filtered_norm_assignments(A, e))
+            D = _weight_matrix(A, elems, flat)
+            got = [x for x, _ in matrix_weights(A.quantale, D, [()] * len(flat))]
+            assert got == list(filtered_norm_assignments(A, e))
+
+
+def test_i_embedded_idempotent_poses_the_vcategory_problem(q2, q3):
+    # at (a, a), Φ_e is A(a, -): D_e = X, N = Xᵀ and the unit class is the
+    # diagonal, the inputs the V-category decision searches with
+    idempotents = 0
+    for q, max_objects in ((q2, 3), (q3, 2)):
+        for n in range(max_objects + 1):
+            for X in all_vcategories(q, [f"o{i}" for i in range(n)], budget=10**6):
+                A = i_embed_cat(X)
+                D = [[X.d(x, y) for y in X.objects] for x in X.objects]
+                for e in A.idempotents():
+                    a = A.dom[e]
+                    assert e == (a, a)
+                    elems = idempotent_distributor_sets(A, e)
+                    flat = [f for b in A.objects for f in elems[b]]
+                    assert flat == [(a, b) for b in X.objects]
+                    M, N = _unit_class_slots(A, e, elems, flat, 4096)
+                    assert _weight_matrix(A, elems, flat) == D
+                    assert N == [list(column) for column in zip(*D)]
+                    assert M == [(i, i) for i in range(n)]
+                    idempotents += 1
+    assert idempotents > 100  # 115 idempotents
 
 
 def test_lawvere_ncat_budget_fields_match_brute_force(q1, q2, q4bool):
@@ -736,9 +762,9 @@ def test_unit_class_closed_form_matches_distributor_calculus(
             elems = idempotent_distributor_sets(A, e)
             flat = [f for b in A.objects for f in elems[b]]
             conj_cf = idempotent_conjugate_sets(A, e)
-            members, terms = _unit_class_slots(A, e, elems, flat, 4096)
+            members, N = _unit_class_slots(A, e, elems, flat, 4096)
             idempotents += 1
-            for values in norm_assignments(A, flat):
+            for values, conj in matrix_weights(q, _weight_matrix(A, elems, flat), N):
                 Phi = idempotent_distributor(A, e, dict(zip(flat, values)))
                 conjugate = isbell_conjugate_ndist(Phi)
 
@@ -768,9 +794,10 @@ def test_unit_class_closed_form_matches_distributor_calculus(
                 # the conjugate-norm terms of each member y, on positions of flat
                 ys = list(dict.fromkeys(y for _, y, _ in closed))
                 assert [(flat.index(w), ys.index(y)) for _, y, w in closed] == members
-                for y, row in zip(ys, terms):
-                    norm = q.meet(q.hom(values[i], n) for i, n in row)
+                for j, y in enumerate(ys):
+                    norm = q.meet(q.hom(values[i], row[j]) for i, row in enumerate(N))
                     assert norm == conjugate.set_at(A.dom[y]).norm(key(y)), (A, e, y)
+                    assert conj[j] == norm, (A, e, y)
     assert idempotents > 250  # 283 idempotents in the valid fixtures
 
 
@@ -839,12 +866,24 @@ def _hand_broken(q2):
         q2, ["x"], ms, {m: "x" for m in ms}, {m: "x" for m in ms}, {"x": "1"},
         table, {m: "1" for m in ms},
     )
+    # only the composable pairs, as an instance file lists them: e∘e off
+    # its endpoints, once onto 1b and once onto a name that is no morphism
+    composable = {("1a", "1a"): "1a", ("1b", "1b"): "1b", ("e", "1a"): "e", ("1a", "e"): "e"}
+    off_endpoints = [
+        NormedCategory(
+            q2, ["a", "b"], one, {"1a": "a", "1b": "b", "e": "a"},
+            {"1a": "a", "1b": "b", "e": "a"}, {"a": "1a", "b": "1b"},
+            composable | {("e", "e"): ee}, {m: "1" for m in one},
+        )
+        for ee in ("1b", "zz")
+    ]
     # x → y → z at the unit with x → z at the bottom: not transitive
     not_transitive = vcat_from_matrix(
         q2, ["x", "y", "z"], [["1", "1", "0"], ["0", "1", "1"], ["0", "0", "1"]]
     )
     return [
         (bad_endpoint, "composition-endpoints"),
+        *((A, "composition-endpoints") for A in off_endpoints),
         (non_associative, "associativity"),
         (i_embed_cat(not_transitive), "composition-submultiplicative"),
         (monoid_cat(q2, "0", "1"), "identity-norms"),

@@ -307,7 +307,7 @@ def test_colimit_dset_shrinking_distances(qplus, qtimes):
 def test_colimit_vlip_finite(q3):
     X = two_point_space(q3, q3.el("m"))
     s = Sequence("dset", [], [], X, {p: p for p in X.objects})
-    apex, gamma = colimit_vlip(s, q3, q3)
+    apex, gamma = colimit_vlip(s)
     assert validate_vcat(apex).ok
     assert is_symmetric(apex)
 
@@ -318,7 +318,7 @@ def test_colimit_vlip_lawvere_mixed(qplus, qtimes):
         "dset", [mk(Fraction(1, 2))], [{"x": "x", "y": "y"}], mk(Fraction(1, 4)),
         {"x": "x", "y": "y"}, norm_quantale=qtimes,
     )
-    apex, gamma = colimit_vlip(s, qplus, qtimes)
+    apex, gamma = colimit_vlip(s)
     assert validate_vcat(apex).ok
     assert is_symmetric(apex)
 
@@ -326,7 +326,7 @@ def test_colimit_vlip_lawvere_mixed(qplus, qtimes):
 def test_colimit_vlip_specializes_to_single_quantale(q3):
     X = two_point_space(q3, q3.el("m"))
     s = Sequence("dset", [], [], X, {p: p for p in X.objects})
-    apex_two, _ = colimit_vlip(s, q3, q3)
+    apex_two, _ = colimit_vlip(s)
     apex_one, _ = colimit_dset(s)
     assert apex_two.dist == apex_one.dist
 
@@ -341,7 +341,7 @@ def test_vlip_hypothesis_rejection(q4bool, monkeypatch):
         seqlim_mod, "unit_approximated_from_totally_below", lambda q: False
     )
     with pytest.raises(PreconditionError):
-        colimit_vlip(s, q4bool, q4bool)
+        colimit_vlip(s)
 
 
 def test_pair_colimit_is_square_of_point_colimit(q3):

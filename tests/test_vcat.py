@@ -26,6 +26,7 @@ from quantcat.vcat import (
     isbell_conjugate_weight,
     lawvere_complete_vcat,
     left_weight,
+    matrix_weights,
     object_lower,
     object_upper,
     right_weight,
@@ -454,6 +455,25 @@ def test_lawvere_budget_fields_match_distributor_oracle(q4bool):
             assert got == ("weights |V|^3", needed, budget, None)
         else:
             assert got.startswith("LawvereVerdict(complete=False")
+
+
+def test_matrix_weights_is_the_bimodule_filtered_product(q2):
+    # every 2×2 and 3×3 bool2 matrix, V-category or not, bottom entries included
+    vcategories = set()
+    for n in (2, 3):
+        objects = [f"o{i}" for i in range(n)]
+        for entries in product(q2.carrier(), repeat=n * n):
+            D = [list(entries[i * n:(i + 1) * n]) for i in range(n)]
+            X = vcat_from_matrix(q2, objects, D)
+            expected = []
+            for pvec in product(q2.carrier(), repeat=n):
+                phi = left_weight(X, dict(zip(objects, pvec)))
+                if validate_vdist(phi).ok:
+                    cvec = coweight_vector(isbell_conjugate_weight(phi))
+                    expected.append((pvec, tuple(cvec[x] for x in objects)))
+            assert list(matrix_weights(q2, D, list(zip(*D)))) == expected, D
+            vcategories.add(validate_vcat(X).ok)
+    assert vcategories == {True, False}
 
 
 def test_counit_holds_and_adjointness_is_one_join(
