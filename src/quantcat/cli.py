@@ -40,6 +40,7 @@ from .quantale import (
     Quantale,
     builtin_quantale,
     BUILTIN_QUANTALES,
+    require_finite,
     validate_quantale,
 )
 from .vcat import VCategory
@@ -164,6 +165,16 @@ class Instance:
         self.quantale = quantale
         self.objects = objects  # name -> (kind, parsed value)
         self.tasks = tasks
+        self._reports: dict = {}  # (scan, id of the object) -> Report
+
+    def report(self, scan: str, value) -> Report:
+        """The validation ``scan`` ("vcat", "category" or "ncat") of a parsed
+        object, run once: parsed objects are immutable, so the ``validate``
+        task and the preconditions of ``split`` and ``lawvere`` share it."""
+        key = (scan, id(value))
+        if key not in self._reports:
+            self._reports[key] = _SCANS[scan](self, value)
+        return self._reports[key]
 
     def resolve(self, name, kinds=None):
         if not isinstance(name, str):
@@ -174,6 +185,13 @@ class Instance:
         if kinds is not None and kind not in kinds:
             raise InputError(f"{name!r} has kind {kind}, expected one of {kinds}")
         return kind, value
+
+
+_SCANS = {
+    "vcat": lambda inst, X: vcat_mod.validate_vcat(X),
+    "category": lambda inst, A: ncat_mod.validate_category(A),
+    "ncat": lambda inst, A: ncat_mod.norm_checks(A, inst.report("category", A)),
+}
 
 
 def _parse_vdist(inst: Instance, spec: dict) -> vcat_mod.VDistributor:
@@ -533,10 +551,8 @@ def _jsonable(q: Quantale, value) -> Any:
 def _task_validate(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     kind, value = inst.resolve(task["target"])
     q = inst.quantale
-    if kind == "vcat":
-        report = vcat_mod.validate_vcat(value)
-    elif kind == "ncat":
-        report = ncat_mod.validate_ncat(value)
+    if kind in ("vcat", "ncat"):
+        report = inst.report(kind, value)
     elif kind == "vdist":
         report = vcat_mod.validate_vdist(value)
     elif kind == "weight_pair":
@@ -633,22 +649,26 @@ def _format_weight_vec(q: Quantale, vec: dict) -> dict:
     return {str(x): q.format(v) for x, v in vec.items()}
 
 
+def _precondition_failure(q: Quantale, error: str, report: Report) -> dict:
+    return {
+        "verdict": "fail",
+        "details": {"error": error, "evidence": _report_details(q, report)},
+    }
+
+
 def _task_lawvere(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     q = inst.quantale
     kind, value = inst.resolve(task["target"], {"vcat", "ncat"})
-    decide = (
-        vcat_mod.lawvere_complete_vcat if kind == "vcat" else ncat_mod.is_lawvere_complete_ncat
+    name, error, decide = (
+        ("lawvere_complete_vcat", "not a V-category", vcat_mod.decide_lawvere_vcat)
+        if kind == "vcat"
+        else ("is_lawvere_complete_ncat", "not a normed category", ncat_mod.decide_lawvere_ncat)
     )
-    try:
-        verdict = decide(value, budget=budget)
-    except PreconditionError as exc:
-        return {
-            "verdict": "fail",
-            "details": {
-                "error": "not a V-category" if kind == "vcat" else "not a normed category",
-                "evidence": _report_details(q, exc.value),
-            },
-        }
+    require_finite(q, name)
+    report = inst.report(kind, value)
+    if not report.ok:
+        return _precondition_failure(q, error, report)
+    verdict = decide(value, budget)
     if kind == "vcat":
         if verdict.complete:
             witness = [
@@ -674,6 +694,9 @@ def _task_lawvere(inst: Instance, task: dict, budget: int, probe: int) -> dict:
 
 def _task_split(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     _, A = inst.resolve(task["target"], {"ncat"})
+    report = inst.report("category", A)
+    if not report.ok:
+        return _precondition_failure(inst.quantale, "not a category", report)
     try:
         C = ncat_mod.strict_subcategory(A) if task.get("strict") else A
     except ConstructionError as exc:
@@ -792,6 +815,17 @@ _TASKS = {
 }
 
 
+class _MissingField(KeyError):
+    """A task lacks a field its op reads."""
+
+
+class _TaskFields(dict):
+    """A task's fields; reading one the task lacks raises ``_MissingField``."""
+
+    def __missing__(self, key):
+        raise _MissingField(key)
+
+
 def run_instance(inst: Instance, budget: int, probe: int) -> dict:
     results = []
     for i, task in enumerate(inst.tasks):
@@ -799,9 +833,11 @@ def run_instance(inst: Instance, budget: int, probe: int) -> dict:
         if not isinstance(op, str) or op not in _TASKS:
             raise InputError(f"task {i}: unknown op {op!r}")
         try:
-            outcome = _TASKS[op](inst, task, budget, probe)
+            outcome = _TASKS[op](inst, _TaskFields(task), budget, probe)
         except (InputError, BudgetExceeded):
             raise
+        except _MissingField as missing:
+            raise InputError(f"task {i} ({op}): missing field {missing}")
         except PreconditionError as exc:
             outcome = {
                 "verdict": "fail",

@@ -45,10 +45,23 @@ The norm assignments that make Phi_e a normed functor are the weights on a
 matrix D_e (the lemma in the ``vcat`` docstring), so clause (2) runs the
 V-category decision's search, ``vcat.matrix_weights`` and
 ``vcat.unit_member``.  Per idempotent, after the assignment-count guard,
-the unit class is built once and the conjugate's natural-transformation
-guards fire (the all-top assignment is always normed, so the search always
-yields).  The decision builds no distributor or coend;
-``left_adjoint_unit`` is the general path and the tests' oracle.
+the conjugate's natural-transformation guards fire (the all-top assignment
+is always normed, so the search always yields) and the unit class is built
+once.  The decision builds no distributor or coend; ``left_adjoint_unit``
+is the general path and the tests' oracle.
+
+Under ``vcat.unit_criterion`` (k ≪ k and the unit splits the tensor)
+clause (2) cannot fail: ``unit_member`` never returns (True, None), by the
+criterion lemma in the ``vcat`` docstring.  The decision is then
+``validate_ncat``, clause (1) and the per-idempotent guards, fired in the
+same order, with no unit class, N or D_e built.
+
+Associativity lemma.  Once every composite has the right endpoints, both
+(h∘g)∘f and h∘(g∘f) lie in A(dom f, cod h), so a triple can fail only when
+that hom-set has two or more morphisms.  ``validate_category`` counts the
+hom-sets once and skips every h whose codomain receives no such hom-set,
+which names the same first witness; on a thin category (``i_embed_cat``)
+it visits no triple.
 
 All values are immutable after construction and every operation is a pure
 function; searches iterate objects, morphisms, and assignments in
@@ -57,6 +70,7 @@ declaration order, so certificates are reproducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Any, Iterator, Mapping
@@ -71,7 +85,7 @@ from .common import (
 )
 from .normed_set import NormedMap, NormedSet
 from .quantale import Quantale, require_finite, require_same_quantale
-from .vcat import VCategory, matrix_weights, unit_member
+from .vcat import VCategory, matrix_weights, unit_criterion, unit_member
 
 
 class PlainCategory:
@@ -157,7 +171,9 @@ def validate_category(C: PlainCategory) -> Report:
     morphisms into dom g: the order of a scan over all pairs that filters
     on cod f = dom g, so each check names that scan's first witness.
     Associativity is checked only when every composite has the right
-    endpoints; otherwise (h∘g)∘f may name a pair the table does not have."""
+    endpoints; otherwise (h∘g)∘f may name a pair the table does not have.
+    It then skips the h whose codomain receives no hom-set of two or more
+    morphisms (the associativity lemma in the module docstring)."""
     report = Report()
     bad_shape = next(
         (
@@ -184,11 +200,14 @@ def validate_category(C: PlainCategory) -> Report:
     if bad_shape is not None:
         return report
 
+    sizes = Counter((C.dom[f], C.cod[f]) for f in C.morphisms)
+    wide = {b for (_, b), size in sizes.items() if size >= 2}
     t = C.table  # (h∘g)∘f = h∘(g∘f), read in the order of the two sides
     bad_assoc = next(
         (
             (h, g, f)
             for h in C.morphisms
+            if C.cod[h] in wide
             for g in C.into(C.dom[h])
             for hg in (t[h, g],)
             for f in C.into(C.dom[g])
@@ -203,7 +222,14 @@ def validate_category(C: PlainCategory) -> Report:
 def validate_ncat(A: NormedCategory) -> Report:
     """``validate_category``, identity norms and submultiplicativity; the
     last is checked only when every composite has the right endpoints."""
-    report = validate_category(A)
+    return norm_checks(A, validate_category(A))
+
+
+def norm_checks(A: NormedCategory, category: Report) -> Report:
+    """``validate_ncat`` of A from its ``validate_category`` report: a copy
+    of that report with the identity-norm and submultiplicativity checks
+    added."""
+    report = Report(list(category.checks))
     q = A.quantale
     bad_unit = next(
         (a for a in A.objects if not q.leq(q.unit, A.norm[A.identity[a]])), None
@@ -983,14 +1009,20 @@ def idempotent_unit_class(A: PlainCategory, e) -> list:
     ]
 
 
-def _unit_class_slots(A: NormedCategory, e, elems, flat, budget: int):
-    """The unit class of Φ_e as ``matrix_weights`` inputs: M pairs (position
-    of w in ``flat``, index j of y), and N[i][j] = |flat[i]∘y_j|, so that
-    c_j = ⋀_i hom(x_i, N[i][j]) is y_j's conjugate norm.  First, per object
-    c, the guard of the conjugate's ∏_x |A(c, x)|^|Φ_e(x)| families."""
+def _conjugate_guards(A: NormedCategory, elems, budget: int) -> None:
+    """Per object c, the guard of the conjugate's ∏_x |A(c, x)|^|Φ_e(x)|
+    natural families."""
     for c in A.objects:
         sizes = ((len(elems[x]), len(A.hom(c, x))) for x in A.objects)
         guard_count(_nat_count(sizes), budget, "natural-transformation enumeration")
+
+
+def _unit_class_slots(A: NormedCategory, e, elems, flat, budget: int):
+    """The unit class of Φ_e as ``matrix_weights`` inputs: M pairs (position
+    of w in ``flat``, index j of y), and N[i][j] = |flat[i]∘y_j|, so that
+    c_j = ⋀_i hom(x_i, N[i][j]) is y_j's conjugate norm.  First the
+    conjugate's guards (``_conjugate_guards``)."""
+    _conjugate_guards(A, elems, budget)
     pos = {f: i for i, f in enumerate(flat)}
     index: dict = {}  # y -> j
     M = [
@@ -1036,17 +1068,28 @@ def is_lawvere_complete_ncat(
     See the module docstring for the coverage argument behind the
     idempotent-indexed enumeration of clause (2) and for the closed form of
     each Φ_e's unit class.  A must be a normed category; otherwise
-    ``PreconditionError`` carries the failed ``validate_ncat`` report.
+    ``PreconditionError`` carries the failed ``validate_ncat`` report.  The
+    decision itself is ``decide_lawvere_ncat``.
     """
-    q = require_finite(A.quantale, "is_lawvere_complete_ncat")
+    require_finite(A.quantale, "is_lawvere_complete_ncat")
     report = validate_ncat(A)
     if not report.ok:
         raise PreconditionError("is_lawvere_complete_ncat requires a normed category", report)
+    return decide_lawvere_ncat(A, budget)
 
+
+def decide_lawvere_ncat(
+    A: NormedCategory, budget: int = DEFAULT_BUDGET
+) -> NcatLawvereVerdict:
+    """``is_lawvere_complete_ncat`` on an A that already passed
+    ``validate_ncat``.  Under ``unit_criterion`` clause (2) cannot fail, so
+    only its guards fire (see the module docstring)."""
+    q = require_finite(A.quantale, "is_lawvere_complete_ncat")
     ok1, bad_e = split_idempotents_check(strict_subcategory(A))
     if not ok1:
         return NcatLawvereVerdict(False, clause=1, certificate=bad_e)
 
+    search = not unit_criterion(q)
     idems = list(A.idempotents())
     for pos, e in enumerate(idems):
         elems = idempotent_distributor_sets(A, e)
@@ -1058,6 +1101,9 @@ def is_lawvere_complete_ncat(
             f"norm assignments |V|^{len(flat)} at idempotent {e!r}",
             skipped=f"{len(idems) - pos} idempotents, {count} assignments",
         )
+        if not search:
+            _conjugate_guards(A, elems, budget)
+            continue
         M, N = _unit_class_slots(A, e, elems, flat, budget)
         D = _weight_matrix(A, elems, flat)
         for values, conj in matrix_weights(q, D, N):

@@ -33,6 +33,20 @@ same search: N[i][j] = |flat[i]∘y_j| over the y of Φ_e's unit class, and M
 the class's (position of w, index of y) pairs.  On ``i_embed_cat(X)`` at
 e = (a, a) the inputs are exactly X, Xᵀ and the diagonal.
 
+Criterion lemma (Clementino–Hofmann 2009, *Lawvere completeness in
+topology*).  Call "k ≪ k and k ≤ u⊗v ⇒ k ≤ u, k ≤ v" the criterion
+(``unit_criterion``; bool2, the chains and Łukasiewicz-3 meet it, bool4 and
+the trivial quantale do not).  Under it, k ≤ ⋁_{(i,j)∈M} c_j⊗x_i gives one
+member with k ≤ c_j⊗x_i (k ≪ k), hence k ≤ x_i and k ≤ c_j (the unit
+splits the tensor): ``unit_member`` never returns (True, None).  So every
+adjoint weight φ has a witness a, and then φ = X(a,−): k ≤ φ(a) and
+φ ≤ X(a,−) (from k ≤ φ⁺(a)) give X(a,c) ≤ X(a,c)⊗φ(a) ≤ φ(c).  Conversely
+each X(a,−) is left adjoint to X(−,a), and the witnesses of X(b,−) are the
+a with X(a,−) = X(b,−).  ``decide_lawvere_vcat`` then answers without the
+search: PASS with the distinct rows X(a,−) in the order of ``product`` (the
+order of their index tuples), each paired with the first object whose row
+it is, after the same ``|V|^n`` guard.
+
 ``validate_vdist``, ``isbell_conjugate_weight``, ``check_adjoint`` and
 ``is_representable`` stay as the library's distributor calculus, and the
 tests use them as the oracle of the decision.
@@ -502,15 +516,35 @@ def lawvere_complete_vcat(X: VCategory, budget: int = DEFAULT_BUDGET) -> Lawvere
 
     Every left adjoint weight must have a representability witness; the first
     adjoint pair without one is returned as a counterexample certificate.
-    The search runs on index vectors and builds no distributor (see the
-    module docstring).  X must be a V-category, since the conjugate is the
-    right adjoint only there; otherwise ``PreconditionError`` carries the
-    failed report.
+    X must be a V-category, since the conjugate is the right adjoint only
+    there; otherwise ``PreconditionError`` carries the failed report.  The
+    decision itself is ``decide_lawvere_vcat``.
     """
     require_finite(X.quantale, "lawvere_complete_vcat")
     report = validate_vcat(X)
     if not report.ok:
         raise PreconditionError("lawvere_complete_vcat requires a V-category", report)
+    return decide_lawvere_vcat(X, budget)
+
+
+def decide_lawvere_vcat(X: VCategory, budget: int = DEFAULT_BUDGET) -> LawvereVerdict:
+    """``lawvere_complete_vcat`` on an X that already passed ``validate_vcat``.
+
+    Under ``unit_criterion`` the verdict is read off the rows X(a, −) (the
+    criterion lemma in the module docstring); otherwise the search runs on
+    index vectors and builds no distributor.  Both paths first guard the
+    ``|V|^n`` weights.
+    """
+    q = require_finite(X.quantale, "lawvere_complete_vcat")
+    if unit_criterion(q):
+        n = len(X.objects)
+        guard_count(q.size ** n, budget, f"weights |V|^{n}")
+        first: dict[tuple, Any] = {}  # row X(a, −) -> the first such a
+        for a in X.objects:
+            first.setdefault(tuple([X.dist[(a, y)] for y in X.objects]), a)
+        return LawvereVerdict(
+            True, [(dict(zip(X.objects, row)), first[row]) for row in sorted(first)]
+        )
     witnesses = []
     for phi, psi, member in _adjoint_weights(X, budget):
         phi_vec = dict(zip(X.objects, phi))
@@ -527,19 +561,24 @@ def totally_compact_unit(q: Quantale) -> bool:
 
 
 def unit_tensor_splits(q: Quantale) -> bool:
-    """Whether k ≤ u ⊗ v forces k ≤ u and k ≤ v.
-
-    Together with a totally compact unit this is the sufficient criterion for
-    every V-category over the carrier to be Lawvere complete.
-    """
+    """Whether k ≤ u ⊗ v forces k ≤ u and k ≤ v."""
     q = require_finite(q, "unit_tensor_splits")
-    for u in q.carrier():
-        for v in q.carrier():
-            if q.leq(q.unit, q.tensor(u, v)) and not (
-                q.leq(q.unit, u) and q.leq(q.unit, v)
-            ):
-                return False
-    return True
+    k_below = q.leq_table[q.unit]
+    return all(
+        k_below[u] and k_below[v]
+        for u, row in enumerate(q.tensor_table)
+        for v, uv in enumerate(row)
+        if k_below[uv]
+    )
+
+
+def unit_criterion(q: Quantale) -> bool:
+    """The criterion k ≪ k and k ≤ u⊗v ⇒ k ≤ u, k ≤ v.  Under it every
+    V-category over the carrier is Lawvere complete and ``unit_member``
+    never returns (True, None) (the criterion lemma in the module
+    docstring); both completeness decisions compute it once and skip their
+    weight search when it holds."""
+    return totally_compact_unit(q) and unit_tensor_splits(q)
 
 
 def all_vcategories(

@@ -494,6 +494,10 @@ def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located)
                      "map": {"p": "p", "q": "q"}, "mode": "log",
                      "log_base": base}]}, "'log_base'")
         for base in ("2", [], 2.5, True, 1)
+    ]
+    + [
+        ({"quantale": "bool2", "objects": {}, "tasks": [{"op": "compose"}]},
+         "task 0 (compose): missing field 'outer'"),
     ],
 )
 def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, located):
@@ -619,11 +623,135 @@ def test_composite_off_its_endpoints_is_a_failed_check(tmp_path, capsys, composi
     }
     code, tasks = _ncat_report(
         tmp_path, capsys, literal,
-        [{"op": "validate", "target": "M"}, {"op": "lawvere", "target": "M"}],
+        [{"op": "validate", "target": "M"}, {"op": "lawvere", "target": "M"},
+         {"op": "split", "target": "M"}, {"op": "split", "target": "M", "strict": True}],
     )
     assert code == 1
-    validate, lawvere = tasks
+    validate, lawvere, *splits = tasks
     failed = {c["check"]: c["witness"] for c in validate["details"]["checks"] if not c["ok"]}
     assert failed == {"composition-endpoints": ["e", "e"]}
     assert lawvere["verdict"] == "fail"
     assert lawvere["details"]["error"] == "not a normed category"
+    # split has the category precondition too, strict or not
+    for split in splits:
+        assert split["verdict"] == "fail"
+        assert split["details"]["error"] == "not a category"
+        evidence = split["details"]["evidence"]
+        assert {c["check"]: c["witness"] for c in evidence if not c["ok"]} == failed
+
+
+def test_validate_split_and_lawvere_share_each_scan(tmp_path, capsys, monkeypatch):
+    from quantcat import ncat, vcat
+
+    calls = {}
+    for module, name in (
+        (ncat, "validate_category"), (ncat, "norm_checks"), (ncat, "validate_ncat"),
+        (vcat, "validate_vcat"),
+    ):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    f = tmp_path / "shared.json"
+    f.write_text(
+        json.dumps({
+            "quantale": "bool2",
+            "objects": {"M": SPLIT_NCAT, "X": TWO_POINTS},
+            "tasks": [
+                {"op": "split", "target": "M"},
+                {"op": "validate", "target": "M"},
+                {"op": "split", "target": "M", "strict": True},
+                {"op": "lawvere", "target": "M"},
+                {"op": "validate", "target": "X"},
+                {"op": "lawvere", "target": "X"},
+            ],
+        }),
+        encoding="utf-8",
+    )
+    code, report, _ = run_json(capsys, str(f))
+    assert code == 0 and len(report["tasks"]) == 6
+    assert calls == {"validate_category": 1, "norm_checks": 1, "validate_vcat": 1}
+
+
+def _i_embedded_literal(objects, matrix):
+    """The ncat literal of ``i_embed_cat`` on a distance matrix, with the
+    arrow x → y named x + y."""
+    return {
+        "kind": "ncat",
+        "objects": objects,
+        "morphisms": [
+            {"id": x + y, "dom": x, "cod": y, "norm": matrix[i][j]}
+            for i, x in enumerate(objects)
+            for j, y in enumerate(objects)
+        ],
+        "identities": {x: x + x for x in objects},
+        "compose": [[y + z, x + y, x + z] for x in objects for y in objects for z in objects],
+    }
+
+
+@pytest.mark.parametrize(
+    "quantale, literal",
+    [
+        # decide-vcat shapes: nine discrete points, a chain
+        ("bool2", {"kind": "vcat", "objects": [f"p{i}" for i in range(9)],
+                   "dist": [["1" if i == j else "0" for j in range(9)] for i in range(9)]}),
+        ("chain4", {"kind": "vcat", "objects": ["p", "q", "r"],
+                    "dist": [["1", "a", "a"], ["0", "1", "b"], ["0", "0", "1"]]}),
+        # i-embedded shapes: a bool2 chain, a chain3 space
+        ("bool2", _i_embedded_literal(
+            ["p", "q", "r"], [["1", "1", "1"], ["0", "1", "1"], ["0", "0", "1"]])),
+        ("chain3", _i_embedded_literal(["p", "q"], [["1", "m"], ["0", "1"]])),
+        # the split monoid: guards at idempotents that are not identities
+        ("chain3", SPLIT_NCAT),
+        # a left-zero monoid normed 0 off the identity: at e = 1 the 27
+        # conjugate families exceed the 8 assignments, so budget 26 stops
+        # at the natural-transformation guard
+        ("bool2", {
+            "kind": "ncat", "objects": ["x"],
+            "morphisms": [{"id": m, "dom": "x", "cod": "x", "norm": n}
+                          for m, n in (("1", "1"), ("a", "0"), ("b", "0"))],
+            "identities": {"x": "1"},
+            "compose": [["1", m, m] for m in "1ab"] + [[z, m, z] for z in "ab" for m in "1ab"],
+        }),
+    ],
+)
+def test_theorem_path_fires_the_search_paths_guards(
+    tmp_path, capsys, monkeypatch, quantale, literal
+):
+    from quantcat import common, ncat, vcat
+    from quantcat.quantale import builtin_quantale
+
+    f = tmp_path / "guards.json"
+    f.write_text(
+        json.dumps({"quantale": quantale, "objects": {"T": literal},
+                    "tasks": [{"op": "lawvere", "target": "T"}]}),
+        encoding="utf-8",
+    )
+
+    def run(budget, search):
+        """The guards fired, and main's (exit code, stdout, stderr)."""
+        fired = []
+
+        def recorded(needed, budget, what, skipped=None):
+            fired.append((what, needed, skipped))
+            common.guard_count(needed, budget, what, skipped)
+
+        with monkeypatch.context() as m:
+            for module in (vcat, ncat):
+                m.setattr(module, "guard_count", recorded)
+                if search:
+                    m.setattr(module, "unit_criterion", lambda q: False)
+            code = main([str(f), "--json", "--budget", str(budget)])
+        out, err = capsys.readouterr()
+        return fired, (code, out, err)
+
+    assert vcat.unit_criterion(builtin_quantale(quantale))
+    guards, outcome = run(4096, search=False)
+    assert outcome[0] == 0 and guards
+    assert run(4096, search=True) == (guards, outcome)
+    for needed in sorted({needed for _, needed, _ in guards if needed > 1}):
+        theorem = run(needed - 1, search=False)
+        assert theorem == run(needed - 1, search=True), needed
+        code, out, err = theorem[1]
+        assert code == 3 and out == "" and err.startswith("budget exceeded: "), err

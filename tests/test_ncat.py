@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from quantcat.common import BudgetExceeded, PreconditionError
@@ -32,6 +35,7 @@ from quantcat.ncat import (
     split_idempotents_check,
     strict_subcategory,
     sup_change_of_base,
+    validate_category,
     validate_ncat,
     validate_ndist,
     validate_nfunctor,
@@ -671,6 +675,20 @@ def test_lawvere_ncat_matches_brute_force(q1, q2, q3, q4chain, q4bool, qluka, qa
     assert {(True, None), (False, 1), (False, 2), "PreconditionError"} <= outcomes
 
 
+def test_theorem_path_equals_the_search(
+    q1, q2, q3, q4chain, q4bool, qluka, qabove, monkeypatch
+):
+    from quantcat import ncat
+
+    fixtures = list(_differential_fixtures(q1, q2, q3, q4chain, q4bool, qluka, qabove))
+    # bool4 and the trivial quantale keep the search on the decision's path
+    assert {ncat.unit_criterion(A.quantale) for A in fixtures} == {True, False}
+    theorem = [_decision_outcome(is_lawvere_complete_ncat, A, 4096) for A in fixtures]
+    monkeypatch.setattr(ncat, "unit_criterion", lambda q: False)
+    search = [_decision_outcome(is_lawvere_complete_ncat, A, 4096) for A in fixtures]
+    assert search == theorem
+
+
 def test_norm_assignments_match_filtered_product(
     q1, q2, q3, q4chain, q4bool, qluka, qabove
 ):
@@ -903,3 +921,78 @@ def test_indexed_validation_names_the_unindexed_first_witness(
     for A in fixtures + [A for A, _ in broken]:
         expected = _validation_outcome(unindexed_validate_ncat, A)
         assert _validation_outcome(validate_ncat, A) == expected, A
+
+
+def _magmas_with_identity(q2):
+    """Every composition table on one object x with morphisms 1, a, b and 1
+    the identity (81 tables, most of them not associative), alone and with a
+    thin object y reached by r: x → y, listed before or after x's morphisms;
+    h with codomain y receives no hom-set of two morphisms."""
+    ms = ["1", "a", "b"]
+    for products in product(ms, repeat=4):
+        table = {("1", m): m for m in ms} | {(m, "1"): m for m in ms}
+        table |= dict(zip([("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")], products))
+        yield NormedCategory(
+            q2, ["x"], ms, {m: "x" for m in ms}, {m: "x" for m in ms}, {"x": "1"},
+            table, {m: "1" for m in ms},
+        )
+        wide = table | {("r", m): "r" for m in ms} | {("1y", "r"): "r", ("1y", "1y"): "1y"}
+        dom = {m: "x" for m in ms} | {"r": "x", "1y": "y"}
+        cod = {m: "x" for m in ms} | {"r": "y", "1y": "y"}
+        for morphisms in (ms + ["r", "1y"], ["r", "1y"] + ms):
+            yield NormedCategory(
+                q2, ["x", "y"], morphisms, dom, cod, {"x": "1", "y": "1y"}, wide,
+                {m: "1" for m in morphisms},
+            )
+
+
+def _path_with_two_diagonals(q2):
+    """f: v → w, g: w → y, h: y → x with (h∘g)∘f = p and h∘(g∘f) = p' ≠ p:
+    A(v, x) is the one hom-set of two morphisms, and h's domain y receives
+    none."""
+    ends = {
+        "f": ("v", "w"), "g": ("w", "y"), "h": ("y", "x"), "k": ("v", "y"),
+        "m": ("w", "x"), "p": ("v", "x"), "p'": ("v", "x"),
+    } | {"1" + o: (o, o) for o in "vwyx"}
+    table = {("g", "f"): "k", ("h", "g"): "m", ("h", "k"): "p'", ("m", "f"): "p"}
+    for f, (a, b) in ends.items():
+        table |= {(f, "1" + a): f, ("1" + b, f): f}
+    return NormedCategory(
+        q2, list("vwyx"), list(ends), {f: a for f, (a, _) in ends.items()},
+        {f: b for f, (_, b) in ends.items()}, {o: "1" + o for o in "vwyx"}, table,
+        {f: "1" for f in ends},
+    )
+
+
+def test_associativity_skip_names_the_unskipped_first_witness(q2):
+    from helpers import unindexed_validate_ncat
+
+    failures = Counter()
+    broken = [A for A, _ in _hand_broken(q2)] + [_path_with_two_diagonals(q2)]
+    for A in broken + list(_magmas_with_identity(q2)):
+        expected = _validation_outcome(unindexed_validate_ncat, A)
+        assert _validation_outcome(validate_ncat, A) == expected, A
+        failures.update(c.name for c in validate_ncat(A).failures())
+    assert failures["associativity"] > 100
+
+
+def test_associativity_scan_visits_no_triple_of_a_thin_category(q3):
+    # the composition table is read once per composable pair (endpoints) and
+    # twice per morphism (identity laws), and never for a triple
+    class CountingTable(dict):
+        reads = 0
+
+        def __getitem__(self, key):
+            CountingTable.reads += 1
+            return super().__getitem__(key)
+
+    n = 4
+    X = vcat_from_matrix(
+        q3,
+        [f"p{i}" for i in range(n)],
+        [["1" if i <= j else "m" for j in range(n)] for i in range(n)],
+    )
+    A = i_embed_cat(X)
+    A.table = CountingTable(A.table)
+    assert validate_category(A).ok
+    assert CountingTable.reads == n ** 3 + 2 * n ** 2

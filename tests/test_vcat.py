@@ -389,6 +389,21 @@ def test_totally_compact_examples(q2, q3, q4bool, q1):
     assert not totally_compact_unit(q1)  # the empty cover reaches the unit
 
 
+def test_unit_criterion_on_the_carriers(q1, q2, q3, q4chain, q4bool, qluka, qabove):
+    for q, holds in (
+        (q2, True), (q3, True), (q4chain, True), (qluka, True), (qabove, True),
+        (q4bool, False), (q1, False),
+    ):
+        splits = all(
+            q.leq(q.unit, u) and q.leq(q.unit, v)
+            for u in q.carrier()
+            for v in q.carrier()
+            if q.leq(q.unit, q.tensor(u, v))
+        )
+        assert unit_tensor_splits(q) == splits
+        assert vcat.unit_criterion(q) == (totally_compact_unit(q) and splits) == holds
+
+
 def test_crafted_bool4_incomplete(q4bool):
     # two far-apart points with witness mass split between the atoms
     q = q4bool
@@ -457,23 +472,88 @@ def test_lawvere_budget_fields_match_distributor_oracle(q4bool):
             assert got.startswith("LawvereVerdict(complete=False")
 
 
-def test_matrix_weights_is_the_bimodule_filtered_product(q2):
-    # every 2×2 and 3×3 bool2 matrix, V-category or not, bottom entries included
+def test_matrix_weights_is_the_bimodule_filtered_product(q2, q3):
+    # every 2×2 and 3×3 bool2 matrix and every 2×2 chain3 matrix, V-category
+    # or not, bottom entries included: criterion carriers, whose decisions
+    # no longer run the search
     vcategories = set()
-    for n in (2, 3):
+    for q, n in ((q2, 2), (q2, 3), (q3, 2)):
         objects = [f"o{i}" for i in range(n)]
-        for entries in product(q2.carrier(), repeat=n * n):
+        for entries in product(q.carrier(), repeat=n * n):
             D = [list(entries[i * n:(i + 1) * n]) for i in range(n)]
-            X = vcat_from_matrix(q2, objects, D)
+            X = vcat_from_matrix(q, objects, D)
             expected = []
-            for pvec in product(q2.carrier(), repeat=n):
+            for pvec in product(q.carrier(), repeat=n):
                 phi = left_weight(X, dict(zip(objects, pvec)))
                 if validate_vdist(phi).ok:
                     cvec = coweight_vector(isbell_conjugate_weight(phi))
                     expected.append((pvec, tuple(cvec[x] for x in objects)))
-            assert list(matrix_weights(q2, D, list(zip(*D)))) == expected, D
+            assert list(matrix_weights(q, D, list(zip(*D)))) == expected, D
             vcategories.add(validate_vcat(X).ok)
     assert vcategories == {True, False}
+
+
+def test_adjoint_weights_match_the_oracle_on_criterion_carriers(
+    q2, q3, q4chain, qluka, qabove
+):
+    # the decisions skip the search on these carriers; the search itself
+    # still yields every adjoint pair, each with its representability witness
+    spaces = (
+        X
+        for q, max_objects in ((q2, 3), (q3, 2), (q4chain, 2), (qluka, 2), (qabove, 2))
+        for n in range(max_objects + 1)
+        for X in all_vcategories(q, [f"o{i}" for i in range(n)], budget=10**6)
+    )
+    pairs = 0
+    for X in spaces:
+        assert vcat.unit_criterion(X.quantale)
+        expected = []
+        for phi, psi in brute_adjoint_pairs(X):
+            a = is_representable(phi, psi)
+            member = None if a is None else (X.objects.index(a),) * 2
+            expected.append((
+                tuple(weight_vector(phi).values()),
+                tuple(coweight_vector(psi).values()),
+                member,
+            ))
+        assert list(vcat._adjoint_weights(X, 10**6)) == expected, X
+        pairs += len(expected)
+    assert pairs > 100
+
+
+def reflexive_vcategories(q, n):
+    """``all_vcategories`` on o0 .. o(n-1) for a carrier whose unit is the
+    top: reflexivity fixes the diagonal at the top, so only the off-diagonal
+    entries are enumerated, in the same order (``all_vcategories`` walks all
+    |V|^(n²) matrices, seconds for chain4 at n = 3)."""
+    assert q.unit == q.top
+    objects = [f"o{i}" for i in range(n)]
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for entries in product(q.carrier(), repeat=len(off)):
+        matrix = [[q.top] * n for _ in range(n)]
+        for (i, j), v in zip(off, entries):
+            matrix[i][j] = v
+        X = vcat_from_matrix(q, objects, matrix)
+        if validate_vcat(X).ok:
+            yield X
+
+
+def test_theorem_path_equals_the_search(q2, q3, q4chain, monkeypatch):
+    # every V-category over bool2, chain3 and chain4 with up to three objects
+    spaces = []
+    for q in (q2, q3, q4chain):
+        assert vcat.unit_criterion(q)
+        for n in range(4):
+            found = list(reflexive_vcategories(q, n))
+            if n <= 2:
+                objects = [f"o{i}" for i in range(n)]
+                every = all_vcategories(q, objects, budget=10**6)
+                assert [X.dist for X in found] == [X.dist for X in every]
+            spaces += found
+    assert len(spaces) == 986
+    theorem = [repr(lawvere_complete_vcat(X)) for X in spaces]
+    monkeypatch.setattr(vcat, "unit_criterion", lambda q: False)
+    assert [repr(lawvere_complete_vcat(X)) for X in spaces] == theorem
 
 
 def test_counit_holds_and_adjointness_is_one_join(
