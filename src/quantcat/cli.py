@@ -18,6 +18,7 @@ the human-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -209,7 +210,7 @@ def _parse_vdist(inst: Instance, spec: dict) -> vcat_mod.VDistributor:
     for i, x in enumerate(source.objects):
         for j, y in enumerate(target.objects):
             values[(x, y)] = parse_value(q, rows[i][j])
-    return vcat_mod.VDistributor(source, target, values)
+    return vcat_mod.VDistributor.trusted(source, target, values)
 
 
 def _parse_weight_pair(inst: Instance, spec: dict) -> vcat_mod.VWeightPair:
@@ -887,7 +888,10 @@ def human_report(report: dict, elapsed: float) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call to ``main`` and shared
+    by later calls: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quantcat",
         description="Run validations, decisions, and constructions from an instance file.",
@@ -901,7 +905,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--probe", type=int, default=3, help="probe object size bound for (C2b)"
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         budget = args.budget if args.budget is not None else default_budget()
         if budget <= 0:

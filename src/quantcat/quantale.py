@@ -10,11 +10,25 @@ Two carrier realizations:
   Values are ``fractions.Fraction`` or the ``INF`` mark; no floats anywhere.
 
 All operations are pure; quantale objects are immutable after construction.
+
+Each class composes quantale-valued matrices with one hook,
+``compose_matrices``, the join-of-tensors product that ``vcat.compose_vdist``
+runs.  On the extended rationals it works on integers, by the scaling lemma:
+for an integer L > 0, u ↦ L·u is an order isomorphism of [0, inf) onto
+L·[0, inf) with L·(u + v) = L·u + L·v and L²·(u·v) = (L·u)·(L·v).  With L the
+lcm of the finite denominators of both matrices every L·u is an integer, so
+the min-plus (or min-times) product runs on ``int``s and each entry is
+divided by L (or L²) once at the end: exact, with one ``Fraction`` per
+distinct entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import chain
+from math import lcm
+from operator import add
 from typing import Any, Iterable, Sequence
 
 from .common import CarrierMismatch, Report
@@ -44,7 +58,9 @@ def as_extended_rational(x: Any) -> Fraction | _Infinity:
     """Parse ``x`` into an exact extended nonnegative rational.
 
     Accepts Fraction, int, strings like ``"3"``, ``"1/2"``, ``"inf"``.
-    Floats are rejected: the kernel is exact.
+    Floats are rejected: the kernel is exact.  ``"n"`` and ``"n/d"`` in ASCII
+    digits are read with ``int``; every other string goes to
+    ``Fraction(str)``.  A zero denominator raises ``CarrierMismatch``.
     """
     if isinstance(x, _Infinity):
         return INF
@@ -58,10 +74,21 @@ def as_extended_rational(x: Any) -> Fraction | _Infinity:
         s = x.strip().lower()
         if s in ("inf", "infinity", "∞", "oo"):
             return INF
-        value = Fraction(s)
+        num, slash, den = s.partition("/")
+        try:
+            if not num.isascii() or not num.isdigit():
+                value = Fraction(s)
+            elif not slash:
+                value = Fraction(int(num))
+            elif den.isascii() and den.isdigit():
+                value = Fraction(int(num), int(den))
+            else:
+                value = Fraction(s)
+        except ZeroDivisionError:
+            raise CarrierMismatch(f"zero denominator: {x!r}") from None
     else:
         raise CarrierMismatch(f"not an extended rational: {x!r}")
-    if value < 0:
+    if value.numerator < 0:
         raise CarrierMismatch(f"negative value outside [0, inf]: {x!r}")
     return value
 
@@ -246,6 +273,16 @@ class FiniteQuantale:
             w for w in self.carrier() if self._leq[self._tensor[w][u]][v]
         )
 
+    def compose_matrices(self, rows, cols) -> list[list[int]]:
+        """The product of an n×m matrix given by its ``rows`` and an m×p
+        matrix given by its ``cols``: entry (x, z) is
+        ⋁_y cols[z][y] ⊗ rows[x][y], ⊥ when m = 0, folded on the tables."""
+        join, tensor = self.join, self._tensor
+        return [
+            [join([tensor[c][r] for r, c in zip(row, col)]) for col in cols]
+            for row in rows
+        ]
+
     # -- misc ---------------------------------------------------------------
 
     def __eq__(self, other):
@@ -291,7 +328,10 @@ class LawvereQuantale:
         return as_extended_rational(raw)
 
     def format(self, u) -> str:
-        u = self.check(u)
+        """``u`` as the file format writes it; a ``Fraction``, as every
+        finite canonical value is, is not checked again."""
+        if type(u) is not Fraction:
+            u = self.check(u)
         return "inf" if u is INF else str(u)
 
     def leq(self, u, v) -> bool:
@@ -333,6 +373,50 @@ class LawvereQuantale:
         if v is INF:
             return INF
         return v / u
+
+    def compose_matrices(self, rows, cols) -> list[list]:
+        """The product of an n×m matrix given by its ``rows`` and an m×p
+        matrix given by its ``cols``: entry (x, z) is
+        ⋁_y cols[z][y] ⊗ rows[x][y], ``INF`` when m = 0.
+
+        By the scaling lemma (module docstring) each finite u becomes the
+        integer L·u, L the lcm of the finite denominators; the join (numeric
+        min) then runs over ``int`` sums, or products, and each distinct best
+        is divided by L, or L², into one ``Fraction``.  In additive mode INF
+        is an integer above every sum of two finite entries; in
+        multiplicative mode it is None and its terms are skipped, so
+        0 ⊗ INF = INF.
+        """
+        finite = [v for m in (rows, cols) for line in m for v in line if v is not INF]
+        scale = lcm(*{v.denominator for v in finite})
+        additive = self.mode == "additive"
+        # L·u ≤ L·numerator(u), so twice the largest bound lies below inf
+        inf = 2 * scale * max((v.numerator for v in finite), default=0) + 1 if additive else None
+
+        def scaled(m):
+            return [
+                [inf if v is INF else v.numerator * (scale // v.denominator) for v in line]
+                for line in m
+            ]
+
+        rows, cols = scaled(rows), scaled(cols)
+        if additive:
+            best = [[min(map(add, row, col), default=inf) for col in cols] for row in rows]
+            value = {b: INF if b >= inf else Fraction(b, scale) for b in chain(*best)}
+        else:
+            best = [
+                [
+                    min(
+                        (r * c for r, c in zip(row, col) if r is not None and c is not None),
+                        default=None,
+                    )
+                    for col in cols
+                ]
+                for row in rows
+            ]
+            square = scale * scale
+            value = {b: INF if b is None else Fraction(b, square) for b in chain(*best)}
+        return [[value[b] for b in line] for line in best]
 
     def __eq__(self, other):
         return isinstance(other, LawvereQuantale) and self.mode == other.mode
@@ -572,7 +656,10 @@ BUILTIN_QUANTALES = {
 }
 
 
+@cache
 def builtin_quantale(name: str) -> Quantale:
+    """The built-in quantale ``name``, built once per process: quantale
+    objects are immutable."""
     try:
         return BUILTIN_QUANTALES[name]()
     except KeyError:

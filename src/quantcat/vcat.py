@@ -2,7 +2,14 @@
 
 Distributors between finite V-categories are quantale-valued matrices; their
 composite is a join-of-tensors matrix product (min-plus style over the
-additive Lawvere carrier, relational composition over the two-chain).
+additive Lawvere carrier, relational composition over the two-chain), run by
+the quantale's ``compose_matrices``: on table indices over a finite carrier,
+and on integers over the extended rationals.  Scaling lemma: multiplying
+every finite value by the lcm L > 0 of their denominators preserves the order
+and turns u + v into L·u + L·v and u·v into (L·u)(L·v)/L², so the product is
+computed exactly on ``int``s and divided back once per entry.  The composite
+is built from the canonical values the hook returns and is not checked again.
+
 Adjunction checking, Isbell conjugation, representability, and a
 Lawvere-completeness decision over finite quantales live here.  The decision
 searches weights only: right adjoints of distributors are unique, and a
@@ -162,6 +169,16 @@ class VDistributor:
                     raise ValueError(f"value missing for pair {(x, y)!r}")
                 self.values[(x, y)] = self.quantale.check(values[(x, y)])
 
+    @classmethod
+    def trusted(cls, source: VCategory, target: VCategory, values: dict) -> VDistributor:
+        """A distributor whose ``values`` are canonical and given for every
+        (x, y), as a quantale operation returns them: not checked again."""
+        phi = cls.__new__(cls)
+        phi.quantale, phi.source, phi.target, phi.values = (
+            source.quantale, source, target, values
+        )
+        return phi
+
     def at(self, x, y):
         return self.values[(x, y)]
 
@@ -225,24 +242,42 @@ class VWeightPair:
 
 
 def validate_vcat(X: VCategory) -> Report:
+    """Reflexivity k ≤ X(x,x) and transitivity X(y,z) ⊗ X(x,y) ≤ X(x,z),
+    each failure named by its first witness in object order.  Over a finite
+    carrier the transitivity scan reads index rows of the tables."""
     q = X.quantale
+    objects = X.objects
     report = Report()
-    refl = next((x for x in X.objects if not q.leq(q.unit, X.d(x, x))), None)
+    refl = next((x for x in objects if not q.leq(q.unit, X.d(x, x))), None)
     report.add(
         "reflexivity",
         refl is None,
         None if refl is None else f"{refl!r}: k ≰ {q.format(X.d(refl, refl))}",
     )
-    tri = next(
-        (
-            (x, y, z)
-            for x in X.objects
-            for y in X.objects
-            for z in X.objects
-            if not q.leq(q.tensor(X.d(y, z), X.d(x, y)), X.d(x, z))
-        ),
-        None,
-    )
+    if q.is_finite:
+        leq, tensor = q.leq_table, q.tensor_table
+        D = [[X.dist[(x, y)] for y in objects] for x in objects]
+        tri = next(
+            (
+                (objects[i], objects[j], objects[k])
+                for i, row in enumerate(D)
+                for j, xy in enumerate(row)
+                for k, (yz, xz) in enumerate(zip(D[j], row))
+                if not leq[tensor[yz][xy]][xz]
+            ),
+            None,
+        )
+    else:
+        tri = next(
+            (
+                (x, y, z)
+                for x in objects
+                for y in objects
+                for z in objects
+                if not q.leq(q.tensor(X.d(y, z), X.d(x, y)), X.d(x, z))
+            ),
+            None,
+        )
     report.add("transitivity", tri is None, tri)
     return report
 
@@ -294,14 +329,12 @@ def compose_vdist(psi: VDistributor, phi: VDistributor) -> VDistributor:
     """The composite ψ·φ: X ⇸ Z with (ψ·φ)(x,z) = ⋁_y ψ(y,z) ⊗ φ(x,y)."""
     if phi.target != psi.source:
         raise ValueError("middle categories do not match")
-    q = phi.quantale
-    mid = phi.target.objects
-    values = {
-        (x, z): q.join(q.tensor(psi.at(y, z), phi.at(x, y)) for y in mid)
-        for x in phi.source.objects
-        for z in psi.target.objects
-    }
-    return VDistributor(phi.source, psi.target, values)
+    X, mid, Z = phi.source.objects, phi.target.objects, psi.target.objects
+    rows = [[phi.values[(x, y)] for y in mid] for x in X]
+    cols = [[psi.values[(y, z)] for y in mid] for z in Z]
+    matrix = phi.quantale.compose_matrices(rows, cols)
+    values = {(x, z): v for x, row in zip(X, matrix) for z, v in zip(Z, row)}
+    return VDistributor.trusted(phi.source, psi.target, values)
 
 
 def f_lower(f: VFunctor) -> VDistributor:

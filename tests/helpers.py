@@ -83,6 +83,41 @@ def brute_lawvere_vcat(X, budget=DEFAULT_BUDGET) -> LawvereVerdict:
     return LawvereVerdict(True, witnesses)
 
 
+def join_of_tensors(q, rows, cols):
+    """The matrix product of ``compose_matrices`` by its definition: entry
+    (x, z) is the join over y of cols[z][y] ⊗ rows[x][y], one ``tensor``
+    and one ``join`` per term."""
+    return [
+        [q.join(q.tensor(c, r) for r, c in zip(row, col)) for col in cols]
+        for row in rows
+    ]
+
+
+def method_validate_vcat(X) -> Report:
+    """``validate_vcat`` by n³ calls of ``X.d``, ``q.tensor`` and ``q.leq``
+    in object order: the reference first witnesses on every carrier."""
+    q = X.quantale
+    report = Report()
+    refl = next((x for x in X.objects if not q.leq(q.unit, X.d(x, x))), None)
+    report.add(
+        "reflexivity",
+        refl is None,
+        None if refl is None else f"{refl!r}: k ≰ {q.format(X.d(refl, refl))}",
+    )
+    tri = next(
+        (
+            (x, y, z)
+            for x in X.objects
+            for y in X.objects
+            for z in X.objects
+            if not q.leq(q.tensor(X.d(y, z), X.d(x, y)), X.d(x, z))
+        ),
+        None,
+    )
+    report.add("transitivity", tri is None, tri)
+    return report
+
+
 def norm_assignment_ok(A, Phi) -> bool:
     """Whether Φ's norms make it a normed functor: |h| ⊗ |f| ≤ |h∘f|."""
     q = A.quantale

@@ -11,6 +11,7 @@ from quantcat.cli import (
     parse_instance,
     serialize_instance,
 )
+from quantcat.quantale import builtin_quantale
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -498,6 +499,12 @@ def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located)
     + [
         ({"quantale": "bool2", "objects": {}, "tasks": [{"op": "compose"}]},
          "task 0 (compose): missing field 'outer'"),
+    ]
+    + [
+        ({"quantale": "lawvere-plus",
+          "objects": {"X": {"kind": "vcat", "objects": ["p"], "dist": [[zero]]}},
+          "tasks": []}, f"input error: object 'X': zero denominator: '{zero}'")
+        for zero in ("1/0", "0/0")
     ],
 )
 def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, located):
@@ -506,6 +513,16 @@ def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, 
     assert main([str(f)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and located in err, err
+
+
+def test_repeated_main_calls_parse_their_own_flags(capsys, monkeypatch):
+    monkeypatch.delenv("QUANTCAT_BUDGET", raising=False)
+    code, report, _ = run_json(capsys, path("compose.json"), "--budget", "7", "--probe", "2")
+    assert (code, report["budget"], report["probe_bound"]) == (0, 7, 2)
+    monkeypatch.setenv("QUANTCAT_BUDGET", "11")
+    assert main([path("compose.json")]) == 0
+    assert "(budget 11, probe bound 3, " in capsys.readouterr().out
+    assert builtin_quantale("bool4") is builtin_quantale("bool4")
 
 
 def _json_nodes(data, where=()):

@@ -2,7 +2,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from quantcat.common import CarrierMismatch
 from quantcat.ncat import NormedCategory
@@ -493,3 +493,135 @@ def test_unit_approximated(q2, q3, q4bool, q1):
 def test_builtin_registry_unknown():
     with pytest.raises(ValueError):
         builtin_quantale("nope")
+
+
+def test_builtin_quantales_are_built_once():
+    for name in FINITE_BUILTINS + ("lawvere-plus", "lawvere-times"):
+        assert builtin_quantale(name) is builtin_quantale(name)
+
+
+# ---------------------------------------------------------------------------
+# parsing extended rationals
+
+
+def fraction_str_parse(x):
+    """The string path of ``as_extended_rational`` without the ``int`` fast
+    path: everything but INF goes to ``Fraction(str)``."""
+    s = x.strip().lower()
+    if s in ("inf", "infinity", "∞", "oo"):
+        return INF
+    value = Fraction(s)
+    if value < 0:
+        raise CarrierMismatch(f"negative value outside [0, inf]: {x!r}")
+    return value
+
+
+def parse_outcome(parse, x):
+    try:
+        value = parse(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+@given(st.text(alphabet="0123456789/ .e-+_٣", max_size=6))
+@example("7/3")
+@example(" 10/4 ")
+@example("007/014")
+@example("1/0")
+@example("0/0")
+@example("٣/2")
+@example("1_0")
+@example("3/")
+@example("-1/2")
+@example("1e2/3")
+@example("²")
+def test_int_fast_path_accepts_and_rejects_like_fraction_str(x):
+    expected = parse_outcome(fraction_str_parse, x)
+    got = parse_outcome(as_extended_rational, x)
+    if expected[0] is ZeroDivisionError:
+        assert got == (CarrierMismatch, f"zero denominator: {x!r}")
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("raw", ["1/0", "0/0", " 3/0 ", "1/00", "1_0/0"])
+def test_zero_denominator_is_a_carrier_mismatch(qplus, qtimes, raw):
+    for q in (qplus, qtimes):
+        with pytest.raises(CarrierMismatch, match="zero denominator"):
+            q.parse(raw)
+
+
+def test_format_checks_only_what_is_not_a_fraction(qplus):
+    assert [qplus.format(v) for v in (INF, Fraction(3, 6), "2/4", 3, "inf")] == [
+        "inf", "1/2", "1/2", "3", "inf",
+    ]
+    for raw in (-1, "-1/2", object(), 0.5):
+        with pytest.raises(CarrierMismatch):
+            qplus.format(raw)
+
+
+# ---------------------------------------------------------------------------
+# the matrix composition hook
+
+
+def lawvere_matrices(rng, shape, pool):
+    """Random rows (n×m) and cols (p×m) over ``pool``, plus the same pair
+    with an INF row, an INF column, a zero row and a zero column spliced in
+    where the shape has them."""
+    n, m, p = shape
+    rows = [[rng.choice(pool) for _ in range(m)] for _ in range(n)]
+    cols = [[rng.choice(pool) for _ in range(m)] for _ in range(p)]
+    yield rows, cols
+    if n > 1 and p > 1:
+        yield [[INF] * m] + rows[1:], cols[:-1] + [[INF] * m]
+        yield rows[:-1] + [[Fraction(0)] * m], [[Fraction(0)] * m] + cols[1:]
+
+
+def test_compose_matrices_match_the_fold_on_extended_rationals(qplus, qtimes):
+    import random
+
+    from helpers import join_of_tensors
+
+    rng = random.Random(12)
+    pools = [
+        [Fraction(a, d) for a in (1, 5, 7, 13) for d in range(1, 13)],
+        [Fraction(0), INF] + [Fraction(a, d) for a in range(4) for d in (1, 2, 3, 12)],
+        [INF, Fraction(0), Fraction(1)],
+        [INF],
+    ]
+    shapes = [
+        (1, 1, 1), (2, 3, 4), (4, 3, 2), (3, 1, 3), (1, 5, 1), (5, 5, 5),
+        (2, 0, 3), (0, 2, 3), (3, 2, 0), (0, 0, 0),
+    ]
+    for q in (qplus, qtimes):
+        for pool in pools:
+            for shape in shapes:
+                for rows, cols in lawvere_matrices(rng, shape, pool):
+                    got = q.compose_matrices(rows, cols)
+                    assert got == join_of_tensors(q, rows, cols), (q, rows, cols)
+                    assert all(v is INF or type(v) is Fraction for row in got for v in row)
+                    assert [len(row) for row in got] == [shape[2]] * shape[0]
+
+
+def test_compose_matrices_keep_zero_times_inf_infinite(qtimes, qplus):
+    zero = Fraction(0)
+    assert qtimes.compose_matrices([[zero]], [[INF]]) == [[INF]]
+    assert qtimes.compose_matrices([[zero, INF]], [[INF, zero]]) == [[INF]]
+    assert qtimes.compose_matrices([[zero, INF]], [[Fraction(7, 3), zero]]) == [[zero]]
+    # an empty middle category: every entry is the bottom
+    assert qplus.compose_matrices([[], []], [[]]) == [[INF], [INF]]
+
+
+@pytest.mark.parametrize("name", FINITE_BUILTINS)
+def test_compose_matrices_match_the_fold_on_every_2x2_pair(name):
+    from itertools import product
+
+    from helpers import join_of_tensors
+
+    q = builtin_quantale(name)
+    matrices = [[list(v[:2]), list(v[2:])] for v in product(q.carrier(), repeat=4)]
+    for rows in matrices:
+        for cols in matrices:
+            assert q.compose_matrices(rows, cols) == join_of_tensors(q, rows, cols)
+    assert q.compose_matrices([[], []], [[]]) == [[q.bottom], [q.bottom]]

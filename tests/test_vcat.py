@@ -134,6 +134,36 @@ def test_validate_triangle_failure(qplus):
     assert ("a", "b", "c") in [c.witness for c in report.failures()]
 
 
+def test_validate_vcat_table_scan_matches_the_method_scan(
+    q2, q3, q4chain, q4bool, qluka, qabove
+):
+    import random
+
+    from quantcat.quantale import FiniteQuantale
+
+    # an unvalidated table whose tensor u ⊗ v = u is not commutative, so the
+    # scan must read X(y,z) ⊗ X(x,y) in that order
+    left = FiniteQuantale(["0", "1", "2"], [[i <= j for j in range(3)] for i in range(3)],
+                          [[u] * 3 for u in range(3)], "2")
+    rng = random.Random(3)
+    for q, exhaustive in ((q2, 3), (q3, 2), (q4chain, 2), (q4bool, 2), (qluka, 2),
+                          (qabove, 2), (left, 2)):
+        matrices = [
+            [list(v[i * n:(i + 1) * n]) for i in range(n)]
+            for n in range(exhaustive + 1)
+            for v in product(q.carrier(), repeat=n * n)
+        ]
+        # random larger ones, half of them reflexive so the scan goes deeper
+        matrices += [
+            [[q.unit if i == j and reflexive else rng.choice(q.carrier())
+              for j in range(n)] for i in range(n)]
+            for n in (4, 5) for reflexive in (False, True) for _ in range(100)
+        ]
+        for matrix in matrices:
+            X = vcat_from_matrix(q, [f"o{i}" for i in range(len(matrix))], matrix)
+            assert validate_vcat(X) == helpers.method_validate_vcat(X), (q, matrix)
+
+
 def test_validate_vfunctor(qplus):
     X = metric2(qplus, Fraction(2), Fraction(2))
     Y = metric2(qplus, Fraction(1), Fraction(1))
@@ -209,6 +239,40 @@ def test_compose_associative_on_sampled_distributors(q2, q3):
                     assert compose_vdist(h, compose_vdist(g, f)) == compose_vdist(
                         compose_vdist(h, g), f
                     )
+
+
+def test_compose_runs_the_quantale_hook_without_a_rational_op(qplus, monkeypatch):
+    import random
+
+    from quantcat.quantale import LawvereQuantale
+
+    rng = random.Random(5)
+    X, Y, Z = (
+        vcat_from_matrix(qplus, objects, [[0] * len(objects)] * len(objects))
+        for objects in (["a", "b", "c"], ["p", "q", "r", "s"], ["u", "v"])
+    )
+
+    def random_vdist(source, target):
+        return VDistributor(source, target, {
+            (x, y): rng.choice([INF, Fraction(rng.randint(0, 9), rng.randint(1, 12))])
+            for x in source.objects for y in target.objects
+        })
+
+    phi, psi = random_vdist(X, Y), random_vdist(Y, Z)
+    rows = [[phi.at(x, y) for y in Y.objects] for x in X.objects]
+    cols = [[psi.at(y, z) for y in Y.objects] for z in Z.objects]
+    expected = helpers.join_of_tensors(qplus, rows, cols)
+    calls = Counter()
+    for name in ("tensor", "join"):
+        def counted(*args, _fn=getattr(LawvereQuantale, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(LawvereQuantale, name, counted)
+    got = compose_vdist(psi, phi)
+    assert calls == Counter()
+    assert [[got.at(x, z) for z in Z.objects] for x in X.objects] == expected
+    assert (got.source, got.target, got.quantale) == (X, Z, qplus)
 
 
 # ---------------------------------------------------------------------------
