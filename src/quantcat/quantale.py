@@ -13,13 +13,14 @@ All operations are pure; quantale objects are immutable after construction.
 
 Each class composes quantale-valued matrices with one hook,
 ``compose_matrices``, the join-of-tensors product that ``vcat.compose_vdist``
-runs.  On the extended rationals it works on integers, by the scaling lemma:
-for an integer L > 0, u ↦ L·u is an order isomorphism of [0, inf) onto
-L·[0, inf) with L·(u + v) = L·u + L·v and L²·(u·v) = (L·u)·(L·v).  With L the
-lcm of the finite denominators of both matrices every L·u is an integer, so
-the min-plus (or min-times) product runs on ``int``s and each entry is
-divided by L (or L²) once at the end: exact, with one ``Fraction`` per
-distinct entry.
+runs.  In additive mode on the extended rationals it works on integers, by
+the scaling lemma: for an integer L > 0, u ↦ L·u is an order isomorphism of
+[0, inf) onto L·[0, inf) with L·(u + v) = L·u + L·v.  With L the lcm of the
+finite denominators of both matrices every L·u is an integer, so the min-plus
+product runs on ``int``s and each entry is divided by L once at the end:
+exact, with one ``Fraction`` per distinct entry.  The gain rests on L staying
+small (a few distinct denominators), so that the scaled entries are
+machine-sized ints; the multiplicative mode keeps the ``Fraction`` fold.
 """
 
 from __future__ import annotations
@@ -379,19 +380,23 @@ class LawvereQuantale:
         matrix given by its ``cols``: entry (x, z) is
         ⋁_y cols[z][y] ⊗ rows[x][y], ``INF`` when m = 0.
 
-        By the scaling lemma (module docstring) each finite u becomes the
-        integer L·u, L the lcm of the finite denominators; the join (numeric
-        min) then runs over ``int`` sums, or products, and each distinct best
-        is divided by L, or L², into one ``Fraction``.  In additive mode INF
-        is an integer above every sum of two finite entries; in
-        multiplicative mode it is None and its terms are skipped, so
-        0 ⊗ INF = INF.
+        In additive mode, by the scaling lemma (module docstring), each
+        finite u becomes the integer L·u, L the lcm of the finite
+        denominators; the join (numeric min) runs over ``int`` sums with INF
+        an integer above every sum of two finite entries, and each distinct
+        best is divided by L into one ``Fraction``.  The multiplicative mode
+        folds ``join`` over ``tensor``.
         """
+        if self.mode != "additive":
+            join, tensor = self.join, self.tensor
+            return [
+                [join(tensor(c, r) for r, c in zip(row, col)) for col in cols]
+                for row in rows
+            ]
         finite = [v for m in (rows, cols) for line in m for v in line if v is not INF]
         scale = lcm(*{v.denominator for v in finite})
-        additive = self.mode == "additive"
         # L·u ≤ L·numerator(u), so twice the largest bound lies below inf
-        inf = 2 * scale * max((v.numerator for v in finite), default=0) + 1 if additive else None
+        inf = 2 * scale * max((v.numerator for v in finite), default=0) + 1
 
         def scaled(m):
             return [
@@ -400,22 +405,8 @@ class LawvereQuantale:
             ]
 
         rows, cols = scaled(rows), scaled(cols)
-        if additive:
-            best = [[min(map(add, row, col), default=inf) for col in cols] for row in rows]
-            value = {b: INF if b >= inf else Fraction(b, scale) for b in chain(*best)}
-        else:
-            best = [
-                [
-                    min(
-                        (r * c for r, c in zip(row, col) if r is not None and c is not None),
-                        default=None,
-                    )
-                    for col in cols
-                ]
-                for row in rows
-            ]
-            square = scale * scale
-            value = {b: INF if b is None else Fraction(b, square) for b in chain(*best)}
+        best = [[min(map(add, row, col), default=inf) for col in cols] for row in rows]
+        value = {b: INF if b >= inf else Fraction(b, scale) for b in chain(*best)}
         return [[value[b] for b in line] for line in best]
 
     def __eq__(self, other):

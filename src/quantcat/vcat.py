@@ -4,11 +4,12 @@ Distributors between finite V-categories are quantale-valued matrices; their
 composite is a join-of-tensors matrix product (min-plus style over the
 additive Lawvere carrier, relational composition over the two-chain), run by
 the quantale's ``compose_matrices``: on table indices over a finite carrier,
-and on integers over the extended rationals.  Scaling lemma: multiplying
-every finite value by the lcm L > 0 of their denominators preserves the order
-and turns u + v into L·u + L·v and u·v into (L·u)(L·v)/L², so the product is
-computed exactly on ``int``s and divided back once per entry.  The composite
-is built from the canonical values the hook returns and is not checked again.
+and on integers over the additive extended rationals.  Scaling lemma:
+multiplying every finite value by the lcm L > 0 of their denominators
+preserves the order and turns u + v into L·u + L·v, so the min-plus product
+is computed exactly on ``int``s and divided back once per entry; it pays
+while L is small.  The composite is built from the canonical values the hook
+returns and is not checked again.
 
 Adjunction checking, Isbell conjugation, representability, and a
 Lawvere-completeness decision over finite quantales live here.  The decision
@@ -243,8 +244,8 @@ class VWeightPair:
 
 def validate_vcat(X: VCategory) -> Report:
     """Reflexivity k ≤ X(x,x) and transitivity X(y,z) ⊗ X(x,y) ≤ X(x,z),
-    each failure named by its first witness in object order.  Over a finite
-    carrier the transitivity scan reads index rows of the tables."""
+    each failure named by its first witness in object order.  The
+    transitivity scan reads the rows of the distance matrix."""
     q = X.quantale
     objects = X.objects
     report = Report()
@@ -254,30 +255,18 @@ def validate_vcat(X: VCategory) -> Report:
         refl is None,
         None if refl is None else f"{refl!r}: k ≰ {q.format(X.d(refl, refl))}",
     )
-    if q.is_finite:
-        leq, tensor = q.leq_table, q.tensor_table
-        D = [[X.dist[(x, y)] for y in objects] for x in objects]
-        tri = next(
-            (
-                (objects[i], objects[j], objects[k])
-                for i, row in enumerate(D)
-                for j, xy in enumerate(row)
-                for k, (yz, xz) in enumerate(zip(D[j], row))
-                if not leq[tensor[yz][xy]][xz]
-            ),
-            None,
-        )
-    else:
-        tri = next(
-            (
-                (x, y, z)
-                for x in objects
-                for y in objects
-                for z in objects
-                if not q.leq(q.tensor(X.d(y, z), X.d(x, y)), X.d(x, z))
-            ),
-            None,
-        )
+    leq, tensor = q.leq, q.tensor
+    D = [[X.dist[(x, y)] for y in objects] for x in objects]
+    tri = next(
+        (
+            (objects[i], objects[j], objects[k])
+            for i, row in enumerate(D)
+            for j, xy in enumerate(row)
+            for k, (yz, xz) in enumerate(zip(D[j], row))
+            if not leq(tensor(yz, xy), xz)
+        ),
+        None,
+    )
     report.add("transitivity", tri is None, tri)
     return report
 

@@ -11,7 +11,6 @@ from quantcat.cli import (
     parse_instance,
     serialize_instance,
 )
-from quantcat.quantale import builtin_quantale
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -522,7 +521,6 @@ def test_repeated_main_calls_parse_their_own_flags(capsys, monkeypatch):
     monkeypatch.setenv("QUANTCAT_BUDGET", "11")
     assert main([path("compose.json")]) == 0
     assert "(budget 11, probe bound 3, " in capsys.readouterr().out
-    assert builtin_quantale("bool4") is builtin_quantale("bool4")
 
 
 def _json_nodes(data, where=()):

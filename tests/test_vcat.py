@@ -134,8 +134,8 @@ def test_validate_triangle_failure(qplus):
     assert ("a", "b", "c") in [c.witness for c in report.failures()]
 
 
-def test_validate_vcat_table_scan_matches_the_method_scan(
-    q2, q3, q4chain, q4bool, qluka, qabove
+def test_validate_vcat_row_scan_matches_the_method_scan(
+    q2, q3, q4chain, q4bool, qluka, qabove, qplus, qtimes
 ):
     import random
 
@@ -162,6 +162,16 @@ def test_validate_vcat_table_scan_matches_the_method_scan(
         for matrix in matrices:
             X = vcat_from_matrix(q, [f"o{i}" for i in range(len(matrix))], matrix)
             assert validate_vcat(X) == helpers.method_validate_vcat(X), (q, matrix)
+    # the extended rationals: values with small denominators, 0 and inf
+    values = [INF, Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3)]
+    for q in (qplus, qtimes):
+        for n in (2, 3, 4, 5):
+            for reflexive in (False, True):
+                for _ in range(100):
+                    matrix = [[q.unit if i == j and reflexive else rng.choice(values)
+                               for j in range(n)] for i in range(n)]
+                    X = vcat_from_matrix(q, [f"o{i}" for i in range(n)], matrix)
+                    assert validate_vcat(X) == helpers.method_validate_vcat(X), (q, matrix)
 
 
 def test_validate_vfunctor(qplus):
