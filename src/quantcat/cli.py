@@ -4,7 +4,7 @@ An instance file is strict JSON with three top-level fields: a quantale
 (built-in name or finite table), a dictionary of named objects, and a task
 list.  Quantale elements are referenced by name in finite carriers; the
 extended-rational carriers accept integers and strings like ``"1/2"`` or
-``"inf"`` (floats are rejected everywhere).
+``"inf"`` (floats are rejected everywhere, and so is exponent notation).
 
 Commands: validate, compose, adjoint, isbell, representable, lawvere,
 split, cauchy, colimit, forward-limit, lipnorm.
@@ -369,160 +369,20 @@ def load_instance(path: str) -> Instance:
 
 
 # ---------------------------------------------------------------------------
-# serialization (round-trip support)
+# apex rendering
 
 
-def serialize_instance(inst: Instance) -> dict:
-    q = inst.quantale
-    objects = {}
-    for name, (kind, value) in inst.objects.items():
-        objects[name] = _SERIALIZERS[kind](inst, value)
-        objects[name]["kind"] = kind
-    return {"quantale": inst.quantale_spec, "objects": objects, "tasks": inst.tasks}
-
-
-def _ser_normed_set(inst, A: NormedSet) -> dict:
+def _ser_normed_set(A: NormedSet) -> dict:
     q = A.quantale
     return {"elements": [{"id": e, "norm": q.format(A.norm(e))} for e in A]}
 
 
-def _ser_vcat(inst, X: VCategory) -> dict:
+def _ser_vcat(X: VCategory) -> dict:
     q = X.quantale
     return {
         "objects": list(X.objects),
         "dist": [[q.format(X.d(a, b)) for b in X.objects] for a in X.objects],
     }
-
-
-def _ser_ncat(inst, A: ncat_mod.NormedCategory) -> dict:
-    q = A.quantale
-    return {
-        "objects": list(A.objects),
-        "morphisms": [
-            {"id": m, "dom": A.dom[m], "cod": A.cod[m], "norm": q.format(A.norm[m])}
-            for m in A.morphisms
-        ],
-        "identities": dict(A.identity),
-        "compose": sorted([g, f, gf] for (g, f), gf in A.table.items()),
-    }
-
-
-def _ser_vdist(inst, d: vcat_mod.VDistributor) -> dict:
-    q = d.quantale
-    source_name = _find_name(inst, d.source)
-    target_name = _find_name(inst, d.target)
-    return {
-        "source": source_name,
-        "target": target_name,
-        "values": [
-            [q.format(d.at(x, y)) for y in d.target.objects]
-            for x in d.source.objects
-        ],
-    }
-
-
-def _find_name(inst: Instance, value) -> str:
-    for name, (_, v) in inst.objects.items():
-        if v is value or v == value:
-            return name
-    raise InputError("object cannot be serialized: no name refers to it")
-
-
-def _ser_weight_pair(inst, wp: vcat_mod.VWeightPair) -> dict:
-    q = wp.phi.quantale
-    X = wp.phi.target
-    return {
-        "space": _find_name(inst, X),
-        "phi": {x: q.format(v) for x, v in vcat_mod.weight_vector(wp.phi).items()},
-        "psi": {x: q.format(v) for x, v in vcat_mod.coweight_vector(wp.psi).items()},
-    }
-
-
-def _ser_ndist(inst, Phi: ncat_mod.NormedDistributor) -> dict:
-    q = Phi.quantale
-    return {
-        "category": _find_name(inst, Phi.category),
-        "variance": "covariant" if Phi.covariant else "contravariant",
-        "sets": {
-            a: [{"id": e, "norm": q.format(S.norm(e))} for e in S]
-            for a, S in Phi.sets.items()
-        },
-        "action": {h: dict(t) for h, t in Phi.action.items()},
-    }
-
-
-def _ser_certificate(inst, cert: ncat_mod.AdjunctionCertificate) -> dict:
-    return {
-        "phi": _find_name(inst, cert.phi),
-        "psi": _find_name(inst, cert.psi),
-        "eps": [
-            {"a": a, "b": b, "map": sorted([y, x, m] for (y, x), m in table.items())}
-            for (a, b), table in sorted(cert.eps.items())
-        ],
-        "c": cert.c,
-        "u": cert.u,
-        "v": cert.v,
-    }
-
-
-def _ser_sequence(inst, s: seq_mod.Sequence) -> dict:
-    if s.kind == "ncat":
-        return {
-            "ambient": s.kind,
-            "category": _find_name(inst, s.category),
-            "prefix": [
-                {"object": o, "step": st}
-                for o, st in zip(s.prefix_objects, s.prefix_steps)
-            ],
-            "tail": {"object": s.tail_object, "endo": s.tail_endo},
-        }
-    ser_obj = _ser_normed_set if s.kind == "nset" else _ser_vcat
-    out = {
-        "ambient": s.kind,
-        "prefix": [
-            {"object": ser_obj(inst, o), "step": st}
-            for o, st in zip(s.prefix_objects, s.prefix_steps)
-        ],
-        "tail": {"object": ser_obj(inst, s.tail_object), "endo": s.tail_endo},
-    }
-    if s.kind == "dset" and s.norm_quantale != s.quantale:
-        out["odot"] = quantale_spec_of(s.norm_quantale)
-    return out
-
-
-def quantale_spec_of(q: Quantale):
-    """A file-format spec naming q: a built-in name when one matches, else
-    the full table."""
-    for name, factory in BUILTIN_QUANTALES.items():
-        if factory() == q:
-            return name
-    return {
-        "elements": list(q.names),
-        "leq": [[q.leq(u, v) for v in q.carrier()] for u in q.carrier()],
-        "tensor": [[q.name(q.tensor(u, v)) for v in q.carrier()] for u in q.carrier()],
-        "unit": q.name(q.unit),
-    }
-
-
-def _ser_metric_sequence(inst, ms: seq_mod.MetricSequence) -> dict:
-    return {
-        "space": _find_name(inst, ms.space),
-        "prefix_points": list(ms.prefix),
-        "tail": {"points": list(ms.tail), "period": len(ms.tail)},
-    }
-
-
-_SERIALIZERS = {
-    "normed_set": _ser_normed_set,
-    "vcat": _ser_vcat,
-    "ncat": _ser_ncat,
-    "vdist": _ser_vdist,
-    "weight_pair": _ser_weight_pair,
-    "ndist": _ser_ndist,
-    "certificate": _ser_certificate,
-    "sequence": _ser_sequence,
-    "metric_sequence": _ser_metric_sequence,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -727,13 +587,13 @@ def _task_colimit(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     try:
         if s.kind == "nset":
             apex, gamma = seq_mod.colimit_nset(s)
-            apex_out = _ser_normed_set(inst, apex)
+            apex_out = _ser_normed_set(apex)
         elif s.kind == "dset":
             if task.get("vlip"):
                 apex, gamma = seq_mod.colimit_vlip(s)
             else:
                 apex, gamma = seq_mod.colimit_dset(s)
-            apex_out = _ser_vcat(inst, apex)
+            apex_out = _ser_vcat(apex)
         else:
             raise InputError("colimit construction applies to set-like ambients")
     except PreconditionError as exc:

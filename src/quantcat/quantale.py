@@ -59,9 +59,10 @@ def as_extended_rational(x: Any) -> Fraction | _Infinity:
     """Parse ``x`` into an exact extended nonnegative rational.
 
     Accepts Fraction, int, strings like ``"3"``, ``"1/2"``, ``"inf"``.
-    Floats are rejected: the kernel is exact.  ``"n"`` and ``"n/d"`` in ASCII
-    digits are read with ``int``; every other string goes to
-    ``Fraction(str)``.  A zero denominator raises ``CarrierMismatch``.
+    Floats are rejected: the kernel is exact.  Exponent notation is rejected
+    too: ``Fraction("1e10000000")`` builds the whole integer.  ``"n"`` and
+    ``"n/d"`` in ASCII digits are read with ``int``; every other string goes
+    to ``Fraction(str)``.  A zero denominator raises ``CarrierMismatch``.
     """
     if isinstance(x, _Infinity):
         return INF
@@ -75,6 +76,8 @@ def as_extended_rational(x: Any) -> Fraction | _Infinity:
         s = x.strip().lower()
         if s in ("inf", "infinity", "∞", "oo"):
             return INF
+        if "e" in s:
+            raise CarrierMismatch(f"exponent notation is not accepted: {x!r}")
         num, slash, den = s.partition("/")
         try:
             if not num.isascii() or not num.isdigit():

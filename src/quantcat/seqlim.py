@@ -11,6 +11,26 @@ Three ambients are supported: normed sets with arbitrary maps, distance sets
 (arbitrary quantale-valued distance matrices) with arbitrary maps normed by
 the residuation meet over ordered pairs, and a finite normed category.
 
+Composite norms
+---------------
+The composite-norm law |s_{n,l}| ⊗ |s_{m,n}| ≤ |s_{m,l}| is a theorem in
+every ambient, so ``validate_sequence`` reports it without computing a map
+norm.  Residuation in a commutative quantale gives
+
+    hom(v, w) ⊗ hom(u, v) ≤ hom(u, w),
+
+since hom(v, w) ⊗ hom(u, v) ⊗ u ≤ hom(v, w) ⊗ v ≤ w (Lawvere 1973;
+Hofmann–Seal–Tholen 2014, *Monoidal Topology*).  For maps f: A → B and
+g: B → C of normed sets, |f| = ⋀_a hom(|a|, |f a|) is below
+hom(|a|, |f a|), and |g| below hom(|f a|, |g f a|), for each a.  Since ⊗ is
+monotone, |g| ⊗ |f| ≤ hom(|a|, |g f a|) for each a, hence
+|g| ⊗ |f| ≤ |g ∘ f|.  The Lipschitz norm of a distance-set map is the same
+meet over ordered pairs, taken in the norm quantale, and the argument is
+the same there.  In a normed category the law is the category's own
+submultiplicativity.  The precondition is that the quantales passed
+``validate_quantale``, as every quantale the file front end builds does; the
+window scan that checks the law by exhaustion is the tests' oracle.
+
 Colimit norms
 -------------
 The colimit of a Cauchy sequence of normed sets is the quotient of its stages
@@ -287,37 +307,12 @@ def is_cauchy(s: Sequence) -> bool:
     return q.leq(q.unit, cauchy_value(s))
 
 
-def validate_sequence(s: Sequence, window: int | None = None) -> Report:
-    """Shape checks plus the composite-norm law on a finite window."""
+def validate_sequence(s: Sequence) -> Report:
+    """Shape checks plus the composite-norm law, which holds by residuation
+    (see the module docstring); the shapes were checked at construction."""
     report = Report()
     report.add("shapes", True)
-    if s.kind == NCAT:
-        report.add("composite-norms", True, "category law")
-        return report
-    powers, transient, period = s.tail_powers()
-    window = window if window is not None else s.n0 + transient + period
-    q = s.norm_quantale
-    # |s_{m,n}| for m ≤ n < window, one map norm each, row by row:
-    # s_{m,m} = id and s_{m,n+1} = step_n ∘ s_{m,n}
-    norm = {}
-    for m in range(window):
-        acc = {x: x for x in s._elements(s.object_at(m))}
-        for n in range(m, window):
-            if n > m:
-                acc = s._compose(s.step_at(n - 1), acc)
-            norm[m, n] = s.map_norm_of(acc, s.object_at(m), s.object_at(n))
-
-    bad = next(
-        (
-            (m, n, l)
-            for m in range(window)
-            for n in range(m, window)
-            for l in range(n, window)
-            if not q.leq(q.tensor(norm[n, l], norm[m, n]), norm[m, l])
-        ),
-        None,
-    )
-    report.add("composite-norms", bad is None, bad)
+    report.add("composite-norms", True, "category law" if s.kind == NCAT else None)
     return report
 
 

@@ -2,6 +2,7 @@
 
 from itertools import product
 
+from quantcat.cli import InputError, _ser_normed_set, _ser_vcat
 from quantcat.common import DEFAULT_BUDGET, PreconditionError, Report, guard_count
 from quantcat.ncat import (
     NcatLawvereVerdict,
@@ -15,7 +16,7 @@ from quantcat.ncat import (
     validate_ncat,
 )
 from quantcat.normed_set import NormedMap, NormedSet
-from quantcat.quantale import require_finite
+from quantcat.quantale import BUILTIN_QUANTALES, require_finite
 from quantcat.seqlim import _set_colimit
 from quantcat.vcat import (
     LawvereVerdict,
@@ -417,3 +418,180 @@ def bool4_split_witness_vcat(q4bool):
     """Two far-apart points over the Boolean diamond: adjoint mass splits
     between the atoms, so no single representability witness exists."""
     return vcat_from_matrix(q4bool, ["x1", "x2"], [["top", "bot"], ["bot", "top"]])
+
+
+def brute_composite_norms(s, window=None) -> Report:
+    """The composite-norm law |s_{n,l}| ⊗ |s_{m,n}| ≤ |s_{m,l}| by exhaustion
+    on a finite window (default prefix + transient + period): one map norm
+    per window pair, then every triple.  A normed-category ambient reports
+    the category law without a scan."""
+    report = Report()
+    report.add("shapes", True)
+    if s.kind == "ncat":
+        report.add("composite-norms", True, "category law")
+        return report
+    powers, transient, period = s.tail_powers()
+    window = window if window is not None else s.n0 + transient + period
+    q = s.norm_quantale
+    # |s_{m,n}| for m ≤ n < window, one map norm each, row by row:
+    # s_{m,m} = id and s_{m,n+1} = step_n ∘ s_{m,n}
+    norm = {}
+    for m in range(window):
+        acc = {x: x for x in s._elements(s.object_at(m))}
+        for n in range(m, window):
+            if n > m:
+                acc = s._compose(s.step_at(n - 1), acc)
+            norm[m, n] = s.map_norm_of(acc, s.object_at(m), s.object_at(n))
+
+    bad = next(
+        (
+            (m, n, l)
+            for m in range(window)
+            for n in range(m, window)
+            for l in range(n, window)
+            if not q.leq(q.tensor(norm[n, l], norm[m, n]), norm[m, l])
+        ),
+        None,
+    )
+    report.add("composite-norms", bad is None, bad)
+    return report
+
+
+# ---------------------------------------------------------------------------
+# serialization of parsed instances (round-trip support)
+
+
+def serialize_instance(inst) -> dict:
+    objects = {}
+    for name, (kind, value) in inst.objects.items():
+        objects[name] = _SERIALIZERS[kind](inst, value)
+        objects[name]["kind"] = kind
+    return {"quantale": inst.quantale_spec, "objects": objects, "tasks": inst.tasks}
+
+
+def _find_name(inst, value) -> str:
+    for name, (_, v) in inst.objects.items():
+        if v is value or v == value:
+            return name
+    raise InputError("object cannot be serialized: no name refers to it")
+
+
+def _ser_ncat(inst, A) -> dict:
+    q = A.quantale
+    return {
+        "objects": list(A.objects),
+        "morphisms": [
+            {"id": m, "dom": A.dom[m], "cod": A.cod[m], "norm": q.format(A.norm[m])}
+            for m in A.morphisms
+        ],
+        "identities": dict(A.identity),
+        "compose": sorted([g, f, gf] for (g, f), gf in A.table.items()),
+    }
+
+
+def _ser_vdist(inst, d) -> dict:
+    q = d.quantale
+    return {
+        "source": _find_name(inst, d.source),
+        "target": _find_name(inst, d.target),
+        "values": [
+            [q.format(d.at(x, y)) for y in d.target.objects]
+            for x in d.source.objects
+        ],
+    }
+
+
+def _ser_weight_pair(inst, wp) -> dict:
+    q = wp.phi.quantale
+    return {
+        "space": _find_name(inst, wp.phi.target),
+        "phi": {x: q.format(v) for x, v in weight_vector(wp.phi).items()},
+        "psi": {x: q.format(v) for x, v in coweight_vector(wp.psi).items()},
+    }
+
+
+def _ser_ndist(inst, Phi) -> dict:
+    q = Phi.quantale
+    return {
+        "category": _find_name(inst, Phi.category),
+        "variance": "covariant" if Phi.covariant else "contravariant",
+        "sets": {
+            a: [{"id": e, "norm": q.format(S.norm(e))} for e in S]
+            for a, S in Phi.sets.items()
+        },
+        "action": {h: dict(t) for h, t in Phi.action.items()},
+    }
+
+
+def _ser_certificate(inst, cert) -> dict:
+    return {
+        "phi": _find_name(inst, cert.phi),
+        "psi": _find_name(inst, cert.psi),
+        "eps": [
+            {"a": a, "b": b, "map": sorted([y, x, m] for (y, x), m in table.items())}
+            for (a, b), table in sorted(cert.eps.items())
+        ],
+        "c": cert.c,
+        "u": cert.u,
+        "v": cert.v,
+    }
+
+
+def _ser_sequence(inst, s) -> dict:
+    if s.kind == "ncat":
+        return {
+            "ambient": s.kind,
+            "category": _find_name(inst, s.category),
+            "prefix": [
+                {"object": o, "step": st}
+                for o, st in zip(s.prefix_objects, s.prefix_steps)
+            ],
+            "tail": {"object": s.tail_object, "endo": s.tail_endo},
+        }
+    ser_obj = _ser_normed_set if s.kind == "nset" else _ser_vcat
+    out = {
+        "ambient": s.kind,
+        "prefix": [
+            {"object": ser_obj(o), "step": st}
+            for o, st in zip(s.prefix_objects, s.prefix_steps)
+        ],
+        "tail": {"object": ser_obj(s.tail_object), "endo": s.tail_endo},
+    }
+    if s.kind == "dset" and s.norm_quantale != s.quantale:
+        out["odot"] = quantale_spec_of(s.norm_quantale)
+    return out
+
+
+def quantale_spec_of(q):
+    """A file-format spec naming q: a built-in name when one matches, else
+    the full table."""
+    for name, factory in BUILTIN_QUANTALES.items():
+        if factory() == q:
+            return name
+    return {
+        "elements": list(q.names),
+        "leq": [[q.leq(u, v) for v in q.carrier()] for u in q.carrier()],
+        "tensor": [[q.name(q.tensor(u, v)) for v in q.carrier()] for u in q.carrier()],
+        "unit": q.name(q.unit),
+    }
+
+
+def _ser_metric_sequence(inst, ms) -> dict:
+    return {
+        "space": _find_name(inst, ms.space),
+        "prefix_points": list(ms.prefix),
+        "tail": {"points": list(ms.tail), "period": len(ms.tail)},
+    }
+
+
+_SERIALIZERS = {
+    "normed_set": lambda inst, A: _ser_normed_set(A),
+    "vcat": lambda inst, X: _ser_vcat(X),
+    "ncat": _ser_ncat,
+    "vdist": _ser_vdist,
+    "weight_pair": _ser_weight_pair,
+    "ndist": _ser_ndist,
+    "certificate": _ser_certificate,
+    "sequence": _ser_sequence,
+    "metric_sequence": _ser_metric_sequence,
+}

@@ -506,10 +506,13 @@ def test_builtin_quantales_are_built_once():
 
 def fraction_str_parse(x):
     """The string path of ``as_extended_rational`` without the ``int`` fast
-    path: everything but INF goes to ``Fraction(str)``."""
+    path: everything but INF and exponent notation goes to
+    ``Fraction(str)``."""
     s = x.strip().lower()
     if s in ("inf", "infinity", "∞", "oo"):
         return INF
+    if "e" in s:
+        raise CarrierMismatch(f"exponent notation is not accepted: {x!r}")
     value = Fraction(s)
     if value < 0:
         raise CarrierMismatch(f"negative value outside [0, inf]: {x!r}")
@@ -535,6 +538,7 @@ def parse_outcome(parse, x):
 @example("3/")
 @example("-1/2")
 @example("1e2/3")
+@example(" 1E5 ")
 @example("²")
 def test_int_fast_path_accepts_and_rejects_like_fraction_str(x):
     expected = parse_outcome(fraction_str_parse, x)

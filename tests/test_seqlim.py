@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -8,7 +9,7 @@ from itertools import product
 import pytest
 
 from quantcat import seqlim
-from quantcat.cli import main
+from quantcat.cli import load_instance, main
 from quantcat.common import BudgetExceeded, PreconditionError
 from quantcat.normed_set import NormedMap, NormedSet
 from quantcat.quantale import INF, builtin_quantale
@@ -39,6 +40,7 @@ from quantcat.vcat import VCategory, is_symmetric, validate_vcat
 from conftest import lukasiewicz3
 from helpers import (
     brute_c2b_check,
+    brute_composite_norms,
     brute_c2b_reduction,
     brute_colimit_dset,
     brute_colimit_nset,
@@ -117,27 +119,121 @@ def test_validate_sequence(q2):
 # normed-set colimits
 
 
-@pytest.mark.parametrize("window", [None, 7])
-def test_validate_sequence_norms_each_step_map_once(q3, monkeypatch, window):
-    # two prefix stages and a tail with transient 1 and period 2: W = 5
-    stage = NormedSet(q3, {"p": "m", "r": "1"})
-    T = NormedSet(q3, {"a": "1", "b": "m", "c": "1"})
-    s = Sequence(
-        "nset", [stage, stage], [{"p": "p", "r": "r"}, {"p": "a", "r": "b"}],
-        T, {"a": "b", "b": "c", "c": "b"},
-    )
+def _checks(report):
+    return [(c.name, c.ok, c.witness) for c in report.checks]
+
+
+def _sequence_in(ambient, q3):
+    if ambient == "nset":
+        # two prefix stages and a tail with transient 1 and period 2
+        stage = NormedSet(q3, {"p": "m", "r": "1"})
+        T = NormedSet(q3, {"a": "1", "b": "m", "c": "1"})
+        return Sequence(
+            "nset", [stage, stage], [{"p": "p", "r": "r"}, {"p": "a", "r": "b"}],
+            T, {"a": "b", "b": "c", "c": "b"},
+        )
+    if ambient == "dset":
+        X = two_point_space(q3, "m")
+        return Sequence(
+            "dset", [X], [{"x": "y", "y": "x"}], X, {"x": "y", "y": "y"},
+            norm_quantale=lukasiewicz3("m"),
+        )
+    return Sequence("ncat", ["b"], ["s"], "a", "e", category=split_monoid_cat(q3))
+
+
+@pytest.mark.parametrize("ambient", ["nset", "dset", "ncat"])
+def test_validate_sequence_computes_no_map_norm(q3, monkeypatch, ambient):
+    s = _sequence_in(ambient, q3)
     calls = []
-    norm_of = Sequence.map_norm_of
+    for name in ("map_norm_of", "tail_powers"):
+        method = getattr(Sequence, name)
 
-    def counted(self, *args):
-        calls.append(args)
-        return norm_of(self, *args)
+        def counted(self, *args, _method=method, _name=name):
+            calls.append(_name)
+            return _method(self, *args)
 
-    monkeypatch.setattr(Sequence, "map_norm_of", counted)
-    report = validate_sequence(s, window)
-    assert report.ok
-    W = window or 5
-    assert len(calls) <= W * (W + 1) // 2
+        monkeypatch.setattr(Sequence, name, counted)
+    report = validate_sequence(s)
+    assert calls == []
+    monkeypatch.undo()
+    assert _checks(report) == _checks(brute_composite_norms(s))
+
+
+def test_brute_composite_norms_holds_on_fixture_sequences():
+    data = os.path.join(os.path.dirname(__file__), "data")
+    seen = 0
+    for name in sorted(os.listdir(data)):
+        inst = load_instance(os.path.join(data, name))
+        for kind, value in inst.objects.values():
+            if kind == "sequence":
+                seen += 1
+                oracle = brute_composite_norms(value)
+                assert oracle.ok, name
+                assert _checks(validate_sequence(value)) == _checks(oracle), name
+    assert seen >= 6
+
+
+LAWVERE_GRID = ("0", "1/3", "1/2", "1", "2", "5/2", "inf")
+
+
+def _residuation_carriers():
+    for name in ("bool2", "chain3", "chain4", "bool4", "one"):
+        q = builtin_quantale(name)
+        yield name, q, list(q.carrier())
+    luka = lukasiewicz3()
+    yield "lukasiewicz3", luka, list(luka.carrier())
+    for name in ("lawvere-plus", "lawvere-times"):
+        q = builtin_quantale(name)
+        yield name, q, [q.parse(v) for v in LAWVERE_GRID]
+
+
+def test_residuation_composes_homs():
+    # the premise of the composite-norm lemma: hom(v,w) ⊗ hom(u,v) ≤ hom(u,w)
+    for name, q, values in _residuation_carriers():
+        for u, v, w in product(values, repeat=3):
+            assert q.leq(q.tensor(q.hom(v, w), q.hom(u, v)), q.hom(u, w)), (name, u, v, w)
+
+
+def _random_sequence(rng, ambient, q, values, odot=None):
+    """A prefix of up to two stages and a tail of one to three elements,
+    every norm or distance and every map drawn at random."""
+
+    def stage(size):
+        elems = [f"e{i}" for i in range(size)]
+        if ambient == "nset":
+            return NormedSet(q, {x: rng.choice(values) for x in elems}, elems)
+        return VCategory(q, elems, {(x, y): rng.choice(values) for x in elems for y in elems})
+
+    def elements(obj):
+        return obj.elements if ambient == "nset" else obj.objects
+
+    chain = [stage(rng.randint(1, 3)) for _ in range(rng.randint(0, 2) + 1)]
+    steps = [
+        {x: rng.choice(elements(tgt)) for x in elements(src)}
+        for src, tgt in zip(chain, chain[1:])
+    ]
+    T = chain[-1]
+    endo = {x: rng.choice(elements(T)) for x in elements(T)}
+    if ambient == "nset":
+        return Sequence("nset", chain[:-1], steps, T, endo)
+    return Sequence("dset", chain[:-1], steps, T, endo, norm_quantale=odot)
+
+
+def test_brute_composite_norms_holds_on_random_sequences():
+    rng = random.Random(13)
+    configs = [
+        (ambient, q, values, None)
+        for _, q, values in _residuation_carriers()
+        for ambient in ("nset", "dset")
+    ]
+    q3 = builtin_quantale("chain3")
+    configs.append(("dset", q3, list(q3.carrier()), lukasiewicz3("m")))
+    for ambient, q, values, odot in configs:
+        for _ in range(20):
+            s = _random_sequence(rng, ambient, q, values, odot)
+            oracle = brute_composite_norms(s)
+            assert oracle.ok, (ambient, q, odot)
+            assert _checks(validate_sequence(s)) == _checks(oracle)
 
 
 def test_colimit_constant_sequence(q2):
