@@ -159,6 +159,29 @@ def test_validate_sequence_computes_no_map_norm(q3, monkeypatch, ambient):
     assert _checks(report) == _checks(brute_composite_norms(s))
 
 
+@pytest.mark.parametrize("window", [None, 7])
+def test_validate_sequence_norms_each_step_map_once(q3, monkeypatch, window):
+    # the window oracle norms each window pair once (W = 5 by default);
+    # validate_sequence norms none and reports the oracle's checks
+    s = _sequence_in("nset", q3)
+    calls = []
+    norm_of = Sequence.map_norm_of
+
+    def counted(self, *args):
+        calls.append(args)
+        return norm_of(self, *args)
+
+    monkeypatch.setattr(Sequence, "map_norm_of", counted)
+    report = validate_sequence(s)
+    assert report.ok
+    assert calls == []
+    oracle = brute_composite_norms(s, window)
+    assert oracle.ok
+    W = window or 5
+    assert len(calls) == W * (W + 1) // 2
+    assert _checks(report) == _checks(oracle)
+
+
 def test_brute_composite_norms_holds_on_fixture_sequences():
     data = os.path.join(os.path.dirname(__file__), "data")
     seen = 0
