@@ -41,7 +41,6 @@ from .quantale import (
     Quantale,
     builtin_quantale,
     BUILTIN_QUANTALES,
-    require_finite,
     validate_quantale,
 )
 from .vcat import VCategory
@@ -166,16 +165,6 @@ class Instance:
         self.quantale = quantale
         self.objects = objects  # name -> (kind, parsed value)
         self.tasks = tasks
-        self._reports: dict = {}  # (scan, id of the object) -> Report
-
-    def report(self, scan: str, value) -> Report:
-        """The validation ``scan`` ("vcat", "category" or "ncat") of a parsed
-        object, run once: parsed objects are immutable, so the ``validate``
-        task and the preconditions of ``split`` and ``lawvere`` share it."""
-        key = (scan, id(value))
-        if key not in self._reports:
-            self._reports[key] = _SCANS[scan](self, value)
-        return self._reports[key]
 
     def resolve(self, name, kinds=None):
         if not isinstance(name, str):
@@ -186,13 +175,6 @@ class Instance:
         if kinds is not None and kind not in kinds:
             raise InputError(f"{name!r} has kind {kind}, expected one of {kinds}")
         return kind, value
-
-
-_SCANS = {
-    "vcat": lambda inst, X: vcat_mod.validate_vcat(X),
-    "category": lambda inst, A: ncat_mod.validate_category(A),
-    "ncat": lambda inst, A: ncat_mod.norm_checks(A, inst.report("category", A)),
-}
 
 
 def _parse_vdist(inst: Instance, spec: dict) -> vcat_mod.VDistributor:
@@ -412,8 +394,10 @@ def _jsonable(q: Quantale, value) -> Any:
 def _task_validate(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     kind, value = inst.resolve(task["target"])
     q = inst.quantale
-    if kind in ("vcat", "ncat"):
-        report = inst.report(kind, value)
+    if kind == "vcat":
+        report = value.report
+    elif kind == "ncat":
+        report = value.ncat_report
     elif kind == "vdist":
         report = vcat_mod.validate_vdist(value)
     elif kind == "weight_pair":
@@ -520,16 +504,15 @@ def _precondition_failure(q: Quantale, error: str, report: Report) -> dict:
 def _task_lawvere(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     q = inst.quantale
     kind, value = inst.resolve(task["target"], {"vcat", "ncat"})
-    name, error, decide = (
-        ("lawvere_complete_vcat", "not a V-category", vcat_mod.decide_lawvere_vcat)
+    error, decide = (
+        ("not a V-category", vcat_mod.lawvere_complete_vcat)
         if kind == "vcat"
-        else ("is_lawvere_complete_ncat", "not a normed category", ncat_mod.decide_lawvere_ncat)
+        else ("not a normed category", ncat_mod.is_lawvere_complete_ncat)
     )
-    require_finite(q, name)
-    report = inst.report(kind, value)
-    if not report.ok:
-        return _precondition_failure(q, error, report)
-    verdict = decide(value, budget)
+    try:
+        verdict = decide(value, budget)
+    except PreconditionError as exc:
+        return _precondition_failure(q, error, exc.value)
     if kind == "vcat":
         if verdict.complete:
             witness = [
@@ -555,9 +538,8 @@ def _task_lawvere(inst: Instance, task: dict, budget: int, probe: int) -> dict:
 
 def _task_split(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     _, A = inst.resolve(task["target"], {"ncat"})
-    report = inst.report("category", A)
-    if not report.ok:
-        return _precondition_failure(inst.quantale, "not a category", report)
+    if not A.report.ok:
+        return _precondition_failure(inst.quantale, "not a category", A.report)
     try:
         C = ncat_mod.strict_subcategory(A) if task.get("strict") else A
     except ConstructionError as exc:
@@ -768,10 +750,18 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_budget() -> int:
+    """``default_budget``, with a malformed variable as an input error."""
+    try:
+        return default_budget()
+    except ValueError as exc:
+        raise InputError(str(exc))
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        budget = args.budget if args.budget is not None else default_budget()
+        budget = args.budget if args.budget is not None else _env_budget()
         if budget <= 0:
             raise InputError("budget must be positive")
         if args.probe <= 0:

@@ -1,8 +1,9 @@
-"""Shared plumbing: exceptions, check reports, enumeration budgets, and the
-union-find."""
+"""Shared plumbing: exceptions, check reports, enumeration budgets, the
+union-find, and the cached-property idiom of the immutable structures."""
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Any
@@ -24,6 +25,21 @@ def default_budget() -> int:
     if value <= 0:
         raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
     return value
+
+
+class cached_property(functools.cached_property):
+    """``functools.cached_property`` storing with ``setattr``, for structures
+    not mutated after construction; later reads find the plain attribute.
+    The stdlib one writes through ``instance.__dict__``, which on CPython
+    3.11 moves the object's attributes out of inline storage into a dict,
+    and every later attribute read on the object takes a slower path."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        setattr(instance, self.attrname, value)
+        return value
 
 
 class CarrierMismatch(ValueError):

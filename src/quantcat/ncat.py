@@ -13,7 +13,8 @@ the naturality-filtered family set, carrying the initial-structure norm
 
 Completeness decision
 ---------------------
-``is_lawvere_complete_ncat`` decides, once ``validate_ncat`` has passed:
+``is_lawvere_complete_ncat`` decides, once the category's ``ncat_report``
+(``validate_ncat``) has passed:
 
 1. every idempotent of the strict (unit-normed) subcategory splits;
 2. every left adjoint distributor out of the one-arrow category has a
@@ -81,6 +82,7 @@ from .common import (
     PreconditionError,
     Report,
     UnionFind,
+    cached_property,
     guard_count,
 )
 from .normed_set import NormedMap, NormedSet
@@ -142,6 +144,11 @@ class PlainCategory:
             if self.dom[e] == self.cod[e] and self.compose(e, e) == e:
                 yield e
 
+    @cached_property
+    def report(self) -> Report:
+        """``validate_category`` of this category."""
+        return validate_category(self)
+
     def __repr__(self):
         return (
             f"{type(self).__name__}({len(self.objects)} objects, "
@@ -163,6 +170,11 @@ class NormedCategory(PlainCategory):
         """The hom-set as a normed set (declaration order)."""
         fs = self.hom(a, b)
         return NormedSet(self.quantale, {f: self.norm[f] for f in fs}, fs)
+
+    @cached_property
+    def ncat_report(self) -> Report:
+        """``validate_ncat`` of this normed category, from its ``report``."""
+        return norm_checks(self, self.report)
 
 
 def validate_category(C: PlainCategory) -> Report:
@@ -974,20 +986,6 @@ def idempotent_distributor_sets(A: PlainCategory, e) -> dict:
     }
 
 
-def idempotent_distributor(A: NormedCategory, e, norms: Mapping) -> NormedDistributor:
-    """The covariant distributor on the e-fixed morphisms with the
-    post-composition action and the given norm assignment."""
-    elems = idempotent_distributor_sets(A, e)
-    sets = {
-        b: NormedSet(A.quantale, {f: norms[f] for f in elems[b]}, elems[b])
-        for b in A.objects
-    }
-    action = {
-        h: {f: A.compose(h, f) for f in elems[A.dom[h]]} for h in A.morphisms
-    }
-    return NormedDistributor(A, True, sets, action)
-
-
 def idempotent_conjugate_sets(A: PlainCategory, e) -> dict:
     """The conjugate of Φ_e in closed form: per object c, the y: c → dom e
     with e∘y = y; y stands for the natural family w ↦ w∘y."""
@@ -1068,23 +1066,14 @@ def is_lawvere_complete_ncat(
     See the module docstring for the coverage argument behind the
     idempotent-indexed enumeration of clause (2) and for the closed form of
     each Φ_e's unit class.  A must be a normed category; otherwise
-    ``PreconditionError`` carries the failed ``validate_ncat`` report.  The
-    decision itself is ``decide_lawvere_ncat``.
+    ``PreconditionError`` carries the failed ``A.ncat_report``.  Under
+    ``unit_criterion`` clause (2) cannot fail, so only its guards fire.
     """
-    require_finite(A.quantale, "is_lawvere_complete_ncat")
-    report = validate_ncat(A)
-    if not report.ok:
-        raise PreconditionError("is_lawvere_complete_ncat requires a normed category", report)
-    return decide_lawvere_ncat(A, budget)
-
-
-def decide_lawvere_ncat(
-    A: NormedCategory, budget: int = DEFAULT_BUDGET
-) -> NcatLawvereVerdict:
-    """``is_lawvere_complete_ncat`` on an A that already passed
-    ``validate_ncat``.  Under ``unit_criterion`` clause (2) cannot fail, so
-    only its guards fire (see the module docstring)."""
     q = require_finite(A.quantale, "is_lawvere_complete_ncat")
+    if not A.ncat_report.ok:
+        raise PreconditionError(
+            "is_lawvere_complete_ncat requires a normed category", A.ncat_report
+        )
     ok1, bad_e = split_idempotents_check(strict_subcategory(A))
     if not ok1:
         return NcatLawvereVerdict(False, clause=1, certificate=bad_e)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Any, Iterable, Mapping
 
-from .common import DEFAULT_BUDGET, guard_count
+from .common import DEFAULT_BUDGET, cached_property, guard_count
 from .quantale import Quantale, require_same_quantale
 
 POINT = "*"
@@ -83,16 +83,14 @@ class NormedMap:
             if b not in target:
                 raise ValueError(f"image {b!r} of {a!r} not in the target")
         self.mapping = dict(mapping)
-        self._norm = None
 
     def __call__(self, a):
         return self.mapping[a]
 
-    @property
+    @cached_property
     def norm(self):
-        if self._norm is None:
-            self._norm = map_norm(self)
-        return self._norm
+        """``map_norm`` of this map."""
+        return map_norm(self)
 
     def is_strict(self) -> bool:
         q = self.source.quantale

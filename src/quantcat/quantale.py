@@ -25,6 +25,8 @@ machine-sized ints; the multiplicative mode keeps the ``Fraction`` fold.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from functools import cache
 from itertools import chain
@@ -62,7 +64,8 @@ def as_extended_rational(x: Any) -> Fraction | _Infinity:
     Floats are rejected: the kernel is exact.  Exponent notation is rejected
     too: ``Fraction("1e10000000")`` builds the whole integer.  ``"n"`` and
     ``"n/d"`` in ASCII digits are read with ``int``; every other string goes
-    to ``Fraction(str)``.  A zero denominator raises ``CarrierMismatch``.
+    to ``Fraction(str)``.  A zero denominator, a literal ``Fraction`` does
+    not read and a numeral past ``int``'s digit limit raise ``CarrierMismatch``.
     """
     if isinstance(x, _Infinity):
         return INF
@@ -90,11 +93,26 @@ def as_extended_rational(x: Any) -> Fraction | _Infinity:
                 value = Fraction(s)
         except ZeroDivisionError:
             raise CarrierMismatch(f"zero denominator: {x!r}") from None
+        except ValueError:
+            raise CarrierMismatch(_numeral_error(x)) from None
     else:
         raise CarrierMismatch(f"not an extended rational: {x!r}")
     if value.numerator < 0:
         raise CarrierMismatch(f"negative value outside [0, inf]: {x!r}")
     return value
+
+
+def _numeral_error(x: str) -> str:
+    """What is wrong with a string ``Fraction`` and ``int`` rejected, without
+    echoing a long string back.  ``int`` reads each run of digits (and
+    underscores) as one integer, so the longest run meets the digit limit."""
+    runs = re.findall(r"[\d_]+", x)
+    digits = max((len(run.replace("_", "")) for run in runs), default=0)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and digits > limit:
+        return f"numeral too long: {digits} digits (at most {limit} per integer)"
+    shown = repr(x) if len(x) <= 40 else f"{x[:20]!r}... ({len(x)} characters)"
+    return f"malformed numeral: {shown}"
 
 
 class FiniteQuantale:

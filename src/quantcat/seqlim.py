@@ -92,6 +92,7 @@ from .common import (
     PreconditionError,
     Report,
     UnionFind,
+    cached_property,
     guard_count,
 )
 from .normed_set import NormedMap, NormedSet, final_structure
@@ -102,7 +103,7 @@ from .quantale import (
     require_same_quantale,
     unit_approximated_from_totally_below,
 )
-from .vcat import VCategory, validate_vcat
+from .vcat import VCategory
 from .ncat import NormedCategory
 
 NSET = "nset"
@@ -130,7 +131,9 @@ def lip_norm(q_norm: Quantale, X: VCategory, Y: VCategory, mapping: Mapping):
 
 
 class Sequence:
-    """A prefix-plus-constant-tail sequence in one of the three ambients."""
+    """A prefix-plus-constant-tail sequence in one of the three ambients.
+    It is not mutated once its shapes are validated, so its cached
+    properties, shared by the tasks on it, hold for good."""
 
     def __init__(
         self,
@@ -152,10 +155,6 @@ class Sequence:
         self.tail_object = tail_object
         self.tail_endo = tail_endo
         self.category = category
-        # computed on first use: a sequence is not mutated once its shapes
-        # are validated
-        self._tail_cycle = None
-        self._quotient = None
         if kind == NCAT:
             if category is None:
                 raise ValueError("a normed-category sequence needs its category")
@@ -244,11 +243,20 @@ class Sequence:
             return NormedMap(src, tgt, step).norm
         return lip_norm(self.norm_quantale, src, tgt, step)
 
-    def tail_powers(self):
+    @cached_property
+    def tail_powers(self) -> tuple[list, int, int]:
         """(powers, transient, period): powers[d] is the d-th iterate."""
-        if self._tail_cycle is None:
-            self._tail_cycle = self._iterate_tail()
-        return self._tail_cycle
+        return self._iterate_tail()
+
+    @cached_property
+    def profile(self) -> NormProfile:
+        """``norm_profile`` of the sequence, shared by every Cauchy check."""
+        return norm_profile(self)
+
+    @cached_property
+    def quotient(self) -> _Quotient:
+        """The canonical quotient of the stages."""
+        return _build_quotient(self)
 
     def _iterate_tail(self):
         powers = []
@@ -285,7 +293,7 @@ class NormProfile:
 
 
 def norm_profile(s: Sequence) -> NormProfile:
-    powers, transient, period = s.tail_powers()
+    powers, transient, period = s.tail_powers
     T = s.tail_object
     norms = tuple(s.map_norm_of(p, T, T) for p in powers)
     return NormProfile(s.n0, transient, period, norms)
@@ -298,8 +306,7 @@ def cauchy_value(s: Sequence):
     transient-plus-period window of iterate norms, and the outer join
     reaches exactly that value.
     """
-    profile = norm_profile(s)
-    return s.norm_quantale.meet(profile.tail_norms)
+    return s.norm_quantale.meet(s.profile.tail_norms)
 
 
 def is_cauchy(s: Sequence) -> bool:
@@ -371,19 +378,10 @@ class _Quotient:
     labels: list  # colimit class labels, first-occurrence order
     gamma: list  # dicts element -> label, for stages 0 .. n0 + period - 1
     period: int
-    transient: int
-    class_of: dict  # (stage, element) -> label for stages < n0 + period
-
-
-def _set_colimit(s: Sequence) -> _Quotient:
-    """The canonical quotient of the stages, built once per sequence."""
-    if s._quotient is None:
-        s._quotient = _build_quotient(s)
-    return s._quotient
 
 
 def _build_quotient(s: Sequence) -> _Quotient:
-    powers, transient, period = s.tail_powers()
+    powers, transient, period = s.tail_powers
     n0 = s.n0
     horizon = n0 + period  # stages whose classes are read off
     depth = n0 + transient + period  # union-find runs this far
@@ -409,7 +407,6 @@ def _build_quotient(s: Sequence) -> _Quotient:
             order.append(labels[root])
 
     gamma = []
-    class_of = {}
     for n in range(horizon):
         comp = {}
         for x in stage_elems[n]:
@@ -419,9 +416,8 @@ def _build_quotient(s: Sequence) -> _Quotient:
                     f"stage {n} element {x!r} missed every colimit class"
                 )
             comp[x] = labels[root]
-            class_of[(n, x)] = labels[root]
         gamma.append(comp)
-    return _Quotient(order, gamma, period, transient, class_of)
+    return _Quotient(order, gamma, period)
 
 
 def _tail_window(s: Sequence, quot: _Quotient) -> list:
@@ -463,7 +459,7 @@ def colimit_nset(s: Sequence) -> tuple[NormedSet, Cocone]:
     if s.kind != NSET:
         raise ValueError("colimit_nset needs a normed-set sequence")
     _require_cauchy(s)
-    quot = _set_colimit(s)
+    quot = s.quotient
     apex = final_structure(
         s.quantale, quot.labels, [(s.tail_object, g) for g in _tail_window(s, quot)]
     )
@@ -476,7 +472,7 @@ def colimit_dset(s: Sequence) -> tuple[VCategory, Cocone]:
     if s.kind != DSET:
         raise ValueError("colimit_dset needs a distance-set sequence")
     _require_cauchy(s)
-    quot = _set_colimit(s)
+    quot = s.quotient
     qd = s.quantale
     T = _pair_set(qd, s.tail_object)
     dist = final_structure(
@@ -508,10 +504,9 @@ def colimit_vlip(s: Sequence) -> tuple[VCategory, Cocone]:
                 False,
             )
     apex, gamma = colimit_dset(s)
-    report = validate_vcat(apex)
-    if not report.ok:
+    if not apex.report.ok:
         raise ConstructionError(
-            f"colimit is not a V-category: {report.describe()}"
+            f"colimit is not a V-category: {apex.report.describe()}"
         )
     return apex, gamma
 
@@ -628,7 +623,7 @@ def verify_normed_colimit(
 
 
 def _verify_c1_sets(s: Sequence, gamma: Cocone, report: Report) -> None:
-    quot = _set_colimit(s)
+    quot = s.quotient
     horizon = s.n0 + quot.period
     # the first element whose class already took another value
     value_of = {}
@@ -638,7 +633,7 @@ def _verify_c1_sets(s: Sequence, gamma: Cocone, report: Report) -> None:
             for n in range(horizon)
             for comp in (gamma.component(n, s.n0),)
             for x in s._elements(s.object_at(n))
-            if value_of.setdefault(quot.class_of[(n, x)], comp[x]) != comp[x]
+            if value_of.setdefault(quot.gamma[n][x], comp[x]) != comp[x]
         ),
         None,
     )
@@ -736,21 +731,32 @@ class LogNorm:
 
     def exponent(self) -> Fraction | None:
         """The exact exponent when the ratio is a rational power of the
-        base; None when it is not (the value stays a tagged expression)."""
+        base; None when it is not (the value stays a tagged expression).
+
+        A rational b^x with x > 0 is an integer, so the ratio r > 1 must be
+        one.  Euclid on logarithms: write r = b^k · r' with b ∤ r'.  If
+        r' = 1, log_b r = k.  If r = b^x, r' = b^(x−k) is an integer b does
+        not divide, so r' < b; hence r' > b means no exponent.  Otherwise
+        log_b r = k + 1 / log_{r'} b: the counts k are a continued fraction."""
         if self.is_infinite():
             return None
         if self.is_zero():
             return Fraction(0)
-        for den in range(1, 25):
-            power = self.ratio**den
-            if power.denominator == 1:
-                n, num_exp = power.numerator, 0
-                while n % self.base == 0:
-                    n //= self.base
-                    num_exp += 1
-                if n == 1:
-                    return Fraction(num_exp, den)
-        return None
+        if self.ratio.denominator != 1:
+            return None
+        base, value, counts = self.base, self.ratio.numerator, []
+        while True:
+            k, value = _strip_factors(value, base)
+            counts.append(k)
+            if value == 1:
+                break
+            if value > base:
+                return None
+            base, value = value, base
+        exponent = Fraction(counts.pop())
+        for k in reversed(counts):
+            exponent = k + 1 / exponent
+        return exponent
 
     def __eq__(self, other):
         return (
@@ -769,6 +775,20 @@ class LogNorm:
         if e is not None:
             return f"LogNorm({e} = log_{self.base} {self.ratio})"
         return f"LogNorm(log_{self.base} {self.ratio})"
+
+
+def _strip_factors(value: int, base: int) -> tuple[int, int]:
+    """(k, r) with value = base^k · r and base ∤ r, dividing by base^(2^i)
+    from the largest i down: about 2 log2 k divisions rather than k."""
+    squares = [base]
+    while value % squares[-1] == 0:
+        squares.append(squares[-1] * squares[-1])
+    k = 0
+    for i in reversed(range(len(squares) - 1)):
+        if value % squares[i] == 0:
+            value //= squares[i]
+            k += 1 << i
+    return k, value
 
 
 def lipschitz_norm(

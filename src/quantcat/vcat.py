@@ -50,7 +50,7 @@ splits the tensor): ``unit_member`` never returns (True, None).  So every
 adjoint weight φ has a witness a, and then φ = X(a,−): k ≤ φ(a) and
 φ ≤ X(a,−) (from k ≤ φ⁺(a)) give X(a,c) ≤ X(a,c)⊗φ(a) ≤ φ(c).  Conversely
 each X(a,−) is left adjoint to X(−,a), and the witnesses of X(b,−) are the
-a with X(a,−) = X(b,−).  ``decide_lawvere_vcat`` then answers without the
+a with X(a,−) = X(b,−).  ``lawvere_complete_vcat`` then answers without the
 search: PASS with the distinct rows X(a,−) in the order of ``product`` (the
 order of their index tuples), each paired with the first object whose row
 it is, after the same ``|V|^n`` guard.
@@ -63,13 +63,13 @@ tests use them as the oracle of the decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from .common import (
     DEFAULT_BUDGET,
     PreconditionError,
     Report,
+    cached_property,
     guard_count,
 )
 from .quantale import (
@@ -88,7 +88,8 @@ class VCategory:
 
     The container does not enforce the axioms; ``validate_vcat`` checks
     reflexivity and transitivity, so arbitrary "distance sets" can also be
-    carried around and validated when needed.
+    carried around and validated when needed.  ``report`` is that check, run
+    once: a V-category is not mutated after construction.
     """
 
     def __init__(self, quantale: Quantale, objects, dist: Mapping):
@@ -105,6 +106,11 @@ class VCategory:
 
     def d(self, x, y):
         return self.dist[(x, y)]
+
+    @cached_property
+    def report(self) -> Report:
+        """``validate_vcat`` of this V-category."""
+        return validate_vcat(self)
 
     def __eq__(self, other):
         return (
@@ -506,23 +512,6 @@ def _adjoint_weights(X: VCategory, budget: int) -> Iterator[tuple[tuple, tuple, 
             yield phi, psi, member
 
 
-def adjoint_weight_pairs(
-    X: VCategory, budget: int = DEFAULT_BUDGET
-) -> Iterator[tuple[VDistributor, VDistributor]]:
-    """The adjoint pairs (φ, ψ) out of the unit, in the order of φ.
-
-    Right adjoints are unique, and a weight φ that has one is left adjoint to
-    its Isbell conjugate φ⁺ (Lawvere 1973; Stubbe 2005), so only the weights
-    are enumerated and ψ := φ⁺.  Requires X to be a V-category over a
-    quantale.
-    """
-    for phi, psi, _ in _adjoint_weights(X, budget):
-        yield (
-            left_weight(X, dict(zip(X.objects, phi))),
-            right_weight(X, dict(zip(X.objects, psi))),
-        )
-
-
 @dataclass
 class LawvereVerdict:
     complete: bool
@@ -539,18 +528,7 @@ def lawvere_complete_vcat(X: VCategory, budget: int = DEFAULT_BUDGET) -> Lawvere
     Every left adjoint weight must have a representability witness; the first
     adjoint pair without one is returned as a counterexample certificate.
     X must be a V-category, since the conjugate is the right adjoint only
-    there; otherwise ``PreconditionError`` carries the failed report.  The
-    decision itself is ``decide_lawvere_vcat``.
-    """
-    require_finite(X.quantale, "lawvere_complete_vcat")
-    report = validate_vcat(X)
-    if not report.ok:
-        raise PreconditionError("lawvere_complete_vcat requires a V-category", report)
-    return decide_lawvere_vcat(X, budget)
-
-
-def decide_lawvere_vcat(X: VCategory, budget: int = DEFAULT_BUDGET) -> LawvereVerdict:
-    """``lawvere_complete_vcat`` on an X that already passed ``validate_vcat``.
+    there; otherwise ``PreconditionError`` carries the failed ``X.report``.
 
     Under ``unit_criterion`` the verdict is read off the rows X(a, −) (the
     criterion lemma in the module docstring); otherwise the search runs on
@@ -558,6 +536,8 @@ def decide_lawvere_vcat(X: VCategory, budget: int = DEFAULT_BUDGET) -> LawvereVe
     ``|V|^n`` weights.
     """
     q = require_finite(X.quantale, "lawvere_complete_vcat")
+    if not X.report.ok:
+        raise PreconditionError("lawvere_complete_vcat requires a V-category", X.report)
     if unit_criterion(q):
         n = len(X.objects)
         guard_count(q.size ** n, budget, f"weights |V|^{n}")
@@ -601,18 +581,3 @@ def unit_criterion(q: Quantale) -> bool:
     docstring); both completeness decisions compute it once and skip their
     weight search when it holds."""
     return totally_compact_unit(q) and unit_tensor_splits(q)
-
-
-def all_vcategories(
-    q: FiniteQuantale, objects: Iterable, budget: int = DEFAULT_BUDGET
-) -> Iterator[VCategory]:
-    """Every V-category structure on the given objects (axioms filtered)."""
-    objects = list(objects)
-    n = len(objects)
-    count = q.size ** (n * n) if n else 1
-    guard_count(count, budget, f"distance matrices |V|^{n * n}")
-    pairs = [(x, y) for x in objects for y in objects]
-    for assignment in product(list(q.carrier()), repeat=len(pairs)):
-        X = VCategory(q, objects, dict(zip(pairs, assignment)))
-        if validate_vcat(X).ok:
-            yield X

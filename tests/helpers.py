@@ -7,7 +7,7 @@ from quantcat.common import DEFAULT_BUDGET, PreconditionError, Report, guard_cou
 from quantcat.ncat import (
     NcatLawvereVerdict,
     NormedCategory,
-    idempotent_distributor,
+    NormedDistributor,
     idempotent_distributor_sets,
     left_adjoint_unit,
     presentable_unit_scan,
@@ -17,9 +17,10 @@ from quantcat.ncat import (
 )
 from quantcat.normed_set import NormedMap, NormedSet
 from quantcat.quantale import BUILTIN_QUANTALES, require_finite
-from quantcat.seqlim import _set_colimit
 from quantcat.vcat import (
     LawvereVerdict,
+    VCategory,
+    _adjoint_weights,
     check_adjoint,
     coweight_vector,
     is_representable,
@@ -38,6 +39,48 @@ def subsets(q):
     n = q.size
     for mask in range(1 << n):
         yield tuple(i for i in range(n) if mask >> i & 1)
+
+
+def all_vcategories(q, objects, budget=DEFAULT_BUDGET):
+    """Every V-category structure on the given objects (axioms filtered)."""
+    objects = list(objects)
+    n = len(objects)
+    count = q.size ** (n * n) if n else 1
+    guard_count(count, budget, f"distance matrices |V|^{n * n}")
+    pairs = [(x, y) for x in objects for y in objects]
+    for assignment in product(list(q.carrier()), repeat=len(pairs)):
+        X = VCategory(q, objects, dict(zip(pairs, assignment)))
+        if validate_vcat(X).ok:
+            yield X
+
+
+def adjoint_weight_pairs(X, budget=DEFAULT_BUDGET):
+    """The adjoint pairs (φ, ψ) out of the unit, in the order of φ.
+
+    Right adjoints are unique, and a weight φ that has one is left adjoint to
+    its Isbell conjugate φ⁺ (Lawvere 1973; Stubbe 2005), so only the weights
+    are enumerated and ψ := φ⁺.  Requires X to be a V-category over a
+    quantale.
+    """
+    for phi, psi, _ in _adjoint_weights(X, budget):
+        yield (
+            left_weight(X, dict(zip(X.objects, phi))),
+            right_weight(X, dict(zip(X.objects, psi))),
+        )
+
+
+def idempotent_distributor(A, e, norms):
+    """The covariant distributor on the e-fixed morphisms with the
+    post-composition action and the given norm assignment."""
+    elems = idempotent_distributor_sets(A, e)
+    sets = {
+        b: NormedSet(A.quantale, {f: norms[f] for f in elems[b]}, elems[b])
+        for b in A.objects
+    }
+    action = {
+        h: {f: A.compose(h, f) for f in elems[A.dom[h]]} for h in A.morphisms
+    }
+    return NormedDistributor(A, True, sets, action)
 
 
 def brute_adjoint_pairs(X):
@@ -262,7 +305,7 @@ def pairs_map(f) -> dict:
 def brute_colimit_nset(s):
     """(labels, norms) of the normed-set colimit, each class normed by the
     join of the norms of the tail-window elements in it."""
-    quot = _set_colimit(s)
+    quot = s.quotient
     T, q = s.tail_object, s.quantale
     norms = {
         label: q.join(
@@ -279,7 +322,7 @@ def brute_colimit_nset(s):
 def brute_colimit_dset(s):
     """(labels, dist) of the distance-set colimit, each pair of classes at
     the join of the tail-window distances between their members."""
-    quot = _set_colimit(s)
+    quot = s.quotient
     T, q = s.tail_object, s.quantale
     dist = {
         (l1, l2): q.join(
@@ -430,7 +473,7 @@ def brute_composite_norms(s, window=None) -> Report:
     if s.kind == "ncat":
         report.add("composite-norms", True, "category law")
         return report
-    powers, transient, period = s.tail_powers()
+    powers, transient, period = s.tail_powers
     window = window if window is not None else s.n0 + transient + period
     q = s.norm_quantale
     # |s_{m,n}| for m ≤ n < window, one map norm each, row by row:

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from quantcat.ncat import (
     i_embed_cat,
-    idempotent_distributor,
     is_lawvere_complete_ncat,
     is_representable_ndist,
     left_adjoint_unit,
@@ -42,8 +41,6 @@ from quantcat.seqlim import (
 )
 from quantcat.vcat import (
     VCategory,
-    adjoint_weight_pairs,
-    all_vcategories,
     is_representable,
     lawvere_complete_vcat,
     object_lower,
@@ -54,7 +51,10 @@ from quantcat.vcat import (
 )
 
 from helpers import (
+    adjoint_weight_pairs,
+    all_vcategories,
     brute_left_adjoints,
+    idempotent_distributor,
     monoid_cat,
     ordered_pair_vcat,
     split_monoid_cat,

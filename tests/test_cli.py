@@ -511,6 +511,18 @@ def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located)
           "objects": {"X": {"kind": "vcat", "objects": ["p"], "dist": [["1e10000000"]]}},
           "tasks": []},
          "input error: object 'X': exponent notation is not accepted: '1e10000000'"),
+    ]
+    + [
+        ({"quantale": "lawvere-plus",
+          "objects": {"X": {"kind": "vcat", "objects": ["p"], "dist": [["abc"]]}},
+          "tasks": []},
+         "input error: object 'X': malformed numeral: 'abc'\n"),
+        # past the int-string digit limit: the message names the size and
+        # echoes none of the 5001 digits
+        ({"quantale": "lawvere-plus",
+          "objects": {"X": {"kind": "vcat", "objects": ["p"], "dist": [["1" + "0" * 5000]]}},
+          "tasks": []},
+         "input error: object 'X': numeral too long: 5001 digits (at most 4300 per integer)\n"),
     ],
 )
 def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, located):
@@ -519,6 +531,37 @@ def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, 
     assert main([str(f)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and located in err, err
+
+
+@pytest.mark.parametrize(
+    "raw, problem",
+    [("abc", "an integer, got 'abc'"), ("0", "positive, got 0"),
+     ("-3", "positive, got -3"), ("1.5", "an integer, got '1.5'")],
+)
+def test_malformed_budget_env_var_is_input_error(capsys, monkeypatch, raw, problem):
+    monkeypatch.setenv("QUANTCAT_BUDGET", raw)
+    assert main([path("compose.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: QUANTCAT_BUDGET must be {problem}\n", err
+    # --budget wins, and the variable is then never read
+    code, report, _ = run_json(capsys, path("compose.json"), "--budget", "7")
+    assert (code, report["budget"]) == (0, 7)
+
+
+def test_lipnorm_log_exponent_past_24th_roots(tmp_path, capsys):
+    f = tmp_path / "log.json"
+    f.write_text(json.dumps({
+        "quantale": "lawvere-plus",
+        "objects": {"X": LAWVERE_POINTS,
+                    "Y": {**LAWVERE_POINTS, "dist": [["0", "2"], ["2", "0"]]}},
+        "tasks": [{"op": "lipnorm", "source": "X", "target": "Y",
+                   "map": {"p": "p", "q": "q"}, "mode": "log", "log_base": base}
+                  for base in (2**24, 2**25, 6)],
+    }), encoding="utf-8")
+    code, report, _ = run_json(capsys, str(f))
+    assert code == 0
+    assert [t["details"]["ratio"] for t in report["tasks"]] == ["2"] * 3
+    assert [t["details"]["exponent"] for t in report["tasks"]] == ["1/24", "1/25", None]
 
 
 def test_repeated_main_calls_parse_their_own_flags(capsys, monkeypatch):

@@ -18,7 +18,6 @@ from quantcat.ncat import (
     i_embed_cat,
     i_embed_weight,
     idempotent_conjugate_sets,
-    idempotent_distributor,
     idempotent_distributor_sets,
     idempotent_unit_class,
     is_lawvere_complete_ncat,
@@ -42,7 +41,6 @@ from quantcat.ncat import (
 )
 from quantcat.normed_set import NormedSet
 from quantcat.vcat import (
-    all_vcategories,
     coweight_vector,
     isbell_conjugate_weight,
     lawvere_complete_vcat,
@@ -52,9 +50,11 @@ from quantcat.vcat import (
 )
 
 from helpers import (
+    all_vcategories,
     bool4_split_witness_vcat,
     brute_lawvere_ncat,
     filtered_norm_assignments,
+    idempotent_distributor,
     monoid_cat,
     ordered_pair_vcat,
     split_monoid_cat,
@@ -481,6 +481,31 @@ def test_split_idempotents_poset(q2):
     assert ok
 
 
+def test_lawvere_ncat_validates_each_category_once(q2, monkeypatch):
+    from quantcat import ncat
+
+    A = split_monoid_cat(q2)
+    broken = monoid_cat(q2, "0", "1")  # the identity is normed below the unit
+    expected = validate_ncat(broken)
+    assert [c.name for c in expected.failures()] == ["identity-norms"]
+    calls = Counter()
+    for name in ("validate_category", "norm_checks"):
+        def counted(*args, _fn=getattr(ncat, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(ncat, name, counted)
+    assert is_lawvere_complete_ncat(A) == is_lawvere_complete_ncat(A)
+    assert calls == {"validate_category": 1, "norm_checks": 1}
+    for _ in range(2):
+        with pytest.raises(PreconditionError) as info:
+            is_lawvere_complete_ncat(broken)
+        # the precondition carries the failed report, the oracle's checks
+        assert info.value.value is broken.ncat_report
+        assert info.value.value == expected
+    assert calls == {"validate_category": 2, "norm_checks": 2}
+
+
 def test_lawvere_ncat_monoid_unit_norm_fails_clause1(q2):
     A = monoid_cat(q2, "1", "1")
     verdict = is_lawvere_complete_ncat(A)
@@ -842,13 +867,14 @@ def test_lawvere_builds_no_distributors(q2, monkeypatch):
 
     monkeypatch.setattr(NormedDistributor, "__init__", counted_init)
     for name in ("isbell_conjugate_ndist", "coend_unit", "idempotent_distributor"):
-        def counted(*args, _fn=getattr(ncat, name), _name=name):
+        home = ncat if hasattr(ncat, name) else helpers
+        def counted(*args, _fn=getattr(home, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(ncat, name, counted)
-        if hasattr(helpers, name):
-            monkeypatch.setattr(helpers, name, counted)
+        for module in (ncat, helpers):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     verdict = is_lawvere_complete_ncat(A)
     assert verdict.complete
     assert calls == Counter()

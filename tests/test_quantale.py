@@ -507,13 +507,17 @@ def test_builtin_quantales_are_built_once():
 def fraction_str_parse(x):
     """The string path of ``as_extended_rational`` without the ``int`` fast
     path: everything but INF and exponent notation goes to
-    ``Fraction(str)``."""
+    ``Fraction(str)``, and a string it rejects is a ``CarrierMismatch``
+    naming the value (the strings drawn here are short enough to echo)."""
     s = x.strip().lower()
     if s in ("inf", "infinity", "∞", "oo"):
         return INF
     if "e" in s:
         raise CarrierMismatch(f"exponent notation is not accepted: {x!r}")
-    value = Fraction(s)
+    try:
+        value = Fraction(s)
+    except ValueError:
+        raise CarrierMismatch(f"malformed numeral: {x!r}") from None
     if value < 0:
         raise CarrierMismatch(f"negative value outside [0, inf]: {x!r}")
     return value

@@ -20,7 +20,6 @@ from quantcat.seqlim import (
     Sequence,
     _c2b_probe_check,
     _c2b_sets,
-    _set_colimit,
     c2b_reduction_check,
     cauchy_value,
     colimit_dset,
@@ -521,6 +520,44 @@ def test_lipschitz_odot_mode(q3):
     assert q3.leq(q3.unit, val)
 
 
+def _bounded_exponent(ratio, base):
+    """The exponent by trying roots of degree 1 to 24 only."""
+    for den in range(1, 25):
+        power = ratio**den
+        if power.denominator == 1:
+            n, num_exp = power.numerator, 0
+            while n % base == 0:
+                n //= base
+                num_exp += 1
+            if n == 1:
+                return Fraction(num_exp, den)
+    return None
+
+
+def test_log_norm_exponent_matches_bounded_roots_where_they_answer():
+    for base in range(2, 21):
+        for ratio in range(2, 300):
+            assert LogNorm(ratio, base).exponent() == _bounded_exponent(
+                Fraction(ratio), base
+            ), (ratio, base)
+
+
+@pytest.mark.parametrize("c", [2, 3, 6, 10])
+def test_log_norm_exponent_of_rational_powers(c):
+    # c^p against base c^q is (c^q)^(p/q), whatever the size of q
+    for p in range(1, 40):
+        for q in range(1, 40):
+            assert LogNorm(Fraction(c) ** p, c**q).exponent() == Fraction(p, q)
+
+
+def test_log_norm_exponent_of_non_powers_and_huge_powers():
+    assert LogNorm(Fraction(12), 18).exponent() is None
+    assert LogNorm(Fraction(18), 12).exponent() is None
+    assert LogNorm(Fraction(3, 2), 2).exponent() is None
+    assert LogNorm(Fraction(2), 2**25).exponent() == Fraction(1, 25)
+    assert LogNorm(Fraction(2) ** 100000, 2).exponent() == 100000
+
+
 def test_log_norm_algebra():
     assert LogNorm(Fraction(1, 2)).is_zero()
     assert LogNorm(Fraction(8)).exponent() == Fraction(3)
@@ -605,7 +642,7 @@ def _germ_classes_oracle(s, horizon_stage):
             x = s.step_at(i)[x]
         return x
 
-    powers, transient, period = s.tail_powers()
+    powers, transient, period = s.tail_powers
     late = horizon_stage + transient + 2 * period
     groups = {}
     for n in range(horizon_stage):
@@ -623,11 +660,12 @@ def test_set_colimit_matches_germ_oracle(q2, q3):
         const_nset_sequence(q2, {"a": "1", "b": "1"}, endo={"a": "b", "b": "a"}),
     ]
     for s in fixtures:
-        quot = _set_colimit(s)
+        quot = s.quotient
         horizon = s.n0 + quot.period
         got = {}
-        for (n, x), label in quot.class_of.items():
-            got.setdefault(label, []).append((n, x))
+        for n, comp in enumerate(quot.gamma):
+            for x, label in comp.items():
+                got.setdefault(label, []).append((n, x))
         assert {frozenset(m) for m in got.values()} == _germ_classes_oracle(
             s, horizon
         )
@@ -642,7 +680,7 @@ def _cauchy_value_oracle(s):
     appears (transient plus period beyond the tail start).
     """
     q = s.norm_quantale
-    powers, transient, period = s.tail_powers()
+    powers, transient, period = s.tail_powers
     far = s.n0 + transient + 2 * period + 1
 
     def step_map(m, n):
@@ -709,7 +747,7 @@ def _all_dset_sequences(q, max_tail, odot=None):
 
 
 def _window_cocone(s, apex):
-    quot = _set_colimit(s)
+    quot = s.quotient
     return Cocone(
         apex,
         [quot.gamma[n] for n in range(s.n0)],
@@ -737,7 +775,7 @@ def _nset_c2b_cases(qname, max_tail):
     q = builtin_quantale(qname)
     cases = []
     for s in _all_nset_sequences(q, max_tail):
-        labels = _set_colimit(s).labels
+        labels = s.quotient.labels
         cases.append((s, [
             _with_oracle(s, _window_cocone(s, NormedSet(q, dict(zip(labels, values)), labels)))
             for values in product(list(q.carrier()), repeat=len(labels))
@@ -931,6 +969,28 @@ def test_c2b_probe_check_builds_no_probe_sets_or_maps(passing, monkeypatch):
     # the counter sees the probes and maps the per-component oracle builds
     brute_c2b_check(s, gamma, 3, BIG_BUDGET)
     assert {"NormedSet", "NormedMap"} <= set(built)
+
+
+def test_cauchy_and_colimit_tasks_share_one_norm_profile(monkeypatch, tmp_path, capsys):
+    calls = []
+    profile = seqlim.norm_profile
+
+    def counted(s):
+        calls.append(s)
+        return profile(s)
+
+    monkeypatch.setattr(seqlim, "norm_profile", counted)
+    with open(os.path.join(os.path.dirname(__file__), "data", "sequence.json")) as fh:
+        instance = json.load(fh)
+    instance["tasks"] = [
+        {"op": "cauchy", "target": "s"},
+        {"op": "colimit", "target": "s"},
+        {"op": "colimit", "target": "s"},
+    ]
+    f = tmp_path / "shared.json"
+    f.write_text(json.dumps(instance), encoding="utf-8")
+    assert main([str(f), "--json"]) == 0
+    assert len(calls) == 1
 
 
 def test_colimit_task_builds_one_quotient_and_one_tail_cycle(monkeypatch, capsys):

@@ -12,8 +12,6 @@ from quantcat.vcat import (
     VDistributor,
     VFunctor,
     adjoint_report,
-    adjoint_weight_pairs,
-    all_vcategories,
     check_adjoint,
     compose_vdist,
     coweight_vector,
@@ -41,7 +39,13 @@ from quantcat.vcat import (
 )
 
 import helpers
-from helpers import brute_adjoint_pairs, brute_lawvere_vcat
+from helpers import (
+    adjoint_weight_pairs,
+    all_vcategories,
+    brute_adjoint_pairs,
+    brute_lawvere_vcat,
+    ordered_pair_vcat,
+)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -692,6 +696,28 @@ def test_lawvere_requires_a_vcategory(q2):
     with pytest.raises(PreconditionError) as info:
         lawvere_complete_vcat(X)
     assert [c.name for c in info.value.value.failures()] == ["reflexivity"]
+
+
+def test_lawvere_validates_each_vcategory_once(q2, monkeypatch):
+    calls = Counter()
+    validate = vcat.validate_vcat
+
+    def counted(X):
+        calls[X.objects] += 1
+        return validate(X)
+
+    monkeypatch.setattr(vcat, "validate_vcat", counted)
+    good = ordered_pair_vcat(q2)
+    bad = vcat_from_matrix(q2, ["x"], [["0"]])  # not reflexive
+    assert lawvere_complete_vcat(good) == lawvere_complete_vcat(good)
+    assert calls == {good.objects: 1}
+    for _ in range(2):
+        with pytest.raises(PreconditionError) as info:
+            lawvere_complete_vcat(bad)
+        # the precondition carries the failed report, the oracle's checks
+        assert info.value.value is bad.report
+        assert info.value.value == validate(bad) and not bad.report.ok
+    assert calls == {good.objects: 1, bad.objects: 1}
 
 
 def test_lawvere_budget(q4bool):
