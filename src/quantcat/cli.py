@@ -34,6 +34,7 @@ from .common import (
     PreconditionError,
     Report,
     default_budget,
+    int_digit_limit,
 )
 from .normed_set import NormedSet
 from .quantale import (
@@ -83,18 +84,18 @@ def parse_value(q: Quantale, raw):
         raise InputError(str(exc))
 
 
-def parse_normed_set(q: Quantale, spec: dict) -> NormedSet:
+def parse_normed_set(inst: Instance, spec: dict) -> NormedSet:
     elements = spec.get("elements")
     if not isinstance(elements, list):
         raise InputError("normed set literal needs an 'elements' list")
     norms, order = {}, []
     for entry in elements:
-        norms[entry["id"]] = parse_value(q, entry["norm"])
+        norms[entry["id"]] = inst.value(entry["norm"])
         order.append(entry["id"])
-    return NormedSet(q, norms, order)
+    return NormedSet.trusted(inst.quantale, norms, order)
 
 
-def parse_vcat(q: Quantale, spec: dict) -> VCategory:
+def parse_vcat(inst: Instance, spec: dict) -> VCategory:
     objects = spec.get("objects")
     matrix = spec.get("dist")
     if objects is None or matrix is None:
@@ -109,9 +110,14 @@ def parse_vcat(q: Quantale, spec: dict) -> VCategory:
         or any(not isinstance(row, list) or len(row) != n for row in matrix)
     ):
         raise InputError(f"field 'dist' must be a {n}x{n} matrix")
-    parsed = [[parse_value(q, v) for v in row] for row in matrix]
+    value = inst.value
+    dist = {
+        (x, y): value(v)
+        for x, row in zip(objects, matrix)
+        for y, v in zip(objects, row)
+    }
     try:
-        return vcat_mod.vcat_from_matrix(q, objects, parsed)
+        return VCategory.trusted(inst.quantale, objects, dist)
     except ValueError as exc:
         raise InputError(f"bad V-category literal: {exc}")
 
@@ -123,7 +129,7 @@ def _require_names(values, what: str) -> None:
         raise InputError(f"{what} must be a name, got {bad!r}")
 
 
-def parse_ncat(q: Quantale, spec: dict) -> ncat_mod.NormedCategory:
+def parse_ncat(inst: Instance, spec: dict) -> ncat_mod.NormedCategory:
     try:
         objects, rows, morphisms = spec["objects"], spec["compose"], spec["morphisms"]
         if not isinstance(objects, list):
@@ -133,21 +139,30 @@ def parse_ncat(q: Quantale, spec: dict) -> ncat_mod.NormedCategory:
             not isinstance(row, list) or len(row) != 3 for row in rows
         ):
             raise InputError("field 'compose' must be a list of [g, f, composite] rows")
-        _require_names((name for row in rows for name in row), "an entry of 'compose'")
         table: dict = {}
-        for g, f, gf in rows:
-            if table.setdefault((g, f), gf) != gf:
-                raise InputError(f"field 'compose' gives {[g, f]!r} two composites")
+        twice = None  # the first [g, f] given a second composite
+        try:
+            for g, f, gf in rows:
+                # a JSON list or object among the names does not hash: as g
+                # or f in the key, or as gf here
+                if table.setdefault((g, f), gf) != gf and twice is None:
+                    twice = [g, f]
+                hash(gf)
+        except TypeError:
+            _require_names((name for row in rows for name in row), "an entry of 'compose'")
+            raise
+        if twice is not None:
+            raise InputError(f"field 'compose' gives {twice!r} two composites")
         names = [m["id"] for m in morphisms]
         return ncat_mod.NormedCategory(
-            q,
+            inst.quantale,
             objects,
             names,
             {m["id"]: m["dom"] for m in morphisms},
             {m["id"]: m["cod"] for m in morphisms},
             spec["identities"],
             table,
-            {m["id"]: parse_value(q, m["norm"]) for m in morphisms},
+            {m["id"]: inst.value(m["norm"]) for m in morphisms},
         )
     except KeyError as missing:
         raise InputError(f"normed category literal is missing {missing}")
@@ -158,13 +173,31 @@ def parse_ncat(q: Quantale, spec: dict) -> ncat_mod.NormedCategory:
 
 
 class Instance:
-    """A parsed instance file."""
+    """A parsed instance file.
+
+    ``value`` makes each file-format value canonical, and converts each
+    distinct numeral string once: the memo lives for one parse on this
+    instance, keyed on ``str`` values only (JSON ``true``, ``1`` and ``1.0``
+    are parsed each time, so they never meet ``"1"``), and an error is
+    raised again rather than remembered.
+    """
 
     def __init__(self, quantale_spec, quantale, objects, tasks):
         self.quantale_spec = quantale_spec
         self.quantale = quantale
         self.objects = objects  # name -> (kind, parsed value)
         self.tasks = tasks
+        self.numerals: dict[str, Any] = {}
+
+    def value(self, raw):
+        """``parse_value`` in this instance's quantale, memoised on strings."""
+        if type(raw) is not str:
+            return parse_value(self.quantale, raw)
+        try:
+            return self.numerals[raw]
+        except KeyError:
+            value = self.numerals[raw] = parse_value(self.quantale, raw)
+            return value
 
     def resolve(self, name, kinds=None):
         if not isinstance(name, str):
@@ -178,7 +211,6 @@ class Instance:
 
 
 def _parse_vdist(inst: Instance, spec: dict) -> vcat_mod.VDistributor:
-    q = inst.quantale
     _, source = inst.resolve(spec["source"], {"vcat"})
     _, target = inst.resolve(spec["target"], {"vcat"})
     rows = spec["values"]
@@ -188,29 +220,30 @@ def _parse_vdist(inst: Instance, spec: dict) -> vcat_mod.VDistributor:
         raise InputError(
             f"field 'values' must be a {len(source.objects)}x{len(target.objects)} matrix"
         )
+    value = inst.value
     values = {}
     for i, x in enumerate(source.objects):
         for j, y in enumerate(target.objects):
-            values[(x, y)] = parse_value(q, rows[i][j])
+            values[(x, y)] = value(rows[i][j])
     return vcat_mod.VDistributor.trusted(source, target, values)
 
 
 def _parse_weight_pair(inst: Instance, spec: dict) -> vcat_mod.VWeightPair:
-    q = inst.quantale
     _, X = inst.resolve(spec["space"], {"vcat"})
-    phi = vcat_mod.left_weight(X, {x: parse_value(q, spec["phi"][x]) for x in X.objects})
-    psi = vcat_mod.right_weight(X, {x: parse_value(q, spec["psi"][x]) for x in X.objects})
-    return vcat_mod.VWeightPair(phi, psi)
+    E, star = vcat_mod.unit_vcat(inst.quantale), vcat_mod.POINT
+    phi = {(star, x): inst.value(spec["phi"][x]) for x in X.objects}
+    psi = {(x, star): inst.value(spec["psi"][x]) for x in X.objects}
+    trusted = vcat_mod.VDistributor.trusted
+    return vcat_mod.VWeightPair(trusted(E, X, phi), trusted(X, E, psi))
 
 
 def _parse_ndist(inst: Instance, spec: dict) -> ncat_mod.NormedDistributor:
-    q = inst.quantale
     _, A = inst.resolve(spec["category"], {"ncat"})
     variance = spec.get("variance", "covariant")
     if variance not in ("covariant", "contravariant"):
         raise InputError(f"unknown variance {variance!r}")
     sets = {
-        a: parse_normed_set(q, {"elements": spec["sets"][a]}) for a in A.objects
+        a: parse_normed_set(inst, {"elements": spec["sets"][a]}) for a in A.objects
     }
     action = {h: dict(spec["action"][h]) for h in A.morphisms}
     try:
@@ -233,13 +266,12 @@ def _parse_certificate(inst: Instance, spec: dict) -> ncat_mod.AdjunctionCertifi
 
 
 def _parse_stage_object(inst: Instance, ambient: str, raw):
-    q = inst.quantale
     if isinstance(raw, str):
         kind = {"nset": "normed_set", "dset": "vcat"}[ambient]
         return inst.resolve(raw, {kind})[1]
     if ambient == "nset":
-        return parse_normed_set(q, raw)
-    return parse_vcat(q, raw)
+        return parse_normed_set(inst, raw)
+    return parse_vcat(inst, raw)
 
 
 def _parse_sequence(inst: Instance, spec: dict) -> seq_mod.Sequence:
@@ -290,9 +322,9 @@ def _parse_metric_sequence(inst: Instance, spec: dict) -> seq_mod.MetricSequence
 
 
 _PARSERS = {
-    "normed_set": lambda inst, spec: parse_normed_set(inst.quantale, spec),
-    "vcat": lambda inst, spec: parse_vcat(inst.quantale, spec),
-    "ncat": lambda inst, spec: parse_ncat(inst.quantale, spec),
+    "normed_set": parse_normed_set,
+    "vcat": parse_vcat,
+    "ncat": parse_ncat,
     "vdist": _parse_vdist,
     "weight_pair": _parse_weight_pair,
     "ndist": _parse_ndist,
@@ -334,6 +366,7 @@ def parse_instance(data: dict) -> Instance:
     if bad is not None:
         raise InputError(f"task {bad} must be a JSON object")
     inst.tasks = tasks
+    inst.numerals.clear()
     return inst
 
 
@@ -346,6 +379,12 @@ def load_instance(path: str) -> Instance:
     except json.JSONDecodeError as exc:
         raise InputError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        )
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text (byte {exc.start})")
+    except ValueError:  # json reads an integer literal with int, which may refuse it
+        raise InputError(
+            f"numeral too long: an integer literal has more than {int_digit_limit()} digits"
         )
     return parse_instance(data)
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import functools
 import os
+import re
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -21,10 +23,38 @@ def default_budget() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
+        too_long = digits_past_limit(raw)
+        problem = (
+            f"a shorter integer, got {too_long}" if too_long
+            else f"an integer, got {abbreviated(raw)}"
+        )
+        raise ValueError(f"{BUDGET_ENV_VAR} must be {problem}") from None
     if value <= 0:
         raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
     return value
+
+
+def abbreviated(text: str) -> str:
+    """``text`` quoted for a message; past 40 characters, its first 20 and
+    its length, so that a long input is not echoed back whole."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
+def digits_past_limit(text: str) -> str | None:
+    """``"N digits (at most L per integer)"`` when the longest run of digits
+    (and underscores) in ``text`` is past ``int``'s string-conversion digit
+    limit L, which ``int`` meets one run at a time; ``None`` otherwise."""
+    limit = int_digit_limit()
+    runs = re.findall(r"[\d_]+", text)
+    digits = max((len(run.replace("_", "")) for run in runs), default=0)
+    if limit and digits > limit:
+        return f"{digits} digits (at most {limit} per integer)"
+    return None
+
+
+def int_digit_limit() -> int:
+    """The most digits ``int`` converts from or to a string; 0: no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 class cached_property(functools.cached_property):

@@ -22,6 +22,20 @@ class NormedSet:
     """A finite set with a quantale-valued norm on its elements."""
 
     def __init__(self, quantale: Quantale, norms: Mapping[Any, Any], elements=None):
+        self._build(quantale, norms, elements)
+        self.norms = {e: quantale.check(v) for e, v in norms.items()}
+
+    @classmethod
+    def trusted(cls, quantale: Quantale, norms: dict, elements=None) -> NormedSet:
+        """A normed set whose ``norms`` are canonical, as a parser or a
+        quantale operation makes them: not checked again.  The elements must
+        still be distinct and the norms total."""
+        A = cls.__new__(cls)
+        A._build(quantale, norms, elements)
+        A.norms = norms
+        return A
+
+    def _build(self, quantale: Quantale, norms: Mapping, elements) -> None:
         self.quantale = quantale
         if elements is None:
             elements = list(norms.keys())
@@ -30,7 +44,6 @@ class NormedSet:
             raise ValueError("duplicate elements in normed set")
         if set(self.elements) != set(norms.keys()):
             raise ValueError("norm function is not total on the elements")
-        self.norms = {e: quantale.check(v) for e, v in norms.items()}
 
     def norm(self, e):
         try:
@@ -206,7 +219,7 @@ def final_structure(
             if b not in norms:
                 raise ValueError(f"image {b!r} not in the declared carrier")
             norms[b].append(source.norm(a))
-    return NormedSet(q, {b: q.join(vs) for b, vs in norms.items()}, carrier)
+    return NormedSet.trusted(q, {b: q.join(vs) for b, vs in norms.items()}, carrier)
 
 
 def strict_part(A: NormedSet) -> tuple:

@@ -11,30 +11,37 @@ Two carrier realizations:
 
 All operations are pure; quantale objects are immutable after construction.
 
-Each class composes quantale-valued matrices with one hook,
-``compose_matrices``, the join-of-tensors product that ``vcat.compose_vdist``
-runs.  In additive mode on the extended rationals it works on integers, by
-the scaling lemma: for an integer L > 0, u ↦ L·u is an order isomorphism of
-[0, inf) onto L·[0, inf) with L·(u + v) = L·u + L·v.  With L the lcm of the
-finite denominators of both matrices every L·u is an integer, so the min-plus
-product runs on ``int``s and each entry is divided by L once at the end:
-exact, with one ``Fraction`` per distinct entry.  The gain rests on L staying
-small (a few distinct denominators), so that the scaled entries are
-machine-sized ints; the multiplicative mode keeps the ``Fraction`` fold.
+Each class runs the two matrix laws of the distributor calculus with one
+hook each: ``compose_matrices``, the join-of-tensors product that
+``vcat.compose_vdist`` runs, and ``first_intransitive``, the first triple
+that breaks the triangle law, which ``vcat.validate_vcat`` reports.  A finite
+quantale reads its tables.  In additive mode on the extended rationals both
+work on integers, by the scaling lemma: for an integer L > 0, u ↦ L·u is an
+order isomorphism of [0, inf) onto L·[0, inf) with L·(u + v) = L·u + L·v.
+With L the lcm of the finite denominators every L·u is an integer, so the
+min-plus product and the triangle law run on ``int``s (``_scaled``), and a
+composite entry is divided by L once at the end: exact, with one
+``Fraction`` per distinct entry.  The gain rests on L staying small (a few
+distinct denominators), so that the scaled entries are machine-sized ints;
+the multiplicative mode keeps the ``Fraction`` fold.
 """
 
 from __future__ import annotations
 
-import re
-import sys
 from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import lcm
-from operator import add
+from operator import add, sub
 from typing import Any, Iterable, Sequence
 
-from .common import CarrierMismatch, Report
+from .common import (
+    CarrierMismatch,
+    Report,
+    abbreviated,
+    digits_past_limit,
+    int_digit_limit,
+)
 
 
 class _Infinity:
@@ -65,7 +72,8 @@ def as_extended_rational(x: Any) -> Fraction | _Infinity:
     too: ``Fraction("1e10000000")`` builds the whole integer.  ``"n"`` and
     ``"n/d"`` in ASCII digits are read with ``int``; every other string goes
     to ``Fraction(str)``.  A zero denominator, a literal ``Fraction`` does
-    not read and a numeral past ``int``'s digit limit raise ``CarrierMismatch``.
+    not read, and a numeral past ``int``'s digit limit, or one whose reduced
+    value could not be written back within it, raise ``CarrierMismatch``.
     """
     if isinstance(x, _Infinity):
         return INF
@@ -95,6 +103,15 @@ def as_extended_rational(x: Any) -> Fraction | _Infinity:
             raise CarrierMismatch(f"zero denominator: {x!r}") from None
         except ValueError:
             raise CarrierMismatch(_numeral_error(x)) from None
+        limit = int_digit_limit()
+        # the reduced numerator and denominator of a string are no longer
+        # than the string, so only a long one can fail to be written back
+        if limit and len(s) > limit:
+            digits = max(map(_digit_count, (value.numerator, value.denominator)))
+            if digits > limit:
+                raise CarrierMismatch(
+                    f"numeral too long: {digits} digits (at most {limit} per integer)"
+                )
     else:
         raise CarrierMismatch(f"not an extended rational: {x!r}")
     if value.numerator < 0:
@@ -106,13 +123,19 @@ def _numeral_error(x: str) -> str:
     """What is wrong with a string ``Fraction`` and ``int`` rejected, without
     echoing a long string back.  ``int`` reads each run of digits (and
     underscores) as one integer, so the longest run meets the digit limit."""
-    runs = re.findall(r"[\d_]+", x)
-    digits = max((len(run.replace("_", "")) for run in runs), default=0)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit and digits > limit:
-        return f"numeral too long: {digits} digits (at most {limit} per integer)"
-    shown = repr(x) if len(x) <= 40 else f"{x[:20]!r}... ({len(x)} characters)"
-    return f"malformed numeral: {shown}"
+    too_long = digits_past_limit(x)
+    if too_long:
+        return f"numeral too long: {too_long}"
+    return f"malformed numeral: {abbreviated(x)}"
+
+
+def _digit_count(n: int) -> int:
+    """The decimal digits of ``n`` ≥ 0, without writing it out (which ``int``
+    refuses past its digit limit): 1233/4096 is just below log10(2)."""
+    digits = max(1, (n.bit_length() - 1) * 1233 >> 12)
+    while n >= 10**digits:
+        digits += 1
+    return digits
 
 
 class FiniteQuantale:
@@ -305,6 +328,21 @@ class FiniteQuantale:
             for row in rows
         ]
 
+    def first_intransitive(self, matrix) -> tuple[int, int, int] | None:
+        """The first (i, j, k) in row-major order with
+        matrix[j][k] ⊗ matrix[i][j] ≰ matrix[i][k], or None; on the tables."""
+        leq, tensor = self._leq, self._tensor
+        return next(
+            (
+                (i, j, k)
+                for i, row in enumerate(matrix)
+                for j, xy in enumerate(row)
+                for k, (yz, xz) in enumerate(zip(matrix[j], row))
+                if not leq[tensor[yz][xy]][xz]
+            ),
+            None,
+        )
+
     # -- misc ---------------------------------------------------------------
 
     def __eq__(self, other):
@@ -401,12 +439,10 @@ class LawvereQuantale:
         matrix given by its ``cols``: entry (x, z) is
         ⋁_y cols[z][y] ⊗ rows[x][y], ``INF`` when m = 0.
 
-        In additive mode, by the scaling lemma (module docstring), each
-        finite u becomes the integer L·u, L the lcm of the finite
-        denominators; the join (numeric min) runs over ``int`` sums with INF
-        an integer above every sum of two finite entries, and each distinct
-        best is divided by L into one ``Fraction``.  The multiplicative mode
-        folds ``join`` over ``tensor``.
+        In additive mode the join (numeric min) runs over the ``int`` sums of
+        the scaled entries (``_scaled``), and each distinct best is divided
+        by L into one ``Fraction``.  The multiplicative mode folds ``join``
+        over ``tensor``.
         """
         if self.mode != "additive":
             join, tensor = self.join, self.tensor
@@ -414,21 +450,41 @@ class LawvereQuantale:
                 [join(tensor(c, r) for r, c in zip(row, col)) for col in cols]
                 for row in rows
             ]
-        finite = [v for m in (rows, cols) for line in m for v in line if v is not INF]
-        scale = lcm(*{v.denominator for v in finite})
-        # L·u ≤ L·numerator(u), so twice the largest bound lies below inf
-        inf = 2 * scale * max((v.numerator for v in finite), default=0) + 1
-
-        def scaled(m):
-            return [
-                [inf if v is INF else v.numerator * (scale // v.denominator) for v in line]
-                for line in m
-            ]
-
-        rows, cols = scaled(rows), scaled(cols)
+        scale, inf, (rows, cols) = _scaled(rows, cols)
         best = [[min(map(add, row, col), default=inf) for col in cols] for row in rows]
         value = {b: INF if b >= inf else Fraction(b, scale) for b in chain(*best)}
         return [[value[b] for b in line] for line in best]
+
+    def first_intransitive(self, matrix) -> tuple[int, int, int] | None:
+        """The first (i, j, k) in row-major order with
+        matrix[j][k] ⊗ matrix[i][j] ≰ matrix[i][k], or None.
+
+        In additive mode the law fails where D[j][k] + D[i][j] < D[i][k] on
+        the scaled integers D (``_scaled``): an INF term makes the sum at
+        least the integer inf, and a finite sum lies below it.  So (i, j)
+        has a failing k iff the least D[j][k] − D[i][k] is below −D[i][j],
+        one ``min`` over ``int`` differences per pair.  The multiplicative
+        mode folds ``leq`` over ``tensor``.
+        """
+        if self.mode != "additive":
+            leq, tensor = self.leq, self.tensor
+            return next(
+                (
+                    (i, j, k)
+                    for i, row in enumerate(matrix)
+                    for j, xy in enumerate(row)
+                    for k, (yz, xz) in enumerate(zip(matrix[j], row))
+                    if not leq(tensor(yz, xy), xz)
+                ),
+                None,
+            )
+        _, _, (D,) = _scaled(matrix)
+        for i, row in enumerate(D):
+            for j, xy in enumerate(row):
+                if min(map(sub, D[j], row)) < -xy:
+                    k = next(k for k, (yz, xz) in enumerate(zip(D[j], row)) if yz + xy < xz)
+                    return i, j, k
+        return None
 
     def __eq__(self, other):
         return isinstance(other, LawvereQuantale) and self.mode == other.mode
@@ -438,6 +494,22 @@ class LawvereQuantale:
 
     def __repr__(self):
         return f"LawvereQuantale({self.mode!r})"
+
+
+def _scaled(*matrices) -> tuple[int, int, list]:
+    """The scaling lemma (module docstring) on matrices of extended
+    rationals: ``(L, inf, scaled)``, L the lcm of the finite denominators,
+    inf an integer above every sum of two scaled finite entries, and each
+    matrix with a finite u as the integer L·u and ``INF`` as inf."""
+    finite = [v for m in matrices for line in m for v in line if v is not INF]
+    scale = lcm(*{v.denominator for v in finite})
+    # L·u ≤ L·numerator(u), so twice the largest bound lies below inf
+    inf = 2 * scale * max((v.numerator for v in finite), default=0) + 1
+    return scale, inf, [
+        [[inf if v is INF else v.numerator * (scale // v.denominator) for v in line]
+         for line in m]
+        for m in matrices
+    ]
 
 
 Quantale = FiniteQuantale | LawvereQuantale

@@ -434,7 +434,7 @@ def _quotient_cocone(s: Sequence, quot: _Quotient, apex) -> Cocone:
 def _pair_set(q: Quantale, X: VCategory) -> NormedSet:
     """The ordered pairs of a distance set, each normed by its distance."""
     elems = [(x, y) for x in X.objects for y in X.objects]
-    return NormedSet(q, {(x, y): X.d(x, y) for x, y in elems}, elems)
+    return NormedSet.trusted(q, {(x, y): X.d(x, y) for x, y in elems}, elems)
 
 
 def _pair_map(f: Mapping) -> dict:
@@ -480,7 +480,7 @@ def colimit_dset(s: Sequence) -> tuple[VCategory, Cocone]:
         [(a, b) for a in quot.labels for b in quot.labels],
         [(T, _pair_map(g)) for g in _tail_window(s, quot)],
     )
-    apex = VCategory(qd, quot.labels, dist.norms)
+    apex = VCategory.trusted(qd, quot.labels, dist.norms)
     return apex, _quotient_cocone(s, quot, apex)
 
 

@@ -93,6 +93,18 @@ class VCategory:
     """
 
     def __init__(self, quantale: Quantale, objects, dist: Mapping):
+        self._build(quantale, objects, dist, quantale.check)
+
+    @classmethod
+    def trusted(cls, quantale: Quantale, objects, dist: Mapping) -> VCategory:
+        """A V-category whose distances are canonical, as a parser or a
+        quantale operation makes them: not checked again.  The objects must
+        still be distinct and the distances total."""
+        X = cls.__new__(cls)
+        X._build(quantale, objects, dist, None)
+        return X
+
+    def _build(self, quantale: Quantale, objects, dist: Mapping, check) -> None:
         self.quantale = quantale
         self.objects = tuple(objects)
         if len(set(self.objects)) != len(self.objects):
@@ -102,7 +114,8 @@ class VCategory:
             for y in self.objects:
                 if (x, y) not in dist:
                     raise ValueError(f"distance missing for pair {(x, y)!r}")
-                self.dist[(x, y)] = quantale.check(dist[(x, y)])
+                v = dist[(x, y)]
+                self.dist[(x, y)] = v if check is None else check(v)
 
     def d(self, x, y):
         return self.dist[(x, y)]
@@ -250,8 +263,8 @@ class VWeightPair:
 
 def validate_vcat(X: VCategory) -> Report:
     """Reflexivity k ≤ X(x,x) and transitivity X(y,z) ⊗ X(x,y) ≤ X(x,z),
-    each failure named by its first witness in object order.  The
-    transitivity scan reads the rows of the distance matrix."""
+    each failure named by its first witness in object order.  The quantale's
+    ``first_intransitive`` hook scans the distance matrix."""
     q = X.quantale
     objects = X.objects
     report = Report()
@@ -261,19 +274,10 @@ def validate_vcat(X: VCategory) -> Report:
         refl is None,
         None if refl is None else f"{refl!r}: k ≰ {q.format(X.d(refl, refl))}",
     )
-    leq, tensor = q.leq, q.tensor
-    D = [[X.dist[(x, y)] for y in objects] for x in objects]
-    tri = next(
-        (
-            (objects[i], objects[j], objects[k])
-            for i, row in enumerate(D)
-            for j, xy in enumerate(row)
-            for k, (yz, xz) in enumerate(zip(D[j], row))
-            if not leq(tensor(yz, xy), xz)
-        ),
-        None,
+    tri = q.first_intransitive([[X.dist[(x, y)] for y in objects] for x in objects])
+    report.add(
+        "transitivity", tri is None, None if tri is None else tuple(objects[t] for t in tri)
     )
-    report.add("transitivity", tri is None, tri)
     return report
 
 

@@ -137,6 +137,22 @@ def join_of_tensors(q, rows, cols):
     ]
 
 
+def scan_first_intransitive(q, matrix):
+    """``first_intransitive`` by its definition: the first (i, j, k) in
+    row-major order with matrix[j][k] ⊗ matrix[i][j] ≰ matrix[i][k], one
+    ``tensor`` and one ``leq`` per triple; None if there is none."""
+    return next(
+        (
+            (i, j, k)
+            for i, row in enumerate(matrix)
+            for j, xy in enumerate(row)
+            for k, (yz, xz) in enumerate(zip(matrix[j], row))
+            if not q.leq(q.tensor(yz, xy), xz)
+        ),
+        None,
+    )
+
+
 def method_validate_vcat(X) -> Report:
     """``validate_vcat`` by n³ calls of ``X.d``, ``q.tensor`` and ``q.leq``
     in object order: the reference first witnesses on every carrier."""

@@ -2,6 +2,7 @@ import glob
 import hashlib
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -411,6 +412,9 @@ SPLIT_NCAT = {
         ["1a", "s", "s"], ["s", "r", "e"], ["r", "s", "1b"], ["r", "e", "r"], ["e", "s", "s"],
     ],
 }
+# SPLIT_NCAT's table with the pair (1a, 1a) given a second composite
+TWICE = SPLIT_NCAT["compose"] + [["1a", "1a", "e"]]
+LONG_DECIMAL = "1" * 3000 + "." + "1" * 3000
 
 
 @pytest.mark.parametrize(
@@ -523,6 +527,32 @@ def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located)
           "objects": {"X": {"kind": "vcat", "objects": ["p"], "dist": [["1" + "0" * 5000]]}},
           "tasks": []},
          "input error: object 'X': numeral too long: 5001 digits (at most 4300 per integer)\n"),
+    ]
+    + [
+        # each digit run fits, the reduced value (6000 digits over 10^3000)
+        # could not be written back: rejected while parsing, before the task
+        ({"quantale": "lawvere-plus",
+          "objects": {"X": {"kind": "vcat", "objects": ["p"], "dist": [[dist]]},
+                      "phi": {"kind": "vdist", "source": "X", "target": "X",
+                              "values": [[value]]}},
+          "tasks": [{"op": op, "target": "X", "outer": "phi", "inner": "phi"}]},
+         f"input error: object '{bad}': numeral too long: 6000 digits (at most 4300 per integer)\n")
+        for op, bad, dist, value in (("validate", "X", LONG_DECIMAL, "0"),
+                                     ("compose", "phi", "0", LONG_DECIMAL))
+    ]
+    + [
+        # a bad name in a compose row after a pair given two composites: the
+        # first bad name in row order is reported, as when names were checked
+        # before the table was built
+        ({"quantale": "bool2", "objects": {"A": {**SPLIT_NCAT, "compose": rows}}, "tasks": []},
+         f"input error: object 'A': {message}\n")
+        for rows, message in (
+            (TWICE + [["1a", ["x"], "1a"], ["1a", "1a", {"y": 1}]],
+             "an entry of 'compose' must be a name, got ['x']"),
+            (TWICE + [["1a", "1a", {"y": 1}]],
+             "an entry of 'compose' must be a name, got {'y': 1}"),
+            (TWICE, "field 'compose' gives ['1a', '1a'] two composites"),
+        )
     ],
 )
 def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, located):
@@ -536,7 +566,13 @@ def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, 
 @pytest.mark.parametrize(
     "raw, problem",
     [("abc", "an integer, got 'abc'"), ("0", "positive, got 0"),
-     ("-3", "positive, got -3"), ("1.5", "an integer, got '1.5'")],
+     ("-3", "positive, got -3"), ("1.5", "an integer, got '1.5'"),
+     # long values are not echoed back; a valid one past int's limit is
+     # reported by its size
+     pytest.param("9" * 5000, "a shorter integer, got 5000 digits (at most 4300 per integer)",
+                  id="5000-nines"),
+     pytest.param("x" * 5000, "an integer, got 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)",
+                  id="5000-letters")],
 )
 def test_malformed_budget_env_var_is_input_error(capsys, monkeypatch, raw, problem):
     monkeypatch.setenv("QUANTCAT_BUDGET", raw)
@@ -820,3 +856,189 @@ def test_theorem_path_fires_the_search_paths_guards(
         assert theorem == run(needed - 1, search=True), needed
         code, out, err = theorem[1]
         assert code == 3 and out == "" and err.startswith("budget exceeded: "), err
+
+
+# ---------------------------------------------------------------------------
+# canonical values made once at the boundary
+
+
+def _one_vcat(quantale, row0, row1):
+    return {"quantale": quantale,
+            "objects": {"X": {"kind": "vcat", "objects": ["p", "q"], "dist": [row0, row1]}},
+            "tasks": [{"op": "validate", "target": "X"}]}
+
+
+def _parse_outcome(data):
+    from quantcat.cli import InputError
+
+    try:
+        X = parse_instance(data).objects["X"][1]
+    except InputError as exc:
+        return "error", str(exc)
+    return "ok", [[X.d(x, y) for y in X.objects] for x in X.objects]
+
+
+@pytest.mark.parametrize("other, error", [
+    (True, "object 'X': not an extended rational: True"),
+    (1, None),
+    (1.0, "object 'X': floats are not exact values: 1.0"),
+    ("1", None),
+])
+def test_numeral_memo_keeps_json_scalars_apart(other, error):
+    # "1" beside JSON true, 1 and 1.0, in either order: each is accepted or
+    # rejected as it is alone, so the string's memo entry never answers for them
+    from fractions import Fraction
+
+    # and beside the JSON 1, which equals true and 1.0 as a dict key would
+    for row0, row1 in ((["0", "1"], [other, "0"]), (["0", other], ["1", "0"]),
+                       (["0", 1], [other, "0"])):
+        got = _parse_outcome(_one_vcat("lawvere-plus", row0, row1))
+        one = Fraction(1)
+        assert got == (("ok", [[0, one], [one, 0]]) if error is None else ("error", error))
+    # a finite carrier takes names only: "1" is an element, the others are not
+    finite = _parse_outcome(_one_vcat("bool2", ["1", "1"], [other, "1"]))
+    if other == "1" and type(other) is str:
+        assert finite == ("ok", [[1, 1], [1, 1]])
+    else:
+        assert finite == ("error", "object 'X': finite quantale elements must be "
+                                   f"referenced by name, got {other!r}")
+
+
+def test_a_bad_numeral_is_rejected_every_time_it_is_read():
+    from quantcat.cli import Instance, InputError
+    from quantcat.quantale import lawvere_plus
+
+    inst = Instance("lawvere-plus", lawvere_plus(), {}, [])
+    errors = []
+    for _ in range(2):
+        with pytest.raises(InputError) as exc:
+            inst.value("abc")
+        errors.append(str(exc.value))
+    assert errors == ["malformed numeral: 'abc'"] * 2 and "abc" not in inst.numerals
+    # in a file, each object naming it fails the same way
+    objects = {name: {"kind": "vcat", "objects": ["p"], "dist": [["abc"]]} for name in "XY"}
+    for first in "XY":
+        data = {"quantale": "lawvere-plus", "tasks": [],
+                "objects": dict(sorted(objects.items(), key=lambda kv: kv[0] != first))}
+        with pytest.raises(InputError, match=f"^object '{first}': malformed numeral: 'abc'$"):
+            parse_instance(data)
+
+
+def test_instances_with_different_inline_tables_keep_their_own_names():
+    # the same names in opposite orders: "y" is index 0 in one table and 1
+    # in the other, and each instance reads it in its own table
+    def chain(names):
+        return {"elements": names, "leq": [[True, True], [False, True]],
+                "tensor": [[names[0], names[0]], [names[0], names[1]]], "unit": names[1]}
+
+    parsed = [parse_instance(_one_vcat(chain(names), ["y", "x"], ["x", "y"]))
+              for names in (["x", "y"], ["y", "x"])]
+    for inst in parsed:
+        X = inst.objects["X"][1]
+        assert [inst.quantale.name(X.d("p", y)) for y in X.objects] == ["y", "x"]
+    assert [inst.objects["X"][1].d("p", "p") for inst in parsed] == [1, 0]
+    # y is the unit of the first table and the bottom of the second
+    assert [inst.objects["X"][1].report.ok for inst in parsed] == [True, False]
+
+
+def _checked_literals(inst, spec):
+    """(parsed object, the same literal built by a checking constructor) for
+    every vcat, normed-set and weight-pair literal of an instance file,
+    inline ones too."""
+    from quantcat.normed_set import NormedSet
+    from quantcat.vcat import left_weight, right_weight, vcat_from_matrix
+
+    q = inst.quantale
+
+    def vcat(parsed, raw):
+        return parsed, vcat_from_matrix(q, raw["objects"], raw["dist"])
+
+    def nset(parsed, raw):
+        norms = {e["id"]: e["norm"] for e in raw["elements"]}
+        return parsed, NormedSet(q, norms, [e["id"] for e in raw["elements"]])
+
+    for name, raw in spec["objects"].items():
+        kind, parsed = inst.objects[name]
+        if kind == "vcat":
+            yield vcat(parsed, raw)
+        elif kind == "normed_set":
+            yield nset(parsed, raw)
+        elif kind == "weight_pair":
+            X = inst.objects[raw["space"]][1]
+            yield parsed.phi, left_weight(X, raw["phi"])
+            yield parsed.psi, right_weight(X, raw["psi"])
+        elif kind == "ndist":
+            for a, elements in raw["sets"].items():
+                yield nset(parsed.sets[a], {"elements": elements})
+        elif kind == "sequence" and raw["ambient"] != "ncat":
+            build = nset if raw["ambient"] == "nset" else vcat
+            stages = [p["object"] for p in raw.get("prefix", [])] + [raw["tail"]["object"]]
+            for got, stage in zip(parsed.prefix_objects + [parsed.tail_object], stages):
+                if isinstance(stage, dict):
+                    yield build(got, stage)
+
+
+def test_parsed_literals_equal_the_checked_constructors():
+    from fractions import Fraction
+
+    from quantcat.quantale import INF
+
+    compared = Counter()
+    for name in sorted(os.listdir(DATA)):
+        with open(path(name), encoding="utf-8") as fh:
+            spec = json.load(fh)
+        inst = load_instance(path(name))
+        for parsed, checked in _checked_literals(inst, spec):
+            assert parsed == checked, name
+            values = next(getattr(parsed, field) for field in ("dist", "norms", "values")
+                          if hasattr(parsed, field)).values()
+            kinds = (int,) if inst.quantale.is_finite else (Fraction, type(INF))
+            assert all(type(v) in kinds for v in values), name
+            compared[type(parsed).__name__, inst.quantale.is_finite] += 1
+    # each literal kind, vcats and normed sets over both kinds of carrier
+    assert len(compared) == 5, compared
+
+
+def test_parsing_converts_each_numeral_string_once(monkeypatch):
+    from quantcat import quantale
+
+    calls = Counter()
+    convert = quantale.as_extended_rational
+
+    def counted(x):
+        calls[x] += 1
+        return convert(x)
+
+    monkeypatch.setattr(quantale, "as_extended_rational", counted)
+    repeats = 0
+    for name in sorted(os.listdir(DATA)):
+        calls.clear()
+        inst = load_instance(path(name))
+        if inst.quantale.is_finite:
+            assert not calls, name
+            continue
+        with open(path(name), encoding="utf-8") as fh:
+            text = fh.read()
+        strings = [raw for raw in calls if type(raw) is str]
+        assert strings, name
+        assert all(calls[raw] == 1 and json.dumps(raw) in text for raw in strings), name
+        repeats += sum(text.count(json.dumps(raw)) - 1 for raw in strings)
+        assert inst.numerals == {}, name  # the memo lasts for one parse
+    assert repeats > 10  # the fixtures repeat numerals, and each repeat was a memo hit
+
+
+def test_an_integer_literal_past_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "long.json"
+    f.write_text('{"quantale": "lawvere-plus", "objects": {"X": {"kind": "vcat", '
+                 '"objects": ["p"], "dist": [[1' + "0" * 5000 + ']]}}, "tasks": []}',
+                 encoding="utf-8")
+    assert main([str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("input error: numeral too long: an integer literal has more "
+                   "than 4300 digits\n"), err
+    text = b'{"quantale": "bool2", "objects": {}, "tasks": [], "x": "\xff"}'
+    f.write_bytes(text)
+    assert main([str(f)]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: cannot read {f}: not UTF-8 text (byte {text.index(255)})\n"
+    )

@@ -560,6 +560,16 @@ def test_zero_denominator_is_a_carrier_mismatch(qplus, qtimes, raw):
             q.parse(raw)
 
 
+def test_a_numeral_too_long_to_write_back_is_rejected_while_parsing():
+    # each digit run is under the limit; the reduced value is 6000 digits
+    # over 10^3000, which could not be written back
+    with pytest.raises(CarrierMismatch) as exc:
+        as_extended_rational("1" * 3000 + "." + "1" * 3000)
+    assert str(exc.value) == "numeral too long: 6000 digits (at most 4300 per integer)"
+    fits = "1" * 2150 + "." + "1" * 2150
+    assert as_extended_rational(fits) == Fraction(fits)
+
+
 def test_format_checks_only_what_is_not_a_fraction(qplus):
     assert [qplus.format(v) for v in (INF, Fraction(3, 6), "2/4", 3, "inf")] == [
         "inf", "1/2", "1/2", "3", "inf",
@@ -633,3 +643,105 @@ def test_compose_matrices_match_the_fold_on_every_2x2_pair(name):
         for cols in matrices:
             assert q.compose_matrices(rows, cols) == join_of_tensors(q, rows, cols)
     assert q.compose_matrices([[], []], [[]]) == [[q.bottom], [q.bottom]]
+
+
+# ---------------------------------------------------------------------------
+# the transitivity hook
+
+
+def near_metrics(rng, q, n, pool):
+    """A square matrix over the extended rationals from points on a line
+    (rational a, distance |a − b|, in additive mode; integer a, distance
+    2^|a − b|, in multiplicative mode; either way the triangle law holds),
+    with one entry redrawn from ``pool``: the first failing triple, if any,
+    lies anywhere in the scan."""
+    additive = q.mode == "additive"
+    points = [
+        Fraction(rng.randrange(12), rng.choice((1, 2, 3, 5, 7)) if additive else 1)
+        for _ in range(n)
+    ]
+    matrix = [
+        [abs(a - b) if additive else Fraction(2 ** int(abs(a - b))) for b in points]
+        for a in points
+    ]
+    if n:
+        matrix[rng.randrange(n)][rng.randrange(n)] = rng.choice(pool)
+    return matrix
+
+
+def test_first_intransitive_matches_the_scan_on_extended_rationals(qplus, qtimes):
+    import random
+
+    from helpers import scan_first_intransitive
+
+    rng = random.Random(15)
+    pools = [
+        [INF, Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3)],
+        [INF, Fraction(0)] + [Fraction(a, d) for a in (1, 5, 7, 13, 40) for d in (1, 4, 6, 7, 9)],
+        [INF, Fraction(0)],
+        [Fraction(10**30, 7), Fraction(1, 10**12), INF],
+    ]
+    failing = 0
+    for q in (qplus, qtimes):
+        for pool in pools:
+            for n in range(7):
+                for reflexive in (False, True):
+                    for _ in range(40):
+                        matrix = [
+                            [q.unit if i == j and reflexive else rng.choice(pool)
+                             for j in range(n)]
+                            for i in range(n)
+                        ]
+                        for m in (matrix, near_metrics(rng, q, n, pool)):
+                            expected = scan_first_intransitive(q, m)
+                            assert q.first_intransitive(m) == expected, (q, m)
+                            failing += expected is not None
+    assert failing > 1000  # the draws reach failures as well as passes
+
+
+@pytest.mark.parametrize("name", FINITE_BUILTINS)
+def test_first_intransitive_matches_the_scan_on_every_small_table(name):
+    from itertools import product
+
+    from helpers import scan_first_intransitive
+
+    q = builtin_quantale(name)
+    for n in range(3):
+        for v in product(q.carrier(), repeat=n * n):
+            matrix = [list(v[i * n:(i + 1) * n]) for i in range(n)]
+            assert q.first_intransitive(matrix) == scan_first_intransitive(q, matrix)
+
+
+def test_first_intransitive_reads_the_tensor_in_law_order(qluka):
+    import random
+
+    from helpers import scan_first_intransitive
+
+    # u ⊗ v = u is not commutative: the law reads matrix[j][k] ⊗ matrix[i][j]
+    left = FiniteQuantale(["0", "1", "2"], [[i <= j for j in range(3)] for i in range(3)],
+                          [[u] * 3 for u in range(3)], "2")
+    rng = random.Random(4)
+    for q in (qluka, left):
+        for n in (3, 4, 5):
+            for _ in range(300):
+                matrix = [[rng.choice(q.carrier()) for _ in range(n)] for _ in range(n)]
+                assert q.first_intransitive(matrix) == scan_first_intransitive(q, matrix)
+
+
+def test_additive_triangle_law_runs_on_integers(qplus, monkeypatch):
+    from quantcat.quantale import LawvereQuantale
+
+    def no_fraction_fold(*args):
+        raise AssertionError("the additive triangle law folded Fractions")
+
+    monkeypatch.setattr(LawvereQuantale, "tensor", no_fraction_fold)
+    monkeypatch.setattr(LawvereQuantale, "leq", no_fraction_fold)
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    metric = [[Fraction(0), third, INF], [third, Fraction(0), half], [INF, half, Fraction(0)]]
+    assert qplus.first_intransitive(metric) == (0, 1, 2)  # 1/2 + 1/3 < inf
+    metric[0][2] = metric[2][0] = Fraction(5, 6)
+    assert qplus.first_intransitive(metric) is None
+    metric[0][2] = Fraction(6, 7)
+    assert qplus.first_intransitive(metric) == (0, 1, 2)
+    assert qplus.first_intransitive([]) is None
+    assert qplus.first_intransitive([[INF]]) is None

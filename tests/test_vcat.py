@@ -178,6 +178,35 @@ def test_validate_vcat_row_scan_matches_the_method_scan(
                     assert validate_vcat(X) == helpers.method_validate_vcat(X), (q, matrix)
 
 
+def test_first_intransitive_matches_the_scan_near_every_small_vcategory(
+    q2, q3, q4chain, q4bool, qluka
+):
+    # every V-category on up to three objects (two over the four-element
+    # carriers), and every matrix one entry away from one: the hook names the
+    # same first failing triple as the scan
+    for q, max_objects in ((q2, 3), (q3, 3), (qluka, 3), (q4chain, 2), (q4bool, 2)):
+        for n in range(max_objects + 1):
+            objects = [f"o{i}" for i in range(n)]
+            for X in all_vcategories(q, objects, budget=10**6):
+                D = [[X.d(x, y) for y in objects] for x in objects]
+                assert q.first_intransitive(D) is None
+                for i, j in product(range(n), repeat=2):
+                    for v in q.carrier():
+                        E = [row[:] for row in D]
+                        E[i][j] = v
+                        expected = helpers.scan_first_intransitive(q, E)
+                        assert q.first_intransitive(E) == expected, (q, E)
+
+
+def test_validate_vcat_reports_the_hook_witness(q3, qplus, qtimes, monkeypatch):
+    # the transitivity check has one path: the quantale's hook, by index
+    for q in (q3, qplus, qtimes):
+        monkeypatch.setattr(type(q), "first_intransitive", lambda self, m: (1, 0, 1))
+        X = vcat_from_matrix(q, ["a", "b"], [[q.unit, q.unit], [q.unit, q.unit]])
+        assert validate_vcat(X).failures()[0].witness == ("b", "a", "b")
+        monkeypatch.undo()
+
+
 def test_validate_vfunctor(qplus):
     X = metric2(qplus, Fraction(2), Fraction(2))
     Y = metric2(qplus, Fraction(1), Fraction(1))
