@@ -730,7 +730,14 @@ def run_instance(inst: Instance, budget: int, probe: int) -> dict:
         entry = {"index": i, "op": op}
         for key in ("target", "pair", "outer", "inner", "source", "point", "mode"):
             if key in task:
-                entry[key] = task[key]
+                entry[key] = echoed = task[key]
+                if type(echoed) is not str:
+                    try:  # the report writer takes every JSON value but a float
+                        _json(echoed, "\n")
+                    except TypeError:
+                        raise InputError(
+                            f"task {i} ({op}): field {key!r}: floats are not exact values"
+                        )
         entry.update(outcome)
         results.append(entry)
     all_pass = all(r["verdict"] != "fail" for r in results)
@@ -743,7 +750,39 @@ def run_instance(inst: Instance, budget: int, probe: int) -> dict:
 
 
 def machine_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    """The ``--json`` text of ``report``: the bytes of ``json.dumps(report,
+    indent=2, sort_keys=True)``, without the pure-Python encoder that
+    ``json.dumps`` runs whenever ``indent`` is set.  A report holds dicts
+    with ``str`` keys, lists, tuples, strings, ints, booleans and None; any
+    other value (a float, a set, a key that is not a string) raises
+    ``TypeError``."""
+    return _json(report, "\n")
+
+
+_quoted = json.encoder.encode_basestring_ascii
+
+
+def _json(value, newline: str) -> str:
+    """``value`` as JSON, its nested lines indented two spaces past ``newline``."""
+    if isinstance(value, str):
+        return _quoted(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        # _quoted raises TypeError on a key that is not a string
+        items = [f"{inner}{_quoted(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        return "{" + ",".join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + _json(item, inner) for item in value]
+        return "[" + ",".join(items) + newline + "]" if items else "[]"
+    raise TypeError(f"not a report value: {type(value).__name__}")
 
 
 def human_report(report: dict, elapsed: float) -> str:
@@ -812,8 +851,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+    except BudgetExceeded as exc:  # its text starts "budget exceeded: "
+        print(exc, file=sys.stderr)
         return 3
     if args.json:
         print(machine_report(report))

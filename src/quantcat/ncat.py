@@ -493,15 +493,6 @@ def representable_contra(A: NormedCategory, a) -> NormedDistributor:
     return NormedDistributor(A, False, sets, action)
 
 
-def i_embed_weight(phi_vec: Mapping, NA: NormedCategory) -> NormedDistributor:
-    """Interpret an object-indexed vector of values as a one-point-per-object
-    covariant distributor over a one-arrow category."""
-    star = "*"
-    sets = {x: NormedSet(NA.quantale, {star: phi_vec[x]}) for x in NA.objects}
-    action = {h: {star: star} for h in NA.morphisms}
-    return NormedDistributor(NA, True, sets, action)
-
-
 # ---------------------------------------------------------------------------
 # natural transformations (the end construction)
 
@@ -802,24 +793,6 @@ def check_adjunction_cert(cert: AdjunctionCertificate, normed: bool = False) -> 
     return report
 
 
-def representable_certificate(A: NormedCategory, a) -> AdjunctionCertificate:
-    """The certificate for the representable adjunction at a: the counit is
-    composition and the splitting triple is (a, 1_a, 1_a)."""
-    Phi = representable_cov(A, a)
-    Psi = representable_contra(A, a)
-    eps = {
-        (x, y): {
-            (f, g): A.compose(f, g)
-            for f in A.hom(a, y)
-            for g in A.hom(x, a)
-        }
-        for x in A.objects
-        for y in A.objects
-    }
-    one = A.identity[a]
-    return AdjunctionCertificate(Phi, Psi, eps, a, one, one)
-
-
 # ---------------------------------------------------------------------------
 # left adjoints through the canonical conjugate
 
@@ -933,28 +906,6 @@ def check_normed_retract(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET):
                     for w in Phi.set_at(x)
                 ):
                     return a, u, nat_key(Phi, beta)
-    return None
-
-
-def is_representable_ndist(Phi: NormedDistributor):
-    """An object b and element u presenting Φ as normed-isomorphic to the
-    representable at b, or None."""
-    A = Phi.category
-    q = Phi.quantale
-    for b in A.objects:
-        Rb = representable_cov(A, b)
-        for u in Phi.set_at(b):
-            alpha = {x: {f: Phi.apply(f, u) for f in A.hom(b, x)} for x in A.objects}
-            if not all(
-                len(set(alpha[x].values())) == len(A.hom(b, x)) == len(Phi.set_at(x))
-                for x in A.objects
-            ):
-                continue
-            inverse = {x: {w: f for f, w in alpha[x].items()} for x in A.objects}
-            if q.leq(q.unit, nat_norm(Rb, Phi, alpha)) and q.leq(
-                q.unit, nat_norm(Phi, Rb, inverse)
-            ):
-                return b, u
     return None
 
 

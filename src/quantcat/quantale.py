@@ -106,12 +106,8 @@ def as_extended_rational(x: Any) -> Fraction | _Infinity:
         limit = int_digit_limit()
         # the reduced numerator and denominator of a string are no longer
         # than the string, so only a long one can fail to be written back
-        if limit and len(s) > limit:
-            digits = max(map(_digit_count, (value.numerator, value.denominator)))
-            if digits > limit:
-                raise CarrierMismatch(
-                    f"numeral too long: {digits} digits (at most {limit} per integer)"
-                )
+        if limit and len(s) > limit and (too_long := _too_long(value)):
+            raise CarrierMismatch(too_long)
     else:
         raise CarrierMismatch(f"not an extended rational: {x!r}")
     if value.numerator < 0:
@@ -127,6 +123,16 @@ def _numeral_error(x: str) -> str:
     if too_long:
         return f"numeral too long: {too_long}"
     return f"malformed numeral: {abbreviated(x)}"
+
+
+def _too_long(value: Fraction) -> str | None:
+    """What is wrong with a value whose numerator or denominator has more
+    digits than ``int`` writes out, or None."""
+    limit = int_digit_limit()
+    digits = max(map(_digit_count, (value.numerator, value.denominator)))
+    if limit and digits > limit:
+        return f"numeral too long: {digits} digits (at most {limit} per integer)"
+    return None
 
 
 def _digit_count(n: int) -> int:
@@ -187,14 +193,22 @@ class FiniteQuantale:
         )
         self._bottom = least(up, (1 << n) - 1)
         self._top = least(down, (1 << n) - 1)
-
-        def residual(u, v):
-            try:
-                return self._residual_join(u, v)
-            except ValueError:
-                return None
-
-        self._hom = tuple(tuple(residual(u, v) for v in range(n)) for u in range(n))
+        # hom(u, v) = ⋁{w : w ⊗ u ≤ v}, folded down column u of the tensor
+        # table in carrier order as ``join`` folds: None at a missing join
+        order, joins, hom = self._leq, self._join, []
+        for u in range(n):
+            column = [row[u] for row in self._tensor]
+            line = []
+            for v in range(n):
+                acc = -1
+                for w, x in enumerate(column):
+                    if order[x][v]:
+                        acc = w if acc == -1 else joins[acc][w]
+                        if acc is None:
+                            break
+                line.append(self._bottom if acc == -1 else acc)
+            hom.append(tuple(line))
+        self._hom = tuple(hom)
 
     # -- carrier ----------------------------------------------------------
 
@@ -389,10 +403,14 @@ class LawvereQuantale:
 
     def format(self, u) -> str:
         """``u`` as the file format writes it; a ``Fraction``, as every
-        finite canonical value is, is not checked again."""
+        finite canonical value is, is not checked again.  A value too long
+        to write raises ``CarrierMismatch``."""
         if type(u) is not Fraction:
             u = self.check(u)
-        return "inf" if u is INF else str(u)
+        try:
+            return "inf" if u is INF else str(u)
+        except ValueError:  # past int's digit limit, as a composite can be
+            raise CarrierMismatch(_too_long(u)) from None
 
     def leq(self, u, v) -> bool:
         if u is INF:
@@ -535,111 +553,75 @@ def require_finite(q: Quantale, what: str) -> FiniteQuantale:
 
 
 def validate_quantale(q: FiniteQuantale) -> Report:
-    """Check the quantale axioms exhaustively on a finite table.
+    """Check the quantale axioms exhaustively on a finite table, reading
+    ``leq_table``, ``tensor_table`` and ``join_table``; each check reports
+    its first witness in carrier order.
 
     Join-distributivity is checked over the empty set and all pairs: on a
     finite lattice every join is an iterated binary join or the empty one,
     so this is exact.
     """
     report = Report()
-    els = list(q.carrier())
+    leq, t, join, meet = q.leq_table, q.tensor_table, q.join_table, q.meet_table
+    names = q.names
+    els = range(len(names))
 
-    refl = next((u for u in els if not q.leq(u, u)), None)
-    report.add("order-reflexive", refl is None, None if refl is None else q.name(refl))
+    def add(check, bad):
+        """Report ``check``; its witness names the elements of ``bad``."""
+        report.add(check, bad is None, None if bad is None else tuple(names[x] for x in bad))
 
-    antisym = next(
-        ((u, v) for u in els for v in els if u != v and q.leq(u, v) and q.leq(v, u)),
+    refl = next((u for u in els if not leq[u][u]), None)
+    report.add("order-reflexive", refl is None, None if refl is None else names[refl])
+    add("order-antisymmetric", next(
+        ((u, v) for u in els for v in els if u != v and leq[u][v] and leq[v][u]), None
+    ))
+    add("order-transitive", next(
+        ((u, v, w) for u, lu in enumerate(leq) for v, lv in enumerate(leq) if lu[v]
+         for w in els if lv[w] and not lu[w]),
         None,
-    )
-    report.add(
-        "order-antisymmetric",
-        antisym is None,
-        None if antisym is None else tuple(q.name(x) for x in antisym),
-    )
-
-    trans = next(
-        (
-            (u, v, w)
-            for u in els
-            for v in els
-            for w in els
-            if q.leq(u, v) and q.leq(v, w) and not q.leq(u, w)
-        ),
-        None,
-    )
-    report.add(
-        "order-transitive",
-        trans is None,
-        None if trans is None else tuple(q.name(x) for x in trans),
-    )
-
+    ))
     if not report.ok:
         return report
 
     # the witness is the last missing pair in row-major order
     missing_join = next(
-        ((u, v) for u in reversed(els) for v in reversed(els) if q._join[u][v] is None),
+        ((u, v) for u in reversed(els) for v in reversed(els) if join[u][v] is None),
         None,
     )
     missing_meet = next(
-        ((u, v) for u in reversed(els) for v in reversed(els) if q._meet[u][v] is None),
+        ((u, v) for u in reversed(els) for v in reversed(els) if meet[u][v] is None),
         None,
     )
     if q._bottom is None:
         missing_join = missing_join or ("empty",)
     if q._top is None:
         missing_meet = missing_meet or ("empty",)
-    report.add(
-        "lattice-joins",
-        missing_join is None,
-        None if missing_join is None else str(missing_join),
-    )
-    report.add(
-        "lattice-meets",
-        missing_meet is None,
-        None if missing_meet is None else str(missing_meet),
-    )
+    for check, missing in (("lattice-joins", missing_join), ("lattice-meets", missing_meet)):
+        report.add(check, missing is None, None if missing is None else str(missing))
     if not report.ok:
         return report
 
-    comm = next(
-        ((u, v) for u in els for v in els if q.tensor(u, v) != q.tensor(v, u)), None
-    )
-    report.add(
-        "tensor-commutative",
-        comm is None,
-        None if comm is None else tuple(q.name(x) for x in comm),
-    )
-
-    assoc = next(
-        (
-            (u, v, w)
-            for u in els
-            for v in els
-            for w in els
-            if q.tensor(q.tensor(u, v), w) != q.tensor(u, q.tensor(v, w))
-        ),
+    add("tensor-commutative", next(
+        ((u, v) for u in els for v in els if t[u][v] != t[v][u]), None
+    ))
+    add("tensor-associative", next(
+        ((u, v, w) for u, tu in enumerate(t) for v, tv in enumerate(t)
+         for w, uv_w in enumerate(t[tu[v]]) if uv_w != tu[tv[w]]),
         None,
-    )
-    report.add(
-        "tensor-associative",
-        assoc is None,
-        None if assoc is None else tuple(q.name(x) for x in assoc),
-    )
+    ))
+    unit = t[q.unit]
+    bad_unit = next((u for u in els if unit[u] != u), None)
+    report.add("tensor-unit", bad_unit is None, None if bad_unit is None else names[bad_unit])
 
-    unit_bad = next((u for u in els if q.tensor(q.unit, u) != u), None)
-    report.add(
-        "tensor-unit", unit_bad is None, None if unit_bad is None else q.name(unit_bad)
-    )
-
-    # pairs in ascending-mask order: (0, 1), (0, 2), (1, 2), (0, 3), ...
-    subsets = [()] + [(u, v) for v in els for u in els if u < v]
+    # the empty set, then pairs in ascending-mask order: (0, 1), (0, 2), (1, 2), ...
+    bottom = q.bottom
+    subsets = [()] + [(a, b) for b in els for a in range(b)]
     dist_bad = next(
         (
-            (q.name(u), tuple(q.name(s) for s in S))
-            for u in els
+            (names[u], tuple(names[s] for s in S))
+            for u, tu in enumerate(t)
             for S in subsets
-            if q.tensor(u, q.join(S)) != q.join(q.tensor(u, s) for s in S)
+            if (tu[join[S[0]][S[1]]] != join[tu[S[0]]][tu[S[1]]] if S else tu[bottom] != bottom)
         ),
         None,
     )

@@ -697,15 +697,6 @@ def _verify_c2b_ncat(s: Sequence, gamma: Cocone, report: Report) -> None:
     report.add("C2b-all-morphisms", bad is None, bad)
 
 
-def c2b_reduction_check(s: Sequence, gamma: Cocone) -> bool:
-    """The single-element reduction of (C2b), |a| ≤ |a|_H for every apex
-    element, exact on any carrier.  It shares H with the probe route, so the
-    independent oracle for both is the per-component check in the tests."""
-    if s.kind == NCAT:
-        raise ValueError("the reduction applies to set-like ambients")
-    return _first_above_final(s.norm_quantale, *_c2b_sets(s, gamma)) is None
-
-
 # ---------------------------------------------------------------------------
 # Lipschitz norms
 

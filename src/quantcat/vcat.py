@@ -152,10 +152,6 @@ def unit_vcat(q: Quantale) -> VCategory:
     return VCategory(q, [POINT], {(POINT, POINT): q.unit})
 
 
-def is_symmetric(X: VCategory) -> bool:
-    return all(X.d(x, y) == X.d(y, x) for x in X.objects for y in X.objects)
-
-
 @dataclass
 class VFunctor:
     source: VCategory

@@ -5,18 +5,23 @@ from itertools import product
 from quantcat.cli import InputError, _ser_normed_set, _ser_vcat
 from quantcat.common import DEFAULT_BUDGET, PreconditionError, Report, guard_count
 from quantcat.ncat import (
+    AdjunctionCertificate,
     NcatLawvereVerdict,
     NormedCategory,
     NormedDistributor,
     idempotent_distributor_sets,
     left_adjoint_unit,
+    nat_norm,
     presentable_unit_scan,
+    representable_contra,
+    representable_cov,
     split_idempotents_check,
     strict_subcategory,
     validate_ncat,
 )
 from quantcat.normed_set import NormedMap, NormedSet
 from quantcat.quantale import BUILTIN_QUANTALES, require_finite
+from quantcat.seqlim import NCAT, _c2b_sets, _first_above_final
 from quantcat.vcat import (
     LawvereVerdict,
     VCategory,
@@ -176,6 +181,133 @@ def method_validate_vcat(X) -> Report:
     )
     report.add("transitivity", tri is None, tri)
     return report
+
+
+def method_validate_quantale(q) -> Report:
+    """``validate_quantale`` by n³ calls of ``q.leq`` and ``q.tensor`` and a
+    ``q.join`` per subset: the reference names, verdicts and witnesses.
+
+    Join-distributivity is checked over the empty set and all pairs: on a
+    finite lattice every join is an iterated binary join or the empty one,
+    so this is exact.
+    """
+    report = Report()
+    els = list(q.carrier())
+
+    refl = next((u for u in els if not q.leq(u, u)), None)
+    report.add("order-reflexive", refl is None, None if refl is None else q.name(refl))
+
+    antisym = next(
+        ((u, v) for u in els for v in els if u != v and q.leq(u, v) and q.leq(v, u)),
+        None,
+    )
+    report.add(
+        "order-antisymmetric",
+        antisym is None,
+        None if antisym is None else tuple(q.name(x) for x in antisym),
+    )
+
+    trans = next(
+        (
+            (u, v, w)
+            for u in els
+            for v in els
+            for w in els
+            if q.leq(u, v) and q.leq(v, w) and not q.leq(u, w)
+        ),
+        None,
+    )
+    report.add(
+        "order-transitive",
+        trans is None,
+        None if trans is None else tuple(q.name(x) for x in trans),
+    )
+
+    if not report.ok:
+        return report
+
+    # the witness is the last missing pair in row-major order
+    missing_join = next(
+        ((u, v) for u in reversed(els) for v in reversed(els) if q._join[u][v] is None),
+        None,
+    )
+    missing_meet = next(
+        ((u, v) for u in reversed(els) for v in reversed(els) if q._meet[u][v] is None),
+        None,
+    )
+    if q._bottom is None:
+        missing_join = missing_join or ("empty",)
+    if q._top is None:
+        missing_meet = missing_meet or ("empty",)
+    report.add(
+        "lattice-joins",
+        missing_join is None,
+        None if missing_join is None else str(missing_join),
+    )
+    report.add(
+        "lattice-meets",
+        missing_meet is None,
+        None if missing_meet is None else str(missing_meet),
+    )
+    if not report.ok:
+        return report
+
+    comm = next(
+        ((u, v) for u in els for v in els if q.tensor(u, v) != q.tensor(v, u)), None
+    )
+    report.add(
+        "tensor-commutative",
+        comm is None,
+        None if comm is None else tuple(q.name(x) for x in comm),
+    )
+
+    assoc = next(
+        (
+            (u, v, w)
+            for u in els
+            for v in els
+            for w in els
+            if q.tensor(q.tensor(u, v), w) != q.tensor(u, q.tensor(v, w))
+        ),
+        None,
+    )
+    report.add(
+        "tensor-associative",
+        assoc is None,
+        None if assoc is None else tuple(q.name(x) for x in assoc),
+    )
+
+    unit_bad = next((u for u in els if q.tensor(q.unit, u) != u), None)
+    report.add(
+        "tensor-unit", unit_bad is None, None if unit_bad is None else q.name(unit_bad)
+    )
+
+    # pairs in ascending-mask order: (0, 1), (0, 2), (1, 2), (0, 3), ...
+    subsets = [()] + [(u, v) for v in els for u in els if u < v]
+    dist_bad = next(
+        (
+            (q.name(u), tuple(q.name(s) for s in S))
+            for u in els
+            for S in subsets
+            if q.tensor(u, q.join(S)) != q.join(q.tensor(u, s) for s in S)
+        ),
+        None,
+    )
+    report.add("tensor-join-distributive", dist_bad is None, dist_bad)
+    return report
+
+
+def join_hom_table(q):
+    """``q.hom_table`` by its definition: hom(u, v) is ``q.join`` of
+    {w : w ⊗ u ≤ v} in carrier order, None where that join raises."""
+
+    def residual(u, v):
+        try:
+            return q.join(w for w in q.carrier() if q.leq(q.tensor(w, u), v))
+        except ValueError:
+            return None
+
+    return tuple(tuple(residual(u, v) for v in q.carrier()) for u in q.carrier())
 
 
 def norm_assignment_ok(A, Phi) -> bool:
@@ -428,6 +560,64 @@ def brute_c2b_reduction(s, gamma) -> bool:
     return _hit_join_reduction(*_c2b_data(s, gamma))[0]
 
 
+def c2b_reduction_check(s, gamma) -> bool:
+    """The single-element reduction of (C2b), |a| ≤ |a|_H for every apex
+    element, exact on any carrier.  It shares H with the probe route, so the
+    independent oracle for both is the per-component check in the tests."""
+    if s.kind == NCAT:
+        raise ValueError("the reduction applies to set-like ambients")
+    return _first_above_final(s.norm_quantale, *_c2b_sets(s, gamma)) is None
+
+
+def i_embed_weight(phi_vec, NA) -> NormedDistributor:
+    """Interpret an object-indexed vector of values as a one-point-per-object
+    covariant distributor over a one-arrow category."""
+    star = "*"
+    sets = {x: NormedSet(NA.quantale, {star: phi_vec[x]}) for x in NA.objects}
+    action = {h: {star: star} for h in NA.morphisms}
+    return NormedDistributor(NA, True, sets, action)
+
+
+def representable_certificate(A, a) -> AdjunctionCertificate:
+    """The certificate for the representable adjunction at a: the counit is
+    composition and the splitting triple is (a, 1_a, 1_a)."""
+    Phi = representable_cov(A, a)
+    Psi = representable_contra(A, a)
+    eps = {
+        (x, y): {
+            (f, g): A.compose(f, g)
+            for f in A.hom(a, y)
+            for g in A.hom(x, a)
+        }
+        for x in A.objects
+        for y in A.objects
+    }
+    one = A.identity[a]
+    return AdjunctionCertificate(Phi, Psi, eps, a, one, one)
+
+
+def is_representable_ndist(Phi):
+    """An object b and element u presenting Φ as normed-isomorphic to the
+    representable at b, or None."""
+    A = Phi.category
+    q = Phi.quantale
+    for b in A.objects:
+        Rb = representable_cov(A, b)
+        for u in Phi.set_at(b):
+            alpha = {x: {f: Phi.apply(f, u) for f in A.hom(b, x)} for x in A.objects}
+            if not all(
+                len(set(alpha[x].values())) == len(A.hom(b, x)) == len(Phi.set_at(x))
+                for x in A.objects
+            ):
+                continue
+            inverse = {x: {w: f for f, w in alpha[x].items()} for x in A.objects}
+            if q.leq(q.unit, nat_norm(Rb, Phi, alpha)) and q.leq(
+                q.unit, nat_norm(Phi, Rb, inverse)
+            ):
+                return b, u
+    return None
+
+
 def monoid_cat(q, norm_one, norm_e) -> NormedCategory:
     """One object, one idempotent e besides the identity."""
     table = {
@@ -466,6 +656,10 @@ def split_monoid_cat(q) -> NormedCategory:
         q, ["a", "b"], morphisms, dom, cod, {"a": "1a", "b": "1b"}, table,
         {m: k for m in morphisms},
     )
+
+
+def is_symmetric(X) -> bool:
+    return all(X.d(x, y) == X.d(y, x) for x in X.objects for y in X.objects)
 
 
 def ordered_pair_vcat(q):

@@ -11,7 +11,6 @@ from fractions import Fraction
 from quantcat.ncat import (
     i_embed_cat,
     is_lawvere_complete_ncat,
-    is_representable_ndist,
     left_adjoint_unit,
     presentable_unit_scan,
     split_idempotents_check,
@@ -55,6 +54,7 @@ from helpers import (
     all_vcategories,
     brute_left_adjoints,
     idempotent_distributor,
+    is_representable_ndist,
     monoid_cat,
     ordered_pair_vcat,
     split_monoid_cat,

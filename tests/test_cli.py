@@ -3,10 +3,12 @@ import hashlib
 import json
 import os
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from quantcat.cli import load_instance, main, parse_instance
+from quantcat.cli import load_instance, machine_report, main, parse_instance, run_instance
 
 from helpers import serialize_instance
 
@@ -118,6 +120,52 @@ def test_machine_report_matches_golden_digest(name, capsys):
     code = main([path(name), "--json", "--budget", "4096", "--probe", "3"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == GOLDEN_JSON[name]
+
+
+def dumps(value) -> str:
+    """The writer's oracle: the stdlib encoder with the report's settings."""
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+def test_report_writer_matches_json_dumps_on_fixtures(name):
+    report = run_instance(load_instance(path(name)), 4096, 3)
+    assert machine_report(report) == dumps(report)
+
+
+REPORT_SHAPES = [
+    {"naïve": "ü\u2028 \"q\" \\ \n\t\x00\x7f 😀", "Z": "", "a": ["é", "\ud800"]},
+    {"empty": {}, "none": [], "nested": [{}, [], [[]], {"x": {}}]},
+    {"flags": [True, 1, False, 0, None], "one": 1, "true": True},
+    {"big": [2**64, -(2**64) - 1, 10**300, -1]},
+    {"tuples": (1, ("a", (True, None)), ()), "pair": ("x", [("y",)])},
+    [], {}, (), "", 0, None, True,
+]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(json_values)
+@settings(max_examples=200, deadline=None)
+@example(REPORT_SHAPES)
+def test_report_writer_matches_json_dumps_on_generated_values(value):
+    assert machine_report(value) == dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {"a": [0.0]}, {"a": {1, 2}}, {1: "a"}, {"a": [{2: "b"}]}, Fraction(1, 2)],
+    ids=["float", "nested-float", "set", "int-key", "nested-int-key", "fraction"],
+)
+def test_report_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        machine_report(value)
 
 
 def test_round_trip_parse_serialize(capsys):
@@ -553,6 +601,22 @@ def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located)
              "an entry of 'compose' must be a name, got {'y': 1}"),
             (TWICE, "field 'compose' gives ['1a', '1a'] two composites"),
         )
+    ]
+    + [
+        # each value prints, their min-plus composite 1/a + 1/b (a, b past
+        # 10^2500) has a 5001-digit denominator
+        ({"quantale": "lawvere-plus",
+          "objects": {"X": {"kind": "vcat", "objects": ["p"], "dist": [["0"]]},
+                      **{name: {"kind": "vdist", "source": "X", "target": "X",
+                                "values": [[f"1/{10**2500 + c}"]]}
+                         for name, c in (("phi", 7), ("psi", 9))}},
+          "tasks": [{"op": "compose", "outer": "phi", "inner": "psi"}]},
+         "input error: task 0 (compose): numeral too long: 5001 digits (at most 4300 per integer)\n"),
+        # a float in a field the report echoes, unread by the task
+        ({"quantale": "bool2",
+          "objects": {"X": {"kind": "vcat", "objects": ["p"], "dist": [["1"]]}},
+          "tasks": [{"op": "validate", "target": "X", "mode": [1.5]}]},
+         "input error: task 0 (validate): field 'mode': floats are not exact values\n"),
     ],
 )
 def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, located):
@@ -855,7 +919,10 @@ def test_theorem_path_fires_the_search_paths_guards(
         theorem = run(needed - 1, search=False)
         assert theorem == run(needed - 1, search=True), needed
         code, out, err = theorem[1]
-        assert code == 3 and out == "" and err.startswith("budget exceeded: "), err
+        what, first, skipped = theorem[0][-1]
+        line = f"budget exceeded: {what} needs {first} candidates, budget is {needed - 1}"
+        line += "" if skipped is None else f" (skipped: {skipped})"
+        assert (code, out, err) == (3, "", line + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -16,19 +16,16 @@ from quantcat.ncat import (
     coend_unit,
     has_presentable_unit,
     i_embed_cat,
-    i_embed_weight,
     idempotent_conjugate_sets,
     idempotent_distributor_sets,
     idempotent_unit_class,
     is_lawvere_complete_ncat,
-    is_representable_ndist,
     isbell_conjugate_ndist,
     left_adjoint_unit,
     nat_family,
     nat_key,
     nat_norm,
     nat_transformations,
-    representable_certificate,
     representable_contra,
     representable_cov,
     split_idempotents_check,
@@ -54,9 +51,12 @@ from helpers import (
     bool4_split_witness_vcat,
     brute_lawvere_ncat,
     filtered_norm_assignments,
+    i_embed_weight,
     idempotent_distributor,
+    is_representable_ndist,
     monoid_cat,
     ordered_pair_vcat,
+    representable_certificate,
     split_monoid_cat,
 )
 

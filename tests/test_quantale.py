@@ -1,5 +1,8 @@
+import random
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -25,7 +28,7 @@ from quantcat.vcat import (
     unit_vcat,
 )
 
-from helpers import subsets
+from helpers import join_hom_table, method_validate_quantale, subsets
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -316,6 +319,73 @@ def test_validate_broken_order_reports_witness():
     report = validate_quantale(q)
     bad = [c for c in report.failures() if c.name == "order-reflexive"]
     assert bad and bad[0].witness == "x"
+
+
+def random_table(rng) -> FiniteQuantale:
+    """A seeded table of size 1–5: a fifth have an arbitrary order relation,
+    the rest a random poset, a lattice or not; the tensor is an arbitrary
+    table (most are not commutative), a symmetrised one, or, on half the
+    lattices, the meet."""
+    n = rng.randint(1, 5)
+    if rng.random() < 0.2:
+        leq = [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
+    else:
+        rank = rng.sample(range(n), n)
+        leq = [[i == j or rank[i] < rank[j] and rng.random() < 0.6 for j in range(n)]
+               for i in range(n)]
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    leq[i][j] = leq[i][j] or leq[i][k] and leq[k][j]
+    tensor = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.3:
+        tensor = [[tensor[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    names = [f"e{i}" for i in range(n)]
+    q = FiniteQuantale(names, leq, tensor, rng.randrange(n))
+    lattice = q._top is not None and None not in chain(*q.meet_table)
+    if lattice and rng.random() < 0.5:
+        q = FiniteQuantale(names, leq, q.meet_table, q.top)
+    return q
+
+
+def test_validate_and_hom_table_match_their_oracles(qluka, qabove):
+    tables = [builtin_quantale(name) for name in FINITE_BUILTINS]
+    tables += [qluka, qabove, two_maximal(), three_atoms(), diamond_m3(), join_as_tensor()]
+    rng = random.Random(17)
+    tables += [random_table(rng) for _ in range(2400)]
+    failed, passed = Counter(), 0
+    for q in tables:
+        report = [(c.name, c.ok, c.witness) for c in validate_quantale(q).checks]
+        assert report == [
+            (c.name, c.ok, c.witness) for c in method_validate_quantale(q).checks
+        ], q
+        assert q.hom_table == join_hom_table(q), q
+        failed.update(name for name, ok, _ in report if not ok)
+        passed += all(ok for _, ok, _ in report)
+    # the sweep fails every check somewhere, and passes all of them elsewhere
+    assert set(failed) == {
+        "order-reflexive", "order-antisymmetric", "order-transitive",
+        "lattice-joins", "lattice-meets", "tensor-commutative",
+        "tensor-associative", "tensor-unit", "tensor-join-distributive",
+    }, failed
+    assert passed > 100
+
+
+def test_validate_reads_the_tables_only(monkeypatch, qluka):
+    calls = Counter()
+    for method in ("leq", "tensor", "join", "meet", "hom"):
+        def counted(self, *args, _method=method, _original=getattr(FiniteQuantale, method)):
+            calls[_method] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(FiniteQuantale, method, counted)
+    tables = [builtin_quantale(name) for name in FINITE_BUILTINS]
+    tables += [qluka, two_maximal(), three_atoms(), diamond_m3(), join_as_tensor()]
+    for q in tables:
+        validate_quantale(q)
+    assert not calls
+    method_validate_quantale(qluka)
+    assert calls["leq"] and calls["tensor"] and calls["join"]
 
 
 def test_carrier_mismatch_errors(q2, qplus):

@@ -20,7 +20,6 @@ from quantcat.seqlim import (
     Sequence,
     _c2b_probe_check,
     _c2b_sets,
-    c2b_reduction_check,
     cauchy_value,
     colimit_dset,
     colimit_nset,
@@ -34,7 +33,7 @@ from quantcat.seqlim import (
     validate_sequence,
     verify_normed_colimit,
 )
-from quantcat.vcat import VCategory, is_symmetric, validate_vcat
+from quantcat.vcat import VCategory, validate_vcat
 
 from conftest import lukasiewicz3
 from helpers import (
@@ -43,6 +42,8 @@ from helpers import (
     brute_c2b_reduction,
     brute_colimit_dset,
     brute_colimit_nset,
+    c2b_reduction_check,
+    is_symmetric,
     split_monoid_cat,
 )
 
