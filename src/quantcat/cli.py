@@ -655,17 +655,22 @@ def _task_lipnorm(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     mode = task.get("mode", "multiplicative")
     if not isinstance(mapping, dict):
         raise InputError("lipnorm needs a 'map' object")
+    # a ValueError from here on is reported with the task's index and op
+    for x in X.objects:
+        if x not in mapping:
+            raise ValueError(f"'map' has no image for source point {x!r}")
+    points = set(X.objects)
+    for x in mapping:
+        if x not in points:
+            raise ValueError(f"'map' names {x!r}, which is not a source point")
     log_base = task.get("log_base", 2)
     if type(log_base) is not int or log_base < 2:
         raise InputError(f"lipnorm 'log_base' must be an integer >= 2, got {log_base!r}")
-    try:
-        value = seq_mod.lipschitz_norm(
-            X, Y, mapping, mode,
-            q_odot=inst.quantale if mode == "odot" else None,
-            log_base=log_base,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc))
+    value = seq_mod.lipschitz_norm(
+        X, Y, mapping, mode,
+        q_odot=inst.quantale if mode == "odot" else None,
+        log_base=log_base,
+    )
     if isinstance(value, seq_mod.LogNorm):
         exponent = value.exponent()
         detail = {

@@ -553,11 +553,12 @@ def nat_family(Phi: NormedDistributor, key: tuple) -> dict:
 
 
 def nat_norm(Phi: NormedDistributor, Psi: NormedDistributor, family: Mapping):
-    """The meet over objects of the component map norms."""
-    q = Phi.quantale
-    return q.meet(
-        NormedMap(Phi.set_at(a), Psi.set_at(a), family[a]).norm
+    """The meet over objects of the component map norms, as one meet over
+    every object's elements, since meet is associative."""
+    return Phi.quantale.meet_of_homs(
+        (Phi.set_at(a).norms[x], Psi.set_at(a).norms[y])
         for a in Phi.category.objects
+        for x, y in family[a].items()
     )
 
 

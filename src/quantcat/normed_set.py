@@ -139,10 +139,8 @@ def compose(g: NormedMap, f: NormedMap) -> NormedMap:
 
 def map_norm(phi: NormedMap):
     """The meet over source elements of hom(|a|, |φ a|)."""
-    q = phi.source.quantale
-    return q.meet(
-        q.hom(phi.source.norm(a), phi.target.norm(phi(a))) for a in phi.source
-    )
+    A, B, f = phi.source, phi.target, phi.mapping
+    return A.quantale.meet_of_homs((A.norms[a], B.norms[f[a]]) for a in A.elements)
 
 
 def tensor(A: NormedSet, B: NormedSet) -> NormedSet:

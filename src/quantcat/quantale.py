@@ -14,16 +14,24 @@ All operations are pure; quantale objects are immutable after construction.
 Each class runs the two matrix laws of the distributor calculus with one
 hook each: ``compose_matrices``, the join-of-tensors product that
 ``vcat.compose_vdist`` runs, and ``first_intransitive``, the first triple
-that breaks the triangle law, which ``vcat.validate_vcat`` reports.  A finite
-quantale reads its tables.  In additive mode on the extended rationals both
-work on integers, by the scaling lemma: for an integer L > 0, u ↦ L·u is an
-order isomorphism of [0, inf) onto L·[0, inf) with L·(u + v) = L·u + L·v.
-With L the lcm of the finite denominators every L·u is an integer, so the
-min-plus product and the triangle law run on ``int``s (``_scaled``), and a
-composite entry is divided by L once at the end: exact, with one
-``Fraction`` per distinct entry.  The gain rests on L staying small (a few
-distinct denominators), so that the scaled entries are machine-sized ints;
-the multiplicative mode keeps the ``Fraction`` fold.
+that breaks the triangle law, which ``vcat.validate_vcat`` reports; a third,
+``meet_of_homs``, is the residuation meet ⋀ hom(u, v) that every map norm
+and both Isbell conjugates fold.  A finite quantale reads its tables.  In
+additive mode on the extended rationals the matrix hooks work on integers,
+by the scaling lemma: for an integer L > 0, u ↦ L·u is an order isomorphism
+of [0, inf) onto L·[0, inf) with L·(u + v) = L·u + L·v.  With L the lcm of
+the finite denominators every L·u is an integer, so the min-plus product
+and the triangle law run on ``int``s (``_scaled``), and a composite entry is
+divided by L once at the end: exact, with one ``Fraction`` per distinct
+entry.  The gain rests on L staying small (a few distinct denominators), so
+that the scaled entries are machine-sized ints; the multiplicative mode
+keeps the ``Fraction`` fold.
+
+``join``, ``meet`` and ``meet_of_homs`` compare by the cross-multiplication
+lemma: for integers a, c and b, d > 0, a/b < c/d iff a·d < c·b (multiply by
+b·d > 0).  So a fold keeps its best value as a pair of ints and needs no
+common denominator; ``meet_of_homs`` writes hom(un/ud, vn/vd) as
+(vn·ud − un·vd)/(vd·ud) or (vn·ud)/(vd·un), and builds one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -181,18 +189,19 @@ class FiniteQuantale:
         up = [sum(1 << w for w in range(n) if self._leq[u][w]) for u in range(n)]
         down = [sum(1 << w for w in range(n) if self._leq[w][u]) for u in range(n)]
 
-        def least(cover, S):
-            """The first member c of the bitmask S with S ⊆ cover[c], or None."""
-            return next((c for c in range(n) if S >> c & 1 and cover[c] & S == S), None)
+        def least_table(cover):
+            """The table of least(cover[u] & cover[v]) and least(carrier),
+            where least(S) is the first member c of the bitmask S with
+            S ⊆ cover[c], or None; found once per distinct S."""
+            full = (1 << n) - 1
+            first = {
+                S: next((c for c in range(n) if S >> c & 1 and cover[c] & S == S), None)
+                for S in {a & b for a in cover for b in cover} | {full}
+            }
+            return tuple(tuple(first[a & b] for b in cover) for a in cover), first[full]
 
-        self._join = tuple(
-            tuple(least(up, up[u] & up[v]) for v in range(n)) for u in range(n)
-        )
-        self._meet = tuple(
-            tuple(least(down, down[u] & down[v]) for v in range(n)) for u in range(n)
-        )
-        self._bottom = least(up, (1 << n) - 1)
-        self._top = least(down, (1 << n) - 1)
+        self._join, self._bottom = least_table(up)
+        self._meet, self._top = least_table(down)
         # hom(u, v) = ⋁{w : w ⊗ u ≤ v}, folded down column u of the tensor
         # table in carrier order as ``join`` folds: None at a missing join
         order, joins, hom = self._leq, self._join, []
@@ -332,6 +341,21 @@ class FiniteQuantale:
             w for w in self.carrier() if self._leq[self._tensor[w][u]][v]
         )
 
+    def meet_of_homs(self, pairs: Iterable) -> int:
+        """``meet`` of ``hom(u, v)`` over ``pairs``, folded on the hom and
+        meet tables: ``top`` only when ``pairs`` is empty, and a missing
+        residual or meet raises as ``hom`` and ``meet`` do."""
+        homs, meets = self._hom, self._meet
+        acc = None
+        for u, v in pairs:
+            r = homs[u][v]
+            if r is None:
+                r = self._residual_join(u, v)
+            acc = r if acc is None else meets[acc][r]
+            if acc is None:
+                raise ValueError("meet does not exist (not a lattice)")
+        return self.top if acc is None else acc
+
     def compose_matrices(self, rows, cols) -> list[list[int]]:
         """The product of an n×m matrix given by its ``rows`` and an m×p
         matrix given by its ``cols``: entry (x, z) is
@@ -420,15 +444,24 @@ class LawvereQuantale:
         return u >= v
 
     def join(self, values: Iterable):
-        return min((v for v in values if v is not INF), default=INF)
+        """The first numeric least value; ``INF`` compares as 1/0."""
+        best, bn, bd = INF, 1, 0
+        for v in values:
+            if v is not INF:
+                n, d = v.as_integer_ratio()
+                if n * bd < bn * d:
+                    best, bn, bd = v, n, d
+        return best
 
     def meet(self, values: Iterable):
-        best = Fraction(0)
+        """The first numeric greatest value, or ``INF`` at the first one."""
+        best, bn, bd = self.top, 0, 1
         for v in values:
             if v is INF:
                 return INF
-            if v > best:
-                best = v
+            n, d = v.as_integer_ratio()
+            if n * bd > bn * d:
+                best, bn, bd = v, n, d
         return best
 
     def tensor(self, u, v):
@@ -451,6 +484,29 @@ class LawvereQuantale:
         if v is INF:
             return INF
         return v / u
+
+    def meet_of_homs(self, pairs: Iterable):
+        """``meet`` of ``hom(u, v)`` over ``pairs`` in ``hom``'s case order,
+        on ints (module docstring): a hom a/b replaces the best n/d iff
+        a·d > n·b, the first ``INF`` hom returns, one ``Fraction`` is built."""
+        additive = self.mode == "additive"
+        n, d = 0, 1
+        for u, v in pairs:
+            if u is INF:
+                continue
+            un, ud = u.as_integer_ratio()
+            if not (additive or un):  # hom(0, v) is 0 at v = 0, else INF
+                if v is INF or v.numerator:
+                    return INF
+                continue
+            if v is INF:
+                return INF
+            vn, vd = v.as_integer_ratio()
+            # an additive a ≤ 0 (a truncated difference) never replaces n/d ≥ 0
+            a, b = (vn * ud - un * vd, vd * ud) if additive else (vn * ud, vd * un)
+            if a * d > n * b:
+                n, d = a, b
+        return Fraction(n, d)
 
     def compose_matrices(self, rows, cols) -> list[list]:
         """The product of an n×m matrix given by its ``rows`` and an m×p

@@ -95,7 +95,7 @@ from .common import (
     cached_property,
     guard_count,
 )
-from .normed_set import NormedMap, NormedSet, final_structure
+from .normed_set import NormedSet, final_structure
 from .quantale import (
     INF,
     Quantale,
@@ -123,10 +123,9 @@ def same_lattice(p: Quantale, q: Quantale) -> bool:
 
 def lip_norm(q_norm: Quantale, X: VCategory, Y: VCategory, mapping: Mapping):
     """The residuation meet over ordered pairs of source points."""
-    return q_norm.meet(
-        q_norm.hom(X.d(x, xp), Y.d(mapping[x], mapping[xp]))
-        for x in X.objects
-        for xp in X.objects
+    dx, dy = X.dist, Y.dist
+    return q_norm.meet_of_homs(
+        (dx[x, xp], dy[mapping[x], mapping[xp]]) for x in X.objects for xp in X.objects
     )
 
 
@@ -239,8 +238,10 @@ class Sequence:
     def map_norm_of(self, step, src, tgt):
         if self.kind == NCAT:
             return self.category.norm[step]
-        if self.kind == NSET:
-            return NormedMap(src, tgt, step).norm
+        if self.kind == NSET:  # map_norm of a step checked at construction
+            return src.quantale.meet_of_homs(
+                (src.norms[x], tgt.norms[step[x]]) for x in src.elements
+            )
         return lip_norm(self.norm_quantale, src, tgt, step)
 
     @cached_property

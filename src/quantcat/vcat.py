@@ -408,7 +408,7 @@ def isbell_conjugate_weight(phi: VDistributor) -> VDistributor:
     q = phi.quantale
     X = phi.target
     vec = weight_vector(phi)
-    out = {a: q.meet(q.hom(vec[b], X.d(a, b)) for b in X.objects) for a in X.objects}
+    out = {a: q.meet_of_homs((vec[b], X.dist[a, b]) for b in X.objects) for a in X.objects}
     return right_weight(X, out)
 
 
@@ -417,7 +417,7 @@ def isbell_conjugate_coweight(psi: VDistributor) -> VDistributor:
     q = psi.quantale
     X = psi.source
     vec = coweight_vector(psi)
-    out = {a: q.meet(q.hom(vec[b], X.d(b, a)) for b in X.objects) for a in X.objects}
+    out = {a: q.meet_of_homs((vec[b], X.dist[b, a]) for b in X.objects) for a in X.objects}
     return left_weight(X, out)
 
 

@@ -310,6 +310,69 @@ def join_hom_table(q):
     return tuple(tuple(residual(u, v) for v in q.carrier()) for u in q.carrier())
 
 
+def pairwise_lattice_tables(q):
+    """``(join_table, meet_table, bottom, top)`` of a ``FiniteQuantale`` as
+    its constructor once built them, one carrier scan per pair: the least
+    element of the bitmask S = up[u] & up[v] (down[u] & down[v]) that has
+    all of S above (below) it, None where there is none."""
+    leq, els = q.leq_table, range(q.size)
+    up = [sum(1 << w for w in els if leq[u][w]) for u in els]
+    down = [sum(1 << w for w in els if leq[w][u]) for u in els]
+
+    def least(cover, S):
+        return next((c for c in els if S >> c & 1 and cover[c] & S == S), None)
+
+    full = (1 << q.size) - 1
+    join = tuple(tuple(least(up, up[u] & up[v]) for v in els) for u in els)
+    meet = tuple(tuple(least(down, down[u] & down[v]) for v in els) for u in els)
+    return join, meet, least(up, full), least(down, full)
+
+
+# ---------------------------------------------------------------------------
+# residuation meets by the quantale methods: the oracles of ``meet_of_homs``
+# and of the map norms that fold it
+
+
+def fold_meet_of_homs(q, pairs):
+    """``q.meet_of_homs(pairs)`` by its definition."""
+    return q.meet(q.hom(u, v) for u, v in pairs)
+
+
+def fold_map_norm(phi):
+    """``map_norm``: the meet over source elements of hom(|a|, |φ a|)."""
+    q = phi.source.quantale
+    return q.meet(
+        q.hom(phi.source.norm(a), phi.target.norm(phi(a))) for a in phi.source
+    )
+
+
+def fold_lip_norm(q_norm, X, Y, mapping):
+    """``seqlim.lip_norm``: the meet over ordered pairs of source points."""
+    return q_norm.meet(
+        q_norm.hom(X.d(x, xp), Y.d(mapping[x], mapping[xp]))
+        for x in X.objects
+        for xp in X.objects
+    )
+
+
+def fold_nat_norm(Phi, Psi, family):
+    """``nat_norm``: the meet over objects of the component map norms."""
+    return Phi.quantale.meet(
+        fold_map_norm(NormedMap(Phi.set_at(a), Psi.set_at(a), family[a]))
+        for a in Phi.category.objects
+    )
+
+
+def fold_isbell_vector(X, vec, weight):
+    """The vector of the Isbell conjugate of a weight (``weight`` true:
+    ⋀_b hom(vec[b], X(a, b))) or of a coweight (⋀_b hom(vec[b], X(b, a)))."""
+    q = X.quantale
+    return {
+        a: q.meet(q.hom(vec[b], X.d(a, b) if weight else X.d(b, a)) for b in X.objects)
+        for a in X.objects
+    }
+
+
 def norm_assignment_ok(A, Phi) -> bool:
     """Whether Φ's norms make it a normed functor: |h| ⊗ |f| ≤ |h∘f|."""
     q = A.quantale

@@ -617,6 +617,23 @@ def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located)
           "objects": {"X": {"kind": "vcat", "objects": ["p"], "dist": [["1"]]}},
           "tasks": [{"op": "validate", "target": "X", "mode": [1.5]}]},
          "input error: task 0 (validate): field 'mode': floats are not exact values\n"),
+    ]
+    + [
+        # a lipnorm map must name exactly the source points
+        ({"quantale": "lawvere-plus", "objects": {"X": LAWVERE_POINTS},
+          "tasks": [{"op": "lipnorm", "source": "X", "target": "X", "map": mapping}]},
+         f"input error: task 0 (lipnorm): 'map' {problem}\n")
+        for mapping, problem in (
+            ({"p": "p"}, "has no image for source point 'q'"),
+            ({"p": "p", "q": "q", "c": "zz"}, "names 'c', which is not a source point"),
+        )
+    ]
+    + [
+        # an image outside the target is located too
+        ({"quantale": "lawvere-plus", "objects": {"X": LAWVERE_POINTS},
+          "tasks": [{"op": "lipnorm", "source": "X", "target": "X",
+                     "map": {"p": "p", "q": "zz"}}]},
+         "input error: task 0 (lipnorm): image of 'q' outside the target\n"),
     ],
 )
 def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, located):

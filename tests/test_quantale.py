@@ -2,7 +2,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -13,9 +13,12 @@ from quantcat.normed_set import NormedSet, i_embed
 from quantcat.quantale import (
     INF,
     FiniteQuantale,
+    LawvereQuantale,
     as_extended_rational,
     builtin_quantale,
     chain3,
+    lawvere_plus,
+    lawvere_times,
     totally_below,
     unit_approximated_from_totally_below,
     validate_quantale,
@@ -28,7 +31,13 @@ from quantcat.vcat import (
     unit_vcat,
 )
 
-from helpers import join_hom_table, method_validate_quantale, subsets
+from helpers import (
+    fold_meet_of_homs,
+    join_hom_table,
+    method_validate_quantale,
+    pairwise_lattice_tables,
+    subsets,
+)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -360,6 +369,7 @@ def test_validate_and_hom_table_match_their_oracles(qluka, qabove):
             (c.name, c.ok, c.witness) for c in method_validate_quantale(q).checks
         ], q
         assert q.hom_table == join_hom_table(q), q
+        assert (q.join_table, q.meet_table, q._bottom, q._top) == pairwise_lattice_tables(q), q
         failed.update(name for name, ok, _ in report if not ok)
         passed += all(ok for _, ok, _ in report)
     # the sweep fails every check somewhere, and passes all of them elsewhere
@@ -386,6 +396,86 @@ def test_validate_reads_the_tables_only(monkeypatch, qluka):
     assert not calls
     method_validate_quantale(qluka)
     assert calls["leq"] and calls["tensor"] and calls["join"]
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and text of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def two_atoms_under_top() -> FiniteQuantale:
+    """a, b incomparable under a top 1, with w ⊗ 1 = w and w ⊗ u = 1
+    otherwise: hom(1, a) = a and hom(1, b) = b exist, their meet does not."""
+    leq = [[u == v or v == 2 for v in range(3)] for u in range(3)]
+    tensor = [[w if u == 2 else 2 for u in range(3)] for w in range(3)]
+    return FiniteQuantale(["a", "b", "1"], leq, tensor, "1")
+
+
+def test_finite_meet_of_homs_matches_the_method_fold(qluka):
+    # every pair list of length 0–3; tables with no top, a missing residual
+    # or a missing meet raise what the fold raises, at the same pair
+    tables = [builtin_quantale(name) for name in FINITE_BUILTINS]
+    tables += [qluka, two_maximal(), three_atoms(), two_atoms_under_top()]
+    raised = set()
+    for q in tables:
+        pairs = list(product(q.carrier(), repeat=2))
+        for k in range(4):
+            for chosen in product(pairs, repeat=k):
+                expected = _outcome(fold_meet_of_homs, q, chosen)
+                assert _outcome(q.meet_of_homs, iter(chosen)) == expected, (q, chosen)
+                if isinstance(expected, tuple):
+                    raised.add(expected)
+    assert raised == {
+        (ValueError, "carrier has no top element"),
+        (ValueError, "carrier has no bottom element"),
+        (ValueError, "join does not exist (not a lattice)"),
+        (ValueError, "meet does not exist (not a lattice)"),
+    }
+
+
+# 0, INF, small fractions, and numerators or denominators around 10^50
+LAWVERE_VALUES = st.one_of(
+    st.just(Fraction(0)),
+    st.just(INF),
+    st.fractions(min_value=0, max_value=20, max_denominator=12),
+    st.builds(lambda n, d: Fraction(10**50 + n, d),
+              st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    st.builds(lambda n, d: Fraction(n, 10**50 + d),
+              st.integers(0, 10**6), st.integers(-10**6, 10**6)),
+)
+
+
+@given(
+    st.sampled_from(["additive", "multiplicative"]),
+    st.lists(st.tuples(LAWVERE_VALUES, LAWVERE_VALUES), max_size=6),
+)
+@example("additive", [])
+@example("multiplicative", [(Fraction(0), Fraction(0)), (Fraction(0), INF)])
+@example("multiplicative", [(Fraction(2), Fraction(1)), (INF, INF), (Fraction(0), Fraction(0))])
+@example("additive", [(Fraction(1, 3), INF), (INF, Fraction(1))])
+def test_lawvere_meet_of_homs_matches_the_method_fold(mode, pairs):
+    q = LawvereQuantale(mode)
+    got, expected = q.meet_of_homs(iter(pairs)), fold_meet_of_homs(q, pairs)
+    assert type(got) is type(expected) and got == expected
+
+
+@given(st.lists(LAWVERE_VALUES, max_size=6))
+@example([Fraction(1, 2), Fraction(2, 4), Fraction(1, 3), Fraction(1, 3)])
+@example([Fraction(0), Fraction(0, 5)])
+def test_lawvere_join_and_meet_are_the_first_min_and_max(values):
+    # join is the first numeric least value (min), meet the first greatest
+    # (max) or INF; a meet of zeros may return the top
+    for q in (lawvere_plus(), lawvere_times()):
+        assert q.join(iter(values)) is min((v for v in values if v is not INF), default=INF)
+        got = q.meet(iter(values))
+        if any(v is INF for v in values):
+            assert got is INF
+        else:
+            expected = max(values, default=Fraction(0))
+            assert got == expected and (got is expected or got == 0)
 
 
 def test_carrier_mismatch_errors(q2, qplus):

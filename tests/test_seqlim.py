@@ -11,8 +11,9 @@ import pytest
 from quantcat import seqlim
 from quantcat.cli import load_instance, main
 from quantcat.common import BudgetExceeded, PreconditionError
-from quantcat.normed_set import NormedMap, NormedSet
-from quantcat.quantale import INF, builtin_quantale
+from quantcat.ncat import i_embed_cat, nat_norm, representable_cov
+from quantcat.normed_set import NormedMap, NormedSet, map_norm
+from quantcat.quantale import INF, FiniteQuantale, LawvereQuantale, builtin_quantale
 from quantcat.seqlim import (
     Cocone,
     LogNorm,
@@ -28,12 +29,22 @@ from quantcat.seqlim import (
     forward_cauchy_value,
     forward_limit_metric,
     is_cauchy,
+    lip_norm,
     lipschitz_norm,
     norm_profile,
     validate_sequence,
     verify_normed_colimit,
 )
-from quantcat.vcat import VCategory, validate_vcat
+from quantcat.vcat import (
+    VCategory,
+    coweight_vector,
+    isbell_conjugate_coweight,
+    isbell_conjugate_weight,
+    left_weight,
+    right_weight,
+    validate_vcat,
+    weight_vector,
+)
 
 from conftest import lukasiewicz3
 from helpers import (
@@ -43,6 +54,10 @@ from helpers import (
     brute_colimit_dset,
     brute_colimit_nset,
     c2b_reduction_check,
+    fold_isbell_vector,
+    fold_lip_norm,
+    fold_map_norm,
+    fold_nat_norm,
     is_symmetric,
     split_monoid_cat,
 )
@@ -257,6 +272,59 @@ def test_brute_composite_norms_holds_on_random_sequences():
             oracle = brute_composite_norms(s)
             assert oracle.ok, (ambient, q, odot)
             assert _checks(validate_sequence(s)) == _checks(oracle)
+
+
+def test_map_norms_fold_the_hook_and_no_quantale_method(monkeypatch):
+    # map_norm, lip_norm, Sequence.map_norm_of, nat_norm and the Isbell
+    # conjugates fold meet_of_homs, calling no hom or meet method of either
+    # quantale class, and equal the method folds of their definitions
+    rng = random.Random(18)
+    q3 = builtin_quantale("chain3")
+    configs = [(q, values, None) for _, q, values in _residuation_carriers()]
+    configs.append((q3, list(q3.carrier()), lukasiewicz3("m")))
+    cases = []
+    for q, values, odot in configs:
+        for _ in range(10):
+            s = _random_sequence(rng, "nset", q, values)
+            d = _random_sequence(rng, "dset", q, values, odot)
+            X = d.tail_object
+            A = i_embed_cat(X)
+            Phi, Psi = (representable_cov(A, rng.choice(X.objects)) for _ in range(2))
+            family = {c: {f: rng.choice(Psi.set_at(c).elements) for f in Phi.set_at(c)}
+                      for c in A.objects}
+            vec = {x: rng.choice(values) for x in X.objects}
+            cases.append((s, d, Phi, Psi, family, vec))
+    calls = Counter()
+    for cls in (FiniteQuantale, LawvereQuantale):
+        for method in ("hom", "meet"):
+            def counted(self, *args, _key=(cls.__name__, method), _original=getattr(cls, method)):
+                calls[_key] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, method, counted)
+    norms = [
+        (
+            map_norm(NormedMap(s.tail_object, s.tail_object, s.tail_endo)),
+            s.map_norm_of(s.tail_endo, s.tail_object, s.tail_object),
+            lip_norm(d.norm_quantale, d.tail_object, d.tail_object, d.tail_endo),
+            d.map_norm_of(d.tail_endo, d.tail_object, d.tail_object),
+            nat_norm(Phi, Psi, family),
+            coweight_vector(isbell_conjugate_weight(left_weight(d.tail_object, vec))),
+            weight_vector(isbell_conjugate_coweight(right_weight(d.tail_object, vec))),
+        )
+        for s, d, Phi, Psi, family, vec in cases
+    ]
+    assert not calls
+    for (s, d, Phi, Psi, family, vec), got in zip(cases, norms):
+        T, X = s.tail_object, d.tail_object
+        step_norm = fold_map_norm(NormedMap(T, T, s.tail_endo))
+        lip = fold_lip_norm(d.norm_quantale, X, X, d.tail_endo)
+        assert got == (
+            step_norm, step_norm, lip, lip, fold_nat_norm(Phi, Psi, family),
+            fold_isbell_vector(X, vec, weight=True), fold_isbell_vector(X, vec, weight=False),
+        )
+    assert set(calls) == {(cls, m) for cls in ("FiniteQuantale", "LawvereQuantale")
+                          for m in ("hom", "meet")}
 
 
 def test_colimit_constant_sequence(q2):
