@@ -462,10 +462,7 @@ def _task_validate(inst: Instance, task: dict, budget: int, probe: int) -> dict:
 def _task_compose(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     _, outer = inst.resolve(task["outer"], {"vdist"})
     _, inner = inst.resolve(task["inner"], {"vdist"})
-    try:
-        result = vcat_mod.compose_vdist(outer, inner)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    result = vcat_mod.compose_vdist(outer, inner)
     q = inst.quantale
     values = [
         [q.format(result.at(x, z)) for z in result.target.objects]
@@ -641,10 +638,7 @@ def _task_forward_limit(inst: Instance, task: dict, budget: int, probe: int) -> 
     point = task.get("point")
     if point is None:
         raise InputError("forward-limit needs a candidate 'point'")
-    try:
-        ok = seq_mod.forward_limit_metric(ms, point)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    ok = seq_mod.forward_limit_metric(ms, point)
     return {"verdict": "pass" if ok else "fail", "details": {"point": point}}
 
 
@@ -655,14 +649,13 @@ def _task_lipnorm(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     mode = task.get("mode", "multiplicative")
     if not isinstance(mapping, dict):
         raise InputError("lipnorm needs a 'map' object")
-    # a ValueError from here on is reported with the task's index and op
     for x in X.objects:
         if x not in mapping:
-            raise ValueError(f"'map' has no image for source point {x!r}")
+            raise InputError(f"'map' has no image for source point {x!r}")
     points = set(X.objects)
     for x in mapping:
         if x not in points:
-            raise ValueError(f"'map' names {x!r}, which is not a source point")
+            raise InputError(f"'map' names {x!r}, which is not a source point")
     log_base = task.get("log_base", 2)
     if type(log_base) is not int or log_base < 2:
         raise InputError(f"lipnorm 'log_base' must be an integer >= 2, got {log_base!r}")
@@ -721,8 +714,6 @@ def run_instance(inst: Instance, budget: int, probe: int) -> dict:
             raise InputError(f"task {i}: unknown op {op!r}")
         try:
             outcome = _TASKS[op](inst, _TaskFields(task), budget, probe)
-        except (InputError, BudgetExceeded):
-            raise
         except _MissingField as missing:
             raise InputError(f"task {i} ({op}): missing field {missing}")
         except PreconditionError as exc:
@@ -730,7 +721,7 @@ def run_instance(inst: Instance, budget: int, probe: int) -> dict:
                 "verdict": "fail",
                 "details": {"precondition": str(exc)},
             }
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:  # an InputError is a ValueError
             raise InputError(f"task {i} ({op}): {exc}")
         entry = {"index": i, "op": op}
         for key in ("target", "pair", "outer", "inner", "source", "point", "mode"):

@@ -3,7 +3,14 @@
 from itertools import product
 
 from quantcat.cli import InputError, _ser_normed_set, _ser_vcat
-from quantcat.common import DEFAULT_BUDGET, PreconditionError, Report, guard_count
+from quantcat.common import (
+    ConstructionError,
+    DEFAULT_BUDGET,
+    PreconditionError,
+    Report,
+    UnionFind,
+    guard_count,
+)
 from quantcat.ncat import (
     AdjunctionCertificate,
     NcatLawvereVerdict,
@@ -21,7 +28,7 @@ from quantcat.ncat import (
 )
 from quantcat.normed_set import NormedMap, NormedSet
 from quantcat.quantale import BUILTIN_QUANTALES, require_finite
-from quantcat.seqlim import NCAT, _c2b_sets, _first_above_final
+from quantcat.seqlim import NCAT, _c2b_sets, _first_above_final, _Quotient
 from quantcat.vcat import (
     LawvereVerdict,
     VCategory,
@@ -547,6 +554,164 @@ def brute_colimit_dset(s):
         for l2 in quot.labels
     }
     return quot.labels, dist
+
+
+def unrolled_quotient(s) -> _Quotient:
+    """The colimit classes by a union-find over the stages unrolled to
+    n0 + transient + period, each element joined to its step image; the
+    classes are labelled in the order of the first-tail-stage elements."""
+    powers, transient, period = s.tail_powers
+    n0 = s.n0
+    horizon = n0 + period  # stages whose classes are read off
+    depth = n0 + transient + period  # union-find runs this far
+
+    stage_elems = [list(s._elements(s.object_at(n))) for n in range(depth + 1)]
+    index = {}
+    for n, elems in enumerate(stage_elems):
+        for x in elems:
+            index[(n, x)] = len(index)
+    stages = UnionFind(len(index))
+    for n in range(depth):
+        step = s.step_at(n)
+        for x in stage_elems[n]:
+            stages.union(index[(n, x)], index[(n + 1, step[x])])
+
+    labels = {}
+    order = []
+    for x in stage_elems[n0]:
+        root = stages.find(index[(n0, x)])
+        if root not in labels:
+            labels[root] = f"c{len(labels)}"
+            order.append(labels[root])
+
+    gamma = []
+    for n in range(horizon):
+        comp = {}
+        for x in stage_elems[n]:
+            root = stages.find(index[(n, x)])
+            if root not in labels:
+                raise ConstructionError(
+                    f"stage {n} element {x!r} missed every colimit class"
+                )
+            comp[x] = labels[root]
+        gamma.append(comp)
+    return _Quotient(order, gamma, period)
+
+
+def c1_sets_scan(s, gamma) -> list:
+    """(name, ok, witness) of the set-like (C1) checks by scanning every
+    element of the first n0 + period stages for one whose class already
+    took another value under the cocone, against ``unrolled_quotient``."""
+    quot = unrolled_quotient(s)
+    value_of = {}
+    bad = next(
+        (
+            (n, x)
+            for n in range(s.n0 + quot.period)
+            for comp in (gamma.component(n, s.n0),)
+            for x in s._elements(s.object_at(n))
+            if value_of.setdefault(quot.gamma[n][x], comp[x]) != comp[x]
+        ),
+        None,
+    )
+    checks = [("C1-factors-through-quotient", bad is None, bad)]
+    if bad:
+        return checks
+    apex_elems = list(s._elements(gamma.apex))
+    image = [value_of[label] for label in quot.labels]
+    ok = len(set(image)) == len(image) and set(image) == set(apex_elems)
+    witness = None if ok else f"classes {len(quot.labels)}, apex {len(apex_elems)}"
+    return checks + [("C1-bijective", ok, witness)]
+
+
+def eventual_image_fixpoint(values, endo) -> set:
+    """Apply ``endo`` to the set until it stops shrinking."""
+    current = set(values)
+    while True:
+        nxt = {endo(v) for v in current}
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def c1_ncat_scan(s, gamma) -> tuple:
+    """(name, ok, witness) of the normed-category (C1) check, with each
+    eventual image found by ``eventual_image_fixpoint``."""
+    A, T, t = s.category, s.tail_object, s.tail_endo
+
+    def defect(y):
+        E = eventual_image_fixpoint(A.hom(T, y), lambda f: A.compose(f, t))
+        assigned = [A.compose(f, gamma.tail[0]) for f in A.hom(gamma.apex, y)]
+        if any(h not in E for h in assigned):
+            return "component leaves the eventual image"
+        if len(set(assigned)) != len(assigned) or set(assigned) != E:
+            return f"hom size {len(assigned)} vs eventual image {len(E)}"
+        return None
+
+    bad = next(((y, d) for y in A.objects if (d := defect(y))), None)
+    return "C1-eventual-image-bijection", bad is None, bad
+
+
+def transformation_monoid(q, n) -> NormedCategory:
+    """Every endomap of n points as one object's morphisms, named by their
+    image strings ("01" is the identity on two points), all normed k."""
+    maps = ["".join(map(str, images)) for images in product(range(n), repeat=n)]
+    table = {(g, f): "".join(g[int(i)] for i in f) for g in maps for f in maps}
+    ident = "".join(map(str, range(n)))
+    return NormedCategory(
+        q, ["*"], maps, dict.fromkeys(maps, "*"), dict.fromkeys(maps, "*"),
+        {"*": ident}, table, dict.fromkeys(maps, q.unit),
+    )
+
+
+def scan_validate_ndist(Phi) -> Report:
+    """``validate_ndist`` over every ordered pair of morphisms, filtered on
+    cod f = dom g, with each action norm taken from a ``NormedMap``."""
+    A = Phi.category
+    q = Phi.quantale
+    report = Report()
+    bad_id = next(
+        (a for a in A.objects if any(Phi.apply(A.identity[a], x) != x for x in Phi.set_at(a))),
+        None,
+    )
+    report.add("action-identities", bad_id is None, bad_id)
+
+    def functorial(g, f):
+        gf = A.compose(g, f)
+        if Phi.covariant:
+            return all(Phi.apply(gf, x) == Phi.apply(g, Phi.apply(f, x))
+                       for x in Phi.set_at(A.dom[f]))
+        return all(Phi.apply(gf, x) == Phi.apply(f, Phi.apply(g, x))
+                   for x in Phi.set_at(A.cod[g]))
+
+    bad_comp = next(
+        ((g, f) for g in A.morphisms for f in A.morphisms
+         if A.cod[f] == A.dom[g] and not functorial(g, f)),
+        None,
+    )
+    report.add("action-functorial", bad_comp is None, bad_comp)
+
+    def action_map(h):
+        src, tgt = Phi._action_shape(h)
+        return NormedMap(src, tgt, Phi.action[h])
+
+    bad_norm = next(
+        (h for h in A.morphisms if not q.leq(A.norm[h], action_map(h).norm)), None
+    )
+    report.add("action-normed", bad_norm is None, bad_norm)
+    return report
+
+
+def scan_preserves_composition(F):
+    """The first (g, f) with cod f = dom g, over every ordered pair of
+    morphisms, whose composite F does not preserve; None if there is none."""
+    A, B = F.source, F.target
+    return next(
+        ((g, f) for g in A.morphisms for f in A.morphisms
+         if A.cod[f] == A.dom[g]
+         and F.mor_map[A.compose(g, f)] != B.compose(F.mor_map[g], F.mor_map[f])),
+        None,
+    )
 
 
 def _probe_each_component(q, apex, sources, maps, probe_bound, budget):

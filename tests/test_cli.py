@@ -1126,3 +1126,71 @@ def test_an_integer_literal_past_the_digit_limit_is_an_input_error(tmp_path, cap
     assert capsys.readouterr().err == (
         f"input error: cannot read {f}: not UTF-8 text (byte {text.index(255)})\n"
     )
+
+
+def _fixture_with_task(name, task, objects=None):
+    """A fixture file with its first task followed by ``task``."""
+    with open(path(name)) as fh:
+        instance = json.load(fh)
+    instance["objects"].update(objects or {})
+    instance["tasks"] = instance["tasks"][:1] + [task]
+    return instance
+
+
+ONE_POINT = {"kind": "vcat", "objects": ["z"], "dist": [["0"]]}
+
+
+@pytest.mark.parametrize(
+    "instance, message",
+    [
+        (
+            _fixture_with_task("metric.json", {"op": "forward-limit", "target": "ms", "point": "nowhere"}),
+            "task 1 (forward-limit): candidate point 'nowhere' not in the space",
+        ),
+        (
+            _fixture_with_task("metric.json", {"op": "lipnorm", "source": "X", "target": "Y",
+                                               "map": {"p": "p", "q": "q"}, "mode": "log",
+                                               "log_base": 1}),
+            "task 1 (lipnorm): lipnorm 'log_base' must be an integer >= 2, got 1",
+        ),
+        (
+            _fixture_with_task("metric.json", {"op": "lipnorm", "source": "X", "target": "Y"}),
+            "task 1 (lipnorm): lipnorm needs a 'map' object",
+        ),
+        (
+            _fixture_with_task(
+                "compose.json", {"op": "compose", "outer": "d1", "inner": "e"},
+                {"Z": ONE_POINT,
+                 "e": {"kind": "vdist", "source": "Z", "target": "Z", "values": [["0"]]}},
+            ),
+            "task 1 (compose): middle categories do not match",
+        ),
+        (
+            _fixture_with_task("compose.json", {"op": "compose", "outer": "d1", "inner": "nothing"}),
+            "task 1 (compose): unresolved reference 'nothing'",
+        ),
+        (
+            _fixture_with_task("compose.json", {"op": "compose", "outer": "d1", "inner": "X"}),
+            "task 1 (compose): 'X' has kind vcat, expected one of {'vdist'}",
+        ),
+        (
+            _fixture_with_task("compose.json", {"op": "compose", "outer": ["d1"], "inner": "d1"}),
+            "task 1 (compose): a reference must be an object name, got ['d1']",
+        ),
+        (
+            _fixture_with_task("metric.json", {"op": "validate", "target": "ms"}),
+            "task 1 (validate): validate does not apply to kind 'metric_sequence'",
+        ),
+        (
+            _fixture_with_task("ncat_sequence.json", {"op": "colimit", "target": "t"}),
+            "task 1 (colimit): colimit construction applies to set-like ambients",
+        ),
+    ],
+)
+def test_task_input_errors_name_the_task(tmp_path, capsys, instance, message):
+    f = tmp_path / "located.json"
+    f.write_text(json.dumps(instance), encoding="utf-8")
+    assert main([str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import product
 
@@ -37,6 +38,7 @@ from quantcat.ncat import (
     validate_nfunctor,
 )
 from quantcat.normed_set import NormedSet
+from quantcat.quantale import builtin_quantale
 from quantcat.vcat import (
     coweight_vector,
     isbell_conjugate_weight,
@@ -57,7 +59,10 @@ from helpers import (
     monoid_cat,
     ordered_pair_vcat,
     representable_certificate,
+    scan_preserves_composition,
+    scan_validate_ndist,
     split_monoid_cat,
+    transformation_monoid,
 )
 
 # ---------------------------------------------------------------------------
@@ -190,6 +195,69 @@ def test_validate_ndist_reports_norm_failure(q2):
     report = validate_ndist(Phi)
     assert not report.ok
     assert any(c.name == "action-normed" for c in report.failures())
+
+
+def _small_categories(q):
+    return [
+        monoid_cat(q, q.unit, q.bottom),
+        split_monoid_cat(q),
+        transformation_monoid(q, 2),
+        i_embed_cat(ordered_pair_vcat(q)),
+    ]
+
+
+def _random_ndist(rng, A):
+    q = A.quantale
+    values = list(q.carrier())
+    sets = {}
+    for a in A.objects:
+        names = [f"{a}{i}" for i in range(rng.randint(1, 2))]
+        sets[a] = NormedSet(q, {x: rng.choice(values) for x in names}, names)
+    covariant = rng.random() < 0.5
+    action = {}
+    for h in A.morphisms:
+        src, tgt = (A.dom[h], A.cod[h]) if covariant else (A.cod[h], A.dom[h])
+        action[h] = {x: rng.choice(sets[tgt].elements) for x in sets[src].elements}
+    return NormedDistributor(A, covariant, sets, action)
+
+
+def _checks(report):
+    return [(c.name, c.ok, c.witness) for c in report.checks]
+
+
+@pytest.mark.parametrize("qname", ["bool2", "chain3"])
+def test_validate_ndist_matches_the_pair_scan_and_normed_maps(qname):
+    q = builtin_quantale(qname)
+    rng = random.Random(qname)
+    outcomes = Counter()
+    for A in _small_categories(q):
+        dists = [rep(A, a) for a in A.objects for rep in (representable_cov, representable_contra)]
+        dists += [_random_ndist(rng, A) for _ in range(150)]
+        for Phi in dists:
+            got = _checks(validate_ndist(Phi))
+            assert got == _checks(scan_validate_ndist(Phi))
+            outcomes.update((name, ok) for name, ok, _ in got)
+    assert all(outcomes[(name, ok)] for name in ("action-functorial", "action-normed")
+               for ok in (True, False))
+
+
+def test_preserves_composition_matches_the_pair_scan():
+    q = builtin_quantale("chain3")
+    rng = random.Random(7)
+    B = transformation_monoid(q, 2)
+    outcomes = set()
+    for A in _small_categories(q):
+        for _ in range(100):
+            F = NormedFunctor(
+                A, B, dict.fromkeys(A.objects, "*"),
+                {f: rng.choice(B.morphisms) for f in A.morphisms},
+            )
+            (check,) = [c for c in validate_nfunctor(F).checks
+                        if c.name == "preserves-composition"]
+            bad = scan_preserves_composition(F)
+            assert (check.ok, check.witness) == (bad is None, bad)
+            outcomes.add(check.ok)
+    assert outcomes == {True, False}
 
 
 def test_coend_single_class_one_object(q3):

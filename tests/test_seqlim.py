@@ -16,6 +16,7 @@ from quantcat.normed_set import NormedMap, NormedSet, map_norm
 from quantcat.quantale import INF, FiniteQuantale, LawvereQuantale, builtin_quantale
 from quantcat.seqlim import (
     Cocone,
+    cocone_commutes,
     LogNorm,
     MetricSequence,
     Sequence,
@@ -49,6 +50,11 @@ from quantcat.vcat import (
 from conftest import lukasiewicz3
 from helpers import (
     brute_c2b_check,
+    c1_ncat_scan,
+    c1_sets_scan,
+    eventual_image_fixpoint,
+    transformation_monoid,
+    unrolled_quotient,
     brute_composite_norms,
     brute_c2b_reduction,
     brute_colimit_dset,
@@ -1084,3 +1090,176 @@ def test_colimit_task_builds_one_quotient_and_one_tail_cycle(monkeypatch, capsys
     assert ops.count("colimit") == 1
     assert main([data, "--json"]) == 0
     assert counts == {"quotient": 1, "tail_powers": 1}
+
+
+# ---------------------------------------------------------------------------
+# colimit classes and (C1) against the unrolled oracles
+
+
+def _exact(quot):
+    return quot.labels, [list(comp.items()) for comp in quot.gamma], quot.period
+
+
+def _bool2_nset_shapes():
+    """Every bool2 normed-set sequence, all norms 1, with a tail of 0-4
+    elements and 0-2 prefix stages of two elements: 22 069 sequences."""
+    q = builtin_quantale("bool2")
+    stage = NormedSet(q, {"p": "1", "q": "1"}, ["p", "q"])
+    for n in range(5):
+        elems = list("abcd"[:n])
+        T = NormedSet(q, dict.fromkeys(elems, "1"), elems)
+        for image in product(elems, repeat=n):
+            endo = dict(zip(elems, image))
+            yield Sequence("nset", [], [], T, endo)
+            for last in product(elems, repeat=2):
+                into_tail = dict(zip("pq", last))
+                yield Sequence("nset", [stage], [into_tail], T, endo)
+                for first in product("pq", repeat=2):
+                    yield Sequence(
+                        "nset", [stage, stage], [dict(zip("pq", first)), into_tail], T, endo
+                    )
+
+
+def test_quotient_matches_unrolled_oracle_on_every_small_nset_sequence():
+    count = 0
+    for s in _bool2_nset_shapes():
+        assert _exact(s.quotient) == _exact(unrolled_quotient(s))
+        count += 1
+    assert count == 22069
+
+
+@pytest.mark.parametrize("qname", ["bool2", "chain3"])
+def test_quotient_matches_unrolled_oracle_on_dset_sequences(qname):
+    for s in _all_dset_sequences(builtin_quantale(qname), 2):
+        assert _exact(s.quotient) == _exact(unrolled_quotient(s))
+
+
+def test_ncat_sequence_has_no_set_quotient(q2):
+    s = Sequence("ncat", [], [], "a", "e", category=split_monoid_cat(q2))
+    with pytest.raises(ValueError, match="a normed-category stage has no element set"):
+        s.quotient
+
+
+@pytest.mark.parametrize("points", [2, 3])
+def test_eventual_image_is_the_transient_power_image(q2, points):
+    # E = {f . t^T : f in A(*, *)} equals the fixpoint of (- . t) for every
+    # tail endomap t, and (C1) matches the fixpoint oracle on every cocone
+    # of tail length 1 or 2 that commutes
+    M = transformation_monoid(q2, points)
+    checked = set()
+    for t in M.morphisms:
+        s = Sequence("ncat", [], [], "*", t, category=M)
+        powers, transient, _ = s.tail_powers
+        E = {M.compose(f, powers[transient]) for f in M.morphisms}
+        assert E == eventual_image_fixpoint(M.morphisms, lambda f: M.compose(f, t))
+        for g in M.morphisms:
+            for tail in ([g], [M.compose(g, t), g]):
+                gamma = Cocone("*", [], tail)
+                if not cocone_commutes(s, gamma)[0]:
+                    continue
+                (check,) = [
+                    c for c in verify_normed_colimit(s, gamma).checks
+                    if c.name.startswith("C1")
+                ]
+                assert (check.name, check.ok, check.witness) == c1_ncat_scan(s, gamma)
+                checked.add(check.ok)
+    assert checked == {True, False}
+
+
+def _random_commuting_cocone(rng, s, length):
+    """A cocone of the given tail length built to commute: its first tail
+    component is constant on the orbits of t^length on an eventual image
+    of the tail, and every other component follows from it."""
+    t, elems = s.tail_endo, list(s.tail_object.elements)
+
+    def power(k):
+        m = {x: x for x in elems}
+        for _ in range(k):
+            m = {x: t[y] for x, y in m.items()}
+        return m
+
+    apex_elems = ["u", "v", "w"][: rng.randint(1, 3)]
+    apex = NormedSet(s.quantale, dict.fromkeys(apex_elems, "1"), apex_elems)
+    settle = power(length * len(elems))  # its image is fixed by t^length
+    cycle = power(length)
+    value = {}
+    for x in elems:
+        e = settle[x]
+        if e not in value:
+            v = rng.choice(apex_elems)
+            while e not in value:
+                value[e], e = v, cycle[e]
+    first = {x: value[settle[x]] for x in elems}
+    tail = [first] + [
+        {x: first[y] for x, y in power(length - r).items()} for r in range(1, length)
+    ]
+    prefix = [None] * s.n0
+    after = first
+    for n in reversed(range(s.n0)):
+        after = prefix[n] = {x: after[y] for x, y in s.prefix_steps[n].items()}
+    return Cocone(apex, prefix, tail)
+
+
+def test_commuting_cocones_factor_through_the_quotient():
+    rng = random.Random(1905)
+    q = builtin_quantale("bool2")
+    commuting = longer = 0
+    for _ in range(3000):
+        elems = list("abcd"[: rng.randint(1, 4)])
+        T = NormedSet(q, dict.fromkeys(elems, "1"), elems)
+        stages = [
+            NormedSet(q, dict.fromkeys(names, "1"), names)
+            for names in (list("pqr"[: rng.randint(1, 3)]) for _ in range(rng.randint(0, 2)))
+        ]
+        targets = [list(S.elements) for S in stages[1:]] + [elems]
+        steps = [
+            {x: rng.choice(tgt) for x in S.elements} for S, tgt in zip(stages, targets)
+        ]
+        s = Sequence("nset", stages, steps, T, {x: rng.choice(elems) for x in elems})
+        period = s.tail_powers[2]
+        length = rng.choice([n for n in range(1, 6) if n != period])
+        gamma = _random_commuting_cocone(rng, s, length)
+        if rng.random() < 0.25:  # a near miss, which may still commute
+            comp = rng.choice(gamma.prefix + gamma.tail)
+            comp[rng.choice(list(comp))] = rng.choice(list(gamma.apex.elements))
+        if not cocone_commutes(s, gamma)[0]:
+            continue
+        commuting += 1
+        longer += length > period
+        oracle = c1_sets_scan(s, gamma)
+        assert oracle[0] == ("C1-factors-through-quotient", True, None)
+        got = [
+            (c.name, c.ok, c.witness)
+            for c in verify_normed_colimit(s, gamma).checks
+            if c.name.startswith("C1")
+        ]
+        assert got == oracle
+    assert commuting > 2000 and longer > 500
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        (lambda tail: {**tail, "b": "zz"}, "stage 0 component: image 'zz' of 'b' not in the target"),
+        (lambda tail: {"a": tail["a"]}, "stage 0 component: no image for 'b'"),
+        (lambda tail: {**tail, "z": tail["a"]}, "stage 0 component: 'z' is not a stage element"),
+    ],
+)
+def test_malformed_cocone_components_are_value_errors(q2, broken, message):
+    s = const_nset_sequence(q2, {"a": "1", "b": "0"})
+    apex, gamma = colimit_nset(s)
+    bad = Cocone(apex, gamma.prefix, [broken(gamma.tail[0])])
+    with pytest.raises(ValueError) as err:
+        verify_normed_colimit(s, bad)
+    assert str(err.value) == message
+
+
+def test_malformed_prefix_component_names_its_stage(q2):
+    s = const_nset_sequence(q2, {"a": "1"}, prefix=[{"a": "1"}])
+    apex, gamma = colimit_nset(s)
+    bad = Cocone(apex, [{"a": "zz"}], gamma.tail)
+    with pytest.raises(ValueError, match="stage 0 component: image 'zz' of 'a'"):
+        verify_normed_colimit(s, bad)
+    bad = Cocone(apex, gamma.prefix, [{}])
+    with pytest.raises(ValueError, match="stage 1 component: no image for 'a'"):
+        verify_normed_colimit(s, bad)
