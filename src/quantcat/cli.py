@@ -481,7 +481,10 @@ def _task_adjoint(inst: Instance, task: dict, budget: int, probe: int) -> dict:
             "details": {"checks": _report_details(q, report)},
         }
     _, cert = inst.resolve(task["target"], {"certificate"})
-    report = ncat_mod.check_adjunction_cert(cert, normed=task.get("normed", False))
+    try:
+        report = ncat_mod.check_adjunction_cert(cert, normed=task.get("normed", False))
+    except PreconditionError as exc:
+        return _precondition_failure(q, "not a category", exc.value)
     return {
         "verdict": "pass" if report.ok else "fail",
         "details": {"checks": _report_details(q, report)},
@@ -513,13 +516,7 @@ def _task_representable(inst: Instance, task: dict, budget: int, probe: int) -> 
     try:
         witness = vcat_mod.is_representable(wp.phi, wp.psi)
     except PreconditionError as exc:
-        return {
-            "verdict": "fail",
-            "details": {
-                "error": "pair is not adjoint",
-                "evidence": _report_details(q, exc.value),
-            },
-        }
+        return _precondition_failure(q, "pair is not adjoint", exc.value)
     return {
         "verdict": "pass" if witness is not None else "fail",
         "details": {"witness": witness},

@@ -1,5 +1,5 @@
-"""Shared plumbing: exceptions, check reports, enumeration budgets, the
-union-find, and the cached-property idiom of the immutable structures."""
+"""Shared plumbing: exceptions, check reports, enumeration budgets, and the
+cached-property idiom of the immutable structures."""
 
 from __future__ import annotations
 
@@ -105,26 +105,6 @@ class BudgetExceeded(Exception):
 def guard_count(needed: int, budget: int, what: str, skipped: Any = None) -> None:
     if needed > budget:
         raise BudgetExceeded(what, needed, budget, skipped)
-
-
-class UnionFind:
-    """Disjoint sets over ``0 .. n-1``; the root of a class is its smallest
-    index, so class representatives do not depend on the union order."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
 
 
 @dataclass

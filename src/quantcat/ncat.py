@@ -5,11 +5,33 @@ A normed category is a finite ordinary category with a quantale-valued norm
 on morphisms: identities are normed at least by the unit and composition is
 submultiplicative.  Distributors out of / into the one-arrow category are
 normed-set-valued functors with covariant / contravariant element actions.
-Composition of such a pair at the point is a coend: a disjoint-set quotient
-of the pairs, carrying the final-structure norm (class norm = join of member
-norms).  The set of natural transformations between two of them is an end:
-the naturality-filtered family set, carrying the initial-structure norm
-(the meet of component norms).
+Composition of a contravariant Ψ with a covariant Φ at the point is a coend:
+the triples (a, x, y) with x in Ψ(a) and y in Φ(a), modulo the relation
+generated by (b, x, Φ(h)y) ~ (a, Ψ(h)x, y) for h: a -> b, carrying the
+final-structure norm (class norm = join of member norms |x| ⊗ |y|).  The set
+of natural transformations between two of them is an end: the
+naturality-filtered family set, carrying the initial-structure norm (the
+meet of component norms).
+
+Unit-class lemma (Street 1983, *Absolute colimits in enriched categories*;
+Kelly 1982, *Basic Concepts of Enriched Category Theory*, §5.5).  Let A be a
+category, ε a counit natural in source and target (ε_{a,b} sends y in Φ(b)
+and x in Ψ(a) to a morphism a -> b), and (c, u, v) satisfy both splitting
+equations.  Then κ(a, x, y) = Φ(ε_{a,c}(u, x))(y) in Φ(c) is constant on
+coend classes and (a, x, y) ~ (c, v, κ(a, x, y)), so the unit class, the
+class of (c, v, u), is {(a, x, y) : κ(a, x, y) = u}:
+
+* splitting-through-u and naturality in target give
+  Φ(g)y = Φ(g . ε(y, v))u, so Φ is a functor once A is associative;
+* κ is invariant under each generator, by naturality in source and
+  Φ's functoriality;
+* the generator at h = ε_{a,c}(u, x) joins (c, v, Φ(h)y) to
+  (a, Ψ(h)v, y) = (a, x, y), by splitting-through-v;
+* κ(c, v, u) = u, by splitting-through-u.
+
+``unit_class`` is that one fibre, in declaration order.  The adjunction
+check and ``left_adjoint_unit`` (the evaluation counit ε(y, β) = β_b(y))
+read the unit class and its norm off it and build no coend.
 
 Completeness decision
 ---------------------
@@ -31,14 +53,14 @@ under it, so every idempotent e with every norm assignment making Phi_e a
 normed functor covers every left adjoint up to isomorphism.
 
 Closed-form lemma (Yoneda for a retract of a representable; Kelly 1982,
-*Basic Concepts of Enriched Category Theory*, §§1.9, 5.5).  For Phi_e:
+§§1.9, 5.5).  For Phi_e:
 
 * the conjugate at c is {y: c -> a | e . y = y}, y standing for the family
   w |-> w . y (a natural family beta is fixed by y = beta_a(e));
 * (a, e, e) satisfies both splitting equations;
-* the coend classes are the fibres of (x, y, w) |-> y . w, since the
-  generator at h = w joins (x, y, w) to (a, y . w, e); so the unit class is
-  {(x, y, w) : e . y = y, w . e = w, y . w = e};
+* the unit class is {(x, y, w) : e . y = y, w . e = w, y . w = e}: the
+  unit-class lemma at (c, u, v) = (a, e, e), where ε(e, y) = e . y = y and
+  so κ(x, y, w) = y . w;
 * the conjugate norm of y is the meet over x and w in Phi_e(x) of
   hom(|w|, |w . y|).
 
@@ -48,8 +70,8 @@ V-category decision's search, ``vcat.matrix_weights`` and
 ``vcat.unit_member``.  Per idempotent, after the assignment-count guard,
 the conjugate's natural-transformation guards fire (the all-top assignment
 is always normed, so the search always yields) and the unit class is built
-once.  The decision builds no distributor or coend; ``left_adjoint_unit``
-is the general path and the tests' oracle.
+once.  The decision builds no distributor; ``left_adjoint_unit`` is the
+general path and the tests' oracle.
 
 Under ``vcat.unit_criterion`` (k ≪ k and the unit splits the tensor)
 clause (2) cannot fail: ``unit_member`` never returns (True, None), by the
@@ -81,7 +103,6 @@ from .common import (
     DEFAULT_BUDGET,
     PreconditionError,
     Report,
-    UnionFind,
     cached_property,
     guard_count,
 )
@@ -169,7 +190,7 @@ class NormedCategory(PlainCategory):
     def hom_set(self, a, b) -> NormedSet:
         """The hom-set as a normed set (declaration order)."""
         fs = self.hom(a, b)
-        return NormedSet(self.quantale, {f: self.norm[f] for f in fs}, fs)
+        return NormedSet.trusted(self.quantale, {f: self.norm[f] for f in fs}, fs)
 
     @cached_property
     def ncat_report(self) -> Report:
@@ -275,9 +296,18 @@ class NormedFunctor:
 
 
 def validate_nfunctor(F: NormedFunctor) -> Report:
+    """Totality (every image a target object or morphism), endpoints,
+    identities, composition and norms.  Composition is checked only when
+    every image has the right endpoints; otherwise F g and F f may not
+    compose in the target."""
     report = Report()
     A, B = F.source, F.target
-    total = set(F.obj_map) == set(A.objects) and set(F.mor_map) == set(A.morphisms)
+    total = (
+        set(F.obj_map) == set(A.objects)
+        and set(F.mor_map) == set(A.morphisms)
+        and set(F.obj_map.values()) <= set(B.objects)
+        and set(F.mor_map.values()) <= set(B.morphisms)
+    )
     report.add("totality", total)
     if not total:
         return report
@@ -296,16 +326,17 @@ def validate_nfunctor(F: NormedFunctor) -> Report:
         None,
     )
     report.add("preserves-identities", bad_id is None, bad_id)
-    bad_comp = next(
-        (
-            (g, f)
-            for g in A.morphisms
-            for f in A.into(A.dom[g])
-            if F.mor_map[A.compose(g, f)] != B.compose(F.mor_map[g], F.mor_map[f])
-        ),
-        None,
-    )
-    report.add("preserves-composition", bad_comp is None, bad_comp)
+    if bad_shape is None:
+        bad_comp = next(
+            (
+                (g, f)
+                for g in A.morphisms
+                for f in A.into(A.dom[g])
+                if F.mor_map[A.compose(g, f)] != B.compose(F.mor_map[g], F.mor_map[f])
+            ),
+            None,
+        )
+        report.add("preserves-composition", bad_comp is None, bad_comp)
     q = A.quantale
     bad_norm = next(
         (f for f in A.morphisms if not q.leq(A.norm[f], B.norm[F.mor_map[f]])), None
@@ -600,72 +631,6 @@ def isbell_conjugate_ndist(
 
 
 # ---------------------------------------------------------------------------
-# coends
-
-
-class CoendClasses:
-    """The coend of a contravariant/covariant pair at the point: the
-    disjoint-set quotient of all (object, element-of-Ψ, element-of-Φ)
-    triples, with the final-structure norm on classes."""
-
-    def __init__(self, Psi: NormedDistributor, Phi: NormedDistributor):
-        if Phi.category is not Psi.category and Phi.category != Psi.category:
-            raise ValueError("distributors live over different categories")
-        if Phi.covariant == Psi.covariant:
-            raise ValueError("a coend pairs a contravariant with a covariant distributor")
-        if Phi.covariant:
-            self.phi, self.psi = Phi, Psi
-        else:
-            self.phi, self.psi = Psi, Phi
-        A = Phi.category
-        self.category = A
-        q = Phi.quantale
-        self.quantale = q
-        self.pairs = [
-            (a, v, u)
-            for a in A.objects
-            for v in self.psi.set_at(a)
-            for u in self.phi.set_at(a)
-        ]
-        index = {p: i for i, p in enumerate(self.pairs)}
-        quotient = UnionFind(len(self.pairs))
-        for h in A.morphisms:
-            a, b = A.dom[h], A.cod[h]
-            for u in self.phi.set_at(a):
-                for v in self.psi.set_at(b):
-                    left = (b, v, self.phi.apply(h, u))
-                    right = (a, self.psi.apply(h, v), u)
-                    quotient.union(index[left], index[right])
-
-        self._rep = {p: self.pairs[quotient.find(index[p])] for p in self.pairs}
-        self.classes: dict[tuple, list] = {}
-        for p in self.pairs:  # declaration order
-            self.classes.setdefault(self._rep[p], []).append(p)
-        self.norms = {
-            rep: q.join(
-                q.tensor(self.psi.set_at(a).norm(v), self.phi.set_at(a).norm(u))
-                for (a, v, u) in members
-            )
-            for rep, members in self.classes.items()
-        }
-
-    def rep_of(self, pair):
-        return self._rep[pair]
-
-    def class_members(self, pair) -> list:
-        return self.classes[self._rep[pair]]
-
-    def class_norm(self, pair):
-        return self.norms[self._rep[pair]]
-
-
-def coend_unit(Psi: NormedDistributor, Phi: NormedDistributor) -> CoendClasses:
-    """The composite of a contravariant and a covariant distributor at the
-    point, as explicit quotient classes."""
-    return CoendClasses(Psi, Phi)
-
-
-# ---------------------------------------------------------------------------
 # adjunction certificates
 
 
@@ -685,9 +650,47 @@ class AdjunctionCertificate:
     v: Any
 
 
+def unit_class(Phi: NormedDistributor, Psi: NormedDistributor, eps, c, u) -> list:
+    """The unit class of Φ ⊣ Ψ with counit ``eps`` (keyed as in
+    ``AdjunctionCertificate``; only ε_{a,c}(u, x) is read) and a splitting
+    triple (c, u, v): the (a, x, y) with x in Ψ(a), y in Φ(a) and
+    Φ(ε_{a,c}(u, x))(y) = u, in declaration order (the unit-class lemma in
+    the module docstring)."""
+    return [
+        (a, x, y)
+        for a in Phi.category.objects
+        for x in Psi.set_at(a)
+        for h in (eps[(a, c)][(u, x)],)
+        for y in Phi.set_at(a)
+        if Phi.apply(h, y) == u
+    ]
+
+
+def _class_norm(Phi: NormedDistributor, Psi: NormedDistributor, members):
+    """The final-structure norm of a coend class: ⋁ |x| ⊗ |y| over its
+    members (a, x, y)."""
+    q = Phi.quantale
+    return q.join(
+        q.tensor(Psi.set_at(a).norm(x), Phi.set_at(a).norm(y)) for a, x, y in members
+    )
+
+
 def check_adjunction_cert(cert: AdjunctionCertificate, normed: bool = False) -> Report:
+    """The counit's shape and naturality and both splitting equations (the
+    plain checks); normed, also the counit's norms and, once the plain
+    checks passed, the norm of the unit class read off ``unit_class``.
+    Φ must be covariant and Ψ contravariant over one category
+    (``ValueError`` otherwise), and the category must pass
+    ``validate_category``, which the unit-class lemma needs; otherwise
+    ``PreconditionError`` carries its ``report``."""
     Phi, Psi = cert.phi, cert.psi
     A = Phi.category
+    if Psi.category is not A or not Phi.covariant or Psi.covariant:
+        raise ValueError(
+            "a certificate pairs a covariant phi with a contravariant psi over one category"
+        )
+    if not A.report.ok:
+        raise PreconditionError("check_adjunction_cert requires a category", A.report)
     q = Phi.quantale
     report = Report()
 
@@ -766,6 +769,7 @@ def check_adjunction_cert(cert: AdjunctionCertificate, normed: bool = False) -> 
     report.add("splitting-through-u", split_y is None, split_y)
 
     if normed:
+        plain = report.ok
         eps_bad = next(
             (
                 (a, b, y, x)
@@ -781,14 +785,14 @@ def check_adjunction_cert(cert: AdjunctionCertificate, normed: bool = False) -> 
             None,
         )
         report.add("counit-normed", eps_bad is None, eps_bad)
-
-        coend = coend_unit(Psi, Phi)
-        unit_norm = coend.class_norm((cert.c, cert.v, cert.u))
-        report.add(
-            "unit-class-normed",
-            q.leq(q.unit, unit_norm),
-            f"class norm {q.format(unit_norm)}",
-        )
+        if plain:
+            members = unit_class(Phi, Psi, cert.eps, cert.c, cert.u)
+            unit_norm = _class_norm(Phi, Psi, members)
+            report.add(
+                "unit-class-normed",
+                q.leq(q.unit, unit_norm),
+                f"class norm {q.format(unit_norm)}",
+            )
     return report
 
 
@@ -801,7 +805,7 @@ class LeftAdjointData:
     phi: NormedDistributor
     conjugate: NormedDistributor
     triple: tuple | None  # (c, u, v-key) satisfying the splitting equations
-    coend: CoendClasses | None
+    unit_class: list | None  # its (a, v-key, w), as ``unit_class`` lists them
     unit_norm: Any
 
     @property
@@ -819,11 +823,16 @@ class LeftAdjointData:
 def left_adjoint_unit(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET) -> LeftAdjointData:
     """Search a splitting triple against the canonical conjugate.
 
-    The counit is evaluation (automatically normed); the triple (c, u, v)
-    must satisfy both splitting equations.  Every triple that satisfies them
-    presents the same unit class, whose coend norm is the unit norm.
+    The counit is evaluation, ε(y, β) = β_b(y) (automatically normed); the
+    triple (c, u, v) must satisfy both splitting equations.  Every triple
+    that satisfies them presents the same unit class, read off
+    ``unit_class``, whose coend norm is the unit norm.  The category must
+    pass ``validate_category``; otherwise ``PreconditionError`` carries its
+    ``report``.
     """
     A = Phi.category
+    if not A.report.ok:
+        raise PreconditionError("left_adjoint_unit requires a category", A.report)
     conjugate = isbell_conjugate_ndist(Phi, budget)
     # each conjugate element's natural family, built once
     family = {
@@ -852,9 +861,14 @@ def left_adjoint_unit(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET) -> L
     )
     if triple is None:
         return LeftAdjointData(Phi, conjugate, None, None, None)
-    c, u, v_key = triple
-    coend = coend_unit(conjugate, Phi)
-    return LeftAdjointData(Phi, conjugate, triple, coend, coend.class_norm((c, v_key, u)))
+    c, u, _ = triple
+    evaluation = {
+        (a, c): {(u, x): family[x][c][u] for x in conjugate.set_at(a)} for a in A.objects
+    }
+    members = unit_class(Phi, conjugate, evaluation, c, u)
+    return LeftAdjointData(
+        Phi, conjugate, triple, members, _class_norm(Phi, conjugate, members)
+    )
 
 
 def has_presentable_unit(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET):
@@ -873,8 +887,7 @@ def presentable_unit_scan(data: LeftAdjointData):
     """The first unit-class member (a, v, w) with both component norms
     |w| and |v| at least the unit."""
     q = data.phi.quantale
-    c, u, v_key = data.triple
-    for a, v, w in data.coend.class_members((c, v_key, u)):
+    for a, v, w in data.unit_class:
         if q.leq(q.unit, data.phi.set_at(a).norm(w)) and q.leq(
             q.unit, data.conjugate.set_at(a).norm(v)
         ):

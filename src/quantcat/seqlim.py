@@ -577,21 +577,17 @@ def _c2b_probe_check(
     guard_count(total, budget, f"probe normed sets up to size {probe_bound}")
     n = len(apex)
     search = _first_above_final(q, apex, H) is not None
-    if search:
-        carrier = list(q.carrier())
-        # hom(|a|, v) and hom(|a|_H, v) for each apex element a and value v
-        from_apex = [[q.hom(apex.norm(a), v) for v in carrier] for a in apex]
-        from_H = [[q.hom(H.norm(a), v) for v in carrier] for a in apex]
+    norms = [apex.norm(a) for a in apex]
+    h_norms = [H.norm(a) for a in apex]
     for size in range(1, probe_bound + 1):
         guard_count(size**n, budget, "probe maps out of the apex")
         if not search:
             continue
-        for values in product(range(len(carrier)), repeat=size):
-            lhs_at = [[row[v] for v in values] for row in from_apex]
-            rhs_at = [[row[v] for v in values] for row in from_H]
+        for values in product(q.carrier(), repeat=size):
             for image in product(range(size), repeat=n):
-                lhs = q.meet(lhs_at[i][j] for i, j in enumerate(image))
-                rhs = q.meet(rhs_at[i][j] for i, j in enumerate(image))
+                ps = [values[j] for j in image]  # p_{f(a)} per apex element a
+                lhs = q.meet_of_homs(zip(norms, ps))
+                rhs = q.meet_of_homs(zip(h_norms, ps))
                 if not q.leq(rhs, lhs):
                     f = {a: f"p{j}" for a, j in zip(apex.elements, image)}
                     return False, (f, q.format(lhs), q.format(rhs))

@@ -358,25 +358,20 @@ def object_upper(X: VCategory, a) -> VDistributor:
     return right_weight(X, {x: X.d(x, a) for x in X.objects})
 
 
-def dist_leq(phi: VDistributor, psi: VDistributor) -> bool:
-    """Pointwise order of parallel distributors (the 2-cells of the thin case)."""
-    if phi.source != psi.source or phi.target != psi.target:
-        raise ValueError("distributors are not parallel")
-    q = phi.quantale
-    return all(q.leq(v, psi.at(*key)) for key, v in phi.values.items())
-
-
 def check_adjoint(phi: VDistributor, psi: VDistributor) -> bool:
     """Whether φ: X ⇸ Y is left adjoint to ψ: Y ⇸ X.
 
     In the thin setting this is the unit inequality X ≤ ψ·φ together with
-    the counit inequality φ·ψ ≤ Y; triangle identities are automatic.
+    the counit inequality φ·ψ ≤ Y (``adjoint_report``); triangle identities
+    are automatic.
     """
+    _require_adjoint_shape(phi, psi)
+    return adjoint_report(phi, psi).ok
+
+
+def _require_adjoint_shape(phi: VDistributor, psi: VDistributor) -> None:
     if phi.source != psi.target or phi.target != psi.source:
         raise ValueError("shapes do not form a candidate adjunction")
-    return dist_leq(identity_vdist(phi.source), compose_vdist(psi, phi)) and dist_leq(
-        compose_vdist(phi, psi), identity_vdist(phi.target)
-    )
 
 
 def adjoint_report(phi: VDistributor, psi: VDistributor) -> Report:
@@ -431,10 +426,10 @@ def is_representable(phi: VDistributor, psi: VDistributor):
     Requires the pair to be adjoint; by the representability criterion the
     witness exists iff φ is representable, and then φ = a_* and ψ = a^*.
     """
-    if not check_adjoint(phi, psi):
-        raise PreconditionError(
-            "is_representable requires an adjoint pair", adjoint_report(phi, psi)
-        )
+    _require_adjoint_shape(phi, psi)
+    report = adjoint_report(phi, psi)
+    if not report.ok:
+        raise PreconditionError("is_representable requires an adjoint pair", report)
     q = phi.quantale
     pv, cv = weight_vector(phi), coweight_vector(psi)
     for a in phi.target.objects:

@@ -1,5 +1,6 @@
 """Shared fixture builders and brute-force oracles for the test suite."""
 
+from dataclasses import replace
 from itertools import product
 
 from quantcat.cli import InputError, _ser_normed_set, _ser_vcat
@@ -8,7 +9,6 @@ from quantcat.common import (
     DEFAULT_BUDGET,
     PreconditionError,
     Report,
-    UnionFind,
     guard_count,
 )
 from quantcat.ncat import (
@@ -401,6 +401,95 @@ def filtered_norm_assignments(A, e):
             yield values
 
 
+class UnionFind:
+    """Disjoint sets over ``0 .. n-1``; the root of a class is its smallest
+    index, so class representatives do not depend on the union order."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+
+class CoendClasses:
+    """The coend of a contravariant/covariant pair at the point by brute
+    force: the disjoint-set quotient of all (object, element-of-Ψ,
+    element-of-Φ) triples under every generator, with the final-structure
+    norm on classes.  The oracle of ``ncat.unit_class``."""
+
+    def __init__(self, Psi, Phi):
+        if Phi.category is not Psi.category and Phi.category != Psi.category:
+            raise ValueError("distributors live over different categories")
+        if Phi.covariant == Psi.covariant:
+            raise ValueError("a coend pairs a contravariant with a covariant distributor")
+        if Phi.covariant:
+            self.phi, self.psi = Phi, Psi
+        else:
+            self.phi, self.psi = Psi, Phi
+        A = Phi.category
+        q = Phi.quantale
+        self.pairs = [
+            (a, v, u)
+            for a in A.objects
+            for v in self.psi.set_at(a)
+            for u in self.phi.set_at(a)
+        ]
+        index = {p: i for i, p in enumerate(self.pairs)}
+        quotient = UnionFind(len(self.pairs))
+        for h in A.morphisms:
+            a, b = A.dom[h], A.cod[h]
+            for u in self.phi.set_at(a):
+                for v in self.psi.set_at(b):
+                    left = (b, v, self.phi.apply(h, u))
+                    right = (a, self.psi.apply(h, v), u)
+                    quotient.union(index[left], index[right])
+
+        self._rep = {p: self.pairs[quotient.find(index[p])] for p in self.pairs}
+        self.classes: dict[tuple, list] = {}
+        for p in self.pairs:  # declaration order
+            self.classes.setdefault(self._rep[p], []).append(p)
+        self.norms = {
+            rep: q.join(
+                q.tensor(self.psi.set_at(a).norm(v), self.phi.set_at(a).norm(u))
+                for (a, v, u) in members
+            )
+            for rep, members in self.classes.items()
+        }
+
+    def rep_of(self, pair):
+        return self._rep[pair]
+
+    def class_members(self, pair) -> list:
+        return self.classes[self._rep[pair]]
+
+    def class_norm(self, pair):
+        return self.norms[self._rep[pair]]
+
+
+def coend_unit(Psi, Phi) -> CoendClasses:
+    """The composite of a contravariant and a covariant distributor at the
+    point, as explicit quotient classes."""
+    return CoendClasses(Psi, Phi)
+
+
+def dist_leq(phi, psi) -> bool:
+    """Pointwise order of parallel V-distributors."""
+    if phi.source != psi.source or phi.target != psi.target:
+        raise ValueError("distributors are not parallel")
+    q = phi.quantale
+    return all(q.leq(v, psi.at(*key)) for key, v in phi.values.items())
+
+
 def brute_left_adjoints(A, budget=DEFAULT_BUDGET):
     """(e, norms, Φ_e, left_adjoint_unit data) for every idempotent e and
     every normed-functor assignment on Φ_e: the whole product, filtered, one
@@ -425,8 +514,9 @@ def brute_left_adjoints(A, budget=DEFAULT_BUDGET):
 
 def brute_lawvere_ncat(A, budget=DEFAULT_BUDGET) -> NcatLawvereVerdict:
     """The completeness decision by exhaustion: clause 1 on the strict part,
-    then the presentable-unit scan of every enumerated left adjoint; same
-    precondition as the decision."""
+    then the presentable-unit scan of every enumerated left adjoint, over
+    its unit class and norm from the union-find coend; same precondition as
+    the decision."""
     q = require_finite(A.quantale, "brute_lawvere_ncat")
     report = validate_ncat(A)
     if not report.ok:
@@ -440,8 +530,10 @@ def brute_lawvere_ncat(A, budget=DEFAULT_BUDGET) -> NcatLawvereVerdict:
         # normed iff the unit's coend class, normed from the whole conjugate,
         # is above the unit
         c, u, v_key = data.triple
-        normed = q.leq(q.unit, data.coend.class_norm((c, v_key, u)))
-        if normed and not presentable_unit_scan(data)[0]:
+        coend = coend_unit(data.conjugate, data.phi)
+        normed = q.leq(q.unit, coend.class_norm((c, v_key, u)))
+        brute = replace(data, unit_class=coend.class_members((c, v_key, u)))
+        if normed and not presentable_unit_scan(brute)[0]:
             named = {f: q.format(v) for f, v in norms.items()}
             return NcatLawvereVerdict(False, clause=2, certificate=(e, named))
     return NcatLawvereVerdict(True)

@@ -788,6 +788,65 @@ def test_lawvere_on_non_associative_table_reports_precondition(tmp_path, capsys)
     assert failed == {"associativity": ["a", "a", "a"]}
 
 
+def _point_certificate_file(tmp_path, variance, tasks):
+    """The non-associative table of the test above, with one-point
+    distributors phi (covariant) and psi (of the given variance) and the
+    certificate ε(p, p) = 1 at (x, p, p)."""
+    ms = ["1", "a", "b"]
+    table = [["1", m, m] for m in ms] + [[m, "1", m] for m in ms[1:]] + [
+        ["a", "a", "b"], ["a", "b", "a"], ["b", "a", "b"], ["b", "b", "b"]
+    ]
+    point = {
+        "kind": "ndist", "category": "M", "sets": {"x": [{"id": "p", "norm": "1"}]},
+        "action": {m: {"p": "p"} for m in ms},
+    }
+    objects = {
+        "M": {
+            "kind": "ncat", "objects": ["x"],
+            "morphisms": [{"id": m, "dom": "x", "cod": "x", "norm": "1"} for m in ms],
+            "identities": {"x": "1"}, "compose": table,
+        },
+        "phi": point | {"variance": "covariant"},
+        "psi": point | {"variance": variance},
+        "cert": {
+            "kind": "certificate", "phi": "phi", "psi": "psi",
+            "eps": [{"a": "x", "b": "x", "map": [["p", "p", "1"]]}],
+            "c": "x", "u": "p", "v": "p",
+        },
+    }
+    f = tmp_path / "cert.json"
+    f.write_text(
+        json.dumps({"quantale": "bool2", "objects": objects, "tasks": tasks}),
+        encoding="utf-8",
+    )
+    return str(f)
+
+
+def test_certificate_over_non_associative_table_reports_precondition(tmp_path, capsys):
+    tasks = [{"op": "adjoint", "target": "cert"},
+             {"op": "adjoint", "target": "cert", "normed": True}]
+    code, report, _ = run_json(capsys, _point_certificate_file(tmp_path, "contravariant", tasks))
+    assert code == 1
+    for task in report["tasks"]:
+        assert task["verdict"] == "fail"
+        assert task["details"]["error"] == "not a category"
+        evidence = task["details"]["evidence"]
+        failed = {c["check"]: c["witness"] for c in evidence if not c["ok"]}
+        assert failed == {"associativity": ["a", "a", "a"]}
+
+
+@pytest.mark.parametrize("normed", [False, True])
+def test_certificate_with_two_covariant_distributors_is_input_error(tmp_path, capsys, normed):
+    tasks = [{"op": "adjoint", "target": "cert", "normed": normed}]
+    code = main([_point_certificate_file(tmp_path, "covariant", tasks), "--json"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (
+        "input error: task 0 (adjoint): "
+        "a certificate pairs a covariant phi with a contravariant psi over one category\n"
+    )
+
+
 @pytest.mark.parametrize("composite", ["1b", "zz"])
 def test_composite_off_its_endpoints_is_a_failed_check(tmp_path, capsys, composite):
     # e: a → a with e∘e listed as 1b, or as a name that is no morphism

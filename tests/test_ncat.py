@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from quantcat.common import BudgetExceeded, PreconditionError
+from quantcat.common import BudgetExceeded, Check, PreconditionError
 from quantcat.ncat import (
     _unit_class_slots,
     _weight_matrix,
@@ -14,7 +14,6 @@ from quantcat.ncat import (
     NormedFunctor,
     check_adjunction_cert,
     check_normed_retract,
-    coend_unit,
     has_presentable_unit,
     i_embed_cat,
     idempotent_conjugate_sets,
@@ -32,6 +31,7 @@ from quantcat.ncat import (
     split_idempotents_check,
     strict_subcategory,
     sup_change_of_base,
+    unit_class,
     validate_category,
     validate_ncat,
     validate_ndist,
@@ -52,6 +52,8 @@ from helpers import (
     all_vcategories,
     bool4_split_witness_vcat,
     brute_lawvere_ncat,
+    brute_left_adjoints,
+    coend_unit,
     filtered_norm_assignments,
     i_embed_weight,
     idempotent_distributor,
@@ -239,6 +241,33 @@ def test_validate_ndist_matches_the_pair_scan_and_normed_maps(qname):
             outcomes.update((name, ok) for name, ok, _ in got)
     assert all(outcomes[(name, ok)] for name in ("action-functorial", "action-normed")
                for ok in (True, False))
+
+
+def _split_endofunctor(A, s_image):
+    """The endofunctor of ``split_monoid_cat`` fixing every object and
+    every morphism but s."""
+    mor_map = {f: f for f in A.morphisms} | {"s": s_image}
+    return NormedFunctor(A, A, {a: a for a in A.objects}, mor_map)
+
+
+def test_nfunctor_off_its_endpoints_skips_composition(q2):
+    # s: b → a sent to r: a → b; F(s)∘F(r) would be r∘r, not in the table
+    A = split_monoid_cat(q2)
+    report = validate_nfunctor(_split_endofunctor(A, "r"))
+    assert _checks(report) == [
+        ("totality", True, None),
+        ("endpoint-compatibility", False, "s"),
+        ("preserves-identities", True, None),
+        ("norm-increase", True, None),
+    ]
+
+
+def test_nfunctor_image_outside_the_target_fails_totality(q2):
+    A = split_monoid_cat(q2)
+    report = validate_nfunctor(_split_endofunctor(A, "zz"))
+    assert _checks(report) == [("totality", False, None)]
+    moved = NormedFunctor(A, A, {"a": "a", "b": "zz"}, {f: f for f in A.morphisms})
+    assert _checks(validate_nfunctor(moved)) == [("totality", False, None)]
 
 
 def test_preserves_composition_matches_the_pair_scan():
@@ -430,6 +459,60 @@ def test_phi_e_certificate_plain_but_not_normed(q2):
     report = check_adjunction_cert(cert, normed=True)
     assert not report.ok
     assert any(c_.name == "unit-class-normed" for c_ in report.failures())
+
+
+def test_normed_certificate_with_broken_naturality_has_no_unit_check(q2):
+    A = split_monoid_cat(q2)
+    cert = representable_certificate(A, "a")
+    table = dict(cert.eps[("a", "a")])
+    table[("e", "1a")] = "1a"  # ε(e, 1a) = e∘1a should be e
+    broken = AdjunctionCertificate(
+        cert.phi, cert.psi, {**cert.eps, ("a", "a"): table}, cert.c, cert.u, cert.v
+    )
+    report = check_adjunction_cert(broken, normed=True)
+    assert "counit-natural-in-target" in [c.name for c in report.failures()]
+    assert [c.name for c in report.checks] == [
+        "counit-shape", "counit-natural-in-target", "counit-natural-in-source",
+        "splitting-through-v", "splitting-through-u", "counit-normed",
+    ]
+
+
+def test_certificate_over_a_non_category_is_a_precondition(q2):
+    # a∘a = b, a∘b = a, b∘a = b: (a∘a)∘a = b but a∘(a∘a) = a
+    ms = ["1", "a", "b"]
+    table = {("1", m): m for m in ms} | {(m, "1"): m for m in ms}
+    table |= {("a", "a"): "b", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "b"}
+    A = NormedCategory(
+        q2, ["x"], ms, dict.fromkeys(ms, "x"), dict.fromkeys(ms, "x"), {"x": "1"},
+        table, dict.fromkeys(ms, "1"),
+    )
+    point = {"x": NormedSet(q2, {"p": "1"})}
+    action = {m: {"p": "p"} for m in ms}
+    Phi = NormedDistributor(A, True, point, action)
+    Psi = NormedDistributor(A, False, point, action)
+    cert = AdjunctionCertificate(Phi, Psi, {("x", "x"): {("p", "p"): "1"}}, "x", "p", "p")
+    for normed in (False, True):
+        with pytest.raises(PreconditionError) as caught:
+            check_adjunction_cert(cert, normed=normed)
+        assert caught.value.value is A.report
+        assert [c.name for c in A.report.failures()] == ["associativity"]
+    with pytest.raises(PreconditionError) as caught:
+        left_adjoint_unit(Phi)
+    assert caught.value.value is A.report
+
+
+def test_certificate_needs_a_covariant_phi_and_a_contravariant_psi(q2):
+    wrong = "covariant phi with a contravariant psi over one category"
+    cert = representable_certificate(split_monoid_cat(q2), "a")
+    for phi, psi in ((cert.phi, cert.phi), (cert.psi, cert.psi), (cert.psi, cert.phi)):
+        swapped = AdjunctionCertificate(phi, psi, cert.eps, cert.c, cert.u, cert.v)
+        with pytest.raises(ValueError, match=wrong):
+            check_adjunction_cert(swapped)
+    other = representable_contra(split_monoid_cat(q2), "a")
+    with pytest.raises(ValueError, match=wrong):
+        check_adjunction_cert(
+            AdjunctionCertificate(cert.phi, other, cert.eps, cert.c, cert.u, cert.v)
+        )
 
 
 def test_broken_counit_naturality_reported(q2):
@@ -704,7 +787,7 @@ def _coend_partition_oracle(Psi, Phi):
 
 
 def test_coend_matches_closure_oracle(q2, q4bool):
-    from quantcat.ncat import coend_unit, isbell_conjugate_ndist
+    from quantcat.ncat import isbell_conjugate_ndist
 
     fixtures = []
     A1 = monoid_cat(q2, "1", "1")
@@ -842,7 +925,7 @@ def test_left_adjoint_unit_norm_is_the_coend_class_norm(q2, q4bool):
         data = left_adjoint_unit(Phi)
         assert data.plain
         c, u, v_key = data.triple
-        assert data.unit_norm == data.coend.class_norm((c, v_key, u))
+        assert data.unit_norm == coend_unit(data.conjugate, Phi).class_norm((c, v_key, u))
 
 
 def _evaluation_certificate(Phi, conjugate, c, u, v_key):
@@ -900,8 +983,7 @@ def test_unit_class_closed_form_matches_distributor_calculus(
                 closed = idempotent_unit_class(A, e)
                 assert {(x, key(y), w) for x, y, w in closed} == expected, (A, e)
                 data = left_adjoint_unit(Phi)
-                c, u, v_key = data.triple
-                assert set(data.coend.class_members((c, v_key, u))) == expected
+                assert set(data.unit_class) == expected
                 # the conjugate-norm terms of each member y, on positions of flat
                 ys = list(dict.fromkeys(y for _, y, _ in closed))
                 assert [(flat.index(w), ys.index(y)) for _, y, w in closed] == members
@@ -910,6 +992,130 @@ def test_unit_class_closed_form_matches_distributor_calculus(
                     assert norm == conjugate.set_at(A.dom[y]).norm(key(y)), (A, e, y)
                     assert conj[j] == norm, (A, e, y)
     assert idempotents > 250  # 283 idempotents in the valid fixtures
+
+
+def _certificates(A, budget=4096):
+    """(certificate, None) for every representable certificate of A, then
+    (certificate, ``left_adjoint_unit`` data) for the evaluation certificate
+    of every plain left adjoint Φ_e, up to the first budget guard."""
+    for a in A.objects:
+        yield representable_certificate(A, a), None
+    try:
+        for _, _, Phi, data in brute_left_adjoints(A, budget):
+            if data.plain:
+                yield _evaluation_certificate(Phi, data.conjugate, *data.triple), data
+    except BudgetExceeded:
+        return
+
+
+def _brute_unit_class(cert):
+    """The members and norm of the class of (c, v, u) in the union-find
+    coend."""
+    coend = coend_unit(cert.psi, cert.phi)
+    key = (cert.c, cert.v, cert.u)
+    return coend.class_members(key), coend.class_norm(key)
+
+
+def test_unit_class_matches_the_union_find_on_every_valid_certificate(
+    q1, q2, q3, q4chain, q4bool, qluka, qabove
+):
+    fixtures = list(_differential_fixtures(q1, q2, q3, q4chain, q4bool, qluka, qabove))
+    fixtures += [transformation_monoid(q2, n) for n in (2, 3)]
+    checked = 0
+    for A in fixtures:
+        if not A.report.ok:
+            continue
+        for cert, data in _certificates(A):
+            assert check_adjunction_cert(cert).ok
+            members, norm = _brute_unit_class(cert)
+            got = unit_class(cert.phi, cert.psi, cert.eps, cert.c, cert.u)
+            assert got == members, (A, cert.c, cert.u)
+            if data is not None:
+                assert (data.unit_class, data.unit_norm) == (members, norm)
+            checked += 1
+    assert checked > 2000  # 2196 certificates
+
+
+def _perturbed(rng, cert):
+    """``cert`` after one to three random edits, each one of: a counit
+    entry, the splitting triple, an action entry of Φ or Ψ, or the norms of
+    Φ or Ψ at one object."""
+    A = cert.phi.category
+    q = A.quantale
+    phi, psi, eps, c, u, v = cert.phi, cert.psi, dict(cert.eps), cert.c, cert.u, cert.v
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(5)
+        if edit == 0:
+            a, b = rng.choice(list(eps))
+            if eps[(a, b)]:
+                table = dict(eps[(a, b)])
+                table[rng.choice(list(table))] = rng.choice(A.hom(a, b))
+                eps[(a, b)] = table
+        elif edit == 1:
+            c = rng.choice([b for b in A.objects if len(phi.set_at(b)) and len(psi.set_at(b))])
+            u = rng.choice(phi.set_at(c).elements)
+            v = rng.choice(psi.set_at(c).elements)
+        else:
+            D = phi if edit == 2 else psi if edit == 3 else rng.choice((phi, psi))
+            sets, action = dict(D.sets), {h: dict(D.action[h]) for h in A.morphisms}
+            if edit == 4:
+                a = rng.choice(A.objects)
+                S = D.set_at(a)
+                norms = {x: rng.choice(list(q.carrier())) for x in S}
+                sets[a] = NormedSet(q, norms, S.elements)
+            else:
+                h = rng.choice(A.morphisms)
+                src, tgt = D._action_shape(h)
+                if len(src):
+                    action[h][rng.choice(src.elements)] = rng.choice(tgt.elements)
+            D2 = NormedDistributor(A, D.covariant, sets, action)
+            phi, psi = (D2, psi) if D is phi else (phi, D2)
+    return AdjunctionCertificate(phi, psi, eps, c, u, v)
+
+
+def test_unit_class_matches_the_union_find_on_perturbed_certificates(
+    q1, q2, q3, q4chain, q4bool, qluka, qabove
+):
+    fixtures = _differential_fixtures(q1, q2, q3, q4chain, q4bool, qluka, qabove)
+    wide = [
+        A for A in fixtures
+        if validate_ncat(A).ok
+        and any(len(A.hom(a, b)) >= 2 for a in A.objects for b in A.objects)
+    ]
+    assert len(wide) == 21
+    rng = random.Random(20)
+    outcomes = Counter()
+    for A in wide:
+        q = A.quantale
+        certs = [cert for cert, _ in _certificates(A)]
+        for _ in range(500):
+            original = rng.choice(certs)
+            cert = _perturbed(rng, original)
+            report = check_adjunction_cert(cert, normed=True)
+            names = [c.name for c in report.checks]
+            if not all(c.ok for c in report.checks if c.name not in (
+                "counit-normed", "unit-class-normed"
+            )):
+                assert "unit-class-normed" not in names
+                outcomes["plain check failed"] += 1
+                continue
+            # the plain checks imply Φ is a functor (the unit-class lemma)
+            assert validate_ndist(cert.phi).checks[:2] == [
+                Check("action-identities", True), Check("action-functorial", True)
+            ]
+            members, norm = _brute_unit_class(cert)
+            assert unit_class(cert.phi, cert.psi, cert.eps, cert.c, cert.u) == members
+            (unit,) = [c for c in report.checks if c.name == "unit-class-normed"]
+            assert (unit.ok, unit.witness) == (q.leq(q.unit, norm), f"class norm {q.format(norm)}")
+            moved = (cert.eps, cert.c, cert.u, cert.v, cert.phi.action, cert.psi.action) != (
+                original.eps, original.c, original.u, original.v,
+                original.phi.action, original.psi.action,
+            )
+            outcomes["changed" if moved else "norms only"] += 1
+            outcomes[f"unit-class-normed {unit.ok}"] += 1
+    # of 10 500: 4 604 fail a plain check, 304 pass changed, 5 592 pass
+    # with at most their norms edited; 2 109 unit classes normed, 3 787 not
+    assert min(outcomes.values()) > 250, outcomes
 
 
 def test_lawvere_builds_no_distributors(q2, monkeypatch):

@@ -15,7 +15,6 @@ from quantcat.vcat import (
     check_adjoint,
     compose_vdist,
     coweight_vector,
-    dist_leq,
     f_lower,
     f_upper,
     identity_vdist,
@@ -44,6 +43,7 @@ from helpers import (
     all_vcategories,
     brute_adjoint_pairs,
     brute_lawvere_vcat,
+    dist_leq,
     ordered_pair_vcat,
 )
 
