@@ -1,9 +1,13 @@
 """quantcat: exact computations with quantale-enriched categories.
 
 Quantale arithmetic (finite tables and the extended-rational carriers),
-normed sets and maps, V-categories with distributor calculus and Isbell
-conjugation, normed categories with the presentable-unit completeness
-decision, and normed colimits of finitely presented sequences.
+normed sets and their final structures, V-categories with distributor
+calculus and Isbell conjugation, normed categories with adjunction
+certificates and the presentable-unit completeness decision, and normed
+colimits of finitely presented sequences.  The package exports what the
+command line (``python -m quantcat``) runs; the general calculus of normed
+maps, V-functors, normed functors and left adjoints is the tests' oracle,
+in ``tests/helpers.py``.
 """
 
 from .common import (
@@ -33,70 +37,37 @@ from .quantale import (
     unit_approximated_from_totally_below,
     validate_quantale,
 )
-from .normed_set import (
-    NormedMap,
-    NormedSet,
-    compose,
-    curry,
-    final_structure,
-    i_embed,
-    identity_map,
-    initial_structure,
-    internal_hom,
-    map_norm,
-    s_value,
-    strict_part,
-    tensor,
-    unit_normed_set,
-)
+from .normed_set import NormedSet, final_structure
 from .vcat import (
     LawvereVerdict,
     VCategory,
     VDistributor,
-    VFunctor,
     VWeightPair,
-    check_adjoint,
     compose_vdist,
-    f_lower,
-    f_upper,
     is_representable,
-    isbell_conjugate_coweight,
     isbell_conjugate_weight,
     lawvere_complete_vcat,
-    left_weight,
-    object_lower,
-    object_upper,
     right_weight,
     totally_compact_unit,
     unit_tensor_splits,
     unit_vcat,
     validate_vcat,
     validate_vdist,
-    validate_vfunctor,
-    vcat_from_matrix,
 )
 from .ncat import (
     AdjunctionCertificate,
     NcatLawvereVerdict,
     NormedCategory,
     NormedDistributor,
-    NormedFunctor,
     PlainCategory,
     check_adjunction_cert,
-    check_normed_retract,
-    has_presentable_unit,
-    i_embed_cat,
     is_lawvere_complete_ncat,
     isbell_conjugate_ndist,
     nat_transformations,
-    representable_contra,
     representable_cov,
     split_idempotents_check,
     strict_subcategory,
-    sup_change_of_base,
-    validate_ncat,
     validate_ndist,
-    validate_nfunctor,
 )
 from .seqlim import (
     Cocone,
@@ -108,9 +79,7 @@ from .seqlim import (
     colimit_dset,
     colimit_nset,
     colimit_vlip,
-    forward_cauchy_metric,
     forward_limit_metric,
-    is_cauchy,
     lipschitz_norm,
     norm_profile,
     validate_sequence,

@@ -259,10 +259,15 @@ def _parse_certificate(inst: Instance, spec: dict) -> ncat_mod.AdjunctionCertifi
     for entry in spec["eps"]:
         table = {(y, x): m for y, x, m in entry["map"]}
         eps[(entry["a"], entry["b"])] = table
-    _require_names([spec["c"], spec["u"], spec["v"]], "'c', 'u' and 'v'")
-    return ncat_mod.AdjunctionCertificate(
-        phi, psi, eps, spec["c"], spec["u"], spec["v"]
-    )
+    c, u, v = spec["c"], spec["u"], spec["v"]
+    _require_names([c, u, v], "'c', 'u' and 'v'")
+    if c not in phi.sets:
+        raise InputError(f"field 'c': {c!r} is not an object of phi's category")
+    if u not in phi.sets[c]:
+        raise InputError(f"field 'u': {u!r} is not an element of phi at {c!r}")
+    if c not in psi.sets or v not in psi.sets[c]:
+        raise InputError(f"field 'v': {v!r} is not an element of psi at {c!r}")
+    return ncat_mod.AdjunctionCertificate(phi, psi, eps, c, u, v)
 
 
 def _parse_stage_object(inst: Instance, ambient: str, raw):
@@ -417,6 +422,13 @@ def _report_details(q: Quantale, report: Report) -> list:
     ]
 
 
+def _checks_outcome(q: Quantale, report: Report) -> dict:
+    return {
+        "verdict": "pass" if report.ok else "fail",
+        "details": {"checks": _report_details(q, report)},
+    }
+
+
 def _jsonable(q: Quantale, value) -> Any:
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -453,10 +465,7 @@ def _task_validate(inst: Instance, task: dict, budget: int, probe: int) -> dict:
         report = seq_mod.validate_sequence(value)
     else:
         raise InputError(f"validate does not apply to kind {kind!r}")
-    return {
-        "verdict": "pass" if report.ok else "fail",
-        "details": {"checks": _report_details(q, report)},
-    }
+    return _checks_outcome(q, report)
 
 
 def _task_compose(inst: Instance, task: dict, budget: int, probe: int) -> dict:
@@ -475,20 +484,13 @@ def _task_adjoint(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     q = inst.quantale
     if "pair" in task:
         _, wp = inst.resolve(task["pair"], {"weight_pair"})
-        report = vcat_mod.adjoint_report(wp.phi, wp.psi)
-        return {
-            "verdict": "pass" if report.ok else "fail",
-            "details": {"checks": _report_details(q, report)},
-        }
+        return _checks_outcome(q, vcat_mod.adjoint_report(wp.phi, wp.psi))
     _, cert = inst.resolve(task["target"], {"certificate"})
     try:
         report = ncat_mod.check_adjunction_cert(cert, normed=task.get("normed", False))
     except PreconditionError as exc:
         return _precondition_failure(q, "not a category", exc.value)
-    return {
-        "verdict": "pass" if report.ok else "fail",
-        "details": {"checks": _report_details(q, report)},
-    }
+    return _checks_outcome(q, report)
 
 
 def _task_isbell(inst: Instance, task: dict, budget: int, probe: int) -> dict:

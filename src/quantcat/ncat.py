@@ -30,13 +30,14 @@ class of (c, v, u), is {(a, x, y) : κ(a, x, y) = u}:
 * κ(c, v, u) = u, by splitting-through-u.
 
 ``unit_class`` is that one fibre, in declaration order.  The adjunction
-check and ``left_adjoint_unit`` (the evaluation counit ε(y, β) = β_b(y))
-read the unit class and its norm off it and build no coend.
+check reads the unit class and its norm off it and builds no coend; so does
+the tests' general left-adjoint path (``left_adjoint_unit`` in
+``tests/helpers.py``, with the evaluation counit ε(y, β) = β_b(y)).
 
 Completeness decision
 ---------------------
 ``is_lawvere_complete_ncat`` decides, once the category's ``ncat_report``
-(``validate_ncat``) has passed:
+(``validate_category`` and ``norm_checks``) has passed:
 
 1. every idempotent of the strict (unit-normed) subcategory splits;
 2. every left adjoint distributor out of the one-arrow category has a
@@ -70,21 +71,21 @@ V-category decision's search, ``vcat.matrix_weights`` and
 ``vcat.unit_member``.  Per idempotent, after the assignment-count guard,
 the conjugate's natural-transformation guards fire (the all-top assignment
 is always normed, so the search always yields) and the unit class is built
-once.  The decision builds no distributor; ``left_adjoint_unit`` is the
-general path and the tests' oracle.
+once.  The decision builds no distributor; the general left-adjoint path,
+``left_adjoint_unit`` in ``tests/helpers.py``, is the tests' oracle.
 
 Under ``vcat.unit_criterion`` (k ≪ k and the unit splits the tensor)
 clause (2) cannot fail: ``unit_member`` never returns (True, None), by the
 criterion lemma in the ``vcat`` docstring.  The decision is then
-``validate_ncat``, clause (1) and the per-idempotent guards, fired in the
+``ncat_report``, clause (1) and the per-idempotent guards, fired in the
 same order, with no unit class, N or D_e built.
 
 Associativity lemma.  Once every composite has the right endpoints, both
 (h∘g)∘f and h∘(g∘f) lie in A(dom f, cod h), so a triple can fail only when
 that hom-set has two or more morphisms.  ``validate_category`` counts the
 hom-sets once and skips every h whose codomain receives no such hom-set,
-which names the same first witness; on a thin category (``i_embed_cat``)
-it visits no triple.
+which names the same first witness; on a thin category (at most one
+morphism between two objects) it visits no triple.
 
 All values are immutable after construction and every operation is a pure
 function; searches iterate objects, morphisms, and assignments in
@@ -108,7 +109,7 @@ from .common import (
 )
 from .normed_set import NormedSet
 from .quantale import Quantale, require_finite, require_same_quantale
-from .vcat import VCategory, matrix_weights, unit_criterion, unit_member
+from .vcat import matrix_weights, unit_criterion, unit_member
 
 
 class PlainCategory:
@@ -194,7 +195,8 @@ class NormedCategory(PlainCategory):
 
     @cached_property
     def ncat_report(self) -> Report:
-        """``validate_ncat`` of this normed category, from its ``report``."""
+        """The normed-category checks of this category: its ``report`` plus
+        ``norm_checks``."""
         return norm_checks(self, self.report)
 
 
@@ -252,16 +254,10 @@ def validate_category(C: PlainCategory) -> Report:
     return report
 
 
-def validate_ncat(A: NormedCategory) -> Report:
-    """``validate_category``, identity norms and submultiplicativity; the
-    last is checked only when every composite has the right endpoints."""
-    return norm_checks(A, validate_category(A))
-
-
 def norm_checks(A: NormedCategory, category: Report) -> Report:
-    """``validate_ncat`` of A from its ``validate_category`` report: a copy
-    of that report with the identity-norm and submultiplicativity checks
-    added."""
+    """The normed-category checks of A from its ``validate_category``
+    report: a copy of that report with the identity-norm and
+    submultiplicativity checks added."""
     report = Report(list(category.checks))
     q = A.quantale
     bad_unit = next(
@@ -281,67 +277,6 @@ def norm_checks(A: NormedCategory, category: Report) -> Report:
         None,
     )
     report.add("composition-submultiplicative", bad_sub is None, bad_sub)
-    return report
-
-
-@dataclass
-class NormedFunctor:
-    source: NormedCategory
-    target: NormedCategory
-    obj_map: dict
-    mor_map: dict
-
-    def __post_init__(self):
-        require_same_quantale(self.source.quantale, self.target.quantale)
-
-
-def validate_nfunctor(F: NormedFunctor) -> Report:
-    """Totality (every image a target object or morphism), endpoints,
-    identities, composition and norms.  Composition is checked only when
-    every image has the right endpoints; otherwise F g and F f may not
-    compose in the target."""
-    report = Report()
-    A, B = F.source, F.target
-    total = (
-        set(F.obj_map) == set(A.objects)
-        and set(F.mor_map) == set(A.morphisms)
-        and set(F.obj_map.values()) <= set(B.objects)
-        and set(F.mor_map.values()) <= set(B.morphisms)
-    )
-    report.add("totality", total)
-    if not total:
-        return report
-    bad_shape = next(
-        (
-            f
-            for f in A.morphisms
-            if B.dom[F.mor_map[f]] != F.obj_map[A.dom[f]]
-            or B.cod[F.mor_map[f]] != F.obj_map[A.cod[f]]
-        ),
-        None,
-    )
-    report.add("endpoint-compatibility", bad_shape is None, bad_shape)
-    bad_id = next(
-        (a for a in A.objects if F.mor_map[A.identity[a]] != B.identity[F.obj_map[a]]),
-        None,
-    )
-    report.add("preserves-identities", bad_id is None, bad_id)
-    if bad_shape is None:
-        bad_comp = next(
-            (
-                (g, f)
-                for g in A.morphisms
-                for f in A.into(A.dom[g])
-                if F.mor_map[A.compose(g, f)] != B.compose(F.mor_map[g], F.mor_map[f])
-            ),
-            None,
-        )
-        report.add("preserves-composition", bad_comp is None, bad_comp)
-    q = A.quantale
-    bad_norm = next(
-        (f for f in A.morphisms if not q.leq(A.norm[f], B.norm[F.mor_map[f]])), None
-    )
-    report.add("norm-increase", bad_norm is None, bad_norm)
     return report
 
 
@@ -374,34 +309,6 @@ def strict_subcategory(A: NormedCategory) -> PlainCategory:
         {f: A.cod[f] for f in kept},
         dict(A.identity),
         table,
-    )
-
-
-def sup_change_of_base(A: NormedCategory) -> VCategory:
-    """The V-category with distances the joins of hom-set norms."""
-    q = A.quantale
-    dist = {
-        (a, b): q.join(A.norm[f] for f in A.hom(a, b))
-        for a in A.objects
-        for b in A.objects
-    }
-    return VCategory(q, A.objects, dist)
-
-
-def i_embed_cat(X: VCategory) -> NormedCategory:
-    """The one-arrow-per-pair normed category with |(x, y)| = X(x, y)."""
-    objects = X.objects
-    morphisms = [(x, y) for x in objects for y in objects]
-    table = {((y, z), (x, y)): (x, z) for x in objects for y in objects for z in objects}
-    return NormedCategory(
-        X.quantale,
-        objects,
-        morphisms,
-        {m: m[0] for m in morphisms},
-        {m: m[1] for m in morphisms},
-        {x: (x, x) for x in objects},
-        table,
-        {m: X.d(*m) for m in morphisms},
     )
 
 
@@ -510,16 +417,6 @@ def representable_cov(A: NormedCategory, a) -> NormedDistributor:
         h: {f: A.compose(h, f) for f in A.hom(a, A.dom[h])} for h in A.morphisms
     }
     return NormedDistributor(A, True, sets, action)
-
-
-def representable_contra(A: NormedCategory, a) -> NormedDistributor:
-    """The contravariant distributor of morphisms into a, acting by
-    pre-composition."""
-    sets = {b: A.hom_set(b, a) for b in A.objects}
-    action = {
-        h: {f: A.compose(f, h) for f in A.hom(A.cod[h], a)} for h in A.morphisms
-    }
-    return NormedDistributor(A, False, sets, action)
 
 
 # ---------------------------------------------------------------------------
@@ -794,131 +691,6 @@ def check_adjunction_cert(cert: AdjunctionCertificate, normed: bool = False) -> 
                 f"class norm {q.format(unit_norm)}",
             )
     return report
-
-
-# ---------------------------------------------------------------------------
-# left adjoints through the canonical conjugate
-
-
-@dataclass
-class LeftAdjointData:
-    phi: NormedDistributor
-    conjugate: NormedDistributor
-    triple: tuple | None  # (c, u, v-key) satisfying the splitting equations
-    unit_class: list | None  # its (a, v-key, w), as ``unit_class`` lists them
-    unit_norm: Any
-
-    @property
-    def plain(self) -> bool:
-        return self.triple is not None
-
-    @property
-    def normed(self) -> bool:
-        if self.triple is None:
-            return False
-        q = self.phi.quantale
-        return q.leq(q.unit, self.unit_norm)
-
-
-def left_adjoint_unit(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET) -> LeftAdjointData:
-    """Search a splitting triple against the canonical conjugate.
-
-    The counit is evaluation, ε(y, β) = β_b(y) (automatically normed); the
-    triple (c, u, v) must satisfy both splitting equations.  Every triple
-    that satisfies them presents the same unit class, read off
-    ``unit_class``, whose coend norm is the unit norm.  The category must
-    pass ``validate_category``; otherwise ``PreconditionError`` carries its
-    ``report``.
-    """
-    A = Phi.category
-    if not A.report.ok:
-        raise PreconditionError("left_adjoint_unit requires a category", A.report)
-    conjugate = isbell_conjugate_ndist(Phi, budget)
-    # each conjugate element's natural family, built once
-    family = {
-        key: nat_family(Phi, key) for a in A.objects for key in conjugate.set_at(a)
-    }
-
-    def splits(c, u, v):
-        return all(
-            Phi.apply(v[b][y], u) == y for b in A.objects for y in Phi.set_at(b)
-        ) and all(
-            x[z][w] == A.compose(v[z][w], x[c][u])
-            for x in family.values()
-            for z in A.objects
-            for w in Phi.set_at(z)
-        )
-
-    triple = next(
-        (
-            (c, u, v_key)
-            for c in A.objects
-            for u in Phi.set_at(c)
-            for v_key in conjugate.set_at(c)
-            if splits(c, u, family[v_key])
-        ),
-        None,
-    )
-    if triple is None:
-        return LeftAdjointData(Phi, conjugate, None, None, None)
-    c, u, _ = triple
-    evaluation = {
-        (a, c): {(u, x): family[x][c][u] for x in conjugate.set_at(a)} for a in A.objects
-    }
-    members = unit_class(Phi, conjugate, evaluation, c, u)
-    return LeftAdjointData(
-        Phi, conjugate, triple, members, _class_norm(Phi, conjugate, members)
-    )
-
-
-def has_presentable_unit(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET):
-    """Scan the unit's coend class for a representative with both components
-    normed at least by the unit.  Requires Φ left adjoint (normed)."""
-    data = left_adjoint_unit(Phi, budget)
-    if not data.normed:
-        raise PreconditionError(
-            "has_presentable_unit requires a left adjoint distributor",
-            None if data.triple is None else data.unit_norm,
-        )
-    return presentable_unit_scan(data)
-
-
-def presentable_unit_scan(data: LeftAdjointData):
-    """The first unit-class member (a, v, w) with both component norms
-    |w| and |v| at least the unit."""
-    q = data.phi.quantale
-    for a, v, w in data.unit_class:
-        if q.leq(q.unit, data.phi.set_at(a).norm(w)) and q.leq(
-            q.unit, data.conjugate.set_at(a).norm(v)
-        ):
-            return True, (a, v, w)
-    return False, None
-
-
-def check_normed_retract(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET):
-    """Search an object a and unit-normed natural transformations
-    α: repr(a) → Φ and β: Φ → repr(a) with α after β the identity on Φ."""
-    A = Phi.category
-    q = Phi.quantale
-    for a in A.objects:
-        Ra = representable_cov(A, a)
-        betas = enumerate_nat_families(Phi, Ra, budget)
-        for u in Phi.set_at(a):
-            alpha = {
-                x: {f: Phi.apply(f, u) for f in A.hom(a, x)} for x in A.objects
-            }
-            if not q.leq(q.unit, nat_norm(Ra, Phi, alpha)):
-                continue
-            for beta in betas:
-                if not q.leq(q.unit, nat_norm(Phi, Ra, beta)):
-                    continue
-                if all(
-                    alpha[x][beta[x][w]] == w
-                    for x in A.objects
-                    for w in Phi.set_at(x)
-                ):
-                    return a, u, nat_key(Phi, beta)
-    return None
 
 
 # ---------------------------------------------------------------------------

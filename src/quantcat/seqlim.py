@@ -313,11 +313,6 @@ class NormProfile:
     period: int
     tail_norms: tuple  # |t^d| for d < transient + period
 
-    def tail_norm(self, d: int):
-        if d < len(self.tail_norms):
-            return self.tail_norms[d]
-        return self.tail_norms[self.transient + (d - self.transient) % self.period]
-
 
 def norm_profile(s: Sequence) -> NormProfile:
     powers, transient, period = s.tail_powers
@@ -334,11 +329,6 @@ def cauchy_value(s: Sequence):
     reaches exactly that value.
     """
     return s.norm_quantale.meet(s.profile.tail_norms)
-
-
-def is_cauchy(s: Sequence) -> bool:
-    q = s.norm_quantale
-    return q.leq(q.unit, cauchy_value(s))
 
 
 def validate_sequence(s: Sequence) -> Report:
@@ -839,11 +829,6 @@ def forward_cauchy_value(ms: MetricSequence):
     return q.meet(
         X.d(pi, pj) for pi in ms.tail for pj in ms.tail
     )
-
-
-def forward_cauchy_metric(ms: MetricSequence) -> bool:
-    q = ms.space.quantale
-    return q.leq(q.unit, forward_cauchy_value(ms))
 
 
 def forward_limit_metric(ms: MetricSequence, x) -> bool:

@@ -1,4 +1,4 @@
-"""V-categories (generalized metric spaces), V-functors, and V-distributors.
+"""V-categories (generalized metric spaces) and V-distributors.
 
 Distributors between finite V-categories are quantale-valued matrices; their
 composite is a join-of-tensors matrix product (min-plus style over the
@@ -28,7 +28,7 @@ distributor:
 * One-join lemma: the counit φ·φ⁺ ≤ X holds for every weight, because
   φ⁺(x) ≤ hom(φ(y), X(x,y)) gives φ⁺(x)⊗φ(y) ≤ X(x,y).  So φ ⊣ φ⁺ iff
   k ≤ ⋁_x φ⁺(x)⊗φ(x), one join in place of the two composites of
-  ``check_adjoint``.  ``unit_member`` folds it over the diagonal and names
+  ``adjoint_report``.  ``unit_member`` folds it over the diagonal and names
   the first a with k ≤ φ(a) and k ≤ φ⁺(a), the witness of
   ``is_representable``.
 
@@ -38,8 +38,10 @@ idempotent e of a normed category and the elements ``flat`` of
 there is no such h).  Because ⊗ preserves joins, norms x make Φ_e a normed
 functor iff D_e[i][j] ⊗ x_i ≤ x_j for all i, j.  So ``ncat`` decides with the
 same search: N[i][j] = |flat[i]∘y_j| over the y of Φ_e's unit class, and M
-the class's (position of w, index of y) pairs.  On ``i_embed_cat(X)`` at
-e = (a, a) the inputs are exactly X, Xᵀ and the diagonal.
+the class's (position of w, index of y) pairs.  On the one-arrow-per-pair
+normed category of X (|(x, y)| = X(x, y); ``i_embed_cat`` in
+``tests/helpers.py``) at e = (a, a) the inputs are exactly X, Xᵀ and the
+diagonal.
 
 Criterion lemma (Clementino–Hofmann 2009, *Lawvere completeness in
 topology*).  Call "k ≪ k and k ≤ u⊗v ⇒ k ≤ u, k ≤ v" the criterion
@@ -55,9 +57,11 @@ search: PASS with the distinct rows X(a,−) in the order of ``product`` (the
 order of their index tuples), each paired with the first object whose row
 it is, after the same ``|V|^n`` guard.
 
-``validate_vdist``, ``isbell_conjugate_weight``, ``check_adjoint`` and
-``is_representable`` stay as the library's distributor calculus, and the
-tests use them as the oracle of the decision.
+``validate_vdist``, ``isbell_conjugate_weight``, ``adjoint_report`` and
+``is_representable`` are the distributor calculus that the ``validate``,
+``adjoint``, ``isbell`` and ``representable`` tasks run.  With
+``check_adjoint`` and the other distributor constructions in
+``tests/helpers.py`` they are the tests' oracle of the decision.
 """
 
 from __future__ import annotations
@@ -137,37 +141,9 @@ class VCategory:
         return f"VCategory(objects={list(self.objects)!r})"
 
 
-def vcat_from_matrix(q: Quantale, objects, matrix) -> VCategory:
-    objects = list(objects)
-    dist = {
-        (x, y): matrix[i][j]
-        for i, x in enumerate(objects)
-        for j, y in enumerate(objects)
-    }
-    return VCategory(q, objects, dist)
-
-
 def unit_vcat(q: Quantale) -> VCategory:
     """The one-object V-category with self-distance the unit."""
     return VCategory(q, [POINT], {(POINT, POINT): q.unit})
-
-
-@dataclass
-class VFunctor:
-    source: VCategory
-    target: VCategory
-    obj_map: dict
-
-    def __post_init__(self):
-        require_same_quantale(self.source.quantale, self.target.quantale)
-        if set(self.obj_map.keys()) != set(self.source.objects):
-            raise ValueError("object map is not total")
-        for x, fx in self.obj_map.items():
-            if fx not in self.target.objects:
-                raise ValueError(f"image {fx!r} of {x!r} not in the target")
-
-    def __call__(self, x):
-        return self.obj_map[x]
 
 
 class VDistributor:
@@ -212,12 +188,6 @@ class VDistributor:
 
 def identity_vdist(X: VCategory) -> VDistributor:
     return VDistributor(X, X, dict(X.dist))
-
-
-def left_weight(X: VCategory, vector: Mapping) -> VDistributor:
-    """A weight E ⇸ X given by one value per object."""
-    E = unit_vcat(X.quantale)
-    return VDistributor(E, X, {(POINT, x): vector[x] for x in X.objects})
 
 
 def right_weight(X: VCategory, vector: Mapping) -> VDistributor:
@@ -277,22 +247,6 @@ def validate_vcat(X: VCategory) -> Report:
     return report
 
 
-def validate_vfunctor(f: VFunctor) -> Report:
-    q = f.source.quantale
-    report = Report()
-    bad = next(
-        (
-            (x, y)
-            for x in f.source.objects
-            for y in f.source.objects
-            if not q.leq(f.source.d(x, y), f.target.d(f(x), f(y)))
-        ),
-        None,
-    )
-    report.add("functor-contracts-distances", bad is None, bad)
-    return report
-
-
 def validate_vdist(phi: VDistributor) -> Report:
     """Bimodule laws: Y(y,y') ⊗ φ(x,y) ⊗ X(x',x) ≤ φ(x',y')."""
     q = phi.quantale
@@ -317,7 +271,7 @@ def validate_vdist(phi: VDistributor) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# composition, induced distributors, adjunctions
+# composition and adjunctions
 
 
 def compose_vdist(psi: VDistributor, phi: VDistributor) -> VDistributor:
@@ -330,43 +284,6 @@ def compose_vdist(psi: VDistributor, phi: VDistributor) -> VDistributor:
     matrix = phi.quantale.compose_matrices(rows, cols)
     values = {(x, z): v for x, row in zip(X, matrix) for z, v in zip(Z, row)}
     return VDistributor.trusted(phi.source, psi.target, values)
-
-
-def f_lower(f: VFunctor) -> VDistributor:
-    """The induced distributor X ⇸ Y with matrix Y(f x, y)."""
-    values = {
-        (x, y): f.target.d(f(x), y) for x in f.source.objects for y in f.target.objects
-    }
-    return VDistributor(f.source, f.target, values)
-
-
-def f_upper(f: VFunctor) -> VDistributor:
-    """The induced distributor Y ⇸ X with matrix Y(y, f x)."""
-    values = {
-        (y, x): f.target.d(y, f(x)) for y in f.target.objects for x in f.source.objects
-    }
-    return VDistributor(f.target, f.source, values)
-
-
-def object_lower(X: VCategory, a) -> VDistributor:
-    """The representable weight X(a, −)."""
-    return left_weight(X, {x: X.d(a, x) for x in X.objects})
-
-
-def object_upper(X: VCategory, a) -> VDistributor:
-    """The representable coweight X(−, a)."""
-    return right_weight(X, {x: X.d(x, a) for x in X.objects})
-
-
-def check_adjoint(phi: VDistributor, psi: VDistributor) -> bool:
-    """Whether φ: X ⇸ Y is left adjoint to ψ: Y ⇸ X.
-
-    In the thin setting this is the unit inequality X ≤ ψ·φ together with
-    the counit inequality φ·ψ ≤ Y (``adjoint_report``); triangle identities
-    are automatic.
-    """
-    _require_adjoint_shape(phi, psi)
-    return adjoint_report(phi, psi).ok
 
 
 def _require_adjoint_shape(phi: VDistributor, psi: VDistributor) -> None:
@@ -405,15 +322,6 @@ def isbell_conjugate_weight(phi: VDistributor) -> VDistributor:
     vec = weight_vector(phi)
     out = {a: q.meet_of_homs((vec[b], X.dist[a, b]) for b in X.objects) for a in X.objects}
     return right_weight(X, out)
-
-
-def isbell_conjugate_coweight(psi: VDistributor) -> VDistributor:
-    """The conjugate of a coweight ψ: X ⇸ E: the weight ⋀_b hom(ψ(b), X(b, a))."""
-    q = psi.quantale
-    X = psi.source
-    vec = coweight_vector(psi)
-    out = {a: q.meet_of_homs((vec[b], X.dist[b, a]) for b in X.objects) for a in X.objects}
-    return left_weight(X, out)
 
 
 # ---------------------------------------------------------------------------

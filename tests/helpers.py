@@ -1,7 +1,14 @@
-"""Shared fixture builders and brute-force oracles for the test suite."""
+"""Shared fixture builders and brute-force oracles for the test suite.
 
-from dataclasses import replace
+The first sections hold the library calculus that no instance file reaches:
+normed maps and their constructions, V-functors and induced distributors,
+normed functors, change of base, the general left-adjoint path and the
+Cauchy predicates.  They are the oracles of the decisions and constructions
+in ``quantcat``."""
+
+from dataclasses import dataclass, replace
 from itertools import product
+from typing import Any, Iterable, Mapping
 
 from quantcat.cli import InputError, _ser_normed_set, _ser_vcat
 from quantcat.common import (
@@ -9,6 +16,7 @@ from quantcat.common import (
     DEFAULT_BUDGET,
     PreconditionError,
     Report,
+    cached_property,
     guard_count,
 )
 from quantcat.ncat import (
@@ -16,35 +24,553 @@ from quantcat.ncat import (
     NcatLawvereVerdict,
     NormedCategory,
     NormedDistributor,
+    _class_norm,
+    enumerate_nat_families,
     idempotent_distributor_sets,
-    left_adjoint_unit,
+    isbell_conjugate_ndist,
+    nat_family,
+    nat_key,
     nat_norm,
-    presentable_unit_scan,
-    representable_contra,
+    norm_checks,
     representable_cov,
     split_idempotents_check,
     strict_subcategory,
-    validate_ncat,
+    unit_class,
+    validate_category,
 )
-from quantcat.normed_set import NormedMap, NormedSet
-from quantcat.quantale import BUILTIN_QUANTALES, require_finite
-from quantcat.seqlim import NCAT, _c2b_sets, _first_above_final, _Quotient
+from quantcat.normed_set import NormedSet
+from quantcat.quantale import (
+    BUILTIN_QUANTALES,
+    Quantale,
+    require_finite,
+    require_same_quantale,
+)
+from quantcat.seqlim import (
+    NCAT,
+    MetricSequence,
+    Sequence,
+    _c2b_sets,
+    _first_above_final,
+    _Quotient,
+    cauchy_value,
+    forward_cauchy_value,
+)
 from quantcat.vcat import (
+    POINT,
     LawvereVerdict,
     VCategory,
+    VDistributor,
     _adjoint_weights,
-    check_adjoint,
+    _require_adjoint_shape,
+    adjoint_report,
     coweight_vector,
     is_representable,
     isbell_conjugate_weight,
-    left_weight,
     right_weight,
+    unit_vcat,
     validate_vcat,
     validate_vdist,
-    vcat_from_matrix,
     weight_vector,
 )
 
+
+# ---------------------------------------------------------------------------
+# normed sets and maps (the normed_set calculus)
+
+
+def unit_normed_set(q: Quantale) -> NormedSet:
+    """The one-point set whose point is normed by the unit."""
+    return NormedSet(q, {POINT: q.unit})
+
+
+class NormedMap:
+    """An arbitrary function between normed sets, with its computed norm.
+
+    The carrier function need not respect norms; it is a morphism of the
+    strict layer exactly when ``is_strict`` holds.
+    """
+
+    def __init__(self, source: NormedSet, target: NormedSet, mapping: Mapping):
+        require_same_quantale(source.quantale, target.quantale)
+        self.source = source
+        self.target = target
+        if set(mapping.keys()) != set(source.elements):
+            raise ValueError("mapping is not total on the source")
+        for a, b in mapping.items():
+            if b not in target:
+                raise ValueError(f"image {b!r} of {a!r} not in the target")
+        self.mapping = dict(mapping)
+
+    def __call__(self, a):
+        return self.mapping[a]
+
+    @cached_property
+    def norm(self):
+        """``map_norm`` of this map."""
+        return map_norm(self)
+
+    def is_strict(self) -> bool:
+        q = self.source.quantale
+        return q.leq(q.unit, self.norm)
+
+    def then(self, other: "NormedMap") -> "NormedMap":
+        if other.source is not self.target and other.source != self.target:
+            raise ValueError("maps are not composable")
+        return NormedMap(
+            self.source, other.target, {a: other(self(a)) for a in self.source}
+        )
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, NormedMap)
+            and self.source == other.source
+            and self.target == other.target
+            and self.mapping == other.mapping
+        )
+
+    def __repr__(self):
+        return f"NormedMap({self.mapping!r})"
+
+
+def identity_map(A: NormedSet) -> NormedMap:
+    return NormedMap(A, A, {a: a for a in A})
+
+
+def compose(g: NormedMap, f: NormedMap) -> NormedMap:
+    """g after f."""
+    return f.then(g)
+
+
+def map_norm(phi: NormedMap):
+    """The meet over source elements of hom(|a|, |φ a|)."""
+    A, B, f = phi.source, phi.target, phi.mapping
+    return A.quantale.meet_of_homs((A.norms[a], B.norms[f[a]]) for a in A.elements)
+
+
+def tensor(A: NormedSet, B: NormedSet) -> NormedSet:
+    """Cartesian product carrier, normed by |(a, b)| = |a| ⊗ |b|."""
+    require_same_quantale(A.quantale, B.quantale)
+    q = A.quantale
+    norms = {(a, b): q.tensor(A.norm(a), B.norm(b)) for a in A for b in B}
+    return NormedSet(q, norms, [(a, b) for a in A for b in B])
+
+
+def all_functions(A: NormedSet, B: NormedSet, budget: int = DEFAULT_BUDGET):
+    """Every function A → B, as an image tuple aligned with A.elements."""
+    require_same_quantale(A.quantale, B.quantale)
+    guard_count(len(B) ** len(A), budget, f"function space of size {len(B)}^{len(A)}")
+    yield from product(B.elements, repeat=len(A))
+
+
+def function_as_map(A: NormedSet, B: NormedSet, images: tuple) -> NormedMap:
+    return NormedMap(A, B, dict(zip(A.elements, images)))
+
+
+def internal_hom(A: NormedSet, B: NormedSet, budget: int = DEFAULT_BUDGET) -> NormedSet:
+    """All functions A → B, normed by their map norm.
+
+    Elements are image tuples aligned with ``A.elements``.
+    """
+    norms = {}
+    order = []
+    for images in all_functions(A, B, budget):
+        order.append(images)
+        norms[images] = function_as_map(A, B, images).norm
+    return NormedSet(A.quantale, norms, order)
+
+
+def curry(phi: NormedMap, A: NormedSet, B: NormedSet, budget: int = DEFAULT_BUDGET) -> NormedMap:
+    """Transpose φ: A ⊗ B → C into A → [B, C]."""
+    if tuple(phi.source.elements) != tuple(tensor(A, B).elements):
+        raise ValueError("source of the map is not the tensor of A and B")
+    C = phi.target
+    H = internal_hom(B, C, budget)
+    mapping = {a: tuple(phi((a, b)) for b in B.elements) for a in A}
+    return NormedMap(A, H, mapping)
+
+
+def initial_structure(
+    q: Quantale, carrier: Iterable, maps: Iterable[tuple[Mapping, NormedSet]]
+) -> NormedSet:
+    """Norm each a by the meet of |f_i(a)| over the family of maps into
+    normed sets; the empty family norms everything by top."""
+    carrier = list(carrier)
+    maps = list(maps)
+    norms = {}
+    for a in carrier:
+        values = []
+        for f, target in maps:
+            require_same_quantale(q, target.quantale)
+            values.append(target.norm(f[a]))
+        norms[a] = q.meet(values)
+    return NormedSet(q, norms, carrier)
+
+
+def strict_part(A: NormedSet) -> tuple:
+    """The elements whose norm dominates the unit."""
+    q = A.quantale
+    return tuple(a for a in A if q.leq(q.unit, A.norm(a)))
+
+
+def s_value(A: NormedSet):
+    """The join of all element norms (the sup change of base on objects)."""
+    return A.quantale.join(A.norm(a) for a in A)
+
+
+def i_embed(q: Quantale, v) -> NormedSet:
+    """The one-point normed set carrying the value v."""
+    return NormedSet(q, {POINT: q.check(v)})
+
+# ---------------------------------------------------------------------------
+# V-functors, induced distributors and weights (the vcat calculus)
+
+
+def vcat_from_matrix(q: Quantale, objects, matrix) -> VCategory:
+    objects = list(objects)
+    dist = {
+        (x, y): matrix[i][j]
+        for i, x in enumerate(objects)
+        for j, y in enumerate(objects)
+    }
+    return VCategory(q, objects, dist)
+
+
+@dataclass
+class VFunctor:
+    source: VCategory
+    target: VCategory
+    obj_map: dict
+
+    def __post_init__(self):
+        require_same_quantale(self.source.quantale, self.target.quantale)
+        if set(self.obj_map.keys()) != set(self.source.objects):
+            raise ValueError("object map is not total")
+        for x, fx in self.obj_map.items():
+            if fx not in self.target.objects:
+                raise ValueError(f"image {fx!r} of {x!r} not in the target")
+
+    def __call__(self, x):
+        return self.obj_map[x]
+
+
+def left_weight(X: VCategory, vector: Mapping) -> VDistributor:
+    """A weight E ⇸ X given by one value per object."""
+    E = unit_vcat(X.quantale)
+    return VDistributor(E, X, {(POINT, x): vector[x] for x in X.objects})
+
+
+def validate_vfunctor(f: VFunctor) -> Report:
+    q = f.source.quantale
+    report = Report()
+    bad = next(
+        (
+            (x, y)
+            for x in f.source.objects
+            for y in f.source.objects
+            if not q.leq(f.source.d(x, y), f.target.d(f(x), f(y)))
+        ),
+        None,
+    )
+    report.add("functor-contracts-distances", bad is None, bad)
+    return report
+
+
+def f_lower(f: VFunctor) -> VDistributor:
+    """The induced distributor X ⇸ Y with matrix Y(f x, y)."""
+    values = {
+        (x, y): f.target.d(f(x), y) for x in f.source.objects for y in f.target.objects
+    }
+    return VDistributor(f.source, f.target, values)
+
+
+def f_upper(f: VFunctor) -> VDistributor:
+    """The induced distributor Y ⇸ X with matrix Y(y, f x)."""
+    values = {
+        (y, x): f.target.d(y, f(x)) for y in f.target.objects for x in f.source.objects
+    }
+    return VDistributor(f.target, f.source, values)
+
+
+def object_lower(X: VCategory, a) -> VDistributor:
+    """The representable weight X(a, −)."""
+    return left_weight(X, {x: X.d(a, x) for x in X.objects})
+
+
+def object_upper(X: VCategory, a) -> VDistributor:
+    """The representable coweight X(−, a)."""
+    return right_weight(X, {x: X.d(x, a) for x in X.objects})
+
+
+def check_adjoint(phi: VDistributor, psi: VDistributor) -> bool:
+    """Whether φ: X ⇸ Y is left adjoint to ψ: Y ⇸ X.
+
+    In the thin setting this is the unit inequality X ≤ ψ·φ together with
+    the counit inequality φ·ψ ≤ Y (``adjoint_report``); triangle identities
+    are automatic.
+    """
+    _require_adjoint_shape(phi, psi)
+    return adjoint_report(phi, psi).ok
+
+
+def isbell_conjugate_coweight(psi: VDistributor) -> VDistributor:
+    """The conjugate of a coweight ψ: X ⇸ E: the weight ⋀_b hom(ψ(b), X(b, a))."""
+    q = psi.quantale
+    X = psi.source
+    vec = coweight_vector(psi)
+    out = {a: q.meet_of_homs((vec[b], X.dist[b, a]) for b in X.objects) for a in X.objects}
+    return left_weight(X, out)
+
+# ---------------------------------------------------------------------------
+# normed functors, change of base, the general left-adjoint path
+
+
+def validate_ncat(A: NormedCategory) -> Report:
+    """``validate_category``, identity norms and submultiplicativity; the
+    last is checked only when every composite has the right endpoints."""
+    return norm_checks(A, validate_category(A))
+
+
+@dataclass
+class NormedFunctor:
+    source: NormedCategory
+    target: NormedCategory
+    obj_map: dict
+    mor_map: dict
+
+    def __post_init__(self):
+        require_same_quantale(self.source.quantale, self.target.quantale)
+
+
+def validate_nfunctor(F: NormedFunctor) -> Report:
+    """Totality (every image a target object or morphism), endpoints,
+    identities, composition and norms.  Composition is checked only when
+    every image has the right endpoints; otherwise F g and F f may not
+    compose in the target."""
+    report = Report()
+    A, B = F.source, F.target
+    total = (
+        set(F.obj_map) == set(A.objects)
+        and set(F.mor_map) == set(A.morphisms)
+        and set(F.obj_map.values()) <= set(B.objects)
+        and set(F.mor_map.values()) <= set(B.morphisms)
+    )
+    report.add("totality", total)
+    if not total:
+        return report
+    bad_shape = next(
+        (
+            f
+            for f in A.morphisms
+            if B.dom[F.mor_map[f]] != F.obj_map[A.dom[f]]
+            or B.cod[F.mor_map[f]] != F.obj_map[A.cod[f]]
+        ),
+        None,
+    )
+    report.add("endpoint-compatibility", bad_shape is None, bad_shape)
+    bad_id = next(
+        (a for a in A.objects if F.mor_map[A.identity[a]] != B.identity[F.obj_map[a]]),
+        None,
+    )
+    report.add("preserves-identities", bad_id is None, bad_id)
+    if bad_shape is None:
+        bad_comp = next(
+            (
+                (g, f)
+                for g in A.morphisms
+                for f in A.into(A.dom[g])
+                if F.mor_map[A.compose(g, f)] != B.compose(F.mor_map[g], F.mor_map[f])
+            ),
+            None,
+        )
+        report.add("preserves-composition", bad_comp is None, bad_comp)
+    q = A.quantale
+    bad_norm = next(
+        (f for f in A.morphisms if not q.leq(A.norm[f], B.norm[F.mor_map[f]])), None
+    )
+    report.add("norm-increase", bad_norm is None, bad_norm)
+    return report
+
+
+def sup_change_of_base(A: NormedCategory) -> VCategory:
+    """The V-category with distances the joins of hom-set norms."""
+    q = A.quantale
+    dist = {
+        (a, b): q.join(A.norm[f] for f in A.hom(a, b))
+        for a in A.objects
+        for b in A.objects
+    }
+    return VCategory(q, A.objects, dist)
+
+
+def i_embed_cat(X: VCategory) -> NormedCategory:
+    """The one-arrow-per-pair normed category with |(x, y)| = X(x, y)."""
+    objects = X.objects
+    morphisms = [(x, y) for x in objects for y in objects]
+    table = {((y, z), (x, y)): (x, z) for x in objects for y in objects for z in objects}
+    return NormedCategory(
+        X.quantale,
+        objects,
+        morphisms,
+        {m: m[0] for m in morphisms},
+        {m: m[1] for m in morphisms},
+        {x: (x, x) for x in objects},
+        table,
+        {m: X.d(*m) for m in morphisms},
+    )
+
+
+def representable_contra(A: NormedCategory, a) -> NormedDistributor:
+    """The contravariant distributor of morphisms into a, acting by
+    pre-composition."""
+    sets = {b: A.hom_set(b, a) for b in A.objects}
+    action = {
+        h: {f: A.compose(f, h) for f in A.hom(A.cod[h], a)} for h in A.morphisms
+    }
+    return NormedDistributor(A, False, sets, action)
+
+
+@dataclass
+class LeftAdjointData:
+    phi: NormedDistributor
+    conjugate: NormedDistributor
+    triple: tuple | None  # (c, u, v-key) satisfying the splitting equations
+    unit_class: list | None  # its (a, v-key, w), as ``unit_class`` lists them
+    unit_norm: Any
+
+    @property
+    def plain(self) -> bool:
+        return self.triple is not None
+
+    @property
+    def normed(self) -> bool:
+        if self.triple is None:
+            return False
+        q = self.phi.quantale
+        return q.leq(q.unit, self.unit_norm)
+
+
+def left_adjoint_unit(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET) -> LeftAdjointData:
+    """Search a splitting triple against the canonical conjugate.
+
+    The counit is evaluation, ε(y, β) = β_b(y) (automatically normed); the
+    triple (c, u, v) must satisfy both splitting equations.  Every triple
+    that satisfies them presents the same unit class, read off
+    ``unit_class``, whose coend norm is the unit norm.  The category must
+    pass ``validate_category``; otherwise ``PreconditionError`` carries its
+    ``report``.
+    """
+    A = Phi.category
+    if not A.report.ok:
+        raise PreconditionError("left_adjoint_unit requires a category", A.report)
+    conjugate = isbell_conjugate_ndist(Phi, budget)
+    # each conjugate element's natural family, built once
+    family = {
+        key: nat_family(Phi, key) for a in A.objects for key in conjugate.set_at(a)
+    }
+
+    def splits(c, u, v):
+        return all(
+            Phi.apply(v[b][y], u) == y for b in A.objects for y in Phi.set_at(b)
+        ) and all(
+            x[z][w] == A.compose(v[z][w], x[c][u])
+            for x in family.values()
+            for z in A.objects
+            for w in Phi.set_at(z)
+        )
+
+    triple = next(
+        (
+            (c, u, v_key)
+            for c in A.objects
+            for u in Phi.set_at(c)
+            for v_key in conjugate.set_at(c)
+            if splits(c, u, family[v_key])
+        ),
+        None,
+    )
+    if triple is None:
+        return LeftAdjointData(Phi, conjugate, None, None, None)
+    c, u, _ = triple
+    evaluation = {
+        (a, c): {(u, x): family[x][c][u] for x in conjugate.set_at(a)} for a in A.objects
+    }
+    members = unit_class(Phi, conjugate, evaluation, c, u)
+    return LeftAdjointData(
+        Phi, conjugate, triple, members, _class_norm(Phi, conjugate, members)
+    )
+
+
+def has_presentable_unit(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET):
+    """Scan the unit's coend class for a representative with both components
+    normed at least by the unit.  Requires Φ left adjoint (normed)."""
+    data = left_adjoint_unit(Phi, budget)
+    if not data.normed:
+        raise PreconditionError(
+            "has_presentable_unit requires a left adjoint distributor",
+            None if data.triple is None else data.unit_norm,
+        )
+    return presentable_unit_scan(data)
+
+
+def presentable_unit_scan(data: LeftAdjointData):
+    """The first unit-class member (a, v, w) with both component norms
+    |w| and |v| at least the unit."""
+    q = data.phi.quantale
+    for a, v, w in data.unit_class:
+        if q.leq(q.unit, data.phi.set_at(a).norm(w)) and q.leq(
+            q.unit, data.conjugate.set_at(a).norm(v)
+        ):
+            return True, (a, v, w)
+    return False, None
+
+
+def check_normed_retract(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET):
+    """Search an object a and unit-normed natural transformations
+    α: repr(a) → Φ and β: Φ → repr(a) with α after β the identity on Φ."""
+    A = Phi.category
+    q = Phi.quantale
+    for a in A.objects:
+        Ra = representable_cov(A, a)
+        betas = enumerate_nat_families(Phi, Ra, budget)
+        for u in Phi.set_at(a):
+            alpha = {
+                x: {f: Phi.apply(f, u) for f in A.hom(a, x)} for x in A.objects
+            }
+            if not q.leq(q.unit, nat_norm(Ra, Phi, alpha)):
+                continue
+            for beta in betas:
+                if not q.leq(q.unit, nat_norm(Phi, Ra, beta)):
+                    continue
+                if all(
+                    alpha[x][beta[x][w]] == w
+                    for x in A.objects
+                    for w in Phi.set_at(x)
+                ):
+                    return a, u, nat_key(Phi, beta)
+    return None
+
+# ---------------------------------------------------------------------------
+# the Cauchy predicates and the norm profile's periodic read-off
+
+
+def is_cauchy(s: Sequence) -> bool:
+    q = s.norm_quantale
+    return q.leq(q.unit, cauchy_value(s))
+
+
+def forward_cauchy_metric(ms: MetricSequence) -> bool:
+    q = ms.space.quantale
+    return q.leq(q.unit, forward_cauchy_value(ms))
+
+
+def tail_norm(profile, d: int):
+    """|t^d| read off an eventually periodic ``NormProfile``."""
+    if d < len(profile.tail_norms):
+        return profile.tail_norms[d]
+    return profile.tail_norms[profile.transient + (d - profile.transient) % profile.period]
+
+# ---------------------------------------------------------------------------
+# fixtures and oracles
 
 def subsets(q):
     """All subsets of a finite carrier, smallest masks first."""

@@ -9,10 +9,7 @@ import random
 from fractions import Fraction
 
 from quantcat.ncat import (
-    i_embed_cat,
     is_lawvere_complete_ncat,
-    left_adjoint_unit,
-    presentable_unit_scan,
     split_idempotents_check,
     strict_subcategory,
 )
@@ -34,7 +31,6 @@ from quantcat.seqlim import (
     Sequence,
     colimit_nset,
     colimit_vlip,
-    is_cauchy,
     lipschitz_norm,
     verify_normed_colimit,
 )
@@ -42,23 +38,27 @@ from quantcat.vcat import (
     VCategory,
     is_representable,
     lawvere_complete_vcat,
-    object_lower,
-    object_upper,
     unit_vcat,
     validate_vcat,
-    vcat_from_matrix,
 )
 
 from helpers import (
     adjoint_weight_pairs,
     all_vcategories,
     brute_left_adjoints,
+    i_embed_cat,
     idempotent_distributor,
+    is_cauchy,
     is_representable_ndist,
+    left_adjoint_unit,
     monoid_cat,
+    object_lower,
+    object_upper,
     ordered_pair_vcat,
+    presentable_unit_scan,
     split_monoid_cat,
     subsets,
+    vcat_from_matrix,
 )
 
 BUNDLED_FINITE = ("bool2", "chain3", "chain4", "bool4")

@@ -465,6 +465,14 @@ TWICE = SPLIT_NCAT["compose"] + [["1a", "1a", "e"]]
 LONG_DECIMAL = "1" * 3000 + "." + "1" * 3000
 
 
+def _certs_with(**fields):
+    """``certs.json`` with the given fields of its certificate replaced."""
+    with open(path("certs.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["objects"]["cert"].update(fields)
+    return data
+
+
 @pytest.mark.parametrize(
     "objects, located",
     [
@@ -634,6 +642,16 @@ def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located)
           "tasks": [{"op": "lipnorm", "source": "X", "target": "X",
                      "map": {"p": "p", "q": "zz"}}]},
          "input error: task 0 (lipnorm): image of 'q' outside the target\n"),
+    ]
+    + [
+        # a certificate's c is an object of phi's category, u an element of
+        # phi at c and v an element of psi at c
+        (_certs_with(**{field: value}), f"input error: object 'cert': field '{field}': {problem}\n")
+        for field, value, problem in (
+            ("c", "nowhere", "'nowhere' is not an object of phi's category"),
+            ("u", "zz", "'zz' is not an element of phi at 'a'"),
+            ("v", "zz", "'zz' is not an element of psi at 'a'"),
+        )
     ],
 )
 def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, located):
@@ -886,8 +904,7 @@ def test_validate_split_and_lawvere_share_each_scan(tmp_path, capsys, monkeypatc
 
     calls = {}
     for module, name in (
-        (ncat, "validate_category"), (ncat, "norm_checks"), (ncat, "validate_ncat"),
-        (vcat, "validate_vcat"),
+        (ncat, "validate_category"), (ncat, "norm_checks"), (vcat, "validate_vcat"),
     ):
         def counted(*args, _fn=getattr(module, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
@@ -1089,7 +1106,8 @@ def _checked_literals(inst, spec):
     every vcat, normed-set and weight-pair literal of an instance file,
     inline ones too."""
     from quantcat.normed_set import NormedSet
-    from quantcat.vcat import left_weight, right_weight, vcat_from_matrix
+    from quantcat.vcat import right_weight
+    from helpers import left_weight, vcat_from_matrix
 
     q = inst.quantale
 

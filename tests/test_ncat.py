@@ -11,31 +11,22 @@ from quantcat.ncat import (
     AdjunctionCertificate,
     NormedCategory,
     NormedDistributor,
-    NormedFunctor,
     check_adjunction_cert,
-    check_normed_retract,
-    has_presentable_unit,
-    i_embed_cat,
     idempotent_conjugate_sets,
     idempotent_distributor_sets,
     idempotent_unit_class,
     is_lawvere_complete_ncat,
     isbell_conjugate_ndist,
-    left_adjoint_unit,
     nat_family,
     nat_key,
     nat_norm,
     nat_transformations,
-    representable_contra,
     representable_cov,
     split_idempotents_check,
     strict_subcategory,
-    sup_change_of_base,
     unit_class,
     validate_category,
-    validate_ncat,
     validate_ndist,
-    validate_nfunctor,
 )
 from quantcat.normed_set import NormedSet
 from quantcat.quantale import builtin_quantale
@@ -43,28 +34,37 @@ from quantcat.vcat import (
     coweight_vector,
     isbell_conjugate_weight,
     lawvere_complete_vcat,
-    left_weight,
     matrix_weights,
-    vcat_from_matrix,
 )
 
 from helpers import (
+    NormedFunctor,
     all_vcategories,
     bool4_split_witness_vcat,
     brute_lawvere_ncat,
     brute_left_adjoints,
+    check_normed_retract,
     coend_unit,
     filtered_norm_assignments,
+    has_presentable_unit,
+    i_embed_cat,
     i_embed_weight,
     idempotent_distributor,
     is_representable_ndist,
+    left_adjoint_unit,
+    left_weight,
     monoid_cat,
     ordered_pair_vcat,
     representable_certificate,
+    representable_contra,
     scan_preserves_composition,
     scan_validate_ndist,
     split_monoid_cat,
+    sup_change_of_base,
     transformation_monoid,
+    validate_ncat,
+    validate_nfunctor,
+    vcat_from_matrix,
 )
 
 # ---------------------------------------------------------------------------
@@ -691,7 +691,7 @@ def test_lawvere_ncat_bool4_crafted_clause2(q4bool):
     Phi = idempotent_distributor(NA, e, {f: norms[f] for f in norms})
     data = left_adjoint_unit(Phi)
     assert data.normed
-    from quantcat.ncat import presentable_unit_scan
+    from helpers import presentable_unit_scan
 
     ok, _ = presentable_unit_scan(data)
     assert not ok

@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 
 from quantcat.common import BudgetExceeded, CarrierMismatch
-from quantcat.normed_set import (
+from quantcat.normed_set import NormedSet, final_structure
+
+from helpers import (
     NormedMap,
-    NormedSet,
     all_functions,
     compose,
     curry,
-    final_structure,
     function_as_map,
     i_embed,
     identity_map,

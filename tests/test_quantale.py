@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from quantcat.common import CarrierMismatch
 from quantcat.ncat import NormedCategory
-from quantcat.normed_set import NormedSet, i_embed
+from quantcat.normed_set import NormedSet
 from quantcat.quantale import (
     INF,
     FiniteQuantale,
@@ -27,13 +27,14 @@ from quantcat.vcat import (
     VCategory,
     VDistributor,
     isbell_conjugate_weight,
-    left_weight,
     unit_vcat,
 )
 
 from helpers import (
     fold_meet_of_homs,
+    i_embed,
     join_hom_table,
+    left_weight,
     method_validate_quantale,
     pairwise_lattice_tables,
     subsets,

@@ -11,8 +11,8 @@ import pytest
 from quantcat import seqlim
 from quantcat.cli import load_instance, main
 from quantcat.common import BudgetExceeded, PreconditionError
-from quantcat.ncat import i_embed_cat, nat_norm, representable_cov
-from quantcat.normed_set import NormedMap, NormedSet, map_norm
+from quantcat.ncat import nat_norm, representable_cov
+from quantcat.normed_set import NormedSet
 from quantcat.quantale import INF, FiniteQuantale, LawvereQuantale, builtin_quantale
 from quantcat.seqlim import (
     Cocone,
@@ -26,10 +26,8 @@ from quantcat.seqlim import (
     colimit_dset,
     colimit_nset,
     colimit_vlip,
-    forward_cauchy_metric,
     forward_cauchy_value,
     forward_limit_metric,
-    is_cauchy,
     lip_norm,
     lipschitz_norm,
     norm_profile,
@@ -39,9 +37,7 @@ from quantcat.seqlim import (
 from quantcat.vcat import (
     VCategory,
     coweight_vector,
-    isbell_conjugate_coweight,
     isbell_conjugate_weight,
-    left_weight,
     right_weight,
     validate_vcat,
     weight_vector,
@@ -66,6 +62,14 @@ from helpers import (
     fold_nat_norm,
     is_symmetric,
     split_monoid_cat,
+    NormedMap,
+    forward_cauchy_metric,
+    i_embed_cat,
+    is_cauchy,
+    isbell_conjugate_coweight,
+    left_weight,
+    map_norm,
+    tail_norm,
 )
 
 # ---------------------------------------------------------------------------
@@ -101,7 +105,7 @@ def test_norm_profile_identity_tail(q2):
     prof = norm_profile(s)
     assert prof.transient == 0 and prof.period == 1
     assert prof.tail_norms == (q2.el("1"),)
-    assert prof.tail_norm(17) == q2.el("1")
+    assert tail_norm(prof, 17) == q2.el("1")
 
 
 def test_norm_profile_idempotent_tail(q3):
@@ -684,7 +688,7 @@ def test_norm_profile_pure_prefix(q2):
     prof = norm_profile(s)
     assert prof.n0 == 2
     assert prof.transient == 0 and prof.period == 1
-    assert prof.tail_norm(0) == q2.el("1")
+    assert tail_norm(prof, 0) == q2.el("1")
 
 
 def test_lipschitz_ratio_modes_reject_finite_carriers(q2):

@@ -1,0 +1,144 @@
+"""The library surface: every top-level definition in ``src/quantcat`` is
+reachable from the command line, and the README's library example runs.
+
+The walk parses each module with ``ast`` and starts at ``cli.main``.  A bare
+name resolves to a definition of its own module or, through a
+``from .m import name`` binding, to the definition in ``m``; ``alias.name``
+resolves through a ``from . import m as alias`` binding.  Method calls on
+objects are not followed: a reached class counts as reached with all of its
+methods.  Module-level statements that are not definitions run on import,
+so the names they use are roots too.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import quantcat
+
+PACKAGE = Path(quantcat.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+ENTRY_POINTS = {"__init__", "__main__"}
+
+
+class _Module:
+    def __init__(self, name: str, tree: ast.Module):
+        self.name = name
+        self.defs: dict[str, ast.AST] = {}
+        self.imports: dict[str, tuple[str, str]] = {}
+        self.aliases: dict[str, str] = {}
+        self.roots: list[ast.AST] = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                self.defs[node.name] = node
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    for leaf in ast.walk(target):
+                        if isinstance(leaf, ast.Name):
+                            self.defs[leaf.id] = node
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if node.module is None:
+                        self.aliases[bound] = alias.name
+                    else:
+                        self.imports[bound] = (node.module, alias.name)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                self.roots.append(node)
+
+
+def _modules() -> dict[str, _Module]:
+    return {
+        path.stem: _Module(path.stem, ast.parse(path.read_text(), str(path)))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+def _references(node: ast.AST):
+    """Bare names and ``alias.name`` pairs used inside ``node``."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id, None
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            yield n.value.id, n.attr
+
+
+def _resolve(modules, module: str, name: str):
+    """The (module, name) defining ``name`` as seen from ``module``."""
+    seen = set()
+    while (module, name) not in seen:
+        seen.add((module, name))
+        m = modules.get(module)
+        if m is None:
+            return None
+        if name in m.defs:
+            return module, name
+        if name not in m.imports:
+            return None
+        module, name = m.imports[name]
+    return None
+
+
+def reachable(modules) -> set[tuple[str, str]]:
+    reached: set[tuple[str, str]] = set()
+    todo: list[tuple[str, ast.AST]] = [("cli", modules["cli"].defs["main"])]
+    reached.add(("cli", "main"))
+    for m in modules.values():
+        if m.name not in ENTRY_POINTS:
+            todo.extend((m.name, node) for node in m.roots)
+    while todo:
+        module, node = todo.pop()
+        for base, attr in _references(node):
+            target = None
+            if attr is not None and base in modules[module].aliases:
+                target = _resolve(modules, modules[module].aliases[base], attr)
+            if target is None:
+                target = _resolve(modules, module, base)
+            if target is not None and target not in reached:
+                reached.add(target)
+                todo.append((target[0], modules[target[0]].defs[target[1]]))
+    return reached
+
+
+def unreached_definitions() -> list[str]:
+    modules = _modules()
+    reached = reachable(modules)
+    return sorted(
+        f"{m.name}.{name}"
+        for m in modules.values()
+        if m.name not in ENTRY_POINTS
+        for name in m.defs
+        if (m.name, name) not in reached
+    )
+
+
+def test_every_definition_in_src_is_reachable_from_the_cli():
+    assert unreached_definitions() == []
+
+
+def test_walk_follows_bindings_and_stops_at_an_orphan():
+    modules = _modules()
+    modules["cli"].defs["orphan"] = ast.parse("def orphan():\n    return main()\n").body[0]
+    reached = reachable(modules)
+    assert ("normed_set", "NormedSet") in reached  # ``from .normed_set import``
+    assert ("seqlim", "verify_normed_colimit") in reached  # ``seq_mod.`` alias
+    assert ("cli", "orphan") not in reached
+
+
+def _library_example() -> str:
+    text = README.read_text()
+    section = text.split("## Library example", 1)[1]
+    match = re.search(r"```python\n(.*?)```", section, re.S)
+    assert match, "the Library example has no python block"
+    return match.group(1)
+
+
+def test_readme_library_example_prints_true():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(_library_example(), "README.md", "exec"), {})
+    assert out.getvalue().split() == ["True"]

@@ -10,41 +10,41 @@ from quantcat.quantale import INF
 from quantcat.vcat import (
     VCategory,
     VDistributor,
-    VFunctor,
     adjoint_report,
-    check_adjoint,
     compose_vdist,
     coweight_vector,
-    f_lower,
-    f_upper,
     identity_vdist,
     is_representable,
-    isbell_conjugate_coweight,
     isbell_conjugate_weight,
     lawvere_complete_vcat,
-    left_weight,
     matrix_weights,
-    object_lower,
-    object_upper,
     right_weight,
     totally_compact_unit,
     unit_tensor_splits,
     unit_vcat,
     validate_vcat,
     validate_vdist,
-    validate_vfunctor,
-    vcat_from_matrix,
     weight_vector,
 )
 
 import helpers
 from helpers import (
+    VFunctor,
     adjoint_weight_pairs,
     all_vcategories,
     brute_adjoint_pairs,
     brute_lawvere_vcat,
+    check_adjoint,
     dist_leq,
+    f_lower,
+    f_upper,
+    isbell_conjugate_coweight,
+    left_weight,
+    object_lower,
+    object_upper,
     ordered_pair_vcat,
+    validate_vfunctor,
+    vcat_from_matrix,
 )
 
 # ---------------------------------------------------------------------------
