@@ -6,8 +6,8 @@ calculus and Isbell conjugation, normed categories with adjunction
 certificates and the presentable-unit completeness decision, and normed
 colimits of finitely presented sequences.  The package exports what the
 command line (``python -m quantcat``) runs; the general calculus of normed
-maps, V-functors, normed functors and left adjoints is the tests' oracle,
-in ``tests/helpers.py``.
+maps, V-functors, normed functors and left adjoints, and the verifier of a
+candidate colimit cocone, are the tests' oracles, in ``tests/helpers.py``.
 """
 
 from .common import (
@@ -83,7 +83,6 @@ from .seqlim import (
     lipschitz_norm,
     norm_profile,
     validate_sequence,
-    verify_normed_colimit,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -257,8 +257,17 @@ def _parse_certificate(inst: Instance, spec: dict) -> ncat_mod.AdjunctionCertifi
     _, psi = inst.resolve(spec["psi"], {"ndist"})
     eps = {}
     for entry in spec["eps"]:
-        table = {(y, x): m for y, x, m in entry["map"]}
-        eps[(entry["a"], entry["b"])] = table
+        key = (entry["a"], entry["b"])
+        _require_names(key, "field 'eps': 'a' and 'b'")
+        bad = next((a for a in key if a not in phi.sets), None)
+        if bad is not None:
+            raise InputError(f"field 'eps': {bad!r} is not an object of phi's category")
+        table: dict = {}
+        for y, x, m in entry["map"]:
+            if table.setdefault((y, x), m) != m:
+                raise InputError(f"field 'eps': entry {[*key]!r} gives {[y, x]!r} two morphisms")
+        if eps.setdefault(key, table) != table:
+            raise InputError(f"field 'eps' gives {[*key]!r} two entries")
     c, u, v = spec["c"], spec["u"], spec["v"]
     _require_names([c, u, v], "'c', 'u' and 'v'")
     if c not in phi.sets:
@@ -621,12 +630,12 @@ def _task_colimit(inst: Instance, task: dict, budget: int, probe: int) -> dict:
                 "value": s.norm_quantale.format(exc.value),
             },
         }
-    verification = seq_mod.verify_normed_colimit(s, gamma, probe_bound=probe, budget=budget)
+    report = seq_mod.colimit_report(s, gamma, probe, budget)
     return {
-        "verdict": "pass" if verification.ok else "fail",
+        "verdict": "pass" if report.ok else "fail",
         "details": {
             "apex": apex_out,
-            "checks": _report_details(s.norm_quantale, verification),
+            "checks": _report_details(s.norm_quantale, report),
             "probe_bound": probe,
         },
     }

@@ -2,9 +2,9 @@
 
 The first sections hold the library calculus that no instance file reaches:
 normed maps and their constructions, V-functors and induced distributors,
-normed functors, change of base, the general left-adjoint path and the
-Cauchy predicates.  They are the oracles of the decisions and constructions
-in ``quantcat``."""
+normed functors, change of base, the general left-adjoint path, the Cauchy
+predicates and the verifier of a candidate colimit cocone.  They are the
+oracles of the decisions and constructions in ``quantcat``."""
 
 from dataclasses import dataclass, replace
 from itertools import product
@@ -38,7 +38,7 @@ from quantcat.ncat import (
     unit_class,
     validate_category,
 )
-from quantcat.normed_set import NormedSet
+from quantcat.normed_set import NormedSet, final_structure
 from quantcat.quantale import (
     BUILTIN_QUANTALES,
     Quantale,
@@ -47,10 +47,13 @@ from quantcat.quantale import (
 )
 from quantcat.seqlim import (
     NCAT,
+    NSET,
+    Cocone,
     MetricSequence,
     Sequence,
-    _c2b_sets,
-    _first_above_final,
+    _pair_map,
+    _pair_set,
+    _probe_guards,
     _Quotient,
     cauchy_value,
     forward_cauchy_value,
@@ -568,6 +571,230 @@ def tail_norm(profile, d: int):
     if d < len(profile.tail_norms):
         return profile.tail_norms[d]
     return profile.tail_norms[profile.transient + (d - profile.transient) % profile.period]
+
+# ---------------------------------------------------------------------------
+# the normed-colimit verifier: every cocone condition of a candidate cocone
+#
+# For set-like ambients, a cocone that commutes on its first n0 + L stages
+# (L the length of its tail) commutes on every stage, since its components
+# and the steps repeat with period L from stage n0 on.  A commuting cocone is
+# then constant on every class the steps generate, so it factors through the
+# quotient; ``verify_normed_colimit`` checks (C1) only after the cocone
+# commutes, and reads the induced map off the first tail stage, where every
+# class has a member.  (C1) holds iff that map is a bijection onto the apex.
+#
+# For a normed-category ambient (C1) uses the eventual image of the
+# pre-composition endomap u = (- . t) on each hom-set out of the tail object:
+# a tail-compatible cocone component family takes values in the eventual
+# image E of u, on which u is bijective, so tail cocones to y correspond
+# exactly to elements of E via their value at the first tail stage; (C1)
+# holds iff pre-composition with that component is a bijection onto E for
+# every object y.  The images of u^d = (- . t^d) shrink with d and agree at
+# d = T and d = T + p, so E = {f . t^T : f in A(T, y)}.
+#
+# (C2b) for set-like ambients is decided by the reduction in the ``seqlim``
+# docstring.  On the canonical cocone every condition but (C2a) holds by
+# construction, and ``seqlim.colimit_report`` reports them so; this verifier
+# is its oracle.
+
+
+def _check_components(s: Sequence, gamma: Cocone) -> None:
+    """Each component of a set-like cocone maps its stage into the apex;
+    the first stage and element where one does not is a ``ValueError``."""
+    apex = set(s._elements(gamma.apex))
+    for n in range(s.n0 + len(gamma.tail)):
+        comp = gamma.component(n, s.n0)
+        elems = s._elements(s.object_at(n))
+        for x in elems:
+            if x not in comp:
+                raise ValueError(f"stage {n} component: no image for {x!r}")
+            if comp[x] not in apex:
+                raise ValueError(
+                    f"stage {n} component: image {comp[x]!r} of {x!r} not in the target"
+                )
+        if len(comp) != len(elems):
+            stray = next(x for x in comp if x not in set(elems))
+            raise ValueError(f"stage {n} component: {stray!r} is not a stage element")
+
+
+def cocone_commutes(s: Sequence, gamma: Cocone) -> tuple[bool, Any]:
+    if len(gamma.prefix) != s.n0 or not gamma.tail:
+        return False, "component count mismatch"
+    if s.kind != NCAT:
+        _check_components(s, gamma)
+    horizon = s.n0 + len(gamma.tail)
+    for n in range(horizon):
+        left = gamma.component(n, s.n0)
+        right_next = gamma.component(n + 1, s.n0)
+        step = s.step_at(n)
+        if s.kind == NCAT:
+            if s.category.compose(right_next, step) != left:
+                return False, n
+        else:
+            src = s.object_at(n)
+            for x in s._elements(src):
+                if right_next[step[x]] != left[x]:
+                    return False, (n, x)
+    return True, None
+
+
+def component_norm(s: Sequence, gamma: Cocone, n: int):
+    return s.map_norm_of(gamma.component(n, s.n0), s.object_at(n), gamma.apex)
+
+
+def _c2b_sets(s: Sequence, gamma: Cocone) -> tuple[NormedSet, NormedSet]:
+    """The apex as a normed set (its pair set, for distance sets) and H, the
+    final structure on the same carrier from the cocone's tail components."""
+    q = s.norm_quantale
+    if s.kind == NSET:
+        apex, T, maps = gamma.apex, s.tail_object, gamma.tail
+    else:
+        apex, T = _pair_set(q, gamma.apex), _pair_set(q, s.tail_object)
+        maps = [_pair_map(g) for g in gamma.tail]
+    return apex, final_structure(q, apex.elements, [(T, g) for g in maps])
+
+
+def _first_above_final(q: Quantale, apex: NormedSet, H: NormedSet):
+    """The first apex element a with |a| ≰ |a|_H, or None."""
+    return next(
+        (a for a in apex.elements if not q.leq(apex.norm(a), H.norm(a))), None
+    )
+
+
+def _c2b_probe_check(
+    q: Quantale, apex: NormedSet, H: NormedSet, probe_bound: int, budget: int
+):
+    """(C2b) over every map f out of the apex into a normed set of at most
+    B = ``probe_bound`` elements: |f| out of H must be below |f| out of the
+    apex.  By the lemma in the ``seqlim`` docstring the check fails iff some
+    apex element has |a| ≰ |a|_H: (⇒) holds for every B, (⇐) for B ≥ 2; at
+    B = 1 the check may pass while some |a| ≰ |a|_H.
+
+    So when no apex element is above its H norm the check passes after the
+    guards of the enumeration (``seqlim._probe_guards``), in its order: the
+    probe normed sets, then the probe maps out of the apex at each probe
+    size s, s^|apex| of them.  Otherwise the probes are enumerated (value
+    tuples in product order, then image tuples) and the first failing (f,
+    |f| out of the apex, |f| out of H) is the witness.  A probe is its value tuple p_0 .. p_{s-1}, a map
+    its image tuple, and |f| = ⋀_a hom(|a|, |p_{f(a)}|).
+    """
+    n = len(apex)
+    search = _first_above_final(q, apex, H) is not None
+    norms = [apex.norm(a) for a in apex]
+    h_norms = [H.norm(a) for a in apex]
+    for size in _probe_guards(q, n, probe_bound, budget):
+        if not search:
+            continue
+        for values in product(q.carrier(), repeat=size):
+            for image in product(range(size), repeat=n):
+                ps = [values[j] for j in image]  # p_{f(a)} per apex element a
+                lhs = q.meet_of_homs(zip(norms, ps))
+                rhs = q.meet_of_homs(zip(h_norms, ps))
+                if not q.leq(rhs, lhs):
+                    f = {a: f"p{j}" for a, j in zip(apex.elements, image)}
+                    return False, (f, q.format(lhs), q.format(rhs))
+    return True, None
+
+
+def verify_normed_colimit(
+    s: Sequence,
+    gamma: Cocone,
+    probe_bound: int = 3,
+    budget: int = DEFAULT_BUDGET,
+) -> Report:
+    """Check (C1), (C2a), and (C2b) for a candidate cocone.
+
+    A set-like cocone must map each stage into its apex (``ValueError``
+    otherwise).  (C1) runs only on a commuting cocone: it compares the
+    induced map on the quotient's classes with the apex (set-like
+    ambients) or runs the eventual-image bijection per object (category
+    ambient).  (C2a)/(C2b) evaluate the tail windows exactly; (C2b) probes
+    normed sets up to ``probe_bound`` over finite carriers and uses the
+    exact single-element reduction over infinite ones.
+    """
+    report = Report()
+    ok, witness = cocone_commutes(s, gamma)
+    report.add("cocone-commutes", ok, witness)
+    if not ok:
+        return report
+    q = s.norm_quantale
+
+    if s.kind == NCAT:
+        _verify_c1_ncat(s, gamma, report)
+    else:
+        _verify_c1_sets(s, gamma, report)
+
+    c2a = q.meet(component_norm(s, gamma, s.n0 + i) for i in range(len(gamma.tail)))
+    report.add(
+        "C2a",
+        q.leq(q.unit, c2a),
+        f"tail component norm meet {q.format(c2a)}",
+    )
+
+    if s.kind == NCAT:
+        _verify_c2b_ncat(s, gamma, report)
+        return report
+    apex, H = _c2b_sets(s, gamma)
+    if q.is_finite:
+        ok, witness = _c2b_probe_check(q, apex, H, probe_bound, budget)
+        report.add(f"C2b (probe bound {probe_bound})", ok, witness)
+    else:
+        bad = _first_above_final(q, apex, H)
+        report.add("C2b (exact reduction)", bad is None, bad)
+    return report
+
+
+def _verify_c1_sets(s: Sequence, gamma: Cocone, report: Report) -> None:
+    """(C1) of a commuting cocone: it factors through the quotient (section
+    comment), so only the induced map, read off the first tail stage, is
+    checked."""
+    report.add("C1-factors-through-quotient", True)
+    labels, comp = s.quotient.gamma[s.n0], gamma.tail[0]
+    induced = {labels[x]: comp[x] for x in labels}
+    image = set(induced.values())
+    apex_elems = s._elements(gamma.apex)
+    bijective = len(image) == len(induced) and image == set(apex_elems)
+    report.add(
+        "C1-bijective",
+        bijective,
+        None if bijective else f"classes {len(induced)}, apex {len(apex_elems)}",
+    )
+
+
+def _verify_c1_ncat(s: Sequence, gamma: Cocone, report: Report) -> None:
+    A = s.category
+    T = s.tail_object
+    powers, transient, _ = s.tail_powers
+    eventual = powers[transient]
+    apex = gamma.apex
+    first_tail = gamma.tail[0]
+
+    def defect(y):
+        E = {A.compose(f, eventual) for f in A.hom(T, y)}
+        assigned = [A.compose(f, first_tail) for f in A.hom(apex, y)]
+        if any(h not in E for h in assigned):
+            return "component leaves the eventual image"
+        if len(set(assigned)) != len(assigned) or set(assigned) != E:
+            return f"hom size {len(assigned)} vs eventual image {len(E)}"
+        return None
+
+    bad = next(((y, d) for y in A.objects if (d := defect(y))), None)
+    report.add("C1-eventual-image-bijection", bad is None, bad)
+
+
+def _verify_c2b_ncat(s: Sequence, gamma: Cocone, report: Report) -> None:
+    A = s.category
+    q = s.norm_quantale
+    bad = next(
+        (
+            (y, f)
+            for y in A.objects
+            for f in A.hom(gamma.apex, y)
+            if not q.leq(q.meet(A.norm[A.compose(f, g)] for g in gamma.tail), A.norm[f])
+        ),
+        None,
+    )
+    report.add("C2b-all-morphisms", bad is None, bad)
 
 # ---------------------------------------------------------------------------
 # fixtures and oracles

@@ -32,7 +32,6 @@ from quantcat.seqlim import (
     colimit_nset,
     colimit_vlip,
     lipschitz_norm,
-    verify_normed_colimit,
 )
 from quantcat.vcat import (
     VCategory,
@@ -59,6 +58,7 @@ from helpers import (
     split_monoid_cat,
     subsets,
     vcat_from_matrix,
+    verify_normed_colimit,
 )
 
 BUNDLED_FINITE = ("bool2", "chain3", "chain4", "bool4")

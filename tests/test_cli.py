@@ -473,6 +473,10 @@ def _certs_with(**fields):
     return data
 
 
+# the counit entry of ``certs.json``: a = b = 'a', four [y, x, morphism] rows
+CERT_EPS = _certs_with()["objects"]["cert"]["eps"][0]
+
+
 @pytest.mark.parametrize(
     "objects, located",
     [
@@ -652,6 +656,19 @@ def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located)
             ("u", "zz", "'zz' is not an element of phi at 'a'"),
             ("v", "zz", "'zz' is not an element of psi at 'a'"),
         )
+    ]
+    + [
+        # a counit entry names objects of phi's category, and a pair (a, b)
+        # or a row (y, x) given twice must give the same value
+        (_certs_with(eps=[{**CERT_EPS, key: "nowhere"}]),
+         "input error: object 'cert': field 'eps': 'nowhere' is not an object of phi's category\n")
+        for key in ("a", "b")
+    ]
+    + [
+        (_certs_with(eps=[CERT_EPS, {**CERT_EPS, "map": CERT_EPS["map"][1:]}]),
+         "input error: object 'cert': field 'eps' gives ['a', 'a'] two entries\n"),
+        (_certs_with(eps=[{**CERT_EPS, "map": CERT_EPS["map"] + [["1", "e", "1"]]}]),
+         "input error: object 'cert': field 'eps': entry ['a', 'a'] gives ['1', 'e'] two morphisms\n"),
     ],
 )
 def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, located):
@@ -660,6 +677,13 @@ def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, 
     assert main([str(f)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and located in err, err
+
+
+def test_certificate_repeats_that_agree_are_accepted(tmp_path, capsys):
+    entry = {**CERT_EPS, "map": CERT_EPS["map"] + CERT_EPS["map"][:1]}
+    f = tmp_path / "repeats.json"
+    f.write_text(json.dumps(_certs_with(eps=[entry, CERT_EPS])), encoding="utf-8")
+    assert run_json(capsys, str(f))[2] == run_json(capsys, path("certs.json"))[2]
 
 
 @pytest.mark.parametrize(

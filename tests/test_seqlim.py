@@ -10,18 +10,15 @@ import pytest
 
 from quantcat import seqlim
 from quantcat.cli import load_instance, main
-from quantcat.common import BudgetExceeded, PreconditionError
+from quantcat.common import BudgetExceeded, ConstructionError, PreconditionError
 from quantcat.ncat import nat_norm, representable_cov
 from quantcat.normed_set import NormedSet
 from quantcat.quantale import INF, FiniteQuantale, LawvereQuantale, builtin_quantale
 from quantcat.seqlim import (
     Cocone,
-    cocone_commutes,
     LogNorm,
     MetricSequence,
     Sequence,
-    _c2b_probe_check,
-    _c2b_sets,
     cauchy_value,
     colimit_dset,
     colimit_nset,
@@ -32,7 +29,6 @@ from quantcat.seqlim import (
     lipschitz_norm,
     norm_profile,
     validate_sequence,
-    verify_normed_colimit,
 )
 from quantcat.vcat import (
     VCategory,
@@ -70,6 +66,10 @@ from helpers import (
     left_weight,
     map_norm,
     tail_norm,
+    _c2b_probe_check,
+    _c2b_sets,
+    cocone_commutes,
+    verify_normed_colimit,
 )
 
 # ---------------------------------------------------------------------------
@@ -1048,6 +1048,93 @@ def test_c2b_probe_check_builds_no_probe_sets_or_maps(passing, monkeypatch):
     # the counter sees the probes and maps the per-component oracle builds
     brute_c2b_check(s, gamma, 3, BIG_BUDGET)
     assert {"NormedSet", "NormedMap"} <= set(built)
+
+
+# ---------------------------------------------------------------------------
+# the colimit task's report against the verifier, on canonical cocones
+
+
+def _canonical_cocone(s, vlip=False):
+    """The cocone the ``colimit`` task builds on s, or None when it rejects s."""
+    build = colimit_nset if s.kind == "nset" else colimit_vlip if vlip else colimit_dset
+    try:
+        return build(s)[1]
+    except (PreconditionError, ConstructionError):
+        return None
+
+
+def _data_colimit_cocones():
+    """(s, gamma) for each ``colimit`` task of tests/data that builds a cocone."""
+    data = os.path.join(os.path.dirname(__file__), "data")
+    for name in sorted(os.listdir(data)):
+        inst = load_instance(os.path.join(data, name))
+        for task in inst.tasks:
+            if task["op"] == "colimit":
+                s = inst.objects[task["target"]][1]
+                if s.kind != "ncat":
+                    gamma = _canonical_cocone(s, task.get("vlip"))
+                    if gamma is not None:
+                        yield s, gamma
+
+
+def _report_outcome(report_of, s, gamma, bound, budget):
+    return _outcome(
+        lambda *args: [(c.name, c.ok, c.witness) for c in report_of(*args).checks],
+        s, gamma, bound, budget,
+    )
+
+
+def _assert_report_matches_verifier(s, gamma):
+    """The report's checks, or the guard that fired, equal the verifier's at
+    probe bounds 1-4 and every budget from 1 to the largest guard + 1."""
+    q, n = s.norm_quantale, len(_c2b_sets(s, gamma)[0])
+    outcomes = set()
+    for bound in (1, 2, 3, 4):
+        largest = max(sum(q.size**k for k in range(1, bound + 1)), bound**n) if q.is_finite else 0
+        for budget in range(1, largest + 2):
+            got = _report_outcome(seqlim.colimit_report, s, gamma, bound, budget)
+            assert got == _report_outcome(verify_normed_colimit, s, gamma, bound, budget)
+            outcomes.add(got[0] if isinstance(got, tuple) else got[-1][0])  # C2b's name
+    return outcomes
+
+
+def test_colimit_report_matches_verifier_on_data_tasks():
+    cases = list(_data_colimit_cocones())
+    assert len(cases) == 8
+    outcomes = set()
+    for s, gamma in cases:
+        outcomes |= _assert_report_matches_verifier(s, gamma)
+    assert outcomes == {
+        "C2b (exact reduction)",
+        *(f"C2b (probe bound {b})" for b in (1, 2, 3, 4)),
+        *(f"probe normed sets up to size {b}" for b in (1, 2, 3, 4)),
+        "probe maps out of the apex",
+    }
+
+
+_REPORT_FAMILIES = {
+    "nset-bool2": lambda: _all_nset_sequences(builtin_quantale("bool2"), 3),
+    "nset-chain3": lambda: _all_nset_sequences(builtin_quantale("chain3"), 2),
+    "dset-bool2": lambda: _all_dset_sequences(builtin_quantale("bool2"), 2),
+    "dset-chain3": lambda: _all_dset_sequences(builtin_quantale("chain3"), 2),
+    "dset-chain3-odot": lambda: _all_dset_sequences(
+        builtin_quantale("chain3"), 2, lukasiewicz3("m")
+    ),
+    "parity": lambda: dict.fromkeys(s for s, _ in _parity_cocones()),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_REPORT_FAMILIES))
+def test_colimit_report_matches_verifier_on_exhaustive_families(family):
+    # the sequences of the exhaustive (C2b) families and of the budget-parity
+    # cocones, each with the cocone the colimit task builds
+    built = 0
+    for s in _REPORT_FAMILIES[family]():
+        gamma = _canonical_cocone(s)
+        if gamma is not None:
+            _assert_report_matches_verifier(s, gamma)
+            built += 1
+    assert built > 0
 
 
 def test_cauchy_and_colimit_tasks_share_one_norm_profile(monkeypatch, tmp_path, capsys):

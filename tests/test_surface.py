@@ -125,7 +125,7 @@ def test_walk_follows_bindings_and_stops_at_an_orphan():
     modules["cli"].defs["orphan"] = ast.parse("def orphan():\n    return main()\n").body[0]
     reached = reachable(modules)
     assert ("normed_set", "NormedSet") in reached  # ``from .normed_set import``
-    assert ("seqlim", "verify_normed_colimit") in reached  # ``seq_mod.`` alias
+    assert ("seqlim", "colimit_report") in reached  # ``seq_mod.`` alias
     assert ("cli", "orphan") not in reached
 
 
