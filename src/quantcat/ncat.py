@@ -69,16 +69,20 @@ The norm assignments that make Phi_e a normed functor are the weights on a
 matrix D_e (the lemma in the ``vcat`` docstring), so clause (2) runs the
 V-category decision's search, ``vcat.matrix_weights`` and
 ``vcat.unit_member``.  Per idempotent, after the assignment-count guard,
-the conjugate's natural-transformation guards fire (the all-top assignment
-is always normed, so the search always yields) and the unit class is built
-once.  The decision builds no distributor; the general left-adjoint path,
-``left_adjoint_unit`` in ``tests/helpers.py``, is the tests' oracle.
+the unit class is built once; the conjugate has the closed form above, so
+no natural family is enumerated or counted.  The decision builds no
+distributor; the general left-adjoint path, ``left_adjoint_unit`` in
+``tests/helpers.py``, is the tests' oracle.
 
 Under ``vcat.unit_criterion`` (k ≪ k and the unit splits the tensor)
 clause (2) cannot fail: ``unit_member`` never returns (True, None), by the
 criterion lemma in the ``vcat`` docstring.  The decision is then
-``ncat_report``, clause (1) and the per-idempotent guards, fired in the
-same order, with no unit class, N or D_e built.
+``ncat_report`` and clause (1), with no idempotent of clause (2) visited
+and no guard fired.
+
+Clause (1) reads ``NormedCategory.strict_split``, which the ``split`` task
+on the strict part reads too, so a file that runs both builds and scans the
+strict subcategory once.
 
 Associativity lemma.  Once every composite has the right endpoints, both
 (h∘g)∘f and h∘(g∘f) lie in A(dom f, cod h), so a triple can fail only when
@@ -97,6 +101,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Any, Iterator, Mapping
 
 from .common import (
@@ -198,6 +203,13 @@ class NormedCategory(PlainCategory):
         """The normed-category checks of this category: its ``report`` plus
         ``norm_checks``."""
         return norm_checks(self, self.report)
+
+    @cached_property
+    def strict_split(self) -> tuple:
+        """``split_idempotents_check`` of ``strict_subcategory``: clause (1)
+        of the completeness decision.  ``ConstructionError`` when the strict
+        part is not a category; a raise is not cached."""
+        return split_idempotents_check(strict_subcategory(self))
 
 
 def validate_category(C: PlainCategory) -> Report:
@@ -423,17 +435,6 @@ def representable_cov(A: NormedCategory, a) -> NormedDistributor:
 # natural transformations (the end construction)
 
 
-def _nat_count(sizes) -> int:
-    """The candidate families an end enumerates, from the pairs
-    (|Φ(a)|, |Ψ(a)|) per object: ∏ |Ψ(a)|^|Φ(a)|, 1 where Φ(a) is empty."""
-    count = 1
-    for n_src, n_tgt in sizes:
-        count *= n_tgt ** n_src if n_src else 1
-        if count == 0:
-            return 0
-    return count
-
-
 def enumerate_nat_families(
     Phi: NormedDistributor, Psi: NormedDistributor, budget: int = DEFAULT_BUDGET
 ) -> list[dict]:
@@ -443,8 +444,8 @@ def enumerate_nat_families(
     if not (Phi.covariant and Psi.covariant):
         raise ValueError("natural families are enumerated between covariant distributors")
     A = Phi.category
-    sizes = ((len(Phi.set_at(a)), len(Psi.set_at(a))) for a in A.objects)
-    guard_count(_nat_count(sizes), budget, "natural-transformation enumeration")
+    count = prod(len(Psi.set_at(a)) ** len(Phi.set_at(a)) for a in A.objects)
+    guard_count(count, budget, "natural-transformation enumeration")
     # one component space per object; the families are streamed
     components = [
         [dict(zip(Phi.set_at(a), images))
@@ -742,20 +743,10 @@ def idempotent_unit_class(A: PlainCategory, e) -> list:
     ]
 
 
-def _conjugate_guards(A: NormedCategory, elems, budget: int) -> None:
-    """Per object c, the guard of the conjugate's ∏_x |A(c, x)|^|Φ_e(x)|
-    natural families."""
-    for c in A.objects:
-        sizes = ((len(elems[x]), len(A.hom(c, x))) for x in A.objects)
-        guard_count(_nat_count(sizes), budget, "natural-transformation enumeration")
-
-
-def _unit_class_slots(A: NormedCategory, e, elems, flat, budget: int):
+def _unit_class_slots(A: NormedCategory, e, flat):
     """The unit class of Φ_e as ``matrix_weights`` inputs: M pairs (position
     of w in ``flat``, index j of y), and N[i][j] = |flat[i]∘y_j|, so that
-    c_j = ⋀_i hom(x_i, N[i][j]) is y_j's conjugate norm.  First the
-    conjugate's guards (``_conjugate_guards``)."""
-    _conjugate_guards(A, elems, budget)
+    c_j = ⋀_i hom(x_i, N[i][j]) is y_j's conjugate norm."""
     pos = {f: i for i, f in enumerate(flat)}
     index: dict = {}  # y -> j
     M = [
@@ -795,25 +786,28 @@ class NcatLawvereVerdict:
 def is_lawvere_complete_ncat(
     A: NormedCategory, budget: int = DEFAULT_BUDGET
 ) -> NcatLawvereVerdict:
-    """Decide completeness: idempotents of the strict part split, and every
-    enumerated left adjoint has a presentable unit.
+    """Decide completeness: idempotents of the strict part split, and for
+    each idempotent e every norm assignment making Φ_e a normed functor, if
+    it is a left adjoint, has a presentable unit.
 
     See the module docstring for the coverage argument behind the
-    idempotent-indexed enumeration of clause (2) and for the closed form of
-    each Φ_e's unit class.  A must be a normed category; otherwise
+    idempotent-indexed search of clause (2) and for the closed form of each
+    Φ_e's unit class.  A must be a normed category; otherwise
     ``PreconditionError`` carries the failed ``A.ncat_report``.  Under
-    ``unit_criterion`` clause (2) cannot fail, so only its guards fire.
+    ``unit_criterion`` clause (2) cannot fail, so the verdict follows
+    clause (1) and no guard fires.
     """
     q = require_finite(A.quantale, "is_lawvere_complete_ncat")
     if not A.ncat_report.ok:
         raise PreconditionError(
             "is_lawvere_complete_ncat requires a normed category", A.ncat_report
         )
-    ok1, bad_e = split_idempotents_check(strict_subcategory(A))
+    ok1, bad_e = A.strict_split
     if not ok1:
         return NcatLawvereVerdict(False, clause=1, certificate=bad_e)
+    if unit_criterion(q):
+        return NcatLawvereVerdict(True)
 
-    search = not unit_criterion(q)
     idems = list(A.idempotents())
     for pos, e in enumerate(idems):
         elems = idempotent_distributor_sets(A, e)
@@ -825,10 +819,7 @@ def is_lawvere_complete_ncat(
             f"norm assignments |V|^{len(flat)} at idempotent {e!r}",
             skipped=f"{len(idems) - pos} idempotents, {count} assignments",
         )
-        if not search:
-            _conjugate_guards(A, elems, budget)
-            continue
-        M, N = _unit_class_slots(A, e, elems, flat, budget)
+        M, N = _unit_class_slots(A, e, flat)
         D = _weight_matrix(A, elems, flat)
         for values, conj in matrix_weights(q, D, N):
             adjoint, member = unit_member(q, values, conj, M)

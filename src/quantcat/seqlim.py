@@ -78,10 +78,10 @@ through ``colimit_dset``), and on that cocone each one is a theorem:
   bound B, and the exact reduction holds.
 
 So ``colimit_report`` computes only (C2a)'s meet of the tail component
-norms, which the report prints.  Over a finite carrier it first fires the
-budget guards of the probe enumeration, in its order, so a budget stops the
-task where the enumeration would.  The general verifier of a candidate
-cocone, which checks every condition, is the tests' oracle.
+norms, which the report prints.  It enumerates no probe, so no budget guard
+fires; over a finite carrier the probe bound only names the (C2b) check.
+The general verifier of a candidate cocone, which checks every condition
+and enumerates the probes when the reduction fails, is the tests' oracle.
 
 The (C2b) reduction
 -------------------
@@ -119,7 +119,6 @@ from .common import (
     PreconditionError,
     Report,
     cached_property,
-    guard_count,
 )
 from .normed_set import NormedSet, final_structure
 from .quantale import (
@@ -483,23 +482,11 @@ def colimit_vlip(s: Sequence) -> tuple[VCategory, Cocone]:
 # the colimit task's report
 
 
-def _probe_guards(q: Quantale, n: int, probe_bound: int, budget: int):
-    """The budget guards of the (C2b) probe enumeration out of an apex of n
-    elements, in its order: the probe normed sets up to ``probe_bound``
-    elements, then the s^n probe maps at each probe size s, yielded after
-    its guard."""
-    total = sum(q.size ** size for size in range(1, probe_bound + 1))
-    guard_count(total, budget, f"probe normed sets up to size {probe_bound}")
-    for size in range(1, probe_bound + 1):
-        guard_count(size**n, budget, "probe maps out of the apex")
-        yield size
-
-
-def colimit_report(s: Sequence, gamma: Cocone, probe_bound: int, budget: int) -> Report:
+def colimit_report(s: Sequence, gamma: Cocone, probe_bound: int) -> Report:
     """The cocone conditions of the canonical cocone ``gamma`` of a
     set-like sequence, as theorems of its construction (module docstring):
-    only (C2a) is computed, and over a finite carrier (C2b) fires the probe
-    guards first."""
+    only (C2a) is computed, and over a finite carrier ``probe_bound`` names
+    the (C2b) check."""
     q = s.norm_quantale
     report = Report()
     report.add("cocone-commutes", True)
@@ -508,9 +495,6 @@ def colimit_report(s: Sequence, gamma: Cocone, probe_bound: int, budget: int) ->
     c2a = q.meet(s.map_norm_of(g, s.tail_object, gamma.apex) for g in gamma.tail)
     report.add("C2a", q.leq(q.unit, c2a), f"tail component norm meet {q.format(c2a)}")
     if q.is_finite:
-        n = len(s._elements(gamma.apex)) ** (1 if s.kind == NSET else 2)
-        for _ in _probe_guards(q, n, probe_bound, budget):
-            pass
         report.add(f"C2b (probe bound {probe_bound})", True)
     else:
         report.add("C2b (exact reduction)", True)

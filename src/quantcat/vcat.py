@@ -55,7 +55,7 @@ each X(a,−) is left adjoint to X(−,a), and the witnesses of X(b,−) are the
 a with X(a,−) = X(b,−).  ``lawvere_complete_vcat`` then answers without the
 search: PASS with the distinct rows X(a,−) in the order of ``product`` (the
 order of their index tuples), each paired with the first object whose row
-it is, after the same ``|V|^n`` guard.
+it is.  No weight is enumerated there, so no budget guard fires.
 
 ``validate_vdist``, ``isbell_conjugate_weight``, ``adjoint_report`` and
 ``is_representable`` are the distributor calculus that the ``validate``,
@@ -434,16 +434,14 @@ def lawvere_complete_vcat(X: VCategory, budget: int = DEFAULT_BUDGET) -> Lawvere
     there; otherwise ``PreconditionError`` carries the failed ``X.report``.
 
     Under ``unit_criterion`` the verdict is read off the rows X(a, −) (the
-    criterion lemma in the module docstring); otherwise the search runs on
-    index vectors and builds no distributor.  Both paths first guard the
-    ``|V|^n`` weights.
+    criterion lemma in the module docstring), with no budget guard;
+    otherwise the search runs on index vectors, after the guard of the
+    ``|V|^n`` weights, and builds no distributor.
     """
     q = require_finite(X.quantale, "lawvere_complete_vcat")
     if not X.report.ok:
         raise PreconditionError("lawvere_complete_vcat requires a V-category", X.report)
     if unit_criterion(q):
-        n = len(X.objects)
-        guard_count(q.size ** n, budget, f"weights |V|^{n}")
         first: dict[tuple, Any] = {}  # row X(a, −) -> the first such a
         for a in X.objects:
             first.setdefault(tuple([X.dist[(a, y)] for y in X.objects]), a)

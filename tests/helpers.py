@@ -53,7 +53,6 @@ from quantcat.seqlim import (
     Sequence,
     _pair_map,
     _pair_set,
-    _probe_guards,
     _Quotient,
     cauchy_value,
     forward_cauchy_value,
@@ -661,6 +660,18 @@ def _first_above_final(q: Quantale, apex: NormedSet, H: NormedSet):
     )
 
 
+def _probe_guards(q: Quantale, n: int, probe_bound: int, budget: int):
+    """The budget guards of the (C2b) probe enumeration out of an apex of n
+    elements, in its order: the probe normed sets up to ``probe_bound``
+    elements, then the s^n probe maps at each probe size s, yielded after
+    its guard."""
+    total = sum(q.size ** size for size in range(1, probe_bound + 1))
+    guard_count(total, budget, f"probe normed sets up to size {probe_bound}")
+    for size in range(1, probe_bound + 1):
+        guard_count(size**n, budget, "probe maps out of the apex")
+        yield size
+
+
 def _c2b_probe_check(
     q: Quantale, apex: NormedSet, H: NormedSet, probe_bound: int, budget: int
 ):
@@ -671,7 +682,7 @@ def _c2b_probe_check(
     B = 1 the check may pass while some |a| ≰ |a|_H.
 
     So when no apex element is above its H norm the check passes after the
-    guards of the enumeration (``seqlim._probe_guards``), in its order: the
+    guards of the enumeration (``_probe_guards``), in its order: the
     probe normed sets, then the probe maps out of the apex at each probe
     size s, s^|apex| of them.  Otherwise the probes are enumerated (value
     tuples in product order, then image tuples) and the first failing (f,

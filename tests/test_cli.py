@@ -984,11 +984,12 @@ def _i_embedded_literal(objects, matrix):
         ("bool2", _i_embedded_literal(
             ["p", "q", "r"], [["1", "1", "1"], ["0", "1", "1"], ["0", "0", "1"]])),
         ("chain3", _i_embedded_literal(["p", "q"], [["1", "m"], ["0", "1"]])),
-        # the split monoid: guards at idempotents that are not identities
+        # the split monoid: the search guards idempotents that are not
+        # identities
         ("chain3", SPLIT_NCAT),
-        # a left-zero monoid normed 0 off the identity: at e = 1 the 27
-        # conjugate families exceed the 8 assignments, so budget 26 stops
-        # at the natural-transformation guard
+        # a left-zero monoid normed 0 off the identity: at e = 1 the
+        # conjugate has 27 natural families, more than the 8 assignments,
+        # and neither path counts them (the conjugate has a closed form)
         ("bool2", {
             "kind": "ncat", "objects": ["x"],
             "morphisms": [{"id": m, "dom": "x", "cod": "x", "norm": n}
@@ -1028,18 +1029,118 @@ def test_theorem_path_fires_the_search_paths_guards(
         out, err = capsys.readouterr()
         return fired, (code, out, err)
 
+    def tasks(outcome):
+        code, out, err = outcome
+        return code, json.loads(out)["tasks"], err
+
+    # the theorem path enumerates nothing, so it fires no guard and decides
+    # at every budget; the forced search fires its guards and agrees at 4096
     assert vcat.unit_criterion(builtin_quantale(quantale))
     guards, outcome = run(4096, search=False)
-    assert outcome[0] == 0 and guards
-    assert run(4096, search=True) == (guards, outcome)
-    for needed in sorted({needed for _, needed, _ in guards if needed > 1}):
+    assert outcome[0] == 0 and guards == []
+    searched, searched_outcome = run(4096, search=True)
+    assert searched and searched_outcome == outcome
+    at_one = run(1, search=False)
+    assert at_one[0] == [] and tasks(at_one[1]) == tasks(outcome)
+    for needed in sorted({needed for _, needed, _ in searched if needed > 1}):
         theorem = run(needed - 1, search=False)
-        assert theorem == run(needed - 1, search=True), needed
-        code, out, err = theorem[1]
-        what, first, skipped = theorem[0][-1]
+        assert theorem[0] == [] and tasks(theorem[1]) == tasks(outcome), needed
+        fired, (code, out, err) = run(needed - 1, search=True)
+        what, first, skipped = fired[-1]
         line = f"budget exceeded: {what} needs {first} candidates, budget is {needed - 1}"
         line += "" if skipped is None else f" (skipped: {skipped})"
         assert (code, out, err) == (3, "", line + "\n")
+
+
+@pytest.mark.parametrize("name", ["weights.json", "sequence.json", "vlip.json", "odot.json"])
+def test_theorem_paths_decide_below_the_guards_they_replaced(name, capsys):
+    # these exited 3 at --budget 2 on the guard of a weight or probe search
+    # that the criterion lemma or the canonical cocone makes unnecessary
+    code, report, _ = run_json(capsys, path(name), "--budget", "2")
+    default_code, default, _ = run_json(capsys, path(name))
+    assert code == default_code == GOLDEN_JSON[name][0]
+    assert report["tasks"] == default["tasks"]
+
+
+def test_discrete_bool2_vcategory_of_13_objects_is_decided(tmp_path, capsys):
+    # 2^13 weights exceed the default budget; the criterion enumerates none
+    n = 13
+    f = tmp_path / "discrete13.json"
+    f.write_text(
+        json.dumps({
+            "quantale": "bool2",
+            "objects": {"X": {"kind": "vcat", "objects": [f"p{i}" for i in range(n)],
+                              "dist": [["1" if i == j else "0" for j in range(n)]
+                                       for i in range(n)]}},
+            "tasks": [{"op": "validate", "target": "X"}, {"op": "lawvere", "target": "X"}],
+        }),
+        encoding="utf-8",
+    )
+    code, report, _ = run_json(capsys, str(f))
+    assert code == 0
+    lawvere = report["tasks"][1]
+    assert lawvere["verdict"] == "pass"
+    witnesses = lawvere["details"]["witness"]
+    assert [w["witness"] for w in witnesses] == [f"p{i}" for i in reversed(range(n))]
+
+
+BOOL4_SEARCHES = [
+    ({"kind": "vcat", "objects": ["x", "y", "z"],
+      "dist": [["top" if i == j else "bot" for j in range(3)] for i in range(3)]},
+     63, "weights |V|^3 needs 64 candidates, budget is 63"),
+    ({"kind": "ncat", "objects": ["x"],
+      "morphisms": [{"id": "1", "dom": "x", "cod": "x", "norm": "top"},
+                    {"id": "e", "dom": "x", "cod": "x", "norm": "bot"}],
+      "identities": {"x": "1"},
+      "compose": [["1", "1", "1"], ["1", "e", "e"], ["e", "1", "e"], ["e", "e", "e"]]},
+     15, "norm assignments |V|^2 at idempotent '1' needs 16 candidates, budget is 15"
+         " (skipped: 2 idempotents, 16 assignments)"),
+]
+
+
+@pytest.mark.parametrize("literal, budget, line", BOOL4_SEARCHES, ids=["vcat", "ncat"])
+def test_bool4_search_stops_one_below_its_guard(tmp_path, capsys, literal, budget, line):
+    # bool4 fails the criterion, so the weight search runs and is priced
+    f = tmp_path / "bool4.json"
+    f.write_text(
+        json.dumps({"quantale": "bool4", "objects": {"X": literal},
+                    "tasks": [{"op": "validate", "target": "X"},
+                              {"op": "lawvere", "target": "X"}]}),
+        encoding="utf-8",
+    )
+    assert main([str(f), "--json", "--budget", str(budget)]) == 3
+    assert capsys.readouterr() == ("", f"budget exceeded: {line}\n")
+    assert main([str(f), "--json", "--budget", str(budget + 1)]) in (0, 1)
+
+
+@pytest.mark.parametrize("strict_part", ["unsplit", "split"])
+def test_split_and_lawvere_build_the_strict_part_once(tmp_path, capsys, monkeypatch, strict_part):
+    from quantcat import ncat
+
+    if strict_part == "unsplit":
+        with open(path("monoid.json"), encoding="utf-8") as fh:
+            data = json.load(fh)
+    else:
+        data = {"quantale": "chain3", "objects": {"M": SPLIT_NCAT}}
+    data["tasks"] = [{"op": "validate", "target": "M"},
+                     {"op": "split", "target": "M", "strict": True},
+                     {"op": "lawvere", "target": "M"}]
+    f = tmp_path / "strict.json"
+    f.write_text(json.dumps(data), encoding="utf-8")
+    built = []
+    strict_subcategory = ncat.strict_subcategory
+    monkeypatch.setattr(ncat, "strict_subcategory",
+                        lambda A: built.append(A) or strict_subcategory(A))
+    code, report, _ = run_json(capsys, str(f))
+    assert len(built) == 1
+    split, lawvere = report["tasks"][1:]
+    if strict_part == "unsplit":
+        # clause 1 names the idempotent the split task names
+        assert code == 1
+        assert split["details"]["witness"] == lawvere["details"]["certificate"] == "e"
+        assert lawvere["details"]["clause"] == 1
+    else:
+        assert code == 0 and split["details"]["witness"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -892,7 +892,7 @@ def test_i_embedded_idempotent_poses_the_vcategory_problem(q2, q3):
                     elems = idempotent_distributor_sets(A, e)
                     flat = [f for b in A.objects for f in elems[b]]
                     assert flat == [(a, b) for b in X.objects]
-                    M, N = _unit_class_slots(A, e, elems, flat, 4096)
+                    M, N = _unit_class_slots(A, e, flat)
                     assert _weight_matrix(A, elems, flat) == D
                     assert N == [list(column) for column in zip(*D)]
                     assert M == [(i, i) for i in range(n)]
@@ -900,18 +900,37 @@ def test_i_embedded_idempotent_poses_the_vcategory_problem(q2, q3):
     assert idempotents > 100  # 115 idempotents
 
 
+def test_strict_split_is_the_split_check_of_the_strict_part(
+    q1, q2, q3, q4chain, q4bool, qluka, qabove
+):
+    outcomes = set()
+    for A in _differential_fixtures(q1, q2, q3, q4chain, q4bool, qluka, qabove):
+        if A.ncat_report.ok:
+            expected = split_idempotents_check(strict_subcategory(A))
+            assert A.strict_split == expected
+            outcomes.add(expected[0])
+    assert outcomes == {True, False}
+
+
 def test_lawvere_ncat_budget_fields_match_brute_force(q1, q2, q4bool):
+    # where the decision searches, the assignment-count guard fires before
+    # any assignment is enumerated, as the oracle's does
+    A = monoid_cat(q4bool, "top", "bot")
+    expected = _decision_outcome(brute_lawvere_ncat, A, 3)
+    assert expected[:2] == ("budget", "norm assignments |V|^2 at idempotent '1'")
+    assert _decision_outcome(is_lawvere_complete_ncat, A, 3) == expected
     cases = [
-        # the natural-family guard of the first normed assignment
+        # the oracle enumerates the conjugate's natural families; the
+        # decision reads the conjugate's closed form and counts none
         (split_monoid_cat(q1), 3, "natural-transformation enumeration"),
-        # the assignment-count guard, before any assignment is enumerated
+        # under the criterion the decision enumerates no assignment
         (split_monoid_cat(q2), 4, "norm assignments |V|^3 at idempotent '1a'"),
-        (monoid_cat(q4bool, "top", "bot"), 3, "norm assignments |V|^2 at idempotent '1'"),
     ]
     for A, budget, what in cases:
-        expected = _decision_outcome(brute_lawvere_ncat, A, budget)
-        assert expected[:2] == ("budget", what)
-        assert _decision_outcome(is_lawvere_complete_ncat, A, budget) == expected
+        assert _decision_outcome(brute_lawvere_ncat, A, budget)[:2] == ("budget", what)
+        got = _decision_outcome(is_lawvere_complete_ncat, A, budget)
+        assert got[0] in (True, False)
+        assert got == _decision_outcome(brute_lawvere_ncat, A, 4096)
 
 
 def test_left_adjoint_unit_norm_is_the_coend_class_norm(q2, q4bool):
@@ -956,7 +975,7 @@ def test_unit_class_closed_form_matches_distributor_calculus(
             elems = idempotent_distributor_sets(A, e)
             flat = [f for b in A.objects for f in elems[b]]
             conj_cf = idempotent_conjugate_sets(A, e)
-            members, N = _unit_class_slots(A, e, elems, flat, 4096)
+            members, N = _unit_class_slots(A, e, flat)
             idempotents += 1
             for values, conj in matrix_weights(q, _weight_matrix(A, elems, flat), N):
                 Phi = idempotent_distributor(A, e, dict(zip(flat, values)))
