@@ -23,9 +23,18 @@ of [0, inf) onto L·[0, inf) with L·(u + v) = L·u + L·v.  With L the lcm of
 the finite denominators every L·u is an integer, so the min-plus product
 and the triangle law run on ``int``s (``_scaled``), and a composite entry is
 divided by L once at the end: exact, with one ``Fraction`` per distinct
-entry.  The gain rests on L staying small (a few distinct denominators), so
-that the scaled entries are machine-sized ints; the multiplicative mode
-keeps the ``Fraction`` fold.
+entry.  The multiplicative mode keeps the ``Fraction`` fold.
+
+The min-plus product runs on packed rows, by the packed-row lemma: let inf
+be the scaled integer of ``INF`` (above every sum of two finite scaled
+entries) and w = bit_length(2·inf) + 1.  Every scaled entry, and every sum
+of two, lies in [0, 2·inf] ⊂ [0, 2^(w−1)).  So p of them packed into w-bit
+fields of one int add field by field with no carry out of a field, and with
+H the top bit of every field, each field of (b | H) − s is
+2^(w−1) + b_f − s_f ∈ [1, 2^w): no borrow crosses a field, and its top bit
+is set iff s_f ≤ b_f.  That mask takes the fieldwise min of p sums with a
+handful of big-int operations.  w grows with L, so any denominators run the
+same exact code.
 
 ``join``, ``meet`` and ``meet_of_homs`` compare by the cross-multiplication
 lemma: for integers a, c and b, d > 0, a/b < c/d iff a·d < c·b (multiply by
@@ -40,7 +49,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import lcm
-from operator import add, sub
+from operator import lshift, sub
 from typing import Any, Iterable, Sequence
 
 from .common import (
@@ -514,9 +523,13 @@ class LawvereQuantale:
         ⋁_y cols[z][y] ⊗ rows[x][y], ``INF`` when m = 0.
 
         In additive mode the join (numeric min) runs over the ``int`` sums of
-        the scaled entries (``_scaled``), and each distinct best is divided
-        by L into one ``Fraction``.  The multiplicative mode folds ``join``
-        over ``tensor``.
+        the scaled entries (``_scaled``) on packed rows (module docstring):
+        column y of ``cols`` is one int P_y with entry z in the w-bit field
+        z, and row x folds best = min(best, P_y + L·rows[x][y]·ONES) over y,
+        ONES having a 1 in every field, with one borrow-free compare per y.
+        Its p fields are unpacked once, and each distinct best is divided by
+        L into one ``Fraction``.  The multiplicative mode folds ``join`` over
+        ``tensor``.
         """
         if self.mode != "additive":
             join, tensor = self.join, self.tensor
@@ -525,8 +538,22 @@ class LawvereQuantale:
                 for row in rows
             ]
         scale, inf, (rows, cols) = _scaled(rows, cols)
-        best = [[min(map(add, row, col), default=inf) for col in cols] for row in rows]
-        value = {b: INF if b >= inf else Fraction(b, scale) for b in chain(*best)}
+        w = (2 * inf).bit_length() + 1
+        shifts = range(0, w * len(cols), w)
+        ones = sum(1 << k for k in shifts)
+        high, field = ones << (w - 1), (1 << w) - 1
+        packed = [sum(map(lshift, column, shifts)) for column in zip(*cols)]
+        bottom, best = inf * ones, []  # bottom is every entry when m = 0
+        for row in rows:
+            b = bottom
+            for r, column in zip(row, packed):
+                s = column + r * ones
+                # top bit of a field where s_f ≤ b_f, spread to its low bits
+                mask = ((b | high) - s) & high
+                mask -= mask >> (w - 1)
+                b ^= (b ^ s) & mask
+            best.append([b >> k & field for k in shifts])
+        value = {b: INF if b >= inf else Fraction(b, scale) for b in set(chain(*best))}
         return [[value[b] for b in line] for line in best]
 
     def first_intransitive(self, matrix) -> tuple[int, int, int] | None:
@@ -574,15 +601,19 @@ def _scaled(*matrices) -> tuple[int, int, list]:
     """The scaling lemma (module docstring) on matrices of extended
     rationals: ``(L, inf, scaled)``, L the lcm of the finite denominators,
     inf an integer above every sum of two scaled finite entries, and each
-    matrix with a finite u as the integer L·u and ``INF`` as inf."""
-    finite = [v for m in matrices for line in m for v in line if v is not INF]
-    scale = lcm(*{v.denominator for v in finite})
-    # L·u ≤ L·numerator(u), so twice the largest bound lies below inf
-    inf = 2 * scale * max((v.numerator for v in finite), default=0) + 1
-    return scale, inf, [
-        [[inf if v is INF else v.numerator * (scale // v.denominator) for v in line]
-         for line in m]
+    matrix with a finite u as the integer L·u and ``INF`` as inf.  Each
+    entry's ``as_integer_ratio`` is read once."""
+    ratios = [
+        [[v if v is INF else v.as_integer_ratio() for v in line] for line in m]
         for m in matrices
+    ]
+    finite = [r for m in ratios for line in m for r in line if r is not INF]
+    scale = lcm(*{d for _, d in finite})
+    # L·u ≤ L·numerator(u), so twice the largest bound lies below inf
+    inf = 2 * scale * max((n for n, _ in finite), default=0) + 1
+    return scale, inf, [
+        [[inf if r is INF else r[0] * (scale // r[1]) for r in line] for line in m]
+        for m in ratios
     ]
 
 

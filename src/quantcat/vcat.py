@@ -7,9 +7,12 @@ the quantale's ``compose_matrices``: on table indices over a finite carrier,
 and on integers over the additive extended rationals.  Scaling lemma:
 multiplying every finite value by the lcm L > 0 of their denominators
 preserves the order and turns u + v into L·u + L·v, so the min-plus product
-is computed exactly on ``int``s and divided back once per entry; it pays
-while L is small.  The composite is built from the canonical values the hook
-returns and is not checked again.
+is computed exactly on ``int``s and divided back once per distinct entry.
+Packed-row lemma: the scaled values and their sums fit below the top bit of
+fields w = bit_length(2·inf) + 1 bits wide, so one big-int add and one
+borrow-free compare take the min over all p entries of a row at a middle
+object, for any L (``quantale`` module docstring).  The composite is built
+from the canonical values the hook returns and is not checked again.
 
 Adjunction checking, Isbell conjugation, representability, and a
 Lawvere-completeness decision over finite quantales live here.  The decision

@@ -768,10 +768,11 @@ def test_compose_matrices_match_the_fold_on_extended_rationals(qplus, qtimes):
         [Fraction(0), INF] + [Fraction(a, d) for a in range(4) for d in (1, 2, 3, 12)],
         [INF, Fraction(0), Fraction(1)],
         [INF],
+        [Fraction(1, 3)],
     ]
     shapes = [
         (1, 1, 1), (2, 3, 4), (4, 3, 2), (3, 1, 3), (1, 5, 1), (5, 5, 5),
-        (2, 0, 3), (0, 2, 3), (3, 2, 0), (0, 0, 0),
+        (9, 7, 1), (1, 7, 9), (9, 1, 7), (2, 0, 3), (0, 2, 3), (3, 2, 0), (0, 0, 0),
     ]
     for q in (qplus, qtimes):
         for pool in pools:
@@ -790,6 +791,98 @@ def test_compose_matrices_keep_zero_times_inf_infinite(qtimes, qplus):
     assert qtimes.compose_matrices([[zero, INF]], [[Fraction(7, 3), zero]]) == [[zero]]
     # an empty middle category: every entry is the bottom
     assert qplus.compose_matrices([[], []], [[]]) == [[INF], [INF]]
+
+
+def workload_matrix(rng, n, m):
+    """An n×m matrix drawn as the benchmark's compose files draw theirs:
+    a/d with a ≤ 60 and d ∈ {1, 2, 3, 4, 6}, and INF at about 5%."""
+    return [
+        [
+            INF if rng.random() < 0.05
+            else Fraction(rng.randint(0, 60), rng.choice((1, 2, 3, 4, 6)))
+            for _ in range(m)
+        ]
+        for _ in range(n)
+    ]
+
+
+def test_compose_matrices_match_the_fold_on_32x32x32(qplus):
+    from helpers import join_of_tensors
+
+    rng = random.Random(27)
+    for _ in range(2):
+        rows, cols = workload_matrix(rng, 32, 32), workload_matrix(rng, 32, 32)
+        assert qplus.compose_matrices(rows, cols) == join_of_tensors(qplus, rows, cols)
+
+
+def test_compose_matrices_match_the_fold_at_the_top_of_the_scaled_range(qplus):
+    """With N the largest numerator, two entries N scale to a sum of exactly
+    inf − 1, the largest finite field, and INF + INF fills a field to 2·inf;
+    neither may carry into or borrow from the next field."""
+    from helpers import join_of_tensors
+    from quantcat.quantale import _scaled
+
+    N = Fraction(7)
+    rng = random.Random(30)
+    pool = [N, N, Fraction(7, 2), Fraction(5, 3), INF, INF]
+    for n, m, p in [(4, 3, 5), (6, 6, 6), (3, 8, 2)]:
+        rows = [[rng.choice(pool) for _ in range(m)] for _ in range(n)]
+        cols = [[rng.choice(pool) for _ in range(m)] for _ in range(p)]
+        rows[0], cols[0] = [N] * m, [N] * m  # N + N at every middle object
+        rows[-1][0], cols[-1][0] = INF, INF
+        _, inf, (scaled, _) = _scaled(rows, cols)
+        assert 2 * max(v for line in scaled for v in line if v < inf) == inf - 1
+        got = qplus.compose_matrices(rows, cols)
+        assert got == join_of_tensors(qplus, rows, cols), (rows, cols)
+        assert got[0][0] == 2 * N
+
+
+def test_compose_matrices_build_one_fraction_per_distinct_entry(qplus, monkeypatch):
+    import quantcat.quantale as quantale
+
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    rng = random.Random(31)
+    rows, cols = workload_matrix(rng, 32, 32), workload_matrix(rng, 32, 32)
+    monkeypatch.setattr(quantale, "Fraction", counted)
+    got = qplus.compose_matrices(rows, cols)
+    entries = list(chain(*got))
+    distinct = set(entries)
+    assert len(distinct) < len(entries)
+    assert len({id(v) for v in entries}) == len(distinct)
+    assert len(built) == len(distinct - {INF})
+
+
+# denominators whose lcm passes 2^64 as soon as two of the large ones meet,
+# so the packed fields grow past 100 bits
+WIDE_DENOMINATORS = (1, 3, 2**61 - 1, (2**31 - 1) * (2**61 - 1), 2**89 - 1)
+WIDE_VALUES = st.one_of(
+    st.just(INF),
+    st.builds(Fraction, st.integers(0, 10**30), st.sampled_from(WIDE_DENOMINATORS)),
+)
+
+
+@given(
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.lists(WIDE_VALUES, min_size=72, max_size=72),
+)
+@example(2, 2, 2, [Fraction(1, 2**61 - 1), Fraction(10**30, 2**89 - 1), INF] * 24)
+def test_compose_matrices_match_the_fold_on_wide_denominators(n, m, p, values):
+    from helpers import join_of_tensors
+
+    q = lawvere_plus()
+    rows = [values[m * x:m * (x + 1)] for x in range(n)]
+    cols = [values[36 + m * z:36 + m * (z + 1)] for z in range(p)]
+    got = q.compose_matrices(rows, cols)
+    assert got == join_of_tensors(q, rows, cols)
+    assert all(v is INF or type(v) is Fraction for row in got for v in row)
+    assert [len(row) for row in got] == [p] * n
 
 
 @pytest.mark.parametrize("name", FINITE_BUILTINS)
