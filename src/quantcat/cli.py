@@ -5,14 +5,13 @@ An instance file is strict JSON with three top-level fields: a quantale
 list.  Quantale elements are referenced by name in finite carriers; the
 extended-rational carriers accept integers and strings like ``"1/2"`` or
 ``"inf"`` (floats are rejected everywhere, and so is exponent notation).
-
-Commands: validate, compose, adjoint, isbell, representable, lawvere,
-split, cauchy, colimit, forward-limit, lipnorm.
+``KINDS`` and ``OPS`` state the fields of every object kind and task op,
+and each object and task is checked against them before it is read.
 
 Exit codes: 0 every verdict-bearing task passed, 1 some verdict failed,
-2 input error, 3 enumeration budget exceeded.  The ``--json`` machine
-report is byte-identical across reruns; wall-clock timing appears only in
-the human-readable output.
+2 input error (located by its JSON path), 3 enumeration budget exceeded.
+The ``--json`` machine report is byte-identical across reruns; wall-clock
+timing appears only in the human-readable output.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import functools
 import json
 import sys
 import time
+from itertools import chain
 from typing import Any
 
 from . import ncat as ncat_mod
@@ -48,295 +48,404 @@ from .vcat import VCategory
 
 
 class InputError(ValueError):
-    """A problem with the instance file: parse failure or bad reference."""
+    """A problem with the instance file, located by ``path``, its keys and
+    indices from the JSON root, and by ``op``, the op of the task it lies
+    under; an error about a file that does not read or parse has no path."""
+
+    def __init__(self, problem: str, *path):
+        super().__init__(problem)
+        self.path, self.op = (list(path) if path else None), None
+
+    def at(self, *keys, op=None) -> InputError:
+        """This error, ``keys`` further from the root."""
+        self.path, self.op = [*keys, *(self.path or ())], op or self.op
+        return self
+
+    def __str__(self):
+        if self.path is None:
+            return self.args[0]
+        where = "".join(
+            f"[{key}]" if type(key) is int
+            else f".{key}" if key.isidentifier() else f"[{_quoted(key)}]"
+            for key in self.path
+        )
+        op = f" ({self.op})" if self.op else ""
+        return f"{where.lstrip('.') or '$'}{op}: {self.args[0]}"
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# the instance-file format
+#
+# A field type is an atom below, a string of the kinds (separated by spaces)
+# an earlier object it names may have, a set of the strings it may be, [t] a
+# list of t, (t, ..., t) a list of that many t, {NAME: t} a map to t, or a
+# record {"field": t}, where a field ending in "?" is optional and fields not
+# listed are ignored.  An atom with no JSON types is checked by its reader.
+
+
+class _Atom:
+    def __init__(self, types=None, expected=None):
+        self.types, self.expected = types, expected
+
+
+NAME = _Atom(frozenset((str, int)), "a name (a string or an integer)")
+INT = _Atom(frozenset((int,)), "an integer")
+VALUE = _Atom()  # an element name; a numeral too on the extended rationals
+FLAG = _Atom()  # any JSON value, read for its truth
+QUANTALE = _Atom()  # a built-in quantale's name or an inline ``TABLE``
+STAGE, STEP = _Atom(), _Atom()  # a sequence's stage object and step, by its ambient
+
+_ELEMENTS = [{"id": NAME, "norm": VALUE}]
+
+KINDS = {
+    "normed_set": {"elements": _ELEMENTS},
+    "vcat": {"objects": [NAME], "dist": [[VALUE]]},
+    "vdist": {"source": "vcat", "target": "vcat", "values": [[VALUE]]},
+    "weight_pair": {"space": "vcat", "phi": {NAME: VALUE}, "psi": {NAME: VALUE}},
+    "ncat": {"objects": [NAME], "identities": {NAME: NAME}, "compose": [(NAME, NAME, NAME)],
+             "morphisms": [{"id": NAME, "dom": NAME, "cod": NAME, "norm": VALUE}]},
+    "ndist": {"category": "ncat", "variance?": {"covariant", "contravariant"},
+              "sets": {NAME: _ELEMENTS}, "action": {NAME: {NAME: NAME}}},
+    "certificate": {"phi": "ndist", "psi": "ndist", "c": NAME, "u": NAME, "v": NAME,
+                    "eps": [{"a": NAME, "b": NAME, "map": [(NAME, NAME, NAME)]}]},
+    "sequence": {"ambient": set(seq_mod.AMBIENTS), "category?": "ncat", "odot?": QUANTALE,
+                 "prefix?": [{"object": STAGE, "step": STEP}],
+                 "tail": {"object": STAGE, "endo": STEP}},
+    "metric_sequence": {"space": "vcat", "prefix_points?": [NAME],
+                        "tail": {"points": [NAME], "period?": INT}},
+}
+
+OPS = {
+    "validate": {"target": "vcat ncat vdist weight_pair ndist normed_set sequence"},
+    "compose": {"outer": "vdist", "inner": "vdist"},
+    "adjoint": {"pair?": "weight_pair", "target?": "certificate", "normed?": FLAG},
+    "isbell": {"target": "weight_pair ndist"},
+    "representable": {"pair": "weight_pair"},
+    "lawvere": {"target": "vcat ncat"},
+    "split": {"target": "ncat", "strict?": FLAG},
+    "cauchy": {"target": "sequence metric_sequence"},
+    "colimit": {"target": "sequence", "vlip?": FLAG},
+    "forward-limit": {"target": "metric_sequence", "point": NAME},
+    "lipnorm": {"source": "vcat", "target": "vcat", "map": {NAME: NAME},
+                "mode?": {"multiplicative", "log", "odot"}, "log_base?": INT},
+}
+
+# an inline quantale table, and the top level (an object or a task is
+# checked as it is read, against its kind's or op's fields)
+TABLE = {"elements": [NAME], "leq": [[FLAG]], "tensor": [[NAME]], "unit": NAME}
+_TOP = {"quantale": QUANTALE, "objects?": {NAME: FLAG}, "tasks?": [FLAG]}
+
+
+def _got(node) -> str:
+    """A JSON value as a message names it: a number that is not an integer,
+    a boolean or null by its text, anything else by its type."""
+    if node is None or type(node) in (bool, float):
+        return json.dumps(node)
+    return {str: "a string", int: "an integer", list: "a list"}.get(type(node), "an object")
+
+
+def _check(t, node, inst=None, read=False) -> None:
+    """Raise an ``InputError``, located below ``node``, unless it has field
+    type ``t`` (references resolve in ``inst``); ``read`` reads each value
+    cell too, which locates a value that a parser's one pass rejected."""
+    kind = type(t)
+    if kind is dict and NAME not in t:
+        if type(node) is not dict:
+            raise InputError(f"expected an object, got {_got(node)}")
+        for key, u in t.items():
+            field = key.rstrip("?")
+            if field not in node:
+                if field == key:
+                    raise InputError("missing field", field)
+            elif read or type(u) is not _Atom or u.types and type(node[field]) not in u.types:
+                try:
+                    _check(u, node[field], inst, read)
+                except InputError as exc:
+                    raise exc.at(field)
+    elif kind is str:
+        if type(node) is not str:
+            raise InputError(f"a reference must be an object name, got {_got(node)}")
+        if node not in inst.objects:
+            raise InputError(f"unresolved reference {node!r}")
+        if inst.objects[node][0] not in t.split():
+            kinds = " or ".join(t.split())
+            raise InputError(f"{node!r} has kind {inst.objects[node][0]}, expected {kinds}")
+    elif kind is set:
+        if type(node) is not str or node not in t:
+            got = repr(node) if type(node) is str else _got(node)
+            raise InputError(f"expected one of {', '.join(map(repr, sorted(t)))}, got {got}")
+    elif kind is _Atom:
+        if read and t is VALUE:
+            inst.value(node)
+        elif t.types is not None and type(node) not in t.types:
+            raise InputError(f"expected {t.expected}, got {_got(node)}")
+    else:
+        item, json_type = (t[NAME], dict) if kind is dict else (t[0], list)
+        if type(node) is not json_type or kind is tuple and len(node) != len(t):
+            what = {dict: "an object", tuple: f"a list of {len(t)} items"}.get(kind, "a list")
+            got = len(node) if type(node) is list and kind is tuple else _got(node)
+            raise InputError(f"expected {what}, got {got}")
+        if read or not _all(item, node.values() if kind is dict else node):
+            for key, x in node.items() if kind is dict else enumerate(node):
+                try:
+                    _check(item, x, inst, read)
+                except InputError as exc:
+                    raise exc.at(key)
+
+
+def _all(t, items) -> bool:
+    """Whether each of ``items`` has field type ``t``, tested at C speed a
+    level at a time (False: check one by one, as references and choices)."""
+    if type(t) is _Atom:
+        if t is NAME:
+            try:
+                "".join(items)  # the fastest test, while every name is a string
+                return True
+            except TypeError:
+                pass
+        return t.types is None or t.types.issuperset(map(type, items))
+    if type(t) in (str, set):
+        return False
+    if type(t) is dict and NAME not in t:  # records, each field a column
+        if not {dict} >= set(map(type, items)):
+            return False
+        try:
+            for key, u in t.items():
+                if key[-1] == "?" or not _all(u, [item[key] for item in items]):
+                    return False
+        except KeyError:  # a missing field
+            return False
+        return True
+    item, json_type = (t[NAME], dict) if type(t) is dict else (t[0], list)
+    if not {json_type} >= set(map(type, items)):
+        return False
+    if type(t) is tuple and not {len(t)} >= set(map(len, items)):
+        return False
+    if getattr(item, "types", 0) is None:
+        return True
+    cells = chain.from_iterable(map(dict.values, items) if json_type is dict else items)
+    return _all(item, list(cells))
+
+
+def _tag(node, field: str, table: dict) -> str:
+    """The ``field`` of the JSON object ``node``, a key of ``table``."""
+    tag = node.get(field) if type(node) is dict else None
+    if type(tag) is not str or tag not in table:
+        _check({field: set(table)}, node)
+    return tag
+
+
+# ---------------------------------------------------------------------------
+# parsing: each parser reads a literal that passed its kind's fields
 
 
 def parse_quantale(spec) -> Quantale:
-    if isinstance(spec, str):
+    if type(spec) is str:
         if spec not in BUILTIN_QUANTALES:
             raise InputError(f"unknown built-in quantale {spec!r}")
         return builtin_quantale(spec)
-    if isinstance(spec, dict):
-        try:
-            q = FiniteQuantale(
-                spec["elements"], spec["leq"], spec["tensor"], spec["unit"]
-            )
-        except KeyError as missing:
-            raise InputError(f"quantale table is missing field {missing}")
-        except (ValueError, CarrierMismatch) as exc:
-            raise InputError(f"bad quantale table: {exc}")
-        report = validate_quantale(q)
-        if not report.ok:
-            failed = "; ".join(c.describe() for c in report.failures())
-            raise InputError(f"quantale table is not a quantale: {failed}")
-        return q
-    raise InputError("quantale must be a built-in name or a table")
-
-
-def parse_value(q: Quantale, raw):
+    if type(spec) is not dict:
+        raise InputError(f"expected a built-in quantale name or a table, got {_got(spec)}")
+    _check(TABLE, spec)
     try:
-        return q.parse(raw)
-    except CarrierMismatch as exc:
-        raise InputError(str(exc))
-
-
-def parse_normed_set(inst: Instance, spec: dict) -> NormedSet:
-    elements = spec.get("elements")
-    if not isinstance(elements, list):
-        raise InputError("normed set literal needs an 'elements' list")
-    norms, order = {}, []
-    for entry in elements:
-        norms[entry["id"]] = inst.value(entry["norm"])
-        order.append(entry["id"])
-    return NormedSet.trusted(inst.quantale, norms, order)
-
-
-def parse_vcat(inst: Instance, spec: dict) -> VCategory:
-    objects = spec.get("objects")
-    matrix = spec.get("dist")
-    if objects is None or matrix is None:
-        raise InputError("V-category literal needs 'objects' and 'dist'")
-    if not isinstance(objects, list):
-        raise InputError("field 'objects' must be a list of names")
-    _require_names(objects, "an entry of 'objects'")
-    n = len(objects)
-    if (
-        not isinstance(matrix, list)
-        or len(matrix) != n
-        or any(not isinstance(row, list) or len(row) != n for row in matrix)
-    ):
-        raise InputError(f"field 'dist' must be a {n}x{n} matrix")
-    value = inst.value
-    dist = {
-        (x, y): value(v)
-        for x, row in zip(objects, matrix)
-        for y, v in zip(objects, row)
-    }
-    try:
-        return VCategory.trusted(inst.quantale, objects, dist)
+        q = FiniteQuantale(spec["elements"], spec["leq"], spec["tensor"], spec["unit"])
     except ValueError as exc:
-        raise InputError(f"bad V-category literal: {exc}")
-
-
-def _require_names(values, what: str) -> None:
-    """Names of morphisms, elements and objects are JSON scalars."""
-    bad = next((v for v in values if isinstance(v, (list, dict))), None)
-    if bad is not None:
-        raise InputError(f"{what} must be a name, got {bad!r}")
-
-
-def parse_ncat(inst: Instance, spec: dict) -> ncat_mod.NormedCategory:
-    try:
-        objects, rows, morphisms = spec["objects"], spec["compose"], spec["morphisms"]
-        if not isinstance(objects, list):
-            raise InputError("field 'objects' must be a list of names")
-        _require_names(objects, "an entry of 'objects'")
-        if not isinstance(rows, list) or any(
-            not isinstance(row, list) or len(row) != 3 for row in rows
-        ):
-            raise InputError("field 'compose' must be a list of [g, f, composite] rows")
-        table: dict = {}
-        twice = None  # the first [g, f] given a second composite
-        try:
-            for g, f, gf in rows:
-                # a JSON list or object among the names does not hash: as g
-                # or f in the key, or as gf here
-                if table.setdefault((g, f), gf) != gf and twice is None:
-                    twice = [g, f]
-                hash(gf)
-        except TypeError:
-            _require_names((name for row in rows for name in row), "an entry of 'compose'")
-            raise
-        if twice is not None:
-            raise InputError(f"field 'compose' gives {twice!r} two composites")
-        names = [m["id"] for m in morphisms]
-        return ncat_mod.NormedCategory(
-            inst.quantale,
-            objects,
-            names,
-            {m["id"]: m["dom"] for m in morphisms},
-            {m["id"]: m["cod"] for m in morphisms},
-            spec["identities"],
-            table,
-            {m["id"]: inst.value(m["norm"]) for m in morphisms},
-        )
-    except KeyError as missing:
-        raise InputError(f"normed category literal is missing {missing}")
-    except InputError:
-        raise
-    except ValueError as exc:
-        raise InputError(f"bad normed category literal: {exc}")
+        raise InputError(f"bad quantale table: {exc}")
+    report = validate_quantale(q)
+    if not report.ok:
+        failed = "; ".join(c.describe() for c in report.failures())
+        raise InputError(f"quantale table is not a quantale: {failed}")
+    return q
 
 
 class Instance:
-    """A parsed instance file.
-
-    ``value`` makes each file-format value canonical, and converts each
-    distinct numeral string once: the memo lives for one parse on this
-    instance, keyed on ``str`` values only (JSON ``true``, ``1`` and ``1.0``
+    """A parsed instance file; ``inst[name]`` is the object a checked
+    reference names.  ``value`` makes each file-format value canonical, and
+    converts each distinct numeral string once: the memo lives for one
+    parse, keyed on ``str`` values only (JSON ``true``, ``1`` and ``1.0``
     are parsed each time, so they never meet ``"1"``), and an error is
-    raised again rather than remembered.
-    """
+    raised again rather than remembered."""
 
     def __init__(self, quantale_spec, quantale, objects, tasks):
-        self.quantale_spec = quantale_spec
-        self.quantale = quantale
+        self.quantale_spec, self.quantale, self.tasks = quantale_spec, quantale, tasks
         self.objects = objects  # name -> (kind, parsed value)
-        self.tasks = tasks
         self.numerals: dict[str, Any] = {}
 
     def value(self, raw):
-        """``parse_value`` in this instance's quantale, memoised on strings."""
-        if type(raw) is not str:
-            return parse_value(self.quantale, raw)
+        """``raw`` parsed in this instance's quantale, memoised on strings."""
         try:
-            return self.numerals[raw]
-        except KeyError:
-            value = self.numerals[raw] = parse_value(self.quantale, raw)
-            return value
+            if type(raw) is not str:
+                return self.quantale.parse(raw)
+            try:
+                return self.numerals[raw]
+            except KeyError:
+                value = self.numerals[raw] = self.quantale.parse(raw)
+                return value
+        except CarrierMismatch as exc:
+            raise InputError(str(exc))
 
-    def resolve(self, name, kinds=None):
-        if not isinstance(name, str):
-            raise InputError(f"a reference must be an object name, got {name!r}")
-        if name not in self.objects:
-            raise InputError(f"unresolved reference {name!r}")
-        kind, value = self.objects[name]
-        if kinds is not None and kind not in kinds:
-            raise InputError(f"{name!r} has kind {kind}, expected one of {kinds}")
-        return kind, value
+    def __getitem__(self, name):
+        return self.objects[name][1]
+
+
+def _literal(inst: Instance, kind: str, spec: dict):
+    """The object of a ``kind`` literal that passed the kind's fields."""
+    _check(KINDS[kind], spec, inst)
+    try:
+        return _PARSERS[kind](inst, spec)
+    except InputError as exc:
+        if exc.path is None:  # a value: the parsers locate everything else
+            _check(KINDS[kind], spec, inst, read=True)
+        raise
+
+
+def _normed_set(inst: Instance, elements: list) -> NormedSet:
+    value = inst.value
+    norms = {e["id"]: value(e["norm"]) for e in elements}
+    return NormedSet.trusted(inst.quantale, norms, [e["id"] for e in elements])
+
+
+def _matrix(inst: Instance, spec: dict, field: str, sources, targets) -> dict:
+    """The values of the len(sources) x len(targets) matrix ``field``, keyed (s, t)."""
+    rows, n, m, value = spec[field], len(sources), len(targets), inst.value
+    if len(rows) != n:
+        raise InputError(f"must be a {n}x{m} matrix, got {len(rows)} rows", field)
+    if n and set(map(len, rows)) != {m}:
+        i = next(i for i, row in enumerate(rows) if len(row) != m)
+        problem = f"a row of the {n}x{m} matrix must have {m} values, got {len(rows[i])}"
+        raise InputError(problem, field, i)
+    return {(s, t): value(v) for s, row in zip(sources, rows) for t, v in zip(targets, row)}
+
+
+def _entries(spec: dict, field: str, keys, what: str) -> list:
+    """``spec[field][k]`` for each of ``keys``; a missing one is an error."""
+    given = spec[field]
+    missing = next((k for k in keys if k not in given), None)
+    if missing is not None:
+        raise InputError(f"no {what} {missing!r}", field)
+    return [given[k] for k in keys]
+
+
+def parse_vcat(inst: Instance, spec: dict) -> VCategory:
+    dist = _matrix(inst, spec, "dist", spec["objects"], spec["objects"])
+    try:
+        return VCategory.trusted(inst.quantale, spec["objects"], dist)
+    except ValueError as exc:
+        raise InputError(str(exc), "objects")
+
+
+def parse_ncat(inst: Instance, spec: dict) -> ncat_mod.NormedCategory:
+    morphisms, table, value = spec["morphisms"], {}, inst.value
+    for i, (g, f, gf) in enumerate(spec["compose"]):
+        if table.setdefault((g, f), gf) != gf:
+            raise InputError(f"gives {[g, f]!r} two composites", "compose", i)
+    ids, norms = [m["id"] for m in morphisms], {m["id"]: value(m["norm"]) for m in morphisms}
+    dom, cod = ({m["id"]: m[end] for m in morphisms} for end in ("dom", "cod"))
+    objects, identities = spec["objects"], spec["identities"]
+    return ncat_mod.NormedCategory(inst.quantale, objects, ids, dom, cod, identities, table, norms)
 
 
 def _parse_vdist(inst: Instance, spec: dict) -> vcat_mod.VDistributor:
-    _, source = inst.resolve(spec["source"], {"vcat"})
-    _, target = inst.resolve(spec["target"], {"vcat"})
-    rows = spec["values"]
-    if len(rows) != len(source.objects) or any(
-        len(row) != len(target.objects) for row in rows
-    ):
-        raise InputError(
-            f"field 'values' must be a {len(source.objects)}x{len(target.objects)} matrix"
-        )
-    value = inst.value
-    values = {}
-    for i, x in enumerate(source.objects):
-        for j, y in enumerate(target.objects):
-            values[(x, y)] = value(rows[i][j])
+    source, target = inst[spec["source"]], inst[spec["target"]]
+    values = _matrix(inst, spec, "values", source.objects, target.objects)
     return vcat_mod.VDistributor.trusted(source, target, values)
 
 
 def _parse_weight_pair(inst: Instance, spec: dict) -> vcat_mod.VWeightPair:
-    _, X = inst.resolve(spec["space"], {"vcat"})
+    X, trusted = inst[spec["space"]], vcat_mod.VDistributor.trusted
     E, star = vcat_mod.unit_vcat(inst.quantale), vcat_mod.POINT
-    phi = {(star, x): inst.value(spec["phi"][x]) for x in X.objects}
-    psi = {(x, star): inst.value(spec["psi"][x]) for x in X.objects}
-    trusted = vcat_mod.VDistributor.trusted
-    return vcat_mod.VWeightPair(trusted(E, X, phi), trusted(X, E, psi))
+    phi, psi = (
+        [inst.value(v) for v in _entries(spec, field, X.objects, "value for object")]
+        for field in ("phi", "psi")
+    )
+    return vcat_mod.VWeightPair(
+        trusted(E, X, {(star, x): v for x, v in zip(X.objects, phi)}),
+        trusted(X, E, {(x, star): v for x, v in zip(X.objects, psi)}),
+    )
 
 
 def _parse_ndist(inst: Instance, spec: dict) -> ncat_mod.NormedDistributor:
-    _, A = inst.resolve(spec["category"], {"ncat"})
-    variance = spec.get("variance", "covariant")
-    if variance not in ("covariant", "contravariant"):
-        raise InputError(f"unknown variance {variance!r}")
-    sets = {
-        a: parse_normed_set(inst, {"elements": spec["sets"][a]}) for a in A.objects
-    }
-    action = {h: dict(spec["action"][h]) for h in A.morphisms}
-    try:
-        return ncat_mod.NormedDistributor(A, variance == "covariant", sets, action)
-    except ValueError as exc:
-        raise InputError(f"bad distributor literal: {exc}")
+    A = inst[spec["category"]]
+    sets = _entries(spec, "sets", A.objects, "set for object")
+    sets = {a: _normed_set(inst, elements) for a, elements in zip(A.objects, sets)}
+    action = dict(zip(A.morphisms, _entries(spec, "action", A.morphisms, "map for morphism")))
+    covariant = spec.get("variance", "covariant") == "covariant"
+    return ncat_mod.NormedDistributor(A, covariant, sets, action)
 
 
 def _parse_certificate(inst: Instance, spec: dict) -> ncat_mod.AdjunctionCertificate:
-    _, phi = inst.resolve(spec["phi"], {"ndist"})
-    _, psi = inst.resolve(spec["psi"], {"ndist"})
+    phi, psi = inst[spec["phi"]], inst[spec["psi"]]
     eps = {}
-    for entry in spec["eps"]:
-        key = (entry["a"], entry["b"])
-        _require_names(key, "field 'eps': 'a' and 'b'")
-        bad = next((a for a in key if a not in phi.sets), None)
-        if bad is not None:
-            raise InputError(f"field 'eps': {bad!r} is not an object of phi's category")
+    for i, entry in enumerate(spec["eps"]):
+        for end in ("a", "b"):
+            if entry[end] not in phi.sets:
+                problem = f"{entry[end]!r} is not an object of phi's category"
+                raise InputError(problem, "eps", i, end)
         table: dict = {}
-        for y, x, m in entry["map"]:
+        for j, (y, x, m) in enumerate(entry["map"]):
             if table.setdefault((y, x), m) != m:
-                raise InputError(f"field 'eps': entry {[*key]!r} gives {[y, x]!r} two morphisms")
+                raise InputError(f"gives {[y, x]!r} two morphisms", "eps", i, "map", j)
+        key = (entry["a"], entry["b"])
         if eps.setdefault(key, table) != table:
-            raise InputError(f"field 'eps' gives {[*key]!r} two entries")
+            raise InputError(f"gives {[*key]!r} two entries", "eps", i)
     c, u, v = spec["c"], spec["u"], spec["v"]
-    _require_names([c, u, v], "'c', 'u' and 'v'")
     if c not in phi.sets:
-        raise InputError(f"field 'c': {c!r} is not an object of phi's category")
+        raise InputError(f"{c!r} is not an object of phi's category", "c")
     if u not in phi.sets[c]:
-        raise InputError(f"field 'u': {u!r} is not an element of phi at {c!r}")
+        raise InputError(f"{u!r} is not an element of phi at {c!r}", "u")
     if c not in psi.sets or v not in psi.sets[c]:
-        raise InputError(f"field 'v': {v!r} is not an element of psi at {c!r}")
+        raise InputError(f"{v!r} is not an element of psi at {c!r}", "v")
     return ncat_mod.AdjunctionCertificate(phi, psi, eps, c, u, v)
 
 
-def _parse_stage_object(inst: Instance, ambient: str, raw):
-    if isinstance(raw, str):
-        kind = {"nset": "normed_set", "dset": "vcat"}[ambient]
-        return inst.resolve(raw, {kind})[1]
-    if ambient == "nset":
-        return parse_normed_set(inst, raw)
-    return parse_vcat(inst, raw)
-
-
 def _parse_sequence(inst: Instance, spec: dict) -> seq_mod.Sequence:
-    ambient = spec.get("ambient")
-    if ambient not in seq_mod.AMBIENTS:
-        raise InputError(f"unknown ambient {ambient!r}")
-    tail = spec.get("tail")
-    if not isinstance(tail, dict):
-        raise InputError("sequence literal needs a 'tail' object")
-    try:
-        if ambient == "ncat":
-            _, A = inst.resolve(spec["category"], {"ncat"})
-            prefix_objects = [p["object"] for p in spec.get("prefix", [])]
-            prefix_steps = [p["step"] for p in spec.get("prefix", [])]
-            return seq_mod.Sequence(
-                ambient, prefix_objects, prefix_steps, tail["object"], tail["endo"],
-                category=A,
-            )
-        prefix_objects = [
-            _parse_stage_object(inst, ambient, p["object"])
-            for p in spec.get("prefix", [])
-        ]
-        prefix_steps = [dict(p["step"]) for p in spec.get("prefix", [])]
-        tail_object = _parse_stage_object(inst, ambient, tail["object"])
-        norm_quantale = None
-        if ambient == "dset" and "odot" in spec:
-            norm_quantale = parse_quantale(spec["odot"])
-        return seq_mod.Sequence(
-            ambient, prefix_objects, prefix_steps, tail_object, dict(tail["endo"]),
-            norm_quantale=norm_quantale,
-        )
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"bad sequence literal: {exc}")
+    """A sequence.  Its stages and steps are an object and a morphism of its
+    category, or else normed_set or vcat objects, named or literal, and maps."""
+    ambient, tail, prefix = spec["ambient"], spec["tail"], spec.get("prefix", [])
+    kind = {seq_mod.NSET: "normed_set", seq_mod.DSET: "vcat"}.get(ambient)
+    stages = [(("prefix", i), "step", p["object"], p["step"]) for i, p in enumerate(prefix)]
+    stages.append((("tail",), "endo", tail["object"], tail["endo"]))
+    objects, steps = [], []
+    for where, field, raw, step in stages:
+        try:
+            if kind and type(raw) is dict:
+                raw = _literal(inst, kind, raw)
+            else:
+                _check(kind or NAME, raw, inst)
+                raw = inst[raw] if kind else raw
+        except InputError as exc:
+            raise exc.at(*where, "object")
+        try:
+            _check({NAME: NAME} if kind else NAME, step)
+        except InputError as exc:
+            raise exc.at(*where, field)
+        objects.append(raw)
+        steps.append(dict(step) if kind else step)
+    shape = (ambient, objects[:-1], steps[:-1], objects[-1], steps[-1])
+    if not kind:
+        if "category" not in spec:
+            raise InputError("missing field", "category")
+        return seq_mod.Sequence(*shape, category=inst[spec["category"]])
+    odot = None
+    if ambient == seq_mod.DSET and "odot" in spec:
+        try:
+            odot = parse_quantale(spec["odot"])
+        except InputError as exc:
+            raise exc.at("odot")
+    return seq_mod.Sequence(*shape, norm_quantale=odot)
 
 
 def _parse_metric_sequence(inst: Instance, spec: dict) -> seq_mod.MetricSequence:
-    _, X = inst.resolve(spec["space"], {"vcat"})
-    tail = spec.get("tail", {})
-    points = tail.get("points")
+    points = spec["tail"]["points"]
     if not points:
-        raise InputError("metric sequence needs tail points")
-    if tail.get("period", len(points)) != len(points):
-        raise InputError("tail period must equal the number of tail points")
-    try:
-        return seq_mod.MetricSequence(X, spec.get("prefix_points", []), points)
-    except ValueError as exc:
-        raise InputError(f"bad metric sequence: {exc}")
+        raise InputError("the tail cycle must be nonempty", "tail", "points")
+    if spec["tail"].get("period", len(points)) != len(points):
+        raise InputError(f"must equal the number of tail points, {len(points)}", "tail", "period")
+    return seq_mod.MetricSequence(inst[spec["space"]], spec.get("prefix_points", []), points)
 
 
 _PARSERS = {
-    "normed_set": parse_normed_set,
+    "normed_set": lambda inst, spec: _normed_set(inst, spec["elements"]),
     "vcat": parse_vcat,
     "ncat": parse_ncat,
     "vdist": _parse_vdist,
@@ -348,38 +457,31 @@ _PARSERS = {
 }
 
 
-def parse_instance(data: dict) -> Instance:
-    if not isinstance(data, dict):
-        raise InputError("the instance file must be a JSON object")
-    if "quantale" not in data:
-        raise InputError("missing 'quantale'")
-    quantale = parse_quantale(data["quantale"])
-    inst = Instance(data["quantale"], quantale, {}, [])
-    objects = data.get("objects", {})
-    if not isinstance(objects, dict):
-        raise InputError("'objects' must be a JSON object")
-    for name, spec in objects.items():
-        if not isinstance(spec, dict):
-            raise InputError(f"object {name!r} must be a JSON object")
-        kind = spec.get("kind")
-        if not isinstance(kind, str) or kind not in _PARSERS:
-            raise InputError(f"object {name!r} has unknown kind {kind!r}")
+def parse_instance(data) -> Instance:
+    try:
+        _check(_TOP, data)
+    except InputError as exc:
+        raise exc.at()
+    try:
+        quantale = parse_quantale(data["quantale"])
+    except InputError as exc:
+        raise exc.at("quantale")
+    inst = Instance(data["quantale"], quantale, {}, data.get("tasks", []))
+    for name, spec in data.get("objects", {}).items():
         try:
-            inst.objects[name] = (kind, _PARSERS[kind](inst, spec))
-        except KeyError as missing:
-            raise InputError(f"object {name!r}: missing field {missing}")
+            kind = _tag(spec, "kind", KINDS)
+            inst.objects[name] = (kind, _literal(inst, kind, spec))
         except InputError as exc:
-            raise InputError(f"object {name!r}: {exc}")
-        except (TypeError, AttributeError, IndexError, ValueError) as exc:
-            # a field of the wrong JSON type somewhere inside the literal
-            raise InputError(f"object {name!r}: malformed literal ({exc})")
-    tasks = data.get("tasks", [])
-    if not isinstance(tasks, list):
-        raise InputError("'tasks' must be a list")
-    bad = next((i for i, task in enumerate(tasks) if not isinstance(task, dict)), None)
-    if bad is not None:
-        raise InputError(f"task {bad} must be a JSON object")
-    inst.tasks = tasks
+            raise exc.at("objects", name)
+        except ValueError as exc:  # a constructor's check across fields
+            raise InputError(str(exc), "objects", name)
+    for i, task in enumerate(inst.tasks):
+        op = None
+        try:
+            op = _tag(task, "op", OPS)
+            _check(OPS[op], task, inst)
+        except InputError as exc:
+            raise exc.at("tasks", i, op=op)
     inst.numerals.clear()
     return inst
 
@@ -391,15 +493,12 @@ def load_instance(path: str) -> Instance:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise InputError(
-            f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        )
+        raise InputError(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path}: not UTF-8 text (byte {exc.start})")
     except ValueError:  # json reads an integer literal with int, which may refuse it
-        raise InputError(
-            f"numeral too long: an integer literal has more than {int_digit_limit()} digits"
-        )
+        limit = int_digit_limit()
+        raise InputError(f"numeral too long: an integer literal has more than {limit} digits")
     return parse_instance(data)
 
 
@@ -424,18 +523,23 @@ def _ser_vcat(X: VCategory) -> dict:
 # task execution
 
 
+def _outcome(ok, **details) -> dict:
+    """A task's verdict (None for an information task) and its details."""
+    return {"verdict": "info" if ok is None else "pass" if ok else "fail", "details": details}
+
+
 def _report_details(q: Quantale, report: Report) -> list:
     return [
-        {"check": c.name, "ok": c.ok, "witness": _jsonable(q, c.witness)}
-        for c in report.checks
+        {"check": c.name, "ok": c.ok, "witness": _jsonable(q, c.witness)} for c in report.checks
     ]
 
 
 def _checks_outcome(q: Quantale, report: Report) -> dict:
-    return {
-        "verdict": "pass" if report.ok else "fail",
-        "details": {"checks": _report_details(q, report)},
-    }
+    return _outcome(report.ok, checks=_report_details(q, report))
+
+
+def _precondition_failure(q: Quantale, error: str, report: Report) -> dict:
+    return _outcome(False, error=error, evidence=_report_details(q, report))
 
 
 def _jsonable(q: Quantale, value) -> Any:
@@ -445,15 +549,11 @@ def _jsonable(q: Quantale, value) -> Any:
         return [_jsonable(q, v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(q, v) for k, v in value.items()}
-    try:
-        return q.format(value)
-    except Exception:
-        return repr(value)
+    return q.format(value)
 
 
 def _task_validate(inst: Instance, task: dict, budget: int, probe: int) -> dict:
-    kind, value = inst.resolve(task["target"])
-    q = inst.quantale
+    kind, value = inst.objects[task["target"]]
     if kind == "vcat":
         report = value.report
     elif kind == "ncat":
@@ -470,33 +570,26 @@ def _task_validate(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     elif kind == "normed_set":
         report = Report()
         report.add("norm-total", True)
-    elif kind == "sequence":
-        report = seq_mod.validate_sequence(value)
     else:
-        raise InputError(f"validate does not apply to kind {kind!r}")
-    return _checks_outcome(q, report)
+        report = seq_mod.validate_sequence(value)
+    return _checks_outcome(inst.quantale, report)
 
 
 def _task_compose(inst: Instance, task: dict, budget: int, probe: int) -> dict:
-    _, outer = inst.resolve(task["outer"], {"vdist"})
-    _, inner = inst.resolve(task["inner"], {"vdist"})
-    result = vcat_mod.compose_vdist(outer, inner)
-    q = inst.quantale
-    values = [
-        [q.format(result.at(x, z)) for z in result.target.objects]
-        for x in result.source.objects
-    ]
-    return {"verdict": "info", "details": {"values": values}}
+    result, q = vcat_mod.compose_vdist(inst[task["outer"]], inst[task["inner"]]), inst.quantale
+    sources, targets = result.source.objects, result.target.objects
+    return _outcome(None, values=[[q.format(result.at(x, z)) for z in targets] for x in sources])
 
 
 def _task_adjoint(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     q = inst.quantale
     if "pair" in task:
-        _, wp = inst.resolve(task["pair"], {"weight_pair"})
+        wp = inst[task["pair"]]
         return _checks_outcome(q, vcat_mod.adjoint_report(wp.phi, wp.psi))
-    _, cert = inst.resolve(task["target"], {"certificate"})
+    if "target" not in task:
+        raise InputError("missing field", "target")
     try:
-        report = ncat_mod.check_adjunction_cert(cert, normed=task.get("normed", False))
+        report = ncat_mod.check_adjunction_cert(inst[task["target"]], task.get("normed", False))
     except PreconditionError as exc:
         return _precondition_failure(q, "not a category", exc.value)
     return _checks_outcome(q, report)
@@ -504,189 +597,120 @@ def _task_adjoint(inst: Instance, task: dict, budget: int, probe: int) -> dict:
 
 def _task_isbell(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     q = inst.quantale
-    kind, value = inst.resolve(task["target"], {"weight_pair", "ndist"})
+    kind, value = inst.objects[task["target"]]
     if kind == "weight_pair":
-        conj = vcat_mod.isbell_conjugate_weight(value.phi)
-        vec = vcat_mod.coweight_vector(conj)
-        return {
-            "verdict": "info",
-            "details": {"conjugate": {x: q.format(v) for x, v in vec.items()}},
-        }
+        vec = vcat_mod.coweight_vector(vcat_mod.isbell_conjugate_weight(value.phi))
+        return _outcome(None, conjugate={x: q.format(v) for x, v in vec.items()})
     conj = ncat_mod.isbell_conjugate_ndist(value, budget)
     sizes = {a: len(conj.set_at(a)) for a in conj.category.objects}
-    norms = {
-        a: [q.format(conj.set_at(a).norm(e)) for e in conj.set_at(a)]
-        for a in conj.category.objects
-    }
-    return {"verdict": "info", "details": {"sizes": sizes, "norms": norms}}
+    norms = {a: [q.format(conj.set_at(a).norm(e)) for e in conj.set_at(a)] for a in sizes}
+    return _outcome(None, sizes=sizes, norms=norms)
 
 
 def _task_representable(inst: Instance, task: dict, budget: int, probe: int) -> dict:
-    q = inst.quantale
-    _, wp = inst.resolve(task["pair"], {"weight_pair"})
+    wp = inst[task["pair"]]
     try:
         witness = vcat_mod.is_representable(wp.phi, wp.psi)
     except PreconditionError as exc:
-        return _precondition_failure(q, "pair is not adjoint", exc.value)
-    return {
-        "verdict": "pass" if witness is not None else "fail",
-        "details": {"witness": witness},
-    }
+        return _precondition_failure(inst.quantale, "pair is not adjoint", exc.value)
+    return _outcome(witness is not None, witness=witness)
 
 
 def _format_weight_vec(q: Quantale, vec: dict) -> dict:
     return {str(x): q.format(v) for x, v in vec.items()}
 
 
-def _precondition_failure(q: Quantale, error: str, report: Report) -> dict:
-    return {
-        "verdict": "fail",
-        "details": {"error": error, "evidence": _report_details(q, report)},
-    }
-
-
 def _task_lawvere(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     q = inst.quantale
-    kind, value = inst.resolve(task["target"], {"vcat", "ncat"})
+    kind, value = inst.objects[task["target"]]
     error, decide = (
-        ("not a V-category", vcat_mod.lawvere_complete_vcat)
-        if kind == "vcat"
+        ("not a V-category", vcat_mod.lawvere_complete_vcat) if kind == "vcat"
         else ("not a normed category", ncat_mod.is_lawvere_complete_ncat)
     )
     try:
         verdict = decide(value, budget)
     except PreconditionError as exc:
         return _precondition_failure(q, error, exc.value)
-    if kind == "vcat":
-        if verdict.complete:
-            witness = [
-                {"weight": _format_weight_vec(q, vec), "witness": obj}
-                for vec, obj in verdict.witness
-            ]
-        else:
-            phi_vec, psi_vec = verdict.witness
-            witness = {
-                "phi": _format_weight_vec(q, phi_vec),
-                "psi": _format_weight_vec(q, psi_vec),
-            }
-        return {
-            "verdict": "pass" if verdict.complete else "fail",
-            "details": {"witness": witness},
-        }
-    details = {
-        "clause": verdict.clause,
-        "certificate": _jsonable(q, verdict.certificate),
-    }
-    return {"verdict": "pass" if verdict.complete else "fail", "details": details}
+    if kind == "ncat":
+        certificate = _jsonable(q, verdict.certificate)
+        return _outcome(verdict.complete, clause=verdict.clause, certificate=certificate)
+    if verdict.complete:
+        witness = [
+            {"weight": _format_weight_vec(q, vec), "witness": obj} for vec, obj in verdict.witness
+        ]
+    else:
+        witness = dict(zip(("phi", "psi"), (_format_weight_vec(q, v) for v in verdict.witness)))
+    return _outcome(verdict.complete, witness=witness)
 
 
 def _task_split(inst: Instance, task: dict, budget: int, probe: int) -> dict:
-    _, A = inst.resolve(task["target"], {"ncat"})
+    A = inst[task["target"]]
     if not A.report.ok:
         return _precondition_failure(inst.quantale, "not a category", A.report)
     try:
-        ok, witness = (
-            A.strict_split if task.get("strict") else ncat_mod.split_idempotents_check(A)
-        )
+        ok, witness = A.strict_split if task.get("strict") else ncat_mod.split_idempotents_check(A)
     except ConstructionError as exc:
         raise PreconditionError(f"the strict part needs a normed category: {exc}")
-    return {"verdict": "pass" if ok else "fail", "details": {"witness": witness}}
+    return _outcome(ok, witness=witness)
 
 
 def _task_cauchy(inst: Instance, task: dict, budget: int, probe: int) -> dict:
-    q = inst.quantale
-    kind, value = inst.resolve(task["target"], {"sequence", "metric_sequence"})
+    kind, value = inst.objects[task["target"]]
     if kind == "sequence":
-        v = seq_mod.cauchy_value(value)
-        ok = value.norm_quantale.leq(value.norm_quantale.unit, v)
-        return {
-            "verdict": "pass" if ok else "fail",
-            "details": {"value": value.norm_quantale.format(v)},
-        }
-    v = seq_mod.forward_cauchy_value(value)
-    ok = q.leq(q.unit, v)
-    return {"verdict": "pass" if ok else "fail", "details": {"value": q.format(v)}}
+        q, v = value.norm_quantale, seq_mod.cauchy_value(value)
+    else:
+        q, v = inst.quantale, seq_mod.forward_cauchy_value(value)
+    return _outcome(q.leq(q.unit, v), value=q.format(v))
 
 
 def _task_colimit(inst: Instance, task: dict, budget: int, probe: int) -> dict:
-    q = inst.quantale
-    _, s = inst.resolve(task["target"], {"sequence"})
+    s = inst[task["target"]]
+    if s.kind == seq_mod.NCAT:
+        raise InputError("colimit construction applies to set-like ambients", "target")
     try:
-        if s.kind == "nset":
+        if s.kind == seq_mod.NSET:
             apex, gamma = seq_mod.colimit_nset(s)
-            apex_out = _ser_normed_set(apex)
-        elif s.kind == "dset":
-            if task.get("vlip"):
-                apex, gamma = seq_mod.colimit_vlip(s)
-            else:
-                apex, gamma = seq_mod.colimit_dset(s)
-            apex_out = _ser_vcat(apex)
         else:
-            raise InputError("colimit construction applies to set-like ambients")
+            apex, gamma = (seq_mod.colimit_vlip if task.get("vlip") else seq_mod.colimit_dset)(s)
     except PreconditionError as exc:
-        return {
-            "verdict": "fail",
-            "details": {
-                "rejected": str(exc),
-                "value": s.norm_quantale.format(exc.value),
-            },
-        }
+        return _outcome(False, rejected=str(exc), value=s.norm_quantale.format(exc.value))
     report = seq_mod.colimit_report(s, gamma, probe)
-    return {
-        "verdict": "pass" if report.ok else "fail",
-        "details": {
-            "apex": apex_out,
-            "checks": _report_details(s.norm_quantale, report),
-            "probe_bound": probe,
-        },
-    }
+    apex_out = _ser_normed_set(apex) if s.kind == seq_mod.NSET else _ser_vcat(apex)
+    checks = _report_details(s.norm_quantale, report)
+    return _outcome(report.ok, apex=apex_out, checks=checks, probe_bound=probe)
 
 
 def _task_forward_limit(inst: Instance, task: dict, budget: int, probe: int) -> dict:
-    _, ms = inst.resolve(task["target"], {"metric_sequence"})
-    point = task.get("point")
-    if point is None:
-        raise InputError("forward-limit needs a candidate 'point'")
-    ok = seq_mod.forward_limit_metric(ms, point)
-    return {"verdict": "pass" if ok else "fail", "details": {"point": point}}
+    ms, point = inst[task["target"]], task["point"]
+    if point not in ms.space.objects:
+        raise InputError(f"candidate point {point!r} not in the space", "point")
+    return _outcome(seq_mod.forward_limit_metric(ms, point), point=point)
 
 
 def _task_lipnorm(inst: Instance, task: dict, budget: int, probe: int) -> dict:
-    _, X = inst.resolve(task["source"], {"vcat"})
-    _, Y = inst.resolve(task["target"], {"vcat"})
-    mapping = task.get("map")
-    mode = task.get("mode", "multiplicative")
-    if not isinstance(mapping, dict):
-        raise InputError("lipnorm needs a 'map' object")
+    X, Y, mapping = inst[task["source"]], inst[task["target"]], task["map"]
+    mode, log_base = task.get("mode", "multiplicative"), task.get("log_base", 2)
     for x in X.objects:
         if x not in mapping:
-            raise InputError(f"'map' has no image for source point {x!r}")
-    points = set(X.objects)
-    for x in mapping:
-        if x not in points:
-            raise InputError(f"'map' names {x!r}, which is not a source point")
-    log_base = task.get("log_base", 2)
-    if type(log_base) is not int or log_base < 2:
-        raise InputError(f"lipnorm 'log_base' must be an integer >= 2, got {log_base!r}")
-    value = seq_mod.lipschitz_norm(
-        X, Y, mapping, mode,
-        q_odot=inst.quantale if mode == "odot" else None,
-        log_base=log_base,
+            raise InputError(f"has no image for source point {x!r}", "map")
+    for x, y in mapping.items():
+        if x not in X.objects:
+            raise InputError(f"names {x!r}, which is not a source point", "map", x)
+        if y not in Y.objects:
+            raise InputError(f"image of {x!r} outside the target", "map", x)
+    if log_base < 2:
+        raise InputError(f"must be at least 2, got {log_base}", "log_base")
+    q_odot = inst.quantale if mode == "odot" else None
+    value = seq_mod.lipschitz_norm(X, Y, mapping, mode, q_odot=q_odot, log_base=log_base)
+    if not isinstance(value, seq_mod.LogNorm):
+        q = seq_mod.lawvere_times() if q_odot is None else q_odot
+        return _outcome(None, mode=mode, value=q.format(value))
+    exponent, infinite = value.exponent(), value.is_infinite()
+    return _outcome(
+        None, mode=mode, zero=value.is_zero(), infinite=infinite,
+        ratio="inf" if infinite else str(value.ratio), base=value.base,
+        exponent=None if exponent is None else str(exponent),
     )
-    if isinstance(value, seq_mod.LogNorm):
-        exponent = value.exponent()
-        detail = {
-            "mode": mode,
-            "zero": value.is_zero(),
-            "infinite": value.is_infinite(),
-            "ratio": "inf" if value.is_infinite() else str(value.ratio),
-            "base": value.base,
-            "exponent": None if exponent is None else str(exponent),
-        }
-    else:
-        q_for = inst.quantale if mode == "odot" else seq_mod.lawvere_times()
-        detail = {"mode": mode, "value": q_for.format(value)}
-    return {"verdict": "info", "details": detail}
 
 
 _TASKS = {
@@ -704,34 +728,18 @@ _TASKS = {
 }
 
 
-class _MissingField(KeyError):
-    """A task lacks a field its op reads."""
-
-
-class _TaskFields(dict):
-    """A task's fields; reading one the task lacks raises ``_MissingField``."""
-
-    def __missing__(self, key):
-        raise _MissingField(key)
-
-
 def run_instance(inst: Instance, budget: int, probe: int) -> dict:
     results = []
     for i, task in enumerate(inst.tasks):
-        op = task.get("op")
-        if not isinstance(op, str) or op not in _TASKS:
-            raise InputError(f"task {i}: unknown op {op!r}")
+        op = task["op"]
         try:
-            outcome = _TASKS[op](inst, _TaskFields(task), budget, probe)
-        except _MissingField as missing:
-            raise InputError(f"task {i} ({op}): missing field {missing}")
+            outcome = _TASKS[op](inst, task, budget, probe)
         except PreconditionError as exc:
-            outcome = {
-                "verdict": "fail",
-                "details": {"precondition": str(exc)},
-            }
-        except (KeyError, ValueError) as exc:  # an InputError is a ValueError
-            raise InputError(f"task {i} ({op}): {exc}")
+            outcome = _outcome(False, precondition=str(exc))
+        except InputError as exc:
+            raise exc.at("tasks", i, op=op)
+        except (KeyError, ValueError) as exc:
+            raise InputError(str(exc)).at("tasks", i, op=op)
         entry = {"index": i, "op": op}
         for key in ("target", "pair", "outer", "inner", "source", "point", "mode"):
             if key in task:
@@ -740,18 +748,11 @@ def run_instance(inst: Instance, budget: int, probe: int) -> dict:
                     try:  # the report writer takes every JSON value but a float
                         _json(echoed, "\n")
                     except TypeError:
-                        raise InputError(
-                            f"task {i} ({op}): field {key!r}: floats are not exact values"
-                        )
+                        raise InputError("floats are not exact values", "tasks", i, key).at(op=op)
         entry.update(outcome)
         results.append(entry)
     all_pass = all(r["verdict"] != "fail" for r in results)
-    return {
-        "budget": budget,
-        "probe_bound": probe,
-        "tasks": results,
-        "all_pass": all_pass,
-    }
+    return {"budget": budget, "probe_bound": probe, "tasks": results, "all_pass": all_pass}
 
 
 def machine_report(report: dict) -> str:
@@ -794,10 +795,8 @@ def human_report(report: dict, elapsed: float) -> str:
     lines = []
     for entry in report["tasks"]:
         label = entry.get("target") or entry.get("pair") or entry.get("source") or ""
-        verdict = entry["verdict"].upper()
-        lines.append(f"[{entry['index']}] {entry['op']} {label}: {verdict}")
-        details = entry.get("details", {})
-        for key, value in details.items():
+        lines.append(f"[{entry['index']}] {entry['op']} {label}: {entry['verdict'].upper()}")
+        for key, value in entry.get("details", {}).items():
             if key == "checks":
                 for check in value:
                     mark = "ok" if check["ok"] else "FAIL"
@@ -827,9 +826,7 @@ def _parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=None,
         help="enumeration budget (default from QUANTCAT_BUDGET or 4096)",
     )
-    parser.add_argument(
-        "--probe", type=int, default=3, help="probe object size bound for (C2b)"
-    )
+    parser.add_argument("--probe", type=int, default=3, help="probe object size bound for (C2b)")
     return parser
 
 

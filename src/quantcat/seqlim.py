@@ -594,16 +594,14 @@ def lipschitz_norm(
     q_odot: Quantale | None = None,
     log_base: int = 2,
 ):
-    """The expansion norm of a map between distance sets.
+    """The expansion norm of a map between distance sets, ``mapping`` sending
+    each source point into the target.
 
     * ``odot``: the residuation meet over ordered pairs in ``q_odot``.
     * ``multiplicative``: the supremum of distance ratios over the
       extended rationals, with 0/0 = 0, a/0 = inf, a/inf = inf/inf = 0.
     * ``log``: max{0, log of the multiplicative value}, kept symbolic.
     """
-    for x in source.objects:
-        if mapping[x] not in target.objects:
-            raise ValueError(f"image of {x!r} outside the target")
     if mode == "odot":
         if q_odot is None:
             raise ValueError("odot mode needs the norm quantale")
@@ -648,11 +646,9 @@ def forward_cauchy_value(ms: MetricSequence):
 
 
 def forward_limit_metric(ms: MetricSequence, x) -> bool:
-    """Whether X(x, y) equals the tail-stabilized meet of X(x_n, y) for
-    every probe point y."""
+    """Whether X(x, y), for a point x of the space, equals the
+    tail-stabilized meet of X(x_n, y) for every probe point y."""
     X, q = ms.space, ms.space.quantale
-    if x not in X.objects:
-        raise ValueError(f"candidate point {x!r} not in the space")
     for y in X.objects:
         stabilized = q.meet(X.d(p, y) for p in ms.tail)
         if X.d(x, y) != stabilized:

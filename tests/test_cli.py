@@ -1,7 +1,10 @@
+import contextlib
 import glob
 import hashlib
+import io
 import json
 import os
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -480,7 +483,8 @@ CERT_EPS = _certs_with()["objects"]["cert"]["eps"][0]
 @pytest.mark.parametrize(
     "objects, located",
     [
-        ({"A": {"kind": "normed_set", "elements": [{"id": "a"}]}}, ["'A'", "'norm'"]),
+        ({"A": {"kind": "normed_set", "elements": [{"id": "a"}]}},
+         ["objects.A.elements[0].norm: missing field"]),
         (
             {
                 "X": TWO_POINTS,
@@ -489,46 +493,50 @@ CERT_EPS = _certs_with()["objects"]["cert"]["eps"][0]
                     "values": [["1", "0"], ["0"]],
                 },
             },
-            ["'d'", "'values'"],
+            ["objects.d.values[1]: a row of the 2x2 matrix must have 2 values, got 1"],
         ),
-        ({"X": "not an object"}, ["'X'"]),
-        ({"A": {"kind": "normed_set", "elements": ["a"]}}, ["'A'"]),
+        ({"X": "not an object"}, ["objects.X: expected an object, got a string"]),
+        ({"A": {"kind": "normed_set", "elements": ["a"]}},
+         ["objects.A.elements[0]: expected an object, got a string"]),
         (
             {"X": TWO_POINTS, "d": {"kind": "vdist", "source": "X", "target": "X", "values": 7}},
-            ["'d'"],
+            ["objects.d.values: expected a list, got an integer"],
         ),
         # a string of object names, a dist larger than n x n, a short row, an
         # extra row, a string dist, a list as an object name
-        ({"X": {**TWO_POINTS, "objects": "xy"}}, ["'X'", "'objects'"]),
+        ({"X": {**TWO_POINTS, "objects": "xy"}}, ["objects.X.objects: expected a list"]),
         (
             {"X": {**TWO_POINTS,
                    "dist": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}},
-            ["'X'", "'dist'", "2x2"],
+            ["objects.X.dist: must be a 2x2 matrix, got 3 rows"],
         ),
-        ({"X": {**TWO_POINTS, "dist": [["1", "0"], ["0"]]}}, ["'X'", "'dist'", "2x2"]),
+        ({"X": {**TWO_POINTS, "dist": [["1", "0"], ["0"]]}},
+         ["objects.X.dist[1]: a row of the 2x2 matrix must have 2 values, got 1"]),
         (
             {"X": {**TWO_POINTS, "dist": [["1", "0"], ["0", "1"], ["0", "0"]]}},
-            ["'X'", "'dist'", "2x2"],
+            ["objects.X.dist: must be a 2x2 matrix, got 3 rows"],
         ),
-        ({"X": {**TWO_POINTS, "dist": "10"}}, ["'X'", "'dist'"]),
-        ({"X": {**TWO_POINTS, "objects": [["x"], "y"]}}, ["'X'", "'objects'"]),
+        ({"X": {**TWO_POINTS, "dist": "10"}}, ["objects.X.dist: expected a list"]),
+        ({"X": {**TWO_POINTS, "objects": [["x"], "y"]}},
+         ["objects.X.objects[0]: expected a name (a string or an integer), got a list"]),
         # normed categories: a string of object names, a list as an object
         # name, a compose row that is not a 3-item list, a pair given twice
         # with different composites
-        ({"M": {**SPLIT_NCAT, "objects": "ab"}}, ["'M'", "'objects'"]),
-        ({"M": {**SPLIT_NCAT, "objects": [["a"], "b"]}}, ["'M'", "'objects'"]),
+        ({"M": {**SPLIT_NCAT, "objects": "ab"}}, ["objects.M.objects: expected a list"]),
+        ({"M": {**SPLIT_NCAT, "objects": [["a"], "b"]}},
+         ["objects.M.objects[0]: expected a name (a string or an integer), got a list"]),
         (
             {"M": {**SPLIT_NCAT, "compose": SPLIT_NCAT["compose"] + [["1a", "1a"]]}},
-            ["'M'", "'compose'"],
+            ["objects.M.compose[13]: expected a list of 3 items, got 2"],
         ),
-        ({"M": {**SPLIT_NCAT, "compose": "1a1a1a"}}, ["'M'", "'compose'"]),
+        ({"M": {**SPLIT_NCAT, "compose": "1a1a1a"}}, ["objects.M.compose: expected a list"]),
         (
             {"M": {**SPLIT_NCAT, "compose": SPLIT_NCAT["compose"] + [["e", "e", "1a"]]}},
-            ["'M'", "'compose'", "two composites"],
+            ["objects.M.compose[13]: gives ['e', 'e'] two composites"],
         ),
         (
             {"M": {**SPLIT_NCAT, "compose": SPLIT_NCAT["compose"] + [["e", ["e"], "e"]]}},
-            ["'M'", "'compose'"],
+            ["objects.M.compose[13][1]: expected a name (a string or an integer), got a list"],
         ),
     ],
 )
@@ -544,49 +552,113 @@ def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located)
     assert all(part in err for part in located), err
 
 
+def _named(cases, ids):
+    """``cases`` as pytest params with these ids.  A case whose expected
+    text changed when input errors came to carry a JSON path keeps the id
+    it had before, so that its results compare with earlier runs."""
+    assert len(cases) == len(ids)
+    return [pytest.param(*case, id=name) for case, name in zip(cases, ids)]
+
+
+SHAPE_IDS = [
+    "instance0-'objects'",
+    "instance1-task 0",
+    "instance2-task 0",
+    "instance3-reference",
+    "instance4-'log_base'",
+    "instance5-'log_base'",
+    "instance6-'log_base'",
+    "instance7-'log_base'",
+    "instance8-'log_base'",
+    "instance9-task 0 (compose): missing field 'outer'",
+    "instance10-input error: object 'X': zero denominator: '1/0'",
+    "instance11-input error: object 'X': zero denominator: '0/0'",
+    "instance12-input error: object 'X': exponent notation is not accepted: '1e10000000'",
+    "instance13-input error: object 'X': malformed numeral: 'abc'\n",
+    "instance14-input error: object 'X': numeral too long: 5001 digits (at most 4300 per "
+    "integer)\n",
+    "instance15-input error: object 'X': numeral too long: 6000 digits (at most 4300 per "
+    "integer)\n",
+    "instance16-input error: object 'phi': numeral too long: 6000 digits (at most 4300 per "
+    "integer)\n",
+    "instance17-input error: object 'A': an entry of 'compose' must be a name, got ['x']\n",
+    "instance18-input error: object 'A': an entry of 'compose' must be a name, got {'y': 1}\n",
+    "instance19-input error: object 'A': field 'compose' gives ['1a', '1a'] two composites\n",
+    "instance20-input error: task 0 (compose): numeral too long: 5001 digits (at most 4300 "
+    "per integer)\n",
+    "instance21-input error: task 0 (validate): field 'mode': floats are not exact values\n",
+    "instance22-input error: task 0 (lipnorm): 'map' has no image for source point 'q'\n",
+    "instance23-input error: task 0 (lipnorm): 'map' names 'c', which is not a source point\n",
+    "instance24-input error: task 0 (lipnorm): image of 'q' outside the target\n",
+    "instance25-input error: object 'cert': field 'c': 'nowhere' is not an object of phi's "
+    "category\n",
+    "instance26-input error: object 'cert': field 'u': 'zz' is not an element of phi at 'a'\n",
+    "instance27-input error: object 'cert': field 'v': 'zz' is not an element of psi at 'a'\n",
+    "instance28-input error: object 'cert': field 'eps': 'nowhere' is not an object of phi's "
+    "category\n",
+    "instance29-input error: object 'cert': field 'eps': 'nowhere' is not an object of phi's "
+    "category\n",
+    "instance30-input error: object 'cert': field 'eps' gives ['a', 'a'] two entries\n",
+    "instance31-input error: object 'cert': field 'eps': entry ['a', 'a'] gives ['1', 'e'] "
+    "two morphisms\n",
+    "weight-pair-no-value-y",
+    "weight-pair-no-value-7",
+]
+
+
 @pytest.mark.parametrize(
     "instance, located",
-    [
-        ({"quantale": "bool2", "objects": [], "tasks": []}, "'objects'"),
-        ({"quantale": "bool2", "objects": {}, "tasks": ["lawvere"]}, "task 0"),
-        ({"quantale": "bool2", "objects": {}, "tasks": [{"op": ["lawvere"]}]}, "task 0"),
+    _named([
+        ({"quantale": "bool2", "objects": [], "tasks": []},
+         "input error: objects: expected an object, got a list\n"),
+        ({"quantale": "bool2", "objects": {}, "tasks": ["lawvere"]},
+         "input error: tasks[0]: expected an object, got a string\n"),
+        ({"quantale": "bool2", "objects": {}, "tasks": [{"op": ["lawvere"]}]},
+         "input error: tasks[0].op: expected one of "),
         ({"quantale": "bool2", "objects": {"X": TWO_POINTS},
-          "tasks": [{"op": "lawvere", "target": ["X"]}]}, "reference"),
+          "tasks": [{"op": "lawvere", "target": ["X"]}]},
+         "input error: tasks[0].target (lawvere): "
+         "a reference must be an object name, got a list\n"),
     ]
     + [
         ({"quantale": "lawvere-plus", "objects": {"X": LAWVERE_POINTS},
           "tasks": [{"op": "lipnorm", "source": "X", "target": "X",
                      "map": {"p": "p", "q": "q"}, "mode": "log",
-                     "log_base": base}]}, "'log_base'")
-        for base in ("2", [], 2.5, True, 1)
+                     "log_base": base}]}, f"input error: tasks[0].log_base (lipnorm): {problem}\n")
+        for base, problem in (("2", "expected an integer, got a string"),
+                              ([], "expected an integer, got a list"),
+                              (2.5, "expected an integer, got 2.5"),
+                              (True, "expected an integer, got true"),
+                              (1, "must be at least 2, got 1"))
     ]
     + [
         ({"quantale": "bool2", "objects": {}, "tasks": [{"op": "compose"}]},
-         "task 0 (compose): missing field 'outer'"),
+         "input error: tasks[0].outer (compose): missing field\n"),
     ]
     + [
         ({"quantale": "lawvere-plus",
           "objects": {"X": {"kind": "vcat", "objects": ["p"], "dist": [[zero]]}},
-          "tasks": []}, f"input error: object 'X': zero denominator: '{zero}'")
+          "tasks": []}, f"input error: objects.X.dist[0][0]: zero denominator: '{zero}'\n")
         for zero in ("1/0", "0/0")
     ]
     + [
         ({"quantale": "lawvere-plus",
           "objects": {"X": {"kind": "vcat", "objects": ["p"], "dist": [["1e10000000"]]}},
           "tasks": []},
-         "input error: object 'X': exponent notation is not accepted: '1e10000000'"),
+         "input error: objects.X.dist[0][0]: exponent notation is not accepted: '1e10000000'\n"),
     ]
     + [
         ({"quantale": "lawvere-plus",
           "objects": {"X": {"kind": "vcat", "objects": ["p"], "dist": [["abc"]]}},
           "tasks": []},
-         "input error: object 'X': malformed numeral: 'abc'\n"),
+         "input error: objects.X.dist[0][0]: malformed numeral: 'abc'\n"),
         # past the int-string digit limit: the message names the size and
         # echoes none of the 5001 digits
         ({"quantale": "lawvere-plus",
           "objects": {"X": {"kind": "vcat", "objects": ["p"], "dist": [["1" + "0" * 5000]]}},
           "tasks": []},
-         "input error: object 'X': numeral too long: 5001 digits (at most 4300 per integer)\n"),
+         "input error: objects.X.dist[0][0]: "
+         "numeral too long: 5001 digits (at most 4300 per integer)\n"),
     ]
     + [
         # each digit run fits, the reduced value (6000 digits over 10^3000)
@@ -596,22 +668,23 @@ def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located)
                       "phi": {"kind": "vdist", "source": "X", "target": "X",
                               "values": [[value]]}},
           "tasks": [{"op": op, "target": "X", "outer": "phi", "inner": "phi"}]},
-         f"input error: object '{bad}': numeral too long: 6000 digits (at most 4300 per integer)\n")
-        for op, bad, dist, value in (("validate", "X", LONG_DECIMAL, "0"),
-                                     ("compose", "phi", "0", LONG_DECIMAL))
+         f"input error: objects.{bad}[0][0]: "
+         "numeral too long: 6000 digits (at most 4300 per integer)\n")
+        for op, bad, dist, value in (("validate", "X.dist", LONG_DECIMAL, "0"),
+                                     ("compose", "phi.values", "0", LONG_DECIMAL))
     ]
     + [
         # a bad name in a compose row after a pair given two composites: the
-        # first bad name in row order is reported, as when names were checked
-        # before the table was built
+        # first bad name in row order is reported, as the names are checked
+        # before the table is built
         ({"quantale": "bool2", "objects": {"A": {**SPLIT_NCAT, "compose": rows}}, "tasks": []},
-         f"input error: object 'A': {message}\n")
+         f"input error: objects.A.compose{message}\n")
         for rows, message in (
             (TWICE + [["1a", ["x"], "1a"], ["1a", "1a", {"y": 1}]],
-             "an entry of 'compose' must be a name, got ['x']"),
+             "[14][1]: expected a name (a string or an integer), got a list"),
             (TWICE + [["1a", "1a", {"y": 1}]],
-             "an entry of 'compose' must be a name, got {'y': 1}"),
-            (TWICE, "field 'compose' gives ['1a', '1a'] two composites"),
+             "[14][2]: expected a name (a string or an integer), got an object"),
+            (TWICE, "[13]: gives ['1a', '1a'] two composites"),
         )
     ]
     + [
@@ -623,21 +696,23 @@ def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located)
                                 "values": [[f"1/{10**2500 + c}"]]}
                          for name, c in (("phi", 7), ("psi", 9))}},
           "tasks": [{"op": "compose", "outer": "phi", "inner": "psi"}]},
-         "input error: task 0 (compose): numeral too long: 5001 digits (at most 4300 per integer)\n"),
+         "input error: tasks[0] (compose): "
+         "numeral too long: 5001 digits (at most 4300 per integer)\n"),
         # a float in a field the report echoes, unread by the task
         ({"quantale": "bool2",
           "objects": {"X": {"kind": "vcat", "objects": ["p"], "dist": [["1"]]}},
           "tasks": [{"op": "validate", "target": "X", "mode": [1.5]}]},
-         "input error: task 0 (validate): field 'mode': floats are not exact values\n"),
+         "input error: tasks[0].mode (validate): floats are not exact values\n"),
     ]
     + [
         # a lipnorm map must name exactly the source points
         ({"quantale": "lawvere-plus", "objects": {"X": LAWVERE_POINTS},
           "tasks": [{"op": "lipnorm", "source": "X", "target": "X", "map": mapping}]},
-         f"input error: task 0 (lipnorm): 'map' {problem}\n")
+         f"input error: tasks[0].map{problem}\n")
         for mapping, problem in (
-            ({"p": "p"}, "has no image for source point 'q'"),
-            ({"p": "p", "q": "q", "c": "zz"}, "names 'c', which is not a source point"),
+            ({"p": "p"}, " (lipnorm): has no image for source point 'q'"),
+            ({"p": "p", "q": "q", "c": "zz"},
+             ".c (lipnorm): names 'c', which is not a source point"),
         )
     ]
     + [
@@ -645,12 +720,12 @@ def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located)
         ({"quantale": "lawvere-plus", "objects": {"X": LAWVERE_POINTS},
           "tasks": [{"op": "lipnorm", "source": "X", "target": "X",
                      "map": {"p": "p", "q": "zz"}}]},
-         "input error: task 0 (lipnorm): image of 'q' outside the target\n"),
+         "input error: tasks[0].map.q (lipnorm): image of 'q' outside the target\n"),
     ]
     + [
         # a certificate's c is an object of phi's category, u an element of
         # phi at c and v an element of psi at c
-        (_certs_with(**{field: value}), f"input error: object 'cert': field '{field}': {problem}\n")
+        (_certs_with(**{field: value}), f"input error: objects.cert.{field}: {problem}\n")
         for field, value, problem in (
             ("c", "nowhere", "'nowhere' is not an object of phi's category"),
             ("u", "zz", "'zz' is not an element of phi at 'a'"),
@@ -661,15 +736,26 @@ def test_malformed_literals_are_input_errors(tmp_path, capsys, objects, located)
         # a counit entry names objects of phi's category, and a pair (a, b)
         # or a row (y, x) given twice must give the same value
         (_certs_with(eps=[{**CERT_EPS, key: "nowhere"}]),
-         "input error: object 'cert': field 'eps': 'nowhere' is not an object of phi's category\n")
+         f"input error: objects.cert.eps[0].{key}: "
+         "'nowhere' is not an object of phi's category\n")
         for key in ("a", "b")
     ]
     + [
         (_certs_with(eps=[CERT_EPS, {**CERT_EPS, "map": CERT_EPS["map"][1:]}]),
-         "input error: object 'cert': field 'eps' gives ['a', 'a'] two entries\n"),
+         "input error: objects.cert.eps[1]: gives ['a', 'a'] two entries\n"),
         (_certs_with(eps=[{**CERT_EPS, "map": CERT_EPS["map"] + [["1", "e", "1"]]}]),
-         "input error: object 'cert': field 'eps': entry ['a', 'a'] gives ['1', 'e'] two morphisms\n"),
-    ],
+         "input error: objects.cert.eps[0].map[4]: gives ['1', 'e'] two morphisms\n"),
+    ]
+    + [
+        # a weight pair gives a value at every object of its space, names
+        # that are integers included
+        ({"quantale": "bool2", "tasks": [],
+          "objects": {"X": {**TWO_POINTS, "objects": ["x", y]},
+                      "wp": {"kind": "weight_pair", "space": "X", "phi": {"x": "1"},
+                             "psi": {"x": "1", "y": "1"}}}},
+         f"input error: objects.wp.phi: no value for object {y!r}\n")
+        for y in ("y", 7)
+    ], SHAPE_IDS),
 )
 def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, located):
     f = tmp_path / "malformed.json"
@@ -766,6 +852,86 @@ def test_wrong_type_mutations_exit_cleanly(name, tmp_path, capsys):
                 pytest.fail(f"{where} := {value!r} raised {exc!r}")
             err = capsys.readouterr().err
             assert code in (0, 1, 2, 3) and "Traceback" not in err, (where, value)
+
+
+# a name is a JSON string or integer; the report writes every other JSON
+# scalar differently from how the file wrote it, or not at all
+FLOAT_NAME = {
+    "quantale": "bool2",
+    "objects": {"X": {"kind": "vcat", "objects": ["p", 2.5], "dist": [["1", "0"], ["0", "1"]]}},
+    "tasks": [{"op": "lawvere", "target": "X"}],
+}
+
+
+@pytest.mark.parametrize("name, got", [(2.5, "2.5"), (True, "true"), (None, "null")])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_a_name_that_is_not_a_string_or_integer_is_located(tmp_path, capsys, name, got, flags):
+    f = tmp_path / "names.json"
+    f.write_text(json.dumps(_replaced(FLOAT_NAME, ("objects", "X", "objects", 1), name)))
+    assert main([str(f), *flags]) == 2
+    assert capsys.readouterr() == (
+        "", f"input error: objects.X.objects[1]: expected a name (a string or an integer), got {got}\n"
+    )
+    # a composite or a counit morphism is a name too
+    with open(path("certs.json"), encoding="utf-8") as fh:
+        certs = json.load(fh)
+    for where in (("objects", "M", "compose", 3, 2), ("objects", "cert", "eps", 0, "map", 1, 2)):
+        f.write_text(json.dumps(_replaced(certs, where, name)))
+        assert main([str(f), *flags]) == 2
+        located = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in where)[1:]
+        assert capsys.readouterr().err.startswith(f"input error: {located}: expected a name")
+
+
+_DELETE = object()
+MUTATIONS = [None, [], {}, 7, "zz", 2.5, True, ["x"], {"y": 1}, _DELETE]
+PYTHON_TEXT = ("not subscriptable", "unhashable", "has no attribute", "indices must be",
+               "not iterable", "to unpack", "update sequence", "has no len")
+# an input error starts with the JSON path of what is wrong, and the op of a task
+JSON_PATH = re.compile(
+    r'input error: (\$|(quantale|objects|tasks)(\.[A-Za-z_]\w*|\[\d+\]|\["(?:[^"\\]|\\.)*"\])*)'
+    r"( \([a-z-]+\))?: \S"
+)
+
+
+def _fixture(name):
+    with open(path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+FIXTURES = {name: _fixture(name) for name in sorted(GOLDEN_JSON)}
+NODES = {name: list(_json_nodes(data)) for name, data in FIXTURES.items()}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_one_node_mutations_exit_with_one_located_line(tmp_path_factory, data):
+    # one node of a fixture replaced by a value of another JSON type, or deleted
+    name = data.draw(st.sampled_from(sorted(FIXTURES)), label="fixture")
+    where = data.draw(st.sampled_from(NODES[name]), label="node")
+    value = data.draw(st.sampled_from(MUTATIONS), label="value")
+    mutated = json.loads(json.dumps(FIXTURES[name]))
+    node = mutated
+    for key in where[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[where[-1]]
+    else:
+        node[where[-1]] = value
+    f = tmp_path_factory.getbasetemp() / "mutated.json"
+    f.write_text(json.dumps(mutated), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(f), "--json", "--budget", "64"])
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code in (0, 1):
+        assert err == ""
+    else:
+        assert err.endswith("\n") and err.count("\n") == 1, err
+    if code == 2:
+        assert JSON_PATH.match(err), err
+        assert not any(text in err for text in PYTHON_TEXT), err
 
 
 def test_split_ncat_literal_is_complete(tmp_path, capsys):
@@ -884,7 +1050,7 @@ def test_certificate_with_two_covariant_distributors_is_input_error(tmp_path, ca
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == (
-        "input error: task 0 (adjoint): "
+        "input error: tasks[0] (adjoint): "
         "a certificate pairs a covariant phi with a contravariant psi over one category\n"
     )
 
@@ -1163,29 +1329,32 @@ def _parse_outcome(data):
     return "ok", [[X.d(x, y) for y in X.objects] for x in X.objects]
 
 
-@pytest.mark.parametrize("other, error", [
-    (True, "object 'X': not an extended rational: True"),
+@pytest.mark.parametrize("other, error", _named([
+    (True, "not an extended rational: True"),
     (1, None),
-    (1.0, "object 'X': floats are not exact values: 1.0"),
+    (1.0, "floats are not exact values: 1.0"),
     ("1", None),
-])
+], ["True-object 'X': not an extended rational: True", "1-None0",
+    "1.0-object 'X': floats are not exact values: 1.0", "1-None1"]))
 def test_numeral_memo_keeps_json_scalars_apart(other, error):
     # "1" beside JSON true, 1 and 1.0, in either order: each is accepted or
     # rejected as it is alone, so the string's memo entry never answers for them
     from fractions import Fraction
 
     # and beside the JSON 1, which equals true and 1.0 as a dict key would
-    for row0, row1 in ((["0", "1"], [other, "0"]), (["0", other], ["1", "0"]),
-                       (["0", 1], [other, "0"])):
+    for row0, row1, cell in ((["0", "1"], [other, "0"], "[1][0]"),
+                             (["0", other], ["1", "0"], "[0][1]"),
+                             (["0", 1], [other, "0"], "[1][0]")):
         got = _parse_outcome(_one_vcat("lawvere-plus", row0, row1))
         one = Fraction(1)
-        assert got == (("ok", [[0, one], [one, 0]]) if error is None else ("error", error))
+        expected = ("error", f"objects.X.dist{cell}: {error}")
+        assert got == (("ok", [[0, one], [one, 0]]) if error is None else expected)
     # a finite carrier takes names only: "1" is an element, the others are not
     finite = _parse_outcome(_one_vcat("bool2", ["1", "1"], [other, "1"]))
     if other == "1" and type(other) is str:
         assert finite == ("ok", [[1, 1], [1, 1]])
     else:
-        assert finite == ("error", "object 'X': finite quantale elements must be "
+        assert finite == ("error", "objects.X.dist[1][0]: finite quantale elements must be "
                                    f"referenced by name, got {other!r}")
 
 
@@ -1205,7 +1374,7 @@ def test_a_bad_numeral_is_rejected_every_time_it_is_read():
     for first in "XY":
         data = {"quantale": "lawvere-plus", "tasks": [],
                 "objects": dict(sorted(objects.items(), key=lambda kv: kv[0] != first))}
-        with pytest.raises(InputError, match=f"^object '{first}': malformed numeral: 'abc'$"):
+        with pytest.raises(InputError, match=rf"^objects\.{first}\.dist\[0\]\[0\]: malformed numeral: 'abc'$"):
             parse_instance(data)
 
 
@@ -1342,22 +1511,35 @@ def _fixture_with_task(name, task, objects=None):
 ONE_POINT = {"kind": "vcat", "objects": ["z"], "dist": [["0"]]}
 
 
+TASK_IDS = [
+    "instance0-task 1 (forward-limit): candidate point 'nowhere' not in the space",
+    "instance1-task 1 (lipnorm): lipnorm 'log_base' must be an integer >= 2, got 1",
+    "instance2-task 1 (lipnorm): lipnorm needs a 'map' object",
+    "instance3-task 1 (compose): middle categories do not match",
+    "instance4-task 1 (compose): unresolved reference 'nothing'",
+    "instance5-task 1 (compose): 'X' has kind vcat, expected one of {'vdist'}",
+    "instance6-task 1 (compose): a reference must be an object name, got ['d1']",
+    "instance7-task 1 (validate): validate does not apply to kind 'metric_sequence'",
+    "instance8-task 1 (colimit): colimit construction applies to set-like ambients",
+]
+
+
 @pytest.mark.parametrize(
     "instance, message",
-    [
+    _named([
         (
             _fixture_with_task("metric.json", {"op": "forward-limit", "target": "ms", "point": "nowhere"}),
-            "task 1 (forward-limit): candidate point 'nowhere' not in the space",
+            "tasks[1].point (forward-limit): candidate point 'nowhere' not in the space",
         ),
         (
             _fixture_with_task("metric.json", {"op": "lipnorm", "source": "X", "target": "Y",
                                                "map": {"p": "p", "q": "q"}, "mode": "log",
                                                "log_base": 1}),
-            "task 1 (lipnorm): lipnorm 'log_base' must be an integer >= 2, got 1",
+            "tasks[1].log_base (lipnorm): must be at least 2, got 1",
         ),
         (
             _fixture_with_task("metric.json", {"op": "lipnorm", "source": "X", "target": "Y"}),
-            "task 1 (lipnorm): lipnorm needs a 'map' object",
+            "tasks[1].map (lipnorm): missing field",
         ),
         (
             _fixture_with_task(
@@ -1365,29 +1547,30 @@ ONE_POINT = {"kind": "vcat", "objects": ["z"], "dist": [["0"]]}
                 {"Z": ONE_POINT,
                  "e": {"kind": "vdist", "source": "Z", "target": "Z", "values": [["0"]]}},
             ),
-            "task 1 (compose): middle categories do not match",
+            "tasks[1] (compose): middle categories do not match",
         ),
         (
             _fixture_with_task("compose.json", {"op": "compose", "outer": "d1", "inner": "nothing"}),
-            "task 1 (compose): unresolved reference 'nothing'",
+            "tasks[1].inner (compose): unresolved reference 'nothing'",
         ),
         (
             _fixture_with_task("compose.json", {"op": "compose", "outer": "d1", "inner": "X"}),
-            "task 1 (compose): 'X' has kind vcat, expected one of {'vdist'}",
+            "tasks[1].inner (compose): 'X' has kind vcat, expected vdist",
         ),
         (
             _fixture_with_task("compose.json", {"op": "compose", "outer": ["d1"], "inner": "d1"}),
-            "task 1 (compose): a reference must be an object name, got ['d1']",
+            "tasks[1].outer (compose): a reference must be an object name, got a list",
         ),
         (
             _fixture_with_task("metric.json", {"op": "validate", "target": "ms"}),
-            "task 1 (validate): validate does not apply to kind 'metric_sequence'",
+            "tasks[1].target (validate): 'ms' has kind metric_sequence, expected vcat or ncat"
+            " or vdist or weight_pair or ndist or normed_set or sequence",
         ),
         (
             _fixture_with_task("ncat_sequence.json", {"op": "colimit", "target": "t"}),
-            "task 1 (colimit): colimit construction applies to set-like ambients",
+            "tasks[1].target (colimit): colimit construction applies to set-like ambients",
         ),
-    ],
+    ], TASK_IDS),
 )
 def test_task_input_errors_name_the_task(tmp_path, capsys, instance, message):
     f = tmp_path / "located.json"

@@ -18,7 +18,10 @@ import io
 import re
 from pathlib import Path
 
+import pytest
+
 import quantcat
+from quantcat import cli
 
 PACKAGE = Path(quantcat.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -142,3 +145,43 @@ def test_readme_library_example_prints_true():
     with contextlib.redirect_stdout(out):
         exec(compile(_library_example(), "README.md", "exec"), {})
     assert out.getvalue().split() == ["True"]
+
+
+# ---------------------------------------------------------------------------
+# the README states the instance-file format as ``cli.KINDS`` and ``cli.OPS``
+
+
+def _field_type(t) -> str:
+    """A field type of the format as the README writes it."""
+    atoms = {id(atom): name.lower() for name, atom in vars(cli).items() if type(atom) is cli._Atom}
+    if id(t) in atoms:
+        return atoms[id(t)]
+    if type(t) is str:
+        return "<" + " or ".join(t.split()) + ">"
+    if type(t) is set:
+        return " or ".join(f'"{value}"' for value in sorted(t))
+    if type(t) in (list, tuple):
+        return "[" + ", ".join(map(_field_type, t)) + "]"
+    if cli.NAME in t:
+        return "{name: " + _field_type(t[cli.NAME]) + "}"
+    return "{" + ", ".join(f"{key}: {_field_type(u)}" for key, u in t.items()) + "}"
+
+
+def _readme_table(header: str) -> dict:
+    """The rows of the README table whose header row is ``header``."""
+    lines = README.read_text().split(header + "\n", 1)[1].splitlines()[1:]
+    rows = lines[: lines.index("")]
+    cells = [re.fullmatch(r"\| `([^`]+)` \| `([^`]+)` \|", row) for row in rows]
+    assert all(cells), rows
+    return {cell.group(1): cell.group(2) for cell in cells}
+
+
+@pytest.mark.parametrize("header, table", [("| kind | fields |", "KINDS"),
+                                           ("| op | fields |", "OPS")])
+def test_readme_tables_state_the_format(header, table):
+    stated = {name: "{" + fields + "}" for name, fields in _readme_table(header).items()}
+    assert stated == {name: _field_type(t) for name, t in getattr(cli, table).items()}
+
+
+def test_readme_states_the_inline_quantale_table():
+    assert f"inline tables use\n`{_field_type(cli.TABLE)}`" in README.read_text()
