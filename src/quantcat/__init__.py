@@ -47,7 +47,6 @@ from .vcat import (
     is_representable,
     isbell_conjugate_weight,
     lawvere_complete_vcat,
-    right_weight,
     totally_compact_unit,
     unit_tensor_splits,
     unit_vcat,

@@ -305,16 +305,16 @@ def _normed_set(inst: Instance, elements: list) -> NormedSet:
     return NormedSet.trusted(inst.quantale, norms, [e["id"] for e in elements])
 
 
-def _matrix(inst: Instance, spec: dict, field: str, sources, targets) -> dict:
-    """The values of the len(sources) x len(targets) matrix ``field``, keyed (s, t)."""
-    rows, n, m, value = spec[field], len(sources), len(targets), inst.value
+def _matrix(inst: Instance, spec: dict, field: str, n: int, m: int) -> tuple:
+    """The rows of the n x m matrix ``field``, each value made canonical."""
+    rows, value = spec[field], inst.value
     if len(rows) != n:
         raise InputError(f"must be a {n}x{m} matrix, got {len(rows)} rows", field)
     if n and set(map(len, rows)) != {m}:
         i = next(i for i, row in enumerate(rows) if len(row) != m)
         problem = f"a row of the {n}x{m} matrix must have {m} values, got {len(rows[i])}"
         raise InputError(problem, field, i)
-    return {(s, t): value(v) for s, row in zip(sources, rows) for t, v in zip(targets, row)}
+    return tuple([tuple(map(value, row)) for row in rows])
 
 
 def _entries(spec: dict, field: str, keys, what: str) -> list:
@@ -327,9 +327,10 @@ def _entries(spec: dict, field: str, keys, what: str) -> list:
 
 
 def parse_vcat(inst: Instance, spec: dict) -> VCategory:
-    dist = _matrix(inst, spec, "dist", spec["objects"], spec["objects"])
+    n = len(spec["objects"])
+    rows = _matrix(inst, spec, "dist", n, n)
     try:
-        return VCategory.trusted(inst.quantale, spec["objects"], dist)
+        return VCategory.trusted(inst.quantale, spec["objects"], rows)
     except ValueError as exc:
         raise InputError(str(exc), "objects")
 
@@ -347,20 +348,20 @@ def parse_ncat(inst: Instance, spec: dict) -> ncat_mod.NormedCategory:
 
 def _parse_vdist(inst: Instance, spec: dict) -> vcat_mod.VDistributor:
     source, target = inst[spec["source"]], inst[spec["target"]]
-    values = _matrix(inst, spec, "values", source.objects, target.objects)
-    return vcat_mod.VDistributor.trusted(source, target, values)
+    rows = _matrix(inst, spec, "values", len(source.objects), len(target.objects))
+    return vcat_mod.VDistributor.trusted(source, target, rows)
 
 
 def _parse_weight_pair(inst: Instance, spec: dict) -> vcat_mod.VWeightPair:
     X, trusted = inst[spec["space"]], vcat_mod.VDistributor.trusted
-    E, star = vcat_mod.unit_vcat(inst.quantale), vcat_mod.POINT
+    E = vcat_mod.unit_vcat(inst.quantale)
     phi, psi = (
         [inst.value(v) for v in _entries(spec, field, X.objects, "value for object")]
         for field in ("phi", "psi")
     )
+    # phi is a 1 x n row, psi an n x 1 column
     return vcat_mod.VWeightPair(
-        trusted(E, X, {(star, x): v for x, v in zip(X.objects, phi)}),
-        trusted(X, E, {(x, star): v for x, v in zip(X.objects, psi)}),
+        trusted(E, X, (tuple(phi),)), trusted(X, E, tuple((v,) for v in psi))
     )
 
 
@@ -436,12 +437,16 @@ def _parse_sequence(inst: Instance, spec: dict) -> seq_mod.Sequence:
 
 
 def _parse_metric_sequence(inst: Instance, spec: dict) -> seq_mod.MetricSequence:
-    points = spec["tail"]["points"]
+    X, prefix, points = inst[spec["space"]], spec.get("prefix_points", []), spec["tail"]["points"]
     if not points:
         raise InputError("the tail cycle must be nonempty", "tail", "points")
     if spec["tail"].get("period", len(points)) != len(points):
         raise InputError(f"must equal the number of tail points, {len(points)}", "tail", "period")
-    return seq_mod.MetricSequence(inst[spec["space"]], spec.get("prefix_points", []), points)
+    for where, listed in ((("prefix_points",), prefix), (("tail", "points"), points)):
+        for i, p in enumerate(listed):
+            if p not in X.index:
+                raise InputError(f"point {p!r} not in the space", *where, i)
+    return seq_mod.MetricSequence(X, prefix, points)
 
 
 _PARSERS = {
@@ -511,12 +516,17 @@ def _ser_normed_set(A: NormedSet) -> dict:
     return {"elements": [{"id": e, "norm": q.format(A.norm(e))} for e in A]}
 
 
+def _format_rows(q: Quantale, rows) -> list:
+    """``rows`` as the file format writes them, each distinct value formatted
+    once, in row order: the first value too long to write is the one that
+    raises."""
+    memo: dict = {}
+    return [[memo[v] if v in memo else memo.setdefault(v, q.format(v)) for v in row]
+            for row in rows]
+
+
 def _ser_vcat(X: VCategory) -> dict:
-    q = X.quantale
-    return {
-        "objects": list(X.objects),
-        "dist": [[q.format(X.d(a, b)) for b in X.objects] for a in X.objects],
-    }
+    return {"objects": list(X.objects), "dist": _format_rows(X.quantale, X.rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +586,11 @@ def _task_validate(inst: Instance, task: dict, budget: int, probe: int) -> dict:
 
 
 def _task_compose(inst: Instance, task: dict, budget: int, probe: int) -> dict:
-    result, q = vcat_mod.compose_vdist(inst[task["outer"]], inst[task["inner"]]), inst.quantale
-    sources, targets = result.source.objects, result.target.objects
-    return _outcome(None, values=[[q.format(result.at(x, z)) for z in targets] for x in sources])
+    outer, inner = inst[task["outer"]], inst[task["inner"]]
+    if inner.target != outer.source:
+        raise InputError("middle categories do not match")
+    result = vcat_mod.compose_vdist(outer, inner)
+    return _outcome(None, values=_format_rows(inst.quantale, result.rows))
 
 
 def _task_adjoint(inst: Instance, task: dict, budget: int, probe: int) -> dict:
@@ -599,8 +611,9 @@ def _task_isbell(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     q = inst.quantale
     kind, value = inst.objects[task["target"]]
     if kind == "weight_pair":
-        vec = vcat_mod.coweight_vector(vcat_mod.isbell_conjugate_weight(value.phi))
-        return _outcome(None, conjugate={x: q.format(v) for x, v in vec.items()})
+        column = vcat_mod.isbell_conjugate_weight(value.phi).rows
+        conjugate = {x: q.format(v) for x, (v,) in zip(value.phi.target.objects, column)}
+        return _outcome(None, conjugate=conjugate)
     conj = ncat_mod.isbell_conjugate_ndist(value, budget)
     sizes = {a: len(conj.set_at(a)) for a in conj.category.objects}
     norms = {a: [q.format(conj.set_at(a).norm(e)) for e in conj.set_at(a)] for a in sizes}
@@ -682,7 +695,7 @@ def _task_colimit(inst: Instance, task: dict, budget: int, probe: int) -> dict:
 
 def _task_forward_limit(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     ms, point = inst[task["target"]], task["point"]
-    if point not in ms.space.objects:
+    if point not in ms.space.index:
         raise InputError(f"candidate point {point!r} not in the space", "point")
     return _outcome(seq_mod.forward_limit_metric(ms, point), point=point)
 
@@ -694,9 +707,9 @@ def _task_lipnorm(inst: Instance, task: dict, budget: int, probe: int) -> dict:
         if x not in mapping:
             raise InputError(f"has no image for source point {x!r}", "map")
     for x, y in mapping.items():
-        if x not in X.objects:
+        if x not in X.index:
             raise InputError(f"names {x!r}, which is not a source point", "map", x)
-        if y not in Y.objects:
+        if y not in Y.index:
             raise InputError(f"image of {x!r} outside the target", "map", x)
     if log_base < 2:
         raise InputError(f"must be at least 2, got {log_base}", "log_base")

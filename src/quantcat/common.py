@@ -4,6 +4,7 @@ cached-property idiom of the immutable structures."""
 from __future__ import annotations
 
 import functools
+import json
 import os
 import re
 import sys
@@ -38,6 +39,12 @@ def abbreviated(text: str) -> str:
     """``text`` quoted for a message; past 40 characters, its first 20 and
     its length, so that a long input is not echoed back whole."""
     return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
+def echoed(value) -> str:
+    """A rejected value as a message shows it: a string quoted as Python
+    quotes it, anything else as JSON (``{"y": 1}``, ``true``, ``null``)."""
+    return repr(value) if type(value) is str else json.dumps(value, default=repr)
 
 
 def digits_past_limit(text: str) -> str | None:

@@ -57,6 +57,7 @@ from .common import (
     Report,
     abbreviated,
     digits_past_limit,
+    echoed,
     int_digit_limit,
 )
 
@@ -95,7 +96,7 @@ def as_extended_rational(x: Any) -> Fraction | _Infinity:
     if isinstance(x, _Infinity):
         return INF
     if isinstance(x, bool):
-        raise CarrierMismatch(f"not an extended rational: {x!r}")
+        raise CarrierMismatch(f"not an extended rational: {echoed(x)}")
     if isinstance(x, Fraction):
         value = x
     elif isinstance(x, int):
@@ -126,7 +127,7 @@ def as_extended_rational(x: Any) -> Fraction | _Infinity:
         if limit and len(s) > limit and (too_long := _too_long(value)):
             raise CarrierMismatch(too_long)
     else:
-        raise CarrierMismatch(f"not an extended rational: {x!r}")
+        raise CarrierMismatch(f"not an extended rational: {echoed(x)}")
     if value.numerator < 0:
         raise CarrierMismatch(f"negative value outside [0, inf]: {x!r}")
     return value
@@ -289,7 +290,7 @@ class FiniteQuantale:
         if isinstance(raw, str):
             return self.check(raw)
         raise CarrierMismatch(
-            f"finite quantale elements must be referenced by name, got {raw!r}"
+            f"finite quantale elements must be referenced by name, got {echoed(raw)}"
         )
 
     def format(self, u) -> str:

@@ -37,7 +37,11 @@ The colimit of a Cauchy sequence of normed sets is the quotient of its stages
 carrying the final structure of one tail window of the cocone: each class is
 normed by the join of the norms of the tail elements that the components of
 one transient-plus-period window map onto it.  A distance-set colimit is the
-same final structure taken on ordered pairs, in the distance quantale.
+same final structure taken on ordered pairs, in the distance quantale:
+``colimit_dset`` folds each window component γ over the rows of the tail
+object, joining X(x, y) into the apex entry (γ x, γ y).  A distance set is a
+``VCategory`` read by its rows throughout: the Lipschitz norm of a map, the
+forward Cauchy value and the forward-limit test index them by position.
 
 Colimit classes
 ---------------
@@ -72,7 +76,7 @@ through ``colimit_dset``), and on that cocone each one is a theorem:
 * (C2b): let H be the final structure on the apex carrier (on its pairs,
   for distance sets) induced by γ's tail components in the norm quantale.
   The apex is the final structure of the same tail window on the same
-  carrier, taken in the distance quantale.  ``final_structure`` reads only
+  carrier, taken in the distance quantale.  A final structure reads only
   the join, and the two quantales share the lattice, so |a| = |a|_H for
   every apex element a.  By (⇒) below the probe check passes for every
   bound B, and the exact reduction holds.
@@ -147,10 +151,11 @@ def same_lattice(p: Quantale, q: Quantale) -> bool:
 
 
 def lip_norm(q_norm: Quantale, X: VCategory, Y: VCategory, mapping: Mapping):
-    """The residuation meet over ordered pairs of source points."""
-    dx, dy = X.dist, Y.dist
+    """The residuation meet of hom(X(x, x'), Y(f x, f x')) over ordered pairs
+    of source points, read off the rows of X and of Y at the images."""
+    image = [Y.index[mapping[x]] for x in X.objects]
     return q_norm.meet_of_homs(
-        (dx[x, xp], dy[mapping[x], mapping[xp]]) for x in X.objects for xp in X.objects
+        (d, Y.rows[i][j]) for row, i in zip(X.rows, image) for d, j in zip(row, image)
     )
 
 
@@ -398,16 +403,6 @@ def _quotient_cocone(s: Sequence, quot: _Quotient, apex) -> Cocone:
     )
 
 
-def _pair_set(q: Quantale, X: VCategory) -> NormedSet:
-    """The ordered pairs of a distance set, each normed by its distance."""
-    elems = [(x, y) for x in X.objects for y in X.objects]
-    return NormedSet.trusted(q, {(x, y): X.d(x, y) for x, y in elems}, elems)
-
-
-def _pair_map(f: Mapping) -> dict:
-    return {(x, y): (f[x], f[y]) for x in f for y in f}
-
-
 # ---------------------------------------------------------------------------
 # colimit constructions
 
@@ -439,15 +434,16 @@ def colimit_dset(s: Sequence) -> tuple[VCategory, Cocone]:
     if s.kind != DSET:
         raise ValueError("colimit_dset needs a distance-set sequence")
     _require_cauchy(s)
-    quot = s.quotient
-    qd = s.quantale
-    T = _pair_set(qd, s.tail_object)
-    dist = final_structure(
-        qd,
-        [(a, b) for a in quot.labels for b in quot.labels],
-        [(T, _pair_map(g)) for g in _tail_window(s, quot)],
-    )
-    apex = VCategory.trusted(qd, quot.labels, dist.norms)
+    quot, qd, T = s.quotient, s.quantale, s.tail_object
+    position = {label: i for i, label in enumerate(quot.labels)}
+    cells = [[[] for _ in quot.labels] for _ in quot.labels]
+    for g in _tail_window(s, quot):
+        image = [position[g[x]] for x in T.objects]
+        for i, row in zip(image, T.rows):
+            for j, v in zip(image, row):
+                cells[i][j].append(v)
+    rows = tuple(tuple(map(qd.join, line)) for line in cells)
+    apex = VCategory.trusted(qd, quot.labels, rows)
     return apex, _quotient_cocone(s, quot, apex)
 
 
@@ -632,7 +628,7 @@ class MetricSequence:
         if not self.tail:
             raise ValueError("the tail cycle must be nonempty")
         for p in list(self.prefix) + list(self.tail):
-            if p not in self.space.objects:
+            if p not in self.space.index:
                 raise ValueError(f"point {p!r} not in the space")
 
 
@@ -640,17 +636,13 @@ def forward_cauchy_value(ms: MetricSequence):
     """The join over starting stages of the meet of later-pair distances;
     exactly the meet over ordered tail-cycle residue pairs."""
     X, q = ms.space, ms.space.quantale
-    return q.meet(
-        X.d(pi, pj) for pi in ms.tail for pj in ms.tail
-    )
+    tail = [X.index[p] for p in ms.tail]
+    return q.meet(X.rows[i][j] for i in tail for j in tail)
 
 
 def forward_limit_metric(ms: MetricSequence, x) -> bool:
     """Whether X(x, y), for a point x of the space, equals the
     tail-stabilized meet of X(x_n, y) for every probe point y."""
     X, q = ms.space, ms.space.quantale
-    for y in X.objects:
-        stabilized = q.meet(X.d(p, y) for p in ms.tail)
-        if X.d(x, y) != stabilized:
-            return False
-    return True
+    tail = [X.rows[X.index[p]] for p in ms.tail]
+    return all(v == q.meet(column) for v, column in zip(X.rows[X.index[x]], zip(*tail)))

@@ -1,10 +1,15 @@
 """V-categories (generalized metric spaces) and V-distributors.
 
-Distributors between finite V-categories are quantale-valued matrices; their
-composite is a join-of-tensors matrix product (min-plus style over the
-additive Lawvere carrier, relational composition over the two-chain), run by
-the quantale's ``compose_matrices``: on table indices over a finite carrier,
-and on integers over the additive extended rationals.  Scaling lemma:
+A V-category is its matrix of distances and a distributor its matrix of
+V-values (Lawvere 1973; Stubbe 2005), each held as the instance file writes
+it: ``rows``, a tuple of rows indexed by object position, with ``index``
+mapping an object to its position.  Every consumer reads the rows, and
+``d(x, y)`` and ``at(x, y)`` look one entry up by name.  The composite of
+two distributors is a join-of-tensors matrix product (min-plus style over
+the additive Lawvere carrier, relational composition over the two-chain),
+run by the quantale's ``compose_matrices`` on the rows of φ and the columns
+of ψ: on table indices over a finite carrier, and on integers over the
+additive extended rationals.  Scaling lemma:
 multiplying every finite value by the lcm L > 0 of their denominators
 preserves the order and turns u + v into L·u + L·v, so the min-plus product
 is computed exactly on ``int``s and divided back once per distinct entry.
@@ -70,7 +75,7 @@ it is.  No weight is enumerated there, so no budget guard fires.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
 from .common import (
     DEFAULT_BUDGET,
@@ -91,7 +96,9 @@ POINT = "*"
 
 
 class VCategory:
-    """A finite object set with a quantale-valued distance matrix.
+    """A finite object set with a quantale-valued distance matrix:
+    ``rows[i][j]`` is X(objects[i], objects[j]), and ``index`` maps each
+    object to its position.
 
     The container does not enforce the axioms; ``validate_vcat`` checks
     reflexivity and transitivity, so arbitrary "distance sets" can also be
@@ -99,33 +106,27 @@ class VCategory:
     once: a V-category is not mutated after construction.
     """
 
-    def __init__(self, quantale: Quantale, objects, dist: Mapping):
-        self._build(quantale, objects, dist, quantale.check)
+    def __init__(self, quantale: Quantale, objects, rows):
+        objects = tuple(objects)
+        self._build(quantale, objects, _checked_rows(quantale, rows, len(objects), len(objects)))
 
     @classmethod
-    def trusted(cls, quantale: Quantale, objects, dist: Mapping) -> VCategory:
-        """A V-category whose distances are canonical, as a parser or a
-        quantale operation makes them: not checked again.  The objects must
-        still be distinct and the distances total."""
+    def trusted(cls, quantale: Quantale, objects, rows) -> VCategory:
+        """A V-category whose ``rows`` are an n × n tuple of tuples of
+        canonical values, as a parser or a quantale operation makes them:
+        not checked again.  The objects must still be distinct."""
         X = cls.__new__(cls)
-        X._build(quantale, objects, dist, None)
+        X._build(quantale, objects, rows)
         return X
 
-    def _build(self, quantale: Quantale, objects, dist: Mapping, check) -> None:
-        self.quantale = quantale
-        self.objects = tuple(objects)
-        if len(set(self.objects)) != len(self.objects):
+    def _build(self, quantale: Quantale, objects, rows) -> None:
+        self.quantale, self.objects, self.rows = quantale, tuple(objects), rows
+        self.index = {x: i for i, x in enumerate(self.objects)}
+        if len(self.index) != len(self.objects):
             raise ValueError("duplicate objects")
-        self.dist = {}
-        for x in self.objects:
-            for y in self.objects:
-                if (x, y) not in dist:
-                    raise ValueError(f"distance missing for pair {(x, y)!r}")
-                v = dist[(x, y)]
-                self.dist[(x, y)] = v if check is None else check(v)
 
     def d(self, x, y):
-        return self.dist[(x, y)]
+        return self.rows[self.index[x]][self.index[y]]
 
     @cached_property
     def report(self) -> Report:
@@ -137,81 +138,57 @@ class VCategory:
             isinstance(other, VCategory)
             and self.quantale == other.quantale
             and self.objects == other.objects
-            and self.dist == other.dist
+            and self.rows == other.rows
         )
 
     def __repr__(self):
         return f"VCategory(objects={list(self.objects)!r})"
 
 
+def _checked_rows(q: Quantale, rows, n: int, m: int) -> tuple:
+    """``rows`` as an n × m tuple of tuples of values checked by ``q``."""
+    rows = tuple(map(tuple, rows))
+    if len(rows) != n or any(len(row) != m for row in rows):
+        raise ValueError(f"expected {n} rows of length {m}, got lengths {[*map(len, rows)]}")
+    return tuple(tuple(map(q.check, row)) for row in rows)
+
+
 def unit_vcat(q: Quantale) -> VCategory:
     """The one-object V-category with self-distance the unit."""
-    return VCategory(q, [POINT], {(POINT, POINT): q.unit})
+    return VCategory.trusted(q, (POINT,), ((q.unit,),))
 
 
 class VDistributor:
-    """A matrix X ⇸ Y of quantale values, contravariant in X, covariant in Y."""
+    """A matrix X ⇸ Y of quantale values, contravariant in X, covariant in Y:
+    ``rows[i][j]`` is φ(X.objects[i], Y.objects[j])."""
 
-    def __init__(self, source: VCategory, target: VCategory, values: Mapping):
+    def __init__(self, source: VCategory, target: VCategory, rows):
         require_same_quantale(source.quantale, target.quantale)
-        self.quantale = source.quantale
-        self.source = source
-        self.target = target
-        self.values = {}
-        for x in source.objects:
-            for y in target.objects:
-                if (x, y) not in values:
-                    raise ValueError(f"value missing for pair {(x, y)!r}")
-                self.values[(x, y)] = self.quantale.check(values[(x, y)])
+        rows = _checked_rows(source.quantale, rows, len(source.objects), len(target.objects))
+        self.quantale, self.source, self.target, self.rows = source.quantale, source, target, rows
 
     @classmethod
-    def trusted(cls, source: VCategory, target: VCategory, values: dict) -> VDistributor:
-        """A distributor whose ``values`` are canonical and given for every
-        (x, y), as a quantale operation returns them: not checked again."""
+    def trusted(cls, source: VCategory, target: VCategory, rows) -> VDistributor:
+        """A distributor whose ``rows`` are a source × target tuple of tuples
+        of canonical values, as a quantale operation returns them: not
+        checked again."""
         phi = cls.__new__(cls)
-        phi.quantale, phi.source, phi.target, phi.values = (
-            source.quantale, source, target, values
-        )
+        phi.quantale, phi.source, phi.target, phi.rows = source.quantale, source, target, rows
         return phi
 
     def at(self, x, y):
-        return self.values[(x, y)]
+        return self.rows[self.source.index[x]][self.target.index[y]]
 
     def __eq__(self, other):
         return (
             isinstance(other, VDistributor)
             and self.source == other.source
             and self.target == other.target
-            and self.values == other.values
+            and self.rows == other.rows
         )
 
     def __repr__(self):
         return f"VDistributor({len(self.source.objects)}x{len(self.target.objects)})"
-
-
-def identity_vdist(X: VCategory) -> VDistributor:
-    return VDistributor(X, X, dict(X.dist))
-
-
-def right_weight(X: VCategory, vector: Mapping) -> VDistributor:
-    """A coweight X ⇸ E given by one value per object."""
-    E = unit_vcat(X.quantale)
-    return VDistributor(X, E, {(x, POINT): vector[x] for x in X.objects})
-
-
-def weight_vector(phi: VDistributor) -> dict:
-    """Read a weight E ⇸ X back as an object-indexed vector."""
-    if len(phi.source.objects) != 1:
-        raise ValueError("not a weight out of the unit category")
-    (star,) = phi.source.objects
-    return {x: phi.at(star, x) for x in phi.target.objects}
-
-
-def coweight_vector(psi: VDistributor) -> dict:
-    if len(psi.target.objects) != 1:
-        raise ValueError("not a coweight into the unit category")
-    (star,) = psi.target.objects
-    return {x: psi.at(x, star) for x in psi.source.objects}
 
 
 @dataclass
@@ -234,16 +211,15 @@ def validate_vcat(X: VCategory) -> Report:
     """Reflexivity k ≤ X(x,x) and transitivity X(y,z) ⊗ X(x,y) ≤ X(x,z),
     each failure named by its first witness in object order.  The quantale's
     ``first_intransitive`` hook scans the distance matrix."""
-    q = X.quantale
-    objects = X.objects
+    q, objects, rows = X.quantale, X.objects, X.rows
     report = Report()
-    refl = next((x for x in objects if not q.leq(q.unit, X.d(x, x))), None)
+    refl = next((i for i, row in enumerate(rows) if not q.leq(q.unit, row[i])), None)
     report.add(
         "reflexivity",
         refl is None,
-        None if refl is None else f"{refl!r}: k ≰ {q.format(X.d(refl, refl))}",
+        None if refl is None else f"{objects[refl]!r}: k ≰ {q.format(rows[refl][refl])}",
     )
-    tri = q.first_intransitive([[X.dist[(x, y)] for y in objects] for x in objects])
+    tri = q.first_intransitive(rows)
     report.add(
         "transitivity", tri is None, None if tri is None else tuple(objects[t] for t in tri)
     )
@@ -252,20 +228,17 @@ def validate_vcat(X: VCategory) -> Report:
 
 def validate_vdist(phi: VDistributor) -> Report:
     """Bimodule laws: Y(y,y') ⊗ φ(x,y) ⊗ X(x',x) ≤ φ(x',y')."""
-    q = phi.quantale
-    X, Y = phi.source, phi.target
+    q, xs, ys = phi.quantale, phi.source.objects, phi.target.objects
+    X, Y, rows = phi.source.rows, phi.target.rows, phi.rows
     report = Report()
     bad = next(
         (
-            (x, xp, y, yp)
-            for x in X.objects
-            for xp in X.objects
-            for y in Y.objects
-            for yp in Y.objects
-            if not q.leq(
-                q.tensor(Y.d(y, yp), q.tensor(phi.at(x, y), X.d(xp, x))),
-                phi.at(xp, yp),
-            )
+            (xs[i], xs[ip], ys[j], ys[jp])
+            for i, row in enumerate(rows)
+            for ip, (X_ip, row_p) in enumerate(zip(X, rows))
+            for j, (Y_j, v) in enumerate(zip(Y, row))
+            for jp, w in enumerate(row_p)
+            if not q.leq(q.tensor(Y_j[jp], q.tensor(v, X_ip[i])), w)
         ),
         None,
     )
@@ -281,12 +254,9 @@ def compose_vdist(psi: VDistributor, phi: VDistributor) -> VDistributor:
     """The composite ψ·φ: X ⇸ Z with (ψ·φ)(x,z) = ⋁_y ψ(y,z) ⊗ φ(x,y)."""
     if phi.target != psi.source:
         raise ValueError("middle categories do not match")
-    X, mid, Z = phi.source.objects, phi.target.objects, psi.target.objects
-    rows = [[phi.values[(x, y)] for y in mid] for x in X]
-    cols = [[psi.values[(y, z)] for y in mid] for z in Z]
-    matrix = phi.quantale.compose_matrices(rows, cols)
-    values = {(x, z): v for x, row in zip(X, matrix) for z, v in zip(Z, row)}
-    return VDistributor.trusted(phi.source, psi.target, values)
+    cols = tuple(zip(*psi.rows)) or ((),) * len(psi.target.objects)  # p columns when m = 0
+    rows = phi.quantale.compose_matrices(phi.rows, cols)
+    return VDistributor.trusted(phi.source, psi.target, tuple(map(tuple, rows)))
 
 
 def _require_adjoint_shape(phi: VDistributor, psi: VDistributor) -> None:
@@ -295,22 +265,24 @@ def _require_adjoint_shape(phi: VDistributor, psi: VDistributor) -> None:
 
 
 def adjoint_report(phi: VDistributor, psi: VDistributor) -> Report:
+    """The unit X ≤ ψ·φ and the counit φ·ψ ≤ Y, each failure named by its
+    first pair (x, y) in row-major order with lower[x][y] ≰ upper[x][y]."""
     report = Report()
-    q = phi.quantale
-    unit = compose_vdist(psi, phi)
-    idX = identity_vdist(phi.source)
-    bad_unit = next(
-        (key for key in idX.values if not q.leq(idX.values[key], unit.values[key])),
-        None,
-    )
-    report.add("unit-inequality", bad_unit is None, bad_unit)
-    counit = compose_vdist(phi, psi)
-    idY = identity_vdist(phi.target)
-    bad_counit = next(
-        (key for key in idY.values if not q.leq(counit.values[key], idY.values[key])),
-        None,
-    )
-    report.add("counit-inequality", bad_counit is None, bad_counit)
+    q, X, Y = phi.quantale, phi.source, phi.target
+    for name, objects, lower, upper in (
+        ("unit-inequality", X.objects, X.rows, compose_vdist(psi, phi).rows),
+        ("counit-inequality", Y.objects, compose_vdist(phi, psi).rows, Y.rows),
+    ):
+        bad = next(
+            (
+                (objects[i], objects[j])
+                for i, (low, up) in enumerate(zip(lower, upper))
+                for j, (u, v) in enumerate(zip(low, up))
+                if not q.leq(u, v)
+            ),
+            None,
+        )
+        report.add(name, bad is None, bad)
     return report
 
 
@@ -320,11 +292,10 @@ def adjoint_report(phi: VDistributor, psi: VDistributor) -> Report:
 
 def isbell_conjugate_weight(phi: VDistributor) -> VDistributor:
     """The conjugate of a weight φ: E ⇸ X: the coweight ⋀_b hom(φ(b), X(a, b))."""
-    q = phi.quantale
-    X = phi.target
-    vec = weight_vector(phi)
-    out = {a: q.meet_of_homs((vec[b], X.dist[a, b]) for b in X.objects) for a in X.objects}
-    return right_weight(X, out)
+    q, X = phi.quantale, phi.target
+    (vec,) = phi.rows  # the one row of a weight
+    column = tuple((q.meet_of_homs(zip(vec, row)),) for row in X.rows)
+    return VDistributor.trusted(X, unit_vcat(q), column)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +313,8 @@ def is_representable(phi: VDistributor, psi: VDistributor):
     if not report.ok:
         raise PreconditionError("is_representable requires an adjoint pair", report)
     q = phi.quantale
-    pv, cv = weight_vector(phi), coweight_vector(psi)
-    for a in phi.target.objects:
-        if q.leq(q.unit, pv[a]) and q.leq(q.unit, cv[a]):
+    for a, u, (v,) in zip(phi.target.objects, phi.rows[0], psi.rows):
+        if q.leq(q.unit, u) and q.leq(q.unit, v):
             return a
     return None
 
@@ -410,9 +380,8 @@ def _adjoint_weights(X: VCategory, budget: int) -> Iterator[tuple[tuple, tuple, 
     q = require_finite(X.quantale, "weight enumeration")
     n = len(X.objects)
     guard_count(q.size ** n, budget, f"weights |V|^{n}")
-    D = [[X.dist[(x, y)] for y in X.objects] for x in X.objects]
     diagonal = [(i, i) for i in range(n)]
-    for phi, psi in matrix_weights(q, D, list(zip(*D))):
+    for phi, psi in matrix_weights(q, X.rows, tuple(zip(*X.rows))):
         adjoint, member = unit_member(q, phi, psi, diagonal)
         if adjoint:
             yield phi, psi, member
@@ -446,8 +415,8 @@ def lawvere_complete_vcat(X: VCategory, budget: int = DEFAULT_BUDGET) -> Lawvere
         raise PreconditionError("lawvere_complete_vcat requires a V-category", X.report)
     if unit_criterion(q):
         first: dict[tuple, Any] = {}  # row X(a, −) -> the first such a
-        for a in X.objects:
-            first.setdefault(tuple([X.dist[(a, y)] for y in X.objects]), a)
+        for a, row in zip(X.objects, X.rows):
+            first.setdefault(row, a)
         return LawvereVerdict(
             True, [(dict(zip(X.objects, row)), first[row]) for row in sorted(first)]
         )

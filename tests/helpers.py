@@ -51,8 +51,6 @@ from quantcat.seqlim import (
     Cocone,
     MetricSequence,
     Sequence,
-    _pair_map,
-    _pair_set,
     _Quotient,
     cauchy_value,
     forward_cauchy_value,
@@ -65,14 +63,11 @@ from quantcat.vcat import (
     _adjoint_weights,
     _require_adjoint_shape,
     adjoint_report,
-    coweight_vector,
     is_representable,
     isbell_conjugate_weight,
-    right_weight,
     unit_vcat,
     validate_vcat,
     validate_vdist,
-    weight_vector,
 )
 
 
@@ -227,16 +222,6 @@ def i_embed(q: Quantale, v) -> NormedSet:
 # V-functors, induced distributors and weights (the vcat calculus)
 
 
-def vcat_from_matrix(q: Quantale, objects, matrix) -> VCategory:
-    objects = list(objects)
-    dist = {
-        (x, y): matrix[i][j]
-        for i, x in enumerate(objects)
-        for j, y in enumerate(objects)
-    }
-    return VCategory(q, objects, dist)
-
-
 @dataclass
 class VFunctor:
     source: VCategory
@@ -256,9 +241,32 @@ class VFunctor:
 
 
 def left_weight(X: VCategory, vector: Mapping) -> VDistributor:
-    """A weight E ⇸ X given by one value per object."""
-    E = unit_vcat(X.quantale)
-    return VDistributor(E, X, {(POINT, x): vector[x] for x in X.objects})
+    """A weight E ⇸ X given by one value per object: a 1 × n row."""
+    return VDistributor(unit_vcat(X.quantale), X, [[vector[x] for x in X.objects]])
+
+
+def right_weight(X: VCategory, vector: Mapping) -> VDistributor:
+    """A coweight X ⇸ E given by one value per object: an n × 1 column."""
+    return VDistributor(X, unit_vcat(X.quantale), [[vector[x]] for x in X.objects])
+
+
+def weight_vector(phi: VDistributor) -> dict:
+    """Read a weight E ⇸ X back as an object-indexed vector."""
+    if len(phi.source.objects) != 1:
+        raise ValueError("not a weight out of the unit category")
+    return dict(zip(phi.target.objects, phi.rows[0]))
+
+
+def coweight_vector(psi: VDistributor) -> dict:
+    """Read a coweight X ⇸ E back as an object-indexed vector."""
+    if len(psi.target.objects) != 1:
+        raise ValueError("not a coweight into the unit category")
+    return {x: v for x, (v,) in zip(psi.source.objects, psi.rows)}
+
+
+def identity_vdist(X: VCategory) -> VDistributor:
+    """The identity distributor X ⇸ X, whose matrix is X's."""
+    return VDistributor(X, X, X.rows)
 
 
 def validate_vfunctor(f: VFunctor) -> Report:
@@ -279,18 +287,15 @@ def validate_vfunctor(f: VFunctor) -> Report:
 
 def f_lower(f: VFunctor) -> VDistributor:
     """The induced distributor X ⇸ Y with matrix Y(f x, y)."""
-    values = {
-        (x, y): f.target.d(f(x), y) for x in f.source.objects for y in f.target.objects
-    }
-    return VDistributor(f.source, f.target, values)
+    Y = f.target
+    return VDistributor(f.source, Y, [Y.rows[Y.index[f(x)]] for x in f.source.objects])
 
 
 def f_upper(f: VFunctor) -> VDistributor:
     """The induced distributor Y ⇸ X with matrix Y(y, f x)."""
-    values = {
-        (y, x): f.target.d(y, f(x)) for y in f.target.objects for x in f.source.objects
-    }
-    return VDistributor(f.target, f.source, values)
+    Y = f.target
+    image = [Y.index[f(x)] for x in f.source.objects]
+    return VDistributor(Y, f.source, [[row[i] for i in image] for row in Y.rows])
 
 
 def object_lower(X: VCategory, a) -> VDistributor:
@@ -319,7 +324,7 @@ def isbell_conjugate_coweight(psi: VDistributor) -> VDistributor:
     q = psi.quantale
     X = psi.source
     vec = coweight_vector(psi)
-    out = {a: q.meet_of_homs((vec[b], X.dist[b, a]) for b in X.objects) for a in X.objects}
+    out = {a: q.meet_of_homs((vec[b], X.d(b, a)) for b in X.objects) for a in X.objects}
     return left_weight(X, out)
 
 # ---------------------------------------------------------------------------
@@ -396,12 +401,8 @@ def validate_nfunctor(F: NormedFunctor) -> Report:
 def sup_change_of_base(A: NormedCategory) -> VCategory:
     """The V-category with distances the joins of hom-set norms."""
     q = A.quantale
-    dist = {
-        (a, b): q.join(A.norm[f] for f in A.hom(a, b))
-        for a in A.objects
-        for b in A.objects
-    }
-    return VCategory(q, A.objects, dist)
+    rows = [[q.join(A.norm[f] for f in A.hom(a, b)) for b in A.objects] for a in A.objects]
+    return VCategory(q, A.objects, rows)
 
 
 def i_embed_cat(X: VCategory) -> NormedCategory:
@@ -641,6 +642,17 @@ def component_norm(s: Sequence, gamma: Cocone, n: int):
     return s.map_norm_of(gamma.component(n, s.n0), s.object_at(n), gamma.apex)
 
 
+def pair_set(q: Quantale, X: VCategory) -> NormedSet:
+    """The ordered pairs of a distance set, each normed by its distance."""
+    norms = {(x, y): v for x, row in zip(X.objects, X.rows) for y, v in zip(X.objects, row)}
+    return NormedSet.trusted(q, norms, list(norms))
+
+
+def pair_map(f: Mapping) -> dict:
+    """A map of points as the map of the ordered pairs of points."""
+    return {(x, y): (f[x], f[y]) for x in f for y in f}
+
+
 def _c2b_sets(s: Sequence, gamma: Cocone) -> tuple[NormedSet, NormedSet]:
     """The apex as a normed set (its pair set, for distance sets) and H, the
     final structure on the same carrier from the cocone's tail components."""
@@ -648,8 +660,8 @@ def _c2b_sets(s: Sequence, gamma: Cocone) -> tuple[NormedSet, NormedSet]:
     if s.kind == NSET:
         apex, T, maps = gamma.apex, s.tail_object, gamma.tail
     else:
-        apex, T = _pair_set(q, gamma.apex), _pair_set(q, s.tail_object)
-        maps = [_pair_map(g) for g in gamma.tail]
+        apex, T = pair_set(q, gamma.apex), pair_set(q, s.tail_object)
+        maps = [pair_map(g) for g in gamma.tail]
     return apex, final_structure(q, apex.elements, [(T, g) for g in maps])
 
 
@@ -823,9 +835,8 @@ def all_vcategories(q, objects, budget=DEFAULT_BUDGET):
     n = len(objects)
     count = q.size ** (n * n) if n else 1
     guard_count(count, budget, f"distance matrices |V|^{n * n}")
-    pairs = [(x, y) for x in objects for y in objects]
-    for assignment in product(list(q.carrier()), repeat=len(pairs)):
-        X = VCategory(q, objects, dict(zip(pairs, assignment)))
+    for assignment in product(list(q.carrier()), repeat=n * n):
+        X = VCategory(q, objects, [assignment[i * n:(i + 1) * n] for i in range(n)])
         if validate_vcat(X).ok:
             yield X
 
@@ -1251,7 +1262,9 @@ def dist_leq(phi, psi) -> bool:
     if phi.source != psi.source or phi.target != psi.target:
         raise ValueError("distributors are not parallel")
     q = phi.quantale
-    return all(q.leq(v, psi.at(*key)) for key, v in phi.values.items())
+    return all(
+        q.leq(u, v) for low, up in zip(phi.rows, psi.rows) for u, v in zip(low, up)
+    )
 
 
 def brute_left_adjoints(A, budget=DEFAULT_BUDGET):
@@ -1394,22 +1407,24 @@ def brute_colimit_nset(s):
 
 
 def brute_colimit_dset(s):
-    """(labels, dist) of the distance-set colimit, each pair of classes at
+    """(labels, rows) of the distance-set colimit, each pair of classes at
     the join of the tail-window distances between their members."""
     quot = s.quotient
     T, q = s.tail_object, s.quantale
-    dist = {
-        (l1, l2): q.join(
-            T.d(x, y)
-            for r in range(quot.period)
-            for x in T.objects
-            for y in T.objects
-            if quot.gamma[s.n0 + r][x] == l1 and quot.gamma[s.n0 + r][y] == l2
+    rows = tuple(
+        tuple(
+            q.join(
+                T.d(x, y)
+                for r in range(quot.period)
+                for x in T.objects
+                for y in T.objects
+                if quot.gamma[s.n0 + r][x] == l1 and quot.gamma[s.n0 + r][y] == l2
+            )
+            for l2 in quot.labels
         )
         for l1 in quot.labels
-        for l2 in quot.labels
-    }
-    return quot.labels, dist
+    )
+    return quot.labels, rows
 
 
 def unrolled_quotient(s) -> _Quotient:
@@ -1748,13 +1763,13 @@ def is_symmetric(X) -> bool:
 
 def ordered_pair_vcat(q):
     """Two objects with one nontrivial relation (x below y)."""
-    return vcat_from_matrix(q, ["x", "y"], [[q.unit, q.unit], [q.bottom, q.unit]])
+    return VCategory(q, ["x", "y"], [[q.unit, q.unit], [q.bottom, q.unit]])
 
 
 def bool4_split_witness_vcat(q4bool):
     """Two far-apart points over the Boolean diamond: adjoint mass splits
     between the atoms, so no single representability witness exists."""
-    return vcat_from_matrix(q4bool, ["x1", "x2"], [["top", "bot"], ["bot", "top"]])
+    return VCategory(q4bool, ["x1", "x2"], [["top", "bot"], ["bot", "top"]])
 
 
 def brute_composite_norms(s, window=None) -> Report:

@@ -57,7 +57,6 @@ from helpers import (
     presentable_unit_scan,
     split_monoid_cat,
     subsets,
-    vcat_from_matrix,
     verify_normed_colimit,
 )
 
@@ -99,7 +98,7 @@ def test_criterion_1_quantale_kernel():
 
 
 def _vcats_up_to(q, max_objects):
-    yield VCategory(q, [], {})
+    yield VCategory(q, [], [])
     for n in range(1, max_objects + 1):
         yield from all_vcategories(q, [f"o{i}" for i in range(n)], budget=10**6)
 
@@ -111,7 +110,7 @@ def test_criterion_2_vlevel_completeness():
         ok &= lawvere_complete_vcat(X, budget=10**6).complete
     q1 = trivial()
     for n in range(0, 4):
-        X = vcat_from_matrix(
+        X = VCategory(
             q1, [f"o{i}" for i in range(n)], [["k"] * n for _ in range(n)]
         )
         ok &= lawvere_complete_vcat(X).complete == (n > 0)
@@ -125,12 +124,12 @@ def test_criterion_2_vlevel_completeness():
 def _fixture_vcats(q):
     yield unit_vcat(q)
     yield ordered_pair_vcat(q)
-    yield vcat_from_matrix(
+    yield VCategory(
         q, ["x", "y"], [[q.unit, q.bottom], [q.bottom, q.unit]]
     )
     carrier = list(q.carrier())
     mid = carrier[len(carrier) // 2]
-    yield vcat_from_matrix(
+    yield VCategory(
         q,
         ["x", "y", "z"],
         [[q.unit, mid, mid], [q.bottom, q.unit, mid], [q.bottom, q.bottom, q.unit]],
@@ -203,7 +202,7 @@ def test_criterion_5_theorem_coherence():
         i_embed_cat(ordered_pair_vcat(q2)),
         i_embed_cat(ordered_pair_vcat(q3)),
         i_embed_cat(
-            vcat_from_matrix(q4, ["x1", "x2"], [["top", "bot"], ["bot", "top"]])
+            VCategory(q4, ["x1", "x2"], [["top", "bot"], ["bot", "top"]])
         ),
         monoid_cat(q2, "1", "1"),
     ]
@@ -308,16 +307,14 @@ def _random_vcat_sequence(rng, q_tensor, q_odot, symmetric):
     pts = [f"p{i}" for i in range(size)]
     carrier = list(q_tensor.carrier())
     for _ in range(60):
-        dist = {}
-        for i, x in enumerate(pts):
-            for j, y in enumerate(pts):
-                if i == j:
-                    dist[(x, y)] = q_tensor.unit
-                elif symmetric and j < i:
-                    dist[(x, y)] = dist[(y, x)]
-                else:
-                    dist[(x, y)] = rng.choice(carrier)
-        X = VCategory(q_tensor, pts, dist)
+        rows = [[q_tensor.unit] * size for _ in pts]
+        for i in range(size):
+            for j in range(size):
+                if symmetric and j < i:
+                    rows[i][j] = rows[j][i]
+                elif i != j:
+                    rows[i][j] = rng.choice(carrier)
+        X = VCategory(q_tensor, pts, rows)
         if validate_vcat(X).ok:
             endo = {x: rng.choice(pts) for x in pts}
             return Sequence("dset", [], [], X, endo, norm_quantale=q_odot)
@@ -404,12 +401,9 @@ def _random_metric_space(rng, q, size):
     pts = {f"m{i}": (Fraction(rng.randint(0, 8), 2), Fraction(rng.randint(0, 8), 2))
            for i in range(size)}
     names = list(pts)
-    dist = {
-        (a, b): abs(pts[a][0] - pts[b][0]) + abs(pts[a][1] - pts[b][1])
-        for a in names
-        for b in names
-    }
-    return VCategory(q, names, dist)
+    rows = [[abs(pts[a][0] - pts[b][0]) + abs(pts[a][1] - pts[b][1]) for b in names]
+            for a in names]
+    return VCategory(q, names, rows)
 
 
 def test_criterion_9_lipschitz_norms():

@@ -88,6 +88,23 @@ def test_compose_min_plus(capsys):
     assert values == [["1", "1"], ["0", "3"]]
 
 
+def test_compose_formats_each_distinct_value_once(capsys, monkeypatch):
+    from quantcat.quantale import LawvereQuantale
+
+    calls = Counter()
+    format_value = LawvereQuantale.format
+
+    def counted(self, u):
+        calls[u] += 1
+        return format_value(self, u)
+
+    monkeypatch.setattr(LawvereQuantale, "format", counted)
+    code, report, _ = run_json(capsys, path("compose.json"))
+    assert code == 0 and report["tasks"][0]["details"]["values"] == [["1", "1"], ["0", "3"]]
+    # four entries, three distinct values
+    assert sum(calls.values()) == 3 and set(calls.values()) == {1}
+
+
 def test_machine_report_byte_identical(capsys):
     _, _, first = run_json(capsys, path("weights.json"))
     _, _, second = run_json(capsys, path("weights.json"))
@@ -603,6 +620,7 @@ SHAPE_IDS = [
     "two morphisms\n",
     "weight-pair-no-value-y",
     "weight-pair-no-value-7",
+    "metric-sequence-point-outside-the-space",
 ]
 
 
@@ -755,6 +773,15 @@ SHAPE_IDS = [
                              "psi": {"x": "1", "y": "1"}}}},
          f"input error: objects.wp.phi: no value for object {y!r}\n")
         for y in ("y", 7)
+    ]
+    + [
+        # a metric sequence's points lie in its space
+        ({"quantale": "lawvere-plus", "tasks": [],
+          "objects": {"X": {"kind": "vcat", "objects": ["p", "q"],
+                            "dist": [["0", "1"], ["1", "0"]]},
+                      "ms": {"kind": "metric_sequence", "space": "X", "prefix_points": ["q"],
+                             "tail": {"points": ["p", "zz"]}}}},
+         "input error: objects.ms.tail.points[1]: point 'zz' not in the space\n"),
     ], SHAPE_IDS),
 )
 def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, located):
@@ -1330,15 +1357,18 @@ def _parse_outcome(data):
 
 
 @pytest.mark.parametrize("other, error", _named([
-    (True, "not an extended rational: True"),
+    (True, "not an extended rational: true"),
     (1, None),
     (1.0, "floats are not exact values: 1.0"),
     ("1", None),
+    ({"y": 1}, 'not an extended rational: {"y": 1}'),
+    (None, "not an extended rational: null"),
 ], ["True-object 'X': not an extended rational: True", "1-None0",
-    "1.0-object 'X': floats are not exact values: 1.0", "1-None1"]))
+    "1.0-object 'X': floats are not exact values: 1.0", "1-None1", "object", "null"]))
 def test_numeral_memo_keeps_json_scalars_apart(other, error):
     # "1" beside JSON true, 1 and 1.0, in either order: each is accepted or
-    # rejected as it is alone, so the string's memo entry never answers for them
+    # rejected as it is alone, so the string's memo entry never answers for
+    # them; a rejected value is echoed as the file writes it, in JSON
     from fractions import Fraction
 
     # and beside the JSON 1, which equals true and 1.0 as a dict key would
@@ -1355,7 +1385,7 @@ def test_numeral_memo_keeps_json_scalars_apart(other, error):
         assert finite == ("ok", [[1, 1], [1, 1]])
     else:
         assert finite == ("error", "objects.X.dist[1][0]: finite quantale elements must be "
-                                   f"referenced by name, got {other!r}")
+                                   f"referenced by name, got {json.dumps(other)}")
 
 
 def test_a_bad_numeral_is_rejected_every_time_it_is_read():
@@ -1400,13 +1430,13 @@ def _checked_literals(inst, spec):
     every vcat, normed-set and weight-pair literal of an instance file,
     inline ones too."""
     from quantcat.normed_set import NormedSet
-    from quantcat.vcat import right_weight
-    from helpers import left_weight, vcat_from_matrix
+    from quantcat.vcat import VCategory
+    from helpers import left_weight, right_weight
 
     q = inst.quantale
 
     def vcat(parsed, raw):
-        return parsed, vcat_from_matrix(q, raw["objects"], raw["dist"])
+        return parsed, VCategory(q, raw["objects"], raw["dist"])
 
     def nset(parsed, raw):
         norms = {e["id"]: e["norm"] for e in raw["elements"]}
@@ -1436,6 +1466,7 @@ def _checked_literals(inst, spec):
 def test_parsed_literals_equal_the_checked_constructors():
     from fractions import Fraction
 
+    from quantcat.normed_set import NormedSet
     from quantcat.quantale import INF
 
     compared = Counter()
@@ -1445,8 +1476,8 @@ def test_parsed_literals_equal_the_checked_constructors():
         inst = load_instance(path(name))
         for parsed, checked in _checked_literals(inst, spec):
             assert parsed == checked, name
-            values = next(getattr(parsed, field) for field in ("dist", "norms", "values")
-                          if hasattr(parsed, field)).values()
+            values = (parsed.norms.values() if isinstance(parsed, NormedSet)
+                      else [v for row in parsed.rows for v in row])
             kinds = (int,) if inst.quantale.is_finite else (Fraction, type(INF))
             assert all(type(v) in kinds for v in values), name
             compared[type(parsed).__name__, inst.quantale.is_finite] += 1
@@ -1521,6 +1552,7 @@ TASK_IDS = [
     "instance6-task 1 (compose): a reference must be an object name, got ['d1']",
     "instance7-task 1 (validate): validate does not apply to kind 'metric_sequence'",
     "instance8-task 1 (colimit): colimit construction applies to set-like ambients",
+    "compose-middle-distances-differ",
 ]
 
 
@@ -1569,6 +1601,16 @@ TASK_IDS = [
         (
             _fixture_with_task("ncat_sequence.json", {"op": "colimit", "target": "t"}),
             "tasks[1].target (colimit): colimit construction applies to set-like ambients",
+        ),
+        (
+            # the same objects at other distances make another middle category
+            _fixture_with_task(
+                "compose.json", {"op": "compose", "outer": "d1", "inner": "e"},
+                {"W": {"kind": "vcat", "objects": ["a", "b"], "dist": [["0", "2"], ["2", "0"]]},
+                 "e": {"kind": "vdist", "source": "X", "target": "W",
+                       "values": [["0", "2"], ["2", "0"]]}},
+            ),
+            "tasks[1] (compose): middle categories do not match",
         ),
     ], TASK_IDS),
 )

@@ -31,7 +31,7 @@ from quantcat.ncat import (
 from quantcat.normed_set import NormedSet
 from quantcat.quantale import builtin_quantale
 from quantcat.vcat import (
-    coweight_vector,
+    VCategory,
     isbell_conjugate_weight,
     lawvere_complete_vcat,
     matrix_weights,
@@ -45,6 +45,7 @@ from helpers import (
     brute_left_adjoints,
     check_normed_retract,
     coend_unit,
+    coweight_vector,
     filtered_norm_assignments,
     has_presentable_unit,
     i_embed_cat,
@@ -64,7 +65,6 @@ from helpers import (
     transformation_monoid,
     validate_ncat,
     validate_nfunctor,
-    vcat_from_matrix,
 )
 
 # ---------------------------------------------------------------------------
@@ -699,7 +699,7 @@ def test_lawvere_ncat_bool4_crafted_clause2(q4bool):
 
 def test_corollary_round_trip(q2, q3):
     for q in (q2, q3):
-        for X in (ordered_pair_vcat(q), vcat_from_matrix(q, ["x"], [[q.unit]])):
+        for X in (ordered_pair_vcat(q), VCategory(q, ["x"], [[q.unit]])):
             v_level = lawvere_complete_vcat(X).complete
             n_level = is_lawvere_complete_ncat(i_embed_cat(X)).complete
             assert v_level == n_level
@@ -1145,7 +1145,7 @@ def test_lawvere_builds_no_distributors(q2, monkeypatch):
     from quantcat import ncat
 
     n = 7
-    X = vcat_from_matrix(
+    X = VCategory(
         q2,
         [f"p{i}" for i in range(n)],
         [["1" if i <= j else "0" for j in range(n)] for i in range(n)],
@@ -1215,7 +1215,7 @@ def _hand_broken(q2):
         for ee in ("1b", "zz")
     ]
     # x → y → z at the unit with x → z at the bottom: not transitive
-    not_transitive = vcat_from_matrix(
+    not_transitive = VCategory(
         q2, ["x", "y", "z"], [["1", "1", "0"], ["0", "1", "1"], ["0", "0", "1"]]
     )
     return [
@@ -1306,7 +1306,7 @@ def test_associativity_scan_visits_no_triple_of_a_thin_category(q3):
             return super().__getitem__(key)
 
     n = 4
-    X = vcat_from_matrix(
+    X = VCategory(
         q3,
         [f"p{i}" for i in range(n)],
         [["1" if i <= j else "m" for j in range(n)] for i in range(n)],

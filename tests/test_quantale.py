@@ -495,10 +495,8 @@ def test_carrier_mismatch_errors(q2, qplus):
 STORING_CONSTRUCTORS = {
     "NormedSet": lambda q, raw: NormedSet(q, {"x": raw}).norm("x"),
     "i_embed": lambda q, raw: i_embed(q, raw).norm("*"),
-    "VCategory": lambda q, raw: VCategory(q, ["x"], {("x", "x"): raw}).d("x", "x"),
-    "VDistributor": lambda q, raw: VDistributor(
-        unit_vcat(q), unit_vcat(q), {("*", "*"): raw}
-    ).at("*", "*"),
+    "VCategory": lambda q, raw: VCategory(q, ["x"], [[raw]]).d("x", "x"),
+    "VDistributor": lambda q, raw: VDistributor(unit_vcat(q), unit_vcat(q), [[raw]]).at("*", "*"),
     "NormedCategory": lambda q, raw: NormedCategory(
         q, ["a"], ["1"], {"1": "a"}, {"1": "a"}, {"a": "1"}, {("1", "1"): "1"},
         {"1": raw},
@@ -556,17 +554,13 @@ def test_lawvere_times_results_stay_exact():
     X = VCategory(
         q,
         ["a", "b", "c"],
-        {
-            ("a", "a"): 0, ("a", "b"): "1/2", ("a", "c"): "inf",
-            ("b", "a"): 3, ("b", "b"): "0", ("b", "c"): "2/3",
-            ("c", "a"): "inf", ("c", "b"): 1, ("c", "c"): Fraction(0),
-        },
+        [[0, "1/2", "inf"], [3, "0", "2/3"], ["inf", 1, Fraction(0)]],
     )
-    values = list(X.dist.values())
+    values = [v for row in X.rows for v in row]
     homs = [q.hom(u, v) for u in values for v in values]
     joins = [q.join([u, v]) for u in homs for v in values]
     conjugate = isbell_conjugate_weight(left_weight(X, {"a": 2, "b": "1/3", "c": "inf"}))
-    results = homs + joins + list(conjugate.values.values()) + [q.join([]), q.join(homs)]
+    results = homs + joins + [v for (v,) in conjugate.rows] + [q.join([]), q.join(homs)]
     assert all(r is INF or type(r) is Fraction for r in results)
     assert not any(isinstance(r, float) for r in results)
     assert q.hom(Fraction(1, 2), Fraction(3)) == Fraction(6)

@@ -32,11 +32,8 @@ from quantcat.seqlim import (
 )
 from quantcat.vcat import (
     VCategory,
-    coweight_vector,
     isbell_conjugate_weight,
-    right_weight,
     validate_vcat,
-    weight_vector,
 )
 
 from conftest import lukasiewicz3
@@ -69,6 +66,9 @@ from helpers import (
     _c2b_probe_check,
     _c2b_sets,
     cocone_commutes,
+    coweight_vector,
+    right_weight,
+    weight_vector,
     verify_normed_colimit,
 )
 
@@ -90,10 +90,7 @@ def const_nset_sequence(q, norms, endo=None, prefix=()):
 
 def two_point_space(q, d, names=("x", "y")):
     a, b = names
-    return VCategory(
-        q, [a, b],
-        {(a, a): q.unit, (b, b): q.unit, (a, b): d, (b, a): d},
-    )
+    return VCategory(q, [a, b], [[q.unit, d], [d, q.unit]])
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +247,7 @@ def _random_sequence(rng, ambient, q, values, odot=None):
         elems = [f"e{i}" for i in range(size)]
         if ambient == "nset":
             return NormedSet(q, {x: rng.choice(values) for x in elems}, elems)
-        return VCategory(q, elems, {(x, y): rng.choice(values) for x in elems for y in elems})
+        return VCategory(q, elems, [[rng.choice(values) for y in elems] for x in elems])
 
     def elements(obj):
         return obj.elements if ambient == "nset" else obj.objects
@@ -525,7 +522,7 @@ def test_colimit_vlip_specializes_to_single_quantale(q3):
     s = Sequence("dset", [], [], X, {p: p for p in X.objects})
     apex_two, _ = colimit_vlip(s)
     apex_one, _ = colimit_dset(s)
-    assert apex_two.dist == apex_one.dist
+    assert apex_two.rows == apex_one.rows
 
 
 def test_vlip_hypothesis_rejection(q4bool, monkeypatch):
@@ -587,7 +584,7 @@ def test_lipschitz_doubling(qplus):
 
 def test_lipschitz_collapse(qplus):
     X = two_point_space(qplus, Fraction(3))
-    Y = VCategory(qplus, ["z"], {("z", "z"): Fraction(0)})
+    Y = VCategory(qplus, ["z"], [[Fraction(0)]])
     f = {"x": "z", "y": "z"}
     # 0/3 = 0 and 0/0 = 0: nothing contributes
     assert lipschitz_norm(X, Y, f, "multiplicative") == Fraction(0)
@@ -654,8 +651,7 @@ def test_log_norm_algebra():
 
 def chain_ordered_space(q2):
     pts = ["0", "1", "2"]
-    order = {(a, b): "1" if pts.index(a) <= pts.index(b) else "0"
-             for a in pts for b in pts}
+    order = [["1" if i <= j else "0" for j in range(len(pts))] for i in range(len(pts))]
     return VCategory(q2, pts, order)
 
 
@@ -815,9 +811,8 @@ def _all_dset_sequences(q, max_tail, odot=None):
     carrier = list(q.carrier())
     for n in range(1, max_tail + 1):
         elems = ["x", "y"][:n]
-        pairs = [(x, y) for x in elems for y in elems]
-        for values in product(carrier, repeat=len(pairs)):
-            T = VCategory(q, elems, dict(zip(pairs, values)))
+        for values in product(carrier, repeat=n * n):
+            T = VCategory(q, elems, [values[i * n:(i + 1) * n] for i in range(n)])
             for image in product(elems, repeat=n):
                 yield Sequence(
                     "dset", [T], [{x: x for x in elems}], T,
@@ -874,10 +869,12 @@ def _dset_c2b_cases(qname, odot, every_candidate):
     cases = []
     for s in _all_dset_sequences(q, 2, qn):
         labels, dist = brute_colimit_dset(s)
+        n = len(labels)
         candidates = (
-            [dict(zip(dist, values)) for values in product(carrier, repeat=len(dist))]
+            [[values[i * n:(i + 1) * n] for i in range(n)]
+             for values in product(carrier, repeat=n * n)]
             if every_candidate
-            else [dist, dict.fromkeys(dist, q.top)]
+            else [dist, [[q.top] * n] * n]
         )
         cases.append((s, [
             _with_oracle(
@@ -927,7 +924,7 @@ def test_colimit_dset_and_c2b_match_pair_oracle(qname, odot, every_candidate):
         if is_cauchy(s):
             apex, _ = colimit_dset(s)
             assert apex.objects == tuple(labels)
-            assert apex.dist == dist
+            assert apex.rows == dist
         else:
             with pytest.raises(PreconditionError):
                 colimit_dset(s)

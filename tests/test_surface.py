@@ -132,6 +132,18 @@ def test_walk_follows_bindings_and_stops_at_an_orphan():
     assert ("cli", "orphan") not in reached
 
 
+def test_v_matrix_conversions_live_in_the_tests():
+    # every consumer reads a V-matrix's rows, so the helpers that rebuilt a
+    # matrix from pairs or read a weight back as a vector are the tests' own
+    import helpers
+
+    moved = ["identity_vdist", "pair_set", "pair_map", "right_weight", "weight_vector",
+             "coweight_vector"]
+    defined = {name.lstrip("_") for m in _modules().values() for name in m.defs}
+    assert [name for name in moved if name in defined] == []
+    assert all(callable(getattr(helpers, name)) for name in moved)
+
+
 def _library_example() -> str:
     text = README.read_text()
     section = text.split("## Library example", 1)[1]

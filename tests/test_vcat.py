@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -12,19 +13,15 @@ from quantcat.vcat import (
     VDistributor,
     adjoint_report,
     compose_vdist,
-    coweight_vector,
-    identity_vdist,
     is_representable,
     isbell_conjugate_weight,
     lawvere_complete_vcat,
     matrix_weights,
-    right_weight,
     totally_compact_unit,
     unit_tensor_splits,
     unit_vcat,
     validate_vcat,
     validate_vdist,
-    weight_vector,
 )
 
 import helpers
@@ -35,16 +32,19 @@ from helpers import (
     brute_adjoint_pairs,
     brute_lawvere_vcat,
     check_adjoint,
+    coweight_vector,
     dist_leq,
     f_lower,
     f_upper,
+    identity_vdist,
     isbell_conjugate_coweight,
     left_weight,
     object_lower,
     object_upper,
     ordered_pair_vcat,
+    right_weight,
     validate_vfunctor,
-    vcat_from_matrix,
+    weight_vector,
 )
 
 # ---------------------------------------------------------------------------
@@ -92,20 +92,35 @@ def brute_force_representable(X, phi, psi):
 
 
 def metric2(qplus, d_ab=Fraction(1), d_ba=Fraction(1)):
-    return VCategory(
-        qplus,
-        ["a", "b"],
-        {
-            ("a", "a"): 0,
-            ("b", "b"): 0,
-            ("a", "b"): d_ab,
-            ("b", "a"): d_ba,
-        },
-    )
+    return VCategory(qplus, ["a", "b"], [[0, d_ab], [d_ba, 0]])
 
 
 # ---------------------------------------------------------------------------
 # validation
+
+
+def _two_by_one(qplus, rows):
+    return VDistributor(metric2(qplus), VCategory(qplus, ["z"], [[0]]), rows)
+
+
+@pytest.mark.parametrize("build, problem", [
+    (lambda q: VCategory(q, ["a", "b"], [[0, 1], [1]]),
+     "expected 2 rows of length 2, got lengths [2, 1]"),
+    (lambda q: VCategory(q, ["a", "b"], [[0, 1]]),
+     "expected 2 rows of length 2, got lengths [2]"),
+    (lambda q: VCategory(q, ["a", "b"], [[0, 1], [1, 0], [0, 0]]),
+     "expected 2 rows of length 2, got lengths [2, 2, 2]"),
+    (lambda q: _two_by_one(q, [[0, 1], [1, 0]]),
+     "expected 2 rows of length 1, got lengths [2, 2]"),
+    (lambda q: _two_by_one(q, [[0]]),
+     "expected 2 rows of length 1, got lengths [1]"),
+    (lambda q: VCategory(q, ["a", "a"], [[0, 0], [0, 0]]), "duplicate objects"),
+    (lambda q: VCategory.trusted(q, ["a", "a"], ((0, 0), (0, 0))), "duplicate objects"),
+], ids=["ragged", "too-few-rows", "too-many-rows", "distributor-row-length",
+        "distributor-row-count", "duplicate-objects", "trusted-duplicate-objects"])
+def test_matrix_constructors_check_their_shape(qplus, build, problem):
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        build(qplus)
 
 
 def test_validate_metric_space(qplus):
@@ -113,26 +128,14 @@ def test_validate_metric_space(qplus):
 
 
 def test_validate_reflexivity_failure(qplus):
-    X = VCategory(
-        qplus,
-        ["a", "b"],
-        {("a", "a"): 1, ("b", "b"): 0, ("a", "b"): 1, ("b", "a"): 1},
-    )
+    X = VCategory(qplus, ["a", "b"], [[1, 1], [1, 0]])
     report = validate_vcat(X)
     assert not report.ok
     assert report.failures()[0].name == "reflexivity"
 
 
 def test_validate_triangle_failure(qplus):
-    X = VCategory(
-        qplus,
-        ["a", "b", "c"],
-        {
-            ("a", "a"): 0, ("b", "b"): 0, ("c", "c"): 0,
-            ("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 5,
-            ("b", "a"): 1, ("c", "b"): 1, ("c", "a"): 1,
-        },
-    )
+    X = VCategory(qplus, ["a", "b", "c"], [[0, 1, 5], [1, 0, 1], [1, 1, 0]])
     report = validate_vcat(X)
     assert not report.ok
     assert ("a", "b", "c") in [c.witness for c in report.failures()]
@@ -164,7 +167,7 @@ def test_validate_vcat_row_scan_matches_the_method_scan(
             for n in (4, 5) for reflexive in (False, True) for _ in range(100)
         ]
         for matrix in matrices:
-            X = vcat_from_matrix(q, [f"o{i}" for i in range(len(matrix))], matrix)
+            X = VCategory(q, [f"o{i}" for i in range(len(matrix))], matrix)
             assert validate_vcat(X) == helpers.method_validate_vcat(X), (q, matrix)
     # the extended rationals: values with small denominators, 0 and inf
     values = [INF, Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3)]
@@ -174,7 +177,7 @@ def test_validate_vcat_row_scan_matches_the_method_scan(
                 for _ in range(100):
                     matrix = [[q.unit if i == j and reflexive else rng.choice(values)
                                for j in range(n)] for i in range(n)]
-                    X = vcat_from_matrix(q, [f"o{i}" for i in range(n)], matrix)
+                    X = VCategory(q, [f"o{i}" for i in range(n)], matrix)
                     assert validate_vcat(X) == helpers.method_validate_vcat(X), (q, matrix)
 
 
@@ -202,7 +205,7 @@ def test_validate_vcat_reports_the_hook_witness(q3, qplus, qtimes, monkeypatch):
     # the transitivity check has one path: the quantale's hook, by index
     for q in (q3, qplus, qtimes):
         monkeypatch.setattr(type(q), "first_intransitive", lambda self, m: (1, 0, 1))
-        X = vcat_from_matrix(q, ["a", "b"], [[q.unit, q.unit], [q.unit, q.unit]])
+        X = VCategory(q, ["a", "b"], [[q.unit, q.unit], [q.unit, q.unit]])
         assert validate_vcat(X).failures()[0].witness == ("b", "a", "b")
         monkeypatch.undo()
 
@@ -219,20 +222,20 @@ def test_validate_vfunctor(qplus):
 
 
 def test_compose_identity_is_unit_law(q2, qplus):
-    for q, X in ((q2, vcat_from_matrix(q2, ["x", "y"], [["1", "0"], ["0", "1"]])),
+    for q, X in ((q2, VCategory(q2, ["x", "y"], [["1", "0"], ["0", "1"]])),
                  (qplus, metric2(qplus))):
         phi = left_weight(X, {o: q.unit for o in X.objects})
         assert compose_vdist(identity_vdist(X), phi) == phi
 
 
 def test_compose_is_boolean_relational_product(q2):
-    X = vcat_from_matrix(q2, ["x0", "x1"], [["1", "1"], ["0", "1"]])
+    X = VCategory(q2, ["x0", "x1"], [["1", "1"], ["0", "1"]])
     phi = left_weight(X, {"x0": "1", "x1": "1"})  # E ⇸ X
-    psi_vals = {("x0", "y0"): "0", ("x0", "y1"): "1", ("x1", "y0"): "1", ("x1", "y1"): "1"}
-    Y = vcat_from_matrix(q2, ["y0", "y1"], [["1", "0"], ["0", "1"]])
+    psi_rows = [["0", "1"], ["1", "1"]]  # rows x0, x1; columns y0, y1
+    Y = VCategory(q2, ["y0", "y1"], [["1", "0"], ["0", "1"]])
     from quantcat.vcat import VDistributor
 
-    psi = VDistributor(X, Y, psi_vals)
+    psi = VDistributor(X, Y, psi_rows)
     got = compose_vdist(psi, phi)
     A = [[True, True]]  # phi as 1x2 boolean matrix
     B = [[False, True], [True, True]]
@@ -245,12 +248,8 @@ def test_compose_is_min_plus_product(qplus):
     X = metric2(qplus)
     from quantcat.vcat import VDistributor
 
-    phi = VDistributor(
-        X, X, {("a", "a"): 0, ("a", "b"): 1, ("b", "a"): 2, ("b", "b"): 0}
-    )
-    psi = VDistributor(
-        X, X, {("a", "a"): 3, ("a", "b"): 1, ("b", "a"): 0, ("b", "b"): 5}
-    )
+    phi = VDistributor(X, X, [[0, 1], [2, 0]])
+    psi = VDistributor(X, X, [[3, 1], [0, 5]])
     got = compose_vdist(psi, phi)
     A = [[Fraction(0), Fraction(1)], [Fraction(2), Fraction(0)]]
     B = [[Fraction(3), Fraction(1)], [Fraction(0), Fraction(5)]]
@@ -262,20 +261,14 @@ def test_compose_is_min_plus_product(qplus):
 
 def test_compose_associative_on_sampled_distributors(q2, q3):
     for q in (q2, q3):
-        X = vcat_from_matrix(q, ["x", "y"], [[q.unit, q.bottom], [q.bottom, q.unit]])
+        X = VCategory(q, ["x", "y"], [[q.unit, q.bottom], [q.bottom, q.unit]])
         ds = []
         from quantcat.vcat import VDistributor
 
         vals = list(q.carrier())
         for v1 in vals:
             for v2 in vals:
-                ds.append(
-                    VDistributor(
-                        X, X,
-                        {("x", "x"): q.unit, ("x", "y"): v1,
-                         ("y", "x"): v2, ("y", "y"): q.unit},
-                    )
-                )
+                ds.append(VDistributor(X, X, [[q.unit, v1], [v2, q.unit]]))
         for f in ds[:4]:
             for g in ds[:4]:
                 for h in ds[:4]:
@@ -291,15 +284,16 @@ def test_compose_runs_the_quantale_hook_without_a_rational_op(qplus, monkeypatch
 
     rng = random.Random(5)
     X, Y, Z = (
-        vcat_from_matrix(qplus, objects, [[0] * len(objects)] * len(objects))
+        VCategory(qplus, objects, [[0] * len(objects)] * len(objects))
         for objects in (["a", "b", "c"], ["p", "q", "r", "s"], ["u", "v"])
     )
 
     def random_vdist(source, target):
-        return VDistributor(source, target, {
-            (x, y): rng.choice([INF, Fraction(rng.randint(0, 9), rng.randint(1, 12))])
-            for x in source.objects for y in target.objects
-        })
+        return VDistributor(source, target, [
+            [rng.choice([INF, Fraction(rng.randint(0, 9), rng.randint(1, 12))])
+             for y in target.objects]
+            for x in source.objects
+        ])
 
     phi, psi = random_vdist(X, Y), random_vdist(Y, Z)
     rows = [[phi.at(x, y) for y in Y.objects] for x in X.objects]
@@ -340,7 +334,7 @@ def test_constant_functor_lower(qplus):
 
 def test_functor_adjunction_all_functors(q2, qplus):
     spaces = [
-        vcat_from_matrix(q2, ["x", "y"], [["1", "1"], ["0", "1"]]),
+        VCategory(q2, ["x", "y"], [["1", "1"], ["0", "1"]]),
         metric2(qplus, Fraction(1, 2), Fraction(3)),
     ]
     for X in spaces:
@@ -361,7 +355,7 @@ def test_check_adjoint_one_point(q3):
 
 
 def test_representables_are_adjoint(q2, qplus):
-    for X in (vcat_from_matrix(q2, ["x", "y"], [["1", "1"], ["0", "1"]]),
+    for X in (VCategory(q2, ["x", "y"], [["1", "1"], ["0", "1"]]),
               metric2(qplus, Fraction(1), Fraction(2))):
         for a in X.objects:
             assert check_adjoint(object_lower(X, a), object_upper(X, a))
@@ -369,7 +363,7 @@ def test_representables_are_adjoint(q2, qplus):
 
 def test_up_down_sets_not_adjoint(q2):
     # ordered set x < y; up-set of y paired with down-set of x fails the unit
-    X = vcat_from_matrix(q2, ["x", "y"], [["1", "1"], ["0", "1"]])
+    X = VCategory(q2, ["x", "y"], [["1", "1"], ["0", "1"]])
     phi = left_weight(X, {"x": "0", "y": "1"})  # up-set of y: X(y, -)
     psi = right_weight(X, {"x": "1", "y": "0"})  # down-set of x: X(-, x)
     assert validate_vdist(phi).ok and validate_vdist(psi).ok
@@ -382,8 +376,8 @@ def test_up_down_sets_not_adjoint(q2):
 
 def test_isbell_yoneda(q2, q3, qplus):
     spaces = [
-        vcat_from_matrix(q2, ["x", "y"], [["1", "1"], ["0", "1"]]),
-        vcat_from_matrix(q3, ["x", "y"], [["1", "m"], ["0", "1"]]),
+        VCategory(q2, ["x", "y"], [["1", "1"], ["0", "1"]]),
+        VCategory(q3, ["x", "y"], [["1", "m"], ["0", "1"]]),
         metric2(qplus, Fraction(1), Fraction(2)),
     ]
     for X in spaces:
@@ -402,7 +396,7 @@ def test_isbell_one_point(q3):
 
 def test_isbell_adjunction_laws(q2, q3):
     for q in (q2, q3):
-        X = vcat_from_matrix(q, ["x", "y"], [[q.unit, q.unit], [q.bottom, q.unit]])
+        X = VCategory(q, ["x", "y"], [[q.unit, q.unit], [q.bottom, q.unit]])
         from itertools import product as iproduct
 
         for vec in iproduct(list(q.carrier()), repeat=2):
@@ -423,7 +417,7 @@ def test_isbell_adjunction_laws(q2, q3):
 
 
 def test_is_representable_requires_adjoint(q2):
-    X = vcat_from_matrix(q2, ["x", "y"], [["1", "1"], ["0", "1"]])
+    X = VCategory(q2, ["x", "y"], [["1", "1"], ["0", "1"]])
     phi = left_weight(X, {"x": "0", "y": "1"})
     psi = right_weight(X, {"x": "1", "y": "0"})
     with pytest.raises(PreconditionError):
@@ -441,7 +435,7 @@ def test_witness_criterion_matches_brute_force(q2, q3):
     for q in (q2, q3):
         spaces = [
             unit_vcat(q),
-            vcat_from_matrix(q, ["x", "y"], [[q.unit, q.unit], [q.bottom, q.unit]]),
+            VCategory(q, ["x", "y"], [[q.unit, q.unit], [q.bottom, q.unit]]),
         ]
         for X in spaces:
             for phi, psi in adjoint_weight_pairs(X, budget=10**6):
@@ -457,7 +451,7 @@ def test_witness_criterion_matches_brute_force(q2, q3):
 
 
 def test_ordered_sets_are_lawvere_complete(q2):
-    for X in (unit_vcat(q2), vcat_from_matrix(q2, ["x", "y"], [["1", "1"], ["0", "1"]])):
+    for X in (unit_vcat(q2), VCategory(q2, ["x", "y"], [["1", "1"], ["0", "1"]])):
         assert lawvere_complete_vcat(X).complete
 
 
@@ -483,7 +477,7 @@ def test_one_point_complete_when_unit_compact_and_tensor_splits(q2, q3, qluka):
 def test_sufficient_criterion_on_fixtures(q2, q3):
     for q in (q2, q3):
         if totally_compact_unit(q) and unit_tensor_splits(q):
-            X = vcat_from_matrix(
+            X = VCategory(
                 q, ["x", "y"], [[q.unit, q.bottom], [q.bottom, q.unit]]
             )
             assert lawvere_complete_vcat(X).complete
@@ -514,7 +508,7 @@ def test_unit_criterion_on_the_carriers(q1, q2, q3, q4chain, q4bool, qluka, qabo
 def test_crafted_bool4_incomplete(q4bool):
     # two far-apart points with witness mass split between the atoms
     q = q4bool
-    X = vcat_from_matrix(
+    X = VCategory(
         q, ["x1", "x2"], [["top", "bot"], ["bot", "top"]]
     )
     verdict = lawvere_complete_vcat(X)
@@ -564,7 +558,7 @@ def _lawvere_outcome(decide, X, budget):
 
 
 def test_lawvere_budget_fields_match_distributor_oracle(q4bool):
-    X = vcat_from_matrix(
+    X = VCategory(
         q4bool,
         ["x", "y", "z"],
         [["top", "bot", "bot"], ["bot", "top", "bot"], ["bot", "bot", "top"]],
@@ -588,7 +582,7 @@ def test_matrix_weights_is_the_bimodule_filtered_product(q2, q3):
         objects = [f"o{i}" for i in range(n)]
         for entries in product(q.carrier(), repeat=n * n):
             D = [list(entries[i * n:(i + 1) * n]) for i in range(n)]
-            X = vcat_from_matrix(q, objects, D)
+            X = VCategory(q, objects, D)
             expected = []
             for pvec in product(q.carrier(), repeat=n):
                 phi = left_weight(X, dict(zip(objects, pvec)))
@@ -640,7 +634,7 @@ def reflexive_vcategories(q, n):
         matrix = [[q.top] * n for _ in range(n)]
         for (i, j), v in zip(off, entries):
             matrix[i][j] = v
-        X = vcat_from_matrix(q, objects, matrix)
+        X = VCategory(q, objects, matrix)
         if validate_vcat(X).ok:
             yield X
 
@@ -655,7 +649,7 @@ def test_theorem_path_equals_the_search(q2, q3, q4chain, monkeypatch):
             if n <= 2:
                 objects = [f"o{i}" for i in range(n)]
                 every = all_vcategories(q, objects, budget=10**6)
-                assert [X.dist for X in found] == [X.dist for X in every]
+                assert [X.rows for X in found] == [X.rows for X in every]
             spaces += found
     assert len(spaces) == 986
     theorem = [repr(lawvere_complete_vcat(X)) for X in spaces]
@@ -689,7 +683,7 @@ def test_counit_holds_and_adjointness_is_one_join(
 
 def test_lawvere_builds_no_distributors(q2, monkeypatch):
     # the b2-disc9 shape: nine discrete points over bool2, 2^9 weights
-    X = vcat_from_matrix(
+    X = VCategory(
         q2,
         [f"p{i}" for i in range(9)],
         [["1" if i == j else "0" for j in range(9)] for i in range(9)],
@@ -721,7 +715,7 @@ def test_lawvere_builds_no_distributors(q2, monkeypatch):
 
 
 def test_lawvere_requires_a_vcategory(q2):
-    X = vcat_from_matrix(q2, ["x"], [["0"]])  # not reflexive
+    X = VCategory(q2, ["x"], [["0"]])  # not reflexive
     with pytest.raises(PreconditionError) as info:
         lawvere_complete_vcat(X)
     assert [c.name for c in info.value.value.failures()] == ["reflexivity"]
@@ -737,7 +731,7 @@ def test_lawvere_validates_each_vcategory_once(q2, monkeypatch):
 
     monkeypatch.setattr(vcat, "validate_vcat", counted)
     good = ordered_pair_vcat(q2)
-    bad = vcat_from_matrix(q2, ["x"], [["0"]])  # not reflexive
+    bad = VCategory(q2, ["x"], [["0"]])  # not reflexive
     assert lawvere_complete_vcat(good) == lawvere_complete_vcat(good)
     assert calls == {good.objects: 1}
     for _ in range(2):
@@ -750,7 +744,7 @@ def test_lawvere_validates_each_vcategory_once(q2, monkeypatch):
 
 
 def test_lawvere_budget(q4bool):
-    X = vcat_from_matrix(
+    X = VCategory(
         q4bool,
         ["x", "y", "z"],
         [["top", "bot", "bot"], ["bot", "top", "bot"], ["bot", "bot", "top"]],
@@ -777,7 +771,7 @@ def test_isbell_unit_law_sampled_bool4(vec):
     from quantcat.quantale import bool4
 
     q = bool4()
-    X = vcat_from_matrix(
+    X = VCategory(
         q, ["x", "y"], [["top", "bot"], ["bot", "top"]]
     )
     phi = left_weight(X, dict(zip(X.objects, vec)))
