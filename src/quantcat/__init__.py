@@ -6,8 +6,10 @@ calculus and Isbell conjugation, normed categories with adjunction
 certificates and the presentable-unit completeness decision, and normed
 colimits of finitely presented sequences.  The package exports what the
 command line (``python -m quantcat``) runs; the general calculus of normed
-maps, V-functors, normed functors and left adjoints, and the verifier of a
-candidate colimit cocone, are the tests' oracles, in ``tests/helpers.py``.
+maps, V-functors, normed functors and left adjoints, the strict part of a
+normed category as a category of its own, the Isbell conjugate of a normed
+distributor with its action, and the verifier of a candidate colimit
+cocone, are the tests' oracles, in ``tests/helpers.py``.
 """
 
 from .common import (
@@ -58,14 +60,12 @@ from .ncat import (
     NcatLawvereVerdict,
     NormedCategory,
     NormedDistributor,
-    PlainCategory,
     check_adjunction_cert,
     is_lawvere_complete_ncat,
-    isbell_conjugate_ndist,
     nat_transformations,
     representable_cov,
     split_idempotents_check,
-    strict_subcategory,
+    strict_morphisms,
     validate_ndist,
 )
 from .seqlim import (

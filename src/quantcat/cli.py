@@ -517,12 +517,9 @@ def _ser_normed_set(A: NormedSet) -> dict:
 
 
 def _format_rows(q: Quantale, rows) -> list:
-    """``rows`` as the file format writes them, each distinct value formatted
-    once, in row order: the first value too long to write is the one that
-    raises."""
-    memo: dict = {}
-    return [[memo[v] if v in memo else memo.setdefault(v, q.format(v)) for v in row]
-            for row in rows]
+    """``rows`` as the file format writes them, in row order: the first value
+    too long to write is the one that raises."""
+    return [[q.format(v) for v in row] for row in rows]
 
 
 def _ser_vcat(X: VCategory) -> dict:
@@ -614,9 +611,16 @@ def _task_isbell(inst: Instance, task: dict, budget: int, probe: int) -> dict:
         column = vcat_mod.isbell_conjugate_weight(value.phi).rows
         conjugate = {x: q.format(v) for x, (v,) in zip(value.phi.target.objects, column)}
         return _outcome(None, conjugate=conjugate)
-    conj = ncat_mod.isbell_conjugate_ndist(value, budget)
-    sizes = {a: len(conj.set_at(a)) for a in conj.category.objects}
-    norms = {a: [q.format(conj.set_at(a).norm(e)) for e in conj.set_at(a)] for a in sizes}
+    if not value.covariant:
+        raise ValueError("the conjugate is taken of a covariant distributor")
+    # the conjugate at a is the normed set of natural families into A(a, -);
+    # its action is not reported, so it is not built
+    A = value.category
+    sizes, norms = {}, {}
+    for a in A.objects:
+        S = ncat_mod.nat_transformations(value, ncat_mod.representable_cov(A, a), budget)
+        sizes[a] = len(S)
+        norms[a] = [q.format(S.norms[e]) for e in S]
     return _outcome(None, sizes=sizes, norms=norms)
 
 
@@ -661,7 +665,10 @@ def _task_split(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     if not A.report.ok:
         return _precondition_failure(inst.quantale, "not a category", A.report)
     try:
-        ok, witness = A.strict_split if task.get("strict") else ncat_mod.split_idempotents_check(A)
+        ok, witness = (
+            A.strict_split if task.get("strict")
+            else ncat_mod.split_idempotents_check(A, frozenset(A.morphisms))
+        )
     except ConstructionError as exc:
         raise PreconditionError(f"the strict part needs a normed category: {exc}")
     return _outcome(ok, witness=witness)

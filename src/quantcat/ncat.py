@@ -81,8 +81,11 @@ criterion lemma in the ``vcat`` docstring.  The decision is then
 and no guard fired.
 
 Clause (1) reads ``NormedCategory.strict_split``, which the ``split`` task
-on the strict part reads too, so a file that runs both builds and scans the
-strict subcategory once.
+on the strict part reads too, so a file that runs both finds and scans the
+strict part once.  The strict part is a set of A's own morphisms,
+``strict_morphisms``; ``split_idempotents_check`` reads A's tables and skips
+the idempotents and splitting pairs outside it, so no subcategory is built
+or validated again.
 
 Associativity lemma.  Once every composite has the right endpoints, both
 (h∘g)∘f and h∘(g∘f) lie in A(dom f, cod h), so a triple can fail only when
@@ -117,11 +120,14 @@ from .quantale import Quantale, require_finite, require_same_quantale
 from .vcat import matrix_weights, unit_criterion, unit_member
 
 
-class PlainCategory:
-    """A finite category: objects, named morphisms, identities, a total
-    composition table keyed (g, f) for cod f = dom g."""
+class NormedCategory:
+    """A finite category with a quantale-valued norm on morphisms: objects,
+    named morphisms, identities, a total composition table keyed (g, f) for
+    cod f = dom g, and ``into[b]``, the morphisms into b in declaration
+    order."""
 
-    def __init__(self, objects, morphisms, dom, cod, identity, table):
+    def __init__(self, quantale: Quantale, objects, morphisms, dom, cod, identity, table, norm):
+        self.quantale = quantale
         self.objects = tuple(objects)
         self.morphisms = tuple(morphisms)
         if len(set(self.objects)) != len(self.objects):
@@ -143,60 +149,34 @@ class PlainCategory:
             i = self.identity[a]
             if self.dom.get(i) != a or self.cod.get(i) != a:
                 raise ValueError(f"identity of {a!r} has wrong endpoints")
-        self._into = {
+        self.into = {
             b: tuple(f for f in self.morphisms if self.cod[f] == b) for b in self.objects
         }
         for g in self.morphisms:
-            for f in self._into[self.dom[g]]:
+            for f in self.into[self.dom[g]]:
                 if (g, f) not in self.table:
                     raise ValueError(f"composition missing for {(g, f)!r}")
         self._hom: dict[tuple, tuple] = {}
-
-    def compose(self, g, f):
-        """g after f."""
-        return self.table[(g, f)]
-
-    def into(self, b) -> tuple:
-        """The morphisms into b, in declaration order."""
-        return self._into[b]
+        if set(norm.keys()) != set(self.morphisms):
+            raise ValueError("norm is not total on morphisms")
+        self.norm = {f: quantale.check(norm[f]) for f in self.morphisms}
 
     def hom(self, a, b) -> tuple:
+        """The morphisms a -> b, in declaration order."""
         key = (a, b)
         if key not in self._hom:
-            self._hom[key] = tuple(f for f in self._into[b] if self.dom[f] == a)
+            self._hom[key] = tuple(f for f in self.into[b] if self.dom[f] == a)
         return self._hom[key]
 
     def idempotents(self) -> Iterator:
         for e in self.morphisms:
-            if self.dom[e] == self.cod[e] and self.compose(e, e) == e:
+            if self.dom[e] == self.cod[e] and self.table[e, e] == e:
                 yield e
 
     @cached_property
     def report(self) -> Report:
         """``validate_category`` of this category."""
         return validate_category(self)
-
-    def __repr__(self):
-        return (
-            f"{type(self).__name__}({len(self.objects)} objects, "
-            f"{len(self.morphisms)} morphisms)"
-        )
-
-
-class NormedCategory(PlainCategory):
-    """A plain category with a quantale-valued norm on morphisms."""
-
-    def __init__(self, quantale: Quantale, objects, morphisms, dom, cod, identity, table, norm):
-        super().__init__(objects, morphisms, dom, cod, identity, table)
-        self.quantale = quantale
-        self.norm = {f: quantale.check(norm[f]) for f in self.morphisms}
-        if set(norm.keys()) != set(self.morphisms):
-            raise ValueError("norm is not total on morphisms")
-
-    def hom_set(self, a, b) -> NormedSet:
-        """The hom-set as a normed set (declaration order)."""
-        fs = self.hom(a, b)
-        return NormedSet.trusted(self.quantale, {f: self.norm[f] for f in fs}, fs)
 
     @cached_property
     def ncat_report(self) -> Report:
@@ -206,13 +186,20 @@ class NormedCategory(PlainCategory):
 
     @cached_property
     def strict_split(self) -> tuple:
-        """``split_idempotents_check`` of ``strict_subcategory``: clause (1)
-        of the completeness decision.  ``ConstructionError`` when the strict
-        part is not a category; a raise is not cached."""
-        return split_idempotents_check(strict_subcategory(self))
+        """``split_idempotents_check`` of the strict part, the morphisms of
+        ``strict_morphisms``: clause (1) of the completeness decision.
+        ``ConstructionError`` when the strict part is not a category; a raise
+        is not cached."""
+        return split_idempotents_check(self, strict_morphisms(self))
+
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}({len(self.objects)} objects, "
+            f"{len(self.morphisms)} morphisms)"
+        )
 
 
-def validate_category(C: PlainCategory) -> Report:
+def validate_category(C: NormedCategory) -> Report:
     """Composite endpoints, identity laws and associativity.  Composable
     pairs (g, f) are walked with g in declaration order and f over the
     morphisms into dom g: the order of a scan over all pairs that filters
@@ -226,8 +213,8 @@ def validate_category(C: PlainCategory) -> Report:
         (
             (g, f)
             for g in C.morphisms
-            for f in C.into(C.dom[g])
-            for gf in (C.compose(g, f),)
+            for f in C.into[C.dom[g]]
+            for gf in (C.table[g, f],)
             if C.dom.get(gf) != C.dom[f] or C.cod.get(gf) != C.cod[g]
         ),
         None,
@@ -238,8 +225,8 @@ def validate_category(C: PlainCategory) -> Report:
         (
             f
             for f in C.morphisms
-            if C.compose(f, C.identity[C.dom[f]]) != f
-            or C.compose(C.identity[C.cod[f]], f) != f
+            if C.table[f, C.identity[C.dom[f]]] != f
+            or C.table[C.identity[C.cod[f]], f] != f
         ),
         None,
     )
@@ -255,9 +242,9 @@ def validate_category(C: PlainCategory) -> Report:
             (h, g, f)
             for h in C.morphisms
             if C.cod[h] in wide
-            for g in C.into(C.dom[h])
+            for g in C.into[C.dom[h]]
             for hg in (t[h, g],)
-            for f in C.into(C.dom[g])
+            for f in C.into[C.dom[g]]
             if t[hg, f] != t[h, t[g, f]]
         ),
         None,
@@ -283,8 +270,8 @@ def norm_checks(A: NormedCategory, category: Report) -> Report:
         (
             (g, f)
             for g in A.morphisms
-            for f in A.into(A.dom[g])
-            if not q.leq(q.tensor(A.norm[g], A.norm[f]), A.norm[A.compose(g, f)])
+            for f in A.into[A.dom[g]]
+            if not q.leq(q.tensor(A.norm[g], A.norm[f]), A.norm[A.table[g, f]])
         ),
         None,
     )
@@ -296,32 +283,25 @@ def norm_checks(A: NormedCategory, category: Report) -> Report:
 # change of base
 
 
-def strict_subcategory(A: NormedCategory) -> PlainCategory:
-    """The wide subcategory of morphisms normed at least by the unit."""
+def strict_morphisms(A: NormedCategory) -> frozenset:
+    """The morphisms normed at least by the unit: the strict part of A, a
+    wide subcategory.  ``ConstructionError`` names the first identity left
+    out, or the first composable pair (g, f) of kept morphisms, g in
+    declaration order and f over the morphisms into dom g, whose composite
+    is left out."""
     q = A.quantale
-    kept = [f for f in A.morphisms if q.leq(q.unit, A.norm[f])]
-    kept_set = set(kept)
+    kept = frozenset(f for f in A.morphisms if q.leq(q.unit, A.norm[f]))
     for a in A.objects:
-        if A.identity[a] not in kept_set:
+        if A.identity[a] not in kept:
             raise ConstructionError(f"identity of {a!r} is not unit-normed")
-    table = {}
-    for g in kept:
-        for f in A.into(A.dom[g]):
-            if f in kept_set:
-                gf = A.compose(g, f)
-                if gf not in kept_set:
+    for g in A.morphisms:
+        if g in kept:
+            for f in A.into[A.dom[g]]:
+                if f in kept and A.table[g, f] not in kept:
                     raise ConstructionError(
                         f"strict morphisms not closed under composition at {(g, f)!r}"
                     )
-                table[(g, f)] = gf
-    return PlainCategory(
-        A.objects,
-        kept,
-        {f: A.dom[f] for f in kept},
-        {f: A.cod[f] for f in kept},
-        dict(A.identity),
-        table,
-    )
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +324,9 @@ class NormedDistributor:
             raise ValueError("a normed set is required for every object")
         for a, S in self.sets.items():
             require_same_quantale(S.quantale, self.quantale)
+        missing = next((h for h in category.morphisms if h not in action), None)
+        if missing is not None:
+            raise ValueError(f"action of {missing!r} is not total")
         self.action = {h: dict(action[h]) for h in category.morphisms}
         for h in category.morphisms:
             src, tgt = self._action_shape(h)
@@ -356,12 +339,6 @@ class NormedDistributor:
     def _action_shape(self, h):
         a, b = self.category.dom[h], self.category.cod[h]
         return (self.sets[a], self.sets[b]) if self.covariant else (self.sets[b], self.sets[a])
-
-    def set_at(self, a) -> NormedSet:
-        return self.sets[a]
-
-    def apply(self, h, x):
-        return self.action[h][x]
 
     def __repr__(self):
         kind = "covariant" if self.covariant else "contravariant"
@@ -380,29 +357,29 @@ def validate_ndist(Phi: NormedDistributor) -> Report:
         (
             a
             for a in A.objects
-            if any(Phi.apply(A.identity[a], x) != x for x in Phi.set_at(a))
+            if any(Phi.action[A.identity[a]][x] != x for x in Phi.sets[a])
         ),
         None,
     )
     report.add("action-identities", bad_id is None, bad_id)
 
     def functorial(g, f):
-        gf = A.compose(g, f)
+        gf = A.table[g, f]
         if Phi.covariant:
             return all(
-                Phi.apply(gf, x) == Phi.apply(g, Phi.apply(f, x))
-                for x in Phi.set_at(A.dom[f])
+                Phi.action[gf][x] == Phi.action[g][Phi.action[f][x]]
+                for x in Phi.sets[A.dom[f]]
             )
         return all(
-            Phi.apply(gf, x) == Phi.apply(f, Phi.apply(g, x))
-            for x in Phi.set_at(A.cod[g])
+            Phi.action[gf][x] == Phi.action[f][Phi.action[g][x]]
+            for x in Phi.sets[A.cod[g]]
         )
 
     bad_comp = next(
         (
             (g, f)
             for g in A.morphisms
-            for f in A.into(A.dom[g])
+            for f in A.into[A.dom[g]]
             if not functorial(g, f)
         ),
         None,
@@ -424,9 +401,11 @@ def validate_ndist(Phi: NormedDistributor) -> Report:
 def representable_cov(A: NormedCategory, a) -> NormedDistributor:
     """The covariant distributor of morphisms out of a, acting by
     post-composition."""
-    sets = {b: A.hom_set(a, b) for b in A.objects}
+    homs = {b: A.hom(a, b) for b in A.objects}
+    sets = {b: NormedSet.trusted(A.quantale, {f: A.norm[f] for f in fs}, fs)
+            for b, fs in homs.items()}
     action = {
-        h: {f: A.compose(h, f) for f in A.hom(a, A.dom[h])} for h in A.morphisms
+        h: {f: A.table[h, f] for f in A.hom(a, A.dom[h])} for h in A.morphisms
     }
     return NormedDistributor(A, True, sets, action)
 
@@ -444,21 +423,21 @@ def enumerate_nat_families(
     if not (Phi.covariant and Psi.covariant):
         raise ValueError("natural families are enumerated between covariant distributors")
     A = Phi.category
-    count = prod(len(Psi.set_at(a)) ** len(Phi.set_at(a)) for a in A.objects)
+    count = prod(len(Psi.sets[a]) ** len(Phi.sets[a]) for a in A.objects)
     guard_count(count, budget, "natural-transformation enumeration")
     # one component space per object; the families are streamed
     components = [
-        [dict(zip(Phi.set_at(a), images))
-         for images in product(Psi.set_at(a), repeat=len(Phi.set_at(a)))]
+        [dict(zip(Phi.sets[a], images))
+         for images in product(Psi.sets[a], repeat=len(Phi.sets[a]))]
         for a in A.objects
     ]
     natural = []
     for comps in product(*components):
         fam = dict(zip(A.objects, comps))
         if all(
-            fam[A.cod[h]][Phi.apply(h, x)] == Psi.apply(h, fam[A.dom[h]][x])
+            fam[A.cod[h]][Phi.action[h][x]] == Psi.action[h][fam[A.dom[h]][x]]
             for h in A.morphisms
-            for x in Phi.set_at(A.dom[h])
+            for x in Phi.sets[A.dom[h]]
         ):
             natural.append(fam)
     return natural
@@ -467,23 +446,16 @@ def enumerate_nat_families(
 def nat_key(Phi: NormedDistributor, family: Mapping) -> tuple:
     """Canonical hashable form of a family, aligned with declaration order."""
     return tuple(
-        tuple(family[a][x] for x in Phi.set_at(a).elements)
+        tuple(family[a][x] for x in Phi.sets[a].elements)
         for a in Phi.category.objects
     )
-
-
-def nat_family(Phi: NormedDistributor, key: tuple) -> dict:
-    return {
-        a: dict(zip(Phi.set_at(a).elements, images))
-        for a, images in zip(Phi.category.objects, key)
-    }
 
 
 def nat_norm(Phi: NormedDistributor, Psi: NormedDistributor, family: Mapping):
     """The meet over objects of the component map norms, as one meet over
     every object's elements, since meet is associative."""
     return Phi.quantale.meet_of_homs(
-        (Phi.set_at(a).norms[x], Psi.set_at(a).norms[y])
+        (Phi.sets[a].norms[x], Psi.sets[a].norms[y])
         for a in Phi.category.objects
         for x, y in family[a].items()
     )
@@ -501,31 +473,6 @@ def nat_transformations(
         order.append(key)
         norms[key] = nat_norm(Phi, Psi, fam)
     return NormedSet(Phi.quantale, norms, order)
-
-
-def isbell_conjugate_ndist(
-    Phi: NormedDistributor, budget: int = DEFAULT_BUDGET
-) -> NormedDistributor:
-    """The conjugate of a covariant distributor: at a, all natural
-    transformations into the representable at a; contravariant action by
-    whiskering with pre-composition."""
-    if not Phi.covariant:
-        raise ValueError("the conjugate is taken of a covariant distributor")
-    A = Phi.category
-    reprs = {a: representable_cov(A, a) for a in A.objects}
-    sets = {a: nat_transformations(Phi, reprs[a], budget) for a in A.objects}
-    action = {}
-    for h in A.morphisms:
-        a, b = A.dom[h], A.cod[h]
-        table = {}
-        for key in sets[b].elements:
-            fam = nat_family(Phi, key)
-            moved = {
-                x: {w: A.compose(fam[x][w], h) for w in fam[x]} for x in A.objects
-            }
-            table[key] = nat_key(Phi, moved)
-        action[h] = table
-    return NormedDistributor(A, False, sets, action)
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +504,10 @@ def unit_class(Phi: NormedDistributor, Psi: NormedDistributor, eps, c, u) -> lis
     return [
         (a, x, y)
         for a in Phi.category.objects
-        for x in Psi.set_at(a)
+        for x in Psi.sets[a]
         for h in (eps[(a, c)][(u, x)],)
-        for y in Phi.set_at(a)
-        if Phi.apply(h, y) == u
+        for y in Phi.sets[a]
+        if Phi.action[h][y] == u
     ]
 
 
@@ -569,7 +516,7 @@ def _class_norm(Phi: NormedDistributor, Psi: NormedDistributor, members):
     members (a, x, y)."""
     q = Phi.quantale
     return q.join(
-        q.tensor(Psi.set_at(a).norm(x), Phi.set_at(a).norm(y)) for a, x, y in members
+        q.tensor(Psi.sets[a].norm(x), Phi.sets[a].norm(y)) for a, x, y in members
     )
 
 
@@ -596,7 +543,7 @@ def check_adjunction_cert(cert: AdjunctionCertificate, normed: bool = False) -> 
         table = cert.eps.get((a, b))
         if table is None:
             return "missing"
-        expected = {(y, x) for y in Phi.set_at(b) for x in Psi.set_at(a)}
+        expected = {(y, x) for y in Phi.sets[b] for x in Psi.sets[a]}
         if set(table.keys()) != expected:
             return "not total"
         if any(m not in A.hom(a, b) for m in table.values()):
@@ -621,10 +568,10 @@ def check_adjunction_cert(cert: AdjunctionCertificate, normed: bool = False) -> 
             (g, a, y, x)
             for g in A.morphisms
             for a in A.objects
-            for y in Phi.set_at(A.dom[g])
-            for x in Psi.set_at(a)
-            if cert.eps[(a, A.cod[g])][(Phi.apply(g, y), x)]
-            != A.compose(g, cert.eps[(a, A.dom[g])][(y, x)])
+            for y in Phi.sets[A.dom[g]]
+            for x in Psi.sets[a]
+            if cert.eps[(a, A.cod[g])][(Phi.action[g][y], x)]
+            != A.table[g, cert.eps[(a, A.dom[g])][(y, x)]]
         ),
         None,
     )
@@ -635,10 +582,10 @@ def check_adjunction_cert(cert: AdjunctionCertificate, normed: bool = False) -> 
             (h, b, y, x)
             for h in A.morphisms
             for b in A.objects
-            for y in Phi.set_at(b)
-            for x in Psi.set_at(A.cod[h])
-            if cert.eps[(A.dom[h], b)][(y, Psi.apply(h, x))]
-            != A.compose(cert.eps[(A.cod[h], b)][(y, x)], h)
+            for y in Phi.sets[b]
+            for x in Psi.sets[A.cod[h]]
+            if cert.eps[(A.dom[h], b)][(y, Psi.action[h][x])]
+            != A.table[cert.eps[(A.cod[h], b)][(y, x)], h]
         ),
         None,
     )
@@ -648,8 +595,8 @@ def check_adjunction_cert(cert: AdjunctionCertificate, normed: bool = False) -> 
         (
             (a, x)
             for a in A.objects
-            for x in Psi.set_at(a)
-            if Psi.apply(cert.eps[(a, cert.c)][(cert.u, x)], cert.v) != x
+            for x in Psi.sets[a]
+            if Psi.action[cert.eps[(a, cert.c)][(cert.u, x)]][cert.v] != x
         ),
         None,
     )
@@ -659,8 +606,8 @@ def check_adjunction_cert(cert: AdjunctionCertificate, normed: bool = False) -> 
         (
             (b, y)
             for b in A.objects
-            for y in Phi.set_at(b)
-            if Phi.apply(cert.eps[(cert.c, b)][(y, cert.v)], cert.u) != y
+            for y in Phi.sets[b]
+            if Phi.action[cert.eps[(cert.c, b)][(y, cert.v)]][cert.u] != y
         ),
         None,
     )
@@ -673,10 +620,10 @@ def check_adjunction_cert(cert: AdjunctionCertificate, normed: bool = False) -> 
                 (a, b, y, x)
                 for a in A.objects
                 for b in A.objects
-                for y in Phi.set_at(b)
-                for x in Psi.set_at(a)
+                for y in Phi.sets[b]
+                for x in Psi.sets[a]
                 if not q.leq(
-                    q.tensor(Phi.set_at(b).norm(y), Psi.set_at(a).norm(x)),
+                    q.tensor(Phi.sets[b].norm(y), Psi.sets[a].norm(x)),
                     A.norm[cert.eps[(a, b)][(y, x)]],
                 )
             ),
@@ -698,38 +645,43 @@ def check_adjunction_cert(cert: AdjunctionCertificate, normed: bool = False) -> 
 # idempotents and the completeness decision
 
 
-def split_idempotents_check(C: PlainCategory):
-    """Whether every idempotent splits; the first unsplit one otherwise."""
+def split_idempotents_check(C: NormedCategory, kept):
+    """Whether every idempotent in ``kept`` splits through a pair (r, s) of
+    morphisms in ``kept``; the first unsplit one otherwise.  ``kept`` is a
+    wide subcategory (all of C, or ``strict_morphisms``), so the answer is
+    that of the subcategory alone, in C's declaration order."""
     def splits(e):
         a = C.dom[e]
         return any(
-            C.compose(s, r) == e and C.compose(r, s) == C.identity[b]
+            C.table[s, r] == e and C.table[r, s] == C.identity[b]
             for b in C.objects
             for r in C.hom(a, b)
+            if r in kept
             for s in C.hom(b, a)
+            if s in kept
         )
 
-    bad = next((e for e in C.idempotents() if not splits(e)), None)
+    bad = next((e for e in C.idempotents() if e in kept and not splits(e)), None)
     return bad is None, bad
 
 
-def idempotent_distributor_sets(A: PlainCategory, e) -> dict:
+def idempotent_distributor_sets(A: NormedCategory, e) -> dict:
     """Elements of the splitting candidate at an idempotent e: per object b,
     the morphisms f out of dom e with f after e equal to f."""
     a = A.dom[e]
     return {
-        b: tuple(f for f in A.hom(a, b) if A.compose(f, e) == f) for b in A.objects
+        b: tuple(f for f in A.hom(a, b) if A.table[f, e] == f) for b in A.objects
     }
 
 
-def idempotent_conjugate_sets(A: PlainCategory, e) -> dict:
+def idempotent_conjugate_sets(A: NormedCategory, e) -> dict:
     """The conjugate of Φ_e in closed form: per object c, the y: c → dom e
     with e∘y = y; y stands for the natural family w ↦ w∘y."""
     a = A.dom[e]
-    return {c: tuple(y for y in A.hom(c, a) if A.compose(e, y) == y) for c in A.objects}
+    return {c: tuple(y for y in A.hom(c, a) if A.table[e, y] == y) for c in A.objects}
 
 
-def idempotent_unit_class(A: PlainCategory, e) -> list:
+def idempotent_unit_class(A: NormedCategory, e) -> list:
     """The unit class of Φ_e in closed form: the (x, y, w) with y in the
     conjugate at x, w in Φ_e(x) and y∘w = e, in declaration order."""
     elems = idempotent_distributor_sets(A, e)
@@ -739,7 +691,7 @@ def idempotent_unit_class(A: PlainCategory, e) -> list:
         for x in A.objects
         for y in conj[x]
         for w in elems[x]
-        if A.compose(y, w) == e
+        if A.table[y, w] == e
     ]
 
 
@@ -753,7 +705,7 @@ def _unit_class_slots(A: NormedCategory, e, flat):
         (pos[w], index.setdefault(y, len(index)))
         for _, y, w in idempotent_unit_class(A, e)
     ]
-    N = [[A.norm[A.compose(w, y)] for y in index] for w in flat]
+    N = [[A.norm[A.table[w, y]] for y in index] for w in flat]
     return M, N
 
 
@@ -768,7 +720,7 @@ def _weight_matrix(A: NormedCategory, elems, flat) -> list:
     D = [[q.bottom] * len(flat) for _ in flat]
     for h in A.morphisms:
         for f in elems[A.dom[h]]:
-            i, j = pos[f], pos[A.compose(h, f)]
+            i, j = pos[f], pos[A.table[h, f]]
             D[i][j] = join[D[i][j]][A.norm[h]]
     return D
 

@@ -257,7 +257,7 @@ class Sequence:
     def _compose(self, g, f):
         """g after f (both tail-object endomaps or category morphisms)."""
         if self.kind == NCAT:
-            return self.category.compose(g, f)
+            return self.category.table[g, f]
         return {x: g[y] for x, y in f.items()}
 
     def _map_key(self, m):

@@ -27,14 +27,12 @@ from quantcat.ncat import (
     _class_norm,
     enumerate_nat_families,
     idempotent_distributor_sets,
-    isbell_conjugate_ndist,
-    nat_family,
     nat_key,
     nat_norm,
+    nat_transformations,
     norm_checks,
     representable_cov,
     split_idempotents_check,
-    strict_subcategory,
     unit_class,
     validate_category,
 )
@@ -384,8 +382,8 @@ def validate_nfunctor(F: NormedFunctor) -> Report:
             (
                 (g, f)
                 for g in A.morphisms
-                for f in A.into(A.dom[g])
-                if F.mor_map[A.compose(g, f)] != B.compose(F.mor_map[g], F.mor_map[f])
+                for f in A.into[A.dom[g]]
+                if F.mor_map[A.table[g, f]] != B.table[F.mor_map[g], F.mor_map[f]]
             ),
             None,
         )
@@ -425,10 +423,80 @@ def i_embed_cat(X: VCategory) -> NormedCategory:
 def representable_contra(A: NormedCategory, a) -> NormedDistributor:
     """The contravariant distributor of morphisms into a, acting by
     pre-composition."""
-    sets = {b: A.hom_set(b, a) for b in A.objects}
+    sets = {b: hom_set(A, b, a) for b in A.objects}
     action = {
-        h: {f: A.compose(f, h) for f in A.hom(A.cod[h], a)} for h in A.morphisms
+        h: {f: A.table[f, h] for f in A.hom(A.cod[h], a)} for h in A.morphisms
     }
+    return NormedDistributor(A, False, sets, action)
+
+
+def hom_set(A: NormedCategory, a, b) -> NormedSet:
+    """The hom-set A(a, b) as a normed set (declaration order)."""
+    fs = A.hom(a, b)
+    return NormedSet(A.quantale, {f: A.norm[f] for f in fs}, fs)
+
+
+def strict_subcategory(A: NormedCategory) -> NormedCategory:
+    """The wide subcategory of morphisms normed at least by the unit, built
+    and validated as a normed category of its own: the oracle of clause (1)
+    over ``strict_morphisms``.  ``ConstructionError`` when it is not one."""
+    q = A.quantale
+    kept = [f for f in A.morphisms if q.leq(q.unit, A.norm[f])]
+    kept_set = set(kept)
+    for a in A.objects:
+        if A.identity[a] not in kept_set:
+            raise ConstructionError(f"identity of {a!r} is not unit-normed")
+    table = {}
+    for g in kept:
+        for f in A.into[A.dom[g]]:
+            if f in kept_set:
+                gf = A.table[g, f]
+                if gf not in kept_set:
+                    raise ConstructionError(
+                        f"strict morphisms not closed under composition at {(g, f)!r}"
+                    )
+                table[(g, f)] = gf
+    return NormedCategory(
+        q,
+        A.objects,
+        kept,
+        {f: A.dom[f] for f in kept},
+        {f: A.cod[f] for f in kept},
+        dict(A.identity),
+        table,
+        {f: A.norm[f] for f in kept},
+    )
+
+
+def nat_family(Phi: NormedDistributor, key: tuple) -> dict:
+    """The natural family whose ``nat_key`` is ``key``."""
+    return {
+        a: dict(zip(Phi.sets[a].elements, images))
+        for a, images in zip(Phi.category.objects, key)
+    }
+
+
+def isbell_conjugate_ndist(
+    Phi: NormedDistributor, budget: int = DEFAULT_BUDGET
+) -> NormedDistributor:
+    """The conjugate of a covariant distributor: at a, all natural
+    transformations into the representable at a; contravariant action by
+    whiskering with pre-composition."""
+    if not Phi.covariant:
+        raise ValueError("the conjugate is taken of a covariant distributor")
+    A = Phi.category
+    reprs = {a: representable_cov(A, a) for a in A.objects}
+    sets = {a: nat_transformations(Phi, reprs[a], budget) for a in A.objects}
+    action = {}
+    for h in A.morphisms:
+        table = {}
+        for key in sets[A.cod[h]].elements:
+            fam = nat_family(Phi, key)
+            moved = {
+                x: {w: A.table[fam[x][w], h] for w in fam[x]} for x in A.objects
+            }
+            table[key] = nat_key(Phi, moved)
+        action[h] = table
     return NormedDistributor(A, False, sets, action)
 
 
@@ -468,25 +536,25 @@ def left_adjoint_unit(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET) -> L
     conjugate = isbell_conjugate_ndist(Phi, budget)
     # each conjugate element's natural family, built once
     family = {
-        key: nat_family(Phi, key) for a in A.objects for key in conjugate.set_at(a)
+        key: nat_family(Phi, key) for a in A.objects for key in conjugate.sets[a]
     }
 
     def splits(c, u, v):
         return all(
-            Phi.apply(v[b][y], u) == y for b in A.objects for y in Phi.set_at(b)
+            Phi.action[v[b][y]][u] == y for b in A.objects for y in Phi.sets[b]
         ) and all(
-            x[z][w] == A.compose(v[z][w], x[c][u])
+            x[z][w] == A.table[v[z][w], x[c][u]]
             for x in family.values()
             for z in A.objects
-            for w in Phi.set_at(z)
+            for w in Phi.sets[z]
         )
 
     triple = next(
         (
             (c, u, v_key)
             for c in A.objects
-            for u in Phi.set_at(c)
-            for v_key in conjugate.set_at(c)
+            for u in Phi.sets[c]
+            for v_key in conjugate.sets[c]
             if splits(c, u, family[v_key])
         ),
         None,
@@ -495,7 +563,7 @@ def left_adjoint_unit(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET) -> L
         return LeftAdjointData(Phi, conjugate, None, None, None)
     c, u, _ = triple
     evaluation = {
-        (a, c): {(u, x): family[x][c][u] for x in conjugate.set_at(a)} for a in A.objects
+        (a, c): {(u, x): family[x][c][u] for x in conjugate.sets[a]} for a in A.objects
     }
     members = unit_class(Phi, conjugate, evaluation, c, u)
     return LeftAdjointData(
@@ -520,8 +588,8 @@ def presentable_unit_scan(data: LeftAdjointData):
     |w| and |v| at least the unit."""
     q = data.phi.quantale
     for a, v, w in data.unit_class:
-        if q.leq(q.unit, data.phi.set_at(a).norm(w)) and q.leq(
-            q.unit, data.conjugate.set_at(a).norm(v)
+        if q.leq(q.unit, data.phi.sets[a].norm(w)) and q.leq(
+            q.unit, data.conjugate.sets[a].norm(v)
         ):
             return True, (a, v, w)
     return False, None
@@ -535,9 +603,9 @@ def check_normed_retract(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET):
     for a in A.objects:
         Ra = representable_cov(A, a)
         betas = enumerate_nat_families(Phi, Ra, budget)
-        for u in Phi.set_at(a):
+        for u in Phi.sets[a]:
             alpha = {
-                x: {f: Phi.apply(f, u) for f in A.hom(a, x)} for x in A.objects
+                x: {f: Phi.action[f][u] for f in A.hom(a, x)} for x in A.objects
             }
             if not q.leq(q.unit, nat_norm(Ra, Phi, alpha)):
                 continue
@@ -547,7 +615,7 @@ def check_normed_retract(Phi: NormedDistributor, budget: int = DEFAULT_BUDGET):
                 if all(
                     alpha[x][beta[x][w]] == w
                     for x in A.objects
-                    for w in Phi.set_at(x)
+                    for w in Phi.sets[x]
                 ):
                     return a, u, nat_key(Phi, beta)
     return None
@@ -628,7 +696,7 @@ def cocone_commutes(s: Sequence, gamma: Cocone) -> tuple[bool, Any]:
         right_next = gamma.component(n + 1, s.n0)
         step = s.step_at(n)
         if s.kind == NCAT:
-            if s.category.compose(right_next, step) != left:
+            if s.category.table[right_next, step] != left:
                 return False, n
         else:
             src = s.object_at(n)
@@ -793,8 +861,8 @@ def _verify_c1_ncat(s: Sequence, gamma: Cocone, report: Report) -> None:
     first_tail = gamma.tail[0]
 
     def defect(y):
-        E = {A.compose(f, eventual) for f in A.hom(T, y)}
-        assigned = [A.compose(f, first_tail) for f in A.hom(apex, y)]
+        E = {A.table[f, eventual] for f in A.hom(T, y)}
+        assigned = [A.table[f, first_tail] for f in A.hom(apex, y)]
         if any(h not in E for h in assigned):
             return "component leaves the eventual image"
         if len(set(assigned)) != len(assigned) or set(assigned) != E:
@@ -813,7 +881,7 @@ def _verify_c2b_ncat(s: Sequence, gamma: Cocone, report: Report) -> None:
             (y, f)
             for y in A.objects
             for f in A.hom(gamma.apex, y)
-            if not q.leq(q.meet(A.norm[A.compose(f, g)] for g in gamma.tail), A.norm[f])
+            if not q.leq(q.meet(A.norm[A.table[f, g]] for g in gamma.tail), A.norm[f])
         ),
         None,
     )
@@ -865,7 +933,7 @@ def idempotent_distributor(A, e, norms):
         for b in A.objects
     }
     action = {
-        h: {f: A.compose(h, f) for f in elems[A.dom[h]]} for h in A.morphisms
+        h: {f: A.table[h, f] for f in elems[A.dom[h]]} for h in A.morphisms
     }
     return NormedDistributor(A, True, sets, action)
 
@@ -1140,7 +1208,7 @@ def fold_lip_norm(q_norm, X, Y, mapping):
 def fold_nat_norm(Phi, Psi, family):
     """``nat_norm``: the meet over objects of the component map norms."""
     return Phi.quantale.meet(
-        fold_map_norm(NormedMap(Phi.set_at(a), Psi.set_at(a), family[a]))
+        fold_map_norm(NormedMap(Phi.sets[a], Psi.sets[a], family[a]))
         for a in Phi.category.objects
     )
 
@@ -1159,10 +1227,10 @@ def norm_assignment_ok(A, Phi) -> bool:
     """Whether Φ's norms make it a normed functor: |h| ⊗ |f| ≤ |h∘f|."""
     q = A.quantale
     return all(
-        q.leq(q.tensor(A.norm[h], Phi.set_at(A.dom[h]).norm(f)),
-              Phi.set_at(A.cod[h]).norm(Phi.apply(h, f)))
+        q.leq(q.tensor(A.norm[h], Phi.sets[A.dom[h]].norm(f)),
+              Phi.sets[A.cod[h]].norm(Phi.action[h][f]))
         for h in A.morphisms
-        for f in Phi.set_at(A.dom[h])
+        for f in Phi.sets[A.dom[h]]
     )
 
 
@@ -1216,17 +1284,17 @@ class CoendClasses:
         self.pairs = [
             (a, v, u)
             for a in A.objects
-            for v in self.psi.set_at(a)
-            for u in self.phi.set_at(a)
+            for v in self.psi.sets[a]
+            for u in self.phi.sets[a]
         ]
         index = {p: i for i, p in enumerate(self.pairs)}
         quotient = UnionFind(len(self.pairs))
         for h in A.morphisms:
             a, b = A.dom[h], A.cod[h]
-            for u in self.phi.set_at(a):
-                for v in self.psi.set_at(b):
-                    left = (b, v, self.phi.apply(h, u))
-                    right = (a, self.psi.apply(h, v), u)
+            for u in self.phi.sets[a]:
+                for v in self.psi.sets[b]:
+                    left = (b, v, self.phi.action[h][u])
+                    right = (a, self.psi.action[h][v], u)
                     quotient.union(index[left], index[right])
 
         self._rep = {p: self.pairs[quotient.find(index[p])] for p in self.pairs}
@@ -1235,7 +1303,7 @@ class CoendClasses:
             self.classes.setdefault(self._rep[p], []).append(p)
         self.norms = {
             rep: q.join(
-                q.tensor(self.psi.set_at(a).norm(v), self.phi.set_at(a).norm(u))
+                q.tensor(self.psi.sets[a].norm(v), self.phi.sets[a].norm(u))
                 for (a, v, u) in members
             )
             for rep, members in self.classes.items()
@@ -1298,7 +1366,8 @@ def brute_lawvere_ncat(A, budget=DEFAULT_BUDGET) -> NcatLawvereVerdict:
     report = validate_ncat(A)
     if not report.ok:
         raise PreconditionError("is_lawvere_complete_ncat requires a normed category", report)
-    ok1, bad_e = split_idempotents_check(strict_subcategory(A))
+    A0 = strict_subcategory(A)
+    ok1, bad_e = split_idempotents_check(A0, A0.morphisms)
     if not ok1:
         return NcatLawvereVerdict(False, clause=1, certificate=bad_e)
     for e, norms, _, data in brute_left_adjoints(A, budget):
@@ -1329,7 +1398,7 @@ def unindexed_validate_ncat(A) -> Report:
             for g in C.morphisms
             for f in C.morphisms
             if C.cod[f] == C.dom[g]
-            for gf in (C.compose(g, f),)
+            for gf in (C.table[g, f],)
             if C.dom.get(gf) != C.dom[f] or C.cod.get(gf) != C.cod[g]
         ),
         None,
@@ -1339,8 +1408,8 @@ def unindexed_validate_ncat(A) -> Report:
         (
             f
             for f in C.morphisms
-            if C.compose(f, C.identity[C.dom[f]]) != f
-            or C.compose(C.identity[C.cod[f]], f) != f
+            if C.table[f, C.identity[C.dom[f]]] != f
+            or C.table[C.identity[C.cod[f]], f] != f
         ),
         None,
     )
@@ -1354,7 +1423,7 @@ def unindexed_validate_ncat(A) -> Report:
                 if C.cod[g] == C.dom[h]
                 for f in C.morphisms
                 if C.cod[f] == C.dom[g]
-                and C.compose(C.compose(h, g), f) != C.compose(h, C.compose(g, f))
+                and C.table[C.table[h, g], f] != C.table[h, C.table[g, f]]
             ),
             None,
         )
@@ -1371,7 +1440,7 @@ def unindexed_validate_ncat(A) -> Report:
             for g in A.morphisms
             for f in A.morphisms
             if A.cod[f] == A.dom[g]
-            and not q.leq(q.tensor(A.norm[g], A.norm[f]), A.norm[A.compose(g, f)])
+            and not q.leq(q.tensor(A.norm[g], A.norm[f]), A.norm[A.table[g, f]])
         ),
         None,
     )
@@ -1511,8 +1580,8 @@ def c1_ncat_scan(s, gamma) -> tuple:
     A, T, t = s.category, s.tail_object, s.tail_endo
 
     def defect(y):
-        E = eventual_image_fixpoint(A.hom(T, y), lambda f: A.compose(f, t))
-        assigned = [A.compose(f, gamma.tail[0]) for f in A.hom(gamma.apex, y)]
+        E = eventual_image_fixpoint(A.hom(T, y), lambda f: A.table[f, t])
+        assigned = [A.table[f, gamma.tail[0]] for f in A.hom(gamma.apex, y)]
         if any(h not in E for h in assigned):
             return "component leaves the eventual image"
         if len(set(assigned)) != len(assigned) or set(assigned) != E:
@@ -1542,18 +1611,18 @@ def scan_validate_ndist(Phi) -> Report:
     q = Phi.quantale
     report = Report()
     bad_id = next(
-        (a for a in A.objects if any(Phi.apply(A.identity[a], x) != x for x in Phi.set_at(a))),
+        (a for a in A.objects if any(Phi.action[A.identity[a]][x] != x for x in Phi.sets[a])),
         None,
     )
     report.add("action-identities", bad_id is None, bad_id)
 
     def functorial(g, f):
-        gf = A.compose(g, f)
+        gf = A.table[g, f]
         if Phi.covariant:
-            return all(Phi.apply(gf, x) == Phi.apply(g, Phi.apply(f, x))
-                       for x in Phi.set_at(A.dom[f]))
-        return all(Phi.apply(gf, x) == Phi.apply(f, Phi.apply(g, x))
-                   for x in Phi.set_at(A.cod[g]))
+            return all(Phi.action[gf][x] == Phi.action[g][Phi.action[f][x]]
+                       for x in Phi.sets[A.dom[f]])
+        return all(Phi.action[gf][x] == Phi.action[f][Phi.action[g][x]]
+                   for x in Phi.sets[A.cod[g]])
 
     bad_comp = next(
         ((g, f) for g in A.morphisms for f in A.morphisms
@@ -1580,7 +1649,7 @@ def scan_preserves_composition(F):
     return next(
         ((g, f) for g in A.morphisms for f in A.morphisms
          if A.cod[f] == A.dom[g]
-         and F.mor_map[A.compose(g, f)] != B.compose(F.mor_map[g], F.mor_map[f])),
+         and F.mor_map[A.table[g, f]] != B.table[F.mor_map[g], F.mor_map[f]]),
         None,
     )
 
@@ -1684,7 +1753,7 @@ def representable_certificate(A, a) -> AdjunctionCertificate:
     Psi = representable_contra(A, a)
     eps = {
         (x, y): {
-            (f, g): A.compose(f, g)
+            (f, g): A.table[f, g]
             for f in A.hom(a, y)
             for g in A.hom(x, a)
         }
@@ -1702,10 +1771,10 @@ def is_representable_ndist(Phi):
     q = Phi.quantale
     for b in A.objects:
         Rb = representable_cov(A, b)
-        for u in Phi.set_at(b):
-            alpha = {x: {f: Phi.apply(f, u) for f in A.hom(b, x)} for x in A.objects}
+        for u in Phi.sets[b]:
+            alpha = {x: {f: Phi.action[f][u] for f in A.hom(b, x)} for x in A.objects}
             if not all(
-                len(set(alpha[x].values())) == len(A.hom(b, x)) == len(Phi.set_at(x))
+                len(set(alpha[x].values())) == len(A.hom(b, x)) == len(Phi.sets[x])
                 for x in A.objects
             ):
                 continue

@@ -8,11 +8,7 @@ before being asserted against the library.
 import random
 from fractions import Fraction
 
-from quantcat.ncat import (
-    is_lawvere_complete_ncat,
-    split_idempotents_check,
-    strict_subcategory,
-)
+from quantcat.ncat import is_lawvere_complete_ncat, split_idempotents_check
 from quantcat.normed_set import NormedSet
 from quantcat.quantale import (
     INF,
@@ -56,6 +52,7 @@ from helpers import (
     ordered_pair_vcat,
     presentable_unit_scan,
     split_monoid_cat,
+    strict_subcategory,
     subsets,
     verify_normed_colimit,
 )
@@ -173,13 +170,15 @@ def _ncat_fixtures(q):
 
 def test_criterion_4_idempotent_splitting():
     q2 = bool2()
-    ok_mon, witness = split_idempotents_check(monoid_cat(q2, "1", "1"))
+    M, S = monoid_cat(q2, "1", "1"), split_monoid_cat(q2)
+    ok_mon, witness = split_idempotents_check(M, M.morphisms)
     ok = not ok_mon and witness == "e"
-    ok_split, _ = split_idempotents_check(split_monoid_cat(q2))
+    ok_split, _ = split_idempotents_check(S, S.morphisms)
     ok &= ok_split
     for q in (trivial(), bool2()):
         for A in _ncat_fixtures(q):
-            strict_ok, _ = split_idempotents_check(strict_subcategory(A))
+            A0 = strict_subcategory(A)
+            strict_ok, _ = split_idempotents_check(A0, A0.morphisms)
             ok &= is_lawvere_complete_ncat(A).complete == strict_ok
     announce(4, ok)
 
@@ -213,7 +212,8 @@ def test_criterion_5_theorem_coherence():
             for Phi, data in _enumerated_left_adjoints(A):
                 ok &= is_representable_ndist(Phi) is not None
         elif verdict.clause == 1:
-            strict_ok, bad = split_idempotents_check(strict_subcategory(A))
+            A0 = strict_subcategory(A)
+            strict_ok, bad = split_idempotents_check(A0, A0.morphisms)
             ok &= not strict_ok and bad == verdict.certificate
         else:
             e, named = verdict.certificate

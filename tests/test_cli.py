@@ -88,23 +88,6 @@ def test_compose_min_plus(capsys):
     assert values == [["1", "1"], ["0", "3"]]
 
 
-def test_compose_formats_each_distinct_value_once(capsys, monkeypatch):
-    from quantcat.quantale import LawvereQuantale
-
-    calls = Counter()
-    format_value = LawvereQuantale.format
-
-    def counted(self, u):
-        calls[u] += 1
-        return format_value(self, u)
-
-    monkeypatch.setattr(LawvereQuantale, "format", counted)
-    code, report, _ = run_json(capsys, path("compose.json"))
-    assert code == 0 and report["tasks"][0]["details"]["values"] == [["1", "1"], ["0", "3"]]
-    # four entries, three distinct values
-    assert sum(calls.values()) == 3 and set(calls.values()) == {1}
-
-
 def test_machine_report_byte_identical(capsys):
     _, _, first = run_json(capsys, path("weights.json"))
     _, _, second = run_json(capsys, path("weights.json"))
@@ -1003,6 +986,49 @@ def test_lawvere_and_strict_split_on_low_identity_norm_report_precondition(tmp_p
     assert "identity of 'a' is not unit-normed" in split["details"]["precondition"]
 
 
+def test_strict_split_names_the_first_composite_outside_the_strict_part(tmp_path, capsys):
+    # x∘x = z with |x| = 1 and |z| = 0: a category whose unit-normed
+    # morphisms are not closed under composition (it is not submultiplicative)
+    ms = ["1", "x", "z"]
+    literal = {
+        "kind": "ncat", "objects": ["a"],
+        "morphisms": [{"id": m, "dom": "a", "cod": "a", "norm": n}
+                      for m, n in zip(ms, ["1", "1", "0"])],
+        "identities": {"a": "1"},
+        "compose": [[g, f, f if g == "1" else g if f == "1" else "z"] for g in ms for f in ms],
+    }
+    f = tmp_path / "open.json"
+    f.write_text(json.dumps({"quantale": "bool2", "objects": {"M": literal}, "tasks": [
+        {"op": "validate", "target": "M"}, {"op": "split", "target": "M", "strict": True},
+    ]}), encoding="utf-8")
+    code, report, out = run_json(capsys, str(f))
+    assert code == 1
+    assert report["tasks"][1]["details"] == {"precondition": (
+        "the strict part needs a normed category: "
+        "strict morphisms not closed under composition at ('x', 'x')")}
+    # the --json bytes pinned while the strict part was a rebuilt subcategory
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5f8be72a9543835bca7f6ef3ffe07fcf41b7d2a154c46805b3119f6ad02c9cd5")
+
+
+@pytest.mark.parametrize("target, budget, code, err", [
+    ("psi", "4096", 2,
+     "input error: tasks[0] (isbell): the conjugate is taken of a covariant distributor\n"),
+    # the family count at the first object is 2^2 = 4
+    ("phi", "3", 3,
+     "budget exceeded: natural-transformation enumeration needs 4 candidates, budget is 3\n"),
+], ids=["contravariant-target", "budget-below-the-first-object"])
+def test_isbell_on_an_ndist_checks_before_it_enumerates(tmp_path, capsys, target, budget,
+                                                         code, err):
+    with open(path("certs.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["tasks"] = [{"op": "isbell", "target": target}]
+    f = tmp_path / "isbell.json"
+    f.write_text(json.dumps(data), encoding="utf-8")
+    assert main([str(f), "--json", "--budget", budget]) == code
+    assert capsys.readouterr() == ("", err)
+
+
 def test_lawvere_on_non_associative_table_reports_precondition(tmp_path, capsys):
     # a∘a = b, a∘b = a, b∘a = b: (a∘a)∘a = b but a∘(a∘a) = a
     ms = ["1", "a", "b"]
@@ -1321,9 +1347,9 @@ def test_split_and_lawvere_build_the_strict_part_once(tmp_path, capsys, monkeypa
     f = tmp_path / "strict.json"
     f.write_text(json.dumps(data), encoding="utf-8")
     built = []
-    strict_subcategory = ncat.strict_subcategory
-    monkeypatch.setattr(ncat, "strict_subcategory",
-                        lambda A: built.append(A) or strict_subcategory(A))
+    strict_morphisms = ncat.strict_morphisms
+    monkeypatch.setattr(ncat, "strict_morphisms",
+                        lambda A: built.append(A) or strict_morphisms(A))
     code, report, _ = run_json(capsys, str(f))
     assert len(built) == 1
     split, lawvere = report["tasks"][1:]

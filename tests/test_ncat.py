@@ -16,14 +16,12 @@ from quantcat.ncat import (
     idempotent_distributor_sets,
     idempotent_unit_class,
     is_lawvere_complete_ncat,
-    isbell_conjugate_ndist,
-    nat_family,
     nat_key,
     nat_norm,
     nat_transformations,
     representable_cov,
     split_idempotents_check,
-    strict_subcategory,
+    strict_morphisms,
     unit_class,
     validate_category,
     validate_ndist,
@@ -52,15 +50,18 @@ from helpers import (
     i_embed_weight,
     idempotent_distributor,
     is_representable_ndist,
+    isbell_conjugate_ndist,
     left_adjoint_unit,
     left_weight,
     monoid_cat,
+    nat_family,
     ordered_pair_vcat,
     representable_certificate,
     representable_contra,
     scan_preserves_composition,
     scan_validate_ndist,
     split_monoid_cat,
+    strict_subcategory,
     sup_change_of_base,
     transformation_monoid,
     validate_ncat,
@@ -312,7 +313,7 @@ def test_coend_monoid_merge(q2):
     for rep, members in coend.classes.items():
         q = q2
         assert coend.norms[rep] == q.join(
-            q.tensor(Psi.set_at(a).norm(v), Phi.set_at(a).norm(u))
+            q.tensor(Psi.sets[a].norm(v), Phi.sets[a].norm(u))
             for (a, v, u) in members
         )
 
@@ -335,10 +336,10 @@ def test_nat_transformations_yoneda(q2, q3):
             for target_obj in A.objects:
                 Phi = representable_cov(A, target_obj)
                 nats = nat_transformations(Ra, Phi)
-                assert len(nats) == len(Phi.set_at(a))
+                assert len(nats) == len(Phi.sets[a])
                 assert sorted(
                     q.format(nats.norm(t)) for t in nats.elements
-                ) == sorted(q.format(Phi.set_at(a).norm(u)) for u in Phi.set_at(a))
+                ) == sorted(q.format(Phi.sets[a].norm(u)) for u in Phi.sets[a])
 
 
 def test_nat_transformations_empty_source(q3):
@@ -359,12 +360,12 @@ def test_normed_yoneda_norm_equality(q2, q3):
             Ra = representable_cov(A, a)
             for tgt in A.objects:
                 Phi = representable_cov(A, tgt)
-                for u in Phi.set_at(a):
+                for u in Phi.sets[a]:
                     alpha = {
-                        x: {f: Phi.apply(f, u) for f in A.hom(a, x)}
+                        x: {f: Phi.action[f][u] for f in A.hom(a, x)}
                         for x in A.objects
                     }
-                    assert nat_norm(Ra, Phi, alpha) == Phi.set_at(a).norm(u)
+                    assert nat_norm(Ra, Phi, alpha) == Phi.sets[a].norm(u)
 
 
 def test_isbell_ndist_yoneda(q2):
@@ -374,11 +375,11 @@ def test_isbell_ndist_yoneda(q2):
         PhiVee = isbell_conjugate_ndist(Phi)
         Ra_contra = representable_contra(A, a)
         for b in A.objects:
-            assert len(PhiVee.set_at(b)) == len(Ra_contra.set_at(b))
+            assert len(PhiVee.sets[b]) == len(Ra_contra.sets[b])
             assert sorted(
-                q2.format(PhiVee.set_at(b).norm(t)) for t in PhiVee.set_at(b)
+                q2.format(PhiVee.sets[b].norm(t)) for t in PhiVee.sets[b]
             ) == sorted(
-                q2.format(Ra_contra.set_at(b).norm(u)) for u in Ra_contra.set_at(b)
+                q2.format(Ra_contra.sets[b].norm(u)) for u in Ra_contra.sets[b]
             )
 
 
@@ -398,7 +399,7 @@ def test_isbell_ndist_matches_vlevel_on_i_images(q3, q4bool):
                 PhiVee = isbell_conjugate_ndist(Phi)
                 vlevel = coweight_vector(isbell_conjugate_weight(phi))
                 for a in X.objects:
-                    S = PhiVee.set_at(a)
+                    S = PhiVee.sets[a]
                     assert len(S) == 1
                     assert S.norm(S.elements[0]) == vlevel[a]
 
@@ -411,14 +412,12 @@ def test_counit_automatism(q2, q3):
             Phi = representable_cov(A, a)
             PhiVee = isbell_conjugate_ndist(Phi)
             for b in A.objects:
-                for beta_key in PhiVee.set_at(b):
-                    from quantcat.ncat import nat_family
-
+                for beta_key in PhiVee.sets[b]:
                     fam = nat_family(Phi, beta_key)
-                    bnorm = PhiVee.set_at(b).norm(beta_key)
+                    bnorm = PhiVee.sets[b].norm(beta_key)
                     for z in A.objects:
-                        for w in Phi.set_at(z):
-                            lhs = q.tensor(bnorm, Phi.set_at(z).norm(w))
+                        for w in Phi.sets[z]:
+                            lhs = q.tensor(bnorm, Phi.sets[z].norm(w))
                             rhs = A.norm[fam[z][w]]
                             assert q.leq(lhs, rhs)
 
@@ -446,11 +445,9 @@ def test_phi_e_certificate_plain_but_not_normed(q2):
     eps = {}
     for a in A.objects:
         for b in A.objects:
-            from quantcat.ncat import nat_family
-
             table = {}
-            for y in Phi.set_at(b):
-                for x_key in data.conjugate.set_at(a):
+            for y in Phi.sets[b]:
+                for x_key in data.conjugate.sets[a]:
                     fam = nat_family(Phi, x_key)
                     table[(y, x_key)] = fam[b][y]
             eps[(a, b)] = table
@@ -615,12 +612,13 @@ def test_retract_route_agrees_with_unit_route(q2, q4bool):
 
 def test_split_idempotents_monoid_rejected(q2):
     A = monoid_cat(q2, "1", "1")
-    ok, witness = split_idempotents_check(A)
+    ok, witness = split_idempotents_check(A, A.morphisms)
     assert not ok and witness == "e"
 
 
 def test_split_idempotents_extension_accepted(q2):
-    ok, _ = split_idempotents_check(split_monoid_cat(q2))
+    A = split_monoid_cat(q2)
+    ok, _ = split_idempotents_check(A, A.morphisms)
     assert ok
 
 
@@ -628,7 +626,7 @@ def test_split_idempotents_poset(q2):
     # a poset as a category has only identity idempotents
     X = ordered_pair_vcat(q2)
     A0 = strict_subcategory(i_embed_cat(X))
-    ok, _ = split_idempotents_check(A0)
+    ok, _ = split_idempotents_check(A0, A0.morphisms)
     assert ok
 
 
@@ -740,8 +738,8 @@ def test_isbell_with_empty_component(q2):
     assert validate_ndist(Phi).ok
     PhiVee = isbell_conjugate_ndist(Phi)
     # at a: the single component {w} -> hom(a, b) = {f} exists and is natural
-    assert len(PhiVee.set_at("a")) == 1
-    assert len(PhiVee.set_at("b")) == 1
+    assert len(PhiVee.sets["a"]) == 1
+    assert len(PhiVee.sets["b"]) == 1
 
 
 def test_lawvere_ncat_budget_reports_skipped(q4bool):
@@ -762,17 +760,17 @@ def _coend_partition_oracle(Psi, Phi):
     pairs = [
         (a, v, u)
         for a in A.objects
-        for v in Psi.set_at(a)
-        for u in Phi.set_at(a)
+        for v in Psi.sets[a]
+        for u in Phi.sets[a]
     ]
     groups = {p: {p} for p in pairs}
     relations = []
     for h in A.morphisms:
         a, b = A.dom[h], A.cod[h]
-        for u in Phi.set_at(a):
-            for v in Psi.set_at(b):
+        for u in Phi.sets[a]:
+            for v in Psi.sets[b]:
                 relations.append(
-                    ((b, v, Phi.apply(h, u)), (a, Psi.apply(h, v), u))
+                    ((b, v, Phi.action[h][u]), (a, Psi.action[h][v], u))
                 )
     changed = True
     while changed:
@@ -787,8 +785,6 @@ def _coend_partition_oracle(Psi, Phi):
 
 
 def test_coend_matches_closure_oracle(q2, q4bool):
-    from quantcat.ncat import isbell_conjugate_ndist
-
     fixtures = []
     A1 = monoid_cat(q2, "1", "1")
     fixtures.append((representable_contra(A1, "a"), representable_cov(A1, "a")))
@@ -806,7 +802,7 @@ def test_coend_matches_closure_oracle(q2, q4bool):
         for members in expected:
             rep = coend.rep_of(next(iter(members)))
             assert coend.norms[rep] == q.join(
-                q.tensor(Psi.set_at(a).norm(v), Phi_.set_at(a).norm(u))
+                q.tensor(Psi.sets[a].norm(v), Phi_.sets[a].norm(u))
                 for (a, v, u) in members
             )
 
@@ -906,8 +902,10 @@ def test_strict_split_is_the_split_check_of_the_strict_part(
     outcomes = set()
     for A in _differential_fixtures(q1, q2, q3, q4chain, q4bool, qluka, qabove):
         if A.ncat_report.ok:
-            expected = split_idempotents_check(strict_subcategory(A))
+            A0 = strict_subcategory(A)
+            expected = split_idempotents_check(A0, A0.morphisms)
             assert A.strict_split == expected
+            assert strict_morphisms(A) == frozenset(A0.morphisms)
             outcomes.add(expected[0])
     assert outcomes == {True, False}
 
@@ -953,8 +951,8 @@ def _evaluation_certificate(Phi, conjugate, c, u, v_key):
     eps = {
         (a, b): {
             (y, x_key): nat_family(Phi, x_key)[b][y]
-            for y in Phi.set_at(b)
-            for x_key in conjugate.set_at(a)
+            for y in Phi.sets[b]
+            for x_key in conjugate.sets[a]
         }
         for a in A.objects
         for b in A.objects
@@ -983,14 +981,14 @@ def test_unit_class_closed_form_matches_distributor_calculus(
 
                 def key(y):  # the natural family w ↦ w∘y of the closed form
                     return nat_key(
-                        Phi, {x: {w: A.compose(w, y) for w in elems[x]} for x in A.objects}
+                        Phi, {x: {w: A.table[w, y] for w in elems[x]} for x in A.objects}
                     )
 
                 # the conjugate's elements are the families of the y with e∘y = y
                 for c in A.objects:
                     keys = [key(y) for y in conj_cf[c]]
-                    assert len(set(keys)) == len(keys) == len(conjugate.set_at(c)), (A, e)
-                    assert set(keys) == set(conjugate.set_at(c).elements), (A, e)
+                    assert len(set(keys)) == len(keys) == len(conjugate.sets[c]), (A, e)
+                    assert set(keys) == set(conjugate.sets[c].elements), (A, e)
                 # (a, e, e) satisfies both splitting equations
                 cert = _evaluation_certificate(Phi, conjugate, a, e, key(e))
                 report = {c.name: c.ok for c in check_adjunction_cert(cert).checks}
@@ -1008,7 +1006,7 @@ def test_unit_class_closed_form_matches_distributor_calculus(
                 assert [(flat.index(w), ys.index(y)) for _, y, w in closed] == members
                 for j, y in enumerate(ys):
                     norm = q.meet(q.hom(values[i], row[j]) for i, row in enumerate(N))
-                    assert norm == conjugate.set_at(A.dom[y]).norm(key(y)), (A, e, y)
+                    assert norm == conjugate.sets[A.dom[y]].norm(key(y)), (A, e, y)
                     assert conj[j] == norm, (A, e, y)
     assert idempotents > 250  # 283 idempotents in the valid fixtures
 
@@ -1071,15 +1069,15 @@ def _perturbed(rng, cert):
                 table[rng.choice(list(table))] = rng.choice(A.hom(a, b))
                 eps[(a, b)] = table
         elif edit == 1:
-            c = rng.choice([b for b in A.objects if len(phi.set_at(b)) and len(psi.set_at(b))])
-            u = rng.choice(phi.set_at(c).elements)
-            v = rng.choice(psi.set_at(c).elements)
+            c = rng.choice([b for b in A.objects if len(phi.sets[b]) and len(psi.sets[b])])
+            u = rng.choice(phi.sets[c].elements)
+            v = rng.choice(psi.sets[c].elements)
         else:
             D = phi if edit == 2 else psi if edit == 3 else rng.choice((phi, psi))
             sets, action = dict(D.sets), {h: dict(D.action[h]) for h in A.morphisms}
             if edit == 4:
                 a = rng.choice(A.objects)
-                S = D.set_at(a)
+                S = D.sets[a]
                 norms = {x: rng.choice(list(q.carrier())) for x in S}
                 sets[a] = NormedSet(q, norms, S.elements)
             else:

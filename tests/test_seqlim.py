@@ -297,7 +297,7 @@ def test_map_norms_fold_the_hook_and_no_quantale_method(monkeypatch):
             X = d.tail_object
             A = i_embed_cat(X)
             Phi, Psi = (representable_cov(A, rng.choice(X.objects)) for _ in range(2))
-            family = {c: {f: rng.choice(Psi.set_at(c).elements) for f in Phi.set_at(c)}
+            family = {c: {f: rng.choice(Psi.sets[c].elements) for f in Phi.sets[c]}
                       for c in A.objects}
             vec = {x: rng.choice(values) for x in X.objects}
             cases.append((s, d, Phi, Psi, family, vec))
@@ -1244,10 +1244,10 @@ def test_eventual_image_is_the_transient_power_image(q2, points):
     for t in M.morphisms:
         s = Sequence("ncat", [], [], "*", t, category=M)
         powers, transient, _ = s.tail_powers
-        E = {M.compose(f, powers[transient]) for f in M.morphisms}
-        assert E == eventual_image_fixpoint(M.morphisms, lambda f: M.compose(f, t))
+        E = {M.table[f, powers[transient]] for f in M.morphisms}
+        assert E == eventual_image_fixpoint(M.morphisms, lambda f: M.table[f, t])
         for g in M.morphisms:
-            for tail in ([g], [M.compose(g, t), g]):
+            for tail in ([g], [M.table[g, t], g]):
                 gamma = Cocone("*", [], tail)
                 if not cocone_commutes(s, gamma)[0]:
                     continue

@@ -7,6 +7,8 @@ import pytest
 
 from quantcat import vcat
 from quantcat.common import BudgetExceeded, PreconditionError
+from quantcat.ncat import NormedCategory, NormedDistributor
+from quantcat.normed_set import NormedSet
 from quantcat.quantale import INF
 from quantcat.vcat import (
     VCategory,
@@ -103,6 +105,12 @@ def _two_by_one(qplus, rows):
     return VDistributor(metric2(qplus), VCategory(qplus, ["z"], [[0]]), rows)
 
 
+def _one_arrow(qplus, norm):
+    """The one-object category on its identity '1', normed by ``norm``."""
+    return NormedCategory(qplus, ["a"], ["1"], {"1": "a"}, {"1": "a"}, {"a": "1"},
+                          {("1", "1"): "1"}, norm)
+
+
 @pytest.mark.parametrize("build, problem", [
     (lambda q: VCategory(q, ["a", "b"], [[0, 1], [1]]),
      "expected 2 rows of length 2, got lengths [2, 1]"),
@@ -116,8 +124,12 @@ def _two_by_one(qplus, rows):
      "expected 2 rows of length 1, got lengths [1]"),
     (lambda q: VCategory(q, ["a", "a"], [[0, 0], [0, 0]]), "duplicate objects"),
     (lambda q: VCategory.trusted(q, ["a", "a"], ((0, 0), (0, 0))), "duplicate objects"),
+    (lambda q: _one_arrow(q, {}), "norm is not total on morphisms"),
+    (lambda q: NormedDistributor(_one_arrow(q, {"1": 0}), True, {"a": NormedSet(q, {"p": 0})}, {}),
+     "action of '1' is not total"),
 ], ids=["ragged", "too-few-rows", "too-many-rows", "distributor-row-length",
-        "distributor-row-count", "duplicate-objects", "trusted-duplicate-objects"])
+        "distributor-row-count", "duplicate-objects", "trusted-duplicate-objects",
+        "ncat-norm-not-total", "ndist-action-not-total"])
 def test_matrix_constructors_check_their_shape(qplus, build, problem):
     with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
         build(qplus)
