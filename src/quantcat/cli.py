@@ -16,7 +16,6 @@ timing appears only in the human-readable output.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
@@ -573,7 +572,7 @@ def _task_validate(inst: Instance, task: dict, budget: int, probe: int) -> dict:
             sub = vcat_mod.validate_vdist(d)
             report.add(f"{label}-bimodule", sub.ok, sub.describe() if not sub.ok else None)
     elif kind == "ndist":
-        report = ncat_mod.validate_ndist(value)
+        report = value.report
     elif kind == "normed_set":
         report = Report()
         report.add("norm-total", True)
@@ -613,9 +612,13 @@ def _task_isbell(inst: Instance, task: dict, budget: int, probe: int) -> dict:
         return _outcome(None, conjugate=conjugate)
     if not value.covariant:
         raise ValueError("the conjugate is taken of a covariant distributor")
+    A = value.category
+    if not A.report.ok:
+        return _precondition_failure(q, "not a category", A.report)
+    if not value.report.ok:
+        return _precondition_failure(q, "not a normed distributor", value.report)
     # the conjugate at a is the normed set of natural families into A(a, -);
     # its action is not reported, so it is not built
-    A = value.category
     sizes, norms = {}, {}
     for a in A.objects:
         S = ncat_mod.nat_transformations(value, ncat_mod.representable_cov(A, a), budget)
@@ -834,8 +837,11 @@ def human_report(report: dict, elapsed: float) -> str:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call to ``main`` and shared
-    by later calls: ``parse_args`` leaves it unchanged."""
+    """The argument parser, built on the first argv that ``_read_argv``
+    leaves to it and shared by later calls: ``parse_args`` leaves it
+    unchanged.  It alone prints the help text and every usage error."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="quantcat",
         description="Run validations, decisions, and constructions from an instance file.",
@@ -850,6 +856,34 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(argv: list) -> tuple | None:
+    """``(file, json, budget, probe)`` as ``_parser`` reads them, from an
+    argv of the usual shape: ``--json``, ``--budget D`` and ``--probe D``
+    with D a string of ASCII digits (the last of a repeated option wins),
+    and one token not starting with ``-``, the file.  None for any other
+    argv, which is left to ``_parser`` and its usage errors."""
+    file, as_json, values = None, False, {"--budget": None, "--probe": 3}
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--json":
+            as_json = True
+        elif token in values:
+            digits = next(tokens, None)
+            if type(digits) is not str or not (digits.isascii() and digits.isdigit()):
+                return None
+            try:
+                values[token] = int(digits)
+            except ValueError:  # past the interpreter's digit limit
+                return None
+        elif file is None and type(token) is str and token[:1] != "-":
+            file = token
+        else:
+            return None
+    if file is None:
+        return None
+    return file, as_json, values["--budget"], values["--probe"]
+
+
 def _env_budget() -> int:
     """``default_budget``, with a malformed variable as an input error."""
     try:
@@ -859,16 +893,22 @@ def _env_budget() -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    read = _read_argv(argv)
+    if read is None:
+        args = _parser().parse_args(argv)
+        read = args.file, args.json, args.budget, args.probe
+    file, as_json, budget, probe = read
     try:
-        budget = args.budget if args.budget is not None else _env_budget()
+        if budget is None:
+            budget = _env_budget()
         if budget <= 0:
             raise InputError("budget must be positive")
-        if args.probe <= 0:
+        if probe <= 0:
             raise InputError("probe bound must be positive")
         started = time.perf_counter()
-        inst = load_instance(args.file)
-        report = run_instance(inst, budget, args.probe)
+        inst = load_instance(file)
+        report = run_instance(inst, budget, probe)
         elapsed = time.perf_counter() - started
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -876,7 +916,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:  # its text starts "budget exceeded: "
         print(exc, file=sys.stderr)
         return 3
-    if args.json:
+    if as_json:
         print(machine_report(report))
     else:
         print(human_report(report, elapsed))

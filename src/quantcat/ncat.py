@@ -336,6 +336,11 @@ class NormedDistributor:
                 if y not in tgt:
                     raise ValueError(f"action of {h!r} leaves the target set")
 
+    @cached_property
+    def report(self) -> Report:
+        """``validate_ndist`` of this distributor."""
+        return validate_ndist(self)
+
     def _action_shape(self, h):
         a, b = self.category.dom[h], self.category.cod[h]
         return (self.sets[a], self.sets[b]) if self.covariant else (self.sets[b], self.sets[a])

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -828,6 +830,91 @@ def test_repeated_main_calls_parse_their_own_flags(capsys, monkeypatch):
     assert "(budget 11, probe bound 3, " in capsys.readouterr().out
 
 
+# the usage contract, as argparse printed it before main read any argv itself
+USAGE = "usage: quantcat [-h] [--json] [--budget BUDGET] [--probe PROBE] file\n"
+HELP = USAGE + """
+Run validations, decisions, and constructions from an instance file.
+
+positional arguments:
+  file             JSON instance file
+
+options:
+  -h, --help       show this help message and exit
+  --json           emit the machine report
+  --budget BUDGET  enumeration budget (default from QUANTCAT_BUDGET or 4096)
+  --probe PROBE    probe object size bound for (C2b)
+"""
+
+
+def test_help_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (HELP, "")
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "the following arguments are required: file"),
+    ([path("compose.json"), "b.json"], "unrecognized arguments: b.json"),
+    ([path("compose.json"), "--budget", "x"], "argument --budget: invalid int value: 'x'"),
+    ([path("compose.json"), "--budget"], "argument --budget: expected one argument"),
+    ([path("compose.json"), "--nope"], "unrecognized arguments: --nope"),
+], ids=["no-file", "two-files", "budget-not-an-int", "trailing-budget", "unknown-option"])
+def test_usage_errors(capsys, monkeypatch, argv, error):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"{USAGE}quantcat: error: {error}\n")
+
+
+@pytest.mark.parametrize("flags, budget", [
+    (["--budget=5"], 5), (["--bud", "5"], 5), (["--budget", "٣"], 3),
+], ids=["equals-form", "abbreviation", "arabic-indic-digit"])
+def test_argparse_forms_still_run(capsys, flags, budget):
+    code, report, _ = run_json(capsys, path("compose.json"), *flags)
+    assert (code, report["budget"]) == (0, budget)
+
+
+def test_negative_budget_is_an_input_error(capsys):
+    assert main([path("compose.json"), "--budget", "-5"]) == 2
+    assert capsys.readouterr() == ("", "input error: budget must be positive\n")
+
+
+ARGV_TOKENS = [
+    "--json", "--budget", "--probe", "--js", "--bud", "--pro", "--budget=5", "--probe=2",
+    "5", "2", "007", "0", "9" * 5000, "-5", "٣", "x", "-", "--", "-h", "", "a.json", "b.json",
+]
+
+
+@given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=7))
+@example(["a.json", "--budget", "5", "--probe", "2", "--json"])
+@example(["--budget", "1", "a.json", "--budget", "007"])
+def test_the_argv_reader_agrees_with_argparse(argv):
+    from quantcat.cli import _parser, _read_argv
+
+    read = _read_argv(argv)
+    if read is not None:
+        args = _parser().parse_args(argv)
+        assert read == (args.file, args.json, args.budget, args.probe)
+
+
+def test_a_well_formed_run_does_not_import_argparse():
+    src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
+    script = (
+        "import contextlib, io, sys\n"
+        "import quantcat.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = quantcat.cli.main([{path('compose.json')!r}, '--json'])\n"
+        "print(code, 'argparse' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.stdout, done.stderr) == ("0 False\n", "")
+
+
 def _json_nodes(data, where=()):
     """The path of every node below the root of a JSON document."""
     children = data.items() if isinstance(data, dict) else (
@@ -1029,6 +1116,36 @@ def test_isbell_on_an_ndist_checks_before_it_enumerates(tmp_path, capsys, target
     assert capsys.readouterr() == ("", err)
 
 
+def test_isbell_on_an_invalid_ndist_reports_its_failed_checks(tmp_path, capsys, monkeypatch):
+    from quantcat import ncat
+
+    calls = Counter()
+    for name in ("validate_category", "validate_ndist"):
+        def counted(*args, _fn=getattr(ncat, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(ncat, name, counted)
+    with open(path("certs.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    # the identity moves 1 to e
+    data["objects"]["phi"]["action"]["1"] = {"1": "e", "e": "e"}
+    data["tasks"] = [{"op": "validate", "target": "phi"}, {"op": "isbell", "target": "phi"},
+                     {"op": "validate", "target": "phi"}]
+    f = tmp_path / "isbell.json"
+    f.write_text(json.dumps(data), encoding="utf-8")
+    code, report, _ = run_json(capsys, str(f))
+    assert code == 1
+    validate, isbell, _ = report["tasks"]
+    assert isbell["verdict"] == "fail"
+    assert isbell["details"]["error"] == "not a normed distributor"
+    assert isbell["details"]["evidence"] == validate["details"]["checks"]
+    failed = [(c["check"], c["witness"]) for c in validate["details"]["checks"] if not c["ok"]]
+    assert failed == [("action-identities", "a")]
+    # the three tasks share one scan of the category and one of the distributor
+    assert calls == {"validate_category": 1, "validate_ndist": 1}
+
+
 def test_lawvere_on_non_associative_table_reports_precondition(tmp_path, capsys):
     # a∘a = b, a∘b = a, b∘a = b: (a∘a)∘a = b but a∘(a∘a) = a
     ms = ["1", "a", "b"]
@@ -1084,8 +1201,10 @@ def _point_certificate_file(tmp_path, variance, tasks):
 
 
 def test_certificate_over_non_associative_table_reports_precondition(tmp_path, capsys):
+    # isbell on phi, too, which once enumerated families over the non-category
     tasks = [{"op": "adjoint", "target": "cert"},
-             {"op": "adjoint", "target": "cert", "normed": True}]
+             {"op": "adjoint", "target": "cert", "normed": True},
+             {"op": "isbell", "target": "phi"}]
     code, report, _ = run_json(capsys, _point_certificate_file(tmp_path, "contravariant", tasks))
     assert code == 1
     for task in report["tasks"]:
