@@ -61,9 +61,8 @@ from .ncat import (
     NormedCategory,
     NormedDistributor,
     check_adjunction_cert,
+    conjugate_families,
     is_lawvere_complete_ncat,
-    nat_transformations,
-    representable_cov,
     split_idempotents_check,
     strict_morphisms,
     validate_ndist,

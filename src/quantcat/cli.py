@@ -611,19 +611,19 @@ def _task_isbell(inst: Instance, task: dict, budget: int, probe: int) -> dict:
         conjugate = {x: q.format(v) for x, (v,) in zip(value.phi.target.objects, column)}
         return _outcome(None, conjugate=conjugate)
     if not value.covariant:
-        raise ValueError("the conjugate is taken of a covariant distributor")
+        raise InputError("the conjugate is taken of a covariant distributor")
     A = value.category
     if not A.report.ok:
         return _precondition_failure(q, "not a category", A.report)
     if not value.report.ok:
         return _precondition_failure(q, "not a normed distributor", value.report)
-    # the conjugate at a is the normed set of natural families into A(a, -);
-    # its action is not reported, so it is not built
+    # the conjugate at a is its natural families into A(a, -); its action is
+    # not reported, so it is not built
     sizes, norms = {}, {}
     for a in A.objects:
-        S = ncat_mod.nat_transformations(value, ncat_mod.representable_cov(A, a), budget)
-        sizes[a] = len(S)
-        norms[a] = [q.format(S.norms[e]) for e in S]
+        families = ncat_mod.conjugate_families(value, a, budget)
+        sizes[a] = len(families)
+        norms[a] = [q.format(norm) for _, norm in families]
     return _outcome(None, sizes=sizes, norms=norms)
 
 

@@ -8,10 +8,31 @@ normed-set-valued functors with covariant / contravariant element actions.
 Composition of a contravariant Ψ with a covariant Φ at the point is a coend:
 the triples (a, x, y) with x in Ψ(a) and y in Φ(a), modulo the relation
 generated by (b, x, Φ(h)y) ~ (a, Ψ(h)x, y) for h: a -> b, carrying the
-final-structure norm (class norm = join of member norms |x| ⊗ |y|).  The set
-of natural transformations between two of them is an end: the
-naturality-filtered family set, carrying the initial-structure norm (the
-meet of component norms).
+final-structure norm (class norm = join of member norms |x| ⊗ |y|).  The
+Isbell conjugate of a covariant Φ is, at a, the end of natural families
+Φ → A(a, -), carrying the initial-structure norm (the meet of component
+norms).
+
+Generator lemma (Yoneda for a generated action; Kelly 1982, *Basic Concepts
+of Enriched Category Theory*, §1.9).  Walk Φ's elements in declaration order,
+objects then elements; an element x in Φ(b) not yet reached is a generator,
+and its orbit, the Φ(h)(x) for h out of b, is marked reached.  The orbit
+depends on x alone, so the generators are fixed before any family is
+chosen, and every element lies in some generator's orbit.  When A is a
+category and Φ a functor, a family τ: Φ → A(a, -) is natural iff
+τ(Φ(h)(x)) = h∘τ(x) for every generator x and h out of its object:
+
+* a natural family satisfies it, so it is fixed by its generator values;
+* conversely, once those equations agree wherever two orbits meet, any
+  y = Φ(h)(x) and g out of cod h have Φ(g)(y) = Φ(g∘h)(x), so
+  τ(Φ(g)(y)) = (g∘h)∘τ(x) = g∘τ(y) by associativity.
+
+So ``conjugate_families`` searches only the generator values, ∏ |A(a, dom x)|
+candidates, and propagates each.  Order: an element that is not a generator
+was reached from an earlier generator, so two families first differ at a
+generator.  Their order in the product of the generator values is therefore
+their order in the product of all component functions, the order of the
+brute-force enumeration that is the tests' oracle.
 
 Unit-class lemma (Street 1983, *Absolute colimits in enriched categories*;
 Kelly 1982, *Basic Concepts of Enriched Category Theory*, §5.5).  Let A be a
@@ -104,8 +125,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from math import prod
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
 from .common import (
     ConstructionError,
@@ -115,7 +135,6 @@ from .common import (
     cached_property,
     guard_count,
 )
-from .normed_set import NormedSet
 from .quantale import Quantale, require_finite, require_same_quantale
 from .vcat import matrix_weights, unit_criterion, unit_member
 
@@ -403,81 +422,55 @@ def validate_ndist(Phi: NormedDistributor) -> Report:
     return report
 
 
-def representable_cov(A: NormedCategory, a) -> NormedDistributor:
-    """The covariant distributor of morphisms out of a, acting by
-    post-composition."""
-    homs = {b: A.hom(a, b) for b in A.objects}
-    sets = {b: NormedSet.trusted(A.quantale, {f: A.norm[f] for f in fs}, fs)
-            for b, fs in homs.items()}
-    action = {
-        h: {f: A.table[h, f] for f in A.hom(a, A.dom[h])} for h in A.morphisms
-    }
-    return NormedDistributor(A, True, sets, action)
-
-
 # ---------------------------------------------------------------------------
-# natural transformations (the end construction)
+# the Isbell conjugate of a covariant distributor
 
 
-def enumerate_nat_families(
-    Phi: NormedDistributor, Psi: NormedDistributor, budget: int = DEFAULT_BUDGET
-) -> list[dict]:
-    """All natural families of functions Φ(a) → Ψ(a), both covariant."""
-    if Phi.category is not Psi.category and Phi.category != Psi.category:
-        raise ValueError("distributors live over different categories")
-    if not (Phi.covariant and Psi.covariant):
-        raise ValueError("natural families are enumerated between covariant distributors")
+def conjugate_families(Phi: NormedDistributor, a, budget: int = DEFAULT_BUDGET) -> list:
+    """The conjugate of a covariant Φ at the object a: the natural families
+    τ from Φ into A(a, -), each as a pair (family, norm).  A family is one
+    tuple per object of the τ(x), in element order, and its norm is
+    ⋀ hom(|x|, |τ(x)|) over Φ's elements in object then element order.
+    The families come in the order of the product of all component
+    functions.  Only the generators' values are searched (the generator
+    lemma in the module docstring), so A must pass ``validate_category``
+    and Φ ``validate_ndist``."""
     A = Phi.category
-    count = prod(len(Psi.sets[a]) ** len(Phi.sets[a]) for a in A.objects)
+    reached = set()
+    gens = []  # per generator x in Φ(b): A(a, b) and its orbit [((cod h, h·x), h)]
+    for b in A.objects:
+        for x in Phi.sets[b]:
+            if (b, x) not in reached:
+                orbit = [
+                    ((A.cod[h], Phi.action[h][x]), h) for h in A.morphisms if A.dom[h] == b
+                ]
+                reached.update(y for y, _ in orbit)
+                gens.append((A.hom(a, b), orbit))
+    count = 1
+    for homs, _ in gens:
+        count *= len(homs)
     guard_count(count, budget, "natural-transformation enumeration")
-    # one component space per object; the families are streamed
-    components = [
-        [dict(zip(Phi.sets[a], images))
-         for images in product(Psi.sets[a], repeat=len(Phi.sets[a]))]
-        for a in A.objects
-    ]
-    natural = []
-    for comps in product(*components):
-        fam = dict(zip(A.objects, comps))
-        if all(
-            fam[A.cod[h]][Phi.action[h][x]] == Psi.action[h][fam[A.dom[h]][x]]
-            for h in A.morphisms
-            for x in Phi.sets[A.dom[h]]
-        ):
-            natural.append(fam)
-    return natural
 
+    def propagate(values) -> dict | None:
+        """τ(h·x) = h∘τ(x) from each generator's value; None on a conflict."""
+        tau: dict = {}
+        for f, (_, orbit) in zip(values, gens):
+            for y, h in orbit:
+                v = A.table[h, f]
+                if tau.setdefault(y, v) != v:
+                    return None
+        return tau
 
-def nat_key(Phi: NormedDistributor, family: Mapping) -> tuple:
-    """Canonical hashable form of a family, aligned with declaration order."""
-    return tuple(
-        tuple(family[a][x] for x in Phi.sets[a].elements)
-        for a in Phi.category.objects
-    )
-
-
-def nat_norm(Phi: NormedDistributor, Psi: NormedDistributor, family: Mapping):
-    """The meet over objects of the component map norms, as one meet over
-    every object's elements, since meet is associative."""
-    return Phi.quantale.meet_of_homs(
-        (Phi.sets[a].norms[x], Psi.sets[a].norms[y])
-        for a in Phi.category.objects
-        for x, y in family[a].items()
-    )
-
-
-def nat_transformations(
-    Phi: NormedDistributor, Psi: NormedDistributor, budget: int = DEFAULT_BUDGET
-) -> NormedSet:
-    """The normed set of all natural transformations Φ → Ψ."""
-    families = enumerate_nat_families(Phi, Psi, budget)
-    norms = {}
-    order = []
-    for fam in families:
-        key = nat_key(Phi, fam)
-        order.append(key)
-        norms[key] = nat_norm(Phi, Psi, fam)
-    return NormedSet(Phi.quantale, norms, order)
+    families = []
+    for values in product(*(homs for homs, _ in gens)):
+        tau = propagate(values)
+        if tau is not None:
+            family = tuple(tuple(tau[b, x] for x in Phi.sets[b]) for b in A.objects)
+            norm = Phi.quantale.meet_of_homs(
+                (Phi.sets[b].norms[x], A.norm[tau[b, x]]) for b in A.objects for x in Phi.sets[b]
+            )
+            families.append((family, norm))
+    return families
 
 
 # ---------------------------------------------------------------------------

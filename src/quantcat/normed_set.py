@@ -4,7 +4,7 @@ A normed set is a finite carrier with a norm function into a quantale.  The
 final structure of a family of maps out of normed sets norms each element of
 the carrier by the join of the norms of its preimages.  Norms of maps between
 normed sets are folded where they are needed, through the quantale's
-``meet_of_homs`` hook (``Sequence.map_norm_of``, ``ncat.nat_norm``); the
+``meet_of_homs`` hook (``Sequence.map_norm_of``, ``ncat.conjugate_families``); the
 general calculus of normed maps (tensor, internal hom, initial structures,
 the change-of-base triple) is the tests' oracle, in ``tests/helpers.py``.
 """

@@ -25,13 +25,8 @@ from quantcat.ncat import (
     NormedCategory,
     NormedDistributor,
     _class_norm,
-    enumerate_nat_families,
     idempotent_distributor_sets,
-    nat_key,
-    nat_norm,
-    nat_transformations,
     norm_checks,
-    representable_cov,
     split_idempotents_check,
     unit_class,
     validate_category,
@@ -420,6 +415,16 @@ def i_embed_cat(X: VCategory) -> NormedCategory:
     )
 
 
+def representable_cov(A: NormedCategory, a) -> NormedDistributor:
+    """The covariant distributor of morphisms out of a, acting by
+    post-composition."""
+    sets = {b: hom_set(A, a, b) for b in A.objects}
+    action = {
+        h: {f: A.table[h, f] for f in A.hom(a, A.dom[h])} for h in A.morphisms
+    }
+    return NormedDistributor(A, True, sets, action)
+
+
 def representable_contra(A: NormedCategory, a) -> NormedDistributor:
     """The contravariant distributor of morphisms into a, acting by
     pre-composition."""
@@ -466,6 +471,65 @@ def strict_subcategory(A: NormedCategory) -> NormedCategory:
         table,
         {f: A.norm[f] for f in kept},
     )
+
+
+def enumerate_nat_families(
+    Phi: NormedDistributor, Psi: NormedDistributor, budget: int = DEFAULT_BUDGET
+) -> list[dict]:
+    """All natural families of functions Φ(a) → Ψ(a), both covariant: every
+    family of component functions, filtered for naturality (the oracle of
+    ``ncat.conjugate_families``)."""
+    if Phi.category is not Psi.category and Phi.category != Psi.category:
+        raise ValueError("distributors live over different categories")
+    if not (Phi.covariant and Psi.covariant):
+        raise ValueError("natural families are enumerated between covariant distributors")
+    A = Phi.category
+    count = 1
+    for a in A.objects:
+        count *= len(Psi.sets[a]) ** len(Phi.sets[a])
+    guard_count(count, budget, "natural-transformation enumeration")
+    components = [
+        [dict(zip(Phi.sets[a], images))
+         for images in product(Psi.sets[a], repeat=len(Phi.sets[a]))]
+        for a in A.objects
+    ]
+    natural = []
+    for comps in product(*components):
+        fam = dict(zip(A.objects, comps))
+        if all(
+            fam[A.cod[h]][Phi.action[h][x]] == Psi.action[h][fam[A.dom[h]][x]]
+            for h in A.morphisms
+            for x in Phi.sets[A.dom[h]]
+        ):
+            natural.append(fam)
+    return natural
+
+
+def nat_key(Phi: NormedDistributor, family: Mapping) -> tuple:
+    """Canonical hashable form of a family, aligned with declaration order."""
+    return tuple(
+        tuple(family[a][x] for x in Phi.sets[a].elements)
+        for a in Phi.category.objects
+    )
+
+
+def nat_norm(Phi: NormedDistributor, Psi: NormedDistributor, family: Mapping):
+    """The meet over objects of the component map norms, as one meet over
+    every object's elements, since meet is associative."""
+    return Phi.quantale.meet_of_homs(
+        (Phi.sets[a].norms[x], Psi.sets[a].norms[y])
+        for a in Phi.category.objects
+        for x, y in family[a].items()
+    )
+
+
+def nat_transformations(
+    Phi: NormedDistributor, Psi: NormedDistributor, budget: int = DEFAULT_BUDGET
+) -> NormedSet:
+    """The normed set of all natural transformations Φ → Ψ."""
+    families = enumerate_nat_families(Phi, Psi, budget)
+    norms = {nat_key(Phi, fam): nat_norm(Phi, Psi, fam) for fam in families}
+    return NormedSet(Phi.quantale, norms, list(norms))
 
 
 def nat_family(Phi: NormedDistributor, key: tuple) -> dict:
@@ -1804,6 +1868,33 @@ def monoid_cat(q, norm_one, norm_e) -> NormedCategory:
         table,
         {"1": norm_one, "e": norm_e},
     )
+
+
+def cyclic_cat(q, n, s=1) -> NormedCategory:
+    """The cyclic group Z/n as one object's morphisms "0" .. "n-1", composed
+    by addition mod n; the multiples of s are normed k, the rest ⊥."""
+    ms = [str(k) for k in range(n)]
+    table = {(g, f): str((int(g) + int(f)) % n) for g in ms for f in ms}
+    return NormedCategory(
+        q, ["o"], ms, dict.fromkeys(ms, "o"), dict.fromkeys(ms, "o"), {"o": "0"}, table,
+        {m: q.unit if int(m) % s == 0 else q.bottom for m in ms},
+    )
+
+
+def cyclic_action(A, orbits, norm, reverse=False) -> NormedDistributor:
+    """Z/n of ``cyclic_cat`` acting on a disjoint union of cycles, one of
+    length d (a divisor of n) per entry of ``orbits``, k moving (i, r) to
+    (i, (r + k) mod d); the cycle of length n is the free orbit.  Element
+    (i, r) is normed ``norm(i, r)``; ``reverse`` declares the elements in
+    reverse order."""
+    elements = [(i, r) for i, d in enumerate(orbits) for r in range(d)]
+    if reverse:
+        elements.reverse()
+    S = NormedSet(A.quantale, {x: norm(*x) for x in elements}, elements)
+    action = {
+        h: {(i, r): (i, (r + int(h)) % orbits[i]) for i, r in elements} for h in A.morphisms
+    }
+    return NormedDistributor(A, True, {"o": S}, action)
 
 
 def split_monoid_cat(q) -> NormedCategory:

@@ -103,6 +103,7 @@ def test_machine_report_byte_identical(capsys):
 GOLDEN_JSON = {
     "certs.json": (1, "1955858d6428fcf419524fe46a1b3b6df87e9a283fe7c009e4c3e4fb4ddafb0c"),
     "compose.json": (0, "b51bdae4cd2bcfd78f8ce0d98fe6b12c4674b62d3e49aecef6267c0d89e538d6"),
+    "cyclic.json": (0, "1e7f7fb5d72795b1aa53a3cf994eb1e683c15193e91d03a8444ccdc687b29bd5"),
     "lawvere_sequence.json": (0, "6168b15548db4b66cc3a703e8feef1b78a0826f01061cc18c219935729261bb4"),
     "metric.json": (0, "4b4a6e877386f27e4f336125ac870e939d5e10b1fa689388594bae33f184116e"),
     "monoid.json": (1, "babedf3b14b92d93990cf8a611f3cbb3c778afac197fb26c2e1b11f817e1838c"),
@@ -1101,9 +1102,10 @@ def test_strict_split_names_the_first_composite_outside_the_strict_part(tmp_path
 @pytest.mark.parametrize("target, budget, code, err", [
     ("psi", "4096", 2,
      "input error: tasks[0] (isbell): the conjugate is taken of a covariant distributor\n"),
-    # the family count at the first object is 2^2 = 4
-    ("phi", "3", 3,
-     "budget exceeded: natural-transformation enumeration needs 4 candidates, budget is 3\n"),
+    # one below the first object's priced count: phi has one generator, 1,
+    # with |M(a, a)| = 2 values
+    ("phi", "1", 3,
+     "budget exceeded: natural-transformation enumeration needs 2 candidates, budget is 1\n"),
 ], ids=["contravariant-target", "budget-below-the-first-object"])
 def test_isbell_on_an_ndist_checks_before_it_enumerates(tmp_path, capsys, target, budget,
                                                          code, err):
@@ -1144,6 +1146,49 @@ def test_isbell_on_an_invalid_ndist_reports_its_failed_checks(tmp_path, capsys, 
     assert failed == [("action-identities", "a")]
     # the three tasks share one scan of the category and one of the distributor
     assert calls == {"validate_category": 1, "validate_ndist": 1}
+
+
+def test_isbell_on_a_free_cyclic_action_prices_its_generator(capsys):
+    # Z/6 acting on itself: one generator with 6 values, where the product of
+    # all component functions has 6^6 = 46656 and exceeded the default budget
+    code, report, _ = run_json(capsys, path("cyclic.json"))
+    assert code == 0
+    isbell = report["tasks"][2]["details"]
+    assert isbell == {"sizes": {"o": 6}, "norms": {"o": ["1", "0", "1", "0", "1", "0"]}}
+    assert main([path("cyclic.json"), "--json", "--budget", "5"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: natural-transformation enumeration needs 6 candidates, budget is 5\n")
+
+
+def test_isbell_builds_no_distributor(tmp_path, capsys, monkeypatch):
+    from quantcat import ncat
+
+    built = Counter()
+    init = ncat.NormedDistributor.__init__
+
+    def counted(self, *args):
+        built["NormedDistributor"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(ncat.NormedDistributor, "__init__", counted)
+    with open(path("certs.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["tasks"] = [{"op": "validate", "target": "phi"}, {"op": "isbell", "target": "phi"}]
+    f = tmp_path / "isbell.json"
+    f.write_text(json.dumps(data), encoding="utf-8")
+    code, report, _ = run_json(capsys, str(f))
+    assert code == 0
+    assert report["tasks"][1]["details"]["sizes"] == {"a": 2}
+    literals = sum(obj["kind"] == "ndist" for obj in data["objects"].values())
+    assert built["NormedDistributor"] == literals == 2
+
+
+def test_isbell_of_a_contravariant_distributor_is_an_input_error():
+    from quantcat.cli import InputError, _task_isbell
+
+    inst = load_instance(path("certs.json"))
+    with pytest.raises(InputError, match="the conjugate is taken of a covariant distributor"):
+        _task_isbell(inst, {"op": "isbell", "target": "psi"}, 4096, 3)
 
 
 def test_lawvere_on_non_associative_table_reports_precondition(tmp_path, capsys):

@@ -1,10 +1,13 @@
+import os
 import random
 from collections import Counter
 from itertools import product
+from math import gcd
 
 import pytest
 
 from quantcat.common import BudgetExceeded, Check, PreconditionError
+from quantcat.cli import load_instance
 from quantcat.ncat import (
     _unit_class_slots,
     _weight_matrix,
@@ -12,14 +15,11 @@ from quantcat.ncat import (
     NormedCategory,
     NormedDistributor,
     check_adjunction_cert,
+    conjugate_families,
     idempotent_conjugate_sets,
     idempotent_distributor_sets,
     idempotent_unit_class,
     is_lawvere_complete_ncat,
-    nat_key,
-    nat_norm,
-    nat_transformations,
-    representable_cov,
     split_idempotents_check,
     strict_morphisms,
     unit_class,
@@ -44,6 +44,9 @@ from helpers import (
     check_normed_retract,
     coend_unit,
     coweight_vector,
+    cyclic_action,
+    cyclic_cat,
+    enumerate_nat_families,
     filtered_norm_assignments,
     has_presentable_unit,
     i_embed_cat,
@@ -55,9 +58,13 @@ from helpers import (
     left_weight,
     monoid_cat,
     nat_family,
+    nat_key,
+    nat_norm,
+    nat_transformations,
     ordered_pair_vcat,
     representable_certificate,
     representable_contra,
+    representable_cov,
     scan_preserves_composition,
     scan_validate_ndist,
     split_monoid_cat,
@@ -420,6 +427,149 @@ def test_counit_automatism(q2, q3):
                             lhs = q.tensor(bnorm, Phi.sets[z].norm(w))
                             rhs = A.norm[fam[z][w]]
                             assert q.leq(lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# the Isbell conjugate by propagation from generators
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+#: the largest brute product the oracle comparison enumerates
+ORACLE_BUDGET = 20000
+
+
+def _generator_count(Phi, a):
+    """∏ |A(a, dom x)| over the generators x of Φ, read as the elements that
+    no earlier element reaches (the greedy walk of the generator lemma picks
+    the same ones, since an orbit contains the orbits of its elements)."""
+    A = Phi.category
+    elements = [(b, x) for b in A.objects for x in Phi.sets[b]]
+    count = 1
+    for i, (b, x) in enumerate(elements):
+        if not any(
+            (A.cod[h], Phi.action[h][y]) == (b, x)
+            for c, y in elements[:i]
+            for h in A.morphisms
+            if A.dom[h] == c
+        ):
+            count *= len(A.hom(a, b))
+    return count
+
+
+def _brute_count(Phi, a):
+    A = Phi.category
+    count = 1
+    for b in A.objects:
+        count *= len(A.hom(a, b)) ** len(Phi.sets[b])
+    return count
+
+
+def _brute_conjugate(Phi, a, budget):
+    Ra = representable_cov(Phi.category, a)
+    return [
+        (nat_key(Phi, fam), nat_norm(Phi, Ra, fam))
+        for fam in enumerate_nat_families(Phi, Ra, budget)
+    ]
+
+
+def _cyclic_cases(q):
+    """Z/n (n ≤ 6) on free and non-free cycles, elements in both orders; the
+    multiples of s are normed k, so an element's norm may vary with its
+    residue mod gcd(s, d) and with its cycle."""
+    carrier = list(q.carrier())
+    for n in range(1, 7):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        for s in divisors:
+            A = cyclic_cat(q, n, s)
+            shapes = [[d] for d in divisors] + [[n, d] for d in divisors]
+            for orbits in shapes + [[d, n] for d in divisors[:-1]]:
+
+                def norm(i, r, _orbits=orbits):
+                    return carrier[(i + r % gcd(s, _orbits[i])) % len(carrier)]
+
+                for reverse in (False, True):
+                    yield cyclic_action(A, orbits, norm, reverse)
+
+
+def _oracle_cases(q2, q3):
+    """Every fixture ndist; the representables of ``i_embed_cat`` over every
+    bool2 and chain3 V-category up to 3 objects; the Φ_e of the endomaps of 2
+    points under every norm assignment, and of 3 points normed k; the
+    representables of the monoids; and ``_cyclic_cases``."""
+    for name in sorted(os.listdir(DATA)):
+        inst = load_instance(os.path.join(DATA, name))
+        for kind, value in inst.objects.values():
+            if kind == "ndist" and value.covariant:
+                yield value
+    for q in (q2, q3):
+        for n in range(1, 4):
+            for X in all_vcategories(q, "xyz"[:n], budget=3 ** 9):
+                A = i_embed_cat(X)
+                yield from (representable_cov(A, x) for x in A.objects)
+    for q in (q2, q3):
+        for n in (2, 3):
+            A = transformation_monoid(q, n)
+            for e in A.idempotents():
+                if n == 3:
+                    yield idempotent_distributor(A, e, dict.fromkeys(A.morphisms, q.unit))
+                    continue
+                flat = [f for b in A.objects for f in idempotent_distributor_sets(A, e)[b]]
+                for values in filtered_norm_assignments(A, e):
+                    yield idempotent_distributor(A, e, dict(zip(flat, values)))
+        for A in (monoid_cat(q, q.unit, q.unit), split_monoid_cat(q)):
+            yield from (representable_cov(A, x) for x in A.objects)
+        yield from _cyclic_cases(q)
+
+
+def test_conjugate_families_equal_the_brute_product(q2, q3):
+    # the same families in the same order with the same norms, and the guard
+    # prices the generator values: it raises at one below that count
+    compared = Counter()
+    for Phi in _oracle_cases(q2, q3):
+        A = Phi.category
+        assert A.report.ok and validate_ndist(Phi).ok
+        for a in A.objects:
+            if _brute_count(Phi, a) > ORACLE_BUDGET:
+                compared["skipped"] += 1
+                continue
+            expected = _brute_conjugate(Phi, a, ORACLE_BUDGET)
+            needed = _generator_count(Phi, a)
+            assert conjugate_families(Phi, a, needed) == expected, (Phi, a)
+            with pytest.raises(BudgetExceeded) as exc:
+                conjugate_families(Phi, a, needed - 1)
+            assert (exc.value.what, exc.value.needed) == (
+                "natural-transformation enumeration", needed)
+            compared["cases"] += 1
+            compared["families"] += len(expected)
+            compared["priced below the brute product"] += needed < _brute_count(Phi, a)
+    assert compared["cases"] > 700 and compared["priced below the brute product"] > 50, compared
+
+
+def test_cyclic_actions_price_one_value_per_orbit(q2, q3):
+    # Z/6 on itself, on two free orbits and on Z/3 ⊔ Z/6: a generator per
+    # orbit, priced at 6, 36 and 36 where the component functions number
+    # 6^6, 6^12 and 6^9
+    carrier = list(q3.carrier())
+    regular = cyclic_action(cyclic_cat(q3, 6, 2), [6], lambda i, r: carrier[r % 2], True)
+    assert _generator_count(regular, "o") == 6
+    families = conjugate_families(regular, "o")
+    assert families == _brute_conjugate(regular, "o", 6 ** 6)
+    # the generator is the first declared element, (0, 5), and τ_k sends it to k
+    assert [key for key, _ in families] == [
+        (tuple(str((r + 1 + k) % 6) for r in reversed(range(6))),) for k in range(6)
+    ]
+    assert len({norm for _, norm in families}) == 2
+
+    A = cyclic_cat(q2, 6)
+
+    def unit(i, r):
+        return q2.unit
+
+    two = cyclic_action(A, [6, 6], unit, reverse=True)
+    assert _generator_count(two, "o") == 36 and len(conjugate_families(two, "o")) == 36
+    # a cycle of 3 maps into the free orbit by no family: 3 + τ(x) ≠ τ(x)
+    mixed = cyclic_action(A, [3, 6], unit)
+    assert _generator_count(mixed, "o") == 36 and conjugate_families(mixed, "o") == []
 
 
 # ---------------------------------------------------------------------------

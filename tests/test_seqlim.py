@@ -11,7 +11,7 @@ import pytest
 from quantcat import seqlim
 from quantcat.cli import load_instance, main
 from quantcat.common import BudgetExceeded, ConstructionError, PreconditionError
-from quantcat.ncat import nat_norm, representable_cov
+from quantcat.ncat import conjugate_families
 from quantcat.normed_set import NormedSet
 from quantcat.quantale import INF, FiniteQuantale, LawvereQuantale, builtin_quantale
 from quantcat.seqlim import (
@@ -54,6 +54,8 @@ from helpers import (
     fold_map_norm,
     fold_nat_norm,
     is_symmetric,
+    nat_family,
+    representable_cov,
     split_monoid_cat,
     NormedMap,
     forward_cauchy_metric,
@@ -282,9 +284,10 @@ def test_brute_composite_norms_holds_on_random_sequences():
 
 
 def test_map_norms_fold_the_hook_and_no_quantale_method(monkeypatch):
-    # map_norm, lip_norm, Sequence.map_norm_of, nat_norm and the Isbell
-    # conjugates fold meet_of_homs, calling no hom or meet method of either
-    # quantale class, and equal the method folds of their definitions
+    # map_norm, lip_norm, Sequence.map_norm_of, the family norms of
+    # conjugate_families and the Isbell conjugates fold meet_of_homs, calling
+    # no hom or meet method of either quantale class, and equal the method
+    # folds of their definitions
     rng = random.Random(18)
     q3 = builtin_quantale("chain3")
     configs = [(q, values, None) for _, q, values in _residuation_carriers()]
@@ -296,11 +299,10 @@ def test_map_norms_fold_the_hook_and_no_quantale_method(monkeypatch):
             d = _random_sequence(rng, "dset", q, values, odot)
             X = d.tail_object
             A = i_embed_cat(X)
-            Phi, Psi = (representable_cov(A, rng.choice(X.objects)) for _ in range(2))
-            family = {c: {f: rng.choice(Psi.sets[c].elements) for f in Phi.sets[c]}
-                      for c in A.objects}
+            a, b = (rng.choice(X.objects) for _ in range(2))
+            Phi, Psi = representable_cov(A, a), representable_cov(A, b)
             vec = {x: rng.choice(values) for x in X.objects}
-            cases.append((s, d, Phi, Psi, family, vec))
+            cases.append((s, d, Phi, Psi, b, vec))
     calls = Counter()
     for cls in (FiniteQuantale, LawvereQuantale):
         for method in ("hom", "meet"):
@@ -315,19 +317,22 @@ def test_map_norms_fold_the_hook_and_no_quantale_method(monkeypatch):
             s.map_norm_of(s.tail_endo, s.tail_object, s.tail_object),
             lip_norm(d.norm_quantale, d.tail_object, d.tail_object, d.tail_endo),
             d.map_norm_of(d.tail_endo, d.tail_object, d.tail_object),
-            nat_norm(Phi, Psi, family),
+            conjugate_families(Phi, b),
             coweight_vector(isbell_conjugate_weight(left_weight(d.tail_object, vec))),
             weight_vector(isbell_conjugate_coweight(right_weight(d.tail_object, vec))),
         )
-        for s, d, Phi, Psi, family, vec in cases
+        for s, d, Phi, Psi, b, vec in cases
     ]
     assert not calls
-    for (s, d, Phi, Psi, family, vec), got in zip(cases, norms):
+    for (s, d, Phi, Psi, b, vec), got in zip(cases, norms):
         T, X = s.tail_object, d.tail_object
         step_norm = fold_map_norm(NormedMap(T, T, s.tail_endo))
         lip = fold_lip_norm(d.norm_quantale, X, X, d.tail_endo)
+        families = got[4]
+        assert len(families) == 1  # Yoneda: one family per morphism b -> a
         assert got == (
-            step_norm, step_norm, lip, lip, fold_nat_norm(Phi, Psi, family),
+            step_norm, step_norm, lip, lip,
+            [(key, fold_nat_norm(Phi, Psi, nat_family(Phi, key))) for key, _ in families],
             fold_isbell_vector(X, vec, weight=True), fold_isbell_vector(X, vec, weight=False),
         )
     assert set(calls) == {(cls, m) for cls in ("FiniteQuantale", "LawvereQuantale")
