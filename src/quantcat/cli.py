@@ -12,38 +12,67 @@ Exit codes: 0 every verdict-bearing task passed, 1 some verdict failed,
 2 input error (located by its JSON path), 3 enumeration budget exceeded.
 The ``--json`` machine report is byte-identical across reruns; wall-clock
 timing appears only in the human-readable output.
+
+A run loads ``normed_set``, ``ncat`` and ``seqlim`` only when it first uses
+them: each is registered by ``_lazily`` and runs its code on the first
+access to one of its attributes.  ``common``, ``quantale`` and ``vcat``,
+which nearly every run needs, are imported as usual.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import json
 import sys
 import time
 from itertools import chain
-from typing import Any
 
-from . import ncat as ncat_mod
-from . import seqlim as seq_mod
 from . import vcat as vcat_mod
 from .common import (
+    AMBIENTS,
+    DSET,
+    NCAT,
+    NSET,
     BudgetExceeded,
     CarrierMismatch,
     ConstructionError,
+    FieldError,
     PreconditionError,
     Report,
     default_budget,
     int_digit_limit,
 )
-from .normed_set import NormedSet
 from .quantale import (
     FiniteQuantale,
     Quantale,
     builtin_quantale,
     BUILTIN_QUANTALES,
+    lawvere_times,
     validate_quantale,
 )
 from .vcat import VCategory
+
+
+def _lazily(name: str):
+    """The module ``quantcat.<name>``, as imported if it is; otherwise
+    registered in ``sys.modules`` so that its code runs on the first access
+    to one of its attributes."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+nset_mod = _lazily("normed_set")
+ncat_mod = _lazily("ncat")
+seq_mod = _lazily("seqlim")
 
 
 class InputError(ValueError):
@@ -107,7 +136,7 @@ KINDS = {
               "sets": {NAME: _ELEMENTS}, "action": {NAME: {NAME: NAME}}},
     "certificate": {"phi": "ndist", "psi": "ndist", "c": NAME, "u": NAME, "v": NAME,
                     "eps": [{"a": NAME, "b": NAME, "map": [(NAME, NAME, NAME)]}]},
-    "sequence": {"ambient": set(seq_mod.AMBIENTS), "category?": "ncat", "odot?": QUANTALE,
+    "sequence": {"ambient": set(AMBIENTS), "category?": "ncat", "odot?": QUANTALE,
                  "prefix?": [{"object": STAGE, "step": STEP}],
                  "tail": {"object": STAGE, "endo": STEP}},
     "metric_sequence": {"space": "vcat", "prefix_points?": [NAME],
@@ -268,7 +297,7 @@ class Instance:
     def __init__(self, quantale_spec, quantale, objects, tasks):
         self.quantale_spec, self.quantale, self.tasks = quantale_spec, quantale, tasks
         self.objects = objects  # name -> (kind, parsed value)
-        self.numerals: dict[str, Any] = {}
+        self.numerals: dict = {}
 
     def value(self, raw):
         """``raw`` parsed in this instance's quantale, memoised on strings."""
@@ -296,12 +325,14 @@ def _literal(inst: Instance, kind: str, spec: dict):
         if exc.path is None:  # a value: the parsers locate everything else
             _check(KINDS[kind], spec, inst, read=True)
         raise
+    except FieldError as exc:  # a constructor's check across fields
+        raise InputError(str(exc), *exc.where)
 
 
-def _normed_set(inst: Instance, elements: list) -> NormedSet:
+def _normed_set(inst: Instance, elements: list) -> nset_mod.NormedSet:
     value = inst.value
     norms = {e["id"]: value(e["norm"]) for e in elements}
-    return NormedSet.trusted(inst.quantale, norms, [e["id"] for e in elements])
+    return nset_mod.NormedSet.trusted(inst.quantale, norms, [e["id"] for e in elements])
 
 
 def _matrix(inst: Instance, spec: dict, field: str, n: int, m: int) -> tuple:
@@ -328,10 +359,7 @@ def _entries(spec: dict, field: str, keys, what: str) -> list:
 def parse_vcat(inst: Instance, spec: dict) -> VCategory:
     n = len(spec["objects"])
     rows = _matrix(inst, spec, "dist", n, n)
-    try:
-        return VCategory.trusted(inst.quantale, spec["objects"], rows)
-    except ValueError as exc:
-        raise InputError(str(exc), "objects")
+    return VCategory.trusted(inst.quantale, spec["objects"], rows)
 
 
 def parse_ncat(inst: Instance, spec: dict) -> ncat_mod.NormedCategory:
@@ -366,8 +394,12 @@ def _parse_weight_pair(inst: Instance, spec: dict) -> vcat_mod.VWeightPair:
 
 def _parse_ndist(inst: Instance, spec: dict) -> ncat_mod.NormedDistributor:
     A = inst[spec["category"]]
-    sets = _entries(spec, "sets", A.objects, "set for object")
-    sets = {a: _normed_set(inst, elements) for a, elements in zip(A.objects, sets)}
+    sets = {}
+    for a, elements in zip(A.objects, _entries(spec, "sets", A.objects, "set for object")):
+        try:
+            sets[a] = _normed_set(inst, elements)
+        except FieldError as exc:  # the set at a is its elements
+            raise InputError(str(exc), "sets", a)
     action = dict(zip(A.morphisms, _entries(spec, "action", A.morphisms, "map for morphism")))
     covariant = spec.get("variance", "covariant") == "covariant"
     return ncat_mod.NormedDistributor(A, covariant, sets, action)
@@ -402,7 +434,7 @@ def _parse_sequence(inst: Instance, spec: dict) -> seq_mod.Sequence:
     """A sequence.  Its stages and steps are an object and a morphism of its
     category, or else normed_set or vcat objects, named or literal, and maps."""
     ambient, tail, prefix = spec["ambient"], spec["tail"], spec.get("prefix", [])
-    kind = {seq_mod.NSET: "normed_set", seq_mod.DSET: "vcat"}.get(ambient)
+    kind = {NSET: "normed_set", DSET: "vcat"}.get(ambient)
     stages = [(("prefix", i), "step", p["object"], p["step"]) for i, p in enumerate(prefix)]
     stages.append((("tail",), "endo", tail["object"], tail["endo"]))
     objects, steps = [], []
@@ -427,7 +459,7 @@ def _parse_sequence(inst: Instance, spec: dict) -> seq_mod.Sequence:
             raise InputError("missing field", "category")
         return seq_mod.Sequence(*shape, category=inst[spec["category"]])
     odot = None
-    if ambient == seq_mod.DSET and "odot" in spec:
+    if ambient == DSET and "odot" in spec:
         try:
             odot = parse_quantale(spec["odot"])
         except InputError as exc:
@@ -477,7 +509,7 @@ def parse_instance(data) -> Instance:
             inst.objects[name] = (kind, _literal(inst, kind, spec))
         except InputError as exc:
             raise exc.at("objects", name)
-        except ValueError as exc:  # a constructor's check across fields
+        except ValueError as exc:  # a constructor's check it cannot locate
             raise InputError(str(exc), "objects", name)
     for i, task in enumerate(inst.tasks):
         op = None
@@ -510,7 +542,7 @@ def load_instance(path: str) -> Instance:
 # apex rendering
 
 
-def _ser_normed_set(A: NormedSet) -> dict:
+def _ser_normed_set(A: nset_mod.NormedSet) -> dict:
     q = A.quantale
     return {"elements": [{"id": e, "norm": q.format(A.norm(e))} for e in A]}
 
@@ -548,7 +580,7 @@ def _precondition_failure(q: Quantale, error: str, report: Report) -> dict:
     return _outcome(False, error=error, evidence=_report_details(q, report))
 
 
-def _jsonable(q: Quantale, value) -> Any:
+def _jsonable(q: Quantale, value):
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, (list, tuple)):
@@ -688,17 +720,17 @@ def _task_cauchy(inst: Instance, task: dict, budget: int, probe: int) -> dict:
 
 def _task_colimit(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     s = inst[task["target"]]
-    if s.kind == seq_mod.NCAT:
+    if s.kind == NCAT:
         raise InputError("colimit construction applies to set-like ambients", "target")
     try:
-        if s.kind == seq_mod.NSET:
+        if s.kind == NSET:
             apex, gamma = seq_mod.colimit_nset(s)
         else:
             apex, gamma = (seq_mod.colimit_vlip if task.get("vlip") else seq_mod.colimit_dset)(s)
     except PreconditionError as exc:
         return _outcome(False, rejected=str(exc), value=s.norm_quantale.format(exc.value))
     report = seq_mod.colimit_report(s, gamma, probe)
-    apex_out = _ser_normed_set(apex) if s.kind == seq_mod.NSET else _ser_vcat(apex)
+    apex_out = _ser_normed_set(apex) if s.kind == NSET else _ser_vcat(apex)
     checks = _report_details(s.norm_quantale, report)
     return _outcome(report.ok, apex=apex_out, checks=checks, probe_bound=probe)
 
@@ -726,7 +758,7 @@ def _task_lipnorm(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     q_odot = inst.quantale if mode == "odot" else None
     value = seq_mod.lipschitz_norm(X, Y, mapping, mode, q_odot=q_odot, log_base=log_base)
     if not isinstance(value, seq_mod.LogNorm):
-        q = seq_mod.lawvere_times() if q_odot is None else q_odot
+        q = lawvere_times() if q_odot is None else q_odot
         return _outcome(None, mode=mode, value=q.format(value))
     exponent, infinite = value.exponent(), value.is_infinite()
     return _outcome(

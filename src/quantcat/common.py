@@ -8,11 +8,13 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import Any
 
 #: Default cap on the number of candidates any single search may enumerate.
 DEFAULT_BUDGET = 4096
+
+#: The ambients of a sequence: normed sets, V-categories and one normed
+#: category.  The instance format reads them without loading ``seqlim``.
+AMBIENTS = NSET, DSET, NCAT = ("nset", "dset", "ncat")
 
 BUDGET_ENV_VAR = "QUANTCAT_BUDGET"
 
@@ -86,9 +88,19 @@ class CarrierMismatch(ValueError):
 class PreconditionError(ValueError):
     """A declared precondition of an operation failed; carries the evidence."""
 
-    def __init__(self, message: str, value: Any = None):
+    def __init__(self, message: str, value: object = None):
         super().__init__(message)
         self.value = value
+
+
+class FieldError(ValueError):
+    """A constructor's check across its arguments, failing at ``where``: the
+    keys, below the constructed object, of the instance-file field at fault
+    (``("compose",)``, ``("tail", "endo")``)."""
+
+    def __init__(self, problem: str, *where):
+        super().__init__(problem)
+        self.where = where
 
 
 class ConstructionError(RuntimeError):
@@ -98,7 +110,7 @@ class ConstructionError(RuntimeError):
 class BudgetExceeded(Exception):
     """An enumeration would exceed the configured candidate budget."""
 
-    def __init__(self, what: str, needed: int, budget: int, skipped: Any = None):
+    def __init__(self, what: str, needed: int, budget: int, skipped: object = None):
         self.what = what
         self.needed = needed
         self.budget = budget
@@ -109,18 +121,36 @@ class BudgetExceeded(Exception):
         super().__init__(msg)
 
 
-def guard_count(needed: int, budget: int, what: str, skipped: Any = None) -> None:
+def guard_count(needed: int, budget: int, what: str, skipped: object = None) -> None:
     if needed > budget:
         raise BudgetExceeded(what, needed, budget, skipped)
 
 
-@dataclass
-class Check:
+class Record:
+    """A plain record of the attributes named by ``_fields``: equal to a
+    record of its own class with equal fields, and written
+    ``Class(field=value, ...)``."""
+
+    _fields: tuple = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Check(Record):
     """One named pass/fail verdict, with a witness when it fails."""
 
-    name: str
-    ok: bool
-    witness: Any = None
+    _fields = ("name", "ok", "witness")
+
+    def __init__(self, name: str, ok: bool, witness: object = None):
+        self.name, self.ok, self.witness = name, ok, witness
 
     def describe(self) -> str:
         mark = "pass" if self.ok else "FAIL"
@@ -129,13 +159,15 @@ class Check:
         return f"{self.name}: {mark} ({self.witness})"
 
 
-@dataclass
-class Report:
+class Report(Record):
     """A bundle of checks; ``ok`` iff every check passed."""
 
-    checks: list[Check] = field(default_factory=list)
+    _fields = ("checks",)
 
-    def add(self, name: str, ok: bool, witness: Any = None) -> None:
+    def __init__(self, checks: list[Check] | None = None):
+        self.checks = [] if checks is None else checks
+
+    def add(self, name: str, ok: bool, witness: object = None) -> None:
         self.checks.append(Check(name, bool(ok), witness))
 
     @property

@@ -123,14 +123,15 @@ declaration order, so certificates are reproducible.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import product
-from typing import Any, Iterator
 
 from .common import (
     ConstructionError,
     DEFAULT_BUDGET,
+    FieldError,
     PreconditionError,
+    Record,
     Report,
     cached_property,
     guard_count,
@@ -143,38 +144,40 @@ class NormedCategory:
     """A finite category with a quantale-valued norm on morphisms: objects,
     named morphisms, identities, a total composition table keyed (g, f) for
     cod f = dom g, and ``into[b]``, the morphisms into b in declaration
-    order."""
+    order.  A check across the arguments fails with a ``FieldError`` at the
+    instance-file field it reads: ``objects``, ``morphisms[i]``,
+    ``identities`` or ``compose``."""
 
     def __init__(self, quantale: Quantale, objects, morphisms, dom, cod, identity, table, norm):
         self.quantale = quantale
         self.objects = tuple(objects)
         self.morphisms = tuple(morphisms)
         if len(set(self.objects)) != len(self.objects):
-            raise ValueError("duplicate objects")
+            raise FieldError("duplicate objects", "objects")
         if len(set(self.morphisms)) != len(self.morphisms):
-            raise ValueError("duplicate morphism names")
+            raise FieldError("duplicate morphism names", "morphisms")
         self.dom = dict(dom)
         self.cod = dict(cod)
         self.identity = dict(identity)
         self.table = dict(table)
-        for f in self.morphisms:
+        for i, f in enumerate(self.morphisms):
             if f not in self.dom or f not in self.cod:
                 raise ValueError(f"morphism {f!r} missing dom/cod")
             if self.dom[f] not in self.objects or self.cod[f] not in self.objects:
-                raise ValueError(f"morphism {f!r} has unknown endpoints")
+                raise FieldError(f"morphism {f!r} has unknown endpoints", "morphisms", i)
         for a in self.objects:
             if a not in self.identity:
-                raise ValueError(f"object {a!r} has no identity")
+                raise FieldError(f"object {a!r} has no identity", "identities")
             i = self.identity[a]
             if self.dom.get(i) != a or self.cod.get(i) != a:
-                raise ValueError(f"identity of {a!r} has wrong endpoints")
+                raise FieldError(f"identity of {a!r} has wrong endpoints", "identities", a)
         self.into = {
             b: tuple(f for f in self.morphisms if self.cod[f] == b) for b in self.objects
         }
         for g in self.morphisms:
             for f in self.into[self.dom[g]]:
                 if (g, f) not in self.table:
-                    raise ValueError(f"composition missing for {(g, f)!r}")
+                    raise FieldError(f"composition missing for {(g, f)!r}", "compose")
         self._hom: dict[tuple, tuple] = {}
         if set(norm.keys()) != set(self.morphisms):
             raise ValueError("norm is not total on morphisms")
@@ -331,7 +334,9 @@ class NormedDistributor:
     """A distributor between the one-arrow category and A.
 
     Covariant: out of the one-arrow category (element actions go along
-    morphisms); contravariant: into it (actions go against morphisms).
+    morphisms); contravariant: into it (actions go against morphisms).  An
+    action that is not total on, or leaves, its sets fails with a
+    ``FieldError`` at the instance-file field ``action``.
     """
 
     def __init__(self, category: NormedCategory, covariant: bool, sets, action):
@@ -350,10 +355,10 @@ class NormedDistributor:
         for h in category.morphisms:
             src, tgt = self._action_shape(h)
             if set(self.action[h].keys()) != set(src.elements):
-                raise ValueError(f"action of {h!r} is not total")
+                raise FieldError(f"action of {h!r} is not total", "action", h)
             for x, y in self.action[h].items():
                 if y not in tgt:
-                    raise ValueError(f"action of {h!r} leaves the target set")
+                    raise FieldError(f"action of {h!r} leaves the target set", "action", h, x)
 
     @cached_property
     def report(self) -> Report:
@@ -477,7 +482,6 @@ def conjugate_families(Phi: NormedDistributor, a, budget: int = DEFAULT_BUDGET) 
 # adjunction certificates
 
 
-@dataclass
 class AdjunctionCertificate:
     """Counit family plus a splitting triple presenting an adjunction.
 
@@ -485,12 +489,8 @@ class AdjunctionCertificate:
     ``c`` is an object with ``u`` in Φ(c) and ``v`` in Ψ(c).
     """
 
-    phi: NormedDistributor
-    psi: NormedDistributor
-    eps: dict
-    c: Any
-    u: Any
-    v: Any
+    def __init__(self, phi: NormedDistributor, psi: NormedDistributor, eps: dict, c, u, v):
+        self.phi, self.psi, self.eps, self.c, self.u, self.v = phi, psi, eps, c, u, v
 
 
 def unit_class(Phi: NormedDistributor, Psi: NormedDistributor, eps, c, u) -> list:
@@ -723,11 +723,13 @@ def _weight_matrix(A: NormedCategory, elems, flat) -> list:
     return D
 
 
-@dataclass
-class NcatLawvereVerdict:
-    complete: bool
-    clause: int | None = None  # which clause failed
-    certificate: Any = None
+class NcatLawvereVerdict(Record):
+    """The completeness decision: ``clause`` is the clause that failed."""
+
+    _fields = ("complete", "clause", "certificate")
+
+    def __init__(self, complete: bool, clause: int | None = None, certificate=None):
+        self.complete, self.clause, self.certificate = complete, clause, certificate
 
     def __bool__(self):
         return self.complete

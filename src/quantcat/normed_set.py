@@ -11,15 +11,17 @@ the change-of-base triple) is the tests' oracle, in ``tests/helpers.py``.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
+from .common import FieldError
 from .quantale import Quantale, require_same_quantale
 
 
 class NormedSet:
-    """A finite set with a quantale-valued norm on its elements."""
+    """A finite set with a quantale-valued norm on its elements.  Elements
+    that are not distinct fail with a ``FieldError`` at ``elements``."""
 
-    def __init__(self, quantale: Quantale, norms: Mapping[Any, Any], elements=None):
+    def __init__(self, quantale: Quantale, norms: Mapping, elements=None):
         self._build(quantale, norms, elements)
         self.norms = {e: quantale.check(v) for e, v in norms.items()}
 
@@ -39,7 +41,7 @@ class NormedSet:
             elements = list(norms.keys())
         self.elements = tuple(elements)
         if len(set(self.elements)) != len(self.elements):
-            raise ValueError("duplicate elements in normed set")
+            raise FieldError("duplicate elements in normed set", "elements")
         if set(self.elements) != set(norms.keys()):
             raise ValueError("norm function is not total on the elements")
 

@@ -45,12 +45,12 @@ common denominator; ``meet_of_homs`` writes hom(un/ud, vn/vd) as
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import lcm
 from operator import lshift, sub
-from typing import Any, Iterable, Sequence
 
 from .common import (
     CarrierMismatch,
@@ -82,7 +82,7 @@ class _Infinity:
 INF = _Infinity()
 
 
-def as_extended_rational(x: Any) -> Fraction | _Infinity:
+def as_extended_rational(x: object) -> Fraction | _Infinity:
     """Parse ``x`` into an exact extended nonnegative rational.
 
     Accepts Fraction, int, strings like ``"3"``, ``"1/2"``, ``"inf"``.

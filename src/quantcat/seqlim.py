@@ -114,12 +114,16 @@ decides the probe check too:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Any, Mapping
 
 from .common import (
+    AMBIENTS,
+    DSET,
+    NCAT,
+    NSET,
     ConstructionError,
+    FieldError,
     PreconditionError,
     Report,
     cached_property,
@@ -133,12 +137,6 @@ from .quantale import (
     unit_approximated_from_totally_below,
 )
 from .vcat import VCategory
-from .ncat import NormedCategory
-
-NSET = "nset"
-DSET = "dset"
-NCAT = "ncat"
-AMBIENTS = (NSET, DSET, NCAT)
 
 
 def same_lattice(p: Quantale, q: Quantale) -> bool:
@@ -162,7 +160,10 @@ def lip_norm(q_norm: Quantale, X: VCategory, Y: VCategory, mapping: Mapping):
 class Sequence:
     """A prefix-plus-constant-tail sequence in one of the three ambients.
     It is not mutated once its shapes are validated, so its cached
-    properties, shared by the tasks on it, hold for good."""
+    properties, shared by the tasks on it, hold for good.  A check across
+    the arguments fails with a ``FieldError`` at the instance-file field it
+    reads: ``prefix[n].object``, ``prefix[n].step``, ``tail.object``,
+    ``tail.endo`` or ``odot``."""
 
     def __init__(
         self,
@@ -196,7 +197,7 @@ class Sequence:
             self.quantale = tail_object.quantale
             self.norm_quantale = norm_quantale or self.quantale
             if not same_lattice(self.quantale, self.norm_quantale):
-                raise ValueError("distance and norm quantales must share the lattice")
+                raise FieldError("distance and norm quantales must share the lattice", "odot")
         self._validate_shapes()
 
     # -- shape plumbing -----------------------------------------------------
@@ -219,25 +220,28 @@ class Sequence:
             return obj.objects
         raise ValueError("a normed-category stage has no element set")
 
-    def _check_map(self, step, src, tgt, where):
+    def _check_map(self, step, src, tgt, n):
+        """Check the step at stage ``n``, or the tail endo when ``n`` is None."""
+        where, at = ("tail", ("tail", "endo")) if n is None else (n, ("prefix", n, "step"))
         if self.kind == NCAT:
             A = self.category
             if step not in A.dom or A.dom[step] != src or A.cod[step] != tgt:
-                raise ValueError(f"step {where}: morphism {step!r} has wrong endpoints")
+                raise FieldError(f"step {where}: morphism {step!r} has wrong endpoints", *at)
             return
         if set(step.keys()) != set(self._elements(src)):
-            raise ValueError(f"step {where}: mapping is not total")
+            raise FieldError(f"step {where}: mapping is not total", *at)
         tgt_elems = set(self._elements(tgt))
         for x, y in step.items():
             if y not in tgt_elems:
-                raise ValueError(f"step {where}: image {y!r} outside the target")
+                raise FieldError(f"step {where}: image {y!r} outside the target", *at, x)
 
     def _validate_shapes(self):
         if self.kind == NCAT:
             A = self.category
-            for obj in self.prefix_objects + [self.tail_object]:
+            for n, obj in enumerate(self.prefix_objects + [self.tail_object]):
                 if obj not in A.objects:
-                    raise ValueError(f"unknown object {obj!r}")
+                    at = ("prefix", n) if n < len(self.prefix_objects) else ("tail",)
+                    raise FieldError(f"unknown object {obj!r}", *at, "object")
         else:
             for obj in self.prefix_objects + [self.tail_object]:
                 require_same_quantale(obj.quantale, self.quantale)
@@ -245,7 +249,7 @@ class Sequence:
             self._check_map(
                 self.prefix_steps[n], self.object_at(n), self.object_at(n + 1), n
             )
-        self._check_map(self.tail_endo, self.tail_object, self.tail_object, "tail")
+        self._check_map(self.tail_endo, self.tail_object, self.tail_object, None)
 
     # -- map algebra ----------------------------------------------------------
 
@@ -308,14 +312,12 @@ class Sequence:
 # norm profiles and the Cauchy condition
 
 
-@dataclass
 class NormProfile:
-    """Eventually periodic table of step norms |s_{m,n}| on the tail."""
+    """Eventually periodic table of step norms |s_{m,n}| on the tail:
+    ``tail_norms`` holds |t^d| for d < transient + period."""
 
-    n0: int
-    transient: int
-    period: int
-    tail_norms: tuple  # |t^d| for d < transient + period
+    def __init__(self, n0: int, transient: int, period: int, tail_norms: tuple):
+        self.n0, self.transient, self.period, self.tail_norms = n0, transient, period, tail_norms
 
 
 def norm_profile(s: Sequence) -> NormProfile:
@@ -348,14 +350,12 @@ def validate_sequence(s: Sequence) -> Report:
 # cocones
 
 
-@dataclass
 class Cocone:
     """Apex plus components: explicit prefix components, and one component
     per tail position repeating with the listed period."""
 
-    apex: Any
-    prefix: list
-    tail: list
+    def __init__(self, apex, prefix: list, tail: list):
+        self.apex, self.prefix, self.tail = apex, prefix, tail
 
     def component(self, n: int, n0: int):
         if n < n0:
@@ -367,11 +367,12 @@ class Cocone:
 # the canonical set-level quotient
 
 
-@dataclass
 class _Quotient:
-    labels: list  # colimit class labels, first-occurrence order
-    gamma: list  # dicts element -> label, for stages 0 .. n0 + period - 1
-    period: int
+    """``labels``: the colimit classes in first-occurrence order; ``gamma``:
+    dicts element -> label, for stages 0 .. n0 + period - 1."""
+
+    def __init__(self, labels: list, gamma: list, period: int):
+        self.labels, self.gamma, self.period = labels, gamma, period
 
 
 def _build_quotient(s: Sequence) -> _Quotient:
@@ -615,20 +616,16 @@ def lipschitz_norm(
 # metric sequences: forward Cauchy and forward limits
 
 
-@dataclass
 class MetricSequence:
     """A finitely presented point sequence: explicit prefix points plus an
-    eventually periodic tail cycle."""
+    eventually periodic tail cycle, ``tail``, of period ``len(tail)``."""
 
-    space: VCategory
-    prefix: list
-    tail: list  # the repeating cycle; period = len(tail)
-
-    def __post_init__(self):
-        if not self.tail:
+    def __init__(self, space: VCategory, prefix: list, tail: list):
+        self.space, self.prefix, self.tail = space, prefix, tail
+        if not tail:
             raise ValueError("the tail cycle must be nonempty")
-        for p in list(self.prefix) + list(self.tail):
-            if p not in self.space.index:
+        for p in list(prefix) + list(tail):
+            if p not in space.index:
                 raise ValueError(f"point {p!r} not in the space")
 
 

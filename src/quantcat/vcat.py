@@ -74,12 +74,13 @@ it is.  No weight is enumerated there, so no budget guard fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator
+from collections.abc import Iterator
 
 from .common import (
     DEFAULT_BUDGET,
+    FieldError,
     PreconditionError,
+    Record,
     Report,
     cached_property,
     guard_count,
@@ -114,7 +115,8 @@ class VCategory:
     def trusted(cls, quantale: Quantale, objects, rows) -> VCategory:
         """A V-category whose ``rows`` are an n × n tuple of tuples of
         canonical values, as a parser or a quantale operation makes them:
-        not checked again.  The objects must still be distinct."""
+        not checked again.  The objects must still be distinct (a
+        ``FieldError`` at ``objects``)."""
         X = cls.__new__(cls)
         X._build(quantale, objects, rows)
         return X
@@ -123,7 +125,7 @@ class VCategory:
         self.quantale, self.objects, self.rows = quantale, tuple(objects), rows
         self.index = {x: i for i, x in enumerate(self.objects)}
         if len(self.index) != len(self.objects):
-            raise ValueError("duplicate objects")
+            raise FieldError("duplicate objects", "objects")
 
     def d(self, x, y):
         return self.rows[self.index[x]][self.index[y]]
@@ -191,16 +193,13 @@ class VDistributor:
         return f"VDistributor({len(self.source.objects)}x{len(self.target.objects)})"
 
 
-@dataclass
 class VWeightPair:
     """A candidate adjoint pair: φ: E ⇸ X together with ψ: X ⇸ E."""
 
-    phi: VDistributor
-    psi: VDistributor
-
-    def __post_init__(self):
-        if self.phi.target != self.psi.source:
+    def __init__(self, phi: VDistributor, psi: VDistributor):
+        if phi.target != psi.source:
             raise ValueError("weight pair must share the same V-category")
+        self.phi, self.psi = phi, psi
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +371,7 @@ def unit_member(q: FiniteQuantale, x, c, M) -> tuple[bool, tuple | None]:
     return True, next(((i, j) for i, j in M if k_below[x[i]] and k_below[c[j]]), None)
 
 
-def _adjoint_weights(X: VCategory, budget: int) -> Iterator[tuple[tuple, tuple, Any]]:
+def _adjoint_weights(X: VCategory, budget: int) -> Iterator[tuple[tuple, tuple, object]]:
     """(φ, φ⁺, member) as index vectors for every weight φ with φ ⊣ φ⁺, in
     the order of φ in ``product``: ``matrix_weights`` on (X, Xᵀ) and
     ``unit_member`` on the diagonal, whose member (a, a) names the first
@@ -387,11 +386,14 @@ def _adjoint_weights(X: VCategory, budget: int) -> Iterator[tuple[tuple, tuple, 
             yield phi, psi, member
 
 
-@dataclass
-class LawvereVerdict:
-    complete: bool
-    #: a witness object per adjoint pair when complete; a failing pair otherwise
-    witness: Any = None
+class LawvereVerdict(Record):
+    """The completeness decision: ``witness`` is a witness object per adjoint
+    pair when complete, a failing pair otherwise."""
+
+    _fields = ("complete", "witness")
+
+    def __init__(self, complete: bool, witness=None):
+        self.complete, self.witness = complete, witness
 
     def __bool__(self):
         return self.complete
@@ -414,7 +416,7 @@ def lawvere_complete_vcat(X: VCategory, budget: int = DEFAULT_BUDGET) -> Lawvere
     if not X.report.ok:
         raise PreconditionError("lawvere_complete_vcat requires a V-category", X.report)
     if unit_criterion(q):
-        first: dict[tuple, Any] = {}  # row X(a, −) -> the first such a
+        first: dict = {}  # row X(a, −) -> the first such a
         for a, row in zip(X.objects, X.rows):
             first.setdefault(row, a)
         return LawvereVerdict(

@@ -6,6 +6,9 @@ normed functors, change of base, the general left-adjoint path, the Cauchy
 predicates and the verifier of a candidate colimit cocone.  They are the
 oracles of the decisions and constructions in ``quantcat``."""
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Any, Iterable, Mapping
@@ -2107,3 +2110,17 @@ _SERIALIZERS = {
     "sequence": _ser_sequence,
     "metric_sequence": _ser_metric_sequence,
 }
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters
+
+
+def fresh_python(script: str, *flags) -> tuple:
+    """(stdout, stderr) of ``script`` run by a fresh interpreter, given
+    ``flags``, with this checkout's ``src`` on its path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, *flags, "-c", script],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    return done.stdout, done.stderr

@@ -5,8 +5,6 @@ import io
 import json
 import os
 import re
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -15,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from quantcat.cli import load_instance, machine_report, main, parse_instance, run_instance
 
-from helpers import serialize_instance
+from helpers import fresh_python, serialize_instance
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -778,6 +776,78 @@ def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, 
     assert "Traceback" not in err and located in err, err
 
 
+NSET_SEQUENCE = {
+    "kind": "sequence", "ambient": "nset",
+    "prefix": [{"object": {"elements": [{"id": "p", "norm": "1"}]}, "step": {"p": "q"}}],
+    "tail": {"object": {"elements": [{"id": "q", "norm": "1"}, {"id": "r", "norm": "1"}]},
+             "endo": {"q": "r", "r": "r"}},
+}
+
+
+def _certs_phi(field, key, value):
+    """``certs.json`` with ``phi[field][key]`` replaced."""
+    with open(path("certs.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["objects"]["phi"][field][key] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "instance, err",
+    [
+        # a check across a constructor's arguments is located at the field
+        # it reads
+        ({"quantale": "bool2", "tasks": [],
+          "objects": {"M": {**MONOID_NCAT, "compose": MONOID_NCAT["compose"][:3]}}},
+         "input error: objects.M.compose: composition missing for ('e', 'e')\n"),
+        ({"quantale": "bool2", "tasks": [],
+          "objects": {"M": {**MONOID_NCAT, "morphisms": [
+              {"id": "1", "dom": "a", "cod": "a", "norm": "1"},
+              {"id": "e", "dom": "a", "cod": "zz", "norm": "1"}]}}},
+         "input error: objects.M.morphisms[1]: morphism 'e' has unknown endpoints\n"),
+        ({"quantale": "bool2", "tasks": [],
+          "objects": {"s": {**NSET_SEQUENCE, "tail": {**NSET_SEQUENCE["tail"],
+                                                      "endo": {"q": "r"}}}}},
+         "input error: objects.s.tail.endo: step tail: mapping is not total\n"),
+        ({"quantale": "bool2", "tasks": [],
+          "objects": {"s": {**NSET_SEQUENCE, "tail": {**NSET_SEQUENCE["tail"],
+                                                      "endo": {"q": "r", "r": "zz"}}}}},
+         "input error: objects.s.tail.endo.r: step tail: image 'zz' outside the target\n"),
+        ({"quantale": "bool2", "tasks": [],
+          "objects": {"s": {**NSET_SEQUENCE, "prefix": [
+              {**NSET_SEQUENCE["prefix"][0], "step": {}}]}}},
+         "input error: objects.s.prefix[0].step: step 0: mapping is not total\n"),
+        ({"quantale": "bool2", "tasks": [],
+          "objects": {"M": MONOID_NCAT,
+                      "t": {"kind": "sequence", "ambient": "ncat", "category": "M",
+                            "tail": {"object": "zz", "endo": "e"}}}},
+         "input error: objects.t.tail.object: unknown object 'zz'\n"),
+        (_certs_phi("action", "e", {"1": "e"}),
+         "input error: objects.phi.action.e: action of 'e' is not total\n"),
+        (_certs_phi("sets", "a", [{"id": "1", "norm": "1"}] * 2),
+         "input error: objects.phi.sets.a: duplicate elements in normed set\n"),
+        # a literal stage's own check is located below its stage
+        ({"quantale": "bool2", "tasks": [],
+          "objects": {"s": {**NSET_SEQUENCE, "prefix": [
+              {**NSET_SEQUENCE["prefix"][0], "object": {"elements": [
+                  {"id": "p", "norm": "1"}, {"id": "p", "norm": "1"}]}}]}}},
+         "input error: objects.s.prefix[0].object.elements: duplicate elements in normed set\n"),
+        ({"quantale": "bool2", "tasks": [],
+          "objects": {"s": {"kind": "sequence", "ambient": "dset", "tail": {
+              "object": {"objects": ["x", "x"], "dist": [["1", "1"], ["1", "1"]]},
+              "endo": {"x": "x"}}}}},
+         "input error: objects.s.tail.object.objects: duplicate objects\n"),
+    ],
+    ids=["compose", "morphism-endpoints", "tail-endo", "tail-endo-image", "prefix-step",
+         "ncat-stage", "ndist-action", "ndist-set", "nset-stage", "vcat-stage"],
+)
+def test_a_constructor_check_is_located_at_its_field(tmp_path, capsys, instance, err):
+    f = tmp_path / "located.json"
+    f.write_text(json.dumps(instance), encoding="utf-8")
+    assert main([str(f)]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
 def test_certificate_repeats_that_agree_are_accepted(tmp_path, capsys):
     entry = {**CERT_EPS, "map": CERT_EPS["map"] + CERT_EPS["map"][:1]}
     f = tmp_path / "repeats.json"
@@ -902,7 +972,6 @@ def test_the_argv_reader_agrees_with_argparse(argv):
 
 
 def test_a_well_formed_run_does_not_import_argparse():
-    src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
     script = (
         "import contextlib, io, sys\n"
         "import quantcat.cli\n"
@@ -910,10 +979,45 @@ def test_a_well_formed_run_does_not_import_argparse():
         f"    code = quantcat.cli.main([{path('compose.json')!r}, '--json'])\n"
         "print(code, 'argparse' in sys.modules)\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert (done.stdout, done.stderr) == ("0 False\n", "")
+    assert fresh_python(script) == ("0 False\n", "")
+
+
+#: prints the modules of ``dataclasses`` and ``typing`` imported, then the
+#: lazily loaded modules of quantcat whose code ran (``exec`` puts
+#: ``__builtins__`` in the namespace of the code it runs; reading the
+#: namespace with ``object.__getattribute__`` does not load a lazy module)
+RAN = (
+    "print([m for m in ('dataclasses', 'typing') if m in sys.modules])\n"
+    "print([n for n in ('normed_set', 'ncat', 'seqlim') if '__builtins__' in\n"
+    "       object.__getattribute__(sys.modules.get('quantcat.' + n, sys), '__dict__')])\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, ran",
+    [
+        ([path("weights.json"), "--json"], []),
+        ([path("compose.json")], []),
+        ([path("monoid.json"), "--json"], ["ncat"]),
+        ([path("certs.json"), "--json"], ["normed_set", "ncat"]),
+        ([path("sequence.json"), "--json"], ["normed_set", "seqlim"]),
+        (["--help"], []),
+    ],
+    ids=["vcat", "vdist", "ncat", "ndist", "colimit", "help"],
+)
+def test_a_run_loads_only_the_modules_its_file_uses(argv, ran):
+    # -S: site would import typing itself
+    script = (
+        "import contextlib, io, sys\n"
+        "import quantcat.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        quantcat.cli.main({argv!r})\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        + RAN
+    )
+    assert fresh_python(script, "-S") == (f"[]\n{ran}\n", "")
 
 
 def _json_nodes(data, where=()):

@@ -4,10 +4,11 @@ reachable from the command line, and the README's library example runs.
 The walk parses each module with ``ast`` and starts at ``cli.main``.  A bare
 name resolves to a definition of its own module or, through a
 ``from .m import name`` binding, to the definition in ``m``; ``alias.name``
-resolves through a ``from . import m as alias`` binding.  Method calls on
-objects are not followed: a reached class counts as reached with all of its
-methods.  Module-level statements that are not definitions run on import,
-so the names they use are roots too.
+resolves through a ``from . import m as alias`` binding or a lazy one,
+``alias = _lazily("m")``.  Method calls on objects are not followed: a
+reached class counts as reached with all of its methods.  Module-level
+statements that are not definitions run on import, so the names they use
+are roots too; a lazy binding is one of them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import ast
 import contextlib
 import io
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,9 +25,24 @@ import pytest
 import quantcat
 from quantcat import cli
 
+from helpers import fresh_python
+
 PACKAGE = Path(quantcat.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
 ENTRY_POINTS = {"__init__", "__main__"}
+
+
+def _lazy_module(node: ast.AST) -> str | None:
+    """``m`` when ``node`` is a lazy binding ``alias = _lazily("m")``."""
+    call = node.value if isinstance(node, ast.Assign) else None
+    if (
+        isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id == "_lazily" and len(call.args) == 1
+        and isinstance(call.args[0], ast.Constant)
+        and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)
+    ):
+        return call.args[0].value
+    return None
 
 
 class _Module:
@@ -38,6 +55,9 @@ class _Module:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 self.defs[node.name] = node
+            elif (lazy := _lazy_module(node)) is not None:
+                self.aliases[node.targets[0].id] = lazy
+                self.roots.append(node)
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     for leaf in ast.walk(target):
@@ -127,8 +147,11 @@ def test_walk_follows_bindings_and_stops_at_an_orphan():
     modules = _modules()
     modules["cli"].defs["orphan"] = ast.parse("def orphan():\n    return main()\n").body[0]
     reached = reachable(modules)
-    assert ("normed_set", "NormedSet") in reached  # ``from .normed_set import``
-    assert ("seqlim", "colimit_report") in reached  # ``seq_mod.`` alias
+    assert ("quantale", "validate_quantale") in reached  # ``from .quantale import``
+    assert ("vcat", "compose_vdist") in reached  # ``from . import vcat as vcat_mod``
+    assert ("normed_set", "NormedSet") in reached  # ``nset_mod = _lazily("normed_set")``
+    assert ("seqlim", "colimit_report") in reached  # ``seq_mod = _lazily("seqlim")``
+    assert ("cli", "_lazily") in reached  # a lazy binding runs on import
     assert ("cli", "orphan") not in reached
 
 
@@ -142,6 +165,46 @@ def test_v_matrix_conversions_live_in_the_tests():
     defined = {name.lstrip("_") for m in _modules().values() for name in m.defs}
     assert [name for name in moved if name in defined] == []
     assert all(callable(getattr(helpers, name)) for name in moved)
+
+
+#: the package's exports: the names of its domain modules and of what they define
+EXPORTS = [
+    "AdjunctionCertificate", "BUILTIN_QUANTALES", "BudgetExceeded", "CarrierMismatch", "Check",
+    "Cocone", "ConstructionError", "DEFAULT_BUDGET", "FiniteQuantale", "INF", "LawvereQuantale",
+    "LawvereVerdict", "LogNorm", "MetricSequence", "NcatLawvereVerdict", "NormProfile",
+    "NormedCategory", "NormedDistributor", "NormedSet", "PreconditionError", "Report",
+    "Sequence", "VCategory", "VDistributor", "VWeightPair", "as_extended_rational", "bool2",
+    "bool4", "builtin_quantale", "cauchy_value", "chain3", "chain4", "check_adjunction_cert",
+    "colimit_dset", "colimit_nset", "colimit_vlip", "common", "compose_vdist",
+    "conjugate_families", "final_structure", "forward_limit_metric", "is_lawvere_complete_ncat",
+    "is_representable", "isbell_conjugate_weight", "lawvere_complete_vcat", "lawvere_plus",
+    "lawvere_times", "lipschitz_norm", "ncat", "norm_profile", "normed_set", "quantale",
+    "seqlim", "split_idempotents_check", "strict_morphisms", "totally_below",
+    "totally_compact_unit", "trivial", "unit_approximated_from_totally_below",
+    "unit_tensor_splits", "unit_vcat", "validate_ndist", "validate_quantale",
+    "validate_sequence", "validate_vcat", "validate_vdist", "vcat",
+]
+
+
+def test_each_export_is_the_object_its_module_defines():
+    assert quantcat.__all__ == EXPORTS
+    modules = _modules()
+    for name in EXPORTS:
+        if name in modules:
+            assert getattr(quantcat, name) is sys.modules[f"quantcat.{name}"], name
+            continue
+        (home,) = [m for m in modules.values() if name in m.defs]
+        assert getattr(quantcat, name) is getattr(sys.modules[f"quantcat.{home.name}"], name)
+    bound = {}
+    exec("from quantcat import *", bound)
+    assert [name for name in EXPORTS if name not in bound] == []
+    with pytest.raises(AttributeError):
+        quantcat.not_an_export
+
+
+def test_importing_the_package_runs_none_of_its_modules():
+    script = "import sys, quantcat\nprint(sorted(m for m in sys.modules if 'quantcat.' in m))\n"
+    assert fresh_python(script, "-S") == ("[]\n", "")
 
 
 def _library_example() -> str:
