@@ -8,8 +8,10 @@ colimits of finitely presented sequences.  The package exports what the
 command line (``python -m quantcat``) runs; the general calculus of normed
 maps, V-functors, normed functors and left adjoints, the strict part of a
 normed category as a category of its own, the Isbell conjugate of a normed
-distributor with its action, and the verifier of a candidate colimit
-cocone, are the tests' oracles, in ``tests/helpers.py``.
+distributor with its action, the verifier of a candidate colimit cocone,
+and the two halves of the unit criterion (read as the attribute
+``FiniteQuantale.unit_criterion``), are the tests' oracles, in
+``tests/helpers.py``.
 
 Importing the package runs none of its modules: each exported name, and
 each module, is imported on its first access (PEP 562).
@@ -29,9 +31,8 @@ _EXPORTS = {
     "normed_set": ("NormedSet", "final_structure"),
     "vcat": (
         "LawvereVerdict", "VCategory", "VDistributor", "VWeightPair", "compose_vdist",
-        "is_representable", "isbell_conjugate_weight", "lawvere_complete_vcat",
-        "totally_compact_unit", "unit_tensor_splits", "unit_vcat", "validate_vcat",
-        "validate_vdist",
+        "is_representable", "isbell_conjugate_weight", "lawvere_complete_vcat", "unit_vcat",
+        "validate_vcat", "validate_vdist",
     ),
     "ncat": (
         "AdjunctionCertificate", "NcatLawvereVerdict", "NormedCategory", "NormedDistributor",

@@ -14,7 +14,7 @@ The ``--json`` machine report is byte-identical across reruns; wall-clock
 timing appears only in the human-readable output.
 
 A run loads ``normed_set``, ``ncat`` and ``seqlim`` only when it first uses
-them: each is registered by ``_lazily`` and runs its code on the first
+them: each is registered by ``common.lazily`` and runs its code on the first
 access to one of its attributes.  ``common``, ``quantale`` and ``vcat``,
 which nearly every run needs, are imported as usual.
 """
@@ -22,7 +22,6 @@ which nearly every run needs, are imported as usual.
 from __future__ import annotations
 
 import functools
-import importlib.util
 import json
 import sys
 import time
@@ -42,6 +41,7 @@ from .common import (
     Report,
     default_budget,
     int_digit_limit,
+    lazily,
 )
 from .quantale import (
     FiniteQuantale,
@@ -54,25 +54,9 @@ from .quantale import (
 from .vcat import VCategory
 
 
-def _lazily(name: str):
-    """The module ``quantcat.<name>``, as imported if it is; otherwise
-    registered in ``sys.modules`` so that its code runs on the first access
-    to one of its attributes."""
-    full = f"{__package__}.{name}"
-    module = sys.modules.get(full)
-    if module is None:
-        spec = importlib.util.find_spec(full)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[full] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
-nset_mod = _lazily("normed_set")
-ncat_mod = _lazily("ncat")
-seq_mod = _lazily("seqlim")
+nset_mod = lazily("normed_set")
+ncat_mod = lazily("ncat")
+seq_mod = lazily("seqlim")
 
 
 class InputError(ValueError):
@@ -347,12 +331,17 @@ def _matrix(inst: Instance, spec: dict, field: str, n: int, m: int) -> tuple:
     return tuple([tuple(map(value, row)) for row in rows])
 
 
-def _entries(spec: dict, field: str, keys, what: str) -> list:
-    """``spec[field][k]`` for each of ``keys``; a missing one is an error."""
+def _entries(spec: dict, field: str, keys, what: str, owner: str) -> list:
+    """``spec[field][k]`` for each of ``keys``, the distinct names of
+    ``owner``; a missing one is an error, and so is a key not among them."""
     given = spec[field]
     missing = next((k for k in keys if k not in given), None)
     if missing is not None:
         raise InputError(f"no {what} {missing!r}", field)
+    if len(given) != len(keys):
+        known = set(keys)
+        stray = next(k for k in given if k not in known)
+        raise InputError(f"names {stray!r}, which is not {owner}", field, stray)
     return [given[k] for k in keys]
 
 
@@ -381,9 +370,9 @@ def _parse_vdist(inst: Instance, spec: dict) -> vcat_mod.VDistributor:
 
 def _parse_weight_pair(inst: Instance, spec: dict) -> vcat_mod.VWeightPair:
     X, trusted = inst[spec["space"]], vcat_mod.VDistributor.trusted
-    E = vcat_mod.unit_vcat(inst.quantale)
+    E, owner = vcat_mod.unit_vcat(inst.quantale), f"an object of {spec['space']!r}"
     phi, psi = (
-        [inst.value(v) for v in _entries(spec, field, X.objects, "value for object")]
+        [inst.value(v) for v in _entries(spec, field, X.objects, "value for object", owner)]
         for field in ("phi", "psi")
     )
     # phi is a 1 x n row, psi an n x 1 column
@@ -393,14 +382,16 @@ def _parse_weight_pair(inst: Instance, spec: dict) -> vcat_mod.VWeightPair:
 
 
 def _parse_ndist(inst: Instance, spec: dict) -> ncat_mod.NormedDistributor:
-    A = inst[spec["category"]]
+    A, name = inst[spec["category"]], spec["category"]
     sets = {}
-    for a, elements in zip(A.objects, _entries(spec, "sets", A.objects, "set for object")):
+    given = _entries(spec, "sets", A.objects, "set for object", f"an object of {name!r}")
+    for a, elements in zip(A.objects, given):
         try:
             sets[a] = _normed_set(inst, elements)
         except FieldError as exc:  # the set at a is its elements
             raise InputError(str(exc), "sets", a)
-    action = dict(zip(A.morphisms, _entries(spec, "action", A.morphisms, "map for morphism")))
+    maps = _entries(spec, "action", A.morphisms, "map for morphism", f"a morphism of {name!r}")
+    action = dict(zip(A.morphisms, maps))
     covariant = spec.get("variance", "covariant") == "covariant"
     return ncat_mod.NormedDistributor(A, covariant, sets, action)
 

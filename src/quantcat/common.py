@@ -1,9 +1,11 @@
-"""Shared plumbing: exceptions, check reports, enumeration budgets, and the
-cached-property idiom of the immutable structures."""
+"""Shared plumbing: exceptions, check reports, enumeration budgets, the
+cached-property idiom of the immutable structures, and the lazy import of a
+module that a run may not use."""
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import json
 import os
 import re
@@ -79,6 +81,22 @@ class cached_property(functools.cached_property):
         value = self.func(instance)
         setattr(instance, self.attrname, value)
         return value
+
+
+def lazily(name: str):
+    """The module ``quantcat.<name>``, as imported if it is; otherwise
+    registered in ``sys.modules`` so that its code runs on the first access
+    to one of its attributes."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
 
 
 class CarrierMismatch(ValueError):

@@ -88,18 +88,21 @@ Closed-form lemma (Yoneda for a retract of a representable; Kelly 1982,
 
 The norm assignments that make Phi_e a normed functor are the weights on a
 matrix D_e (the lemma in the ``vcat`` docstring), so clause (2) runs the
-V-category decision's search, ``vcat.matrix_weights`` and
-``vcat.unit_member``.  Per idempotent, after the assignment-count guard,
-the unit class is built once; the conjugate has the closed form above, so
-no natural family is enumerated or counted.  The decision builds no
-distributor; the general left-adjoint path, ``left_adjoint_unit`` in
-``tests/helpers.py``, is the tests' oracle.
+V-category decision's one search.  Per idempotent, ``idempotent_inputs``
+reads Phi_e's elements once and builds the search inputs: D_e, the unit
+class as the member list M, and the conjugate norms' matrix N from the
+closed form above, so no natural family is enumerated or counted.  Then
+``vcat.adjoint_weights`` guards the |V|^|Phi_e| assignments, runs
+``vcat.matrix_weights`` and keeps the left adjoints, each with its first
+presentable member of the unit class; a left adjoint without one fails
+clause (2).  The decision builds no distributor; the general left-adjoint
+path, ``left_adjoint_unit`` in ``tests/helpers.py``, is the tests' oracle.
 
-Under ``vcat.unit_criterion`` (k ≪ k and the unit splits the tensor)
-clause (2) cannot fail: ``unit_member`` never returns (True, None), by the
-criterion lemma in the ``vcat`` docstring.  The decision is then
-``ncat_report`` and clause (1), with no idempotent of clause (2) visited
-and no guard fired.
+Under the quantale's ``unit_criterion`` (k ≪ k and the unit splits the
+tensor) clause (2) cannot fail: ``adjoint_weights`` never yields a None
+member, by the criterion lemma in the ``vcat`` docstring.  The decision is
+then ``ncat_report`` and clause (1), with no idempotent of clause (2)
+visited and no guard fired.
 
 Clause (1) reads ``NormedCategory.strict_split``, which the ``split`` task
 on the strict part reads too, so a file that runs both finds and scans the
@@ -137,7 +140,7 @@ from .common import (
     guard_count,
 )
 from .quantale import Quantale, require_finite, require_same_quantale
-from .vcat import matrix_weights, unit_criterion, unit_member
+from .vcat import adjoint_weights
 
 
 class NormedCategory:
@@ -672,55 +675,39 @@ def idempotent_distributor_sets(A: NormedCategory, e) -> dict:
     }
 
 
-def idempotent_conjugate_sets(A: NormedCategory, e) -> dict:
-    """The conjugate of Φ_e in closed form: per object c, the y: c → dom e
-    with e∘y = y; y stands for the natural family w ↦ w∘y."""
-    a = A.dom[e]
-    return {c: tuple(y for y in A.hom(c, a) if A.table[e, y] == y) for c in A.objects}
+def idempotent_inputs(A: NormedCategory, e) -> tuple[list, list, list, list]:
+    """Clause (2)'s search inputs at an idempotent e, ``(flat, D, N, M)``:
 
-
-def idempotent_unit_class(A: NormedCategory, e) -> list:
-    """The unit class of Φ_e in closed form: the (x, y, w) with y in the
-    conjugate at x, w in Φ_e(x) and y∘w = e, in declaration order."""
+    * ``flat``, Φ_e's elements in object then declaration order;
+    * D_e on positions of ``flat``: D_e[i][j] = ⋁{|h| : h∘flat[i] = flat[j]},
+      ⊥ where no such h exists, so norms x make Φ_e a normed functor iff
+      D_e[i][j] ⊗ x_i ≤ x_j for all i, j (the lemma in the ``vcat``
+      docstring);
+    * the unit class (x, y, w) of the closed-form lemma, in declaration
+      order, as M pairs (position of w in ``flat``, index j of y), and
+      N[i][j] = |flat[i]∘y_j|, so that c_j = ⋀_i hom(x_i, N[i][j]) is y_j's
+      conjugate norm."""
+    q, a = A.quantale, A.dom[e]
     elems = idempotent_distributor_sets(A, e)
-    conj = idempotent_conjugate_sets(A, e)
-    return [
-        (x, y, w)
-        for x in A.objects
-        for y in conj[x]
-        for w in elems[x]
-        if A.table[y, w] == e
-    ]
-
-
-def _unit_class_slots(A: NormedCategory, e, flat):
-    """The unit class of Φ_e as ``matrix_weights`` inputs: M pairs (position
-    of w in ``flat``, index j of y), and N[i][j] = |flat[i]∘y_j|, so that
-    c_j = ⋀_i hom(x_i, N[i][j]) is y_j's conjugate norm."""
+    flat = [f for b in A.objects for f in elems[b]]
     pos = {f: i for i, f in enumerate(flat)}
-    index: dict = {}  # y -> j
-    M = [
-        (pos[w], index.setdefault(y, len(index)))
-        for _, y, w in idempotent_unit_class(A, e)
-    ]
-    N = [[A.norm[A.table[w, y]] for y in index] for w in flat]
-    return M, N
-
-
-def _weight_matrix(A: NormedCategory, elems, flat) -> list:
-    """D_e on positions of ``flat``: D_e[i][j] = ⋁{|h| : h∘flat[i] = flat[j]},
-    ⊥ where no such h exists.  Norms x make Φ_e a normed functor iff
-    D_e[i][j] ⊗ x_i ≤ x_j for all i, j (the lemma in the ``vcat``
-    docstring)."""
-    q = A.quantale
     join = q.join_table
-    pos = {f: i for i, f in enumerate(flat)}
     D = [[q.bottom] * len(flat) for _ in flat]
     for h in A.morphisms:
         for f in elems[A.dom[h]]:
             i, j = pos[f], pos[A.table[h, f]]
             D[i][j] = join[D[i][j]][A.norm[h]]
-    return D
+    index: dict = {}  # y -> j
+    M = [
+        (pos[w], index.setdefault(y, len(index)))
+        for x in A.objects
+        for y in A.hom(x, a)
+        if A.table[e, y] == y
+        for w in elems[x]
+        if A.table[y, w] == e
+    ]
+    N = [[A.norm[A.table[w, y]] for y in index] for w in flat]
+    return flat, D, N, M
 
 
 class NcatLawvereVerdict(Record):
@@ -745,9 +732,9 @@ def is_lawvere_complete_ncat(
     See the module docstring for the coverage argument behind the
     idempotent-indexed search of clause (2) and for the closed form of each
     Φ_e's unit class.  A must be a normed category; otherwise
-    ``PreconditionError`` carries the failed ``A.ncat_report``.  Under
-    ``unit_criterion`` clause (2) cannot fail, so the verdict follows
-    clause (1) and no guard fires.
+    ``PreconditionError`` carries the failed ``A.ncat_report``.  Under the
+    quantale's ``unit_criterion`` clause (2) cannot fail, so the verdict
+    follows clause (1) and no guard fires.
     """
     q = require_finite(A.quantale, "is_lawvere_complete_ncat")
     if not A.ncat_report.ok:
@@ -757,25 +744,17 @@ def is_lawvere_complete_ncat(
     ok1, bad_e = A.strict_split
     if not ok1:
         return NcatLawvereVerdict(False, clause=1, certificate=bad_e)
-    if unit_criterion(q):
+    if q.unit_criterion:
         return NcatLawvereVerdict(True)
 
     idems = list(A.idempotents())
     for pos, e in enumerate(idems):
-        elems = idempotent_distributor_sets(A, e)
-        flat = [f for b in A.objects for f in elems[b]]
-        count = q.size ** len(flat) if flat else 1
-        guard_count(
-            count,
-            budget,
-            f"norm assignments |V|^{len(flat)} at idempotent {e!r}",
-            skipped=f"{len(idems) - pos} idempotents, {count} assignments",
-        )
-        M, N = _unit_class_slots(A, e, flat)
-        D = _weight_matrix(A, elems, flat)
-        for values, conj in matrix_weights(q, D, N):
-            adjoint, member = unit_member(q, values, conj, M)
-            if adjoint and member is None:
+        flat, D, N, M = idempotent_inputs(A, e)
+        count = q.size ** len(flat)
+        what = f"norm assignments |V|^{len(flat)} at idempotent {e!r}"
+        skipped = f"{len(idems) - pos} idempotents, {count} assignments"
+        for values, _, member in adjoint_weights(q, D, N, M, budget, what, skipped):
+            if member is None:
                 named = {f: q.format(v) for f, v in zip(flat, values)}
                 return NcatLawvereVerdict(False, clause=2, certificate=(e, named))
     return NcatLawvereVerdict(True)

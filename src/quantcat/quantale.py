@@ -16,7 +16,10 @@ hook each: ``compose_matrices``, the join-of-tensors product that
 ``vcat.compose_vdist`` runs, and ``first_intransitive``, the first triple
 that breaks the triangle law, which ``vcat.validate_vcat`` reports; a third,
 ``meet_of_homs``, is the residuation meet ⋀ hom(u, v) that every map norm
-and both Isbell conjugates fold.  A finite quantale reads its tables.  In
+and both Isbell conjugates fold.  A finite quantale reads its tables, and
+computes once the ``unit_criterion`` that both Lawvere-completeness
+decisions read before they search (the criterion lemma in the ``vcat``
+module docstring).  In
 additive mode on the extended rationals the matrix hooks work on integers,
 by the scaling lemma: for an integer L > 0, u ↦ L·u is an order isomorphism
 of [0, inf) onto L·[0, inf) with L·(u + v) = L·u + L·v.  With L the lcm of
@@ -56,6 +59,7 @@ from .common import (
     CarrierMismatch,
     Report,
     abbreviated,
+    cached_property,
     digits_past_limit,
     echoed,
     int_digit_limit,
@@ -365,6 +369,21 @@ class FiniteQuantale:
             if acc is None:
                 raise ValueError("meet does not exist (not a lattice)")
         return self.top if acc is None else acc
+
+    @cached_property
+    def unit_criterion(self) -> bool:
+        """The criterion k ≪ k and k ≤ u⊗v ⇒ k ≤ u, k ≤ v (Clementino–Hofmann
+        2009).  Under it every V-category over the carrier is Lawvere complete
+        and no adjoint weight lacks a witness, so both completeness decisions
+        skip their weight search (the criterion lemma in the ``vcat`` module
+        docstring).  Read off the tables once per quantale."""
+        k_below = self._leq[self.unit]
+        return totally_below(self, self.unit, self.unit) and all(
+            k_below[u] and k_below[v]
+            for u, row in enumerate(self._tensor)
+            for v, uv in enumerate(row)
+            if k_below[uv]
+        )
 
     def compose_matrices(self, rows, cols) -> list[list[int]]:
         """The product of an n×m matrix given by its ``rows`` and an m×p

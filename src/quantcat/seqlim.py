@@ -127,8 +127,8 @@ from .common import (
     PreconditionError,
     Report,
     cached_property,
+    lazily,
 )
-from .normed_set import NormedSet, final_structure
 from .quantale import (
     INF,
     Quantale,
@@ -137,6 +137,8 @@ from .quantale import (
     unit_approximated_from_totally_below,
 )
 from .vcat import VCategory
+
+nset_mod = lazily("normed_set")  # only the nset ambient reads it
 
 
 def same_lattice(p: Quantale, q: Quantale) -> bool:
@@ -417,13 +419,13 @@ def _require_cauchy(s: Sequence) -> None:
         )
 
 
-def colimit_nset(s: Sequence) -> tuple[NormedSet, Cocone]:
+def colimit_nset(s: Sequence) -> tuple[nset_mod.NormedSet, Cocone]:
     """The quotient carrier with the final structure of one tail window."""
     if s.kind != NSET:
         raise ValueError("colimit_nset needs a normed-set sequence")
     _require_cauchy(s)
     quot = s.quotient
-    apex = final_structure(
+    apex = nset_mod.final_structure(
         s.quantale, quot.labels, [(s.tail_object, g) for g in _tail_window(s, quot)]
     )
     return apex, _quotient_cocone(s, quot, apex)

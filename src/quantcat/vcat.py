@@ -36,8 +36,12 @@ distributor:
 * One-join lemma: the counit φ·φ⁺ ≤ X holds for every weight, because
   φ⁺(x) ≤ hom(φ(y), X(x,y)) gives φ⁺(x)⊗φ(y) ≤ X(x,y).  So φ ⊣ φ⁺ iff
   k ≤ ⋁_x φ⁺(x)⊗φ(x), one join in place of the two composites of
-  ``adjoint_report``.  ``unit_member`` folds it over the diagonal and names
-  the first a with k ≤ φ(a) and k ≤ φ⁺(a), the witness of
+  ``adjoint_report``.
+* ``adjoint_weights(q, D, N, M, …)`` is the one priced search of both
+  completeness decisions: it guards the |V|^n candidates, runs
+  ``matrix_weights``, keeps the x with k ≤ ⋁_{(i,j)∈M} c_j⊗x_i, and names
+  the first member (i, j) of M with k ≤ x_i and k ≤ c_j, or None.  Here M
+  is the diagonal, so the member (a, a) is the witness of
   ``is_representable``.
 
 Lemma (a normed functor on Φ_e is a weight on a distance matrix).  For an
@@ -45,22 +49,23 @@ idempotent e of a normed category and the elements ``flat`` of
 Φ_e = {f : f∘e = f}, set D_e[i][j] = ⋁{|h| : h∘flat[i] = flat[j]} (⊥ where
 there is no such h).  Because ⊗ preserves joins, norms x make Φ_e a normed
 functor iff D_e[i][j] ⊗ x_i ≤ x_j for all i, j.  So ``ncat`` decides with the
-same search: N[i][j] = |flat[i]∘y_j| over the y of Φ_e's unit class, and M
-the class's (position of w, index of y) pairs.  On the one-arrow-per-pair
-normed category of X (|(x, y)| = X(x, y); ``i_embed_cat`` in
-``tests/helpers.py``) at e = (a, a) the inputs are exactly X, Xᵀ and the
-diagonal.
+same search: ``ncat.idempotent_inputs`` gives N[i][j] = |flat[i]∘y_j| over
+the y of Φ_e's unit class, and M the class's (position of w, index of y)
+pairs.  On the one-arrow-per-pair normed category of X (|(x, y)| = X(x, y);
+``i_embed_cat`` in ``tests/helpers.py``) at e = (a, a) the inputs are
+exactly X, Xᵀ and the diagonal.
 
 Criterion lemma (Clementino–Hofmann 2009, *Lawvere completeness in
 topology*).  Call "k ≪ k and k ≤ u⊗v ⇒ k ≤ u, k ≤ v" the criterion
-(``unit_criterion``; bool2, the chains and Łukasiewicz-3 meet it, bool4 and
-the trivial quantale do not).  Under it, k ≤ ⋁_{(i,j)∈M} c_j⊗x_i gives one
-member with k ≤ c_j⊗x_i (k ≪ k), hence k ≤ x_i and k ≤ c_j (the unit
-splits the tensor): ``unit_member`` never returns (True, None).  So every
-adjoint weight φ has a witness a, and then φ = X(a,−): k ≤ φ(a) and
-φ ≤ X(a,−) (from k ≤ φ⁺(a)) give X(a,c) ≤ X(a,c)⊗φ(a) ≤ φ(c).  Conversely
-each X(a,−) is left adjoint to X(−,a), and the witnesses of X(b,−) are the
-a with X(a,−) = X(b,−).  ``lawvere_complete_vcat`` then answers without the
+(``FiniteQuantale.unit_criterion``, computed once per quantale; bool2, the
+chains and Łukasiewicz-3 meet it, bool4 and the trivial quantale do not).
+Under it, k ≤ ⋁_{(i,j)∈M} c_j⊗x_i gives one member with k ≤ c_j⊗x_i
+(k ≪ k), hence k ≤ x_i and k ≤ c_j (the unit splits the tensor):
+``adjoint_weights`` never yields a None member.  So every adjoint weight φ
+has a witness a, and then φ = X(a,−): k ≤ φ(a) and φ ≤ X(a,−) (from
+k ≤ φ⁺(a)) give X(a,c) ≤ X(a,c)⊗φ(a) ≤ φ(c).  Conversely each X(a,−) is
+left adjoint to X(−,a), and the witnesses of X(b,−) are the a with
+X(a,−) = X(b,−).  ``lawvere_complete_vcat`` then answers without the
 search: PASS with the distinct rows X(a,−) in the order of ``product`` (the
 order of their index tuples), each paired with the first object whose row
 it is.  No weight is enumerated there, so no budget guard fires.
@@ -90,7 +95,6 @@ from .quantale import (
     Quantale,
     require_finite,
     require_same_quantale,
-    totally_below,
 )
 
 POINT = "*"
@@ -359,31 +363,23 @@ def matrix_weights(q: FiniteQuantale, D, N) -> Iterator[tuple[tuple, tuple]]:
             t -= 1
 
 
-def unit_member(q: FiniteQuantale, x, c, M) -> tuple[bool, tuple | None]:
-    """Whether k ≤ ⋁_{(i,j)∈M} c_j ⊗ x_i, and if so the first member (i, j)
-    of M with k ≤ x_i and k ≤ c_j (None if there is none)."""
+def adjoint_weights(
+    q: FiniteQuantale, D, N, M, budget: int, what: str, skipped: object = None
+) -> Iterator[tuple[tuple, tuple, tuple | None]]:
+    """(x, c, member) for each x of ``matrix_weights(q, D, N)`` with
+    k ≤ ⋁_{(i,j)∈M} c_j ⊗ x_i, in the order of ``product``: ``member`` is
+    the first (i, j) of M with k ≤ x_i and k ≤ c_j, or None (the one-join
+    lemma in the module docstring).  The |V|^n candidates are guarded first,
+    as ``what`` and ``skipped``."""
+    guard_count(q.size ** len(D), budget, what, skipped)
     join, tensor, k_below = q.join_table, q.tensor_table, q.leq_table[q.unit]
-    unit = q.bottom
-    for i, j in M:
-        unit = join[unit][tensor[c[j]][x[i]]]
-    if not k_below[unit]:
-        return False, None
-    return True, next(((i, j) for i, j in M if k_below[x[i]] and k_below[c[j]]), None)
-
-
-def _adjoint_weights(X: VCategory, budget: int) -> Iterator[tuple[tuple, tuple, object]]:
-    """(φ, φ⁺, member) as index vectors for every weight φ with φ ⊣ φ⁺, in
-    the order of φ in ``product``: ``matrix_weights`` on (X, Xᵀ) and
-    ``unit_member`` on the diagonal, whose member (a, a) names the first
-    object with k ≤ φ(a) and k ≤ φ⁺(a), or is None."""
-    q = require_finite(X.quantale, "weight enumeration")
-    n = len(X.objects)
-    guard_count(q.size ** n, budget, f"weights |V|^{n}")
-    diagonal = [(i, i) for i in range(n)]
-    for phi, psi in matrix_weights(q, X.rows, tuple(zip(*X.rows))):
-        adjoint, member = unit_member(q, phi, psi, diagonal)
-        if adjoint:
-            yield phi, psi, member
+    bottom = q.bottom
+    for x, c in matrix_weights(q, D, N):
+        unit = bottom
+        for i, j in M:
+            unit = join[unit][tensor[c[j]][x[i]]]
+        if k_below[unit]:
+            yield x, c, next(((i, j) for i, j in M if k_below[x[i]] and k_below[c[j]]), None)
 
 
 class LawvereVerdict(Record):
@@ -407,52 +403,30 @@ def lawvere_complete_vcat(X: VCategory, budget: int = DEFAULT_BUDGET) -> Lawvere
     X must be a V-category, since the conjugate is the right adjoint only
     there; otherwise ``PreconditionError`` carries the failed ``X.report``.
 
-    Under ``unit_criterion`` the verdict is read off the rows X(a, −) (the
-    criterion lemma in the module docstring), with no budget guard;
-    otherwise the search runs on index vectors, after the guard of the
-    ``|V|^n`` weights, and builds no distributor.
+    Under the quantale's ``unit_criterion`` the verdict is read off the rows
+    X(a, −) (the criterion lemma in the module docstring), with no budget
+    guard; otherwise ``adjoint_weights`` searches (X, Xᵀ, the diagonal) on
+    index vectors, after the guard of the ``|V|^n`` weights, and builds no
+    distributor.
     """
     q = require_finite(X.quantale, "lawvere_complete_vcat")
     if not X.report.ok:
         raise PreconditionError("lawvere_complete_vcat requires a V-category", X.report)
-    if unit_criterion(q):
+    if q.unit_criterion:
         first: dict = {}  # row X(a, −) -> the first such a
         for a, row in zip(X.objects, X.rows):
             first.setdefault(row, a)
         return LawvereVerdict(
             True, [(dict(zip(X.objects, row)), first[row]) for row in sorted(first)]
         )
+    n = len(X.objects)
+    diagonal = [(i, i) for i in range(n)]
     witnesses = []
-    for phi, psi, member in _adjoint_weights(X, budget):
+    for phi, psi, member in adjoint_weights(
+        q, X.rows, tuple(zip(*X.rows)), diagonal, budget, f"weights |V|^{n}"
+    ):
         phi_vec = dict(zip(X.objects, phi))
         if member is None:
             return LawvereVerdict(False, (phi_vec, dict(zip(X.objects, psi))))
         witnesses.append((phi_vec, X.objects[member[0]]))
     return LawvereVerdict(True, witnesses)
-
-
-def totally_compact_unit(q: Quantale) -> bool:
-    """Whether k ≤ ⋁S forces k ≤ s for some member s, for every subset S."""
-    q = require_finite(q, "totally_compact_unit")
-    return totally_below(q, q.unit, q.unit)
-
-
-def unit_tensor_splits(q: Quantale) -> bool:
-    """Whether k ≤ u ⊗ v forces k ≤ u and k ≤ v."""
-    q = require_finite(q, "unit_tensor_splits")
-    k_below = q.leq_table[q.unit]
-    return all(
-        k_below[u] and k_below[v]
-        for u, row in enumerate(q.tensor_table)
-        for v, uv in enumerate(row)
-        if k_below[uv]
-    )
-
-
-def unit_criterion(q: Quantale) -> bool:
-    """The criterion k ≪ k and k ≤ u⊗v ⇒ k ≤ u, k ≤ v.  Under it every
-    V-category over the carrier is Lawvere complete and ``unit_member``
-    never returns (True, None) (the criterion lemma in the module
-    docstring); both completeness decisions compute it once and skip their
-    weight search when it holds."""
-    return totally_compact_unit(q) and unit_tensor_splits(q)

@@ -37,9 +37,11 @@ from quantcat.ncat import (
 from quantcat.normed_set import NormedSet, final_structure
 from quantcat.quantale import (
     BUILTIN_QUANTALES,
+    FiniteQuantale,
     Quantale,
     require_finite,
     require_same_quantale,
+    totally_below,
 )
 from quantcat.seqlim import (
     NCAT,
@@ -56,9 +58,9 @@ from quantcat.vcat import (
     LawvereVerdict,
     VCategory,
     VDistributor,
-    _adjoint_weights,
     _require_adjoint_shape,
     adjoint_report,
+    adjoint_weights,
     is_representable,
     isbell_conjugate_weight,
     unit_vcat,
@@ -976,6 +978,18 @@ def all_vcategories(q, objects, budget=DEFAULT_BUDGET):
             yield X
 
 
+def vcat_adjoint_weights(X, budget=DEFAULT_BUDGET):
+    """(φ, φ⁺, member) as index vectors for every weight φ with φ ⊣ φ⁺, in
+    the order of φ: ``adjoint_weights`` on the V-category decision's inputs
+    (X, Xᵀ, the diagonal), whose member (a, a) names the first object with
+    k ≤ φ(a) and k ≤ φ⁺(a), or is None."""
+    q = require_finite(X.quantale, "weight enumeration")
+    n = len(X.objects)
+    diagonal = [(i, i) for i in range(n)]
+    yield from adjoint_weights(q, X.rows, tuple(zip(*X.rows)), diagonal, budget,
+                               f"weights |V|^{n}")
+
+
 def adjoint_weight_pairs(X, budget=DEFAULT_BUDGET):
     """The adjoint pairs (φ, ψ) out of the unit, in the order of φ.
 
@@ -984,7 +998,7 @@ def adjoint_weight_pairs(X, budget=DEFAULT_BUDGET):
     are enumerated and ψ := φ⁺.  Requires X to be a V-category over a
     quantale.
     """
-    for phi, psi, _ in _adjoint_weights(X, budget):
+    for phi, psi, _ in vcat_adjoint_weights(X, budget):
         yield (
             left_weight(X, dict(zip(X.objects, phi))),
             right_weight(X, dict(zip(X.objects, psi))),
@@ -1003,6 +1017,95 @@ def idempotent_distributor(A, e, norms):
         h: {f: A.table[h, f] for f in elems[A.dom[h]]} for h in A.morphisms
     }
     return NormedDistributor(A, True, sets, action)
+
+
+def totally_compact_unit(q):
+    """Whether k ≤ ⋁S forces k ≤ s for some member s, for every subset S."""
+    q = require_finite(q, "totally_compact_unit")
+    return totally_below(q, q.unit, q.unit)
+
+
+def unit_tensor_splits(q):
+    """Whether k ≤ u ⊗ v forces k ≤ u and k ≤ v."""
+    q = require_finite(q, "unit_tensor_splits")
+    k_below = q.leq_table[q.unit]
+    return all(
+        k_below[u] and k_below[v]
+        for u, row in enumerate(q.tensor_table)
+        for v, uv in enumerate(row)
+        if k_below[uv]
+    )
+
+
+def unit_criterion(q):
+    """The criterion k ≪ k and k ≤ u⊗v ⇒ k ≤ u, k ≤ v, from its two halves:
+    the oracle of ``FiniteQuantale.unit_criterion``."""
+    return totally_compact_unit(q) and unit_tensor_splits(q)
+
+
+def without_unit_criterion(monkeypatch):
+    """Make every finite quantale read as failing the unit criterion, so
+    that both completeness decisions run their weight search.  A property
+    is a data descriptor, so it shadows a value already cached on a
+    quantale."""
+    monkeypatch.setattr(FiniteQuantale, "unit_criterion", property(lambda q: False))
+
+
+def idempotent_conjugate_sets(A, e) -> dict:
+    """The conjugate of Φ_e in closed form: per object c, the y: c → dom e
+    with e∘y = y; y stands for the natural family w ↦ w∘y."""
+    a = A.dom[e]
+    return {c: tuple(y for y in A.hom(c, a) if A.table[e, y] == y) for c in A.objects}
+
+
+def idempotent_unit_class(A, e) -> list:
+    """The unit class of Φ_e in closed form: the (x, y, w) with y in the
+    conjugate at x, w in Φ_e(x) and y∘w = e, in declaration order."""
+    elems = idempotent_distributor_sets(A, e)
+    conj = idempotent_conjugate_sets(A, e)
+    return [
+        (x, y, w)
+        for x in A.objects
+        for y in conj[x]
+        for w in elems[x]
+        if A.table[y, w] == e
+    ]
+
+
+def unit_class_slots(A, e, flat):
+    """The unit class of Φ_e as ``matrix_weights`` inputs: M pairs (position
+    of w in ``flat``, index j of y), and N[i][j] = |flat[i]∘y_j|, so that
+    c_j = ⋀_i hom(x_i, N[i][j]) is y_j's conjugate norm."""
+    pos = {f: i for i, f in enumerate(flat)}
+    index: dict = {}  # y -> j
+    M = [
+        (pos[w], index.setdefault(y, len(index)))
+        for _, y, w in idempotent_unit_class(A, e)
+    ]
+    N = [[A.norm[A.table[w, y]] for y in index] for w in flat]
+    return M, N
+
+
+def weight_matrix(A, elems, flat) -> list:
+    """D_e on positions of ``flat``: D_e[i][j] = ⋁{|h| : h∘flat[i] = flat[j]},
+    ⊥ where no such h exists."""
+    q = A.quantale
+    pos = {f: i for i, f in enumerate(flat)}
+    D = [[q.bottom] * len(flat) for _ in flat]
+    for h in A.morphisms:
+        for f in elems[A.dom[h]]:
+            i, j = pos[f], pos[A.table[h, f]]
+            D[i][j] = q.join([D[i][j], A.norm[h]])
+    return D
+
+
+def idempotent_inputs_oracle(A, e):
+    """``ncat.idempotent_inputs`` as (flat, D, N, M) from the closed forms
+    above, each of which reads Φ_e's elements itself."""
+    elems = idempotent_distributor_sets(A, e)
+    flat = [f for b in A.objects for f in elems[b]]
+    M, N = unit_class_slots(A, e, flat)
+    return flat, weight_matrix(A, elems, flat), N, M
 
 
 def brute_adjoint_pairs(X):

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from quantcat.cli import load_instance, machine_report, main, parse_instance, run_instance
 
-from helpers import fresh_python, serialize_instance
+from helpers import fresh_python, serialize_instance, without_unit_criterion
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -477,6 +478,14 @@ def _certs_with(**fields):
     return data
 
 
+def _certs_phi(field, key, value):
+    """``certs.json`` with ``phi[field][key]`` replaced."""
+    with open(path("certs.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["objects"]["phi"][field][key] = value
+    return data
+
+
 # the counit entry of ``certs.json``: a = b = 'a', four [y, x, morphism] rows
 CERT_EPS = _certs_with()["objects"]["cert"]["eps"][0]
 
@@ -604,6 +613,10 @@ SHAPE_IDS = [
     "two morphisms\n",
     "weight-pair-no-value-y",
     "weight-pair-no-value-7",
+    "weight-pair-stray-phi",
+    "weight-pair-stray-psi",
+    "ndist-stray-set",
+    "ndist-stray-action",
     "metric-sequence-point-outside-the-space",
 ]
 
@@ -759,6 +772,24 @@ SHAPE_IDS = [
         for y in ("y", 7)
     ]
     + [
+        # and no value at a name that is not one of its objects
+        ({"quantale": "bool2", "tasks": [],
+          "objects": {"X": TWO_POINTS,
+                      "wp": {"kind": "weight_pair", "space": "X",
+                             **{"phi": {"x": "1", "y": "0"}, "psi": {"x": "1", "y": "0"},
+                                field: {"x": "1", "y": "0", "zz": "1"}}}}},
+         f"input error: objects.wp.{field}.zz: names 'zz', which is not an object of 'X'\n")
+        for field in ("phi", "psi")
+    ]
+    + [
+        # a normed distributor's sets and action name only objects and
+        # morphisms of its category
+        (_certs_phi("sets", "zz", []),
+         "input error: objects.phi.sets.zz: names 'zz', which is not an object of 'M'\n"),
+        (_certs_phi("action", "zz", {}),
+         "input error: objects.phi.action.zz: names 'zz', which is not a morphism of 'M'\n"),
+    ]
+    + [
         # a metric sequence's points lie in its space
         ({"quantale": "lawvere-plus", "tasks": [],
           "objects": {"X": {"kind": "vcat", "objects": ["p", "q"],
@@ -782,14 +813,6 @@ NSET_SEQUENCE = {
     "tail": {"object": {"elements": [{"id": "q", "norm": "1"}, {"id": "r", "norm": "1"}]},
              "endo": {"q": "r", "r": "r"}},
 }
-
-
-def _certs_phi(field, key, value):
-    """``certs.json`` with ``phi[field][key]`` replaced."""
-    with open(path("certs.json"), encoding="utf-8") as fh:
-        data = json.load(fh)
-    data["objects"]["phi"][field][key] = value
-    return data
 
 
 @pytest.mark.parametrize(
@@ -1001,9 +1024,15 @@ RAN = (
         ([path("monoid.json"), "--json"], ["ncat"]),
         ([path("certs.json"), "--json"], ["normed_set", "ncat"]),
         ([path("sequence.json"), "--json"], ["normed_set", "seqlim"]),
+        # a metric sequence or a dset or ncat sequence reads no normed set
+        ([path("metric.json"), "--json"], ["seqlim"]),
+        ([path("odot.json"), "--json"], ["seqlim"]),
+        ([path("vlip.json"), "--json"], ["seqlim"]),
+        ([path("ncat_sequence.json"), "--json"], ["ncat", "seqlim"]),
         (["--help"], []),
     ],
-    ids=["vcat", "vdist", "ncat", "ndist", "colimit", "help"],
+    ids=["vcat", "vdist", "ncat", "ndist", "colimit", "metric", "odot", "vlip",
+         "ncat-sequence", "help"],
 )
 def test_a_run_loads_only_the_modules_its_file_uses(argv, ran):
     # -S: site would import typing itself
@@ -1510,8 +1539,8 @@ def test_theorem_path_fires_the_search_paths_guards(
         with monkeypatch.context() as m:
             for module in (vcat, ncat):
                 m.setattr(module, "guard_count", recorded)
-                if search:
-                    m.setattr(module, "unit_criterion", lambda q: False)
+            if search:
+                without_unit_criterion(m)
             code = main([str(f), "--json", "--budget", str(budget)])
         out, err = capsys.readouterr()
         return fired, (code, out, err)
@@ -1522,7 +1551,7 @@ def test_theorem_path_fires_the_search_paths_guards(
 
     # the theorem path enumerates nothing, so it fires no guard and decides
     # at every budget; the forced search fires its guards and agrees at 4096
-    assert vcat.unit_criterion(builtin_quantale(quantale))
+    assert builtin_quantale(quantale).unit_criterion
     guards, outcome = run(4096, search=False)
     assert outcome[0] == 0 and guards == []
     searched, searched_outcome = run(4096, search=True)
@@ -1537,6 +1566,39 @@ def test_theorem_path_fires_the_search_paths_guards(
         line = f"budget exceeded: {what} needs {first} candidates, budget is {needed - 1}"
         line += "" if skipped is None else f" (skipped: {skipped})"
         assert (code, out, err) == (3, "", line + "\n")
+
+
+def test_the_unit_criterion_is_read_once_per_quantale(tmp_path, capsys, monkeypatch):
+    # two lawvere tasks in one file, then a second file over the same
+    # built-in quantale: the criterion's tables are scanned once, at its
+    # one totally-below test k ≪ k
+    from quantcat import quantale
+
+    vars(quantale.builtin_quantale("chain3")).pop("unit_criterion", None)
+    original, scans = quantale.totally_below, []
+
+    def counted(q, u, v):
+        scans.append((u, v))
+        return original(q, u, v)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quantcat.") and vars(module).get("totally_below") is original:
+            monkeypatch.setattr(module, "totally_below", counted)
+    monoid = {"kind": "ncat", "objects": ["a"], "identities": {"a": "1"},
+              "morphisms": [{"id": "1", "dom": "a", "cod": "a", "norm": "1"}],
+              "compose": [["1", "1", "1"]]}
+    files = [
+        {"X": TWO_POINTS, "M": monoid},
+        {"Y": {**TWO_POINTS, "dist": [["1", "m"], ["0", "1"]]}},
+    ]
+    for i, objects in enumerate(files):
+        f = tmp_path / f"lawvere{i}.json"
+        tasks = [{"op": "lawvere", "target": name} for name in objects]
+        f.write_text(json.dumps({"quantale": "chain3", "objects": objects, "tasks": tasks}),
+                     encoding="utf-8")
+        assert main([str(f), "--json"]) == 0
+        capsys.readouterr()
+    assert len(scans) == 1
 
 
 @pytest.mark.parametrize("name", ["weights.json", "sequence.json", "vlip.json", "odot.json"])

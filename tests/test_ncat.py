@@ -9,16 +9,13 @@ import pytest
 from quantcat.common import BudgetExceeded, Check, PreconditionError
 from quantcat.cli import load_instance
 from quantcat.ncat import (
-    _unit_class_slots,
-    _weight_matrix,
     AdjunctionCertificate,
     NormedCategory,
     NormedDistributor,
     check_adjunction_cert,
     conjugate_families,
-    idempotent_conjugate_sets,
     idempotent_distributor_sets,
-    idempotent_unit_class,
+    idempotent_inputs,
     is_lawvere_complete_ncat,
     split_idempotents_check,
     strict_morphisms,
@@ -51,7 +48,10 @@ from helpers import (
     has_presentable_unit,
     i_embed_cat,
     i_embed_weight,
+    idempotent_conjugate_sets,
     idempotent_distributor,
+    idempotent_inputs_oracle,
+    idempotent_unit_class,
     is_representable_ndist,
     isbell_conjugate_ndist,
     left_adjoint_unit,
@@ -73,6 +73,7 @@ from helpers import (
     transformation_monoid,
     validate_ncat,
     validate_nfunctor,
+    without_unit_criterion,
 )
 
 # ---------------------------------------------------------------------------
@@ -1000,13 +1001,11 @@ def test_lawvere_ncat_matches_brute_force(q1, q2, q3, q4chain, q4bool, qluka, qa
 def test_theorem_path_equals_the_search(
     q1, q2, q3, q4chain, q4bool, qluka, qabove, monkeypatch
 ):
-    from quantcat import ncat
-
     fixtures = list(_differential_fixtures(q1, q2, q3, q4chain, q4bool, qluka, qabove))
     # bool4 and the trivial quantale keep the search on the decision's path
-    assert {ncat.unit_criterion(A.quantale) for A in fixtures} == {True, False}
+    assert {A.quantale.unit_criterion for A in fixtures} == {True, False}
     theorem = [_decision_outcome(is_lawvere_complete_ncat, A, 4096) for A in fixtures]
-    monkeypatch.setattr(ncat, "unit_criterion", lambda q: False)
+    without_unit_criterion(monkeypatch)
     search = [_decision_outcome(is_lawvere_complete_ncat, A, 4096) for A in fixtures]
     assert search == theorem
 
@@ -1016,9 +1015,7 @@ def test_norm_assignments_match_filtered_product(
 ):
     for A in _differential_fixtures(q1, q2, q3, q4chain, q4bool, qluka, qabove):
         for e in A.idempotents():
-            elems = idempotent_distributor_sets(A, e)
-            flat = [f for b in A.objects for f in elems[b]]
-            D = _weight_matrix(A, elems, flat)
+            flat, D, _, _ = idempotent_inputs(A, e)
             got = [x for x, _ in matrix_weights(A.quantale, D, [()] * len(flat))]
             assert got == list(filtered_norm_assignments(A, e))
 
@@ -1035,11 +1032,9 @@ def test_i_embedded_idempotent_poses_the_vcategory_problem(q2, q3):
                 for e in A.idempotents():
                     a = A.dom[e]
                     assert e == (a, a)
-                    elems = idempotent_distributor_sets(A, e)
-                    flat = [f for b in A.objects for f in elems[b]]
+                    flat, D_e, N, M = idempotent_inputs(A, e)
                     assert flat == [(a, b) for b in X.objects]
-                    M, N = _unit_class_slots(A, e, flat)
-                    assert _weight_matrix(A, elems, flat) == D
+                    assert D_e == D
                     assert N == [list(column) for column in zip(*D)]
                     assert M == [(i, i) for i in range(n)]
                     idempotents += 1
@@ -1079,6 +1074,70 @@ def test_lawvere_ncat_budget_fields_match_brute_force(q1, q2, q4bool):
         got = _decision_outcome(is_lawvere_complete_ncat, A, budget)
         assert got[0] in (True, False)
         assert got == _decision_outcome(brute_lawvere_ncat, A, 4096)
+
+
+def _clause_two_categories(q1, q2, q3, q4chain, q4bool, qluka, qabove):
+    """Every fixture ncat (the categories of its ndists included), the
+    transformation monoids of 2 and 3 points over bool2, chain3 and bool4,
+    and ``_differential_fixtures``: the categories among them."""
+    for name in sorted(os.listdir(DATA)):
+        inst = load_instance(os.path.join(DATA, name))
+        for kind, value in inst.objects.values():
+            if kind in ("ncat", "ndist"):
+                yield value if kind == "ncat" else value.category
+    for q in (q2, q3, q4bool):
+        for n in (2, 3):
+            yield transformation_monoid(q, n)
+    for A in _differential_fixtures(q1, q2, q3, q4chain, q4bool, qluka, qabove):
+        if A.report.ok:
+            yield A
+
+
+def test_idempotent_inputs_equal_the_closed_forms(
+    q1, q2, q3, q4chain, q4bool, qluka, qabove
+):
+    # Φ_e's elements read once give the same D_e, N and unit-class members
+    # as the closed forms that each read them
+    idempotents = 0
+    for A in _clause_two_categories(q1, q2, q3, q4chain, q4bool, qluka, qabove):
+        for e in A.idempotents():
+            assert idempotent_inputs(A, e) == idempotent_inputs_oracle(A, e), (A, e)
+            idempotents += 1
+    assert idempotents > 350  # 383 idempotents
+
+
+def test_clause_two_guards_at_one_below_their_count(
+    q1, q2, q3, q4chain, q4bool, qluka, qabove, monkeypatch
+):
+    # the search prices each idempotent's |V|^|Φ_e| assignments in
+    # declaration order: at one below an idempotent's count the first
+    # idempotent past the budget raises, naming it and what is left, unless
+    # an earlier idempotent already failed clause (2)
+    without_unit_criterion(monkeypatch)
+    raised = Counter()
+    for A in _clause_two_categories(q1, q2, q3, q4chain, q4bool, qluka, qabove):
+        if not A.ncat_report.ok or not A.strict_split[0]:
+            continue
+        full = _decision_outcome(is_lawvere_complete_ncat, A, 4096)
+        if full[0] == "budget":
+            continue
+        q, idems = A.quantale, list(A.idempotents())
+        sizes = [sum(map(len, idempotent_distributor_sets(A, e).values())) for e in idems]
+        counts = [q.size ** k for k in sizes]
+        failed_at = idems.index(full[2][0]) if full[1] == 2 else len(idems)
+        for needed in sorted(set(counts)):
+            budget = needed - 1
+            r = next(i for i, count in enumerate(counts) if count > budget)
+            expected = full if failed_at < r else (
+                "budget",
+                f"norm assignments |V|^{sizes[r]} at idempotent {idems[r]!r}",
+                counts[r],
+                budget,
+                f"{len(idems) - r} idempotents, {counts[r]} assignments",
+            )
+            assert _decision_outcome(is_lawvere_complete_ncat, A, budget) == expected, A
+            raised[expected[0]] += 1
+    assert raised["budget"] > 100  # 139 guards
 
 
 def test_left_adjoint_unit_norm_is_the_coend_class_norm(q2, q4bool):
@@ -1121,11 +1180,10 @@ def test_unit_class_closed_form_matches_distributor_calculus(
         for e in A.idempotents():
             a = A.dom[e]
             elems = idempotent_distributor_sets(A, e)
-            flat = [f for b in A.objects for f in elems[b]]
+            flat, D, N, members = idempotent_inputs(A, e)
             conj_cf = idempotent_conjugate_sets(A, e)
-            members, N = _unit_class_slots(A, e, flat)
             idempotents += 1
-            for values, conj in matrix_weights(q, _weight_matrix(A, elems, flat), N):
+            for values, conj in matrix_weights(q, D, N):
                 Phi = idempotent_distributor(A, e, dict(zip(flat, values)))
                 conjugate = isbell_conjugate_ndist(Phi)
 

@@ -5,7 +5,8 @@ The walk parses each module with ``ast`` and starts at ``cli.main``.  A bare
 name resolves to a definition of its own module or, through a
 ``from .m import name`` binding, to the definition in ``m``; ``alias.name``
 resolves through a ``from . import m as alias`` binding or a lazy one,
-``alias = _lazily("m")``.  Method calls on objects are not followed: a
+``alias = lazily("m")`` with ``lazily`` imported from ``common``.  Method
+calls on objects are not followed: a
 reached class counts as reached with all of its methods.  Module-level
 statements that are not definitions run on import, so the names they use
 are roots too; a lazy binding is one of them.
@@ -32,12 +33,13 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 ENTRY_POINTS = {"__init__", "__main__"}
 
 
-def _lazy_module(node: ast.AST) -> str | None:
-    """``m`` when ``node`` is a lazy binding ``alias = _lazily("m")``."""
+def _lazy_module(node: ast.AST, imports: dict) -> str | None:
+    """``m`` when ``node`` is a lazy binding ``alias = lazily("m")``, where
+    ``imports`` binds ``lazily`` to the one in ``common``."""
     call = node.value if isinstance(node, ast.Assign) else None
     if (
         isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-        and call.func.id == "_lazily" and len(call.args) == 1
+        and imports.get(call.func.id) == ("common", "lazily") and len(call.args) == 1
         and isinstance(call.args[0], ast.Constant)
         and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)
     ):
@@ -55,7 +57,7 @@ class _Module:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 self.defs[node.name] = node
-            elif (lazy := _lazy_module(node)) is not None:
+            elif (lazy := _lazy_module(node, self.imports)) is not None:
                 self.aliases[node.targets[0].id] = lazy
                 self.roots.append(node)
             elif isinstance(node, ast.Assign):
@@ -149,10 +151,34 @@ def test_walk_follows_bindings_and_stops_at_an_orphan():
     reached = reachable(modules)
     assert ("quantale", "validate_quantale") in reached  # ``from .quantale import``
     assert ("vcat", "compose_vdist") in reached  # ``from . import vcat as vcat_mod``
-    assert ("normed_set", "NormedSet") in reached  # ``nset_mod = _lazily("normed_set")``
-    assert ("seqlim", "colimit_report") in reached  # ``seq_mod = _lazily("seqlim")``
-    assert ("cli", "_lazily") in reached  # a lazy binding runs on import
+    assert ("normed_set", "NormedSet") in reached  # ``nset_mod = lazily("normed_set")``
+    assert ("seqlim", "colimit_report") in reached  # ``seq_mod = lazily("seqlim")``
+    # only seqlim reads it, through its own ``nset_mod = lazily("normed_set")``
+    assert ("normed_set", "final_structure") in reached
+    assert ("common", "lazily") in reached  # a lazy binding runs on import
     assert ("cli", "orphan") not in reached
+
+
+def _call_sites(name: str) -> list[str]:
+    """``module.definition`` for each call of ``name`` in ``src/quantcat``,
+    as a bare name or an attribute, by the top-level definition it lies in
+    (``module.<module>`` outside any), in file and source order."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    sites.append(f"{path.stem}.{owner}")
+    return sites
+
+
+def test_the_searches_and_their_guards_have_pinned_sites():
+    # one priced weight search serves both completeness decisions, and the
+    # natural families of the Isbell conjugate are the only other guard
+    assert _call_sites("guard_count") == ["ncat.conjugate_families", "vcat.adjoint_weights"]
+    assert _call_sites("matrix_weights") == ["vcat.adjoint_weights"]
 
 
 def test_v_matrix_conversions_live_in_the_tests():
@@ -179,9 +205,8 @@ EXPORTS = [
     "conjugate_families", "final_structure", "forward_limit_metric", "is_lawvere_complete_ncat",
     "is_representable", "isbell_conjugate_weight", "lawvere_complete_vcat", "lawvere_plus",
     "lawvere_times", "lipschitz_norm", "ncat", "norm_profile", "normed_set", "quantale",
-    "seqlim", "split_idempotents_check", "strict_morphisms", "totally_below",
-    "totally_compact_unit", "trivial", "unit_approximated_from_totally_below",
-    "unit_tensor_splits", "unit_vcat", "validate_ndist", "validate_quantale",
+    "seqlim", "split_idempotents_check", "strict_morphisms", "totally_below", "trivial",
+    "unit_approximated_from_totally_below", "unit_vcat", "validate_ndist", "validate_quantale",
     "validate_sequence", "validate_vcat", "validate_vdist", "vcat",
 ]
 

@@ -19,8 +19,6 @@ from quantcat.vcat import (
     isbell_conjugate_weight,
     lawvere_complete_vcat,
     matrix_weights,
-    totally_compact_unit,
-    unit_tensor_splits,
     unit_vcat,
     validate_vcat,
     validate_vdist,
@@ -45,8 +43,13 @@ from helpers import (
     object_upper,
     ordered_pair_vcat,
     right_weight,
+    totally_compact_unit,
+    unit_criterion,
+    unit_tensor_splits,
     validate_vfunctor,
+    vcat_adjoint_weights,
     weight_vector,
+    without_unit_criterion,
 )
 
 # ---------------------------------------------------------------------------
@@ -514,7 +517,8 @@ def test_unit_criterion_on_the_carriers(q1, q2, q3, q4chain, q4bool, qluka, qabo
             if q.leq(q.unit, q.tensor(u, v))
         )
         assert unit_tensor_splits(q) == splits
-        assert vcat.unit_criterion(q) == (totally_compact_unit(q) and splits) == holds
+        assert q.unit_criterion == unit_criterion(q) == (totally_compact_unit(q) and splits)
+        assert q.unit_criterion == holds
 
 
 def test_crafted_bool4_incomplete(q4bool):
@@ -619,7 +623,7 @@ def test_adjoint_weights_match_the_oracle_on_criterion_carriers(
     )
     pairs = 0
     for X in spaces:
-        assert vcat.unit_criterion(X.quantale)
+        assert X.quantale.unit_criterion
         expected = []
         for phi, psi in brute_adjoint_pairs(X):
             a = is_representable(phi, psi)
@@ -629,7 +633,7 @@ def test_adjoint_weights_match_the_oracle_on_criterion_carriers(
                 tuple(coweight_vector(psi).values()),
                 member,
             ))
-        assert list(vcat._adjoint_weights(X, 10**6)) == expected, X
+        assert list(vcat_adjoint_weights(X, 10**6)) == expected, X
         pairs += len(expected)
     assert pairs > 100
 
@@ -655,7 +659,7 @@ def test_theorem_path_equals_the_search(q2, q3, q4chain, monkeypatch):
     # every V-category over bool2, chain3 and chain4 with up to three objects
     spaces = []
     for q in (q2, q3, q4chain):
-        assert vcat.unit_criterion(q)
+        assert q.unit_criterion
         for n in range(4):
             found = list(reflexive_vcategories(q, n))
             if n <= 2:
@@ -665,8 +669,29 @@ def test_theorem_path_equals_the_search(q2, q3, q4chain, monkeypatch):
             spaces += found
     assert len(spaces) == 986
     theorem = [repr(lawvere_complete_vcat(X)) for X in spaces]
-    monkeypatch.setattr(vcat, "unit_criterion", lambda q: False)
+    without_unit_criterion(monkeypatch)
     assert [repr(lawvere_complete_vcat(X)) for X in spaces] == theorem
+
+
+def test_weight_guard_at_one_below_its_count(q1, q2, q3, q4bool, monkeypatch):
+    # off the criterion the decision prices the |V|^n weights before it
+    # searches: at one below it raises naming them, at the count it decides
+    spaces = [
+        X
+        for q, max_objects in ((q1, 3), (q4bool, 2), (q2, 3), (q3, 2))
+        for n in range(max_objects + 1)
+        for X in all_vcategories(q, [f"o{i}" for i in range(n)], budget=10**6)
+    ]
+    without_unit_criterion(monkeypatch)
+    for X in spaces:
+        n = len(X.objects)
+        needed = X.quantale.size ** n
+        with pytest.raises(BudgetExceeded) as info:
+            lawvere_complete_vcat(X, budget=needed - 1)
+        fields = (info.value.what, info.value.needed, info.value.budget, info.value.skipped)
+        assert fields == (f"weights |V|^{n}", needed, needed - 1, None), X
+        assert lawvere_complete_vcat(X, budget=needed) == lawvere_complete_vcat(X, 10**6)
+    assert len(spaces) > 60  # 68 V-categories
 
 
 def test_counit_holds_and_adjointness_is_one_join(
