@@ -9,7 +9,8 @@ extended-rational carriers accept integers and strings like ``"1/2"`` or
 and each object and task is checked against them before it is read.
 
 Exit codes: 0 every verdict-bearing task passed, 1 some verdict failed,
-2 input error (located by its JSON path), 3 enumeration budget exceeded.
+2 input error (an ``InputError``, located by its JSON path), 3 enumeration
+budget exceeded, 4 internal error (any other exception: a program fault).
 The ``--json`` machine report is byte-identical across reruns; wall-clock
 timing appears only in the human-readable output.
 
@@ -34,9 +35,8 @@ from .common import (
     NCAT,
     NSET,
     BudgetExceeded,
-    CarrierMismatch,
     ConstructionError,
-    FieldError,
+    InputError,
     PreconditionError,
     Report,
     default_budget,
@@ -47,7 +47,6 @@ from .quantale import (
     FiniteQuantale,
     Quantale,
     builtin_quantale,
-    BUILTIN_QUANTALES,
     lawvere_times,
     validate_quantale,
 )
@@ -57,32 +56,6 @@ from .vcat import VCategory
 nset_mod = lazily("normed_set")
 ncat_mod = lazily("ncat")
 seq_mod = lazily("seqlim")
-
-
-class InputError(ValueError):
-    """A problem with the instance file, located by ``path``, its keys and
-    indices from the JSON root, and by ``op``, the op of the task it lies
-    under; an error about a file that does not read or parse has no path."""
-
-    def __init__(self, problem: str, *path):
-        super().__init__(problem)
-        self.path, self.op = (list(path) if path else None), None
-
-    def at(self, *keys, op=None) -> InputError:
-        """This error, ``keys`` further from the root."""
-        self.path, self.op = [*keys, *(self.path or ())], op or self.op
-        return self
-
-    def __str__(self):
-        if self.path is None:
-            return self.args[0]
-        where = "".join(
-            f"[{key}]" if type(key) is int
-            else f".{key}" if key.isidentifier() else f"[{_quoted(key)}]"
-            for key in self.path
-        )
-        op = f" ({self.op})" if self.op else ""
-        return f"{where.lstrip('.') or '$'}{op}: {self.args[0]}"
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +226,14 @@ def _tag(node, field: str, table: dict) -> str:
 
 def parse_quantale(spec) -> Quantale:
     if type(spec) is str:
-        if spec not in BUILTIN_QUANTALES:
-            raise InputError(f"unknown built-in quantale {spec!r}")
         return builtin_quantale(spec)
     if type(spec) is not dict:
         raise InputError(f"expected a built-in quantale name or a table, got {_got(spec)}")
     _check(TABLE, spec)
     try:
         q = FiniteQuantale(spec["elements"], spec["leq"], spec["tensor"], spec["unit"])
-    except ValueError as exc:
-        raise InputError(f"bad quantale table: {exc}")
+    except InputError as exc:
+        raise InputError(f"bad quantale table: {exc}") from None
     report = validate_quantale(q)
     if not report.ok:
         failed = "; ".join(c.describe() for c in report.failures())
@@ -285,16 +256,13 @@ class Instance:
 
     def value(self, raw):
         """``raw`` parsed in this instance's quantale, memoised on strings."""
+        if type(raw) is not str:
+            return self.quantale.parse(raw)
         try:
-            if type(raw) is not str:
-                return self.quantale.parse(raw)
-            try:
-                return self.numerals[raw]
-            except KeyError:
-                value = self.numerals[raw] = self.quantale.parse(raw)
-                return value
-        except CarrierMismatch as exc:
-            raise InputError(str(exc))
+            return self.numerals[raw]
+        except KeyError:
+            value = self.numerals[raw] = self.quantale.parse(raw)
+            return value
 
     def __getitem__(self, name):
         return self.objects[name][1]
@@ -309,8 +277,6 @@ def _literal(inst: Instance, kind: str, spec: dict):
         if exc.path is None:  # a value: the parsers locate everything else
             _check(KINDS[kind], spec, inst, read=True)
         raise
-    except FieldError as exc:  # a constructor's check across fields
-        raise InputError(str(exc), *exc.where)
 
 
 def _normed_set(inst: Instance, elements: list) -> nset_mod.NormedSet:
@@ -331,18 +297,32 @@ def _matrix(inst: Instance, spec: dict, field: str, n: int, m: int) -> tuple:
     return tuple([tuple(map(value, row)) for row in rows])
 
 
+def _key_texts(names, field: str) -> list:
+    """The JSON key text of each of ``names``, ``"7"`` for the name 7; two
+    names with one text cannot both be keys of ``field``, an error there."""
+    texts = list(map(str, names))
+    if len(set(texts)) != len(set(names)):  # a repeated name is its owner's error
+        first = {}
+        for name, text in zip(names, texts):
+            if first.setdefault(text, name) != name:
+                problem = f"key {text!r} would name both {first[text]!r} and {name!r}"
+                raise InputError(problem, field)
+    return texts
+
+
 def _entries(spec: dict, field: str, keys, what: str, owner: str) -> list:
-    """``spec[field][k]`` for each of ``keys``, the distinct names of
-    ``owner``; a missing one is an error, and so is a key not among them."""
-    given = spec[field]
-    missing = next((k for k in keys if k not in given), None)
+    """``spec[field]`` at the key text of each of ``keys``, the distinct
+    names of ``owner``; a missing one is an error, and so is a key not
+    among them."""
+    given, texts = spec[field], _key_texts(keys, field)
+    missing = next((k for k, text in zip(keys, texts) if text not in given), None)
     if missing is not None:
         raise InputError(f"no {what} {missing!r}", field)
     if len(given) != len(keys):
-        known = set(keys)
+        known = set(texts)
         stray = next(k for k in given if k not in known)
         raise InputError(f"names {stray!r}, which is not {owner}", field, stray)
-    return [given[k] for k in keys]
+    return [given[text] for text in texts]
 
 
 def parse_vcat(inst: Instance, spec: dict) -> VCategory:
@@ -358,7 +338,9 @@ def parse_ncat(inst: Instance, spec: dict) -> ncat_mod.NormedCategory:
             raise InputError(f"gives {[g, f]!r} two composites", "compose", i)
     ids, norms = [m["id"] for m in morphisms], {m["id"]: value(m["norm"]) for m in morphisms}
     dom, cod = ({m["id"]: m[end] for m in morphisms} for end in ("dom", "cod"))
-    objects, identities = spec["objects"], spec["identities"]
+    objects, given = spec["objects"], spec["identities"]
+    texts = _key_texts(objects, "identities")
+    identities = {a: given[text] for a, text in zip(objects, texts) if text in given}
     return ncat_mod.NormedCategory(inst.quantale, objects, ids, dom, cod, identities, table, norms)
 
 
@@ -388,8 +370,10 @@ def _parse_ndist(inst: Instance, spec: dict) -> ncat_mod.NormedDistributor:
     for a, elements in zip(A.objects, given):
         try:
             sets[a] = _normed_set(inst, elements)
-        except FieldError as exc:  # the set at a is its elements
-            raise InputError(str(exc), "sets", a)
+        except InputError as exc:  # the set at a stands for a normed set's elements
+            if exc.path:
+                exc.path[:1] = ["sets", str(a)]
+            raise
     maps = _entries(spec, "action", A.morphisms, "map for morphism", f"a morphism of {name!r}")
     action = dict(zip(A.morphisms, maps))
     covariant = spec.get("variance", "covariant") == "covariant"
@@ -460,14 +444,9 @@ def _parse_sequence(inst: Instance, spec: dict) -> seq_mod.Sequence:
 
 def _parse_metric_sequence(inst: Instance, spec: dict) -> seq_mod.MetricSequence:
     X, prefix, points = inst[spec["space"]], spec.get("prefix_points", []), spec["tail"]["points"]
-    if not points:
-        raise InputError("the tail cycle must be nonempty", "tail", "points")
-    if spec["tail"].get("period", len(points)) != len(points):
+    # an empty cycle is the constructor's error, before the period's
+    if points and spec["tail"].get("period", len(points)) != len(points):
         raise InputError(f"must equal the number of tail points, {len(points)}", "tail", "period")
-    for where, listed in ((("prefix_points",), prefix), (("tail", "points"), points)):
-        for i, p in enumerate(listed):
-            if p not in X.index:
-                raise InputError(f"point {p!r} not in the space", *where, i)
     return seq_mod.MetricSequence(X, prefix, points)
 
 
@@ -500,8 +479,6 @@ def parse_instance(data) -> Instance:
             inst.objects[name] = (kind, _literal(inst, kind, spec))
         except InputError as exc:
             raise exc.at("objects", name)
-        except ValueError as exc:  # a constructor's check it cannot locate
-            raise InputError(str(exc), "objects", name)
     for i, task in enumerate(inst.tasks):
         op = None
         try:
@@ -595,19 +572,21 @@ def _task_validate(inst: Instance, task: dict, budget: int, probe: int) -> dict:
             sub = vcat_mod.validate_vdist(d)
             report.add(f"{label}-bimodule", sub.ok, sub.describe() if not sub.ok else None)
     elif kind == "ndist":
+        if not value.category.report.ok:
+            return _precondition_failure(inst.quantale, "not a category", value.category.report)
         report = value.report
     elif kind == "normed_set":
         report = Report()
         report.add("norm-total", True)
     else:
+        if unmet := _unnormed_category(value):
+            return unmet
         report = seq_mod.validate_sequence(value)
     return _checks_outcome(inst.quantale, report)
 
 
 def _task_compose(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     outer, inner = inst[task["outer"]], inst[task["inner"]]
-    if inner.target != outer.source:
-        raise InputError("middle categories do not match")
     result = vcat_mod.compose_vdist(outer, inner)
     return _outcome(None, values=_format_rows(inst.quantale, result.rows))
 
@@ -631,7 +610,7 @@ def _task_isbell(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     kind, value = inst.objects[task["target"]]
     if kind == "weight_pair":
         column = vcat_mod.isbell_conjugate_weight(value.phi).rows
-        conjugate = {x: q.format(v) for x, (v,) in zip(value.phi.target.objects, column)}
+        conjugate = {str(x): q.format(v) for x, (v,) in zip(value.phi.target.objects, column)}
         return _outcome(None, conjugate=conjugate)
     if not value.covariant:
         raise InputError("the conjugate is taken of a covariant distributor")
@@ -645,8 +624,8 @@ def _task_isbell(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     sizes, norms = {}, {}
     for a in A.objects:
         families = ncat_mod.conjugate_families(value, a, budget)
-        sizes[a] = len(families)
-        norms[a] = [q.format(norm) for _, norm in families]
+        sizes[str(a)] = len(families)
+        norms[str(a)] = [q.format(norm) for _, norm in families]
     return _outcome(None, sizes=sizes, norms=norms)
 
 
@@ -700,9 +679,18 @@ def _task_split(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     return _outcome(ok, witness=witness)
 
 
+def _unnormed_category(s: seq_mod.Sequence) -> dict | None:
+    """The failure of a task on a normed-category sequence whose category
+    is not a normed category, or None."""
+    if s.kind == NCAT and not s.category.ncat_report.ok:
+        return _precondition_failure(s.quantale, "not a normed category", s.category.ncat_report)
+
+
 def _task_cauchy(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     kind, value = inst.objects[task["target"]]
     if kind == "sequence":
+        if unmet := _unnormed_category(value):
+            return unmet
         q, v = value.norm_quantale, seq_mod.cauchy_value(value)
     else:
         q, v = inst.quantale, seq_mod.forward_cauchy_value(value)
@@ -784,8 +772,6 @@ def run_instance(inst: Instance, budget: int, probe: int) -> dict:
             outcome = _outcome(False, precondition=str(exc))
         except InputError as exc:
             raise exc.at("tasks", i, op=op)
-        except (KeyError, ValueError) as exc:
-            raise InputError(str(exc)).at("tasks", i, op=op)
         entry = {"index": i, "op": op}
         for key in ("target", "pair", "outer", "inner", "source", "point", "mode"):
             if key in task:
@@ -907,14 +893,6 @@ def _read_argv(argv: list) -> tuple | None:
     return file, as_json, values["--budget"], values["--probe"]
 
 
-def _env_budget() -> int:
-    """``default_budget``, with a malformed variable as an input error."""
-    try:
-        return default_budget()
-    except ValueError as exc:
-        raise InputError(str(exc))
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     read = _read_argv(argv)
@@ -924,7 +902,7 @@ def main(argv=None) -> int:
     file, as_json, budget, probe = read
     try:
         if budget is None:
-            budget = _env_budget()
+            budget = default_budget()
         if budget <= 0:
             raise InputError("budget must be positive")
         if probe <= 0:
@@ -933,16 +911,17 @@ def main(argv=None) -> int:
         inst = load_instance(file)
         report = run_instance(inst, budget, probe)
         elapsed = time.perf_counter() - started
+        text = machine_report(report) if as_json else human_report(report, elapsed)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        print(f"input error: {exc.describe()}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:  # its text starts "budget exceeded: "
         print(exc, file=sys.stderr)
         return 3
-    if as_json:
-        print(machine_report(report))
-    else:
-        print(human_report(report, elapsed))
+    except Exception as exc:  # a fault of the program: neither a verdict nor an input error
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+    print(text)
     return 0 if report["all_pass"] else 1
 
 

@@ -1,4 +1,5 @@
-"""Shared plumbing: exceptions, check reports, enumeration budgets, the
+"""Shared plumbing: exceptions (each fault of the input is an ``InputError``,
+raised where it is checked), check reports, enumeration budgets, the
 cached-property idiom of the immutable structures, and the lazy import of a
 module that a run may not use."""
 
@@ -33,9 +34,9 @@ def default_budget() -> int:
             f"a shorter integer, got {too_long}" if too_long
             else f"an integer, got {abbreviated(raw)}"
         )
-        raise ValueError(f"{BUDGET_ENV_VAR} must be {problem}") from None
+        raise InputError(f"{BUDGET_ENV_VAR} must be {problem}") from None
     if value <= 0:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
+        raise InputError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
     return value
 
 
@@ -99,7 +100,35 @@ def lazily(name: str):
     return module
 
 
-class CarrierMismatch(ValueError):
+class InputError(ValueError):
+    """A fault of the input at ``path``, the keys of the instance-file field
+    below a constructed object (``("tail", "endo")``) or, once ``at`` has
+    located it, from the JSON root, under the task whose op is ``op``; an
+    unreadable file or a bad budget variable has no path.  ``str`` is the
+    bare problem, ``describe`` the located line."""
+
+    def __init__(self, problem: str, *path):
+        super().__init__(problem)
+        self.path, self.op = (list(path) if path else None), None
+
+    def at(self, *keys, op=None) -> InputError:
+        """This error, ``keys`` further from the root."""
+        self.path, self.op = [*keys, *(self.path or ())], op or self.op
+        return self
+
+    def describe(self) -> str:
+        if self.path is None:
+            return self.args[0]
+        where = "".join(
+            f"[{key}]" if type(key) is int
+            else f".{key}" if key.isidentifier() else f"[{json.dumps(key)}]"
+            for key in self.path
+        )
+        op = f" ({self.op})" if self.op else ""
+        return f"{where.lstrip('.') or '$'}{op}: {self.args[0]}"
+
+
+class CarrierMismatch(InputError):
     """An element was used with a quantale it does not belong to."""
 
 
@@ -109,16 +138,6 @@ class PreconditionError(ValueError):
     def __init__(self, message: str, value: object = None):
         super().__init__(message)
         self.value = value
-
-
-class FieldError(ValueError):
-    """A constructor's check across its arguments, failing at ``where``: the
-    keys, below the constructed object, of the instance-file field at fault
-    (``("compose",)``, ``("tail", "endo")``)."""
-
-    def __init__(self, problem: str, *where):
-        super().__init__(problem)
-        self.where = where
 
 
 class ConstructionError(RuntimeError):

@@ -132,7 +132,7 @@ from itertools import product
 from .common import (
     ConstructionError,
     DEFAULT_BUDGET,
-    FieldError,
+    InputError,
     PreconditionError,
     Record,
     Report,
@@ -147,7 +147,7 @@ class NormedCategory:
     """A finite category with a quantale-valued norm on morphisms: objects,
     named morphisms, identities, a total composition table keyed (g, f) for
     cod f = dom g, and ``into[b]``, the morphisms into b in declaration
-    order.  A check across the arguments fails with a ``FieldError`` at the
+    order.  A check across the arguments fails with an ``InputError`` at the
     instance-file field it reads: ``objects``, ``morphisms[i]``,
     ``identities`` or ``compose``."""
 
@@ -156,9 +156,9 @@ class NormedCategory:
         self.objects = tuple(objects)
         self.morphisms = tuple(morphisms)
         if len(set(self.objects)) != len(self.objects):
-            raise FieldError("duplicate objects", "objects")
+            raise InputError("duplicate objects", "objects")
         if len(set(self.morphisms)) != len(self.morphisms):
-            raise FieldError("duplicate morphism names", "morphisms")
+            raise InputError("duplicate morphism names", "morphisms")
         self.dom = dict(dom)
         self.cod = dict(cod)
         self.identity = dict(identity)
@@ -167,20 +167,20 @@ class NormedCategory:
             if f not in self.dom or f not in self.cod:
                 raise ValueError(f"morphism {f!r} missing dom/cod")
             if self.dom[f] not in self.objects or self.cod[f] not in self.objects:
-                raise FieldError(f"morphism {f!r} has unknown endpoints", "morphisms", i)
+                raise InputError(f"morphism {f!r} has unknown endpoints", "morphisms", i)
         for a in self.objects:
             if a not in self.identity:
-                raise FieldError(f"object {a!r} has no identity", "identities")
+                raise InputError(f"object {a!r} has no identity", "identities")
             i = self.identity[a]
             if self.dom.get(i) != a or self.cod.get(i) != a:
-                raise FieldError(f"identity of {a!r} has wrong endpoints", "identities", a)
+                raise InputError(f"identity of {a!r} has wrong endpoints", "identities", str(a))
         self.into = {
             b: tuple(f for f in self.morphisms if self.cod[f] == b) for b in self.objects
         }
         for g in self.morphisms:
             for f in self.into[self.dom[g]]:
                 if (g, f) not in self.table:
-                    raise FieldError(f"composition missing for {(g, f)!r}", "compose")
+                    raise InputError(f"composition missing for {(g, f)!r}", "compose")
         self._hom: dict[tuple, tuple] = {}
         if set(norm.keys()) != set(self.morphisms):
             raise ValueError("norm is not total on morphisms")
@@ -339,7 +339,7 @@ class NormedDistributor:
     Covariant: out of the one-arrow category (element actions go along
     morphisms); contravariant: into it (actions go against morphisms).  An
     action that is not total on, or leaves, its sets fails with a
-    ``FieldError`` at the instance-file field ``action``.
+    ``InputError`` at the instance-file field ``action``.
     """
 
     def __init__(self, category: NormedCategory, covariant: bool, sets, action):
@@ -358,10 +358,10 @@ class NormedDistributor:
         for h in category.morphisms:
             src, tgt = self._action_shape(h)
             if set(self.action[h].keys()) != set(src.elements):
-                raise FieldError(f"action of {h!r} is not total", "action", h)
+                raise InputError(f"action of {h!r} is not total", "action", str(h))
             for x, y in self.action[h].items():
                 if y not in tgt:
-                    raise FieldError(f"action of {h!r} leaves the target set", "action", h, x)
+                    raise InputError(f"action of {h!r} leaves the target set", "action", str(h), x)
 
     @cached_property
     def report(self) -> Report:
@@ -526,13 +526,13 @@ def check_adjunction_cert(cert: AdjunctionCertificate, normed: bool = False) -> 
     plain checks); normed, also the counit's norms and, once the plain
     checks passed, the norm of the unit class read off ``unit_class``.
     Φ must be covariant and Ψ contravariant over one category
-    (``ValueError`` otherwise), and the category must pass
+    (``InputError`` otherwise), and the category must pass
     ``validate_category``, which the unit-class lemma needs; otherwise
     ``PreconditionError`` carries its ``report``."""
     Phi, Psi = cert.phi, cert.psi
     A = Phi.category
     if Psi.category is not A or not Phi.covariant or Psi.covariant:
-        raise ValueError(
+        raise InputError(
             "a certificate pairs a covariant phi with a contravariant psi over one category"
         )
     if not A.report.ok:

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .common import FieldError
+from .common import InputError
 from .quantale import Quantale, require_same_quantale
 
 
 class NormedSet:
     """A finite set with a quantale-valued norm on its elements.  Elements
-    that are not distinct fail with a ``FieldError`` at ``elements``."""
+    that are not distinct fail with an ``InputError`` at ``elements``."""
 
     def __init__(self, quantale: Quantale, norms: Mapping, elements=None):
         self._build(quantale, norms, elements)
@@ -41,7 +41,7 @@ class NormedSet:
             elements = list(norms.keys())
         self.elements = tuple(elements)
         if len(set(self.elements)) != len(self.elements):
-            raise FieldError("duplicate elements in normed set", "elements")
+            raise InputError("duplicate elements in normed set", "elements")
         if set(self.elements) != set(norms.keys()):
             raise ValueError("norm function is not total on the elements")
 

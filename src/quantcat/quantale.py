@@ -57,6 +57,7 @@ from operator import lshift, sub
 
 from .common import (
     CarrierMismatch,
+    InputError,
     Report,
     abbreviated,
     cached_property,
@@ -189,15 +190,15 @@ class FiniteQuantale:
     def __init__(self, elements: Sequence[str], leq, tensor, unit):
         self.names = tuple(str(e) for e in elements)
         if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate element names")
+            raise InputError("duplicate element names")
         self._index = {n: i for i, n in enumerate(self.names)}
         n = len(self.names)
         self._leq = tuple(tuple(bool(x) for x in row) for row in leq)
         if len(self._leq) != n or any(len(r) != n for r in self._leq):
-            raise ValueError("leq matrix shape does not match element count")
+            raise InputError("leq matrix shape does not match element count")
         self._tensor = tuple(tuple(self.check(x) for x in row) for row in tensor)
         if len(self._tensor) != n or any(len(r) != n for r in self._tensor):
-            raise ValueError("tensor matrix shape does not match element count")
+            raise InputError("tensor matrix shape does not match element count")
         self.unit = self.check(unit)
         # up[u] / down[u]: bitmasks of the elements above / below u
         up = [sum(1 << w for w in range(n) if self._leq[u][w]) for u in range(n)]
@@ -651,7 +652,7 @@ def require_same_quantale(p: Quantale, q: Quantale) -> None:
 
 def require_finite(q: Quantale, what: str) -> FiniteQuantale:
     if not q.is_finite:
-        raise ValueError(f"{what} requires a finite carrier, got {q!r}")
+        raise InputError(f"{what} requires a finite carrier, got {q!r}")
     return q
 
 
@@ -833,9 +834,6 @@ BUILTIN_QUANTALES = {
 def builtin_quantale(name: str) -> Quantale:
     """The built-in quantale ``name``, built once per process: quantale
     objects are immutable."""
-    try:
-        return BUILTIN_QUANTALES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown built-in quantale {name!r}; known: {sorted(BUILTIN_QUANTALES)}"
-        )
+    if name not in BUILTIN_QUANTALES:
+        raise InputError(f"unknown built-in quantale {name!r}")
+    return BUILTIN_QUANTALES[name]()

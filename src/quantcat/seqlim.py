@@ -123,7 +123,7 @@ from .common import (
     NCAT,
     NSET,
     ConstructionError,
-    FieldError,
+    InputError,
     PreconditionError,
     Report,
     cached_property,
@@ -163,9 +163,9 @@ class Sequence:
     """A prefix-plus-constant-tail sequence in one of the three ambients.
     It is not mutated once its shapes are validated, so its cached
     properties, shared by the tasks on it, hold for good.  A check across
-    the arguments fails with a ``FieldError`` at the instance-file field it
+    the arguments fails with an ``InputError`` at the instance-file field it
     reads: ``prefix[n].object``, ``prefix[n].step``, ``tail.object``,
-    ``tail.endo`` or ``odot``."""
+    ``tail.endo`` or ``odot``; the ``ncat`` ambient takes a ``category``."""
 
     def __init__(
         self,
@@ -188,8 +188,6 @@ class Sequence:
         self.tail_endo = tail_endo
         self.category = category
         if kind == NCAT:
-            if category is None:
-                raise ValueError("a normed-category sequence needs its category")
             self.quantale = category.quantale
             self.norm_quantale = self.quantale
         elif kind == NSET:
@@ -199,7 +197,7 @@ class Sequence:
             self.quantale = tail_object.quantale
             self.norm_quantale = norm_quantale or self.quantale
             if not same_lattice(self.quantale, self.norm_quantale):
-                raise FieldError("distance and norm quantales must share the lattice", "odot")
+                raise InputError("distance and norm quantales must share the lattice", "odot")
         self._validate_shapes()
 
     # -- shape plumbing -----------------------------------------------------
@@ -228,14 +226,14 @@ class Sequence:
         if self.kind == NCAT:
             A = self.category
             if step not in A.dom or A.dom[step] != src or A.cod[step] != tgt:
-                raise FieldError(f"step {where}: morphism {step!r} has wrong endpoints", *at)
+                raise InputError(f"step {where}: morphism {step!r} has wrong endpoints", *at)
             return
         if set(step.keys()) != set(self._elements(src)):
-            raise FieldError(f"step {where}: mapping is not total", *at)
+            raise InputError(f"step {where}: mapping is not total", *at)
         tgt_elems = set(self._elements(tgt))
         for x, y in step.items():
             if y not in tgt_elems:
-                raise FieldError(f"step {where}: image {y!r} outside the target", *at, x)
+                raise InputError(f"step {where}: image {y!r} outside the target", *at, x)
 
     def _validate_shapes(self):
         if self.kind == NCAT:
@@ -243,7 +241,7 @@ class Sequence:
             for n, obj in enumerate(self.prefix_objects + [self.tail_object]):
                 if obj not in A.objects:
                     at = ("prefix", n) if n < len(self.prefix_objects) else ("tail",)
-                    raise FieldError(f"unknown object {obj!r}", *at, "object")
+                    raise InputError(f"unknown object {obj!r}", *at, "object")
         else:
             for obj in self.prefix_objects + [self.tail_object]:
                 require_same_quantale(obj.quantale, self.quantale)
@@ -609,7 +607,7 @@ def lipschitz_norm(
         raise ValueError(f"unknown mode {mode!r}")
     if source.quantale.is_finite or target.quantale.is_finite:
         # indices of a finite carrier are not magnitudes; refuse the ratio
-        raise ValueError("ratio modes need extended-rational distances")
+        raise InputError("ratio modes need extended-rational distances")
     ratio = lip_norm(lawvere_times(), source, target, mapping)
     return ratio if mode == "multiplicative" else LogNorm(ratio, log_base)
 
@@ -620,15 +618,17 @@ def lipschitz_norm(
 
 class MetricSequence:
     """A finitely presented point sequence: explicit prefix points plus an
-    eventually periodic tail cycle, ``tail``, of period ``len(tail)``."""
+    eventually periodic tail cycle, ``tail``, of period ``len(tail)``, not
+    empty; a point outside the space is an ``InputError`` at its field."""
 
     def __init__(self, space: VCategory, prefix: list, tail: list):
         self.space, self.prefix, self.tail = space, prefix, tail
         if not tail:
-            raise ValueError("the tail cycle must be nonempty")
-        for p in list(prefix) + list(tail):
-            if p not in space.index:
-                raise ValueError(f"point {p!r} not in the space")
+            raise InputError("the tail cycle must be nonempty", "tail", "points")
+        for where, listed in ((("prefix_points",), prefix), (("tail", "points"), tail)):
+            for i, p in enumerate(listed):
+                if p not in space.index:
+                    raise InputError(f"point {p!r} not in the space", *where, i)
 
 
 def forward_cauchy_value(ms: MetricSequence):

@@ -83,7 +83,7 @@ from collections.abc import Iterator
 
 from .common import (
     DEFAULT_BUDGET,
-    FieldError,
+    InputError,
     PreconditionError,
     Record,
     Report,
@@ -120,7 +120,7 @@ class VCategory:
         """A V-category whose ``rows`` are an n × n tuple of tuples of
         canonical values, as a parser or a quantale operation makes them:
         not checked again.  The objects must still be distinct (a
-        ``FieldError`` at ``objects``)."""
+        ``InputError`` at ``objects``)."""
         X = cls.__new__(cls)
         X._build(quantale, objects, rows)
         return X
@@ -129,7 +129,7 @@ class VCategory:
         self.quantale, self.objects, self.rows = quantale, tuple(objects), rows
         self.index = {x: i for i, x in enumerate(self.objects)}
         if len(self.index) != len(self.objects):
-            raise FieldError("duplicate objects", "objects")
+            raise InputError("duplicate objects", "objects")
 
     def d(self, x, y):
         return self.rows[self.index[x]][self.index[y]]
@@ -256,7 +256,7 @@ def validate_vdist(phi: VDistributor) -> Report:
 def compose_vdist(psi: VDistributor, phi: VDistributor) -> VDistributor:
     """The composite ψ·φ: X ⇸ Z with (ψ·φ)(x,z) = ⋁_y ψ(y,z) ⊗ φ(x,y)."""
     if phi.target != psi.source:
-        raise ValueError("middle categories do not match")
+        raise InputError("middle categories do not match")
     cols = tuple(zip(*psi.rows)) or ((),) * len(psi.target.objects)  # p columns when m = 0
     rows = phi.quantale.compose_matrices(phi.rows, cols)
     return VDistributor.trusted(phi.source, psi.target, tuple(map(tuple, rows)))

@@ -807,6 +807,61 @@ def test_malformed_instance_shapes_are_input_errors(tmp_path, capsys, instance, 
     assert "Traceback" not in err and located in err, err
 
 
+#: names that are integers, which a JSON object keys by their text: the
+#: object 7 of X, the object 1 and the morphism 5 of M
+INTEGER_NAMES = {
+    "quantale": "bool2",
+    "objects": {
+        "X": {**TWO_POINTS, "objects": ["x", 7]},
+        "wp": {"kind": "weight_pair", "space": "X",
+               "phi": {"x": "1", "7": "0"}, "psi": {"x": "1", "7": "0"}},
+        "M": {"kind": "ncat", "objects": [1],
+              "morphisms": [{"id": 5, "dom": 1, "cod": 1, "norm": "1"}],
+              "identities": {"1": 5}, "compose": [[5, 5, 5]]},
+        "P": {"kind": "ndist", "category": "M",
+              "sets": {"1": [{"id": "p", "norm": "1"}]}, "action": {"5": {"p": "p"}}},
+    },
+    "tasks": [{"op": "isbell", "target": "wp"}, {"op": "lawvere", "target": "X"},
+              {"op": "validate", "target": "M"}, {"op": "isbell", "target": "P"}],
+}
+
+
+def test_an_integer_name_is_keyed_by_its_text(tmp_path, capsys):
+    f = tmp_path / "integer_names.json"
+    f.write_text(json.dumps(INTEGER_NAMES), encoding="utf-8")
+    code, report, _ = run_json(capsys, str(f))
+    assert code == 0
+    isbell_wp, lawvere, validate, isbell_P = (task["details"] for task in report["tasks"])
+    assert isbell_wp == {"conjugate": {"x": "1", "7": "0"}}
+    assert lawvere == {"witness": [{"weight": {"x": "0", "7": "1"}, "witness": 7},
+                                   {"weight": {"x": "1", "7": "0"}, "witness": "x"}]}
+    assert all(check["ok"] for check in validate["checks"])
+    assert isbell_P == {"sizes": {"1": 1}, "norms": {"1": ["1"]}}
+
+
+def _integer_names_with(name, **fields):
+    data = json.loads(json.dumps(INTEGER_NAMES))
+    data["objects"][name].update(fields)
+    return data
+
+
+@pytest.mark.parametrize("instance, located", [
+    (_integer_names_with("X", objects=["7", 7]),
+     "objects.wp.phi: key '7' would name both '7' and 7"),
+    (_integer_names_with("M", objects=["1", 1]),
+     "objects.M.identities: key '1' would name both '1' and 1"),
+    (_integer_names_with(
+        "M", morphisms=[{"id": i, "dom": 1, "cod": 1, "norm": "1"} for i in (5, "5")],
+        compose=[[g, f, 5 if g == f == 5 else "5"] for g in (5, "5") for f in (5, "5")]),
+     "objects.P.action: key '5' would name both 5 and '5'"),
+], ids=["vcat-objects", "ncat-objects", "ncat-morphisms"])
+def test_names_with_one_key_text_are_an_input_error(tmp_path, capsys, instance, located):
+    f = tmp_path / "one_key.json"
+    f.write_text(json.dumps(instance), encoding="utf-8")
+    assert main([str(f), "--json"]) == 2
+    assert capsys.readouterr() == ("", f"input error: {located}\n")
+
+
 NSET_SEQUENCE = {
     "kind": "sequence", "ambient": "nset",
     "prefix": [{"object": {"elements": [{"id": "p", "norm": "1"}]}, "step": {"p": "q"}}],
@@ -1405,10 +1460,9 @@ def test_certificate_with_two_covariant_distributors_is_input_error(tmp_path, ca
     )
 
 
-@pytest.mark.parametrize("composite", ["1b", "zz"])
-def test_composite_off_its_endpoints_is_a_failed_check(tmp_path, capsys, composite):
-    # e: a → a with e∘e listed as 1b, or as a name that is no morphism
-    literal = {
+def _off_endpoints(composite):
+    """e: a → a with e∘e listed as ``composite``."""
+    return {
         "kind": "ncat", "objects": ["a", "b"],
         "morphisms": [
             {"id": m, "dom": o, "cod": o, "norm": "1"}
@@ -1420,8 +1474,13 @@ def test_composite_off_its_endpoints_is_a_failed_check(tmp_path, capsys, composi
             ["e", "e", composite],
         ],
     }
+
+
+@pytest.mark.parametrize("composite", ["1b", "zz"])
+def test_composite_off_its_endpoints_is_a_failed_check(tmp_path, capsys, composite):
+    # e∘e listed as 1b, or as a name that is no morphism
     code, tasks = _ncat_report(
-        tmp_path, capsys, literal,
+        tmp_path, capsys, _off_endpoints(composite),
         [{"op": "validate", "target": "M"}, {"op": "lawvere", "target": "M"},
          {"op": "split", "target": "M"}, {"op": "split", "target": "M", "strict": True}],
     )
@@ -1437,6 +1496,58 @@ def test_composite_off_its_endpoints_is_a_failed_check(tmp_path, capsys, composi
         assert split["details"]["error"] == "not a category"
         evidence = split["details"]["evidence"]
         assert {c["check"]: c["witness"] for c in evidence if not c["ok"]} == failed
+
+
+@pytest.mark.parametrize("composite", ["1b", "zz"])
+def test_validate_of_a_distributor_over_a_non_category_reports_precondition(
+    tmp_path, capsys, composite
+):
+    # a one-point distributor over the category above: validate names the
+    # category's failure, as isbell does, and does not read the action
+    # checks off a composite that is no morphism of the right endpoints
+    point = {"kind": "ndist", "category": "M",
+             "sets": {"a": [{"id": "p", "norm": "1"}], "b": []},
+             "action": {"1a": {"p": "p"}, "1b": {}, "e": {"p": "p"}}}
+    f = tmp_path / "ndist.json"
+    f.write_text(json.dumps({"quantale": "bool2",
+                             "objects": {"M": _off_endpoints(composite), "P": point},
+                             "tasks": [{"op": "validate", "target": "P"}]}), encoding="utf-8")
+    code, report, _ = run_json(capsys, str(f))
+    assert code == 1
+    assert report["tasks"] == [{
+        "index": 0, "op": "validate", "target": "P", "verdict": "fail",
+        "details": {"error": "not a category", "evidence": [
+            {"check": "composition-endpoints", "ok": False, "witness": ["e", "e"]},
+            {"check": "identity-laws", "ok": True, "witness": None},
+        ]},
+    }]
+
+
+@pytest.mark.parametrize("edit", ["norm", "composite"])
+def test_ncat_sequence_tasks_check_their_normed_category(tmp_path, capsys, edit):
+    # |e| = 0 breaks |s∘r| ≥ |s| ⊗ |r|; e∘e = zz breaks the category: validate
+    # and cauchy on the sequence fail with the category's evidence, and give
+    # no verdict on the sequence itself
+    with open(path("ncat_sequence.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    M = data["objects"]["M"]
+    if edit == "norm":
+        M["morphisms"][2]["norm"] = "0"
+    else:
+        assert M["compose"][4] == ["e", "e", "e"]
+        M["compose"][4][2] = "zz"
+    f = tmp_path / "ncat_sequence.json"
+    f.write_text(json.dumps(data), encoding="utf-8")
+    code, report, _ = run_json(capsys, str(f))
+    assert code == 1
+    validate_M, *on_t = report["tasks"]
+    failed = {c["check"]: c["witness"] for c in validate_M["details"]["checks"] if not c["ok"]}
+    assert failed == ({"composition-submultiplicative": ["s", "r"]} if edit == "norm"
+                      else {"composition-endpoints": ["e", "e"]})
+    expected = {"error": "not a normed category", "evidence": validate_M["details"]["checks"]}
+    assert [(task["op"], task["verdict"], task["details"]) for task in on_t] == [
+        (op, "fail", expected) for op in ("validate", "cauchy")
+    ]
 
 
 def test_validate_split_and_lawvere_share_each_scan(tmp_path, capsys, monkeypatch):
@@ -1708,7 +1819,7 @@ def _parse_outcome(data):
     try:
         X = parse_instance(data).objects["X"][1]
     except InputError as exc:
-        return "error", str(exc)
+        return "error", exc.describe()
     return "ok", [[X.d(x, y) for y in X.objects] for x in X.objects]
 
 
@@ -1760,8 +1871,9 @@ def test_a_bad_numeral_is_rejected_every_time_it_is_read():
     for first in "XY":
         data = {"quantale": "lawvere-plus", "tasks": [],
                 "objects": dict(sorted(objects.items(), key=lambda kv: kv[0] != first))}
-        with pytest.raises(InputError, match=rf"^objects\.{first}\.dist\[0\]\[0\]: malformed numeral: 'abc'$"):
+        with pytest.raises(InputError) as exc:
             parse_instance(data)
+        assert exc.value.describe() == f"objects.{first}.dist[0][0]: malformed numeral: 'abc'"
 
 
 def test_instances_with_different_inline_tables_keep_their_own_names():
@@ -1884,6 +1996,23 @@ def test_an_integer_literal_past_the_digit_limit_is_an_input_error(tmp_path, cap
     assert capsys.readouterr().err == (
         f"input error: cannot read {f}: not UTF-8 text (byte {text.index(255)})\n"
     )
+
+
+@pytest.mark.parametrize("fault", [KeyError("zz"), ValueError("not a fault of the input")],
+                         ids=["KeyError", "ValueError"])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_a_program_fault_exits_4_on_one_stderr_line(capsys, monkeypatch, fault, flags):
+    # not exit 2, which would blame the file, nor exit 1, which reads as a
+    # failed verdict
+    from quantcat import cli
+
+    def broken(*args):
+        raise fault
+
+    monkeypatch.setitem(cli._TASKS, "validate", broken)
+    assert main([path("certs.json"), *flags]) == 4
+    name, message = type(fault).__name__, str(fault)
+    assert capsys.readouterr() == ("", f"internal error: {name}: {message}\n")
 
 
 def _fixture_with_task(name, task, objects=None):

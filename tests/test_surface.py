@@ -181,6 +181,32 @@ def test_the_searches_and_their_guards_have_pinned_sites():
     assert _call_sites("matrix_weights") == ["vcat.adjoint_weights"]
 
 
+def _caught(function: ast.AST) -> list[str]:
+    """The exception names of each ``except`` clause inside ``function``,
+    ``"<bare>"`` for a bare one."""
+    names = []
+    for handler in ast.walk(function):
+        if isinstance(handler, ast.ExceptHandler):
+            if handler.type is None:
+                names.append("<bare>")
+            for node in ast.walk(handler.type) if handler.type else ():
+                if isinstance(node, ast.Name):
+                    names.append(node.id)
+    return names
+
+
+def test_an_input_fault_has_one_type_from_its_check_to_the_exit_code():
+    # every input fault is raised as an InputError where it is checked, so the
+    # reader and the task loop catch nothing broader: a KeyError or ValueError
+    # from a task is a fault of the program, not of the file
+    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if "FieldError" in p.read_text()] == []
+    cli_defs = _modules()["cli"].defs
+    broad = {"<bare>", "BaseException", "Exception", "LookupError", "KeyError", "ValueError"}
+    for name in ("parse_instance", "run_instance"):
+        caught = _caught(cli_defs[name])
+        assert "InputError" in caught and broad.isdisjoint(caught), (name, caught)
+
+
 def test_v_matrix_conversions_live_in_the_tests():
     # every consumer reads a V-matrix's rows, so the helpers that rebuilt a
     # matrix from pairs or read a weight back as a vector are the tests' own
