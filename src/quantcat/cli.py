@@ -297,32 +297,36 @@ def _matrix(inst: Instance, spec: dict, field: str, n: int, m: int) -> tuple:
     return tuple([tuple(map(value, row)) for row in rows])
 
 
-def _key_texts(names, field: str) -> list:
-    """The JSON key text of each of ``names``, ``"7"`` for the name 7; two
-    names with one text cannot both be keys of ``field``, an error there."""
-    texts = list(map(str, names))
-    if len(set(texts)) != len(set(names)):  # a repeated name is its owner's error
+def _name_map(spec: dict, field: str, keys, what: str, owner: str, images=None) -> dict:
+    """``spec[field]``, a JSON object keyed by name text, as a map on
+    ``keys``, the distinct names of ``owner``: each is read at its key text,
+    ``"7"`` for the name 7.  Two names with one text, a name with no key, a
+    key naming none of them and, when ``images`` is given, a value not in
+    it are each an error at ``field``."""
+    given = spec[field]
+    try:
+        "".join(keys)  # every name a string, so each is its own text
+        texts = keys
+    except TypeError:
+        texts = list(map(str, keys))
         first = {}
-        for name, text in zip(names, texts):
+        for name, text in zip(keys, texts):  # a repeated name is its owner's error
             if first.setdefault(text, name) != name:
                 problem = f"key {text!r} would name both {first[text]!r} and {name!r}"
                 raise InputError(problem, field)
-    return texts
-
-
-def _entries(spec: dict, field: str, keys, what: str, owner: str) -> list:
-    """``spec[field]`` at the key text of each of ``keys``, the distinct
-    names of ``owner``; a missing one is an error, and so is a key not
-    among them."""
-    given, texts = spec[field], _key_texts(keys, field)
-    missing = next((k for k, text in zip(keys, texts) if text not in given), None)
-    if missing is not None:
-        raise InputError(f"no {what} {missing!r}", field)
-    if len(given) != len(keys):
+    try:
+        read = {k: given[text] for k, text in zip(keys, texts)}
+    except KeyError:
+        missing = next(k for k, text in zip(keys, texts) if text not in given)
+        raise InputError(f"no {what} {missing!r}", field) from None
+    if len(given) != len(read):
         known = set(texts)
-        stray = next(k for k in given if k not in known)
+        stray = next(text for text in given if text not in known)
         raise InputError(f"names {stray!r}, which is not {owner}", field, stray)
-    return [given[text] for text in texts]
+    if images is not None and not all(map(images.__contains__, read.values())):
+        bad = next(k for k, y in read.items() if y not in images)
+        raise InputError(f"image of {bad!r} outside the target", field, str(bad))
+    return read
 
 
 def parse_vcat(inst: Instance, spec: dict) -> VCategory:
@@ -338,9 +342,8 @@ def parse_ncat(inst: Instance, spec: dict) -> ncat_mod.NormedCategory:
             raise InputError(f"gives {[g, f]!r} two composites", "compose", i)
     ids, norms = [m["id"] for m in morphisms], {m["id"]: value(m["norm"]) for m in morphisms}
     dom, cod = ({m["id"]: m[end] for m in morphisms} for end in ("dom", "cod"))
-    objects, given = spec["objects"], spec["identities"]
-    texts = _key_texts(objects, "identities")
-    identities = {a: given[text] for a, text in zip(objects, texts) if text in given}
+    objects = spec["objects"]
+    identities = _name_map(spec, "identities", objects, "identity for object", "an object")
     return ncat_mod.NormedCategory(inst.quantale, objects, ids, dom, cod, identities, table, norms)
 
 
@@ -354,7 +357,7 @@ def _parse_weight_pair(inst: Instance, spec: dict) -> vcat_mod.VWeightPair:
     X, trusted = inst[spec["space"]], vcat_mod.VDistributor.trusted
     E, owner = vcat_mod.unit_vcat(inst.quantale), f"an object of {spec['space']!r}"
     phi, psi = (
-        [inst.value(v) for v in _entries(spec, field, X.objects, "value for object", owner)]
+        map(inst.value, _name_map(spec, field, X.objects, "value for object", owner).values())
         for field in ("phi", "psi")
     )
     # phi is a 1 x n row, psi an n x 1 column
@@ -366,17 +369,23 @@ def _parse_weight_pair(inst: Instance, spec: dict) -> vcat_mod.VWeightPair:
 def _parse_ndist(inst: Instance, spec: dict) -> ncat_mod.NormedDistributor:
     A, name = inst[spec["category"]], spec["category"]
     sets = {}
-    given = _entries(spec, "sets", A.objects, "set for object", f"an object of {name!r}")
-    for a, elements in zip(A.objects, given):
+    given = _name_map(spec, "sets", A.objects, "set for object", f"an object of {name!r}")
+    for a, elements in given.items():
         try:
             sets[a] = _normed_set(inst, elements)
         except InputError as exc:  # the set at a stands for a normed set's elements
             if exc.path:
                 exc.path[:1] = ["sets", str(a)]
             raise
-    maps = _entries(spec, "action", A.morphisms, "map for morphism", f"a morphism of {name!r}")
-    action = dict(zip(A.morphisms, maps))
-    covariant = spec.get("variance", "covariant") == "covariant"
+    _name_map(spec, "action", A.morphisms, "map for morphism", f"a morphism of {name!r}")
+    covariant, action = spec.get("variance", "covariant") == "covariant", {}
+    for h in A.morphisms:
+        a, b = ncat_mod.action_ends(A, covariant, h)
+        try:
+            action[h] = _name_map(spec["action"], str(h), sets[a].elements, "image for element",
+                                  f"an element of the set at {a!r}", sets[b].norms)
+        except InputError as exc:
+            raise exc.at("action")
     return ncat_mod.NormedDistributor(A, covariant, sets, action)
 
 
@@ -410,10 +419,11 @@ def _parse_sequence(inst: Instance, spec: dict) -> seq_mod.Sequence:
     category, or else normed_set or vcat objects, named or literal, and maps."""
     ambient, tail, prefix = spec["ambient"], spec["tail"], spec.get("prefix", [])
     kind = {NSET: "normed_set", DSET: "vcat"}.get(ambient)
-    stages = [(("prefix", i), "step", p["object"], p["step"]) for i, p in enumerate(prefix)]
-    stages.append((("tail",), "endo", tail["object"], tail["endo"]))
-    objects, steps = [], []
-    for where, field, raw, step in stages:
+    stages = [(("prefix", i), "step", p) for i, p in enumerate(prefix)]
+    stages.append((("tail",), "endo", tail))
+    objects = []
+    for where, field, stage in stages:
+        raw = stage["object"]
         try:
             if kind and type(raw) is dict:
                 raw = _literal(inst, kind, raw)
@@ -423,11 +433,19 @@ def _parse_sequence(inst: Instance, spec: dict) -> seq_mod.Sequence:
         except InputError as exc:
             raise exc.at(*where, "object")
         try:
-            _check({NAME: NAME} if kind else NAME, step)
+            _check({NAME: NAME} if kind else NAME, stage[field])
         except InputError as exc:
             raise exc.at(*where, field)
         objects.append(raw)
-        steps.append(dict(step) if kind else step)
+    steps = [stage[field] for _, field, stage in stages]
+    for n, (where, field, stage) in enumerate(stages if kind else ()):
+        X, Y = objects[n], objects[min(n + 1, len(objects) - 1)]  # into the next stage
+        keys, images = (X.objects, Y.index) if kind == "vcat" else (X.elements, Y.norms)
+        try:
+            steps[n] = _name_map(stage, field, keys, "image for element",
+                                 "an element of its stage", images)
+        except InputError as exc:
+            raise exc.at(*where)
     shape = (ambient, objects[:-1], steps[:-1], objects[-1], steps[-1])
     if not kind:
         if "category" not in spec:
@@ -704,8 +722,13 @@ def _task_colimit(inst: Instance, task: dict, budget: int, probe: int) -> dict:
     try:
         if s.kind == NSET:
             apex, gamma = seq_mod.colimit_nset(s)
+        elif not task.get("vlip"):
+            apex, gamma = seq_mod.colimit_dset(s)
         else:
-            apex, gamma = (seq_mod.colimit_vlip if task.get("vlip") else seq_mod.colimit_dset)(s)
+            for X in (*s.prefix_objects, s.tail_object):
+                if not X.report.ok:
+                    return _precondition_failure(s.quantale, "not a V-category", X.report)
+            apex, gamma = seq_mod.colimit_vlip(s)
     except PreconditionError as exc:
         return _outcome(False, rejected=str(exc), value=s.norm_quantale.format(exc.value))
     report = seq_mod.colimit_report(s, gamma, probe)
@@ -722,16 +745,10 @@ def _task_forward_limit(inst: Instance, task: dict, budget: int, probe: int) -> 
 
 
 def _task_lipnorm(inst: Instance, task: dict, budget: int, probe: int) -> dict:
-    X, Y, mapping = inst[task["source"]], inst[task["target"]], task["map"]
+    X, Y = inst[task["source"]], inst[task["target"]]
+    mapping = _name_map(task, "map", X.objects, "image for source point", "a source point",
+                        Y.index)
     mode, log_base = task.get("mode", "multiplicative"), task.get("log_base", 2)
-    for x in X.objects:
-        if x not in mapping:
-            raise InputError(f"has no image for source point {x!r}", "map")
-    for x, y in mapping.items():
-        if x not in X.index:
-            raise InputError(f"names {x!r}, which is not a source point", "map", x)
-        if y not in Y.index:
-            raise InputError(f"image of {x!r} outside the target", "map", x)
     if log_base < 2:
         raise InputError(f"must be at least 2, got {log_base}", "log_base")
     q_odot = inst.quantale if mode == "odot" else None

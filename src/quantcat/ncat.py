@@ -149,7 +149,8 @@ class NormedCategory:
     cod f = dom g, and ``into[b]``, the morphisms into b in declaration
     order.  A check across the arguments fails with an ``InputError`` at the
     instance-file field it reads: ``objects``, ``morphisms[i]``,
-    ``identities`` or ``compose``."""
+    ``identities`` or ``compose``; ``identity`` has every object, as the
+    instance-file reader checks."""
 
     def __init__(self, quantale: Quantale, objects, morphisms, dom, cod, identity, table, norm):
         self.quantale = quantale
@@ -169,8 +170,6 @@ class NormedCategory:
             if self.dom[f] not in self.objects or self.cod[f] not in self.objects:
                 raise InputError(f"morphism {f!r} has unknown endpoints", "morphisms", i)
         for a in self.objects:
-            if a not in self.identity:
-                raise InputError(f"object {a!r} has no identity", "identities")
             i = self.identity[a]
             if self.dom.get(i) != a or self.cod.get(i) != a:
                 raise InputError(f"identity of {a!r} has wrong endpoints", "identities", str(a))
@@ -337,9 +336,9 @@ class NormedDistributor:
     """A distributor between the one-arrow category and A.
 
     Covariant: out of the one-arrow category (element actions go along
-    morphisms); contravariant: into it (actions go against morphisms).  An
-    action that is not total on, or leaves, its sets fails with a
-    ``InputError`` at the instance-file field ``action``.
+    morphisms); contravariant: into it (actions go against morphisms).
+    ``action[h]`` maps the set at the first of ``action_ends`` into the set
+    at the second; the instance-file reader checks it, not this class.
     """
 
     def __init__(self, category: NormedCategory, covariant: bool, sets, action):
@@ -351,17 +350,7 @@ class NormedDistributor:
             raise ValueError("a normed set is required for every object")
         for a, S in self.sets.items():
             require_same_quantale(S.quantale, self.quantale)
-        missing = next((h for h in category.morphisms if h not in action), None)
-        if missing is not None:
-            raise ValueError(f"action of {missing!r} is not total")
-        self.action = {h: dict(action[h]) for h in category.morphisms}
-        for h in category.morphisms:
-            src, tgt = self._action_shape(h)
-            if set(self.action[h].keys()) != set(src.elements):
-                raise InputError(f"action of {h!r} is not total", "action", str(h))
-            for x, y in self.action[h].items():
-                if y not in tgt:
-                    raise InputError(f"action of {h!r} leaves the target set", "action", str(h), x)
+        self.action = dict(action)
 
     @cached_property
     def report(self) -> Report:
@@ -369,13 +358,18 @@ class NormedDistributor:
         return validate_ndist(self)
 
     def _action_shape(self, h):
-        a, b = self.category.dom[h], self.category.cod[h]
-        return (self.sets[a], self.sets[b]) if self.covariant else (self.sets[b], self.sets[a])
+        return tuple(self.sets[a] for a in action_ends(self.category, self.covariant, h))
 
     def __repr__(self):
         kind = "covariant" if self.covariant else "contravariant"
         sizes = {a: len(S) for a, S in self.sets.items()}
         return f"NormedDistributor({kind}, sizes={sizes})"
+
+
+def action_ends(A: NormedCategory, covariant: bool, h) -> tuple:
+    """The objects whose sets are the source and the target of h's action:
+    dom h and cod h for a covariant distributor, the reverse otherwise."""
+    return (A.dom[h], A.cod[h]) if covariant else (A.cod[h], A.dom[h])
 
 
 def validate_ndist(Phi: NormedDistributor) -> Report:

@@ -165,7 +165,8 @@ class Sequence:
     properties, shared by the tasks on it, hold for good.  A check across
     the arguments fails with an ``InputError`` at the instance-file field it
     reads: ``prefix[n].object``, ``prefix[n].step``, ``tail.object``,
-    ``tail.endo`` or ``odot``; the ``ncat`` ambient takes a ``category``."""
+    ``tail.endo`` or ``odot``; the ``ncat`` ambient takes a ``category``.
+    A set-like step maps its stage into the next, as the reader checks."""
 
     def __init__(
         self,
@@ -220,36 +221,22 @@ class Sequence:
             return obj.objects
         raise ValueError("a normed-category stage has no element set")
 
-    def _check_map(self, step, src, tgt, n):
-        """Check the step at stage ``n``, or the tail endo when ``n`` is None."""
-        where, at = ("tail", ("tail", "endo")) if n is None else (n, ("prefix", n, "step"))
-        if self.kind == NCAT:
-            A = self.category
-            if step not in A.dom or A.dom[step] != src or A.cod[step] != tgt:
-                raise InputError(f"step {where}: morphism {step!r} has wrong endpoints", *at)
-            return
-        if set(step.keys()) != set(self._elements(src)):
-            raise InputError(f"step {where}: mapping is not total", *at)
-        tgt_elems = set(self._elements(tgt))
-        for x, y in step.items():
-            if y not in tgt_elems:
-                raise InputError(f"step {where}: image {y!r} outside the target", *at, x)
-
     def _validate_shapes(self):
-        if self.kind == NCAT:
-            A = self.category
-            for n, obj in enumerate(self.prefix_objects + [self.tail_object]):
-                if obj not in A.objects:
-                    at = ("prefix", n) if n < len(self.prefix_objects) else ("tail",)
-                    raise InputError(f"unknown object {obj!r}", *at, "object")
-        else:
+        if self.kind != NCAT:
             for obj in self.prefix_objects + [self.tail_object]:
                 require_same_quantale(obj.quantale, self.quantale)
-        for n in range(self.n0):
-            self._check_map(
-                self.prefix_steps[n], self.object_at(n), self.object_at(n + 1), n
-            )
-        self._check_map(self.tail_endo, self.tail_object, self.tail_object, None)
+            return
+        A = self.category
+        for n, obj in enumerate(self.prefix_objects + [self.tail_object]):
+            if obj not in A.objects:
+                at = ("prefix", n) if n < len(self.prefix_objects) else ("tail",)
+                raise InputError(f"unknown object {obj!r}", *at, "object")
+        for n in range(self.n0 + 1):
+            step, src, tgt = self.step_at(n), self.object_at(n), self.object_at(n + 1)
+            if step not in A.dom or A.dom[step] != src or A.cod[step] != tgt:
+                where = "tail" if n == self.n0 else n
+                at = ("tail", "endo") if n == self.n0 else ("prefix", n, "step")
+                raise InputError(f"step {where}: morphism {step!r} has wrong endpoints", *at)
 
     # -- map algebra ----------------------------------------------------------
 

@@ -12,7 +12,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quantcat.cli import load_instance, machine_report, main, parse_instance, run_instance
+from quantcat.cli import (
+    KINDS,
+    NAME,
+    OPS,
+    STAGE,
+    STEP,
+    load_instance,
+    machine_report,
+    main,
+    parse_instance,
+    run_instance,
+)
 
 from helpers import fresh_python, serialize_instance, without_unit_criterion
 
@@ -725,7 +736,7 @@ SHAPE_IDS = [
           "tasks": [{"op": "lipnorm", "source": "X", "target": "X", "map": mapping}]},
          f"input error: tasks[0].map{problem}\n")
         for mapping, problem in (
-            ({"p": "p"}, " (lipnorm): has no image for source point 'q'"),
+            ({"p": "p"}, " (lipnorm): no image for source point 'q'"),
             ({"p": "p", "q": "q", "c": "zz"},
              ".c (lipnorm): names 'c', which is not a source point"),
         )
@@ -886,22 +897,22 @@ NSET_SEQUENCE = {
         ({"quantale": "bool2", "tasks": [],
           "objects": {"s": {**NSET_SEQUENCE, "tail": {**NSET_SEQUENCE["tail"],
                                                       "endo": {"q": "r"}}}}},
-         "input error: objects.s.tail.endo: step tail: mapping is not total\n"),
+         "input error: objects.s.tail.endo: no image for element 'r'\n"),
         ({"quantale": "bool2", "tasks": [],
           "objects": {"s": {**NSET_SEQUENCE, "tail": {**NSET_SEQUENCE["tail"],
                                                       "endo": {"q": "r", "r": "zz"}}}}},
-         "input error: objects.s.tail.endo.r: step tail: image 'zz' outside the target\n"),
+         "input error: objects.s.tail.endo.r: image of 'r' outside the target\n"),
         ({"quantale": "bool2", "tasks": [],
           "objects": {"s": {**NSET_SEQUENCE, "prefix": [
               {**NSET_SEQUENCE["prefix"][0], "step": {}}]}}},
-         "input error: objects.s.prefix[0].step: step 0: mapping is not total\n"),
+         "input error: objects.s.prefix[0].step: no image for element 'p'\n"),
         ({"quantale": "bool2", "tasks": [],
           "objects": {"M": MONOID_NCAT,
                       "t": {"kind": "sequence", "ambient": "ncat", "category": "M",
                             "tail": {"object": "zz", "endo": "e"}}}},
          "input error: objects.t.tail.object: unknown object 'zz'\n"),
         (_certs_phi("action", "e", {"1": "e"}),
-         "input error: objects.phi.action.e: action of 'e' is not total\n"),
+         "input error: objects.phi.action.e: no image for element 'e'\n"),
         (_certs_phi("sets", "a", [{"id": "1", "norm": "1"}] * 2),
          "input error: objects.phi.sets.a: duplicate elements in normed set\n"),
         # a literal stage's own check is located below its stage
@@ -1114,30 +1125,116 @@ def _json_nodes(data, where=()):
         yield from _json_nodes(child, where + (key,))
 
 
+def _node(data, where):
+    for key in where:
+        data = data[key]
+    return data
+
+
 def _replaced(data, where, value):
     data = json.loads(json.dumps(data))
-    node = data
-    for key in where[:-1]:
-        node = node[key]
-    node[where[-1]] = value
+    _node(data, where[:-1])[where[-1]] = value
     return data
+
+
+def _mutants(data):
+    """``(what, document)`` for each mutation of the sweep on ``data``: every
+    node replaced by a value of a wrong JSON type, every string leaf by each
+    other string leaf of the document, every list item dropped and
+    duplicated, and every field deleted."""
+    nodes = list(_json_nodes(data))
+    strings = sorted({leaf for leaf in (_node(data, where) for where in nodes)
+                      if type(leaf) is str})
+    for where in nodes:
+        value = _node(data, where)
+        others = [s for s in strings if s != value] if type(value) is str else []
+        for other in ([], 7, *others):
+            yield f"{where} := {other!r}", _replaced(data, where, other)
+        for what in ("deleted", "duplicated") if type(where[-1]) is int else ("deleted",):
+            mutated = json.loads(json.dumps(data))
+            parent, key = _node(mutated, where[:-1]), where[-1]
+            if what == "deleted":
+                del parent[key]
+            else:
+                parent.insert(key, parent[key])
+            yield f"{where} {what}", mutated
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
 def test_wrong_type_mutations_exit_cleanly(name, tmp_path, capsys):
-    # every node of a fixture replaced by a value of the wrong JSON type
+    # every mutation of a fixture exits with its verdicts, an input error or
+    # an exceeded budget, and an error is one stderr line and no stdout
     with open(path(name), encoding="utf-8") as fh:
         data = json.load(fh)
     f = tmp_path / "mutated.json"
-    for where in _json_nodes(data):
-        for value in ([], 7):
-            f.write_text(json.dumps(_replaced(data, where, value)), encoding="utf-8")
-            try:
-                code = main([str(f), "--json", "--budget", "64"])
-            except Exception as exc:  # noqa: BLE001 - any escape is the failure
-                pytest.fail(f"{where} := {value!r} raised {exc!r}")
-            err = capsys.readouterr().err
-            assert code in (0, 1, 2, 3) and "Traceback" not in err, (where, value)
+    for what, mutated in _mutants(data):
+        f.write_text(json.dumps(mutated), encoding="utf-8")
+        try:
+            code = main([str(f), "--json", "--budget", "64"])
+        except Exception as exc:  # noqa: BLE001 - any escape is the failure
+            pytest.fail(f"{what} raised {exc!r}")
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3) and "Traceback" not in err, (what, code, err)
+        if code in (2, 3):
+            assert out == "" and err.endswith("\n") and err.count("\n") == 1, (what, err)
+
+
+def _renamed(t, node, rename, ambient=None):
+    """``node``, of field type ``t``, with each name ``n`` of an object,
+    morphism, element or point made ``rename(n)``: the names the format
+    reads, as items and as the keys of a ``{NAME: t}`` map, and no record
+    field, quantale value, quantale or reference to an instance object.  A
+    sequence's stages and steps are read by its ``ambient``."""
+    if t is NAME:
+        return rename(node)
+    if t is STAGE or t is STEP:
+        if ambient == "ncat":
+            return rename(node)
+        if t is STEP:
+            return _renamed({NAME: NAME}, node, rename)
+        kind = "normed_set" if ambient == "nset" else "vcat"
+        return _renamed(KINDS[kind], node, rename) if type(node) is dict else node
+    if type(t) in (list, tuple):
+        items = t * len(node) if type(t) is list else t
+        return [_renamed(u, x, rename, ambient) for u, x in zip(items, node)]
+    if type(t) is not dict:
+        return node
+    if NAME in t:
+        return {str(rename(k)): _renamed(t[NAME], v, rename, ambient) for k, v in node.items()}
+    ambient, fields = node.get("ambient", ambient), {k.rstrip("?"): u for k, u in t.items()}
+    return {k: _renamed(fields[k], v, rename, ambient) if k in fields else v
+            for k, v in node.items()}
+
+
+def _renamed_instance(data, rename):
+    objects = {name: _renamed(KINDS[spec["kind"]], spec, rename)
+               for name, spec in data.get("objects", {}).items()}
+    tasks = [_renamed(OPS[task["op"]], task, rename) for task in data.get("tasks", [])]
+    return {**data, "objects": objects, "tasks": tasks}
+
+
+def _verdicts(capsys, f):
+    code = main([str(f), "--json"])
+    out = capsys.readouterr().out
+    return code, [task["verdict"] for task in json.loads(out)["tasks"]] if out else None
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+def test_a_name_renamed_to_an_integer_keeps_the_verdicts(name, tmp_path, capsys):
+    # a name that is an integer reads as the same name written as a string:
+    # every map keyed by name finds it at its key text
+    with open(path(name), encoding="utf-8") as fh:
+        data = json.load(fh)
+    names = set()
+    _renamed_instance(data, lambda n: names.add(n) or n)
+    assert names and all(type(n) is str for n in names)
+    expected = _verdicts(capsys, path(name))
+    f = tmp_path / "renamed.json"
+    new = next(i for i in range(1000, 2000) if str(i) not in names)
+    for old in sorted(names):
+        renamed = _renamed_instance(data, lambda n: new if n == old else n)
+        f.write_text(json.dumps(renamed), encoding="utf-8")
+        assert _verdicts(capsys, f) == expected, (old, capsys.readouterr().err)
 
 
 # a name is a JSON string or integer; the report writes every other JSON

@@ -207,6 +207,44 @@ def test_an_input_fault_has_one_type_from_its_check_to_the_exit_code():
         assert "InputError" in caught and broad.isdisjoint(caught), (name, caught)
 
 
+def _name_map_fields() -> set:
+    """The fields ``cli`` reads with ``_name_map``: the constant ``field``
+    argument of each call, or each constant of the tuple a loop binds it to."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    loops: dict[str, set] = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name)
+                and isinstance(node.iter, ast.Tuple)):
+            constants = {c.value for c in node.iter.elts if isinstance(c, ast.Constant)}
+            loops.setdefault(node.target.id, set()).update(constants)
+    fields = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_name_map":
+            field = node.args[1]
+            if isinstance(field, ast.Constant):
+                fields.add(field.value)
+            elif isinstance(field, ast.Name):
+                fields |= loops.get(field.id, set())
+    return fields
+
+
+def test_every_name_keyed_map_is_read_by_one_reader():
+    # a JSON object keyed by name text becomes a map on names in one place,
+    # which reads each name at its key text and checks totality, strays and
+    # images: every {NAME: t} field of the format goes through it
+    typed = {
+        key.rstrip("?")
+        for table in (cli.KINDS, cli.OPS)
+        for fields in table.values()
+        for key, t in fields.items()
+        if type(t) is dict and cli.NAME in t
+    }
+    assert typed == {"phi", "psi", "identities", "sets", "action", "map"}
+    assert _name_map_fields() == typed
+    gone = re.compile(r"\b(_key_texts|_entries)\b")
+    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if gone.search(p.read_text())] == []
+
+
 def test_v_matrix_conversions_live_in_the_tests():
     # every consumer reads a V-matrix's rows, so the helpers that rebuilt a
     # matrix from pairs or read a weight back as a vector are the tests' own

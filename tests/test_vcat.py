@@ -7,8 +7,7 @@ import pytest
 
 from quantcat import vcat
 from quantcat.common import BudgetExceeded, PreconditionError
-from quantcat.ncat import NormedCategory, NormedDistributor
-from quantcat.normed_set import NormedSet
+from quantcat.ncat import NormedCategory
 from quantcat.quantale import INF
 from quantcat.vcat import (
     VCategory,
@@ -128,11 +127,9 @@ def _one_arrow(qplus, norm):
     (lambda q: VCategory(q, ["a", "a"], [[0, 0], [0, 0]]), "duplicate objects"),
     (lambda q: VCategory.trusted(q, ["a", "a"], ((0, 0), (0, 0))), "duplicate objects"),
     (lambda q: _one_arrow(q, {}), "norm is not total on morphisms"),
-    (lambda q: NormedDistributor(_one_arrow(q, {"1": 0}), True, {"a": NormedSet(q, {"p": 0})}, {}),
-     "action of '1' is not total"),
 ], ids=["ragged", "too-few-rows", "too-many-rows", "distributor-row-length",
         "distributor-row-count", "duplicate-objects", "trusted-duplicate-objects",
-        "ncat-norm-not-total", "ndist-action-not-total"])
+        "ncat-norm-not-total"])
 def test_matrix_constructors_check_their_shape(qplus, build, problem):
     with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
         build(qplus)
