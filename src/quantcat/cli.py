@@ -244,10 +244,12 @@ def parse_quantale(spec) -> Quantale:
 class Instance:
     """A parsed instance file; ``inst[name]`` is the object a checked
     reference names.  ``value`` makes each file-format value canonical, and
-    converts each distinct numeral string once: the memo lives for one
-    parse, keyed on ``str`` values only (JSON ``true``, ``1`` and ``1.0``
-    are parsed each time, so they never meet ``"1"``), and an error is
-    raised again rather than remembered."""
+    converts each distinct numeral string once: the memo ``numerals`` lives
+    for one parse, keyed on ``str`` values only (JSON ``true``, ``1`` and
+    ``1.0`` are parsed each time, so they never meet ``"1"``), and an error
+    is raised again rather than remembered.  ``_matrix`` fills the same memo
+    from a matrix's distinct strings and reads its rows from it without
+    calling ``value``."""
 
     def __init__(self, quantale_spec, quantale, objects, tasks):
         self.quantale_spec, self.quantale, self.tasks = quantale_spec, quantale, tasks
@@ -286,15 +288,32 @@ def _normed_set(inst: Instance, elements: list) -> nset_mod.NormedSet:
 
 
 def _matrix(inst: Instance, spec: dict, field: str, n: int, m: int) -> tuple:
-    """The rows of the n x m matrix ``field``, each value made canonical."""
-    rows, value = spec[field], inst.value
+    """The rows of the n x m matrix ``field``, each value made canonical.
+    On the extended rationals, when every cell is a string, each distinct
+    string not yet in the instance's memo is converted once, in set order,
+    and each row is read through the memo at C speed; any other matrix is
+    read value by value.  A finite carrier's value is one dict read, and its
+    small matrices would pay more for the distinct strings than they save.
+    ``_literal`` locates a value that does not convert by reading the
+    literal again in row-major order, so the first bad cell is reported."""
+    rows, q = spec[field], inst.quantale
     if len(rows) != n:
         raise InputError(f"must be a {n}x{m} matrix, got {len(rows)} rows", field)
     if n and set(map(len, rows)) != {m}:
         i = next(i for i, row in enumerate(rows) if len(row) != m)
         problem = f"a row of the {n}x{m} matrix must have {m} values, got {len(rows[i])}"
         raise InputError(problem, field, i)
-    return tuple([tuple(map(value, row)) for row in rows])
+    if not q.is_finite:
+        try:
+            distinct = set(chain.from_iterable(rows))
+        except TypeError:  # a list or object cell
+            distinct = set()
+        if distinct and {str} >= set(map(type, distinct)):
+            memo = inst.numerals
+            for raw in distinct.difference(memo):
+                memo[raw] = q.parse(raw)
+            return tuple([tuple(map(memo.__getitem__, row)) for row in rows])
+    return tuple([tuple(map(inst.value, row)) for row in rows])
 
 
 def _name_map(spec: dict, field: str, keys, what: str, owner: str, images=None) -> dict:
@@ -534,9 +553,14 @@ def _ser_normed_set(A: nset_mod.NormedSet) -> dict:
 
 
 def _format_rows(q: Quantale, rows) -> list:
-    """``rows`` as the file format writes them, in row order: the first value
-    too long to write is the one that raises."""
-    return [[q.format(v) for v in row] for row in rows]
+    """``rows`` as the file format writes them.  Each distinct value object
+    is formatted once, in the order of its first cell in row order, so the
+    first value too long to write is the one that raises; equal values of a
+    composite or a parsed matrix are one object."""
+    cells = list(chain.from_iterable(rows))
+    distinct = dict(zip(map(id, cells), cells))
+    text = dict(zip(distinct, map(q.format, distinct.values())))
+    return [list(map(text.__getitem__, map(id, row))) for row in rows]
 
 
 def _ser_vcat(X: VCategory) -> dict:
@@ -835,6 +859,11 @@ def _json(value, newline: str) -> str:
         items = [f"{inner}{_quoted(key)}: {_json(value[key], inner)}" for key in sorted(value)]
         return "{" + ",".join(items) + newline + "}" if items else "{}"
     if isinstance(value, (list, tuple)):
+        if value and type(value[0]) is str:
+            try:  # a list of strings, as a formatted row is
+                return "[" + inner + ("," + inner).join(map(_quoted, value)) + newline + "]"
+            except TypeError:  # _quoted met an item that is not a string
+                pass
         items = [inner + _json(item, inner) for item in value]
         return "[" + ",".join(items) + newline + "]" if items else "[]"
     raise TypeError(f"not a report value: {type(value).__name__}")

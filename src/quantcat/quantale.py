@@ -87,17 +87,40 @@ class _Infinity:
 INF = _Infinity()
 
 
+#: The least digit limit ``sys.set_int_max_str_digits`` accepts
+#: (``sys.int_info.str_digits_check_threshold``): a numeral no longer than
+#: this is within every limit, and so is its reduced value.
+_SHORT_NUMERAL = 640
+
+
 def as_extended_rational(x: object) -> Fraction | _Infinity:
     """Parse ``x`` into an exact extended nonnegative rational.
 
     Accepts Fraction, int, strings like ``"3"``, ``"1/2"``, ``"inf"``.
     Floats are rejected: the kernel is exact.  Exponent notation is rejected
-    too: ``Fraction("1e10000000")`` builds the whole integer.  ``"n"`` and
-    ``"n/d"`` in ASCII digits are read with ``int``; every other string goes
-    to ``Fraction(str)``.  A zero denominator, a literal ``Fraction`` does
-    not read, and a numeral past ``int``'s digit limit, or one whose reduced
-    value could not be written back within it, raise ``CarrierMismatch``.
+    too: ``Fraction("1e10000000")`` builds the whole integer.  A string of
+    at most ``_SHORT_NUMERAL`` characters that is ``"n"`` or ``"n/d"`` in
+    ASCII digits, as file numerals are, is read with ``int`` before any
+    other test; every other value takes ``_extended_rational``, the general
+    branch, which reads those strings to the same values.  A zero
+    denominator, a literal ``Fraction`` does not read, and a numeral past
+    ``int``'s digit limit, or one whose reduced value could not be written
+    back within it, raise ``CarrierMismatch``.
     """
+    if type(x) is str and len(x) <= _SHORT_NUMERAL and x.isascii():
+        num, slash, den = x.partition("/")
+        if num.isdigit() and (den.isdigit() or not slash):
+            try:
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            except ZeroDivisionError:
+                raise CarrierMismatch(f"zero denominator: {x!r}") from None
+    return _extended_rational(x)
+
+
+def _extended_rational(x: object) -> Fraction | _Infinity:
+    """``as_extended_rational`` by type: a string is stripped, lowercased
+    and, unless it names ``INF`` or uses exponent notation, read by
+    ``Fraction(str)``."""
     if isinstance(x, _Infinity):
         return INF
     if isinstance(x, bool):
@@ -112,16 +135,8 @@ def as_extended_rational(x: object) -> Fraction | _Infinity:
             return INF
         if "e" in s:
             raise CarrierMismatch(f"exponent notation is not accepted: {x!r}")
-        num, slash, den = s.partition("/")
         try:
-            if not num.isascii() or not num.isdigit():
-                value = Fraction(s)
-            elif not slash:
-                value = Fraction(int(num))
-            elif den.isascii() and den.isdigit():
-                value = Fraction(int(num), int(den))
-            else:
-                value = Fraction(s)
+            value = Fraction(s)
         except ZeroDivisionError:
             raise CarrierMismatch(f"zero denominator: {x!r}") from None
         except ValueError:

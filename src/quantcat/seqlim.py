@@ -82,8 +82,11 @@ through ``colimit_dset``), and on that cocone each one is a theorem:
   bound B, and the exact reduction holds.
 
 So ``colimit_report`` computes only (C2a)'s meet of the tail component
-norms, which the report prints.  It enumerates no probe, so no budget guard
-fires; over a finite carrier the probe bound only names the (C2b) check.
+norms, which the report prints, once per cocone; a distance-set sequence
+builds its colimit once (``Sequence.dset_colimit``), so ``colimit`` and
+``colimit vlip`` on it share one cocone.  It enumerates no probe, so no
+budget guard fires; over a finite carrier the probe bound only names the
+(C2b) check.
 The general verifier of a candidate cocone, which checks every condition
 and enumerates the probes when the reduction fails, is the tests' oracle.
 
@@ -280,6 +283,12 @@ class Sequence:
         """The canonical quotient of the stages."""
         return _build_quotient(self)
 
+    @cached_property
+    def dset_colimit(self) -> tuple[VCategory, Cocone]:
+        """``colimit_dset``'s apex and cocone, built once for every task on
+        the sequence; a sequence that is not Cauchy raises at each read."""
+        return _build_dset_colimit(self)
+
     def _iterate_tail(self):
         powers = []
         seen = {}
@@ -339,10 +348,12 @@ def validate_sequence(s: Sequence) -> Report:
 
 class Cocone:
     """Apex plus components: explicit prefix components, and one component
-    per tail position repeating with the listed period."""
+    per tail position repeating with the listed period.  ``c2a`` is the
+    meet of the tail component norms once ``colimit_report`` computed it."""
 
     def __init__(self, apex, prefix: list, tail: list):
         self.apex, self.prefix, self.tail = apex, prefix, tail
+        self.c2a = None
 
     def component(self, n: int, n0: int):
         if n < n0:
@@ -418,9 +429,15 @@ def colimit_nset(s: Sequence) -> tuple[nset_mod.NormedSet, Cocone]:
 
 def colimit_dset(s: Sequence) -> tuple[VCategory, Cocone]:
     """The point quotient whose distances are the final structure of one
-    tail window on pairs, in the distance quantale."""
+    tail window on pairs, in the distance quantale; built once per
+    sequence (``Sequence.dset_colimit``), so ``colimit`` and ``colimit
+    vlip`` share one apex and one cocone."""
     if s.kind != DSET:
         raise ValueError("colimit_dset needs a distance-set sequence")
+    return s.dset_colimit
+
+
+def _build_dset_colimit(s: Sequence) -> tuple[VCategory, Cocone]:
     _require_cauchy(s)
     quot, qd, T = s.quotient, s.quantale, s.tail_object
     position = {label: i for i, label in enumerate(quot.labels)}
@@ -476,7 +493,9 @@ def colimit_report(s: Sequence, gamma: Cocone, probe_bound: int) -> Report:
     report.add("cocone-commutes", True)
     report.add("C1-factors-through-quotient", True)
     report.add("C1-bijective", True)
-    c2a = q.meet(s.map_norm_of(g, s.tail_object, gamma.apex) for g in gamma.tail)
+    c2a = gamma.c2a
+    if c2a is None:
+        c2a = gamma.c2a = q.meet(s.map_norm_of(g, s.tail_object, gamma.apex) for g in gamma.tail)
     report.add("C2a", q.leq(q.unit, c2a), f"tail component norm meet {q.format(c2a)}")
     if q.is_finite:
         report.add(f"C2b (probe bound {probe_bound})", True)

@@ -2227,3 +2227,29 @@ def fresh_python(script: str, *flags) -> tuple:
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                           text=True, timeout=60)
     return done.stdout, done.stderr
+
+
+def counted_colimits(monkeypatch):
+    """Calls of the distance-set colimit build, each ``"built"`` or
+    ``"raised"``, and ``"norm"`` for each tail component normed into a
+    built apex; each build appends ``"period p"`` after its call."""
+    from quantcat import seqlim
+
+    calls, apexes = [], []
+    build, map_norm = seqlim._build_dset_colimit, seqlim.Sequence.map_norm_of
+
+    def counted_build(s):
+        calls.append("raised")
+        apex, gamma = build(s)
+        calls[-1:] = ["built", f"period {len(gamma.tail)}"]
+        apexes.append(apex)
+        return apex, gamma
+
+    def counted_norm(self, step, src, tgt):
+        if any(tgt is apex for apex in apexes):
+            calls.append("norm")
+        return map_norm(self, step, src, tgt)
+
+    monkeypatch.setattr(seqlim, "_build_dset_colimit", counted_build)
+    monkeypatch.setattr(seqlim.Sequence, "map_norm_of", counted_norm)
+    return calls

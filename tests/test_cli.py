@@ -4,10 +4,12 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -162,6 +164,12 @@ json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
+    # a formatted row, which the writer joins at C speed, and a list that
+    # starts like one but holds a dict later
+    | st.lists(st.text(max_size=4), min_size=5, max_size=8)
+    | st.tuples(st.text(max_size=4), st.lists(inner, max_size=3),
+                st.dictionaries(st.text(max_size=4), inner, max_size=3))
+    .map(lambda parts: [parts[0], *parts[1], parts[2]])
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=12,
 )
@@ -170,14 +178,19 @@ json_values = st.recursive(
 @given(json_values)
 @settings(max_examples=200, deadline=None)
 @example(REPORT_SHAPES)
+@example(["1/2", "inf", "0", "é", '"', "\n"])
+@example(("a", "b", "c", "d", "e", {"f": ["g"]}))
+@example(["a", ["b"], "c", {}, "d"])
 def test_report_writer_matches_json_dumps_on_generated_values(value):
     assert machine_report(value) == dumps(value)
 
 
 @pytest.mark.parametrize(
     "value",
-    [1.5, {"a": [0.0]}, {"a": {1, 2}}, {1: "a"}, {"a": [{2: "b"}]}, Fraction(1, 2)],
-    ids=["float", "nested-float", "set", "int-key", "nested-int-key", "fraction"],
+    [1.5, {"a": [0.0]}, {"a": {1, 2}}, {1: "a"}, {"a": [{2: "b"}]}, Fraction(1, 2),
+     ["a", "b", 0.5], ("a", Fraction(1, 2))],
+    ids=["float", "nested-float", "set", "int-key", "nested-int-key", "fraction",
+         "float-after-strings", "fraction-after-a-string"],
 )
 def test_report_writer_rejects_other_types(value):
     with pytest.raises(TypeError):
@@ -2076,6 +2089,113 @@ def test_parsing_converts_each_numeral_string_once(monkeypatch):
         repeats += sum(text.count(json.dumps(raw)) - 1 for raw in strings)
         assert inst.numerals == {}, name  # the memo lasts for one parse
     assert repeats > 10  # the fixtures repeat numerals, and each repeat was a memo hit
+
+
+def _one_vcat_file(tmp_path, dist, quantale="lawvere-plus"):
+    f = tmp_path / "matrix.json"
+    names = [f"p{i}" for i in range(len(dist))]
+    f.write_text(json.dumps({
+        "quantale": quantale,
+        "objects": {"X": {"kind": "vcat", "objects": names, "dist": dist}},
+        "tasks": [{"op": "validate", "target": "X"}],
+    }), encoding="utf-8")
+    return str(f)
+
+
+def test_a_matrix_reports_its_first_bad_cell_in_row_major_order(tmp_path, capsys, monkeypatch):
+    # the distinct strings are converted in set order; whichever bad one
+    # that meets first, the error names the first bad cell in row order
+    from quantcat import quantale
+
+    bad = [f"x{i}" for i in range(10)] + ["3/0", "1/00"]
+    expected = {raw: f"malformed numeral: {raw!r}" for raw in bad}
+    expected.update({raw: f"zero denominator: {raw!r}" for raw in ("3/0", "1/00")})
+    converted = []
+    convert = quantale.as_extended_rational
+
+    def logged(x):
+        converted.append(x)
+        return convert(x)
+
+    monkeypatch.setattr(quantale, "as_extended_rational", logged)
+    met_first = set()
+    for shift in range(len(bad)):
+        order = bad[shift:] + bad[:shift]
+        cells = ["0", "1/2", *order, "inf", "2"]  # 16 cells, a 4x4 matrix
+        dist = [cells[i:i + 4] for i in range(0, 16, 4)]
+        converted.clear()
+        assert main([_one_vcat_file(tmp_path, dist)]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: objects.X.dist[0][2]: {expected[order[0]]}\n"
+        ), order
+        met_first.add(next(raw for raw in converted if raw in expected) == order[0])
+    assert met_first == {True, False}  # some runs met a later bad cell first
+
+
+@pytest.mark.parametrize("dist, error", [
+    ([[0, "1/2"], [3, "x"]], "dist[1][1]: malformed numeral: 'x'"),
+    ([["0", "1"], [-1, "0"]], "dist[1][0]: negative value outside [0, inf]: -1"),
+    ([["0", True], ["1", "0"]], "dist[0][1]: not an extended rational: true"),
+    ([["0", "1"], [[1], "0"]], "dist[1][0]: not an extended rational: [1]"),
+    ([["0", "x"], [[1], "0"]], "dist[0][1]: malformed numeral: 'x'"),
+    ([["0", {"a": 1}], ["1", "0"]], 'dist[0][1]: not an extended rational: {"a": 1}'),
+    ([["0", None], ["1", "0"]], "dist[0][1]: not an extended rational: null"),
+], ids=["int-then-bad-string", "negative-int", "boolean", "list", "bad-string-then-list",
+        "object", "null"])
+def test_a_matrix_with_a_cell_that_is_not_a_string_is_read_value_by_value(tmp_path, capsys,
+                                                                          dist, error):
+    assert main([_one_vcat_file(tmp_path, dist)]) == 2
+    assert capsys.readouterr().err == f"input error: objects.X.{error}\n"
+
+
+def _compose_32(tmp_path):
+    rng = random.Random(37)
+    objects = [f"x{i}" for i in range(32)]
+
+    def values():
+        return [["inf" if rng.random() < 0.05 else str(Fraction(rng.randint(0, 60),
+                                                                 rng.choice((1, 2, 3, 4, 6))))
+                 for _ in objects] for _ in objects]
+
+    f = tmp_path / "compose32.json"
+    f.write_text(json.dumps({
+        "quantale": "lawvere-plus",
+        "objects": {
+            "X": {"kind": "vcat", "objects": objects,
+                  "dist": [["0" if x == y else "inf" for y in objects] for x in objects]},
+            "inner": {"kind": "vdist", "source": "X", "target": "X", "values": values()},
+            "outer": {"kind": "vdist", "source": "X", "target": "X", "values": values()},
+        },
+        "tasks": [{"op": "compose", "outer": "outer", "inner": "inner"}],
+    }), encoding="utf-8")
+    return str(f)
+
+
+def test_a_numeral_matrix_is_read_and_its_composite_written_once_per_distinct_value(
+        tmp_path, capsys, monkeypatch):
+    from quantcat import cli, quantale
+
+    calls = Counter()
+    value, format_ = cli.Instance.value, quantale.LawvereQuantale.format
+
+    def counted_value(self, raw):
+        calls["value"] += 1
+        return value(self, raw)
+
+    def counted_format(self, u):
+        calls["format"] += 1
+        return format_(self, u)
+
+    monkeypatch.setattr(cli.Instance, "value", counted_value)
+    monkeypatch.setattr(quantale.LawvereQuantale, "format", counted_format)
+    for f in (path("compose.json"), _compose_32(tmp_path)):
+        calls.clear()
+        code, report, _ = run_json(capsys, f)
+        assert code == 0
+        composite = report["tasks"][0]["details"]["values"]
+        distinct = set(chain.from_iterable(composite))
+        assert calls == {"format": len(distinct)}, f
+    assert len(distinct) < 32 * 32 / 4  # the 32x32 composite repeats its entries
 
 
 def test_an_integer_literal_past_the_digit_limit_is_an_input_error(tmp_path, capsys):

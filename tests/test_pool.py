@@ -15,6 +15,8 @@ import pytest
 
 from quantcat.cli import main
 
+from helpers import counted_colimits
+
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
@@ -74,3 +76,26 @@ def test_pool_files_keep_their_exit_codes_and_pinned_reports(name, tmp_path, cap
         elif report_sha is None and [code, digest] != recorded[case.name]:
             problems.append((case.name, "exit or report digest differs from the recorded one"))
     assert problems == []
+
+
+@pytest.mark.parametrize("name", ["colimit-rational", "colimit-probe"])
+def test_colimit_and_colimit_vlip_share_one_apex(name, tmp_path, capsys, monkeypatch):
+    workload = workloads.WORKLOADS[name]
+    calls = counted_colimits(monkeypatch)
+    shared = [case for case in workloads.pool(workload)
+              if case.name.startswith(("rotation-", "vlip-chain"))]
+    assert shared
+    for case in shared:
+        tasks = json.loads(case.text)["tasks"]
+        assert [(t["op"], t.get("vlip")) for t in tasks][-2:] == [("colimit", None),
+                                                                  ("colimit", True)]
+        f = tmp_path / f"{case.name}.json"
+        f.write_text(case.text, encoding="utf-8")
+        calls.clear()
+        code = main([str(f), "--json", "--budget", str(workload.budget),
+                     "--probe", str(workload.probe)])
+        assert code == case.expected_exit == 0, case.name
+        # one apex for both tasks, and (C2a) norms each tail component into it once
+        period = int(calls[1].split()[1])
+        assert calls == ["built", f"period {period}"] + ["norm"] * period, case.name
+    capsys.readouterr()

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
@@ -706,6 +707,27 @@ def test_int_fast_path_accepts_and_rejects_like_fraction_str(x):
         assert got == (CarrierMismatch, f"zero denominator: {x!r}")
     else:
         assert got == expected
+
+
+@pytest.mark.parametrize("limit", [None, 640])
+@pytest.mark.parametrize("raw", [
+    "007", "0/7", "3/0", "00/0", " 3", "+3", "1_000", "３", "²", "3/4/5", "inf",
+    "1" * 640, "1" * 641, "7/" + "3" * 638, "7/" + "3" * 639,
+], ids=lambda raw: raw if len(raw) < 12 else f"{raw[:2]}-{len(raw)}-chars")
+def test_a_short_numeral_reads_as_the_general_branch_reads_it(raw, limit):
+    # 640 is the least limit int accepts: a numeral within it needs no check
+    from quantcat.quantale import _extended_rational
+
+    previous = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        got, expected = (parse_outcome(f, raw) for f in (as_extended_rational, _extended_rational))
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert got == expected
+    too_long = limit is not None and raw == "1" * 641
+    assert (got[0] is CarrierMismatch) == (too_long or raw in ("3/0", "00/0", "²", "3/4/5"))
 
 
 @pytest.mark.parametrize("raw", ["1/0", "0/0", " 3/0 ", "1/00", "1_0/0"])

@@ -68,6 +68,7 @@ from helpers import (
     _c2b_probe_check,
     _c2b_sets,
     cocone_commutes,
+    counted_colimits,
     coweight_vector,
     right_weight,
     weight_vector,
@@ -1362,3 +1363,15 @@ def test_malformed_prefix_component_names_its_stage(q2):
     bad = Cocone(apex, gamma.prefix, [{}])
     with pytest.raises(ValueError, match="stage 1 component: no image for 'a'"):
         verify_normed_colimit(s, bad)
+
+
+def test_a_sequence_that_is_not_cauchy_fails_both_colimit_tasks_alike(capsys, monkeypatch):
+    # odot.json: ``swap`` and ``merge`` are Cauchy and build one apex each for
+    # their two colimit tasks; the raise of ``stretch`` is not kept
+    calls = counted_colimits(monkeypatch)
+    assert main([os.path.join(os.path.dirname(__file__), "data", "odot.json"), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [c for c in calls if c in ("built", "raised")] == ["built", "built", "raised", "raised"]
+    stretch = [t["details"] for t in report["tasks"]
+               if t["op"] == "colimit" and t["target"] == "stretch"]
+    assert stretch == [{"rejected": "sequence is not Cauchy: expression value m", "value": "m"}] * 2
